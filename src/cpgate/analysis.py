@@ -93,11 +93,20 @@ def order_slope(seq: CompositeSequence) -> tuple[float, float]:
 
 
 def verify_order(seq: CompositeSequence) -> int:
-    """Compensation order from the infidelity power law: round(slope) - 1."""
+    """Compensation order from the infidelity power law: round(slope) - 1.
+
+    Raises AnalysisError when the order is beyond the measurable range or
+    below zero (the train misses the target gate even at zero error).
+    """
     slope, peak = order_slope(seq)
     if not math.isfinite(slope) or peak < _MEASURABLE_INFIDELITY:
         raise AnalysisError("order exceeds measurable range")
-    return int(round(slope)) - 1
+    order = int(round(slope)) - 1
+    if order < 0:
+        raise AnalysisError(
+            f"measured order {order}: the train misses the target gate at zero error"
+        )
+    return order
 
 
 def _bisect(infidelity, threshold: float, lo: float, hi: float,

@@ -2,9 +2,10 @@
 
 Phases are recorded exactly as published, in units of pi: closed-form
 values as exact fractions, numerically derived values as 4-decimal
-strings.  The embedded copy below is the reference; the same content
-ships as an editable JSON file (``data/catalog.json``), and solver output
-can be appended to such files with ``source="solver"``.
+strings.  The named Z/S/T gates live in the packaged JSON file
+``data/catalog.json``, which ``names``, ``get`` and ``entries`` read; the
+arbitrary-angle rows are embedded below.  Solver output is written in the
+same JSON form with ``source="solver"``.
 
 Four printed decimals limit a phase to ~1e-4 pi, which is far too coarse
 for high-order derivative cancellation, so sequence construction polishes
@@ -17,109 +18,16 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
 import mpmath as mp
-import numpy as np
 
-from . import precise, solver
-from .su2 import CompositeSequence, Pulse
-
-# name -> (phi units pi, order, phase strings units pi, range [lo, hi] units pi)
-_TABLE_GATES = {
-    # Z gate, phi = pi
-    "Z2": ("1", 0, ["0", "1/2"], (0.99994, 1.00006)),
-    "Z4": ("1", 1, ["0", "7/4", "1/2", "1/4"], (0.994, 1.006)),
-    "Z6": ("1", 2, ["0", "0", "1.6350", "1/2", "1/2", "0.1350"], (0.970, 1.030)),
-    "Z8": ("1", 3,
-           ["0", "0", "1.8137", "1.5637", "1/2", "1/2", "0.3137", "0.0637"],
-           (0.936, 1.064)),
-    "Z10": ("1", 4,
-            ["0", "1.0992", "1.0992", "1.8315", "0.0203",
-             "1/2", "1.5992", "1.5992", "0.3315", "0.5203"],
-            (0.899, 1.101)),
-    "Z12": ("1", 5,
-            ["0", "0", "0.4492", "0.4492", "1.4099", "1.1599",
-             "1/2", "1/2", "0.9492", "0.9492", "1.9099", "1.6599"],
-            (0.862, 1.138)),
-    "Z14": ("1", 6,
-            ["0", "0.7815", "0.7815", "1.9963", "1.9963", "0.8915", "0.3245",
-             "1/2", "1.2815", "1.2815", "0.4963", "0.4963", "1.3915", "0.8245"],
-            (0.823, 1.177)),
-    "Z16": ("1", 7,
-            ["0", "0", "1.8969", "1.8969", "1.0586", "1.0586", "0.0214",
-             "1.7714", "1/2", "1/2", "0.3969", "0.3969", "1.5586", "1.5586",
-             "0.5214", "0.2714"],
-            (0.795, 1.205)),
-    "Z18": ("1", 8,
-            ["0", "0.1421", "0.1421", "1.0834", "1.0834", "0.5572", "0.5572",
-             "1.4991", "1.0352", "1/2", "0.6421", "0.6421", "1.5834", "1.5834",
-             "1.0572", "1.0572", "1.9991", "1.5352"],
-            (0.766, 1.234)),
-    # S gate, phi = pi/2
-    "S2": ("1/2", 0, ["0", "3/4"], (0.99988, 1.00012)),
-    "S4": ("1/2", 1, ["0", "15/8", "3/4", "5/8"], (0.991, 1.009)),
-    "S6": ("1/2", 2, ["0", "0", "1.8137", "3/4", "3/4", "0.5637"],
-           (0.964, 1.036)),
-    "S8": ("1/2", 3,
-           ["0", "0", "1.9064", "1.7814", "3/4", "3/4", "0.6564", "0.5314"],
-           (0.926, 1.074)),
-    "S10": ("1/2", 4,
-            ["0", "0.8226", "0.8226", "1.9152", "0.4416",
-             "3/4", "1.5726", "1.5726", "0.6652", "1.1916"],
-            (0.885, 1.115)),
-    "S12": ("1/2", 5,
-            ["0", "0", "1.3587", "1.3587", "0.3367", "0.2117",
-             "3/4", "3/4", "0.1087", "0.1087", "1.0867", "0.9617"],
-            (0.847, 1.153)),
-    "S14": ("1/2", 6,
-            ["0", "0.8197", "0.8197", "1.6756", "1.6756", "0.7586", "1.1000",
-             "3/4", "1.5697", "1.5697", "0.4255", "0.4255", "1.5086", "1.8500"],
-            (0.811, 1.189)),
-    "S16": ("1/2", 7,
-            ["0", "0", "1.9466", "1.9466", "1.1420", "1.1420", "0.1251",
-             "0.0001", "3/4", "3/4", "0.6966", "0.6966", "1.8920", "1.8920",
-             "0.8751", "0.7501"],
-            (0.778, 1.222)),
-    "S18": ("1/2", 8,
-            ["0", "0.3453", "0.3453", "1.4636", "1.4636", "0.2616", "0.2616",
-             "1.3543", "0.0643", "3/4", "1.0953", "1.0953", "0.2136", "0.2136",
-             "1.0116", "1.0116", "0.1043", "0.8143"],
-            (0.749, 1.251)),
-    # T gate, phi = pi/4
-    "T2": ("1/4", 0, ["0", "7/8"], (0.99977, 1.00023)),
-    "T4": ("1/4", 1, ["0", "31/16", "7/8", "13/16"], (0.988, 1.012)),
-    "T6": ("1/4", 2, ["0", "0", "1.9064", "7/8", "7/8", "0.7814"],
-           (0.955, 1.045)),
-    "T8": ("1/4", 3,
-           ["0", "0", "1.9531", "1.8906", "7/8", "7/8", "0.8281", "0.7656"],
-           (0.912, 1.088)),
-    "T10": ("1/4", 4,
-            ["0", "1.1086", "1.1086", "0.0218", "0.2593",
-             "7/8", "1.9836", "1.9836", "0.8968", "1.1343"],
-            (0.869, 1.131)),
-    "T12": ("1/4", 5,
-            ["0", "0", "0.5488", "0.5488", "1.5386", "1.4761",
-             "7/8", "7/8", "1.4238", "1.4238", "0.4136", "0.3511"],
-            (0.828, 1.172)),
-    "T14": ("1/4", 6,
-            ["0", "0.9406", "0.9406", "0.2214", "0.2214", "1.1532", "1.3379",
-             "7/8", "1.8156", "1.8156", "1.0964", "1.0964", "0.0282", "0.2129"],
-            (0.791, 1.209)),
-    "T16": ("1/4", 7,
-            ["0", "0", "1.9724", "1.9724", "0.7247", "0.7247", "1.7171",
-             "1.6546", "7/8", "7/8", "0.8474", "0.8474", "1.5997", "1.5997",
-             "0.5921", "0.5296"],
-            (0.758, 1.242)),
-    "T18": ("1/4", 8,
-            ["0", "0.9424", "0.9424", "0.5711", "0.5711", "1.3429", "1.3429",
-             "0.3645", "0.6381", "7/8", "1.8174", "1.8174", "1.4461", "1.4461",
-             "0.2179", "0.2179", "1.2395", "1.5131"],
-            (0.728, 1.272)),
-}
+from . import precise
+from .sequences import HalfSequenceSpec, structured_sequence
+from .su2 import CompositeSequence
 
 # phi (units pi) -> free phases per train length, as published.
 _TABLE_ARBITRARY = {
@@ -208,32 +116,26 @@ class ArbitraryPhaseRow:
         return tuple(Fraction(s) for s in self.columns[pulses])
 
 
-def _entry(name: str) -> CatalogEntry:
-    phi_s, order, phases, rng = _TABLE_GATES[name]
-    return CatalogEntry(
-        name=name,
-        phi_over_pi=Fraction(phi_s),
-        order=order,
-        phases_over_pi=tuple(Fraction(s) for s in phases),
-        phase_strings=tuple(phases),
-        quoted_range_over_pi=rng,
-    )
+@lru_cache(maxsize=None)
+def _packaged() -> dict[str, CatalogEntry]:
+    text = resources.files("cpgate").joinpath("data/catalog.json").read_text()
+    return {entry.name: entry for entry in _parse(text)}
 
 
 def names() -> list[str]:
-    return list(_TABLE_GATES)
+    return list(_packaged())
 
 
 def entries() -> list[CatalogEntry]:
-    return [_entry(name) for name in _TABLE_GATES]
+    return list(_packaged().values())
 
 
-@lru_cache(maxsize=None)
 def get(name: str) -> CatalogEntry:
     """Look up a published train by name (Z2..Z18, S2..S18, T2..T18)."""
-    if name not in _TABLE_GATES:
-        raise CatalogError(f"unknown catalog entry {name!r}")
-    return _entry(name)
+    try:
+        return _packaged()[name]
+    except KeyError:
+        raise CatalogError(f"unknown catalog entry {name!r}") from None
 
 
 def arbitrary_rows() -> list[ArbitraryPhaseRow]:
@@ -254,8 +156,22 @@ def _is_exact(s: str) -> bool:
     return "." not in s
 
 
-def _build_structured(rel_strings, phi_over_pi: Fraction, order: int,
-                      label: str, refine: bool) -> CompositeSequence:
+def polished_sequence(rel_phases, phi: mp.mpf, pinned) -> CompositeSequence:
+    """Two-half train from first-half relative phases (radians) Newton-
+    polished onto the exact root at the mpf gate angle ``phi``.
+
+    ``pinned`` marks the phases that must not move.  The polish and the
+    train both use ``phi`` itself: polishing at a rounded angle leaves a
+    residual near double precision that caps the measurable order.
+    Raises SolverError if the polish fails.
+    """
+    with mp.workdps(precise.WORKING_DPS):
+        rel = precise.polish_structured(rel_phases, phi, pinned=pinned)
+        return structured_sequence(HalfSequenceSpec(tuple(rel), phi))
+
+
+def _build_structured(rel_strings, phi_over_pi: Fraction, label: str,
+                      refine: bool) -> CompositeSequence:
     """Construct the full train from first-half relative phases (units pi).
 
     Decimal phases are polished onto the exact root; "0" entries and exact
@@ -263,53 +179,28 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, order: int,
     extended-precision checks see the actual root, while float consumers
     simply cast.
     """
+    exact = [_is_exact(s) for s in rel_strings]
+    fracs = [Fraction(s) for s in rel_strings]
     with mp.workdps(precise.WORKING_DPS):
-        phi_mp = mp.pi * phi_over_pi.numerator / phi_over_pi.denominator
-        fracs = [Fraction(s) for s in rel_strings]
-        if refine and not all(_is_exact(s) for s in rel_strings):
-            pinned = np.array([_is_exact(s) for s in rel_strings], dtype=bool)
-            seed = [float(f) * math.pi for f in fracs]
-            rel = precise.polish_structured(seed, phi_mp, pinned=pinned)
+        phi = mp.pi * phi_over_pi.numerator / phi_over_pi.denominator
+        if refine and not all(exact):
+            seq = polished_sequence([float(f) * math.pi for f in fracs], phi, exact)
         else:
-            rel = [mp.pi * f.numerator / f.denominator for f in fracs]
-        half = [mp.mpf(0)] + list(rel)
-        shift = mp.pi - phi_mp / 2
-        phases = half + [p + shift for p in half]
-    return CompositeSequence(
-        pulses=tuple(Pulse(math.pi, p) for p in phases),
-        target_phi=phi_mp,
-        order=order,
-        label=label,
-    )
+            rel = tuple(mp.pi * f.numerator / f.denominator for f in fracs)
+            seq = structured_sequence(HalfSequenceSpec(rel, phi))
+    return replace(seq, label=label)
 
 
-@lru_cache(maxsize=None)
-def _to_sequence_cached(name: str, refine: bool) -> CompositeSequence:
-    entry = get(name)
-    n = entry.order
-    first_half = entry.phase_strings[: n + 1]
-    if first_half[0] != "0":
-        raise CatalogError(f"{name}: first phase must be 0")
-    return _build_structured(
-        list(first_half[1:]), entry.phi_over_pi, n, entry.name, refine
-    )
-
-
+@lru_cache
 def to_sequence(entry: CatalogEntry, refine: bool = True) -> CompositeSequence:
     """Pulse train of a catalog entry (see ``_build_structured`` for the
     refinement of printed decimals)."""
-    if entry.source == "paper-table" and entry.name in _TABLE_GATES:
-        return _to_sequence_cached(entry.name, refine)
-    return _build_structured(
-        [str(f) for f in entry.phases_over_pi[1 : entry.order + 1]],
-        entry.phi_over_pi,
-        entry.order,
-        entry.name,
-        refine,
-    )
+    first_half = entry.phase_strings[: entry.order + 1]
+    if Fraction(first_half[0]) != 0:
+        raise CatalogError(f"{entry.name}: first phase must be 0")
+    return _build_structured(first_half[1:], entry.phi_over_pi, entry.name, refine)
 
 
-_ROW_ORDERS = {4: 1, 6: 2, 8: 3, 10: 4, 12: 5, 14: 6}
 _ROW_LEADING_ZEROS = {4: 0, 6: 1, 8: 1, 10: 2, 12: 2, 14: 3}
 
 
@@ -317,12 +208,11 @@ _ROW_LEADING_ZEROS = {4: 0, 6: 1, 8: 1, 10: 2, 12: 2, 14: 3}
 def arbitrary_row(phi_over_pi, pulses: int, refine: bool = True) -> CompositeSequence:
     """Train for an arbitrary-angle table row and train length."""
     row = get_arbitrary_row(phi_over_pi)
-    if pulses not in _ROW_ORDERS:
+    if pulses not in _ROW_LEADING_ZEROS:
         raise CatalogError(f"no {pulses}-pulse column")
-    free = row.columns[pulses]
-    rel = ["0"] * _ROW_LEADING_ZEROS[pulses] + list(free)
+    rel = ["0"] * _ROW_LEADING_ZEROS[pulses] + list(row.columns[pulses])
     label = f"phi={phi_over_pi}pi-{pulses}p"
-    return _build_structured(rel, row.phi_over_pi, _ROW_ORDERS[pulses], label, refine)
+    return _build_structured(rel, row.phi_over_pi, label, refine)
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -358,21 +248,21 @@ def save_catalog(entry_list, path) -> None:
         fh.write("\n")
 
 
+def _parse(text: str) -> list[CatalogEntry]:
+    data = json.loads(text)
+    if isinstance(data, dict):
+        data = [data]
+    return [entry_from_dict(d) for d in data]
+
+
 def load_catalog(path=None) -> list[CatalogEntry]:
     """Load entries from ``path``, $CPGATE_CATALOG, or the packaged file."""
     if path is None:
         path = os.environ.get("CPGATE_CATALOG")
     if path is None:
-        text = (
-            resources.files("cpgate").joinpath("data/catalog.json").read_text()
-        )
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    data = json.loads(text)
-    if isinstance(data, dict):
-        data = [data]
-    return [entry_from_dict(d) for d in data]
+        return entries()
+    with open(path, encoding="utf-8") as fh:
+        return _parse(fh.read())
 
 
 def solution_to_entry(phases, phi_over_pi, order: int, name: str) -> CatalogEntry:

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -50,6 +51,8 @@ def spec_parse(text: str) -> CompositeSequence:
         phases = [float(p) * PI for p in fields["phases"].split(",")]
     except ValueError as exc:
         raise CliError(f"unparsable number in sequence spec: {exc}") from exc
+    if not all(math.isfinite(v) for v in [phi, *phases]):
+        raise CliError("non-finite number in sequence spec")
     if len(phases) % 2 != 0 or not phases:
         raise CliError("phase count must be even and positive")
     order = len(phases) // 2 - 1
@@ -94,17 +97,6 @@ def _measurement_sequence(seq: CompositeSequence) -> CompositeSequence:
     if rel is None or not rel:
         return seq
     phi = float(seq.target_phi)
-    try:
-        polished = precise.polish_structured(rel, phi)
-    except solver.SolverError:
-        return seq
-    # Only accept the polish if it stayed on the same root (the input was
-    # a rounded table row, not some arbitrary far-from-root train).
-    if any(
-        sequences._mod_distance(float(p), r) > 1e-2
-        for p, r in zip(polished, rel)
-    ):
-        return seq
     with mp.workdps(precise.WORKING_DPS):
         # Snap a float gate angle that is (numerically) a small fraction
         # of pi back to the exact value; a rounded target otherwise caps
@@ -114,14 +106,20 @@ def _measurement_sequence(seq: CompositeSequence) -> CompositeSequence:
             phi_mp = mp.pi * frac.numerator / frac.denominator
         else:
             phi_mp = mp.mpf(phi)
-        half = [mp.mpf(0)] + list(polished)
-        shift = mp.pi - phi_mp / 2
-        return CompositeSequence(
-            pulses=tuple(Pulse(PI, p) for p in half + [p + shift for p in half]),
-            target_phi=phi_mp,
-            order=seq.order,
-            label=seq.label,
-        )
+    # Exact zeros are the structural leading blocks; left free, the polish
+    # of a rounded row can slide along the root manifold.
+    try:
+        polished = catalog.polished_sequence(rel, phi_mp, [r == 0 for r in rel])
+    except solver.SolverError:
+        return seq
+    # Only accept the polish if it stayed on the same root (the input was
+    # a rounded table row, not some arbitrary far-from-root train).
+    if any(
+        sequences._mod_distance(float(p), r) > 1e-2
+        for p, r in zip(polished.phases[1:], rel)
+    ):
+        return seq
+    return replace(polished, label=seq.label)
 
 
 def _fmt_phase(p) -> str:
@@ -206,19 +204,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    phi_fraction = Fraction(args.phi).limit_denominator(64)
     config = solver.SolverConfig(
         n=args.order, phi=args.phi * PI, seeds=args.seeds, rng_seed=args.rng_seed
     )
     solutions = solver.solve(config)
     entries = []
     for i, sol in enumerate(solutions):
-        half = [0.0] + list(sol.phases)
-        shift = PI - config.phi / 2
-        full = half + [p + shift for p in half]
+        seq = sequences.structured_sequence(
+            sequences.HalfSequenceSpec(sol.phases, config.phi)
+        )
         entries.append(
             catalog.solution_to_entry(
-                [p % (2 * PI) for p in full],
-                args.phi_fraction,
+                [p % (2 * PI) for p in seq.phases],
+                phi_fraction,
                 args.order,
                 f"solve-n{args.order}-{i}",
             )
@@ -256,6 +255,16 @@ def _cmd_tables(args) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_gate_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--gate",
@@ -279,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_show)
 
     p = sub.add_parser("build", help="construct an analytic train")
-    p.add_argument("--phi", type=float, required=True, help="gate angle, units of pi")
+    p.add_argument("--phi", type=_finite, required=True, help="gate angle, units of pi")
     p.add_argument("--pulses", type=int, required=True,
                    choices=[2, 4, 6, 8, 10, 12, 14])
     p.add_argument("--variant", type=int, default=1)
@@ -304,13 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="derive phases numerically")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--phi", type=float, required=True, help="gate angle, units of pi")
+    p.add_argument("--phi", type=_finite, required=True, help="gate angle, units of pi")
     p.add_argument("--seeds", type=int, default=32)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("tables", help="print one embedded table")
+    p = sub.add_parser("tables", help="print one catalog table")
     p.add_argument("--which", required=True, choices=["Z", "S", "T", "IV"])
     p.set_defaults(func=_cmd_tables)
 
@@ -323,8 +332,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
-    if getattr(args, "command", None) == "solve":
-        args.phi_fraction = Fraction(args.phi).limit_denominator(64)
     try:
         return args.func(args)
     except (CliError, catalog.CatalogError, ValueError) as exc:

@@ -47,13 +47,6 @@ def mp_propagator(phases, areas, epsilon):
     return a, b
 
 
-def mp_frobenius_infidelity(seq: CompositeSequence, epsilon) -> mp.mpf:
-    phases, areas = _mp_phases(seq)
-    fa = mp.exp(-1j * mp.mpf(seq.target_phi) / 2)
-    a, b = mp_propagator(phases, areas, mp.mpf(epsilon))
-    return mp.sqrt((abs(a - fa) ** 2 + abs(b) ** 2) / 2)
-
-
 def slope_fit(seq: CompositeSequence, eps_lo=1e-3, eps_hi=1e-2, points=20,
               dps=50) -> tuple[float, float]:
     """Least-squares slope of log-infidelity vs log-error, both signs averaged.

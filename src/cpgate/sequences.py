@@ -7,16 +7,20 @@ values are not wrapped); normalization to [0, 2pi) is a display concern.
 
 Every train shares the asymmetric two-half structure: a half-sequence
 R_{n+1}(nu) = pi_nu pi_{nu+p1} ... pi_{nu+pn} followed by the same half
-with every phase shifted by pi - phi/2.  That structure alone pins the
-zero-error propagator to the target gate and cancels all odd-order
-derivatives of the major-diagonal element and all even-order derivatives
-of the minor-diagonal one.
+with every phase shifted by pi - phi/2.  That structure cancels all
+odd-order derivatives of the major-diagonal element and all even-order
+derivatives of the minor-diagonal one.  It pins the zero-error propagator
+to the target gate only for even n; for odd n the zero-error diagonal
+element is exp(2i sum_k (-1)^(k+1) p_k) (p_0 = 0), which equals
+exp(-i phi/2) only on some roots of the derivative conditions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import mpmath as mp
 
 from .su2 import CompositeSequence, Pulse
 
@@ -45,9 +49,14 @@ def _pi_train(phases, phi, order, label) -> CompositeSequence:
 
 
 def structured_sequence(spec: HalfSequenceSpec, nu: float = 0.0) -> CompositeSequence:
-    """Full 2(n+1)-pulse train from one half, second half shifted by pi - phi/2."""
+    """Full 2(n+1)-pulse train from one half, second half shifted by pi - phi/2.
+
+    An mpf ``phi`` takes the shift with ``mp.pi`` at the working mpmath
+    precision, so extended-precision phases stay on their exact root.
+    """
+    pi = mp.pi if isinstance(spec.phi, mp.mpf) else PI
     half = [nu] + [nu + p for p in spec.relative_phases]
-    shift = PI - spec.phi / 2
+    shift = pi - spec.phi / 2
     phases = half + [p + shift for p in half]
     return _pi_train(
         phases, spec.phi, spec.order, label=f"struct(n={spec.order})"

@@ -13,6 +13,7 @@ for deduplication and reporting.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -66,6 +67,18 @@ def _structured_arrays(phases: np.ndarray, phi: float, order: int):
     a, b = compose_arrays(half_phases, areas, order)
     rot = np.exp(1j * (math.pi - phi / 2))
     return _mul_su2(a, rot * b, a, b)
+
+
+# For odd n the conditions fix derivatives 1..n but not the zero-error
+# gate itself: the class (0, pi, pi) at n = 3 converges to a0 = 1.  Valid
+# roots hit the target to rounding; such degenerate ones miss by ~1.
+_TARGET_TOL = 1e-6
+
+
+def _hits_target(phases: np.ndarray, phi: float) -> bool:
+    """Whether the zero-error propagator of the root is the target gate."""
+    a, _ = _structured_arrays(phases, phi, 0)
+    return abs(a[0] - cmath.exp(-0.5j * phi)) < _TARGET_TOL
 
 
 def residual(phases, phi: float) -> np.ndarray:
@@ -310,19 +323,20 @@ def solve(config: SolverConfig) -> list[Solution]:
     """Multi-start Newton over the n relative phases.
 
     Returns one Solution per distinct canonical root, sorted by the
-    canonical phase vector; every raw converged root is kept as a member
-    of its class.  Raises SolverError if no restart converges.
+    canonical phase vector; every raw converged root whose zero-error
+    propagator is the target gate is kept as a member of its class.
+    Raises SolverError if no restart converges to such a root.
     """
     rng = np.random.default_rng(config.rng_seed)
     roots: list[np.ndarray] = []
     for _ in range(config.seeds):
         seed = rng.uniform(0.0, TWO_PI, size=config.n)
         x, rmax, ok = _newton(seed, config.phi, config.tol, config.max_iter)
-        if ok:
+        if ok and _hits_target(x, config.phi):
             roots.append(x % TWO_PI)
     if not roots:
         raise SolverError(
-            "no convergence: every restart failed "
+            "no convergence: every restart failed or missed the target gate "
             f"(n={config.n}, phi={config.phi:.6g}, seeds={config.seeds})"
         )
     classes: list[tuple[np.ndarray, float, list[np.ndarray]]] = []

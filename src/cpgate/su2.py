@@ -86,10 +86,6 @@ class CompositeSequence:
     def phases(self) -> tuple[float, ...]:
         return tuple(p.phase for p in self.pulses)
 
-    @property
-    def total_area(self) -> float:
-        return sum(float(p.area) for p in self.pulses)
-
 
 def target_gate(phi: float) -> Su2:
     """Phase gate diag(e^{-i phi/2}, e^{i phi/2}) as an Su2 value."""

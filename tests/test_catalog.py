@@ -140,10 +140,6 @@ def test_json_round_trip(tmp_path):
     assert loaded == entries()
 
 
-def test_packaged_catalog_matches_embedded_tables():
-    assert load_catalog() == entries()
-
-
 def test_catalog_env_override(tmp_path, monkeypatch):
     path = tmp_path / "one.json"
     save_catalog([get("S8")], path)

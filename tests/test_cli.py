@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -169,3 +171,62 @@ def test_unattainable_threshold_is_numerical_error(capsys):
     )
     assert rc == EXIT_NUMERICAL
     assert "below threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["Z16", "Z18", "S16", "S18", "T16", "T18"])
+def test_verify_high_order_named_gate(name, capsys):
+    assert run(["verify", "--gate", name]) == 0
+    assert capsys.readouterr().out.strip() == f"order = {catalog.get(name).order}"
+
+
+def _inline_spec(phi_over_pi, seq):
+    return f"phi={float(phi_over_pi):.17g};phases=" + ",".join(
+        f"{float(p) / math.pi:.17g}" for p in seq.phases
+    )
+
+
+@pytest.mark.parametrize(
+    "phi,pulses",
+    [(phi, 12) for phi in ("1/4", "1/3", "11/12", "15/16")]
+    + [(phi, 14) for phi in ("1/12", "1/6", "1/3", "1/2", "2/3", "3/4",
+                             "5/6", "7/8", "11/12", "15/16")],
+)
+def test_verify_rounded_row(phi, pulses, capsys):
+    # The printed 4-decimal row, pasted at 17 digits, must be polished at
+    # the exact angle with its structural zeros pinned.
+    seq = catalog.arbitrary_row(Fraction(phi), pulses, refine=False)
+    assert run(["verify", "--gate", _inline_spec(Fraction(phi), seq)]) == 0
+    assert capsys.readouterr().out.strip() == f"order = {seq.order}"
+
+
+def test_catalog_file_entry_is_polished(tmp_path, capsys):
+    # An entry outside the packaged catalog is polished like a named one.
+    path = tmp_path / "user.json"
+    entry = replace(catalog.get("Z16"), name="myZ16", source="user")
+    catalog.save_catalog([entry], path)
+    assert run(["range", "--gate", str(path)]) == 0
+    eps0 = float(capsys.readouterr().out.split()[2].rstrip(","))
+    assert eps0 == pytest.approx(0.20483, abs=2e-5)
+    assert run(["verify", "--gate", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "order = 7"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--order", "1", "--phi", "nan"],
+        ["build", "--phi", "nan", "--pulses", "4"],
+        ["range", "--gate", "phi=nan;phases=0,0.5"],
+    ],
+    ids=["solve", "build", "range"],
+)
+def test_non_finite_input_is_validation_error(argv, capsys):
+    assert run(argv) == EXIT_VALIDATION
+    assert "finite" in capsys.readouterr().err
+
+
+def test_negative_measured_order_is_numerical_error(capsys):
+    # An uncompensated 6-pulse train misses the gate even at zero error.
+    rc = run(["verify", "--gate", "phi=1;phases=0,0.3,0.7,0.1,0.2,0.9"])
+    assert rc == EXIT_NUMERICAL
+    assert "order -1" in capsys.readouterr().err

@@ -157,3 +157,18 @@ def test_solve_members_lie_on_the_same_residual_zero_set():
     for s in sols:
         for member in s.members:
             assert np.max(np.abs(residual(list(member), math.pi))) < 1e-9
+
+
+def test_solve_drops_class_that_misses_the_target_gate():
+    # (0, pi, pi) at n = 3 zeroes the derivative conditions but its
+    # zero-error propagator is the identity, not the Z gate.
+    sols = solve(SolverConfig(n=3, phi=math.pi, seeds=16, rng_seed=1775539677))
+    found = [s.phases for s in sols]
+    assert not any(_circ_close(p, [0.0, math.pi, math.pi], 1e-6) for p in found)
+    assert len(found) == 3
+    for want in ([0.0, 0.5278, 1.2778], [0.0, 0.9363, 0.6863],
+                 [0.0, 1.2222, 1.9722]):
+        assert any(
+            _circ_close(p, np.array(want) * math.pi, 1e-3 * math.pi)
+            for p in found
+        ), want
