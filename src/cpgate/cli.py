@@ -91,8 +91,8 @@ def _is_structured(seq: CompositeSequence, tol: float = 1e-3):
 
 
 def _measurement_sequence(seq: CompositeSequence) -> CompositeSequence:
-    """Polish 4-decimal phases onto the exact root before order/slope
-    measurement; leaves non-structured input untouched."""
+    """Polish the 4-decimal phases of an inline spec onto the exact root
+    before order/slope measurement; leaves non-structured input untouched."""
     rel = _is_structured(seq)
     if rel is None or not rel:
         return seq
@@ -197,7 +197,12 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seq = _measurement_sequence(_resolve_gate(args.gate))
+    seq = _resolve_gate(args.gate)
+    if "=" in args.gate:
+        # Only an inline spec can carry rounded phases: catalog names and
+        # files come from catalog.to_sequence, already polished at the
+        # exact angle.
+        seq = _measurement_sequence(seq)
     n = analysis.verify_order(seq)
     print(f"order = {n}")
     return 0

@@ -124,12 +124,93 @@ def _mul_su2(a2, b2, a1, b1):
 
 
 def compose_arrays(phases, areas, order: int):
-    """Raw-array jet composition; the hot path shared with the solver."""
+    """Raw-array jet composition of an arbitrary train."""
     a, b = _pulse_arrays(areas[0], phases[0], order)
     for area, phase in zip(areas[1:], phases[1:]):
         ak, bk = _pulse_arrays(area, phase, order)
         a, b = _mul_su2(ak, bk, a, b)
     return a, b
+
+
+@lru_cache(maxsize=16)
+def _pi_toeplitz(order: int) -> np.ndarray:
+    # Left-multiplying a coefficient column by T[m, j] = c[m - j] (m >= j)
+    # is the truncated Cauchy product with c.  The fixed cos and sin
+    # series of a nominal pi pulse give two such lower-triangular
+    # matrices, stacked here so one matmul applies both.
+    t = np.zeros((2, order + 1, order + 1), dtype=complex)
+    for k, c in enumerate(_trig_arrays(math.pi, order)):
+        for j in range(order + 1):
+            t[k, j:, j] = c[: order + 1 - j]
+    t = t.reshape(2 * (order + 1), order + 1)
+    t.flags.writeable = False
+    return t
+
+
+@lru_cache(maxsize=16)
+def _antidiagonals(order: int) -> np.ndarray:
+    # S[m, j * (order + 1) + k] = 1 where j + k = m: applied to the
+    # flattened outer product of two series, the truncated Cauchy product.
+    size = order + 1
+    j, k = np.divmod(np.arange(size * size), size)
+    s = (np.arange(size)[:, None] == j + k).astype(complex)
+    s.flags.writeable = False
+    return s
+
+
+def structured_jets(rel_phases, phi: float, order: int, jacobian: bool = False):
+    """Jets of a batch of two-half trains of nominal pi pulses.
+
+    Row k of ``rel_phases`` (shape (B, n)) holds the relative phases
+    p1..pn of one half pi_0 pi_p1 ... pi_pn; the second half repeats it
+    shifted by pi - phi/2.  Returns the Cayley-Klein jets ``(a, b)`` of the
+    trains, each of shape (B, order + 1).  With ``jacobian`` it returns
+    ``(a, b, da, db)``, where ``da[k, j]`` (shape (B, n, order + 1)) is the
+    exact derivative of ``a[k]`` with respect to p_j: forward-mode
+    differentiation, with d b_pulse / d p = i * b_pulse for each pulse and
+    the two occurrences of each phase summed by the product rule.
+    """
+    x = np.asarray(rel_phases, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("relative phases must have shape (batch, n)")
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    batch, n = x.shape
+    size = order + 1
+    cos_sin = _pi_toeplitz(order)
+    cos_c, sin_c = _trig_arrays(math.pi, order)
+    # Axes: series order, (a, b), value then its derivative in each p_j,
+    # batch.  The first pulse has phase 0.
+    w = np.zeros((size, 2, 1 + n if jacobian else 1, batch), dtype=complex)
+    w[:, 0, 0] = cos_c[:, None]
+    w[:, 1, 0] = -1j * sin_c[:, None]
+    # i e^{ip} for the a row, -i e^{ip} for the b row of each pulse.
+    u_all = 1j * np.exp(1j * x.T)[:, None, None, :] * np.array([1.0, -1.0])[:, None, None]
+    for j in range(n):
+        # pi_p @ U: a' = C*a + i e^{ip} S*conj(b), b' = C*b - i e^{ip} S*conj(a);
+        # S is real, so S*conj(b) = conj(S*b).
+        cw, sw = (cos_sin @ w.reshape(size, -1)).reshape(2, *w.shape)
+        swapped = np.conj(sw[:, ::-1])
+        swapped *= u_all[j]
+        if jacobian:
+            cw[:, :, 1 + j] += 1j * swapped[:, :, 0]
+        w = cw + swapped
+    # (a, rot*b) @ (a, b): four products of the half with itself, each of a
+    # value and its tangents (axis 2); the product rule gives the tangents.
+    left = w[:, [0, 1, 0, 1]]
+    right = w[:, [0, 1, 1, 0]]
+    np.conj(right[:, 1::2], out=right[:, 1::2])
+    outer = left[:, None] * right[None, :, :, :1]
+    if jacobian:
+        outer[:, :, :, 1:] += left[:, None, :, :1] * right[None, :, :, 1:]
+    p = (_antidiagonals(order) @ outer.reshape(size * size, -1)).reshape(left.shape)
+    rot = cmath.exp(1j * (math.pi - phi / 2))
+    full_a = p[:, 0] - rot * p[:, 1]
+    full_b = p[:, 2] + rot * p[:, 3]
+    if not jacobian:
+        return full_a[:, 0].T, full_b[:, 0].T
+    return (full_a[:, 0].T, full_b[:, 0].T,
+            full_a[:, 1:].transpose(2, 1, 0), full_b[:, 1:].transpose(2, 1, 0))
 
 
 def jet_compose(seq: CompositeSequence, order: int) -> JetSu2:

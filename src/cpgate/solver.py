@@ -17,10 +17,11 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .jets import _mul_su2, compose_arrays
+from .jets import structured_jets
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,26 +60,45 @@ class Solution:
     members: tuple[tuple[float, ...], ...] = field(default=())
 
 
-def _structured_arrays(phases: np.ndarray, phi: float, order: int):
-    # Compose one half, then reuse it: the shifted second half has the
-    # same diagonal jet and a phase-rotated off-diagonal jet.
-    half_phases = [0.0] + list(phases)
-    areas = [math.pi] * len(half_phases)
-    a, b = compose_arrays(half_phases, areas, order)
-    rot = np.exp(1j * (math.pi - phi / 2))
-    return _mul_su2(a, rot * b, a, b)
-
-
 # For odd n the conditions fix derivatives 1..n but not the zero-error
 # gate itself: the class (0, pi, pi) at n = 3 converges to a0 = 1.  Valid
 # roots hit the target to rounding; such degenerate ones miss by ~1.
 _TARGET_TOL = 1e-6
 
 
-def _hits_target(phases: np.ndarray, phi: float) -> bool:
-    """Whether the zero-error propagator of the root is the target gate."""
-    a, _ = _structured_arrays(phases, phi, 0)
-    return abs(a[0] - cmath.exp(-0.5j * phi)) < _TARGET_TOL
+def _hits_target(x: np.ndarray, phi: float) -> np.ndarray:
+    """Per row of ``x``: whether the zero-error propagator of the root is
+    the target gate."""
+    a, _ = structured_jets(x, phi, 0)
+    return np.abs(a[:, 0] - cmath.exp(-0.5j * phi)) < _TARGET_TOL
+
+
+@lru_cache(maxsize=16)
+def _condition_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Which of a_m (even m) or b_m (odd m) each derivative m = 1..n reads,
+    # and the m! that turns Taylor coefficients into derivatives, repeated
+    # for the interleaved (Re, Im) entries.
+    m = np.arange(1, n + 1)
+    fact = np.array([math.factorial(k) for k in m], dtype=float)
+    return m % 2 == 0, np.repeat(fact, 2)
+
+
+def _condition_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # m! * (Re, Im) of the selected coefficient m, m = 1..n, interleaved
+    # along the last axis.
+    even, scale = _condition_layout(a.shape[-1] - 1)
+    c = np.ascontiguousarray(np.where(even, a[..., 1:], b[..., 1:]))
+    return c.view(float) * scale
+
+
+def _residuals(x: np.ndarray, phi: float, jacobian: bool = False):
+    """Residual rows (B, 2n) of a batch of relative-phase vectors and, with
+    ``jacobian``, their exact Jacobians (B, 2n, n)."""
+    n = x.shape[1]
+    if not jacobian:
+        return _condition_rows(*structured_jets(x, phi, n))
+    a, b, da, db = structured_jets(x, phi, n, jacobian=True)
+    return _condition_rows(a, b), _condition_rows(da, db).transpose(0, 2, 1)
 
 
 def residual(phases, phi: float) -> np.ndarray:
@@ -88,29 +108,13 @@ def residual(phases, phi: float) -> np.ndarray:
     element for even m and of the minor-diagonal element for odd m,
     m = 1..n, giving a vector of length 2n.
     """
-    phases = np.asarray(phases, dtype=float)
-    n = len(phases)
-    a, b = _structured_arrays(phases, phi, n)
-    out = np.empty(2 * n)
-    fact = 1.0
-    for m in range(1, n + 1):
-        fact *= m
-        c = a[m] if m % 2 == 0 else b[m]
-        out[2 * m - 2] = fact * c.real
-        out[2 * m - 1] = fact * c.imag
-    return out
+    return _residuals(np.asarray(phases, dtype=float)[None, :], phi)[0]
 
 
-def _jacobian(phases: np.ndarray, phi: float, step: float = 1e-6) -> np.ndarray:
-    n = len(phases)
-    jac = np.empty((2 * n, n))
-    for j in range(n):
-        hi = phases.copy()
-        lo = phases.copy()
-        hi[j] += step
-        lo[j] -= step
-        jac[:, j] = (residual(hi, phi) - residual(lo, phi)) / (2 * step)
-    return jac
+def _jacobian(phases: np.ndarray, phi: float) -> np.ndarray:
+    """Exact Jacobian (2n, n) of ``residual`` in the relative phases."""
+    x = np.asarray(phases, dtype=float)[None, :]
+    return _residuals(x, phi, jacobian=True)[1][0]
 
 
 def _row_scale(n: int) -> np.ndarray:
@@ -123,6 +127,77 @@ def _tol_floor(n: int, tol: float) -> float:
     # The m!-scaled residual of an exact root evaluated in doubles sits at
     # ~n! * machine-eps; don't demand convergence below that.
     return max(tol, math.factorial(n) * 1e-12)
+
+
+# Backtracking step lengths 2^-k, k = 0..29, tried in these two groups.
+_STEP_LENGTHS = (np.ones(1), 0.5 ** np.arange(1, 30))
+
+
+def _newton_batch(
+    x0: np.ndarray,
+    phi: float,
+    tol: float,
+    max_iter: int,
+    pinned=None,
+    rcond: float = 1e-6,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped least-squares Newton on each row of ``x0`` (B, n) at once.
+
+    Returns the rows, their residual max-norms and whether each converged.
+    Every row follows its own iteration exactly as if it were alone: rows
+    that converge or fail leave the batch, the rest go on.
+    """
+    x = np.array(x0, dtype=float)
+    batch, n = x.shape
+    tol = _tol_floor(n, tol)
+    w = _row_scale(n)
+    free = (
+        np.arange(n)
+        if pinned is None
+        else np.flatnonzero(~np.asarray(pinned, dtype=bool))
+    )
+    if len(free) == 0:
+        rmax = np.max(np.abs(_residuals(x, phi)), axis=1, initial=0.0)
+        return x, rmax, rmax < tol
+    rmax = np.full(batch, math.inf)
+    ok = np.zeros(batch, dtype=bool)
+    live = np.arange(batch)
+    for _ in range(max_iter):
+        r, jac = _residuals(x[live], phi, jacobian=True)
+        rmax[live] = np.max(np.abs(r), axis=1)
+        done = rmax[live] < tol
+        ok[live[done]] = True
+        live, r, jac = live[~done], r[~done], jac[~done][:, :, free]
+        if not live.size:
+            return x, rmax, ok
+        wr = w * r
+        step = -(np.linalg.pinv(w[:, None] * jac, rcond=rcond) @ wr[:, :, None])[:, :, 0]
+        # Backtracking on the scaled residual norm; arcsin-flavored roots
+        # have steep basins, so halve up to 30 times before giving up.
+        # The full step goes first; a row it does not improve tries the
+        # other 29 halvings in one batch and takes the longest that does.
+        norm0 = np.linalg.norm(wr, axis=1)
+        moved = np.zeros(len(live), dtype=bool)
+        for t in _STEP_LENGTHS:
+            todo = np.flatnonzero(~moved)
+            if not todo.size:
+                break
+            trial = np.repeat(x[live[todo], None, :], len(t), axis=1)
+            trial[:, :, free] += t[:, None] * step[todo, None, :]
+            r_trial = _residuals(trial.reshape(-1, n), phi)
+            norms = np.linalg.norm(w * r_trial, axis=1).reshape(len(todo), len(t))
+            better = norms < norm0[todo, None]
+            hit = better.any(axis=1)
+            first = better.argmax(axis=1)
+            x[live[todo[hit]]] = trial[hit, first[hit]]
+            moved[todo[hit]] = True
+        # A row whose every halving failed stops where it is.
+        live = live[moved]
+        if not live.size:
+            return x, rmax, ok
+    rmax[live] = np.max(np.abs(_residuals(x[live], phi)), axis=1)
+    ok[live] = rmax[live] < tol
+    return x, rmax, ok
 
 
 def _newton(
@@ -139,41 +214,9 @@ def _newton(
     tangent directions, so near-roots are polished in place instead of
     drifting along the manifold.
     """
-    x = np.array(phases, dtype=float)
-    n = len(x)
-    tol = _tol_floor(n, tol)
-    w = _row_scale(n)
-    free = (
-        np.arange(n)
-        if pinned is None
-        else np.flatnonzero(~np.asarray(pinned, dtype=bool))
-    )
-    if len(free) == 0:
-        r = residual(x, phi)
-        return x, float(np.max(np.abs(r))), float(np.max(np.abs(r))) < tol
-    for _ in range(max_iter):
-        r = residual(x, phi)
-        rmax = float(np.max(np.abs(r)))
-        if rmax < tol:
-            return x, rmax, True
-        jac = _jacobian(x, phi)[:, free]
-        step = -np.linalg.pinv(w[:, None] * jac, rcond=rcond) @ (w * r)
-        # Backtracking on the scaled residual norm; arcsin-flavored roots
-        # have steep basins, so halve up to 30 times before giving up.
-        norm0 = np.linalg.norm(w * r)
-        t = 1.0
-        for _ in range(30):
-            trial = x.copy()
-            trial[free] += t * step
-            if np.linalg.norm(w * residual(trial, phi)) < norm0:
-                x = trial
-                break
-            t *= 0.5
-        else:
-            return x, rmax, False
-    r = residual(x, phi)
-    rmax = float(np.max(np.abs(r)))
-    return x, rmax, rmax < tol
+    x0 = np.asarray(phases, dtype=float)[None, :]
+    x, rmax, ok = _newton_batch(x0, phi, tol, max_iter, pinned, rcond)
+    return x[0], float(rmax[0]), bool(ok[0])
 
 
 def refine(phases, phi: float, tol: float = 1e-12, pinned=None) -> np.ndarray:
@@ -201,28 +244,95 @@ def pinned_zero_count(n: int) -> int:
     return n // 2
 
 
-def _track(x: np.ndarray, phi: float, tol: float, free: np.ndarray,
-           w: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Cheap polish for continuation tracking: one Jacobian, chord steps.
+def _track(x0: np.ndarray, phi: float, tol: float, free: np.ndarray,
+           w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cheap polish of each row for continuation tracking: one Jacobian,
+    chord steps.
 
     Adequate when the start is already near the root (small continuation
     step); the full Newton with per-iteration Jacobians is overkill there.
     """
+    x = np.array(x0, dtype=float)
+    rmax = np.full(len(x), math.inf)
+    ok = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
     jac_pinv = None
     for it in range(12):
-        r = residual(x, phi)
-        rmax = float(np.max(np.abs(r)))
-        if rmax < tol:
-            return x, rmax, True
-        if jac_pinv is None or it == 6:
-            # Refresh once if chord convergence stalls.
-            jac = _jacobian(x, phi)[:, free]
-            jac_pinv = np.linalg.pinv(w[:, None] * jac, rcond=1e-6)
-        x = x.copy()
-        x[free] -= jac_pinv @ (w * r)
-    r = residual(x, phi)
-    rmax = float(np.max(np.abs(r)))
-    return x, rmax, rmax < tol
+        # Refresh the chord once, in case its convergence stalls.
+        refresh = it in (0, 6)
+        if refresh:
+            r, jac = _residuals(x[live], phi, jacobian=True)
+        else:
+            r = _residuals(x[live], phi)
+        rmax[live] = np.max(np.abs(r), axis=1)
+        done = rmax[live] < tol
+        ok[live[done]] = True
+        live, r = live[~done], r[~done]
+        if not live.size:
+            return x, rmax, ok
+        if refresh:
+            jac_pinv = np.linalg.pinv(w[:, None] * jac[~done][:, :, free], rcond=1e-6)
+        else:
+            jac_pinv = jac_pinv[~done]
+        x[np.ix_(live, free)] -= (jac_pinv @ (w * r)[:, :, None])[:, :, 0]
+    rmax[live] = np.max(np.abs(_residuals(x[live], phi)), axis=1)
+    ok[live] = rmax[live] < tol
+    return x, rmax, ok
+
+
+def _transport_batch(x0: np.ndarray, phi: float, leading: np.ndarray,
+                     tol: float, steps: int = 12, fast: bool = False):
+    """``transport`` of every row of ``x0`` (B, n) to its own ``leading``
+    row (B, npin) at once.  Returns the rows reduced mod 2*pi, their last
+    residual max-norms and whether each arrived."""
+    x = np.array(x0, dtype=float) % TWO_PI
+    batch, n = x.shape
+    npin = leading.shape[1]
+    if npin > pinned_zero_count(n):
+        raise SolverError(
+            f"cannot pin {npin} phases on a {pinned_zero_count(n)}-dim manifold"
+        )
+    if npin == 0:
+        return x, np.zeros(batch), np.ones(batch, dtype=bool)
+    pinned = np.zeros(n, dtype=bool)
+    pinned[:npin] = True
+    start = x[:, :npin].copy()
+    # Move the leading block along the straight path with adaptive step
+    # control: halve the step whenever the pinned Newton polish fails to
+    # track the manifold, give up once steps become negligible.
+    free = np.flatnonzero(~pinned)
+    w = _row_scale(n)
+    tol = _tol_floor(n, tol)
+    lam = np.zeros(batch)
+    dlam = np.full(batch, 1.0 / steps)
+    good = x
+    rmax = np.full(batch, math.inf)
+    arrived = np.zeros(batch, dtype=bool)
+    live = np.arange(batch)
+    attempts = 3 * steps if fast else 8 * steps
+    cutoff = 5e-3 if fast else 1e-3
+    for _ in range(attempts):
+        if not live.size:
+            break
+        lam_next = np.minimum(1.0, lam[live] + dlam[live])
+        trial = good[live]
+        trial[:, :npin] = start[live] + (leading[live] - start[live]) * lam_next[:, None]
+        if fast:
+            trial, rm, ok = _track(trial, phi, tol, free, w)
+        else:
+            trial, rm, ok = _newton_batch(trial, phi, tol, max_iter=40, pinned=pinned)
+        rmax[live] = rm
+        moved = live[ok]
+        good[moved] = trial[ok]
+        lam[moved] = lam_next[ok]
+        dlam[moved] = np.minimum(2.0 * dlam[moved], 1.0 / steps)
+        stuck = live[~ok]
+        dlam[stuck] *= 0.5
+        arrived[moved[lam[moved] >= 1.0]] = True
+        # A fold of the manifold over this path; creeping closer only
+        # burns iterations.
+        live = live[~arrived[live] & (dlam[live] >= cutoff)]
+    return good % TWO_PI, rmax, arrived
 
 
 def transport(phases, phi: float, leading, tol: float = 1e-12,
@@ -236,56 +346,45 @@ def transport(phases, phi: float, leading, tol: float = 1e-12,
     ``fast`` trades robustness for speed (chord tracking, small retry
     budget); use it only for bulk work where losing a root is cheap.
     """
-    x = np.array(phases, dtype=float) % TWO_PI
-    n = len(x)
-    leading = np.asarray(leading, dtype=float)
-    npin = len(leading)
-    if npin > pinned_zero_count(n):
+    x0 = np.asarray(phases, dtype=float)[None, :]
+    leading = np.asarray(leading, dtype=float)[None, :]
+    x, rmax, arrived = _transport_batch(x0, phi, leading, tol, steps, fast)
+    if not arrived[0]:
         raise SolverError(
-            f"cannot pin {npin} phases on a {pinned_zero_count(n)}-dim manifold"
+            f"manifold transport lost the root (residual {rmax[0]:.3e})"
         )
-    if npin == 0:
-        return x
-    pinned = np.zeros(n, dtype=bool)
-    pinned[:npin] = True
-    start = x[:npin].copy()
-    # Move the leading block along the straight path with adaptive step
-    # control: halve the step whenever the pinned Newton polish fails to
-    # track the manifold, give up once steps become negligible.
-    free = np.flatnonzero(~pinned)
-    w = _row_scale(n)
-    tol = _tol_floor(n, tol)
-    lam = 0.0
-    dlam = 1.0 / steps
-    good = x.copy()
-    rmax = math.inf
-    attempts = 3 * steps if fast else 8 * steps
-    cutoff = 5e-3 if fast else 1e-3
-    for _ in range(attempts):
-        lam_next = min(1.0, lam + dlam)
-        trial = good.copy()
-        trial[:npin] = start + (leading - start) * lam_next
-        if fast:
-            trial, rmax, ok = _track(trial, phi, tol, free, w)
-        else:
-            trial, rmax, ok = _newton(
-                trial, phi, tol, max_iter=40, pinned=pinned
-            )
-        if ok:
-            good = trial
-            lam = lam_next
-            if lam >= 1.0:
-                return good % TWO_PI
-            dlam = min(2.0 * dlam, 1.0 / steps)
-        else:
-            dlam *= 0.5
-            if dlam < cutoff:
-                # A fold of the manifold over this path; creeping closer
-                # only burns iterations.
-                break
-    raise SolverError(
-        f"manifold transport lost the root (residual {rmax:.3e})"
+    return x[0]
+
+
+def _paths(x: np.ndarray) -> list[tuple[float, ...]]:
+    # Canonical targets for the leading phases of x, nearest first.
+    npin = pinned_zero_count(len(x))
+    return sorted(
+        itertools.product((0.0, TWO_PI), repeat=npin),
+        key=lambda t: float(np.linalg.norm(np.array(t) - x[:npin])),
     )
+
+
+def _canonicalize_batch(roots: np.ndarray, phi: float, tol: float,
+                        max_paths: int | None = None, fast: bool = False):
+    """``canonicalize`` of every row of ``roots`` (B, n) at once: each row
+    tries its own paths nearest-first, all rows still searching move along
+    their next path together.  Returns the rows, whether each arrived, and
+    each row's last residual max-norm."""
+    x = np.asarray(roots, dtype=float) % TWO_PI
+    paths = [_paths(row)[:max_paths] for row in x]
+    canon = x.copy()
+    arrived = np.zeros(len(x), dtype=bool)
+    rmax = np.full(len(x), math.inf)
+    for k in range(max(map(len, paths), default=0)):
+        todo = np.flatnonzero(~arrived)
+        if not todo.size:
+            break
+        leading = np.array([paths[i][k] for i in todo])
+        got, rmax[todo], ok = _transport_batch(x[todo], phi, leading, tol, fast=fast)
+        canon[todo[ok]] = got[ok]
+        arrived[todo[ok]] = True
+    return canon, arrived, rmax
 
 
 def canonicalize(phases, phi: float, tol: float = 1e-12,
@@ -297,21 +396,14 @@ def canonicalize(phases, phi: float, tol: float = 1e-12,
     coordinate; the manifold may fold over one path, so direction
     combinations are tried nearest-first (at most ``max_paths`` of them).
     """
-    x = np.asarray(phases, dtype=float) % TWO_PI
-    npin = pinned_zero_count(len(x))
-    targets = sorted(
-        itertools.product((0.0, TWO_PI), repeat=npin),
-        key=lambda t: float(np.linalg.norm(np.array(t) - x[:npin])),
-    )
-    if max_paths is not None:
-        targets = targets[:max_paths]
-    last_error = None
-    for target in targets:
-        try:
-            return transport(x, phi, np.array(target), tol, fast=fast)
-        except SolverError as exc:
-            last_error = exc
-    raise SolverError(f"canonicalization failed on every path: {last_error}")
+    x = np.asarray(phases, dtype=float)[None, :]
+    canon, arrived, rmax = _canonicalize_batch(x, phi, tol, max_paths, fast)
+    if not arrived[0]:
+        raise SolverError(
+            "canonicalization failed on every path: manifold transport "
+            f"lost the root (residual {rmax[0]:.3e})"
+        )
+    return canon[0]
 
 
 def _circular_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
@@ -322,43 +414,44 @@ def _circular_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
 def solve(config: SolverConfig) -> list[Solution]:
     """Multi-start Newton over the n relative phases.
 
-    Returns one Solution per distinct canonical root, sorted by the
-    canonical phase vector; every raw converged root whose zero-error
-    propagator is the target gate is kept as a member of its class.
-    Raises SolverError if no restart converges to such a root.
+    All restarts run as one batch.  Returns one Solution per distinct
+    canonical root, sorted by the canonical phase vector; every raw
+    converged root whose zero-error propagator is the target gate is kept
+    as a member of its class.  Raises SolverError if no restart converges
+    to such a root, or if no root can be canonicalized.
     """
     rng = np.random.default_rng(config.rng_seed)
-    roots: list[np.ndarray] = []
-    for _ in range(config.seeds):
-        seed = rng.uniform(0.0, TWO_PI, size=config.n)
-        x, rmax, ok = _newton(seed, config.phi, config.tol, config.max_iter)
-        if ok and _hits_target(x, config.phi):
-            roots.append(x % TWO_PI)
-    if not roots:
+    # Row k holds the same draws as the k-th of `seeds` calls of size n.
+    seeds = rng.uniform(0.0, TWO_PI, size=(config.seeds, config.n))
+    x, _, ok = _newton_batch(seeds, config.phi, config.tol, config.max_iter)
+    ok &= _hits_target(x, config.phi)
+    roots = x[ok] % TWO_PI
+    if not len(roots):
         raise SolverError(
             "no convergence: every restart failed or missed the target gate "
             f"(n={config.n}, phi={config.phi:.6g}, seeds={config.seeds})"
         )
+    # Nearest path only, chord tracking: roots whose canonical path is
+    # blocked by a manifold fold are dropped rather than retried
+    # expensively; with many restarts every class is still reached.
+    canon, kept, _ = _canonicalize_batch(
+        roots, config.phi, config.tol, max_paths=1, fast=True
+    )
+    if not kept.any():
+        # Few restarts can leave every root behind a fold: retry them on
+        # all paths with the full Newton before giving up.
+        canon, kept, _ = _canonicalize_batch(roots, config.phi, config.tol)
+    if not kept.any():
+        raise SolverError("no convergence: canonicalization failed for all roots")
+    rmax = np.max(np.abs(_residuals(canon, config.phi)), axis=1)
     classes: list[tuple[np.ndarray, float, list[np.ndarray]]] = []
-    for root in roots:
-        try:
-            # Nearest path only: roots whose canonical path is blocked by
-            # a manifold fold are dropped rather than retried expensively;
-            # with many restarts every class is still reached.
-            canon = canonicalize(
-                root, config.phi, config.tol, max_paths=1, fast=True
-            )
-        except SolverError:
-            continue
+    for k in np.flatnonzero(kept):
         for existing, _, members in classes:
-            if _circular_close(existing, canon, config.dedupe_tol):
-                members.append(root)
+            if _circular_close(existing, canon[k], config.dedupe_tol):
+                members.append(roots[k])
                 break
         else:
-            rmax = float(np.max(np.abs(residual(canon, config.phi))))
-            classes.append((canon, rmax, [root]))
-    if not classes:
-        raise SolverError("no convergence: canonicalization failed for all roots")
+            classes.append((canon[k], float(rmax[k]), [roots[k]]))
     classes.sort(key=lambda item: tuple(item[0]))
     return [
         Solution(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpgate import catalog
+from cpgate import catalog, precise, solver
 from cpgate.cli import (
     EXIT_NUMERICAL,
     EXIT_VALIDATION,
@@ -230,3 +230,45 @@ def test_negative_measured_order_is_numerical_error(capsys):
     rc = run(["verify", "--gate", "phi=1;phases=0,0.3,0.7,0.1,0.2,0.9"])
     assert rc == EXIT_NUMERICAL
     assert "order -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "phi,rng_seed",
+    [("0.6666666666666666", "11"), ("0.8333333333333334", "333960721")],
+)
+def test_solve_does_not_give_up_when_fast_canonicalization_drops_roots(
+    phi, rng_seed, tmp_path, capsys
+):
+    # Few restarts at n = 4: the nearest-path canonicalization can lose
+    # every root (the second probe), and the all-paths retry recovers them.
+    path = tmp_path / "roots.json"
+    argv = ["solve", "--order", "4", "--phi", phi, "--seeds", "16",
+            "--rng-seed", rng_seed, "--out", str(path)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    sols = solver.solve(solver.SolverConfig(
+        n=4, phi=float(phi) * math.pi, seeds=16, rng_seed=int(rng_seed)
+    ))
+    assert len(catalog.load_catalog(path)) == len(sols) >= 1
+    assert all(s.residual_norm < 1e-9 for s in sols)
+
+
+def test_verify_does_not_repolish_catalog_trains(monkeypatch, capsys):
+    for name in catalog.names():
+        catalog.to_sequence(catalog.get(name))  # warm the polish cache
+    calls = []
+    polish = precise.polish_structured
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(precise, "polish_structured", counting)
+    assert run(["verify", "--gate", "Z18"]) == 0
+    assert capsys.readouterr().out.strip() == "order = 8"
+    assert calls == []
+    for name in catalog.names():
+        assert run(["verify", "--gate", name]) == 0
+        want = catalog.get(name).pulse_count // 2 - 1
+        assert capsys.readouterr().out.strip() == f"order = {want}"
+    assert calls == []

@@ -13,7 +13,9 @@ from cpgate.jets import (
     jet_compose,
     jet_pulse,
     sin_coeffs,
+    structured_jets,
 )
+from cpgate.sequences import HalfSequenceSpec, structured_sequence
 from cpgate.su2 import CompositeSequence, Pulse, compose, pulse_propagator
 
 areas = st.floats(min_value=0.1, max_value=10.0)
@@ -131,3 +133,17 @@ def test_jet_polynomial_approximates_propagator(eps):
     u = compose(seq, eps)
     assert abs(np.dot(j.a.coeffs, powers) - u.a) < 1e-10
     assert abs(np.dot(j.b.coeffs, powers) - u.b) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_structured_jets_match_composed_train(n):
+    # The batched two-half kernel against the pulse-by-pulse composition
+    # of the full train.
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0.0, 2 * math.pi, size=(5, n))
+    phi = 0.7 * math.pi
+    a, b = structured_jets(x, phi, n + 1)
+    for row, ra, rb in zip(x, a, b):
+        ref = jet_compose(structured_sequence(HalfSequenceSpec(tuple(row), phi)), n + 1)
+        for got, want in ((ra, ref.a.coeffs), (rb, ref.b.coeffs)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -172,3 +172,49 @@ def test_solve_drops_class_that_misses_the_target_gate():
             _circ_close(p, np.array(want) * math.pi, 1e-3 * math.pi)
             for p in found
         ), want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exact_jacobian_matches_central_difference(n):
+    rng = np.random.default_rng(100 + n)
+    h = 1e-5
+    for _ in range(3):
+        phases = rng.uniform(0.0, TWO_PI, size=n)
+        phi = rng.uniform(0.1, TWO_PI)
+        jac = solver._jacobian(phases, phi)
+        fd = np.empty_like(jac)
+        for j in range(n):
+            hi, lo = phases.copy(), phases.copy()
+            hi[j] += h
+            lo[j] -= h
+            fd[:, j] = (residual(hi, phi) - residual(lo, phi)) / (2 * h)
+        assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_batched_residual_and_jacobian_match_batch_of_one(n):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0.0, TWO_PI, size=(16, n))
+    phi = 2 * math.pi / 3
+    r, jac = solver._residuals(x, phi, jacobian=True)
+    r_one = np.array([residual(row, phi) for row in x])
+    jac_one = np.array([solver._jacobian(row, phi) for row in x])
+    assert np.max(np.abs(r - r_one)) <= 1e-12 * np.max(np.abs(r_one))
+    assert np.max(np.abs(jac - jac_one)) <= 1e-12 * np.max(np.abs(jac_one))
+
+
+def test_batched_newton_root_does_not_depend_on_batch_companions():
+    rng = np.random.default_rng(11)
+    phi = 2 * math.pi / 3
+    seeds = rng.uniform(0.0, TWO_PI, size=(16, 4))
+    x, _, ok = solver._newton_batch(seeds, phi, 1e-12, 200)
+    assert ok.sum() >= 8
+    # Same seeds, reversed, next to eight seeds the first batch did not have.
+    others = rng.uniform(0.0, TWO_PI, size=(8, 4))
+    y, _, ok_y = solver._newton_batch(np.vstack([seeds[::-1], others]), phi, 1e-12, 200)
+    assert np.array_equal(ok, ok_y[:16][::-1])
+    assert np.max(np.abs(x[ok] - y[:16][::-1][ok])) <= 1e-12
+    for k in np.flatnonzero(ok)[:4]:
+        alone, _, converged = solver._newton(seeds[k], phi, 1e-12, 200)
+        assert converged
+        assert np.max(np.abs(alone - x[k])) <= 1e-12
