@@ -52,20 +52,18 @@ def sweep(seq: CompositeSequence, eps_min: float, eps_max: float,
         raise ValueError("eps_min must be below eps_max")
     target = target_gate(seq.target_phi)
     eps = np.linspace(eps_min, eps_max, steps)
-    frob = np.empty(steps)
-    trac = np.empty(steps)
-    for i, e in enumerate(eps):
-        u = compose(seq, float(e))
-        frob[i] = frobenius_fidelity(u, target)
-        trac[i] = trace_fidelity(u, target)
-    return FidelityProfile(eps, frob, trac, seq.label)
+    u = compose(seq, eps)
+    return FidelityProfile(
+        eps, frobenius_fidelity(u, target), trace_fidelity(u, target), seq.label
+    )
 
 
 def write_csv(profile: FidelityProfile, path) -> None:
+    # One %-format over all rows: the bytes of f"{e:.17g},{f:.17g},{t:.17g}\n".
+    table = np.column_stack((profile.epsilons, profile.frobenius, profile.trace))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("epsilon,frobenius_fidelity,trace_fidelity\n")
-        for e, f, t in zip(profile.epsilons, profile.frobenius, profile.trace):
-            fh.write(f"{e:.17g},{f:.17g},{t:.17g}\n")
+        fh.write(("%.17g,%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist()))
 
 
 def closed_form_fidelity(n: int, phi: float, epsilon: float) -> tuple[float, float]:
@@ -109,58 +107,49 @@ def verify_order(seq: CompositeSequence) -> int:
     return order
 
 
-def _bisect(infidelity, threshold: float, lo: float, hi: float,
-            tol: float = 1e-8) -> float:
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if infidelity(mid) < threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
+_CELLS = 64
+_EPS_MAX = 0.9
+_EPS_TOL = 1e-8
 _MONOTONE_SLACK = 1e-12
 
 
 def _error_range(infidelity, threshold: float) -> ErrorRange:
+    """First crossing of ``threshold`` by ``infidelity`` (an array map) on
+    [0, _EPS_MAX]: a grid of _CELLS cells, then the first cell that reaches
+    the threshold is regridded until it is at most _EPS_TOL wide.  Flagged
+    when the first grid is not nondecreasing within _MONOTONE_SLACK."""
     if not 0.0 < threshold < 0.5:
         raise ValueError("threshold must be in (0, 0.5)")
-    lo, hi = 0.0, 0.9
-    if infidelity(hi) < threshold:
-        raise AnalysisError("infidelity stays below threshold up to eps = 0.9")
-    eps0 = _bisect(infidelity, threshold, lo, hi)
-    # Trust the bisection only if infidelity grows monotonically through
-    # the crossing; otherwise locate the first crossing by scanning.
-    grid = np.linspace(0.0, min(eps0 * 1.1, 0.9), 64)[1:]
-    vals = [infidelity(float(e)) for e in grid]
-    flagged = any(b < a - _MONOTONE_SLACK for a, b in zip(vals, vals[1:]))
-    if flagged:
-        cross = next(
-            (i for i, v in enumerate(vals) if v >= threshold), None
-        )
-        if cross is not None and cross > 0:
-            eps0 = _bisect(
-                infidelity, threshold, float(grid[cross - 1]), float(grid[cross])
-            )
+    eps = np.linspace(0.0, _EPS_MAX, _CELLS + 1)
+    vals = infidelity(eps)
+    if vals[0] >= threshold:
+        raise AnalysisError(f"infidelity {vals[0]:.3g} at eps = 0 is not below threshold")
+    if not np.any(vals >= threshold):
+        raise AnalysisError(f"infidelity stays below threshold up to eps = {_EPS_MAX}")
+    flagged = bool(np.any(np.diff(vals) < -_MONOTONE_SLACK))
+    k = int(np.argmax(vals >= threshold))
+    lo, hi = float(eps[k - 1]), float(eps[k])
+    while hi - lo > _EPS_TOL:
+        eps = np.linspace(lo, hi, _CELLS + 1)
+        # lo is below the threshold and hi reaches it: evaluate the interior.
+        above = np.append(infidelity(eps[1:-1]) >= threshold, True)
+        k = int(np.argmax(above))
+        lo, hi = float(eps[k]), float(eps[k + 1])
+    eps0 = 0.5 * (lo + hi)
     return ErrorRange(eps0, threshold, 1.0 - eps0, 1.0 + eps0, flagged)
 
 
 def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> ErrorRange:
     """Error half-width keeping the Frobenius infidelity below ``threshold``."""
     target = target_gate(seq.target_phi)
-
-    def infid(eps: float) -> float:
-        return 1.0 - frobenius_fidelity(compose(seq, eps), target)
-
-    return _error_range(infid, threshold)
+    return _error_range(
+        lambda eps: 1.0 - frobenius_fidelity(compose(seq, eps), target), threshold
+    )
 
 
 def trace_range(seq: CompositeSequence, threshold: float = 1e-4) -> ErrorRange:
     """Error half-width keeping the trace infidelity below ``threshold``."""
     target = target_gate(seq.target_phi)
-
-    def infid(eps: float) -> float:
-        return 1.0 - trace_fidelity(compose(seq, eps), target)
-
-    return _error_range(infid, threshold)
+    return _error_range(
+        lambda eps: 1.0 - trace_fidelity(compose(seq, eps), target), threshold
+    )

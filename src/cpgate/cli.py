@@ -8,6 +8,7 @@ validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -279,7 +280,9 @@ def _add_gate_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="cpgate",
         description="Composite phase-gate pulse trains: catalog, analysis, solver.",

@@ -4,17 +4,16 @@ An SU(2) matrix is stored as its Cayley-Klein pair (a, b), the full matrix
 being [[a, b], [-b*, a*]].  A resonant pulse of area A and coupling phase
 phi propagates the qubit with a = cos(A/2), b = -i e^{i phi} sin(A/2); a
 systematic relative area error eps rescales every area as A -> A(1+eps).
+Functions of eps take a float or an array, and a float is the 0-d case:
+propagators and fidelities then hold arrays of the shape of eps.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -92,39 +91,51 @@ def target_gate(phi: float) -> Su2:
     return Su2(cmath.exp(-0.5j * float(phi)), 0j)
 
 
-def pulse_propagator(pulse: Pulse, epsilon: float) -> Su2:
+def _pulse_factors(area, phase, epsilon):
+    """(a, b) of resonant pulses, broadcast over area, phase and epsilon."""
+    half = 0.5 * area * (1.0 + epsilon)
+    return np.cos(half), -1j * np.exp(1j * phase) * np.sin(half)
+
+
+def pulse_propagator(pulse: Pulse, epsilon) -> Su2:
     """Propagator of a single pulse with relative area error ``epsilon``."""
-    half = 0.5 * float(pulse.area) * (1.0 + epsilon)
-    return Su2(
-        complex(math.cos(half)),
-        -1j * cmath.exp(1j * float(pulse.phase)) * math.sin(half),
-    )
+    return Su2(*_pulse_factors(
+        float(pulse.area), float(pulse.phase), np.asarray(epsilon, dtype=float)
+    ))
 
 
-def compose(seq: CompositeSequence, epsilon: float) -> Su2:
+def compose(seq: CompositeSequence, epsilon) -> Su2:
     """Composite propagator of the whole train at error ``epsilon``.
 
     Equal to U_N ... U_2 U_1 where U_k is the k-th pulse propagator:
-    later pulses multiply from the left.
+    later pulses multiply from the left.  One pass over the pulses
+    evaluates the whole ``epsilon`` array.
     """
     if not seq.pulses:
         raise ValueError("empty sequence")
-    acc = pulse_propagator(seq.pulses[0], epsilon)
-    for pulse in seq.pulses[1:]:
-        acc = pulse_propagator(pulse, epsilon) @ acc
-    return acc
+    eps = np.asarray(epsilon, dtype=float)
+    # One row per pulse, broadcast against the error grid.
+    column = (-1,) + (1,) * eps.ndim
+    areas = np.reshape([float(p.area) for p in seq.pulses], column)
+    phases = np.reshape([float(p.phase) for p in seq.pulses], column)
+    pa, pb = _pulse_factors(areas, phases, eps)
+    a, b = pa[0], pb[0]
+    for ca, cb in zip(pa[1:], pb[1:]):
+        # Su2(ca, cb) @ Su2(a, b), inlined: no Su2 object per pulse.
+        a, b = ca * a - cb * b.conjugate(), ca * b + cb * a.conjugate()
+    return Su2(a, b)
 
 
-def frobenius_fidelity(u: Su2, f: Su2) -> float:
+def frobenius_fidelity(u: Su2, f: Su2):
     """1 minus the normalized Frobenius distance between ``u`` and ``f``.
 
     The stringent gate measure: sensitive to both populations and phases.
     """
-    dist2 = 0.5 * (abs(u.a - f.a) ** 2 + abs(u.b - f.b) ** 2)
-    return 1.0 - math.sqrt(dist2)
+    dist2 = 0.5 * (np.abs(u.a - f.a) ** 2 + np.abs(u.b - f.b) ** 2)
+    return 1.0 - np.sqrt(dist2)
 
 
-def trace_fidelity(u: Su2, f: Su2) -> float:
+def trace_fidelity(u: Su2, f: Su2):
     """Re (1/2) Tr[U F^dagger]; the lenient gate measure.
 
     For the Cayley-Klein parametrization the half-trace overlap reduces to

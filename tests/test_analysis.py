@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpgate import catalog
+from cpgate.cli import spec_parse
 from cpgate.analysis import (
     AnalysisError,
     closed_form_fidelity,
@@ -14,7 +15,8 @@ from cpgate.analysis import (
     verify_order,
     write_csv,
 )
-from cpgate.sequences import four_pulse, two_pulse
+from cpgate.sequences import eight_pulse, four_pulse, six_pulse, two_pulse
+from cpgate.su2 import compose, frobenius_fidelity, target_gate
 
 
 def _cat(name):
@@ -74,6 +76,17 @@ def test_write_csv_is_deterministic(tmp_path):
     assert first.count(",") == 2
 
 
+def test_write_csv_matches_row_by_row_formatting(tmp_path):
+    profile = sweep(_cat("Z10"), -0.4, 0.4, 801)
+    path = tmp_path / "profile.csv"
+    write_csv(profile, path)
+    want = "epsilon,frobenius_fidelity,trace_fidelity\n" + "".join(
+        f"{e:.17g},{f:.17g},{t:.17g}\n"
+        for e, f, t in zip(profile.epsilons, profile.frobenius, profile.trace)
+    )
+    assert path.read_bytes() == want.encode()
+
+
 def test_verify_order_on_analytic_and_catalog_trains():
     assert verify_order(two_pulse(math.pi)) == 0
     assert verify_order(_cat("Z8")) == 3
@@ -116,3 +129,61 @@ def test_range_threshold_validation():
         high_fidelity_range(seq, threshold=0.0)
     with pytest.raises(ValueError, match="threshold"):
         high_fidelity_range(seq, threshold=0.6)
+
+
+@pytest.mark.parametrize("phi", [math.pi, math.pi / 2, math.pi / 4])
+def test_high_fidelity_range_inverts_the_closed_form(phi):
+    seqs = [two_pulse(phi)] + [
+        build(phi, v)
+        for build, variants in ((four_pulse, 4), (six_pulse, 4), (eight_pulse, 6))
+        for v in range(1, variants + 1)
+    ]
+    threshold = 1e-4
+    for seq in seqs:
+        n = seq.order
+        x = threshold / (math.sqrt(2.0) * abs(math.sin(phi / 4)))
+        want = 2.0 / math.pi * math.asin(x ** (1.0 / (n + 1)))
+        rng = high_fidelity_range(seq, threshold)
+        assert abs(rng.epsilon0 - want) <= 1e-7, seq.label
+        assert not rng.flagged
+
+
+def test_named_trains_and_rows_are_unflagged():
+    seqs = [_cat(name) for name in catalog.names()] + [
+        catalog.arbitrary_row(row.phi_over_pi, pulses)
+        for row in catalog.arbitrary_rows()
+        for pulses in (4, 6, 8, 10, 12, 14)
+    ]
+    assert len(seqs) == 111
+    for seq in seqs:
+        assert not high_fidelity_range(seq).flagged, seq.label
+        assert not trace_range(seq).flagged, seq.label
+
+
+def _scanned_first_crossing(seq, threshold):
+    # Scalar scan in steps of 1e-3, then 1e-6 inside the first cell that
+    # reaches the threshold.
+    target = target_gate(seq.target_phi)
+
+    def first(grid):
+        return next(
+            e for e in grid
+            if 1.0 - frobenius_fidelity(compose(seq, float(e)), target) >= threshold
+        )
+
+    coarse = first(np.linspace(0.0, 0.9, 901))
+    return first(np.linspace(coarse - 1e-3, coarse, 1001))
+
+
+def test_non_monotonic_profile_is_flagged_and_gives_the_first_crossing():
+    seq = spec_parse("phi=1.67;phases=0.0,0.49,0.65,0.165,0.655,0.815")
+    rng = high_fidelity_range(seq, threshold=0.2)
+    assert rng.flagged
+    assert abs(rng.epsilon0 - _scanned_first_crossing(seq, 0.2)) <= 1e-6
+    assert rng.epsilon0 == pytest.approx(0.08972, abs=1e-5)
+
+
+def test_range_of_a_train_missing_its_gate_raises():
+    seq = spec_parse("phi=1.46;phases=0.0,0.56,0.27,0.83")
+    with pytest.raises(AnalysisError, match="eps = 0"):
+        high_fidelity_range(seq, threshold=0.2)

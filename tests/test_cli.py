@@ -71,6 +71,40 @@ def test_range_output_format(capsys):
     assert out == "epsilon0 = 0.00637, interval [0.99363pi, 1.00637pi]"
 
 
+def test_cached_parser_survives_validation_errors(capsys):
+    assert run(["range", "--gate", "Q7"]) == EXIT_VALIDATION
+    assert run(["range", "--threshold", "0.1"]) == EXIT_VALIDATION  # no --gate
+    capsys.readouterr()
+    assert run(["range", "--gate", "Z4"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == "epsilon0 = 0.00637, interval [0.99363pi, 1.00637pi]"
+
+
+@pytest.mark.parametrize(
+    "spec, threshold",
+    [
+        ("phi=1.46;phases=0.0,0.56,0.27,0.83", "0.2"),
+        ("phi=0.96;phases=0.0,1.93,0.52,0.45", "0.01"),
+    ],
+)
+def test_range_of_a_train_missing_its_gate_is_numerical_error(spec, threshold, capsys):
+    # The infidelity at zero error already reaches the threshold, so no
+    # error range exists.
+    assert run(["range", "--gate", spec, "--threshold", threshold]) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "eps = 0" in err
+
+
+def test_range_notes_a_non_monotonic_profile(capsys):
+    spec = "phi=1.67;phases=0.0,0.49,0.65,0.165,0.655,0.815"
+    assert run(["range", "--gate", spec, "--threshold", "0.2"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "epsilon0 = 0.08972, interval [0.91028pi, 1.08972pi]"
+        "  (non-monotonic profile; scanned)"
+    )
+
+
 def test_verify_catalog_entry(capsys):
     assert run(["verify", "--gate", "T12"]) == 0
     assert capsys.readouterr().out.strip() == "order = 5"

@@ -1,11 +1,14 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpgate import catalog, precise
+from cpgate.sequences import four_pulse
 from cpgate.su2 import (
     CompositeSequence,
     Pulse,
@@ -114,3 +117,37 @@ def test_trace_fidelity_bounds_frobenius(area, phase, eps):
     ft = trace_fidelity(u, f)
     ff = frobenius_fidelity(u, f)
     assert 1.0 - ff == pytest.approx(math.sqrt(max(0.0, 1.0 - ft)), abs=1e-9)
+
+
+_CROSS_PATH_TRAINS = {
+    "Z18": lambda: catalog.to_sequence(catalog.get("Z18")),
+    "T10": lambda: catalog.to_sequence(catalog.get("T10")),
+    "four-v1": lambda: four_pulse(math.pi / 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", _CROSS_PATH_TRAINS)
+def test_array_compose_matches_scalar_calls(name):
+    seq = _CROSS_PATH_TRAINS[name]()
+    eps = np.linspace(-0.4, 0.4, 801)
+    u = compose(seq, eps)
+    assert u.a.shape == u.b.shape == eps.shape
+    for k, e in enumerate(eps):
+        v = compose(seq, float(e))
+        assert abs(u.a[k] - v.a) <= 1e-15
+        assert abs(u.b[k] - v.b) <= 1e-15
+
+
+@pytest.mark.parametrize("name", _CROSS_PATH_TRAINS)
+def test_array_compose_matches_mpmath_propagator(name):
+    seq = _CROSS_PATH_TRAINS[name]()
+    eps = np.array([-0.3, -0.01, 0.0, 0.01, 0.3])
+    u = compose(seq, eps)
+    with mp.workdps(precise.WORKING_DPS):
+        # The same double-precision inputs, evaluated in 50 digits.
+        phases = [mp.mpf(float(p.phase)) for p in seq.pulses]
+        areas = [mp.mpf(float(p.area)) for p in seq.pulses]
+        for k, e in enumerate(eps):
+            a, b = precise.mp_propagator(phases, areas, mp.mpf(float(e)))
+            assert abs(u.a[k] - complex(a)) <= 1e-14
+            assert abs(u.b[k] - complex(b)) <= 1e-14
