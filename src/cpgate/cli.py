@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import math
 import os
 import sys
@@ -25,6 +26,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 PI = math.pi
+
+_log = logging.getLogger("cpgate.cli")
 
 
 class CliError(Exception):
@@ -111,14 +114,20 @@ def _measurement_sequence(seq: CompositeSequence) -> CompositeSequence:
     # of a rounded row can slide along the root manifold.
     try:
         polished = catalog.polished_sequence(rel, phi_mp, [r == 0 for r in rel])
-    except solver.SolverError:
+    except solver.SolverError as exc:
+        _log.debug("measuring the unpolished input: polish failed: %s", exc)
         return seq
     # Only accept the polish if it stayed on the same root (the input was
     # a rounded table row, not some arbitrary far-from-root train).
-    if any(
-        sequences._mod_distance(float(p), r) > 1e-2
+    drift = max(
+        sequences._mod_distance(float(p), r)
         for p, r in zip(polished.phases[1:], rel)
-    ):
+    )
+    if drift > 1e-2:
+        _log.debug(
+            "measuring the unpolished input: the polish moved a phase by "
+            "%.3g rad, more than 1e-2 from the input", drift
+        )
         return seq
     return replace(polished, label=seq.label)
 

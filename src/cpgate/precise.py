@@ -12,6 +12,7 @@ multiples of pi are snapped to exact multiples, since that is what
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -36,15 +37,29 @@ def _mp_phases(seq: CompositeSequence):
 
 
 def mp_propagator(phases, areas, epsilon):
-    """Cayley-Klein pair of the composite propagator at error ``epsilon``."""
-    a = mp.mpc(1)
-    b = mp.mpc(0)
-    for phase, area in zip(phases, areas):
-        half = area * (1 + epsilon) / 2
-        pa = mp.cos(half)
-        pb = -1j * mp.exp(1j * phase) * mp.sin(half)
-        a, b = pa * a - pb * mp.conj(b), pa * b + pb * mp.conj(a)
-    return a, b
+    """Cayley-Klein pair of the composite propagator at error ``epsilon``.
+
+    ``epsilon`` may also be a sequence, the way ``su2.compose`` takes an
+    array: the result is then a list of pairs, one per value.  The pulse
+    rotors -i e^{i phase} are computed once per call, and cos/sin of the
+    half area once per distinct area per epsilon.
+    """
+    single = np.ndim(epsilon) == 0
+    rotors = [-1j * mp.exp(1j * phase) for phase in phases]
+    distinct = {}
+    slots = [distinct.setdefault(area, len(distinct)) for area in areas]
+    out = []
+    for eps in [epsilon] if single else epsilon:
+        halves = (area * (1 + eps) / 2 for area in distinct)
+        trig = [(mp.cos(h), mp.sin(h)) for h in halves]
+        a = mp.mpc(1)
+        b = mp.mpc(0)
+        for rot, k in zip(rotors, slots):
+            pa, s = trig[k]
+            pb = rot * s
+            a, b = pa * a - pb * mp.conj(b), pa * b + pb * mp.conj(a)
+        out.append((a, b))
+    return out[0] if single else out
 
 
 def slope_fit(seq: CompositeSequence, eps_lo=1e-3, eps_hi=1e-2, points=20,
@@ -58,14 +73,14 @@ def slope_fit(seq: CompositeSequence, eps_lo=1e-3, eps_hi=1e-2, points=20,
         phases, areas = _mp_phases(seq)
         fa = mp.exp(-1j * mp.mpf(seq.target_phi) / 2)
         lo, hi = mp.log(mp.mpf(eps_lo)), mp.log(mp.mpf(eps_hi))
+        grid = [mp.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
+        pairs = mp_propagator(phases, areas, [s for e in grid for s in (e, -e)])
         logs = []
         vals = []
         peak = mp.mpf(0)
-        for i in range(points):
-            eps = mp.exp(lo + (hi - lo) * i / (points - 1))
+        for i, eps in enumerate(grid):
             infid = mp.mpf(0)
-            for signed in (eps, -eps):
-                a, b = mp_propagator(phases, areas, signed)
+            for a, b in pairs[2 * i: 2 * i + 2]:
                 infid += mp.sqrt((abs(a - fa) ** 2 + abs(b) ** 2) / 2)
             infid /= 2
             peak = max(peak, infid)
@@ -142,27 +157,56 @@ def _mp_residual(rel_phases, phi_mp, n):
     return out
 
 
+@lru_cache(maxsize=16)
+def _pi_pulse_series(order: int, prec: int):
+    """Nonzero Taylor coefficients in eps of cos and sin of (pi/2)(1 + eps),
+    as (m, coefficient) pairs up to ``order`` at ``prec`` bits.
+
+    Coefficient m is (pi/2)^m trig(pi/2 + m pi/2) / m!, so the cos series
+    lives on odd m and the sin series on even m, with signs +-1.
+    """
+    with mp.workprec(prec):
+        half_pi = mp.pi / 2
+        terms = [half_pi**m / mp.factorial(m) for m in range(order + 1)]
+        cos_terms = tuple(
+            (m, -terms[m] if m % 4 == 1 else terms[m])
+            for m in range(1, order + 1, 2)
+        )
+        sin_terms = tuple(
+            (m, -terms[m] if m % 4 == 2 else terms[m])
+            for m in range(0, order + 1, 2)
+        )
+    return cos_terms, sin_terms
+
+
 def _mp_jet_compose(phases, order):
-    a = b = None
-    half_pi = mp.pi / 2
-    # Per-pulse trig jets of a nominal pi pulse: coefficient m is
-    # (pi/2)^m trig(pi/2 + m pi/2) / m!.
-    base_cos = [
-        half_pi**m * mp.cos(half_pi + m * half_pi) / mp.factorial(m)
-        for m in range(order + 1)
-    ]
-    base_sin = [
-        half_pi**m * mp.sin(half_pi + m * half_pi) / mp.factorial(m)
-        for m in range(order + 1)
-    ]
-    for phase in phases:
+    # Each nominal pi pulse is (c, rot * s) with real series c, s and rotor
+    # rot = -i e^{i phase}; its product with the running pair (a, b) reads
+    # a' = c*a - rot * (s*conj(b)), b' = c*b + rot * (s*conj(a)).
+    cos_terms, sin_terms = _pi_pulse_series(order, mp.mp.prec)
+    a = [mp.mpf(0)] * (order + 1)
+    b = list(a)
+    rot = -1j * mp.exp(1j * phases[0])
+    for j, c in cos_terms:
+        a[j] = c
+    for j, s in sin_terms:
+        b[j] = rot * s
+    for phase in phases[1:]:
         rot = -1j * mp.exp(1j * phase)
-        pa = [mp.mpc(c) for c in base_cos]
-        pb = [rot * s for s in base_sin]
-        if a is None:
-            a, b = pa, pb
-        else:
-            a, b = _mp_jet_mul(pa, pb, a, b)
+        ac = [mp.conj(v) for v in a]
+        bc = [mp.conj(v) for v in b]
+        a, b = (
+            [
+                mp.fdot((c, a[m - j]) for j, c in cos_terms if j <= m)
+                - rot * mp.fdot((s, bc[m - j]) for j, s in sin_terms if j <= m)
+                for m in range(order + 1)
+            ],
+            [
+                mp.fdot((c, b[m - j]) for j, c in cos_terms if j <= m)
+                + rot * mp.fdot((s, ac[m - j]) for j, s in sin_terms if j <= m)
+                for m in range(order + 1)
+            ],
+        )
     return a, b
 
 

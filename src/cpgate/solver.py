@@ -369,12 +369,17 @@ def _canonicalize_batch(roots: np.ndarray, phi: float, tol: float,
                         max_paths: int | None = None, fast: bool = False):
     """``canonicalize`` of every row of ``roots`` (B, n) at once: each row
     tries its own paths nearest-first, all rows still searching move along
-    their next path together.  Returns the rows, whether each arrived, and
-    each row's last residual max-norm."""
+    their next path together.  A row arrives only at a point that still
+    hits the target gate: transport keeps the derivative conditions but not
+    the zero-error gate, so an odd-order root can slide onto a degenerate
+    point.  Returns the rows, whether each arrived, each row's last
+    residual max-norm, and whether some path of the row reached the
+    canonical form off the target gate."""
     x = np.asarray(roots, dtype=float) % TWO_PI
     paths = [_paths(row)[:max_paths] for row in x]
     canon = x.copy()
     arrived = np.zeros(len(x), dtype=bool)
+    missed = np.zeros(len(x), dtype=bool)
     rmax = np.full(len(x), math.inf)
     for k in range(max(map(len, paths), default=0)):
         todo = np.flatnonzero(~arrived)
@@ -382,9 +387,12 @@ def _canonicalize_batch(roots: np.ndarray, phi: float, tol: float,
             break
         leading = np.array([paths[i][k] for i in todo])
         got, rmax[todo], ok = _transport_batch(x[todo], phi, leading, tol, fast=fast)
+        hit = _hits_target(got, phi)
+        missed[todo[ok & ~hit]] = True
+        ok &= hit
         canon[todo[ok]] = got[ok]
         arrived[todo[ok]] = True
-    return canon, arrived, rmax
+    return canon, arrived, rmax, missed
 
 
 def canonicalize(phases, phi: float, tol: float = 1e-12,
@@ -395,14 +403,17 @@ def canonicalize(phases, phi: float, tol: float = 1e-12,
     Zero can be approached from below or above (0 vs 2*pi) per
     coordinate; the manifold may fold over one path, so direction
     combinations are tried nearest-first (at most ``max_paths`` of them).
+    A path whose end point misses the target gate does not count.
     """
     x = np.asarray(phases, dtype=float)[None, :]
-    canon, arrived, rmax = _canonicalize_batch(x, phi, tol, max_paths, fast)
+    canon, arrived, rmax, missed = _canonicalize_batch(x, phi, tol, max_paths, fast)
     if not arrived[0]:
-        raise SolverError(
-            "canonicalization failed on every path: manifold transport "
-            f"lost the root (residual {rmax[0]:.3e})"
+        reason = (
+            "the canonical point reached misses the target gate"
+            if missed[0]
+            else f"manifold transport lost the root (residual {rmax[0]:.3e})"
         )
+        raise SolverError(f"canonicalization failed on every path: {reason}")
     return canon[0]
 
 
@@ -434,13 +445,13 @@ def solve(config: SolverConfig) -> list[Solution]:
     # Nearest path only, chord tracking: roots whose canonical path is
     # blocked by a manifold fold are dropped rather than retried
     # expensively; with many restarts every class is still reached.
-    canon, kept, _ = _canonicalize_batch(
+    canon, kept, _, _ = _canonicalize_batch(
         roots, config.phi, config.tol, max_paths=1, fast=True
     )
     if not kept.any():
         # Few restarts can leave every root behind a fold: retry them on
         # all paths with the full Newton before giving up.
-        canon, kept, _ = _canonicalize_batch(roots, config.phi, config.tol)
+        canon, kept, _, _ = _canonicalize_batch(roots, config.phi, config.tol)
     if not kept.any():
         raise SolverError("no convergence: canonicalization failed for all roots")
     rmax = np.max(np.abs(_residuals(canon, config.phi)), axis=1)

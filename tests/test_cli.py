@@ -1,11 +1,12 @@
 import json
+import logging
 import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from cpgate import catalog, precise, solver
+from cpgate import catalog, cli, precise, solver
 from cpgate.cli import (
     EXIT_NUMERICAL,
     EXIT_VALIDATION,
@@ -306,3 +307,33 @@ def test_verify_does_not_repolish_catalog_trains(monkeypatch, capsys):
         want = catalog.get(name).pulse_count // 2 - 1
         assert capsys.readouterr().out.strip() == f"order = {want}"
     assert calls == []
+
+
+def test_measurement_sequence_logs_a_failed_polish(caplog):
+    # Every relative phase is an exact zero, so all are pinned and the
+    # polish has nothing to move on a train that is not a root.
+    seq = spec_parse("phi=1;phases=0,0,0,0.5,0.5,0.5")
+    with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
+        assert cli._measurement_sequence(seq) is seq
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert "polish failed" in record.getMessage()
+
+
+def test_measurement_sequence_logs_a_polish_that_drifted(caplog):
+    # Structured, but far from any root: Newton lands on another one.
+    seq = spec_parse("phi=1;phases=0,0.3,0.7,0.5,0.8,1.2")
+    with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
+        assert cli._measurement_sequence(seq) is seq
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert "moved a phase by" in record.getMessage()
+
+
+def test_measurement_sequence_logs_nothing_on_a_rounded_row(caplog):
+    seq = catalog.arbitrary_row(Fraction(1, 2), 8, refine=False)
+    spec = "phi=0.5;phases=" + ",".join(f"{float(p) / math.pi:.4f}" for p in seq.phases)
+    rounded = spec_parse(spec)
+    with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
+        assert cli._measurement_sequence(rounded) is not rounded
+    assert caplog.records == []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cpgate import solver
+from cpgate import catalog, solver
 from cpgate.sequences import chi_eight, chi_six
 from cpgate.solver import (
     SolverConfig,
@@ -172,6 +172,37 @@ def test_solve_drops_class_that_misses_the_target_gate():
             _circ_close(p, np.array(want) * math.pi, 1e-3 * math.pi)
             for p in found
         ), want
+
+
+
+# Raw n = 5 roots of solve(n=5, phi=pi, seeds=128, rng_seed=0) that
+# transport used to slide onto the degenerate point (0, 0, pi, pi, pi),
+# whose zero-error gate is the identity, not Z.
+_N5_OFF_TARGET_MEMBER = (2.251092890465369, 6.234487863160407, 6.232450943915116,
+                         2.7725150818535074, 2.8796536008257716)
+_N5_RESCUED_MEMBER = (4.921186346173169, 2.0042358518562153, 4.092606778396842,
+                      5.312093579693816, 0.6587307971723635)
+
+
+def test_canonicalize_refuses_a_point_that_misses_the_target_gate():
+    with pytest.raises(SolverError, match="misses the target gate"):
+        canonicalize(_N5_OFF_TARGET_MEMBER, math.pi)
+
+
+def test_canonicalize_tries_the_next_path_after_an_off_target_arrival():
+    canon = canonicalize(_N5_RESCUED_MEMBER, math.pi)
+    assert solver._hits_target(canon[None, :], math.pi)[0]
+    assert _circ_close(canon, np.array([0.0, 0.0, 0.9843, 0.8883, 0.654]) * math.pi,
+                       1e-3 * math.pi)
+
+
+def test_canonicalize_of_z12_never_returns_an_off_target_point():
+    # The published 12-pulse Z train, relative phases of its first half.
+    seq = catalog.to_sequence(catalog.get("Z12"))
+    phases = [float(p) for p in seq.phases]
+    rel = [p - phases[0] for p in phases[1:6]]
+    with pytest.raises(SolverError, match="misses the target gate"):
+        canonicalize(rel, math.pi)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
