@@ -6,16 +6,21 @@ major-diagonal propagator element and the odd derivatives of the
 minor-diagonal one vanish through order n (the complementary derivatives
 vanish identically by structure).  The resulting 2n real conditions are
 rank-deficient at the roots: solutions form manifolds of dimension
-floor(n/2), which is why a canonical representative (leading relative
-phases pinned to zero, matching the compact 3pi/4pi-block forms) is used
-for deduplication and reporting.
+floor(n/2).  ``solve`` therefore runs Newton in the canonical chart, with
+the leading floor(n/2) relative phases pinned to zero (the compact
+3pi/4pi-block forms), where the roots are isolated points; each root it
+finds is already the canonical representative of its class.
+``transport`` and ``canonicalize`` bring a root found elsewhere on its
+manifold, such as a published train, into that chart.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,6 +29,8 @@ import numpy as np
 from .jets import structured_jets
 
 TWO_PI = 2.0 * math.pi
+
+_log = logging.getLogger("cpgate.solver")
 
 
 class SolverError(RuntimeError):
@@ -53,7 +60,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Solution:
-    """One root class: canonical phases plus every raw member found."""
+    """One root class: its canonical phases plus every root found in it."""
 
     phases: tuple[float, ...]
     residual_norm: float
@@ -244,44 +251,8 @@ def pinned_zero_count(n: int) -> int:
     return n // 2
 
 
-def _track(x0: np.ndarray, phi: float, tol: float, free: np.ndarray,
-           w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cheap polish of each row for continuation tracking: one Jacobian,
-    chord steps.
-
-    Adequate when the start is already near the root (small continuation
-    step); the full Newton with per-iteration Jacobians is overkill there.
-    """
-    x = np.array(x0, dtype=float)
-    rmax = np.full(len(x), math.inf)
-    ok = np.zeros(len(x), dtype=bool)
-    live = np.arange(len(x))
-    jac_pinv = None
-    for it in range(12):
-        # Refresh the chord once, in case its convergence stalls.
-        refresh = it in (0, 6)
-        if refresh:
-            r, jac = _residuals(x[live], phi, jacobian=True)
-        else:
-            r = _residuals(x[live], phi)
-        rmax[live] = np.max(np.abs(r), axis=1)
-        done = rmax[live] < tol
-        ok[live[done]] = True
-        live, r = live[~done], r[~done]
-        if not live.size:
-            return x, rmax, ok
-        if refresh:
-            jac_pinv = np.linalg.pinv(w[:, None] * jac[~done][:, :, free], rcond=1e-6)
-        else:
-            jac_pinv = jac_pinv[~done]
-        x[np.ix_(live, free)] -= (jac_pinv @ (w * r)[:, :, None])[:, :, 0]
-    rmax[live] = np.max(np.abs(_residuals(x[live], phi)), axis=1)
-    ok[live] = rmax[live] < tol
-    return x, rmax, ok
-
-
 def _transport_batch(x0: np.ndarray, phi: float, leading: np.ndarray,
-                     tol: float, steps: int = 12, fast: bool = False):
+                     tol: float, steps: int = 12):
     """``transport`` of every row of ``x0`` (B, n) to its own ``leading``
     row (B, npin) at once.  Returns the rows reduced mod 2*pi, their last
     residual max-norms and whether each arrived."""
@@ -300,27 +271,19 @@ def _transport_batch(x0: np.ndarray, phi: float, leading: np.ndarray,
     # Move the leading block along the straight path with adaptive step
     # control: halve the step whenever the pinned Newton polish fails to
     # track the manifold, give up once steps become negligible.
-    free = np.flatnonzero(~pinned)
-    w = _row_scale(n)
-    tol = _tol_floor(n, tol)
     lam = np.zeros(batch)
     dlam = np.full(batch, 1.0 / steps)
     good = x
     rmax = np.full(batch, math.inf)
     arrived = np.zeros(batch, dtype=bool)
     live = np.arange(batch)
-    attempts = 3 * steps if fast else 8 * steps
-    cutoff = 5e-3 if fast else 1e-3
-    for _ in range(attempts):
+    for _ in range(8 * steps):
         if not live.size:
             break
         lam_next = np.minimum(1.0, lam[live] + dlam[live])
         trial = good[live]
         trial[:, :npin] = start[live] + (leading[live] - start[live]) * lam_next[:, None]
-        if fast:
-            trial, rm, ok = _track(trial, phi, tol, free, w)
-        else:
-            trial, rm, ok = _newton_batch(trial, phi, tol, max_iter=40, pinned=pinned)
+        trial, rm, ok = _newton_batch(trial, phi, tol, max_iter=40, pinned=pinned)
         rmax[live] = rm
         moved = live[ok]
         good[moved] = trial[ok]
@@ -331,24 +294,21 @@ def _transport_batch(x0: np.ndarray, phi: float, leading: np.ndarray,
         arrived[moved[lam[moved] >= 1.0]] = True
         # A fold of the manifold over this path; creeping closer only
         # burns iterations.
-        live = live[~arrived[live] & (dlam[live] >= cutoff)]
+        live = live[~arrived[live] & (dlam[live] >= 1e-3)]
     return good % TWO_PI, rmax, arrived
 
 
 def transport(phases, phi: float, leading, tol: float = 1e-12,
-              steps: int = 12, fast: bool = False) -> np.ndarray:
+              steps: int = 12) -> np.ndarray:
     """Slide a root along its solution manifold until its leading relative
     phases equal ``leading`` (at most floor(n/2) values, the manifold
     dimension).  This is the equivalence move connecting the published
     representatives of one root class.  Raises SolverError if the
     continuation loses the root.
-
-    ``fast`` trades robustness for speed (chord tracking, small retry
-    budget); use it only for bulk work where losing a root is cheap.
     """
     x0 = np.asarray(phases, dtype=float)[None, :]
     leading = np.asarray(leading, dtype=float)[None, :]
-    x, rmax, arrived = _transport_batch(x0, phi, leading, tol, steps, fast)
+    x, rmax, arrived = _transport_batch(x0, phi, leading, tol, steps)
     if not arrived[0]:
         raise SolverError(
             f"manifold transport lost the root (residual {rmax[0]:.3e})"
@@ -365,8 +325,7 @@ def _paths(x: np.ndarray) -> list[tuple[float, ...]]:
     )
 
 
-def _canonicalize_batch(roots: np.ndarray, phi: float, tol: float,
-                        max_paths: int | None = None, fast: bool = False):
+def _canonicalize_batch(roots: np.ndarray, phi: float, tol: float):
     """``canonicalize`` of every row of ``roots`` (B, n) at once: each row
     tries its own paths nearest-first, all rows still searching move along
     their next path together.  A row arrives only at a point that still
@@ -376,7 +335,7 @@ def _canonicalize_batch(roots: np.ndarray, phi: float, tol: float,
     residual max-norm, and whether some path of the row reached the
     canonical form off the target gate."""
     x = np.asarray(roots, dtype=float) % TWO_PI
-    paths = [_paths(row)[:max_paths] for row in x]
+    paths = [_paths(row) for row in x]
     canon = x.copy()
     arrived = np.zeros(len(x), dtype=bool)
     missed = np.zeros(len(x), dtype=bool)
@@ -386,7 +345,7 @@ def _canonicalize_batch(roots: np.ndarray, phi: float, tol: float,
         if not todo.size:
             break
         leading = np.array([paths[i][k] for i in todo])
-        got, rmax[todo], ok = _transport_batch(x[todo], phi, leading, tol, fast=fast)
+        got, rmax[todo], ok = _transport_batch(x[todo], phi, leading, tol)
         hit = _hits_target(got, phi)
         missed[todo[ok & ~hit]] = True
         ok &= hit
@@ -395,18 +354,17 @@ def _canonicalize_batch(roots: np.ndarray, phi: float, tol: float,
     return canon, arrived, rmax, missed
 
 
-def canonicalize(phases, phi: float, tol: float = 1e-12,
-                 max_paths: int | None = None, fast: bool = False) -> np.ndarray:
+def canonicalize(phases, phi: float, tol: float = 1e-12) -> np.ndarray:
     """Transport a root to the leading-zeros canonical form (first
     floor(n/2) relative phases zero), reduced mod 2*pi.
 
     Zero can be approached from below or above (0 vs 2*pi) per
     coordinate; the manifold may fold over one path, so direction
-    combinations are tried nearest-first (at most ``max_paths`` of them).
+    combinations are tried nearest-first.
     A path whose end point misses the target gate does not count.
     """
     x = np.asarray(phases, dtype=float)[None, :]
-    canon, arrived, rmax, missed = _canonicalize_batch(x, phi, tol, max_paths, fast)
+    canon, arrived, rmax, missed = _canonicalize_batch(x, phi, tol)
     if not arrived[0]:
         reason = (
             "the canonical point reached misses the target gate"
@@ -423,46 +381,47 @@ def _circular_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
 
 
 def solve(config: SolverConfig) -> list[Solution]:
-    """Multi-start Newton over the n relative phases.
+    """Multi-start Newton in the leading-zeros chart.
 
-    All restarts run as one batch.  Returns one Solution per distinct
-    canonical root, sorted by the canonical phase vector; every raw
+    Every restart draws n uniform phases, sets the first floor(n/2) of
+    them to 0 and keeps them there, so each root comes out in canonical
+    form.  All restarts run as one batch.  Returns
+    one Solution per distinct root, sorted by its phase vector; every
     converged root whose zero-error propagator is the target gate is kept
     as a member of its class.  Raises SolverError if no restart converges
-    to such a root, or if no root can be canonicalized.
+    to such a root.
     """
     rng = np.random.default_rng(config.rng_seed)
     # Row k holds the same draws as the k-th of `seeds` calls of size n.
     seeds = rng.uniform(0.0, TWO_PI, size=(config.seeds, config.n))
-    x, _, ok = _newton_batch(seeds, config.phi, config.tol, config.max_iter)
-    ok &= _hits_target(x, config.phi)
-    roots = x[ok] % TWO_PI
-    if not len(roots):
+    pinned = np.arange(config.n) < pinned_zero_count(config.n)
+    seeds[:, pinned] = 0.0
+    start = time.perf_counter()
+    x, rmax, converged = _newton_batch(
+        seeds, config.phi, config.tol, config.max_iter, pinned
+    )
+    newton_s = time.perf_counter() - start
+    ok = converged & _hits_target(x, config.phi)
+    roots = x % TWO_PI
+    classes: list[tuple[np.ndarray, float, list[np.ndarray]]] = []
+    for k in np.flatnonzero(ok):
+        for existing, _, members in classes:
+            if _circular_close(existing, roots[k], config.dedupe_tol):
+                members.append(roots[k])
+                break
+        else:
+            classes.append((roots[k], float(rmax[k]), [roots[k]]))
+    _log.debug(
+        "solve n=%d phi=%.6g: restarts=%d converged=%d off_target=%d "
+        "classes=%d newton_s=%.3f",
+        config.n, config.phi, config.seeds, converged.sum(),
+        converged.sum() - ok.sum(), len(classes), newton_s,
+    )
+    if not classes:
         raise SolverError(
             "no convergence: every restart failed or missed the target gate "
             f"(n={config.n}, phi={config.phi:.6g}, seeds={config.seeds})"
         )
-    # Nearest path only, chord tracking: roots whose canonical path is
-    # blocked by a manifold fold are dropped rather than retried
-    # expensively; with many restarts every class is still reached.
-    canon, kept, _, _ = _canonicalize_batch(
-        roots, config.phi, config.tol, max_paths=1, fast=True
-    )
-    if not kept.any():
-        # Few restarts can leave every root behind a fold: retry them on
-        # all paths with the full Newton before giving up.
-        canon, kept, _, _ = _canonicalize_batch(roots, config.phi, config.tol)
-    if not kept.any():
-        raise SolverError("no convergence: canonicalization failed for all roots")
-    rmax = np.max(np.abs(_residuals(canon, config.phi)), axis=1)
-    classes: list[tuple[np.ndarray, float, list[np.ndarray]]] = []
-    for k in np.flatnonzero(kept):
-        for existing, _, members in classes:
-            if _circular_close(existing, canon[k], config.dedupe_tol):
-                members.append(roots[k])
-                break
-        else:
-            classes.append((canon[k], float(rmax[k]), [roots[k]]))
     classes.sort(key=lambda item: tuple(item[0]))
     return [
         Solution(

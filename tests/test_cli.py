@@ -274,8 +274,9 @@ def test_negative_measured_order_is_numerical_error(capsys):
 def test_solve_does_not_give_up_when_fast_canonicalization_drops_roots(
     phi, rng_seed, tmp_path, capsys
 ):
-    # Few restarts at n = 4: the nearest-path canonicalization can lose
-    # every root (the second probe), and the all-paths retry recovers them.
+    # Few restarts at n = 4.  Both probes once gave up with "canonicalization
+    # failed for all roots"; solve now runs in the canonical chart and has
+    # no canonicalization step left to fail.
     path = tmp_path / "roots.json"
     argv = ["solve", "--order", "4", "--phi", phi, "--seeds", "16",
             "--rng-seed", rng_seed, "--out", str(path)]

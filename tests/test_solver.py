@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,12 +104,15 @@ def test_pinned_zero_count_is_manifold_dimension():
 
 
 def test_canonicalize_moves_leading_phase_along_root_set():
-    # Order 2: one-dimensional root manifold; slide a randomly found
-    # member until its leading relative phase is zero (mod 2*pi).  The
-    # straight path can hit a fold of the manifold, so the multi-path
+    # Order 2: one-dimensional root manifold; slide a member found by an
+    # unpinned Newton until its leading relative phase is zero (mod 2*pi).
+    # The straight path can hit a fold of the manifold, so the multi-path
     # canonicalization is the right entry point.
     phi = math.pi
-    start = solve(SolverConfig(n=2, phi=phi, seeds=8, rng_seed=3))[0].members[0]
+    seeds = np.random.default_rng(3).uniform(0.0, TWO_PI, size=(8, 2))
+    x, _, ok = solver._newton_batch(seeds, phi, 1e-12, 200)
+    start = x[np.flatnonzero(ok & solver._hits_target(x, phi))[0]]
+    assert not _circ_close([start[0]], [0.0], 1e-3)
     moved = canonicalize(start, phi)
     assert _circ_close([moved[0]], [0.0], 1e-9)
     assert np.max(np.abs(residual(moved, phi))) < 1e-9
@@ -249,3 +254,52 @@ def test_batched_newton_root_does_not_depend_on_batch_companions():
         alone, _, converged = solver._newton(seeds[k], phi, 1e-12, 200)
         assert converged
         assert np.max(np.abs(alone - x[k])) <= 1e-12
+
+
+def _row_root(phi_over_pi, pulses):
+    # Relative phases of the first half of a published arbitrary-angle row.
+    phases = [float(p) for p in catalog.arbitrary_row(phi_over_pi, pulses).phases]
+    return np.array([p - phases[0] for p in phases[1:pulses // 2]])
+
+
+@pytest.mark.parametrize(
+    "n,phi,rng_seed",
+    [(2, math.pi / 3, 0), (3, math.pi / 4, 2), (4, math.pi / 2, 7), (5, math.pi, 1)],
+)
+def test_solve_returns_roots_in_the_leading_zeros_chart(n, phi, rng_seed):
+    sols = solve(SolverConfig(n=n, phi=phi, seeds=32, rng_seed=rng_seed))
+    zeros = (0.0,) * pinned_zero_count(n)
+    assert sols
+    for s in sols:
+        assert s.phases[: len(zeros)] == zeros
+        assert all(m[: len(zeros)] == zeros for m in s.members)
+        assert solver._hits_target(np.array([s.phases]), phi)[0]
+        assert s.residual_norm < solver._tol_floor(n, 1e-12)
+
+
+def test_solve_order_five_finds_the_published_twelve_pulse_class():
+    sols = solve(SolverConfig(n=5, phi=math.pi, seeds=128, rng_seed=1))
+    z12 = _row_root(1, 12)
+    assert any(_circ_close(s.phases, z12, 1e-3 * math.pi) for s in sols)
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1, 2])
+def test_solve_order_four_finds_the_published_ten_pulse_class(rng_seed):
+    sols = solve(SolverConfig(n=4, phi=math.pi, seeds=16, rng_seed=rng_seed))
+    z10 = _row_root(1, 10)
+    assert any(_circ_close(s.phases, z10, 1e-8) for s in sols)
+
+
+def test_solve_logs_its_counts_at_debug(caplog):
+    with caplog.at_level(logging.DEBUG, logger="cpgate.solver"):
+        sols = solve(SolverConfig(n=3, phi=math.pi, seeds=16, rng_seed=1775539677))
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    counts = dict(re.findall(r"(\w+)=([\d.]+)", record.getMessage()))
+    assert int(counts["restarts"]) == 16
+    # Some restarts of this seed reach (0, pi, pi), which misses the gate.
+    assert int(counts["off_target"]) > 0
+    kept = int(counts["converged"]) - int(counts["off_target"])
+    assert kept == sum(len(s.members) for s in sols)
+    assert int(counts["classes"]) == len(sols)
+    assert float(counts["newton_s"]) >= 0.0
