@@ -96,7 +96,11 @@ def verify_order(seq: CompositeSequence) -> int:
     Raises AnalysisError when the order is beyond the measurable range or
     below zero (the train misses the target gate even at zero error).
     """
-    slope, peak = order_slope(seq)
+    return order_from_slope(*order_slope(seq))
+
+
+def order_from_slope(slope: float, peak: float) -> int:
+    """The order ``verify_order`` reads off an ``order_slope`` result."""
     if not math.isfinite(slope) or peak < _MEASURABLE_INFIDELITY:
         raise AnalysisError("order exceeds measurable range")
     order = int(round(slope)) - 1

@@ -213,8 +213,12 @@ def _cmd_verify(args) -> int:
         # files come from catalog.to_sequence, already polished at the
         # exact angle.
         seq = _measurement_sequence(seq)
-    n = analysis.verify_order(seq)
-    print(f"order = {n}")
+    if args.json:
+        slope, peak = analysis.order_slope(seq)
+        n = analysis.order_from_slope(slope, peak)
+        print(json.dumps({"order": n, "slope": slope, "peak": peak}))
+    else:
+        print(f"order = {analysis.verify_order(seq)}")
     return 0
 
 
@@ -326,6 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="measured compensation order")
     _add_gate_arg(p)
+    p.add_argument("--json", action="store_true",
+                   help="print the order, fitted slope and peak infidelity as JSON")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("solve", help="derive phases numerically")

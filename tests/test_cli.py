@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpgate import catalog, cli, precise, solver
+from cpgate import analysis, catalog, cli, precise, solver
 from cpgate.cli import (
     EXIT_NUMERICAL,
     EXIT_VALIDATION,
@@ -119,6 +119,36 @@ def test_verify_pasted_table_row(capsys):
     )
     assert run(["verify", "--gate", spec]) == 0
     assert capsys.readouterr().out.strip() == "order = 4"
+
+
+@pytest.mark.parametrize("gate", ["T12", "Z18", "phi=1;phases=0,1.75,0.5,0.25"])
+def test_verify_json_reports_the_fit(gate, capsys):
+    assert run(["verify", "--gate", gate]) == 0
+    plain = capsys.readouterr().out
+    assert run(["verify", "--gate", gate, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"order", "slope", "peak"}
+    assert plain == f"order = {report['order']}\n"
+    seq = cli._resolve_gate(gate)
+    if "=" in gate:
+        seq = cli._measurement_sequence(seq)
+    slope, peak = analysis.order_slope(seq)
+    assert report["slope"] == slope and report["peak"] == peak
+    assert report["order"] == round(slope) - 1
+
+
+def test_verify_json_exits_3_on_an_unmeasurable_train(tmp_path, capsys):
+    # Two pi pulses of opposite phase cancel at every error: the train is
+    # the identity, the phi = 0 gate, with no infidelity left to fit.
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(
+        [{"name": "identity", "phi_over_pi": "0", "order": 0,
+          "phases_over_pi": ["0", "1"]}]
+    ))
+    assert run(["verify", "--gate", str(path), "--json"]) == EXIT_NUMERICAL
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "measurable range" in out.err
 
 
 def test_sweep_csv_is_byte_deterministic(tmp_path, capsys):

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cpgate import catalog, precise
+from cpgate import analysis, catalog, precise
 
 
 def _reference_slope_fit(seq, eps_lo=1e-3, eps_hi=1e-2, points=20, dps=50):
@@ -39,9 +39,26 @@ def _reference_slope_fit(seq, eps_lo=1e-3, eps_hi=1e-2, points=20, dps=50):
         return slope, float(peak)
 
 
+def _mp_jet_mul(a2, b2, a1, b1):
+    # Product of two jet pairs in mpc object arithmetic: full truncated
+    # convolutions, nothing shared with the fixed-point kernel under test.
+    order = len(a1) - 1
+
+    def mul(x, y):
+        return [
+            sum(x[j] * y[m - j] for j in range(m + 1)) for m in range(order + 1)
+        ]
+
+    b1c = [mp.conj(v) for v in b1]
+    a1c = [mp.conj(v) for v in a1]
+    a = [p - q for p, q in zip(mul(a2, a1), mul(b2, b1c))]
+    b = [p + q for p, q in zip(mul(a2, b1), mul(b2, a1c))]
+    return a, b
+
+
 def _dense_residual(rel_phases, phi_mp, n):
-    # Full truncated products of the pi-pulse series, zeros included, as
-    # _mp_residual computed them before the series were cached.
+    # Full truncated products of the pi-pulse series, zeros included, in
+    # mpc object arithmetic at the caller's precision.
     half_pi = mp.pi / 2
     base_cos = [half_pi**m * mp.cos(half_pi + m * half_pi) / mp.factorial(m)
                 for m in range(n + 1)]
@@ -52,9 +69,9 @@ def _dense_residual(rel_phases, phi_mp, n):
         rot = -1j * mp.exp(1j * phase)
         pa = [mp.mpc(c) for c in base_cos]
         pb = [rot * s for s in base_sin]
-        a, b = (pa, pb) if a is None else precise._mp_jet_mul(pa, pb, a, b)
+        a, b = (pa, pb) if a is None else _mp_jet_mul(pa, pb, a, b)
     rot = mp.exp(1j * (mp.pi - phi_mp / 2))
-    a, b = precise._mp_jet_mul(a, [rot * c for c in b], a, b)
+    a, b = _mp_jet_mul(a, [rot * c for c in b], a, b)
     out = []
     for m in range(1, n + 1):
         c = a[m] if m % 2 == 0 else b[m]
@@ -103,3 +120,100 @@ def test_pi_pulse_series_cache_is_keyed_by_precision():
         precise._pi_pulse_series.cache_clear()
         fresh = precise._mp_residual(rel, mp.pi, 3)
     assert after_30 == fresh
+
+
+_ORACLE_DPS = 90
+_ORACLE_EPS = ("0", "1e-3", "-1e-3", "1e-2", "-1e-2", "0.3", "-0.3")
+
+
+def _oracle_propagator(phases, areas, eps):
+    # The pulse loop in plain mpc object arithmetic at 90 digits, on the
+    # same mpf inputs the kernel under test sees.
+    with mp.workdps(_ORACLE_DPS):
+        a = mp.mpc(1)
+        b = mp.mpc(0)
+        for phase, area in zip(phases, areas):
+            half = area * (1 + eps) / 2
+            pa = mp.cos(half)
+            pb = -1j * mp.exp(1j * phase) * mp.sin(half)
+            a, b = pa * a - pb * mp.conj(b), pa * b + pb * mp.conj(a)
+        return a, b
+
+
+def _random_trains(count, seed):
+    # Areas well away from multiples of pi, so none is snapped or special.
+    rng = random.Random(seed)
+    trains = []
+    for _ in range(count):
+        pulses = rng.randint(2, 18)
+        phases = [rng.uniform(0.0, 2 * math.pi) for _ in range(pulses)]
+        areas = [rng.choice((0.5, 1.3, 2.2, 3.9, 5.7)) + rng.uniform(-0.2, 0.2)
+                 for _ in range(pulses)]
+        trains.append((phases, areas))
+    return trains
+
+
+def _assert_matches_oracle(phases, areas, bound):
+    eps = [mp.mpf(e) for e in _ORACLE_EPS]
+    for e, (a, b) in zip(eps, precise.mp_propagator(phases, areas, eps)):
+        want_a, want_b = _oracle_propagator(phases, areas, e)
+        assert abs(a - want_a) <= bound
+        assert abs(b - want_b) <= bound
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_mp_propagator_matches_a_90_digit_oracle_on_named_trains(name):
+    seq = catalog.to_sequence(catalog.get(name))
+    with mp.workdps(precise.WORKING_DPS):
+        _assert_matches_oracle(*precise._mp_phases(seq), 1e-45)
+
+
+def test_mp_propagator_matches_a_90_digit_oracle_on_random_trains():
+    with mp.workdps(precise.WORKING_DPS):
+        for phases, areas in _random_trains(12, seed=5):
+            _assert_matches_oracle(
+                [mp.mpf(p) for p in phases], [mp.mpf(a) for a in areas], 1e-45
+            )
+
+
+def test_mp_propagator_precision_follows_the_working_precision():
+    seq = catalog.to_sequence(catalog.get("T18"))
+    trains = [precise._mp_phases(seq)] + [
+        ([mp.mpf(p) for p in phases], [mp.mpf(a) for a in areas])
+        for phases, areas in _random_trains(4, seed=6)
+    ]
+    with mp.workdps(30):
+        for phases, areas in trains:
+            # Inputs rounded to 30 digits, so the oracle sees what the
+            # kernel sees.
+            _assert_matches_oracle(
+                [+p for p in phases], [+a for a in areas], 1e-25
+            )
+
+
+def _polish_cases():
+    rows = [
+        (row.phi_over_pi, pulses)
+        for row in catalog.arbitrary_rows()
+        for pulses in (12, 14)
+    ]
+    named = [n for n in catalog.names() if catalog.get(n).pulse_count >= 16]
+    assert len(rows) == 28 and len(named) == 6
+    return [pytest.param(("row", r), id=f"row-{r[0]}-{r[1]}p") for r in rows] + [
+        pytest.param(("name", n), id=n) for n in named
+    ]
+
+
+@pytest.mark.parametrize("case", _polish_cases())
+def test_polished_trains_are_roots_to_90_digits(case):
+    kind, key = case
+    if kind == "row":
+        seq = catalog.arbitrary_row(*key)
+    else:
+        seq = catalog.to_sequence(catalog.get(key))
+    n = seq.order
+    rel = list(seq.phases[1 : n + 1])
+    with mp.workdps(_ORACLE_DPS):
+        residual = _dense_residual(rel, seq.target_phi, n)
+    assert max(abs(r) for r in residual) <= 1e-40
+    assert analysis.verify_order(seq) == len(seq) // 2 - 1
