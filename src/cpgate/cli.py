@@ -94,6 +94,13 @@ def _is_structured(seq: CompositeSequence, tol: float = 1e-3):
     return [phases[k] - base for k in range(1, half)]
 
 
+def _pi_fraction(phi: float) -> Fraction | None:
+    """The fraction p/q, q <= 64, whose multiple of pi is within 1e-12 of
+    the angle ``phi`` (radians), or None if there is none."""
+    frac = Fraction(phi / PI).limit_denominator(64)
+    return frac if abs(float(frac) * PI - phi) < 1e-12 else None
+
+
 def _measurement_sequence(seq: CompositeSequence) -> CompositeSequence:
     """Polish the 4-decimal phases of an inline spec onto the exact root
     before order/slope measurement; leaves non-structured input untouched."""
@@ -101,12 +108,12 @@ def _measurement_sequence(seq: CompositeSequence) -> CompositeSequence:
     if rel is None or not rel:
         return seq
     phi = float(seq.target_phi)
+    # Snap a float gate angle that is (numerically) a small fraction of pi
+    # back to the exact value; a rounded target otherwise caps the
+    # measurable infidelity near double precision.
+    frac = _pi_fraction(phi)
     with mp.workdps(precise.WORKING_DPS):
-        # Snap a float gate angle that is (numerically) a small fraction
-        # of pi back to the exact value; a rounded target otherwise caps
-        # the measurable infidelity near double precision.
-        frac = Fraction(phi / PI).limit_denominator(64)
-        if abs(float(frac) * PI - phi) < 1e-12:
+        if frac is not None:
             phi_mp = mp.pi * frac.numerator / frac.denominator
         else:
             phi_mp = mp.mpf(phi)
@@ -223,10 +230,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    phi_fraction = Fraction(args.phi).limit_denominator(64)
     config = solver.SolverConfig(
         n=args.order, phi=args.phi * PI, seeds=args.seeds, rng_seed=args.rng_seed
     )
+    # Record a small fraction only if it is the requested angle; otherwise
+    # the shortest decimal whose float is the angle the solver used.
+    phi_fraction = _pi_fraction(config.phi)
+    if phi_fraction is None:
+        phi_fraction = Fraction(repr(args.phi))
     solutions = solver.solve(config)
     entries = []
     for i, sol in enumerate(solutions):
@@ -317,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="fidelity sweep to CSV")
     _add_gate_arg(p)
-    p.add_argument("--eps-min", type=float, default=-0.4)
-    p.add_argument("--eps-max", type=float, default=0.4)
+    p.add_argument("--eps-min", type=_finite, default=-0.4)
+    p.add_argument("--eps-max", type=_finite, default=0.4)
     p.add_argument("--steps", type=int, default=801)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)

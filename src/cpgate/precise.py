@@ -23,13 +23,21 @@ shift truncates by less than one unit of 2^-P, and the 16 guard bits
 absorb that over a few dozen pulses: at 50 digits the propagator agrees
 with a 90-digit evaluation to ~1e-51, the rounding of its own result.
 
-``slope_fit`` takes logs of infidelities of at least ~1e-26 for the
-trains it measures (order 8 at eps = 1e-3), so an error of ~1e-51 in a
-propagator entry moves a log by ~1e-25, ten decades below the spacing
-of doubles.  Its float logs, and the slope and peak fitted from them,
-therefore come out bit-identical to the mpf object arithmetic this
-replaced, barring a value that falls within 1e-25 of a rounding
-boundary (none of the 111 benchmark trains does).
+``slope_fit`` runs the same pulse loop (``_pulse_loop``), with the
+cos/sin of each area at its grid's epsilons cached per (area, grid,
+precision), and also takes the Frobenius gate distance in fixed point,
+rounding each distance to mpf once.  It takes logs of infidelities of at
+least ~1e-26 for the trains it measures (order 8 at eps = 1e-3), so an
+error of ~1e-51 in a propagator entry moves a log by ~1e-25, ten decades
+below the spacing of doubles.  Its float logs, and the slope and peak
+fitted from them, therefore come out bit-identical to plain mpf object
+arithmetic, barring a value that falls within 1e-25 of a rounding
+boundary (none of the 111 benchmark trains does).  A train of whole pi
+multiples with an even count of odd multiples has an infidelity that is
+even in eps (see ``mp_propagator``); ``slope_fit`` then evaluates only
+the positive half of its grid, where any other train is averaged over
+both signs.  The two signs agree to ~1e-51, so the one-sign fit is
+bit-identical to the two-sign average under the same proviso.
 """
 
 from __future__ import annotations
@@ -42,14 +50,17 @@ import numpy as np
 from mpmath.libmp import (
     fone,
     from_man_exp,
+    fzero,
     mpf_add,
     mpf_cos_sin,
+    mpf_gt,
+    mpf_log,
     mpf_mul,
     mpf_shift,
     mpf_sqrt,
-    mpf_sub,
     round_nearest,
     to_fixed,
+    to_float,
 )
 
 from . import solver
@@ -94,18 +105,36 @@ def _from_fixed(re, im, prec):
     ))
 
 
-def _gate_distance(a, b, fa):
-    """sqrt((|a - fa|^2 + |b|^2) / 2), the Frobenius distance of the
-    Cayley-Klein pair (a, b) from the gate (fa, 0), as an mpf."""
-    wp = mp.mp.prec
-    (ar, ai), (br, bi), (fr, fi) = a._mpc_, b._mpc_, fa._mpc_
-    dr, di = mpf_sub(ar, fr, wp), mpf_sub(ai, fi, wp)
-    total = mpf_add(
-        mpf_add(mpf_mul(dr, dr), mpf_mul(di, di), wp),
-        mpf_add(mpf_mul(br, br), mpf_mul(bi, bi), wp),
-        wp,
-    )
-    return mp.mpf(mpf_sqrt(mpf_shift(total, -1), wp))
+def _area_trig(area, eps, prec):
+    """cos and sin of area (1 + eps) / 2, raw mpf inputs, fixed point at 2^prec."""
+    half = mpf_shift(mpf_mul(area, mpf_add(fone, eps, prec), prec), -1)
+    return _cos_sin_fixed(half, prec)
+
+
+def _train(phases, areas, prec):
+    """(rotors, slots, raw_areas): each pulse's fixed-point rotor, the index
+    of its area among the distinct raw mpf areas, and those areas."""
+    rotors = [_rotor(phase, prec) for phase in phases]
+    distinct = {}
+    slots = [distinct.setdefault(area, len(distinct)) for area in areas]
+    return rotors, slots, [mp.mpf(area)._mpf_ for area in distinct]
+
+
+def _pulse_loop(rotors, trig, prec):
+    """Raw fixed-point (ar, ai, br, bi) of the train whose pulses have the
+    rotors ``rotors`` and the half-area (cos, sin) ``trig``, at 2^prec."""
+    ar, ai, br, bi = 1 << prec, 0, 0, 0
+    for (rr, ri), (c, s) in zip(rotors, trig):
+        pr = rr * s >> prec
+        pi = ri * s >> prec
+        # a' = c a - pb conj(b), b' = c b + pb conj(a), pb = rot * s.
+        ar, ai, br, bi = (
+            (c * ar - pr * br - pi * bi) >> prec,
+            (c * ai - pi * br + pr * bi) >> prec,
+            (c * br + pr * ar + pi * ai) >> prec,
+            (c * bi + pi * ar - pr * ai) >> prec,
+        )
+    return ar, ai, br, bi
 
 
 def mp_propagator(phases, areas, epsilon):
@@ -114,34 +143,23 @@ def mp_propagator(phases, areas, epsilon):
     ``epsilon`` may also be a sequence, the way ``su2.compose`` takes an
     array: the result is then a list of pairs, one per value.  The pulse
     rotors -i e^{i phase} are computed once per call, and cos/sin of the
-    half area once per distinct area per epsilon.  The pulse loop runs in
-    fixed point at ``mp.mp.prec + GUARD_BITS`` bits.
+    half area once per distinct area per epsilon.  The pulse loop
+    (``_pulse_loop``, shared with ``slope_fit``) runs in fixed point at
+    ``mp.mp.prec + GUARD_BITS`` bits.
+
+    For an area k pi (1 + eps), flipping the sign of eps gives
+    U_k(-eps) = (-1)^k Z U_k(eps) Z^dagger with Z = diag(1, -1), so a
+    train of whole pi multiples has the pair (+-a, -+b) at -eps, the sign
+    being that of (-1)^(sum of k).
     """
     single = np.ndim(epsilon) == 0
     prec = mp.mp.prec + GUARD_BITS
-    rotors = [_rotor(phase, prec) for phase in phases]
-    distinct = {}
-    slots = [distinct.setdefault(area, len(distinct)) for area in areas]
-    raw_areas = [mp.mpf(area)._mpf_ for area in distinct]
+    rotors, slots, raw_areas = _train(phases, areas, prec)
     out = []
     for eps in [epsilon] if single else epsilon:
-        scale = mpf_add(fone, mp.mpf(eps)._mpf_, prec)
-        trig = [
-            _cos_sin_fixed(mpf_shift(mpf_mul(area, scale, prec), -1), prec)
-            for area in raw_areas
-        ]
-        ar, ai, br, bi = 1 << prec, 0, 0, 0
-        for (rr, ri), k in zip(rotors, slots):
-            c, s = trig[k]
-            pr = rr * s >> prec
-            pi = ri * s >> prec
-            # a' = c a - pb conj(b), b' = c b + pb conj(a), pb = rot * s.
-            ar, ai, br, bi = (
-                (c * ar - pr * br - pi * bi) >> prec,
-                (c * ai - pi * br + pr * bi) >> prec,
-                (c * br + pr * ar + pi * ai) >> prec,
-                (c * bi + pi * ar - pr * ai) >> prec,
-            )
+        raw_eps = mp.mpf(eps)._mpf_
+        trig = [_area_trig(area, raw_eps, prec) for area in raw_areas]
+        ar, ai, br, bi = _pulse_loop(rotors, [trig[k] for k in slots], prec)
         out.append((_from_fixed(ar, ai, prec), _from_fixed(br, bi, prec)))
     return out[0] if single else out
 
@@ -157,34 +175,74 @@ def _slope_grid(eps_lo, eps_hi, points, prec):
         return signed, tuple(float(mp.log(e)) for e in grid)
 
 
+@lru_cache(maxsize=64)
+def _grid_trig(area, eps_lo, eps_hi, points, wp):
+    """Fixed-point (cos, sin) of the raw mpf ``area`` (1 + eps) / 2 at
+    2^(wp + GUARD_BITS), for each signed epsilon of ``_slope_grid``."""
+    prec = wp + GUARD_BITS
+    signed, _ = _slope_grid(eps_lo, eps_hi, points, wp)
+    return tuple(_area_trig(area, eps._mpf_, prec) for eps in signed)
+
+
+def _even_in_epsilon(areas) -> bool:
+    """True if every area is a whole multiple k pi and the k sum to an even
+    number (an even count of odd k): the infidelity is then even in eps
+    (see ``mp_propagator``)."""
+    total = 0
+    for area in areas:
+        k = int(mp.nint(area / mp.pi))
+        if k < 1 or area != k * mp.pi:
+            return False
+        total += k
+    return total % 2 == 0
+
+
 def slope_fit(seq: CompositeSequence, eps_lo=1e-3, eps_hi=1e-2, points=20,
               dps=50) -> tuple[float, float]:
-    """Least-squares slope of log-infidelity vs log-error, both signs averaged.
+    """Least-squares slope of log-infidelity vs log-error.
 
     Returns (slope, max infidelity over the window).  Evaluated under
-    mpmath so the fit sees the true power law, not roundoff.
+    mpmath so the fit sees the true power law, not roundoff.  The
+    infidelity at each of the ``points`` log-spaced errors is the average
+    over both signs of eps, except for a train whose infidelity is even in
+    eps (areas whole multiples of pi, an even count of them odd: every
+    catalog train, table row and CLI spec), which is evaluated at +eps
+    only.  The pulse loop and the Frobenius gate distance run in fixed
+    point; each distance is rounded to mpf once, then takes one sqrt and
+    one log.
     """
     with mp.workdps(dps):
+        wp = mp.mp.prec
+        prec = wp + GUARD_BITS
         phases, areas = _mp_phases(seq)
-        fa = mp.exp(-1j * mp.mpf(seq.target_phi) / 2)
-        signed, grid_logs = _slope_grid(eps_lo, eps_hi, points, mp.mp.prec)
-        pairs = mp_propagator(phases, areas, signed)
+        rotors, slots, raw_areas = _train(phases, areas, prec)
+        tables = [_grid_trig(area, eps_lo, eps_hi, points, wp) for area in raw_areas]
+        _, grid_logs = _slope_grid(eps_lo, eps_hi, points, wp)
+        # The gate (fa, 0), fa = e^{-i phi/2} = fc - i fs.
+        fc, fs = _cos_sin_fixed(mpf_shift(mp.mpf(seq.target_phi)._mpf_, -1), prec)
+        signs = (0,) if _even_in_epsilon(areas) else (0, 1)
         logs = []
         vals = []
-        peak = mp.mpf(0)
+        peak = fzero
         for i, log_eps in enumerate(grid_logs):
-            infid = mp.mpf(0)
-            for a, b in pairs[2 * i: 2 * i + 2]:
-                infid += _gate_distance(a, b, fa)
-            infid /= 2
-            peak = max(peak, infid)
-            if infid > 0:
+            dists = []
+            for sign in signs:
+                trig = [tables[k][2 * i + sign] for k in slots]
+                ar, ai, br, bi = _pulse_loop(rotors, trig, prec)
+                # sqrt((|a - fa|^2 + |b|^2) / 2), the Frobenius distance.
+                total = (ar - fc) ** 2 + (ai + fs) ** 2 + br * br + bi * bi
+                half = from_man_exp(total, -2 * prec - 1, wp, round_nearest)
+                dists.append(mpf_sqrt(half, wp))
+            infid = dists[0] if len(dists) == 1 else mpf_shift(mpf_add(*dists, wp), -1)
+            if mpf_gt(infid, peak):
+                peak = infid
+            if infid != fzero:
                 logs.append(log_eps)
-                vals.append(float(mp.log(infid)))
+                vals.append(to_float(mpf_log(infid, wp), rnd=round_nearest))
+        peak = to_float(peak, rnd=round_nearest)
         if len(logs) < 2:
-            return math.nan, float(peak)
-        slope = float(np.polyfit(np.array(logs), np.array(vals), 1)[0])
-        return slope, float(peak)
+            return math.nan, peak
+        return float(np.polyfit(np.array(logs), np.array(vals), 1)[0]), peak
 
 
 def polish_structured(rel_phases, phi, pinned=None, dps=50, target_digits=None):

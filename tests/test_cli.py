@@ -199,6 +199,28 @@ def test_solve_writes_loadable_catalog(tmp_path, capsys):
     )
 
 
+def test_solve_records_the_requested_angle(tmp_path, capsys):
+    # 0.123456 is not within 1e-12 of any p/q with q <= 64 (the nearest,
+    # 7/57, is 0.5 % off), so it is recorded as itself.
+    out_path = tmp_path / "f.json"
+    assert run(["solve", "--order", "2", "--phi", "0.123456", "--seeds", "8",
+                "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    entries = catalog.load_catalog(out_path)
+    assert entries
+    for entry in entries:
+        assert float(entry.phi_over_pi) == 0.123456
+        seq = catalog.to_sequence(entry)
+        assert float(seq.target_phi) == pytest.approx(0.123456 * math.pi, abs=1e-15)
+
+
+def test_solve_snaps_a_float_close_to_a_small_fraction(capsys):
+    assert run(["solve", "--order", "1", "--phi", "0.6666666666666666",
+                "--seeds", "4"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data and all(d["phi_over_pi"] == "2/3" for d in data)
+
+
 def test_solve_stdout_is_json(capsys):
     assert run(["solve", "--order", "1", "--phi", "1", "--seeds", "4"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -288,6 +310,14 @@ def test_catalog_file_entry_is_polished(tmp_path, capsys):
 def test_non_finite_input_is_validation_error(argv, capsys):
     assert run(argv) == EXIT_VALIDATION
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["--eps-min=-inf", "--eps-max=inf"])
+def test_sweep_rejects_infinite_epsilon_bounds(bound, capsys):
+    assert run(["sweep", "--gate", "Z4", bound]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_negative_measured_order_is_numerical_error(capsys):

@@ -4,8 +4,11 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpgate import analysis, catalog, precise
+from cpgate import analysis, catalog, cli, precise
+from cpgate.su2 import CompositeSequence, Pulse
 
 
 def _reference_slope_fit(seq, eps_lo=1e-3, eps_hi=1e-2, points=20, dps=50):
@@ -97,6 +100,85 @@ def test_mp_propagator_over_an_epsilon_list_equals_scalar_calls():
 def test_slope_fit_equals_the_per_epsilon_loop_bitwise(name):
     seq = catalog.to_sequence(catalog.get(name))
     assert precise.slope_fit(seq) == _reference_slope_fit(seq)
+
+
+@given(
+    phases=st.integers(1, 9).flatmap(
+        lambda half: st.lists(
+            st.floats(0.0, 2 * math.pi), min_size=2 * half, max_size=2 * half
+        )
+    ),
+    eps=st.floats(1e-4, 0.5),
+)
+@settings(max_examples=30, deadline=None)
+def test_mp_propagator_of_an_even_pi_train_flips_b_with_epsilon(phases, eps):
+    # U(-eps) = Z U(eps) Z^dagger for an even count of pi pulses: the
+    # identity slope_fit's one-sign shortcut rests on.
+    with mp.workdps(precise.WORKING_DPS):
+        mp_phases = [mp.mpf(p) for p in phases]
+        areas = [mp.pi] * len(phases)
+        (a, b), (a_neg, b_neg) = precise.mp_propagator(
+            mp_phases, areas, [mp.mpf(eps), -mp.mpf(eps)]
+        )
+        assert abs(a_neg - a) <= 1e-45
+        assert abs(b_neg + b) <= 1e-45
+
+
+# Trains whose infidelity is not even in eps, areas in units of pi: three
+# pi areas and one 2 pi (an odd count of odd multiples), and one 0.9 pi.
+_NOT_EVEN_AREAS = {"three-pi-one-2pi": (1, 1, 2, 1), "one-0.9pi": (1, 0.9, 1, 1)}
+
+
+def _not_even_train(name):
+    areas = _NOT_EVEN_AREAS[name]
+    return CompositeSequence(
+        pulses=tuple(
+            Pulse(a * math.pi, p) for a, p in zip(areas, (0.0, 0.7, 1.9, 0.4))
+        ),
+        target_phi=math.pi / 2,
+        order=1,
+        label=name,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_EVEN_AREAS))
+def test_slope_fit_averages_both_signs_when_not_even_in_epsilon(name):
+    seq = _not_even_train(name)
+    with mp.workdps(precise.WORKING_DPS):
+        assert not precise._even_in_epsilon(precise._mp_phases(seq)[1])
+    assert precise.slope_fit(seq) == _reference_slope_fit(seq)
+
+
+def _rounded_14_pulse_rows():
+    specs = []
+    for row in catalog.arbitrary_rows():
+        seq = catalog.arbitrary_row(row.phi_over_pi, 14, refine=False)
+        specs.append(pytest.param(
+            f"phi={float(row.phi_over_pi):.17g};phases="
+            + ",".join(f"{float(p) / math.pi:.17g}" for p in seq.phases),
+            id=str(row.phi_over_pi),
+        ))
+    assert len(specs) == 14
+    return specs
+
+
+@pytest.mark.parametrize("spec", _rounded_14_pulse_rows())
+def test_slope_fit_equals_the_per_epsilon_loop_bitwise_on_rounded_rows(spec):
+    seq = cli._measurement_sequence(cli.spec_parse(spec))
+    with mp.workdps(precise.WORKING_DPS):
+        assert precise._even_in_epsilon(precise._mp_phases(seq)[1])
+    assert precise.slope_fit(seq) == _reference_slope_fit(seq)
+
+
+def test_slope_fit_trig_cache_is_keyed_by_precision():
+    # The float area 0.9 pi is the same raw mpf at 30 and 50 digits, so
+    # only the precision in the key tells the two cache entries apart.
+    seq = _not_even_train("one-0.9pi")
+    precise.slope_fit(seq, dps=30)
+    after_30 = precise.slope_fit(seq, dps=50)
+    precise._grid_trig.cache_clear()
+    precise._slope_grid.cache_clear()
+    assert after_30 == precise.slope_fit(seq, dps=50)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
