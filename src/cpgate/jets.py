@@ -158,17 +158,74 @@ def _antidiagonals(order: int) -> np.ndarray:
     return s
 
 
-def structured_jets(rel_phases, phi: float, order: int, jacobian: bool = False):
+# i for the a row, -i for the b row of the rotor i e^{ip} of a pulse.
+_ROTOR_ROWS = np.array([1j, -1j])[:, None, None]
+
+
+@lru_cache(maxsize=64)
+def _tangent_slots(wrt, n: int) -> tuple[tuple[int, ...], int | None]:
+    # Slot of each phase on the value/tangent axis of ``structured_jets``
+    # (0 = not differentiated) and the number of tangents, None for none;
+    # ``wrt`` is a bool or a tuple of phase indices.
+    if wrt is False:
+        return (0,) * n, None
+    if wrt is True:
+        wrt = tuple(range(n))
+    if not all(0 <= j < n for j in wrt):
+        raise ValueError("jacobian phase index out of range")
+    if len(set(wrt)) != len(wrt):
+        raise ValueError("jacobian phase indices must be distinct")
+    slot = [0] * n
+    for k, j in enumerate(wrt, start=1):
+        slot[j] = k
+    return tuple(slot), len(wrt)
+
+
+def _pi_pulse(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # pi_p @ U for the value and tangents in w (axes: series order, (a, b),
+    # value/tangents, batch), with u = (i e^{ip}, -i e^{ip}) broadcast over
+    # the last three axes: a' = C*a + i e^{ip} S*conj(b),
+    # b' = C*b - i e^{ip} S*conj(a); S is real, so S*conj(b) = conj(S*b).
+    # Returns C*w and the rotated S part; their sum is the new state.
+    cw, sw = (_pi_toeplitz(w.shape[0] - 1) @ w.reshape(w.shape[0], -1)).reshape(2, *w.shape)
+    swapped = np.conj(sw[:, ::-1])
+    swapped *= u
+    return cw, swapped
+
+
+@lru_cache(maxsize=64)
+def _zero_prefix(order: int, count: int) -> np.ndarray:
+    # Half-train state (order + 1, 2) after pi_0 and ``count`` more pi_0
+    # pulses: relative phases pinned at exactly 0 are the same in every
+    # row, so they are composed once and broadcast to the batch.
+    cos_c, sin_c = _trig_arrays(math.pi, order)
+    w = np.zeros((order + 1, 2, 1, 1), dtype=complex)
+    w[:, 0, 0, 0] = cos_c
+    w[:, 1, 0, 0] = -1j * sin_c
+    for _ in range(count):
+        cw, swapped = _pi_pulse(w, _ROTOR_ROWS)
+        w = cw + swapped
+    w = w[:, :, 0, 0]
+    w.flags.writeable = False
+    return w
+
+
+def structured_jets(rel_phases, phi: float, order: int, jacobian=False):
     """Jets of a batch of two-half trains of nominal pi pulses.
 
     Row k of ``rel_phases`` (shape (B, n)) holds the relative phases
     p1..pn of one half pi_0 pi_p1 ... pi_pn; the second half repeats it
     shifted by pi - phi/2.  Returns the Cayley-Klein jets ``(a, b)`` of the
-    trains, each of shape (B, order + 1).  With ``jacobian`` it returns
-    ``(a, b, da, db)``, where ``da[k, j]`` (shape (B, n, order + 1)) is the
-    exact derivative of ``a[k]`` with respect to p_j: forward-mode
-    differentiation, with d b_pulse / d p = i * b_pulse for each pulse and
-    the two occurrences of each phase summed by the product rule.
+    trains, each of shape (B, order + 1).
+
+    ``jacobian`` selects tangents: False for none, True for all n phases,
+    or a sequence of distinct phase indices J.  With tangents it returns
+    ``(a, b, da, db)``, where ``da[k, i]`` (shape (B, len(J), order + 1))
+    is the exact derivative of ``a[k]`` with respect to p_{J[i]}:
+    forward-mode differentiation, with d b_pulse / d p = i * b_pulse for
+    each pulse and the two occurrences of each phase summed by the product
+    rule.  Leading phases that are exactly 0 in every row and not in J are
+    composed once per (order, count) and broadcast.
     """
     x = np.asarray(rel_phases, dtype=float)
     if x.ndim != 2:
@@ -177,37 +234,37 @@ def structured_jets(rel_phases, phi: float, order: int, jacobian: bool = False):
         raise ValueError("truncation order must be >= 0")
     batch, n = x.shape
     size = order + 1
-    cos_sin = _pi_toeplitz(order)
-    cos_c, sin_c = _trig_arrays(math.pi, order)
-    # Axes: series order, (a, b), value then its derivative in each p_j,
-    # batch.  The first pulse has phase 0.
-    w = np.zeros((size, 2, 1 + n if jacobian else 1, batch), dtype=complex)
-    w[:, 0, 0] = cos_c[:, None]
-    w[:, 1, 0] = -1j * sin_c[:, None]
-    # i e^{ip} for the a row, -i e^{ip} for the b row of each pulse.
-    u_all = 1j * np.exp(1j * x.T)[:, None, None, :] * np.array([1.0, -1.0])[:, None, None]
-    for j in range(n):
-        # pi_p @ U: a' = C*a + i e^{ip} S*conj(b), b' = C*b - i e^{ip} S*conj(a);
-        # S is real, so S*conj(b) = conj(S*b).
-        cw, sw = (cos_sin @ w.reshape(size, -1)).reshape(2, *w.shape)
-        swapped = np.conj(sw[:, ::-1])
-        swapped *= u_all[j]
-        if jacobian:
-            cw[:, :, 1 + j] += 1j * swapped[:, :, 0]
+    wrt = (bool(jacobian) if isinstance(jacobian, (bool, np.bool_))
+           else tuple(np.asarray(jacobian, dtype=np.intp).reshape(-1).tolist()))
+    slot, tangents = _tangent_slots(wrt, n)
+    head = 0
+    while head < n and not slot[head] and not x[:, head].any():
+        head += 1
+    # Axes: series order, (a, b), value then its derivative in each
+    # selected phase, batch.  The first pulse has phase 0.
+    w = np.zeros((size, 2, 1 + (tangents or 0), batch), dtype=complex)
+    w[:, :, 0] = _zero_prefix(order, head)[:, :, None]
+    # i e^{ip} for the a row, -i e^{ip} for the b row of each later pulse.
+    u_all = np.exp(1j * x[:, head:].T)[:, None, None, :] * _ROTOR_ROWS
+    for u, k in zip(u_all, slot[head:]):
+        cw, swapped = _pi_pulse(w, u)
+        if k:
+            cw[:, :, k] += 1j * swapped[:, :, 0]
         w = cw + swapped
-    # (a, rot*b) @ (a, b): four products of the half with itself, each of a
-    # value and its tangents (axis 2); the product rule gives the tangents.
-    left = w[:, [0, 1, 0, 1]]
-    right = w[:, [0, 1, 1, 0]]
-    np.conj(right[:, 1::2], out=right[:, 1::2])
-    outer = left[:, None] * right[None, :, :, :1]
-    if jacobian:
-        outer[:, :, :, 1:] += left[:, None, :, :1] * right[None, :, :, 1:]
-    p = (_antidiagonals(order) @ outer.reshape(size * size, -1)).reshape(left.shape)
+    # (a, rot*b) @ (a, b) = (a*a - rot b*conj(b), a*b + rot b*conj(a)):
+    # a times (a, b) and b times (conj b, conj a), each of a value and its
+    # tangents (axis 3); the product rule gives the tangents.
+    right = np.empty((size, 2) + w.shape[1:], dtype=complex)
+    right[:, 0] = w
+    np.conj(w[:, ::-1], out=right[:, 1])
+    outer = w[:, None, :, None] * right[None, :, :, :, :1]
+    if tangents is not None:
+        outer[:, :, :, :, 1:] += w[:, None, :, None, :1] * right[None, :, :, :, 1:]
+    p = (_antidiagonals(order) @ outer.reshape(size * size, -1)).reshape(right.shape)
     rot = cmath.exp(1j * (math.pi - phi / 2))
-    full_a = p[:, 0] - rot * p[:, 1]
-    full_b = p[:, 2] + rot * p[:, 3]
-    if not jacobian:
+    full = p[:, 0] + np.array([-rot, rot])[:, None, None] * p[:, 1]
+    full_a, full_b = full[:, 0], full[:, 1]
+    if tangents is None:
         return full_a[:, 0].T, full_b[:, 0].T
     return (full_a[:, 0].T, full_b[:, 0].T,
             full_a[:, 1:].transpose(2, 1, 0), full_b[:, 1:].transpose(2, 1, 0))

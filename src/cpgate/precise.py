@@ -277,7 +277,7 @@ def polish_structured(rel_phases, phi, pinned=None, dps=50, target_digits=None):
             if pinned is None
             else np.flatnonzero(~np.asarray(pinned, dtype=bool))
         )
-        jac = solver._jacobian(x_float, float(phi_mp))[:, free]
+        jac = solver._jacobian(x_float, float(phi_mp), free)
         jac_pinv = np.linalg.pinv(jac, rcond=1e-6)
         x = [mp.mpf(v) for v in x_float]
         tol = mp.mpf(10) ** (-target_digits)

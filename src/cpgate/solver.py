@@ -98,13 +98,14 @@ def _condition_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c.view(float) * scale
 
 
-def _residuals(x: np.ndarray, phi: float, jacobian: bool = False):
+def _residuals(x: np.ndarray, phi: float, jacobian=False):
     """Residual rows (B, 2n) of a batch of relative-phase vectors and, with
-    ``jacobian``, their exact Jacobians (B, 2n, n)."""
+    ``jacobian`` (True, or the phase indices J as in ``structured_jets``),
+    their exact Jacobians (B, 2n, n), or (B, 2n, len(J)) in J."""
     n = x.shape[1]
-    if not jacobian:
+    if jacobian is False:
         return _condition_rows(*structured_jets(x, phi, n))
-    a, b, da, db = structured_jets(x, phi, n, jacobian=True)
+    a, b, da, db = structured_jets(x, phi, n, jacobian=jacobian)
     return _condition_rows(a, b), _condition_rows(da, db).transpose(0, 2, 1)
 
 
@@ -118,10 +119,11 @@ def residual(phases, phi: float) -> np.ndarray:
     return _residuals(np.asarray(phases, dtype=float)[None, :], phi)[0]
 
 
-def _jacobian(phases: np.ndarray, phi: float) -> np.ndarray:
-    """Exact Jacobian (2n, n) of ``residual`` in the relative phases."""
+def _jacobian(phases: np.ndarray, phi: float, wrt=True) -> np.ndarray:
+    """Exact Jacobian (2n, n) of ``residual`` in the relative phases, or
+    (2n, len(wrt)) in the phases ``wrt``."""
     x = np.asarray(phases, dtype=float)[None, :]
-    return _residuals(x, phi, jacobian=True)[1][0]
+    return _residuals(x, phi, jacobian=wrt)[1][0]
 
 
 def _row_scale(n: int) -> np.ndarray:
@@ -136,8 +138,9 @@ def _tol_floor(n: int, tol: float) -> float:
     return max(tol, math.factorial(n) * 1e-12)
 
 
-# Backtracking step lengths 2^-k, k = 0..29, tried in these two groups.
-_STEP_LENGTHS = (np.ones(1), 0.5 ** np.arange(1, 30))
+# Backtracking step lengths 2^-k, k = 1..29, after a failed full step,
+# tried in two groups: most rows improve within the first three.
+_HALVINGS = (0.5 ** np.arange(1, 4), 0.5 ** np.arange(4, 30))
 
 
 def _newton_batch(
@@ -169,24 +172,35 @@ def _newton_batch(
     rmax = np.full(batch, math.inf)
     ok = np.zeros(batch, dtype=bool)
     live = np.arange(batch)
+    # Residual rows and Jacobians (in the free phases) at x[live].
+    r, jac = _residuals(x, phi, jacobian=free)
     for _ in range(max_iter):
-        r, jac = _residuals(x[live], phi, jacobian=True)
-        rmax[live] = np.max(np.abs(r), axis=1)
+        rmax[live] = np.abs(r).max(axis=1)
         done = rmax[live] < tol
-        ok[live[done]] = True
-        live, r, jac = live[~done], r[~done], jac[~done][:, :, free]
-        if not live.size:
-            return x, rmax, ok
+        if done.any():
+            ok[live[done]] = True
+            live, r, jac = live[~done], r[~done], jac[~done]
+            if not live.size:
+                return x, rmax, ok
         wr = w * r
         step = -(np.linalg.pinv(w[:, None] * jac, rcond=rcond) @ wr[:, :, None])[:, :, 0]
         # Backtracking on the scaled residual norm; arcsin-flavored roots
-        # have steep basins, so halve up to 30 times before giving up.
-        # The full step goes first; a row it does not improve tries the
-        # other 29 halvings in one batch and takes the longest that does.
+        # have steep basins, so halve up to 29 times before giving up.
+        # The full step goes first, evaluated with its Jacobian so a row
+        # that takes it needs no new evaluation next iteration; a row it
+        # does not improve tries the halvings and takes the longest that
+        # does.
         norm0 = np.linalg.norm(wr, axis=1)
-        moved = np.zeros(len(live), dtype=bool)
-        for t in _STEP_LENGTHS:
-            todo = np.flatnonzero(~moved)
+        trial = x[live]
+        trial[:, free] += step
+        r, jac = _residuals(trial, phi, jacobian=free)
+        full = np.linalg.norm(w * r, axis=1) < norm0
+        x[live[full]] = trial[full]
+        if full.all():
+            continue
+        moved = full.copy()
+        todo = np.flatnonzero(~full)
+        for t in _HALVINGS:
             if not todo.size:
                 break
             trial = np.repeat(x[live[todo], None, :], len(t), axis=1)
@@ -198,11 +212,15 @@ def _newton_batch(
             first = better.argmax(axis=1)
             x[live[todo[hit]]] = trial[hit, first[hit]]
             moved[todo[hit]] = True
+            todo = todo[~hit]
+        halved = np.flatnonzero(moved & ~full)
+        if halved.size:
+            r[halved], jac[halved] = _residuals(x[live[halved]], phi, jacobian=free)
         # A row whose every halving failed stops where it is.
-        live = live[moved]
+        live, r, jac = live[moved], r[moved], jac[moved]
         if not live.size:
             return x, rmax, ok
-    rmax[live] = np.max(np.abs(_residuals(x[live], phi)), axis=1)
+    rmax[live] = np.abs(r).max(axis=1)
     ok[live] = rmax[live] < tol
     return x, rmax, ok
 

@@ -147,3 +147,53 @@ def test_structured_jets_match_composed_train(n):
         ref = jet_compose(structured_sequence(HalfSequenceSpec(tuple(row), phi)), n + 1)
         for got, want in ((ra, ref.a.coeffs), (rb, ref.b.coeffs)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_structured_jets_tangent_subsets_are_columns_of_the_full_jacobian(n):
+    rng = np.random.default_rng(20 + n)
+    x = rng.uniform(0.0, 2 * math.pi, size=(6, n))
+    x[:, 0] = 0.0  # a zero that is differentiated stays out of the prefix
+    a, b, da, db = structured_jets(x, 1.3, n, jacobian=True)
+    for wrt in ([n - 1], list(range(n))[::-1], list(range(n // 2, n))):
+        sa, sb, dsa, dsb = structured_jets(x, 1.3, n, jacobian=wrt)
+        for got, full in ((sa, a), (sb, b), (dsa, da[:, wrt]), (dsb, db[:, wrt])):
+            assert got.shape == full.shape
+            assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
+
+
+def test_structured_jets_rejects_bad_tangent_indices():
+    x = np.zeros((2, 3))
+    for wrt in ([3], [-1], [1, 1]):
+        with pytest.raises(ValueError, match="jacobian"):
+            structured_jets(x, 1.0, 3, jacobian=wrt)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_structured_jets_zero_prefix_matches_composed_train(n):
+    # Leading zeros in every row go through the cached prefix.
+    rng = np.random.default_rng(40 + n)
+    phi = 0.3 * math.pi
+    for zeros in range(1, n + 1):
+        x = rng.uniform(0.0, 2 * math.pi, size=(3, n))
+        x[:, :zeros] = 0.0
+        a, b = structured_jets(x, phi, n + 1)
+        for row, ra, rb in zip(x, a, b):
+            ref = jet_compose(structured_sequence(HalfSequenceSpec(tuple(row), phi)), n + 1)
+            for got, want in ((ra, ref.a.coeffs), (rb, ref.b.coeffs)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("jacobian", [False, True, [1, 2]])
+def test_structured_jets_prefix_needs_the_zero_in_every_row(jacobian):
+    # Column 0 is zero in some rows only: the batch composes it row by row,
+    # and each zero row alone goes through the prefix.
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 2 * math.pi, size=(6, 4))
+    x[::2, 0] = 0.0
+    x[::3, 1] = 0.0
+    batch = structured_jets(x, 0.9, 4, jacobian=jacobian)
+    rows = [structured_jets(row[None, :], 0.9, 4, jacobian=jacobian) for row in x]
+    for k, got in enumerate(batch):
+        want = np.concatenate([r[k] for r in rows])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

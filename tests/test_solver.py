@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cpgate import catalog, solver
+from cpgate.jets import structured_jets
 from cpgate.sequences import chi_eight, chi_six
 from cpgate.solver import (
     SolverConfig,
@@ -303,3 +304,111 @@ def test_solve_logs_its_counts_at_debug(caplog):
     assert kept == sum(len(s.members) for s in sols)
     assert int(counts["classes"]) == len(sols)
     assert float(counts["newton_s"]) >= 0.0
+
+
+def _reference_newton_batch(x0, phi, tol, max_iter, pinned=None, rcond=1e-6):
+    # The Newton loop as it ran before the full step carried its Jacobian:
+    # every iteration evaluates the Jacobian in all n phases and slices the
+    # free columns, then tries the full step and the 29 halvings apart.
+    x = np.array(x0, dtype=float)
+    batch, n = x.shape
+    tol = solver._tol_floor(n, tol)
+    w = solver._row_scale(n)
+    free = (
+        np.arange(n)
+        if pinned is None
+        else np.flatnonzero(~np.asarray(pinned, dtype=bool))
+    )
+    if len(free) == 0:
+        rmax = np.max(np.abs(solver._residuals(x, phi)), axis=1, initial=0.0)
+        return x, rmax, rmax < tol
+    rmax = np.full(batch, math.inf)
+    ok = np.zeros(batch, dtype=bool)
+    live = np.arange(batch)
+    for _ in range(max_iter):
+        r, jac = solver._residuals(x[live], phi, jacobian=True)
+        rmax[live] = np.max(np.abs(r), axis=1)
+        done = rmax[live] < tol
+        ok[live[done]] = True
+        live, r, jac = live[~done], r[~done], jac[~done][:, :, free]
+        if not live.size:
+            return x, rmax, ok
+        wr = w * r
+        step = -(np.linalg.pinv(w[:, None] * jac, rcond=rcond) @ wr[:, :, None])[:, :, 0]
+        norm0 = np.linalg.norm(wr, axis=1)
+        moved = np.zeros(len(live), dtype=bool)
+        for t in (np.ones(1), 0.5 ** np.arange(1, 30)):
+            todo = np.flatnonzero(~moved)
+            if not todo.size:
+                break
+            trial = np.repeat(x[live[todo], None, :], len(t), axis=1)
+            trial[:, :, free] += t[:, None] * step[todo, None, :]
+            r_trial = solver._residuals(trial.reshape(-1, n), phi)
+            norms = np.linalg.norm(w * r_trial, axis=1).reshape(len(todo), len(t))
+            better = norms < norm0[todo, None]
+            hit = better.any(axis=1)
+            first = better.argmax(axis=1)
+            x[live[todo[hit]]] = trial[hit, first[hit]]
+            moved[todo[hit]] = True
+        live = live[moved]
+        if not live.size:
+            return x, rmax, ok
+    rmax[live] = np.max(np.abs(solver._residuals(x[live], phi)), axis=1)
+    ok[live] = rmax[live] < tol
+    return x, rmax, ok
+
+
+def _newton_masks(n):
+    return {
+        "none": None,
+        "chart": np.arange(n) < pinned_zero_count(n),
+        "alternate": np.arange(n) % 2 == 0,
+    }
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("mask", ["none", "chart", "alternate"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_newton_batch_matches_the_reference_loop(n, mask, batch):
+    pinned = _newton_masks(n)[mask]
+    rng = np.random.default_rng(1000 * n + batch)
+    seeds = rng.uniform(0.0, TWO_PI, size=(batch, n))
+    if pinned is not None:
+        # The chart pins zeros; the alternate mask pins zeros that are not
+        # one leading block once n > 2.
+        seeds[:, pinned] = 0.0
+    phi = rng.uniform(0.1, TWO_PI)
+    # refine's iteration limit: rows that have not converged by then are
+    # compared mid-iteration.
+    got = solver._newton_batch(seeds, phi, 1e-12, 60, pinned)
+    want = _reference_newton_batch(seeds, phi, 1e-12, 60, pinned)
+    assert np.array_equal(got[2], want[2])
+    for g, r in zip(got[:2], want[:2]):
+        finite = np.isfinite(r)
+        assert np.array_equal(finite, np.isfinite(g))
+        assert np.max(np.abs(g[finite] - r[finite]), initial=0.0) <= 1e-12
+
+
+def test_newton_full_steps_make_one_jets_call_per_iteration(monkeypatch):
+    # Near a root every row takes the full step, so each iteration reuses the
+    # residual and Jacobian its full step was evaluated with.
+    z10 = _row_root(1, 10)
+    seeds = z10 + np.random.default_rng(5).normal(0.0, 1e-5, size=(4, 4))
+    seeds[:, :2] = z10[:2]
+    calls = []
+
+    def counted(x, phi, order, jacobian=False):
+        calls.append(jacobian is not False)
+        return structured_jets(x, phi, order, jacobian)
+
+    monkeypatch.setattr(solver, "structured_jets", counted)
+    pinned = np.array([True, True, False, False])
+    _, _, ok = solver._newton_batch(seeds, math.pi, 1e-12, 200, pinned)
+    new = list(calls)
+    calls.clear()
+    _, _, ok_ref = _reference_newton_batch(seeds, math.pi, 1e-12, 200, pinned)
+    assert ok.all() and ok_ref.all()
+    # The reference makes a Jacobian call and a full-step call per step, and
+    # one Jacobian call at the converged point.
+    assert all(new) and len(calls) % 2 == 1
+    assert len(new) == (len(calls) + 1) // 2
