@@ -181,6 +181,18 @@ def _tangent_slots(wrt, n: int) -> tuple[tuple[int, ...], int | None]:
     return tuple(slot), len(wrt)
 
 
+def _tangent_key(jacobian):
+    # The ``jacobian`` argument of ``structured_jets`` as a bool or a tuple
+    # of phase indices.  Only a flat sequence of integers is taken as
+    # indices: a boolean mask or a float would otherwise be read as indices.
+    if isinstance(jacobian, (bool, np.bool_)):
+        return bool(jacobian)
+    idx = np.asarray(jacobian)
+    if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+        raise ValueError("jacobian must be a bool or a sequence of phase indices")
+    return tuple(idx.tolist())
+
+
 def _pi_pulse(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # pi_p @ U for the value and tangents in w (axes: series order, (a, b),
     # value/tangents, batch), with u = (i e^{ip}, -i e^{ip}) broadcast over
@@ -219,7 +231,8 @@ def structured_jets(rel_phases, phi: float, order: int, jacobian=False):
     trains, each of shape (B, order + 1).
 
     ``jacobian`` selects tangents: False for none, True for all n phases,
-    or a sequence of distinct phase indices J.  With tangents it returns
+    or a sequence of distinct integer phase indices J (a boolean mask is
+    rejected, not read as indices).  With tangents it returns
     ``(a, b, da, db)``, where ``da[k, i]`` (shape (B, len(J), order + 1))
     is the exact derivative of ``a[k]`` with respect to p_{J[i]}:
     forward-mode differentiation, with d b_pulse / d p = i * b_pulse for
@@ -234,9 +247,7 @@ def structured_jets(rel_phases, phi: float, order: int, jacobian=False):
         raise ValueError("truncation order must be >= 0")
     batch, n = x.shape
     size = order + 1
-    wrt = (bool(jacobian) if isinstance(jacobian, (bool, np.bool_))
-           else tuple(np.asarray(jacobian, dtype=np.intp).reshape(-1).tolist()))
-    slot, tangents = _tangent_slots(wrt, n)
+    slot, tangents = _tangent_slots(_tangent_key(jacobian), n)
     head = 0
     while head < n and not slot[head] and not x[:, head].any():
         head += 1

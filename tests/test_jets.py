@@ -164,7 +164,9 @@ def test_structured_jets_tangent_subsets_are_columns_of_the_full_jacobian(n):
 
 def test_structured_jets_rejects_bad_tangent_indices():
     x = np.zeros((2, 3))
-    for wrt in ([3], [-1], [1, 1]):
+    # Out of range, repeated, a boolean mask, floats, a scalar, None.
+    for wrt in ([3], [-1], [1, 1], [True, False, True], np.ones(3, dtype=bool),
+                [1.7], 1, np.intp(1), None, [[0, 1]]):
         with pytest.raises(ValueError, match="jacobian"):
             structured_jets(x, 1.0, 3, jacobian=wrt)
 
