@@ -14,7 +14,7 @@ from .analysis import (
     verify_order,
 )
 from .catalog import ArbitraryPhaseRow, CatalogEntry, arbitrary_row, get, to_sequence
-from .jets import Jet, JetSu2, jet_compose, jet_pulse
+from .jets import jet_compose
 from .sequences import (
     HalfSequenceSpec,
     appendix_b_sequence,
@@ -29,7 +29,6 @@ from .sequences import (
 from .solver import SolverConfig, Solution, refine, residual, solve
 from .su2 import (
     CompositeSequence,
-    Pulse,
     Su2,
     compose,
     frobenius_fidelity,
@@ -46,9 +45,6 @@ __all__ = [
     "ErrorRange",
     "FidelityProfile",
     "HalfSequenceSpec",
-    "Jet",
-    "JetSu2",
-    "Pulse",
     "Solution",
     "SolverConfig",
     "Su2",
@@ -64,7 +60,6 @@ __all__ = [
     "get",
     "high_fidelity_range",
     "jet_compose",
-    "jet_pulse",
     "refine",
     "residual",
     "six_pulse",

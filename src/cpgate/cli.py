@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import analysis, catalog, precise, sequences, solver
-from .su2 import CompositeSequence, Pulse
+from .su2 import CompositeSequence
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -59,13 +59,7 @@ def spec_parse(text: str) -> CompositeSequence:
         raise CliError("non-finite number in sequence spec")
     if len(phases) % 2 != 0 or not phases:
         raise CliError("phase count must be even and positive")
-    order = len(phases) // 2 - 1
-    return CompositeSequence(
-        pulses=tuple(Pulse(PI, p) for p in phases),
-        target_phi=phi,
-        order=order,
-        label="inline",
-    )
+    return CompositeSequence(tuple(phases), phi, len(phases) // 2 - 1, "inline")
 
 
 def _resolve_gate(text: str) -> CompositeSequence:
@@ -81,7 +75,7 @@ def _resolve_gate(text: str) -> CompositeSequence:
 def _is_structured(seq: CompositeSequence, tol: float = 1e-3):
     """First-half relative phases if the second half repeats the first
     shifted by pi - phi/2 within ``tol`` (radians), else None."""
-    m = len(seq.pulses)
+    m = len(seq)
     if m % 2 != 0:
         return None
     half = m // 2
@@ -368,7 +362,7 @@ def run(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, catalog.CatalogError, ValueError) as exc:
+    except (CliError, catalog.CatalogError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (solver.SolverError, analysis.AnalysisError) as exc:

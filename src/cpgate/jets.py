@@ -1,135 +1,41 @@
 """Truncated complex Taylor series ("jets") in the area-error variable.
 
 The m-th Taylor coefficient of the composite propagator elements about
-eps = 0 is exactly U^{(m)}(0)/m!.  Per-pulse jets have closed-form trig
-coefficients, so arbitrary-order derivatives come out of series products
-with no numerical differentiation.  Coefficients are stored dense; the
-orders needed here never exceed single digits.
+eps = 0 is exactly U^{(m)}(0)/m!.  Every pulse is a nominal pi pulse of
+area pi(1+eps), so all pulses share one pair of cos and sin series
+(``_pi_series``) and differ only in the phase factor of b; arbitrary-order
+derivatives come out of series products with no numerical
+differentiation.  ``structured_jets`` is the batched kernel the solver
+runs; ``jet_compose`` composes any train pulse by pulse with dense
+products and is the independent check of that kernel.  Coefficients are
+stored dense; the orders needed here never exceed single digits.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .su2 import CompositeSequence, Pulse, Su2
+from .su2 import CompositeSequence
 
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Cauchy product truncated to the common order.
-    return np.convolve(x, y)[: len(x)]
-
-
-def cos_coeffs(area: float, order: int) -> np.ndarray:
-    """Taylor coefficients of cos(area*(1+eps)/2) about eps = 0.
-
-    d^m/deps^m cos(A(1+eps)/2) at 0 equals (A/2)^m cos(A/2 + m pi/2).
-    """
-    half = 0.5 * float(area)
+@lru_cache(maxsize=16)
+def _pi_series(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Taylor coefficients of cos and sin of (pi/2)(1 + eps) about
+    eps = 0, up to ``order``: d^m/deps^m trig((pi/2)(1 + eps)) at 0 is
+    (pi/2)^m trig(pi/2 + m pi/2)."""
+    half = 0.5 * math.pi
     m = np.arange(order + 1)
-    return half**m * np.cos(half + m * math.pi / 2) / _factorials(order)
-
-
-def sin_coeffs(area: float, order: int) -> np.ndarray:
-    """Taylor coefficients of sin(area*(1+eps)/2) about eps = 0."""
-    half = 0.5 * float(area)
-    m = np.arange(order + 1)
-    return half**m * np.sin(half + m * math.pi / 2) / _factorials(order)
-
-
-def _factorials(order: int) -> np.ndarray:
-    return np.array([math.factorial(m) for m in range(order + 1)], dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class Jet:
-    """Dense truncated Taylor series; ``coeffs[m]`` is c_m = f^{(m)}(0)/m!."""
-
-    coeffs: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, m: int) -> complex:
-        return complex(self.coeffs[m])
-
-    def derivative(self, m: int) -> complex:
-        """m-th derivative at 0, i.e. m! * c_m."""
-        if m > self.order:
-            raise ValueError("order exceeds truncation")
-        return complex(self.coeffs[m]) * math.factorial(m)
-
-    def conjugate(self) -> "Jet":
-        # The series variable eps is real, so conjugation acts on coefficients.
-        return Jet(np.conj(self.coeffs))
-
-    def __add__(self, other: "Jet") -> "Jet":
-        return Jet(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return Jet(self.coeffs - other.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return Jet(_mul(self.coeffs, other.coeffs))
-        return Jet(self.coeffs * other)
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True, eq=False)
-class JetSu2:
-    """Cayley-Klein elements of an errant propagator as eps-series."""
-
-    a: Jet
-    b: Jet
-
-    def value(self) -> Su2:
-        """Order-0 part: the propagator at eps = 0."""
-        return Su2(self.a.coeff(0), self.b.coeff(0))
-
-
-def jet_pulse(pulse: Pulse, order: int) -> JetSu2:
-    """Per-pulse jet from the closed-form trig coefficients."""
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-    a, b = _pulse_arrays(float(pulse.area), float(pulse.phase), order)
-    return JetSu2(Jet(a), Jet(b))
-
-
-@lru_cache(maxsize=64)
-def _trig_arrays(area: float, order: int):
-    # Trains reuse one nominal area throughout, so cache the trig parts.
-    return (
-        cos_coeffs(area, order).astype(complex),
-        sin_coeffs(area, order).astype(complex),
-    )
-
-
-def _pulse_arrays(area: float, phase: float, order: int):
-    cos_c, sin_c = _trig_arrays(area, order)
-    return cos_c, -1j * cmath.exp(1j * phase) * sin_c
-
-
-def _mul_su2(a2, b2, a1, b1):
-    # Jet arrays of the product U2 @ U1 (U2 acts later).
-    a = _mul(a2, a1) - _mul(b2, np.conj(b1))
-    b = _mul(a2, b1) + _mul(b2, np.conj(a1))
-    return a, b
-
-
-def compose_arrays(phases, areas, order: int):
-    """Raw-array jet composition of an arbitrary train."""
-    a, b = _pulse_arrays(areas[0], phases[0], order)
-    for area, phase in zip(areas[1:], phases[1:]):
-        ak, bk = _pulse_arrays(area, phase, order)
-        a, b = _mul_su2(ak, bk, a, b)
-    return a, b
+    fact = np.array([math.factorial(k) for k in m], dtype=float)
+    out = []
+    for trig in (np.cos, np.sin):
+        c = (half**m * trig(half + m * math.pi / 2) / fact).astype(complex)
+        c.flags.writeable = False
+        out.append(c)
+    return tuple(out)
 
 
 @lru_cache(maxsize=16)
@@ -139,7 +45,7 @@ def _pi_toeplitz(order: int) -> np.ndarray:
     # series of a nominal pi pulse give two such lower-triangular
     # matrices, stacked here so one matmul applies both.
     t = np.zeros((2, order + 1, order + 1), dtype=complex)
-    for k, c in enumerate(_trig_arrays(math.pi, order)):
+    for k, c in enumerate(_pi_series(order)):
         for j in range(order + 1):
             t[k, j:, j] = c[: order + 1 - j]
     t = t.reshape(2 * (order + 1), order + 1)
@@ -210,7 +116,7 @@ def _zero_prefix(order: int, count: int) -> np.ndarray:
     # Half-train state (order + 1, 2) after pi_0 and ``count`` more pi_0
     # pulses: relative phases pinned at exactly 0 are the same in every
     # row, so they are composed once and broadcast to the batch.
-    cos_c, sin_c = _trig_arrays(math.pi, order)
+    cos_c, sin_c = _pi_series(order)
     w = np.zeros((order + 1, 2, 1, 1), dtype=complex)
     w[:, 0, 0, 0] = cos_c
     w[:, 1, 0, 0] = -1j * sin_c
@@ -281,21 +187,25 @@ def structured_jets(rel_phases, phi: float, order: int, jacobian=False):
             full_a[:, 1:].transpose(2, 1, 0), full_b[:, 1:].transpose(2, 1, 0))
 
 
-def jet_compose(seq: CompositeSequence, order: int) -> JetSu2:
-    """Jet of the composite propagator, composed in application order."""
-    if not seq.pulses:
+def jet_compose(seq: CompositeSequence, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jets ``(a, b)`` of the composite propagator, each of length
+    ``order + 1``, composed pulse by pulse in application order with dense
+    truncated products."""
+    if not seq.phases:
         raise ValueError("empty sequence")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    phases = [float(p.phase) for p in seq.pulses]
-    areas = [float(p.area) for p in seq.pulses]
-    a, b = compose_arrays(phases, areas, order)
-    return JetSu2(Jet(a), Jet(b))
 
+    def mul(x, y):
+        # Cauchy product truncated to the order.
+        return np.convolve(x, y)[: order + 1]
 
-def derivative(j: JetSu2, element: str, m: int) -> complex:
-    """m-th eps-derivative at 0 of the selected element ("11" or "12")."""
-    if element not in ("11", "12"):
-        raise ValueError("element must be '11' or '12'")
-    jet = j.a if element == "11" else j.b
-    return jet.derivative(m)
+    cos_c, sin_c = _pi_series(order)
+    a = np.zeros(order + 1, dtype=complex)
+    a[0] = 1.0
+    b = np.zeros(order + 1, dtype=complex)
+    for phase in seq.phases:
+        # (cos_c, pb) @ (a, b): the pulse acts after the train so far.
+        pb = -1j * cmath.exp(1j * float(phase)) * sin_c
+        a, b = mul(cos_c, a) - mul(pb, np.conj(b)), mul(cos_c, b) + mul(pb, np.conj(a))
+    return a, b

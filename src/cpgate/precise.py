@@ -4,9 +4,8 @@ High compensation orders push the residual infidelity far below double
 precision: an order-8 train has infidelity ~1e-17 at one percent error,
 two decades under the noise floor of a double-precision matrix product.
 The slope-based order estimate and the final polish of tabulated phases
-therefore run at mpmath's working precision.  Nominal areas that are
-numerically integer multiples of pi are snapped to exact multiples, since
-that is what "nominal pi pulse" means.
+therefore run at mpmath's working precision.  Every pulse is a nominal
+pi pulse, of area exactly pi(1 + eps) with pi at the working precision.
 
 The two hot loops, the pulse loop of ``mp_propagator`` and the jet
 composition behind the polish residual, run in fixed point: a real x is
@@ -16,15 +15,15 @@ P = 119).  Fixed point fits them because their values are bounded: SU(2)
 entries by 1, and the m-th Taylor coefficient of an N-pulse train by
 (N pi / 2)^m / m!, about 1e7 at N = 18, m = 8.  A product is one integer multiply and
 one shift, with none of the renormalization that dominates mpf object
-arithmetic.  The inputs (rotor cos/sin, pulse cos/sin at each epsilon,
-the pi-pulse series) are converted once with ``mpmath.libmp.to_fixed``,
+arithmetic.  The inputs (rotor cos/sin, the pulse cos/sin at each
+epsilon, the pi-pulse series) are converted once with ``mpmath.libmp.to_fixed``,
 and the results are rounded back to mpf at the working precision.  Each
 shift truncates by less than one unit of 2^-P, and the 16 guard bits
 absorb that over a few dozen pulses: at 50 digits the propagator agrees
 with a 90-digit evaluation to ~1e-51, the rounding of its own result.
 
 ``slope_fit`` runs the same pulse loop (``_pulse_loop``), with the
-cos/sin of each area at its grid's epsilons cached per (area, grid,
+cos/sin of the half area at its grid's epsilons cached per (grid,
 precision), and also takes the Frobenius gate distance in fixed point,
 rounding each distance to mpf once.  It takes logs of infidelities of at
 least ~1e-26 for the trains it measures (order 8 at eps = 1e-3), so an
@@ -32,12 +31,12 @@ error of ~1e-51 in a propagator entry moves a log by ~1e-25, ten decades
 below the spacing of doubles.  Its float logs, and the slope and peak
 fitted from them, therefore come out bit-identical to plain mpf object
 arithmetic, barring a value that falls within 1e-25 of a rounding
-boundary (none of the 111 benchmark trains does).  A train of whole pi
-multiples with an even count of odd multiples has an infidelity that is
-even in eps (see ``mp_propagator``); ``slope_fit`` then evaluates only
-the positive half of its grid, where any other train is averaged over
-both signs.  The two signs agree to ~1e-51, so the one-sign fit is
-bit-identical to the two-sign average under the same proviso.
+boundary (none of the 111 benchmark trains does).  A train of an even
+number of pi pulses has an infidelity that is even in eps (see
+``mp_propagator``); ``slope_fit`` then evaluates only the positive half
+of its grid, where an odd-length train is averaged over both signs.  The
+two signs agree to ~1e-51, so the one-sign fit is bit-identical to the
+two-sign average under the same proviso.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ from mpmath.libmp import (
     mpf_gt,
     mpf_log,
     mpf_mul,
+    mpf_pi,
     mpf_shift,
     mpf_sqrt,
     round_nearest,
@@ -66,22 +66,11 @@ from mpmath.libmp import (
 from . import solver
 from .su2 import CompositeSequence
 
-_AREA_SNAP = 1e-12
 WORKING_DPS = 50
 # Fractional bits of the fixed-point loops beyond the working precision.
 GUARD_BITS = 16
-
-
-def _mp_area(area) -> mp.mpf:
-    ratio = float(area) / math.pi
-    k = round(ratio)
-    if k >= 1 and abs(ratio - k) < _AREA_SNAP:
-        return k * mp.pi
-    return mp.mpf(area)
-
-
-def _mp_phases(seq: CompositeSequence):
-    return [mp.mpf(p.phase) for p in seq.pulses], [_mp_area(p.area) for p in seq.pulses]
+# Residual max-norm 10^-_POLISH_DIGITS that ends ``polish_structured``.
+_POLISH_DIGITS = WORKING_DPS - 8
 
 
 def _cos_sin_fixed(x, prec):
@@ -105,26 +94,21 @@ def _from_fixed(re, im, prec):
     ))
 
 
-def _area_trig(area, eps, prec):
-    """cos and sin of area (1 + eps) / 2, raw mpf inputs, fixed point at 2^prec."""
-    half = mpf_shift(mpf_mul(area, mpf_add(fone, eps, prec), prec), -1)
+def _pi_trig(eps, wp):
+    """cos and sin of pi (1 + eps) / 2 for the raw mpf ``eps``, fixed point
+    at 2^(wp + GUARD_BITS), with pi rounded to nearest at ``wp`` bits (the
+    ``mp.pi`` of the working precision)."""
+    prec = wp + GUARD_BITS
+    pi = mpf_pi(wp, round_nearest)
+    half = mpf_shift(mpf_mul(pi, mpf_add(fone, eps, prec), prec), -1)
     return _cos_sin_fixed(half, prec)
 
 
-def _train(phases, areas, prec):
-    """(rotors, slots, raw_areas): each pulse's fixed-point rotor, the index
-    of its area among the distinct raw mpf areas, and those areas."""
-    rotors = [_rotor(phase, prec) for phase in phases]
-    distinct = {}
-    slots = [distinct.setdefault(area, len(distinct)) for area in areas]
-    return rotors, slots, [mp.mpf(area)._mpf_ for area in distinct]
-
-
-def _pulse_loop(rotors, trig, prec):
+def _pulse_loop(rotors, c, s, prec):
     """Raw fixed-point (ar, ai, br, bi) of the train whose pulses have the
-    rotors ``rotors`` and the half-area (cos, sin) ``trig``, at 2^prec."""
+    rotors ``rotors`` and the half-area cos ``c`` and sin ``s``, at 2^prec."""
     ar, ai, br, bi = 1 << prec, 0, 0, 0
-    for (rr, ri), (c, s) in zip(rotors, trig):
+    for rr, ri in rotors:
         pr = rr * s >> prec
         pi = ri * s >> prec
         # a' = c a - pb conj(b), b' = c b + pb conj(a), pb = rot * s.
@@ -137,29 +121,28 @@ def _pulse_loop(rotors, trig, prec):
     return ar, ai, br, bi
 
 
-def mp_propagator(phases, areas, epsilon):
-    """Cayley-Klein pair of the composite propagator at error ``epsilon``.
+def mp_propagator(phases, epsilon):
+    """Cayley-Klein pair of the pi-pulse train with coupling phases
+    ``phases`` at error ``epsilon``.
 
     ``epsilon`` may also be a sequence, the way ``su2.compose`` takes an
     array: the result is then a list of pairs, one per value.  The pulse
     rotors -i e^{i phase} are computed once per call, and cos/sin of the
-    half area once per distinct area per epsilon.  The pulse loop
-    (``_pulse_loop``, shared with ``slope_fit``) runs in fixed point at
-    ``mp.mp.prec + GUARD_BITS`` bits.
+    half area once per epsilon.  The pulse loop (``_pulse_loop``, shared
+    with ``slope_fit``) runs in fixed point at ``mp.mp.prec + GUARD_BITS``
+    bits.
 
-    For an area k pi (1 + eps), flipping the sign of eps gives
-    U_k(-eps) = (-1)^k Z U_k(eps) Z^dagger with Z = diag(1, -1), so a
-    train of whole pi multiples has the pair (+-a, -+b) at -eps, the sign
-    being that of (-1)^(sum of k).
+    Flipping the sign of eps gives U(-eps) = -Z U(eps) Z^dagger for each
+    pi pulse, with Z = diag(1, -1), so an N-pulse train has the pair
+    (+-a, -+b) at -eps, the sign being that of (-1)^N.
     """
     single = np.ndim(epsilon) == 0
-    prec = mp.mp.prec + GUARD_BITS
-    rotors, slots, raw_areas = _train(phases, areas, prec)
+    wp = mp.mp.prec
+    prec = wp + GUARD_BITS
+    rotors = [_rotor(phase, prec) for phase in phases]
     out = []
     for eps in [epsilon] if single else epsilon:
-        raw_eps = mp.mpf(eps)._mpf_
-        trig = [_area_trig(area, raw_eps, prec) for area in raw_areas]
-        ar, ai, br, bi = _pulse_loop(rotors, [trig[k] for k in slots], prec)
+        ar, ai, br, bi = _pulse_loop(rotors, *_pi_trig(mp.mpf(eps)._mpf_, wp), prec)
         out.append((_from_fixed(ar, ai, prec), _from_fixed(br, bi, prec)))
     return out[0] if single else out
 
@@ -175,26 +158,11 @@ def _slope_grid(eps_lo, eps_hi, points, prec):
         return signed, tuple(float(mp.log(e)) for e in grid)
 
 
-@lru_cache(maxsize=64)
-def _grid_trig(area, eps_lo, eps_hi, points, wp):
-    """Fixed-point (cos, sin) of the raw mpf ``area`` (1 + eps) / 2 at
-    2^(wp + GUARD_BITS), for each signed epsilon of ``_slope_grid``."""
-    prec = wp + GUARD_BITS
+@lru_cache(maxsize=8)
+def _grid_trig(eps_lo, eps_hi, points, wp):
+    """``_pi_trig`` at each signed epsilon of ``_slope_grid``."""
     signed, _ = _slope_grid(eps_lo, eps_hi, points, wp)
-    return tuple(_area_trig(area, eps._mpf_, prec) for eps in signed)
-
-
-def _even_in_epsilon(areas) -> bool:
-    """True if every area is a whole multiple k pi and the k sum to an even
-    number (an even count of odd k): the infidelity is then even in eps
-    (see ``mp_propagator``)."""
-    total = 0
-    for area in areas:
-        k = int(mp.nint(area / mp.pi))
-        if k < 1 or area != k * mp.pi:
-            return False
-        total += k
-    return total % 2 == 0
+    return tuple(_pi_trig(eps._mpf_, wp) for eps in signed)
 
 
 def slope_fit(seq: CompositeSequence, eps_lo=1e-3, eps_hi=1e-2, points=20,
@@ -204,31 +172,28 @@ def slope_fit(seq: CompositeSequence, eps_lo=1e-3, eps_hi=1e-2, points=20,
     Returns (slope, max infidelity over the window).  Evaluated under
     mpmath so the fit sees the true power law, not roundoff.  The
     infidelity at each of the ``points`` log-spaced errors is the average
-    over both signs of eps, except for a train whose infidelity is even in
-    eps (areas whole multiples of pi, an even count of them odd: every
-    catalog train, table row and CLI spec), which is evaluated at +eps
-    only.  The pulse loop and the Frobenius gate distance run in fixed
-    point; each distance is rounded to mpf once, then takes one sqrt and
-    one log.
+    over both signs of eps, except for an even-length train, whose
+    infidelity is even in eps (every catalog train, table row and CLI
+    spec), which is evaluated at +eps only.  The pulse loop and the
+    Frobenius gate distance run in fixed point; each distance is rounded
+    to mpf once, then takes one sqrt and one log.
     """
     with mp.workdps(dps):
         wp = mp.mp.prec
         prec = wp + GUARD_BITS
-        phases, areas = _mp_phases(seq)
-        rotors, slots, raw_areas = _train(phases, areas, prec)
-        tables = [_grid_trig(area, eps_lo, eps_hi, points, wp) for area in raw_areas]
+        rotors = [_rotor(phase, prec) for phase in seq.phases]
+        trig = _grid_trig(eps_lo, eps_hi, points, wp)
         _, grid_logs = _slope_grid(eps_lo, eps_hi, points, wp)
         # The gate (fa, 0), fa = e^{-i phi/2} = fc - i fs.
         fc, fs = _cos_sin_fixed(mpf_shift(mp.mpf(seq.target_phi)._mpf_, -1), prec)
-        signs = (0,) if _even_in_epsilon(areas) else (0, 1)
+        signs = (0,) if len(seq) % 2 == 0 else (0, 1)
         logs = []
         vals = []
         peak = fzero
         for i, log_eps in enumerate(grid_logs):
             dists = []
             for sign in signs:
-                trig = [tables[k][2 * i + sign] for k in slots]
-                ar, ai, br, bi = _pulse_loop(rotors, trig, prec)
+                ar, ai, br, bi = _pulse_loop(rotors, *trig[2 * i + sign], prec)
                 # sqrt((|a - fa|^2 + |b|^2) / 2), the Frobenius distance.
                 total = (ar - fc) ** 2 + (ai + fs) ** 2 + br * br + bi * bi
                 half = from_man_exp(total, -2 * prec - 1, wp, round_nearest)
@@ -245,16 +210,14 @@ def slope_fit(seq: CompositeSequence, eps_lo=1e-3, eps_hi=1e-2, points=20,
         return float(np.polyfit(np.array(logs), np.array(vals), 1)[0]), peak
 
 
-def polish_structured(rel_phases, phi, pinned=None, dps=50, target_digits=None):
-    """Newton-polish structured relative phases to mpmath precision.
+def polish_structured(rel_phases, phi, pinned=None):
+    """Newton-polish structured relative phases to ``WORKING_DPS`` digits.
 
     ``phi`` may be an mpf (kept exact); the float Jacobian is computed
     once, which is enough for fast linear convergence near the root.
-    Returns mpf phases with residual max-norm below 10^-(target_digits).
+    Returns mpf phases with residual max-norm below 10^-_POLISH_DIGITS.
     """
-    with mp.workdps(dps):
-        if target_digits is None:
-            target_digits = dps - 8
+    with mp.workdps(WORKING_DPS):
         phi_mp = mp.mpf(phi) if not isinstance(phi, (mp.mpf, mp.mpc)) else phi
         x_float = np.asarray([float(v) for v in rel_phases], dtype=float)
         # Factorial scaling puts 4-decimal table input above refine()'s
@@ -278,10 +241,10 @@ def polish_structured(rel_phases, phi, pinned=None, dps=50, target_digits=None):
             else np.flatnonzero(~np.asarray(pinned, dtype=bool))
         )
         jac = solver._jacobian(x_float, float(phi_mp), free)
-        jac_pinv = np.linalg.pinv(jac, rcond=1e-6)
+        jac_pinv = np.linalg.pinv(jac, rcond=solver._RCOND)
         x = [mp.mpf(v) for v in x_float]
-        tol = mp.mpf(10) ** (-target_digits)
-        for _ in range(dps):
+        tol = mp.mpf(10) ** (-_POLISH_DIGITS)
+        for _ in range(WORKING_DPS):
             r = _mp_residual(x, phi_mp, n)
             if max(abs(v) for v in r) < tol:
                 break

@@ -18,13 +18,15 @@ exp(-i phi/2) only on some roots of the derivative conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 
-from .su2 import CompositeSequence, Pulse
+from .su2 import CompositeSequence
 
 PI = math.pi
+# Tolerance (radians, mod 2 pi) on the phase constraint of the 12-pulse form.
+_CONSTRAINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,15 +41,6 @@ class HalfSequenceSpec:
         return len(self.relative_phases)
 
 
-def _pi_train(phases, phi, order, label) -> CompositeSequence:
-    return CompositeSequence(
-        pulses=tuple(Pulse(PI, p) for p in phases),
-        target_phi=phi,
-        order=order,
-        label=label,
-    )
-
-
 def structured_sequence(spec: HalfSequenceSpec, nu: float = 0.0) -> CompositeSequence:
     """Full 2(n+1)-pulse train from one half, second half shifted by pi - phi/2.
 
@@ -57,16 +50,13 @@ def structured_sequence(spec: HalfSequenceSpec, nu: float = 0.0) -> CompositeSeq
     pi = mp.pi if isinstance(spec.phi, mp.mpf) else PI
     half = [nu] + [nu + p for p in spec.relative_phases]
     shift = pi - spec.phi / 2
-    phases = half + [p + shift for p in half]
-    return _pi_train(
-        phases, spec.phi, spec.order, label=f"struct(n={spec.order})"
-    )
+    phases = tuple(half + [p + shift for p in half])
+    return CompositeSequence(phases, spec.phi, spec.order, f"struct(n={spec.order})")
 
 
 def two_pulse(phi: float, nu: float = 0.0) -> CompositeSequence:
     """pi_nu pi_{nu+pi-phi/2}: the bare (uncompensated) phase gate."""
-    seq = structured_sequence(HalfSequenceSpec((), phi), nu)
-    return _pi_train(seq.phases, phi, 0, label="two")
+    return replace(structured_sequence(HalfSequenceSpec((), phi), nu), label="two")
 
 
 _FOUR_VARIANTS = 4
@@ -87,7 +77,7 @@ def four_pulse(phi: float, variant: int = 1) -> CompositeSequence:
         3: [phi / 4, 0.0, PI - phi / 4, s],
         4: [PI + phi / 4, 0.0, -phi / 4, s],
     }
-    return _pi_train(variants[variant], phi, 1, label=f"four-v{variant}")
+    return CompositeSequence(tuple(variants[variant]), phi, 1, f"four-v{variant}")
 
 
 def chi_six(phi: float) -> float:
@@ -114,7 +104,7 @@ def six_pulse(phi: float, variant: int = 1) -> CompositeSequence:
         3: [0.0, 0.0, s + c, s, s, -phi + c],
         4: [0.0, 0.0, -c, s, s, -c + s],
     }
-    return _pi_train(variants[variant], phi, 2, label=f"six-v{variant}")
+    return CompositeSequence(tuple(variants[variant]), phi, 2, f"six-v{variant}")
 
 
 def eight_pulse(phi: float, variant: int = 1) -> CompositeSequence:
@@ -131,20 +121,15 @@ def eight_pulse(phi: float, variant: int = 1) -> CompositeSequence:
         5: [c + phi / 4, c, 0.0, 0.0, c + PI - phi / 4, c + s, s, s],
         6: [PI + phi / 2 - c, PI + phi / 4 - c, 0.0, 0.0, -c, -c - phi / 4, s, s],
     }
-    return _pi_train(variants[variant], phi, 3, label=f"eight-v{variant}")
+    return CompositeSequence(tuple(variants[variant]), phi, 3, f"eight-v{variant}")
 
 
-def appendix_b_sequence(
-    phi: float,
-    pulses: int,
-    phases,
-    constraint_tol: float = 1e-9,
-) -> CompositeSequence:
+def appendix_b_sequence(phi: float, pulses: int, phases) -> CompositeSequence:
     """Compact 10/12/14-pulse forms built around 3pi/4pi leading blocks.
 
     ``phases`` holds the free phases of the first half in radians:
     two for 10 pulses ((3pi)_0 pi_p pi_q), three for 12 pulses (which must
-    satisfy p3 = p2 - p1 - phi/4 within ``constraint_tol``), three for 14
+    satisfy p3 = p2 - p1 - phi/4 within ``_CONSTRAINT_TOL``), three for 14
     pulses ((4pi)_0 pi_p pi_q pi_r).  The second half repeats the first
     shifted by pi - phi/2.
     """
@@ -153,27 +138,25 @@ def appendix_b_sequence(
         if len(phases) != 2:
             raise ValueError("10-pulse form takes exactly 2 free phases")
         rel = (0.0, 0.0) + phases
-        order = 4
     elif pulses == 12:
         if len(phases) != 3:
             raise ValueError("12-pulse form takes exactly 3 free phases")
         p1, p2, p3 = phases
         defect = _mod_distance(p3, p2 - p1 - phi / 4)
-        if defect > constraint_tol:
+        if defect > _CONSTRAINT_TOL:
             raise ValueError(
                 f"12-pulse phase constraint violated by {defect:.3e} rad"
             )
         rel = (0.0, 0.0) + phases
-        order = 5
     elif pulses == 14:
         if len(phases) != 3:
             raise ValueError("14-pulse form takes exactly 3 free phases")
         rel = (0.0, 0.0, 0.0) + phases
-        order = 6
     else:
         raise ValueError(f"compact forms exist for 10/12/14 pulses, got {pulses}")
+    # The order is the length of ``rel``: 4, 5 and 6 for 10, 12 and 14 pulses.
     seq = structured_sequence(HalfSequenceSpec(rel, phi))
-    return _pi_train(seq.phases, phi, order, label=f"compact-{pulses}")
+    return replace(seq, label=f"compact-{pulses}")
 
 
 def _mod_distance(x: float, y: float) -> float:

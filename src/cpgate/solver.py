@@ -29,6 +29,12 @@ import numpy as np
 from .jets import structured_jets
 
 TWO_PI = 2.0 * math.pi
+# Pseudo-inverse cutoff of the Newton step.
+_RCOND = 1e-6
+# Two roots closer than this in every phase (mod 2 pi) are one class.
+_DEDUPE_TOL = 1e-6
+# Nominal steps of the continuation path in ``transport``.
+_TRANSPORT_STEPS = 12
 
 _log = logging.getLogger("cpgate.solver")
 
@@ -46,7 +52,6 @@ class SolverConfig:
     seeds: int = 32
     tol: float = 1e-12
     max_iter: int = 200
-    dedupe_tol: float = 1e-6
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -150,7 +155,6 @@ def _newton_batch(
     tol: float,
     max_iter: int,
     pinned=None,
-    rcond: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped least-squares Newton on each row of ``x0`` (B, n) at once.
 
@@ -184,7 +188,7 @@ def _newton_batch(
             if not live.size:
                 return x, rmax, ok
         wr = w * r
-        step = -(np.linalg.pinv(w[:, None] * jac, rcond=rcond) @ wr[:, :, None])[:, :, 0]
+        step = -(np.linalg.pinv(w[:, None] * jac, rcond=_RCOND) @ wr[:, :, None])[:, :, 0]
         # Backtracking on the scaled residual norm; arcsin-flavored roots
         # have steep basins, so halve up to 29 times before giving up.
         # The full step goes first, evaluated with its Jacobian so a row
@@ -232,7 +236,6 @@ def _newton(
     tol: float,
     max_iter: int,
     pinned: np.ndarray | None = None,
-    rcond: float = 1e-6,
 ) -> tuple[np.ndarray, float, bool]:
     """Damped least-squares Newton; pinned coordinates never move.
 
@@ -241,7 +244,7 @@ def _newton(
     drifting along the manifold.
     """
     x0 = np.asarray(phases, dtype=float)[None, :]
-    x, rmax, ok = _newton_batch(x0, phi, tol, max_iter, pinned, rcond)
+    x, rmax, ok = _newton_batch(x0, phi, tol, max_iter, pinned)
     return x[0], float(rmax[0]), bool(ok[0])
 
 
@@ -270,8 +273,7 @@ def pinned_zero_count(n: int) -> int:
     return n // 2
 
 
-def _transport_batch(x0: np.ndarray, phi: float, leading: np.ndarray,
-                     tol: float, steps: int = 12):
+def _transport_batch(x0: np.ndarray, phi: float, leading: np.ndarray, tol: float):
     """``transport`` of every row of ``x0`` (B, n) to its own ``leading``
     row (B, npin) at once.  Returns the rows reduced mod 2*pi, their last
     residual max-norms and whether each arrived."""
@@ -291,12 +293,12 @@ def _transport_batch(x0: np.ndarray, phi: float, leading: np.ndarray,
     # control: halve the step whenever the pinned Newton polish fails to
     # track the manifold, give up once steps become negligible.
     lam = np.zeros(batch)
-    dlam = np.full(batch, 1.0 / steps)
+    dlam = np.full(batch, 1.0 / _TRANSPORT_STEPS)
     good = x
     rmax = np.full(batch, math.inf)
     arrived = np.zeros(batch, dtype=bool)
     live = np.arange(batch)
-    for _ in range(8 * steps):
+    for _ in range(8 * _TRANSPORT_STEPS):
         if not live.size:
             break
         lam_next = np.minimum(1.0, lam[live] + dlam[live])
@@ -307,7 +309,7 @@ def _transport_batch(x0: np.ndarray, phi: float, leading: np.ndarray,
         moved = live[ok]
         good[moved] = trial[ok]
         lam[moved] = lam_next[ok]
-        dlam[moved] = np.minimum(2.0 * dlam[moved], 1.0 / steps)
+        dlam[moved] = np.minimum(2.0 * dlam[moved], 1.0 / _TRANSPORT_STEPS)
         stuck = live[~ok]
         dlam[stuck] *= 0.5
         arrived[moved[lam[moved] >= 1.0]] = True
@@ -317,8 +319,7 @@ def _transport_batch(x0: np.ndarray, phi: float, leading: np.ndarray,
     return good % TWO_PI, rmax, arrived
 
 
-def transport(phases, phi: float, leading, tol: float = 1e-12,
-              steps: int = 12) -> np.ndarray:
+def transport(phases, phi: float, leading, tol: float = 1e-12) -> np.ndarray:
     """Slide a root along its solution manifold until its leading relative
     phases equal ``leading`` (at most floor(n/2) values, the manifold
     dimension).  This is the equivalence move connecting the published
@@ -327,7 +328,7 @@ def transport(phases, phi: float, leading, tol: float = 1e-12,
     """
     x0 = np.asarray(phases, dtype=float)[None, :]
     leading = np.asarray(leading, dtype=float)[None, :]
-    x, rmax, arrived = _transport_batch(x0, phi, leading, tol, steps)
+    x, rmax, arrived = _transport_batch(x0, phi, leading, tol)
     if not arrived[0]:
         raise SolverError(
             f"manifold transport lost the root (residual {rmax[0]:.3e})"
@@ -425,7 +426,7 @@ def solve(config: SolverConfig) -> list[Solution]:
     classes: list[tuple[np.ndarray, float, list[np.ndarray]]] = []
     for k in np.flatnonzero(ok):
         for existing, _, members in classes:
-            if _circular_close(existing, roots[k], config.dedupe_tol):
+            if _circular_close(existing, roots[k], _DEDUPE_TOL):
                 members.append(roots[k])
                 break
         else:

@@ -1,36 +1,22 @@
 """Exact complex 2x2 special-unitary algebra for composite pulse trains.
 
 An SU(2) matrix is stored as its Cayley-Klein pair (a, b), the full matrix
-being [[a, b], [-b*, a*]].  A resonant pulse of area A and coupling phase
-phi propagates the qubit with a = cos(A/2), b = -i e^{i phi} sin(A/2); a
-systematic relative area error eps rescales every area as A -> A(1+eps).
-Functions of eps take a float or an array, and a float is the 0-d case:
-propagators and fidelities then hold arrays of the shape of eps.
+being [[a, b], [-b*, a*]].  Every pulse is a nominal pi pulse: with a
+systematic relative area error eps its area is pi(1+eps), and a coupling
+phase p propagates the qubit with a = cos(pi(1+eps)/2),
+b = -i e^{ip} sin(pi(1+eps)/2).  A 2pi, 3pi or 4pi block is a run of
+equal-phase pi pulses, so a train is its phases.  Functions of eps take a
+float or an array, and a float is the 0-d case: propagators and
+fidelities then hold arrays of the shape of eps.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Pulse:
-    """One resonant pulse: nominal area and coupling phase, both in radians.
-
-    The phase is stored unreduced; comparisons should reduce mod 2*pi.
-    Exact high-precision values (e.g. ``mpmath.mpf``) are accepted and
-    preserved; the fast numeric paths cast with ``float``.
-    """
-
-    area: float
-    phase: float
-
-    def __post_init__(self):
-        if not float(self.area) > 0.0:
-            raise ValueError("pulse area must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,25 +51,24 @@ class Su2:
 
 @dataclass(frozen=True)
 class CompositeSequence:
-    """An ordered pulse train realizing a phase gate of angle ``target_phi``.
+    """An ordered train of nominal pi pulses realizing a phase gate of
+    angle ``target_phi``.
 
-    Pulses are applied in list order (index 0 acts first on the state); the
-    matrix product therefore runs in the opposite direction.  ``order`` is
-    the claimed error-compensation order n, so a train of nominal pi pulses
-    has 2(n+1) entries.
+    ``phases`` holds the coupling phase of each pulse, unreduced; exact
+    high-precision values (e.g. ``mpmath.mpf``) are kept, and the fast
+    numeric paths cast with ``float``.  Pulses are applied in list order
+    (index 0 acts first on the state); the matrix product therefore runs
+    in the opposite direction.  ``order`` is the claimed
+    error-compensation order n, so the train has 2(n+1) pulses.
     """
 
-    pulses: tuple[Pulse, ...]
+    phases: tuple
     target_phi: float
     order: int
     label: str = ""
 
     def __len__(self) -> int:
-        return len(self.pulses)
-
-    @property
-    def phases(self) -> tuple[float, ...]:
-        return tuple(p.phase for p in self.pulses)
+        return len(self.phases)
 
 
 def target_gate(phi: float) -> Su2:
@@ -91,38 +76,27 @@ def target_gate(phi: float) -> Su2:
     return Su2(cmath.exp(-0.5j * float(phi)), 0j)
 
 
-def _pulse_factors(area, phase, epsilon):
-    """(a, b) of resonant pulses, broadcast over area, phase and epsilon."""
-    half = 0.5 * area * (1.0 + epsilon)
-    return np.cos(half), -1j * np.exp(1j * phase) * np.sin(half)
-
-
-def pulse_propagator(pulse: Pulse, epsilon) -> Su2:
-    """Propagator of a single pulse with relative area error ``epsilon``."""
-    return Su2(*_pulse_factors(
-        float(pulse.area), float(pulse.phase), np.asarray(epsilon, dtype=float)
-    ))
-
-
 def compose(seq: CompositeSequence, epsilon) -> Su2:
     """Composite propagator of the whole train at error ``epsilon``.
 
     Equal to U_N ... U_2 U_1 where U_k is the k-th pulse propagator:
-    later pulses multiply from the left.  One pass over the pulses
-    evaluates the whole ``epsilon`` array.
+    later pulses multiply from the left.  The cos and sin of the common
+    half area are evaluated once over the whole ``epsilon`` array, and one
+    pass over the pulses composes it.
     """
-    if not seq.pulses:
+    if not seq.phases:
         raise ValueError("empty sequence")
     eps = np.asarray(epsilon, dtype=float)
+    half = 0.5 * math.pi * (1.0 + eps)
+    c, s = np.cos(half), np.sin(half)
     # One row per pulse, broadcast against the error grid.
     column = (-1,) + (1,) * eps.ndim
-    areas = np.reshape([float(p.area) for p in seq.pulses], column)
-    phases = np.reshape([float(p.phase) for p in seq.pulses], column)
-    pa, pb = _pulse_factors(areas, phases, eps)
-    a, b = pa[0], pb[0]
-    for ca, cb in zip(pa[1:], pb[1:]):
-        # Su2(ca, cb) @ Su2(a, b), inlined: no Su2 object per pulse.
-        a, b = ca * a - cb * b.conjugate(), ca * b + cb * a.conjugate()
+    phases = np.reshape([float(p) for p in seq.phases], column)
+    pb = -1j * np.exp(1j * phases) * s
+    a, b = c, pb[0]
+    for cb in pb[1:]:
+        # Su2(c, cb) @ Su2(a, b), inlined: no Su2 object per pulse.
+        a, b = c * a - cb * b.conjugate(), c * b + cb * a.conjugate()
     return Su2(a, b)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cpgate import catalog
+from cpgate import catalog, solver
 from cpgate.cli import spec_parse
 from cpgate.analysis import (
     AnalysisError,
@@ -15,7 +15,14 @@ from cpgate.analysis import (
     verify_order,
     write_csv,
 )
-from cpgate.sequences import eight_pulse, four_pulse, six_pulse, two_pulse
+from cpgate.sequences import (
+    HalfSequenceSpec,
+    eight_pulse,
+    four_pulse,
+    six_pulse,
+    structured_sequence,
+    two_pulse,
+)
 from cpgate.su2 import compose, frobenius_fidelity, target_gate
 
 
@@ -148,14 +155,62 @@ def test_high_fidelity_range_inverts_the_closed_form(phi):
         assert not rng.flagged
 
 
-def test_named_trains_and_rows_are_unflagged():
+def _verify_trains():
+    # The 27 named trains and the 84 polished arbitrary-angle rows.
     seqs = [_cat(name) for name in catalog.names()] + [
         catalog.arbitrary_row(row.phi_over_pi, pulses)
         for row in catalog.arbitrary_rows()
         for pulses in (4, 6, 8, 10, 12, 14)
     ]
     assert len(seqs) == 111
-    for seq in seqs:
+    return seqs
+
+
+def _closed_form_profile_error(seq, n, phi):
+    # Largest deviation of the 801-point sweep on [-0.4, 0.4] from the
+    # closed-form Frobenius and trace fidelities of an order-n train.
+    profile = sweep(seq, -0.4, 0.4, 801)
+    worst = 0.0
+    for e, f, t in zip(profile.epsilons, profile.frobenius, profile.trace):
+        cf, ct = closed_form_fidelity(n, phi, float(e))
+        worst = max(worst, abs(f - cf), abs(t - ct))
+    return worst
+
+
+def _closed_form_epsilon0(n, phi, threshold=1e-4):
+    x = threshold / (math.sqrt(2.0) * abs(math.sin(phi / 4)))
+    return 2.0 / math.pi * math.asin(x ** (1.0 / (n + 1)))
+
+
+def test_profile_law_holds_on_every_verify_train():
+    # Every root of order n at angle phi has the closed-form profile; the
+    # bound is acceptance criterion 2's.
+    for seq in _verify_trains():
+        worst = _closed_form_profile_error(seq, seq.order, float(seq.target_phi))
+        assert worst <= 1e-12, seq.label
+
+
+def test_profile_law_gives_the_range_of_every_verify_train():
+    for seq in _verify_trains():
+        want = _closed_form_epsilon0(seq.order, float(seq.target_phi))
+        assert abs(high_fidelity_range(seq).epsilon0 - want) <= 1e-9, seq.label
+
+
+def test_profile_law_holds_on_every_solved_class():
+    # n = 2-4 at the 14 row angles, 16 seeds, rng-seed 0: 124 classes.
+    # The bound is the benchmark oracle's for solve output.
+    for n in (2, 3, 4):
+        for row in catalog.arbitrary_rows():
+            phi = float(row.phi_over_pi) * math.pi
+            config = solver.SolverConfig(n=n, phi=phi, seeds=16, rng_seed=0)
+            for sol in solver.solve(config):
+                seq = structured_sequence(HalfSequenceSpec(sol.phases, phi))
+                worst = _closed_form_profile_error(seq, n, phi)
+                assert worst <= 1e-8, (n, row.phi_over_pi, sol.phases)
+
+
+def test_named_trains_and_rows_are_unflagged():
+    for seq in _verify_trains():
         assert not high_fidelity_range(seq).flagged, seq.label
         assert not trace_range(seq).flagged, seq.label
 

@@ -320,6 +320,25 @@ def test_sweep_rejects_infinite_epsilon_bounds(bound, capsys):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--gate", "{dir}"],
+        ["sweep", "--gate", "Z4", "--out", "{dir}/missing/x.csv"],
+        ["solve", "--order", "2", "--phi", "1", "--seeds", "4",
+         "--out", "{dir}/missing/x.json"],
+    ],
+    ids=["verify-directory", "sweep-missing-dir", "solve-missing-dir"],
+)
+def test_os_errors_are_validation_errors(argv, tmp_path, capsys):
+    rc = run([a.format(dir=tmp_path) for a in argv])
+    assert rc == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_negative_measured_order_is_numerical_error(capsys):
     # An uncompensated 6-pulse train misses the gate even at zero error.
     rc = run(["verify", "--gate", "phi=1;phases=0,0.3,0.7,0.1,0.2,0.9"])

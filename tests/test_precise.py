@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import to_fixed
 
 from cpgate import analysis, catalog, cli, precise
-from cpgate.su2 import CompositeSequence, Pulse
+from cpgate.su2 import CompositeSequence
 
 
 def _reference_slope_fit(seq, eps_lo=1e-3, eps_hi=1e-2, points=20, dps=50):
     # The per-epsilon loop slope_fit ran before mp_propagator took an
-    # epsilon list: one propagator call, with all its trig, per signed eps.
+    # epsilon list: one propagator call, with all its trig, per signed eps,
+    # in mpc object arithmetic, always averaged over both signs.
     with mp.workdps(dps):
-        phases, areas = precise._mp_phases(seq)
+        phases = [mp.mpf(p) for p in seq.phases]
         fa = mp.exp(-1j * mp.mpf(seq.target_phi) / 2)
         lo, hi = mp.log(mp.mpf(eps_lo)), mp.log(mp.mpf(eps_hi))
         logs = []
@@ -27,8 +29,8 @@ def _reference_slope_fit(seq, eps_lo=1e-3, eps_hi=1e-2, points=20, dps=50):
             for signed in (eps, -eps):
                 a = mp.mpc(1)
                 b = mp.mpc(0)
-                for phase, area in zip(phases, areas):
-                    half = area * (1 + signed) / 2
+                for phase in phases:
+                    half = mp.pi * (1 + signed) / 2
                     pa = mp.cos(half)
                     pb = -1j * mp.exp(1j * phase) * mp.sin(half)
                     a, b = pa * a - pb * mp.conj(b), pa * b + pb * mp.conj(a)
@@ -85,14 +87,12 @@ def _dense_residual(rel_phases, phi_mp, n):
 def test_mp_propagator_over_an_epsilon_list_equals_scalar_calls():
     seq = catalog.to_sequence(catalog.get("T18"))
     with mp.workdps(precise.WORKING_DPS):
-        phases, areas = precise._mp_phases(seq)
-        # Two distinct areas exercise the per-area trig table.
-        areas[3] = areas[3] / 2
+        phases = [mp.mpf(p) for p in seq.phases]
         eps = [mp.mpf("0.01"), -mp.mpf("0.01"), mp.mpf(0), mp.mpf("-0.3")]
-        pairs = precise.mp_propagator(phases, areas, eps)
+        pairs = precise.mp_propagator(phases, eps)
         assert len(pairs) == len(eps)
         for e, (a, b) in zip(eps, pairs):
-            a1, b1 = precise.mp_propagator(phases, areas, e)
+            a1, b1 = precise.mp_propagator(phases, e)
             assert a == a1 and b == b1
 
 
@@ -116,36 +116,39 @@ def test_mp_propagator_of_an_even_pi_train_flips_b_with_epsilon(phases, eps):
     # identity slope_fit's one-sign shortcut rests on.
     with mp.workdps(precise.WORKING_DPS):
         mp_phases = [mp.mpf(p) for p in phases]
-        areas = [mp.pi] * len(phases)
         (a, b), (a_neg, b_neg) = precise.mp_propagator(
-            mp_phases, areas, [mp.mpf(eps), -mp.mpf(eps)]
+            mp_phases, [mp.mpf(eps), -mp.mpf(eps)]
         )
         assert abs(a_neg - a) <= 1e-45
         assert abs(b_neg + b) <= 1e-45
 
 
-# Trains whose infidelity is not even in eps, areas in units of pi: three
-# pi areas and one 2 pi (an odd count of odd multiples), and one 0.9 pi.
-_NOT_EVEN_AREAS = {"three-pi-one-2pi": (1, 1, 2, 1), "one-0.9pi": (1, 0.9, 1, 1)}
+# A train whose infidelity is not even in eps: three pi pulses and one 2 pi
+# block, i.e. five pi pulses, the 2 pi block as two of equal phase.
+_NOT_EVEN_TRAINS = {"three-pi-one-2pi": (0.0, 0.7, 1.9, 1.9, 0.4)}
 
 
 def _not_even_train(name):
-    areas = _NOT_EVEN_AREAS[name]
     return CompositeSequence(
-        pulses=tuple(
-            Pulse(a * math.pi, p) for a, p in zip(areas, (0.0, 0.7, 1.9, 0.4))
-        ),
-        target_phi=math.pi / 2,
-        order=1,
-        label=name,
+        _NOT_EVEN_TRAINS[name], target_phi=math.pi / 2, order=1, label=name
     )
 
 
-@pytest.mark.parametrize("name", sorted(_NOT_EVEN_AREAS))
+def _infidelity(pair, phi):
+    a, b = pair
+    return mp.sqrt((abs(a - mp.exp(-1j * phi / 2)) ** 2 + abs(b) ** 2) / 2)
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_EVEN_TRAINS))
 def test_slope_fit_averages_both_signs_when_not_even_in_epsilon(name):
     seq = _not_even_train(name)
     with mp.workdps(precise.WORKING_DPS):
-        assert not precise._even_in_epsilon(precise._mp_phases(seq)[1])
+        plus, minus = precise.mp_propagator(
+            [mp.mpf(p) for p in seq.phases], [mp.mpf("1e-2"), mp.mpf("-1e-2")]
+        )
+        # The two signs differ, so the fit must take both.
+        phi = mp.mpf(seq.target_phi)
+        assert abs(_infidelity(plus, phi) - _infidelity(minus, phi)) > 1e-6
     assert precise.slope_fit(seq) == _reference_slope_fit(seq)
 
 
@@ -165,20 +168,36 @@ def _rounded_14_pulse_rows():
 @pytest.mark.parametrize("spec", _rounded_14_pulse_rows())
 def test_slope_fit_equals_the_per_epsilon_loop_bitwise_on_rounded_rows(spec):
     seq = cli._measurement_sequence(cli.spec_parse(spec))
-    with mp.workdps(precise.WORKING_DPS):
-        assert precise._even_in_epsilon(precise._mp_phases(seq)[1])
+    assert len(seq) % 2 == 0  # the one-sign path
     assert precise.slope_fit(seq) == _reference_slope_fit(seq)
 
 
 def test_slope_fit_trig_cache_is_keyed_by_precision():
-    # The float area 0.9 pi is the same raw mpf at 30 and 50 digits, so
-    # only the precision in the key tells the two cache entries apart.
-    seq = _not_even_train("one-0.9pi")
+    # The grid and its fixed-point trig depend only on the window and the
+    # precision, so only the precision in the key keeps a 30-digit table
+    # out of a 50-digit fit.
+    seq = _not_even_train("three-pi-one-2pi")
     precise.slope_fit(seq, dps=30)
     after_30 = precise.slope_fit(seq, dps=50)
     precise._grid_trig.cache_clear()
     precise._slope_grid.cache_clear()
     assert after_30 == precise.slope_fit(seq, dps=50)
+
+
+def test_pulse_trig_takes_pi_at_the_working_precision():
+    # At eps = 0 the half area is exactly mp.pi / 2 at the working
+    # precision (rounded to nearest), so its cos is minus the rounding
+    # error of that pi / 2; pi rounded any other way moves it by ~2^16
+    # units.  The sin, near 1, may differ from mpmath's by its own last unit.
+    with mp.workdps(precise.WORKING_DPS):
+        wp = mp.mp.prec
+        half_pi = mp.pi / 2
+        prec = wp + precise.GUARD_BITS
+        with mp.workprec(prec):
+            want_c, want_s = (to_fixed(f(half_pi)._mpf_, prec) for f in (mp.cos, mp.sin))
+        c, s = precise._pi_trig(mp.mpf(0)._mpf_, wp)
+        assert c == want_c
+        assert abs(s - want_s) <= 1
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -208,14 +227,14 @@ _ORACLE_DPS = 90
 _ORACLE_EPS = ("0", "1e-3", "-1e-3", "1e-2", "-1e-2", "0.3", "-0.3")
 
 
-def _oracle_propagator(phases, areas, eps):
+def _oracle_propagator(phases, eps):
     # The pulse loop in plain mpc object arithmetic at 90 digits, on the
-    # same mpf inputs the kernel under test sees.
+    # same mpf phases the kernel under test sees.
     with mp.workdps(_ORACLE_DPS):
         a = mp.mpc(1)
         b = mp.mpc(0)
-        for phase, area in zip(phases, areas):
-            half = area * (1 + eps) / 2
+        for phase in phases:
+            half = mp.pi * (1 + eps) / 2
             pa = mp.cos(half)
             pb = -1j * mp.exp(1j * phase) * mp.sin(half)
             a, b = pa * a - pb * mp.conj(b), pa * b + pb * mp.conj(a)
@@ -223,22 +242,18 @@ def _oracle_propagator(phases, areas, eps):
 
 
 def _random_trains(count, seed):
-    # Areas well away from multiples of pi, so none is snapped or special.
+    # Random-phase pi trains of odd and even length.
     rng = random.Random(seed)
-    trains = []
-    for _ in range(count):
-        pulses = rng.randint(2, 18)
-        phases = [rng.uniform(0.0, 2 * math.pi) for _ in range(pulses)]
-        areas = [rng.choice((0.5, 1.3, 2.2, 3.9, 5.7)) + rng.uniform(-0.2, 0.2)
-                 for _ in range(pulses)]
-        trains.append((phases, areas))
-    return trains
+    return [
+        [rng.uniform(0.0, 2 * math.pi) for _ in range(rng.randint(2, 18))]
+        for _ in range(count)
+    ]
 
 
-def _assert_matches_oracle(phases, areas, bound):
+def _assert_matches_oracle(phases, bound):
     eps = [mp.mpf(e) for e in _ORACLE_EPS]
-    for e, (a, b) in zip(eps, precise.mp_propagator(phases, areas, eps)):
-        want_a, want_b = _oracle_propagator(phases, areas, e)
+    for e, (a, b) in zip(eps, precise.mp_propagator(phases, eps)):
+        want_a, want_b = _oracle_propagator(phases, e)
         assert abs(a - want_a) <= bound
         assert abs(b - want_b) <= bound
 
@@ -247,30 +262,23 @@ def _assert_matches_oracle(phases, areas, bound):
 def test_mp_propagator_matches_a_90_digit_oracle_on_named_trains(name):
     seq = catalog.to_sequence(catalog.get(name))
     with mp.workdps(precise.WORKING_DPS):
-        _assert_matches_oracle(*precise._mp_phases(seq), 1e-45)
+        _assert_matches_oracle([mp.mpf(p) for p in seq.phases], 1e-45)
 
 
 def test_mp_propagator_matches_a_90_digit_oracle_on_random_trains():
     with mp.workdps(precise.WORKING_DPS):
-        for phases, areas in _random_trains(12, seed=5):
-            _assert_matches_oracle(
-                [mp.mpf(p) for p in phases], [mp.mpf(a) for a in areas], 1e-45
-            )
+        for phases in _random_trains(12, seed=5):
+            _assert_matches_oracle([mp.mpf(p) for p in phases], 1e-45)
 
 
 def test_mp_propagator_precision_follows_the_working_precision():
     seq = catalog.to_sequence(catalog.get("T18"))
-    trains = [precise._mp_phases(seq)] + [
-        ([mp.mpf(p) for p in phases], [mp.mpf(a) for a in areas])
-        for phases, areas in _random_trains(4, seed=6)
-    ]
+    trains = [list(seq.phases)] + _random_trains(4, seed=6)
     with mp.workdps(30):
-        for phases, areas in trains:
-            # Inputs rounded to 30 digits, so the oracle sees what the
+        for phases in trains:
+            # Phases rounded to 30 digits, so the oracle sees what the
             # kernel sees.
-            _assert_matches_oracle(
-                [+p for p in phases], [+a for a in areas], 1e-25
-            )
+            _assert_matches_oracle([mp.mpf(p) for p in phases], 1e-25)
 
 
 def _polish_cases():
