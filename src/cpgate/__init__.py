@@ -26,7 +26,7 @@ from .sequences import (
     structured_sequence,
     two_pulse,
 )
-from .solver import SolverConfig, Solution, refine, residual, solve
+from .solver import SolverConfig, Solution, residual, solve
 from .su2 import (
     CompositeSequence,
     Su2,
@@ -60,7 +60,6 @@ __all__ = [
     "get",
     "high_fidelity_range",
     "jet_compose",
-    "refine",
     "residual",
     "six_pulse",
     "solve",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -77,7 +76,8 @@ _TABLE_ARBITRARY = {
 
 
 class CatalogError(KeyError):
-    pass
+    # The message alone, without the quotes KeyError puts around it.
+    __str__ = Exception.__str__
 
 
 @dataclass(frozen=True)
@@ -228,18 +228,42 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
     }
 
 
+_REQUIRED_KEYS = ("name", "phi_over_pi", "order", "phases_over_pi")
+
+
 def entry_from_dict(d: dict) -> CatalogEntry:
-    phases = [str(s) for s in d["phases_over_pi"]]
+    """Entry of one JSON record; raises CatalogError if the record is not
+    an object with the required keys, its phases are not a list of
+    2(order + 1) values, or its optional range is not a pair."""
+    if not isinstance(d, dict):
+        raise CatalogError(f"catalog record is not an object: {d!r}")
+    missing = [k for k in _REQUIRED_KEYS if k not in d]
+    if missing:
+        raise CatalogError(f"catalog record lacks {', '.join(missing)}")
+    if not isinstance(d["phases_over_pi"], list):
+        raise CatalogError(f"{d['name']}: phases_over_pi is not a list")
     rng = d.get("quoted_range_over_pi") or [math.nan, math.nan]
-    return CatalogEntry(
-        name=d["name"],
-        phi_over_pi=Fraction(str(d["phi_over_pi"])),
-        order=int(d["order"]),
-        phases_over_pi=tuple(Fraction(s) for s in phases),
-        phase_strings=tuple(phases),
-        quoted_range_over_pi=(float(rng[0]), float(rng[1])),
-        source=d.get("source", "paper-table"),
-    )
+    if not isinstance(rng, list) or len(rng) != 2:
+        raise CatalogError(f"{d['name']}: quoted_range_over_pi is not a pair")
+    phases = [str(s) for s in d["phases_over_pi"]]
+    try:
+        entry = CatalogEntry(
+            name=d["name"],
+            phi_over_pi=Fraction(str(d["phi_over_pi"])),
+            order=int(d["order"]),
+            phases_over_pi=tuple(Fraction(s) for s in phases),
+            phase_strings=tuple(phases),
+            quoted_range_over_pi=(float(rng[0]), float(rng[1])),
+            source=d.get("source", "paper-table"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise CatalogError(f"{d['name']}: malformed catalog record: {exc}") from exc
+    if entry.order < 0 or entry.pulse_count != 2 * (entry.order + 1):
+        raise CatalogError(
+            f"{entry.name}: order {entry.order} needs 2(order + 1) phases, "
+            f"not {entry.pulse_count}"
+        )
+    return entry
 
 
 def save_catalog(entry_list, path) -> None:
@@ -252,15 +276,13 @@ def _parse(text: str) -> list[CatalogEntry]:
     data = json.loads(text)
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise CatalogError("catalog JSON must be an object or a list of objects")
     return [entry_from_dict(d) for d in data]
 
 
-def load_catalog(path=None) -> list[CatalogEntry]:
-    """Load entries from ``path``, $CPGATE_CATALOG, or the packaged file."""
-    if path is None:
-        path = os.environ.get("CPGATE_CATALOG")
-    if path is None:
-        return entries()
+def load_catalog(path) -> list[CatalogEntry]:
+    """Load the entries of the catalog JSON file at ``path``."""
     with open(path, encoding="utf-8") as fh:
         return _parse(fh.read())
 

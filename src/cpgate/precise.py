@@ -135,6 +135,10 @@ def mp_propagator(phases, epsilon):
     Flipping the sign of eps gives U(-eps) = -Z U(eps) Z^dagger for each
     pi pulse, with Z = diag(1, -1), so an N-pulse train has the pair
     (+-a, -+b) at -eps, the sign being that of (-1)^N.
+
+    Nothing in the package calls it: ``slope_fit`` runs ``_pulse_loop``
+    itself.  It is the tests' reference for that loop and for the
+    profile law at 50 digits.
     """
     single = np.ndim(epsilon) == 0
     wp = mp.mp.prec
@@ -220,8 +224,6 @@ def polish_structured(rel_phases, phi, pinned=None):
     with mp.workdps(WORKING_DPS):
         phi_mp = mp.mpf(phi) if not isinstance(phi, (mp.mpf, mp.mpc)) else phi
         x_float = np.asarray([float(v) for v in rel_phases], dtype=float)
-        # Factorial scaling puts 4-decimal table input above refine()'s
-        # near-root gate at high order; drive Newton directly instead.
         # Loose, order-scaled float tolerance: factorial scaling raises
         # the double-precision residual floor, and the extended-precision
         # stage finishes the convergence anyway.

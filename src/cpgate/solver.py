@@ -35,6 +35,10 @@ _RCOND = 1e-6
 _DEDUPE_TOL = 1e-6
 # Nominal steps of the continuation path in ``transport``.
 _TRANSPORT_STEPS = 12
+# Residual max-norm a root must reach (raised to ``_tol_floor`` at high
+# order), and the Newton iteration limit of a ``solve`` restart.
+_TOL = 1e-12
+_MAX_ITER = 200
 
 _log = logging.getLogger("cpgate.solver")
 
@@ -50,8 +54,6 @@ class SolverConfig:
     n: int
     phi: float
     seeds: int = 32
-    tol: float = 1e-12
-    max_iter: int = 200
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -59,8 +61,6 @@ class SolverConfig:
             raise ValueError("compensation order must be >= 1")
         if self.seeds < 1:
             raise ValueError("need at least one restart seed")
-        if not 0.0 < self.tol < 1e-6:
-            raise ValueError("tolerance out of range")
 
 
 @dataclass(frozen=True)
@@ -248,151 +248,80 @@ def _newton(
     return x[0], float(rmax[0]), bool(ok[0])
 
 
-def refine(phases, phi: float, tol: float = 1e-12, pinned=None) -> np.ndarray:
-    """Polish a near-root (residual max-norm below 1e-2) to full precision.
-
-    ``pinned`` marks coordinates (e.g. structural zeros or exact
-    fractions) that must not move.  The nearness gate is applied to the
-    factorial-normalized residual (Taylor-coefficient scale), so rounded
-    table values of any order pass it.  Raises SolverError on divergence.
-    """
-    x = np.asarray(phases, dtype=float)
-    start = float(np.max(np.abs(_row_scale(len(x)) * residual(x, phi))))
-    if start >= 1e-2:
-        raise SolverError(
-            f"refinement expects a near-root; residual max-norm is {start:.3e}"
-        )
-    out, rmax, ok = _newton(x, phi, tol, max_iter=60, pinned=pinned)
-    if not ok:
-        raise SolverError(f"refinement failed; residual max-norm {rmax:.3e}")
-    return out
-
-
 def pinned_zero_count(n: int) -> int:
     """Dimension of the solution manifold at order n."""
     return n // 2
 
 
-def _transport_batch(x0: np.ndarray, phi: float, leading: np.ndarray, tol: float):
-    """``transport`` of every row of ``x0`` (B, n) to its own ``leading``
-    row (B, npin) at once.  Returns the rows reduced mod 2*pi, their last
-    residual max-norms and whether each arrived."""
-    x = np.array(x0, dtype=float) % TWO_PI
-    batch, n = x.shape
-    npin = leading.shape[1]
+def transport(phases, phi: float, leading) -> np.ndarray:
+    """Slide a root along its solution manifold until its leading relative
+    phases equal ``leading`` (at most floor(n/2) values, the manifold
+    dimension), reduced mod 2*pi.  This is the equivalence move connecting
+    the published representatives of one root class.  Raises SolverError
+    if the continuation loses the root.
+    """
+    x = np.asarray(phases, dtype=float) % TWO_PI
+    leading = np.asarray(leading, dtype=float)
+    n, npin = len(x), len(leading)
     if npin > pinned_zero_count(n):
         raise SolverError(
             f"cannot pin {npin} phases on a {pinned_zero_count(n)}-dim manifold"
         )
     if npin == 0:
-        return x, np.zeros(batch), np.ones(batch, dtype=bool)
-    pinned = np.zeros(n, dtype=bool)
-    pinned[:npin] = True
-    start = x[:, :npin].copy()
+        return x
+    pinned = np.arange(n) < npin
+    start = x[:npin].copy()
     # Move the leading block along the straight path with adaptive step
     # control: halve the step whenever the pinned Newton polish fails to
-    # track the manifold, give up once steps become negligible.
-    lam = np.zeros(batch)
-    dlam = np.full(batch, 1.0 / _TRANSPORT_STEPS)
-    good = x
-    rmax = np.full(batch, math.inf)
-    arrived = np.zeros(batch, dtype=bool)
-    live = np.arange(batch)
+    # track the manifold, give up once steps become negligible (a fold of
+    # the manifold over this path; creeping closer only burns iterations).
+    lam, dlam, rmax = 0.0, 1.0 / _TRANSPORT_STEPS, math.inf
     for _ in range(8 * _TRANSPORT_STEPS):
-        if not live.size:
-            break
-        lam_next = np.minimum(1.0, lam[live] + dlam[live])
-        trial = good[live]
-        trial[:, :npin] = start[live] + (leading[live] - start[live]) * lam_next[:, None]
-        trial, rm, ok = _newton_batch(trial, phi, tol, max_iter=40, pinned=pinned)
-        rmax[live] = rm
-        moved = live[ok]
-        good[moved] = trial[ok]
-        lam[moved] = lam_next[ok]
-        dlam[moved] = np.minimum(2.0 * dlam[moved], 1.0 / _TRANSPORT_STEPS)
-        stuck = live[~ok]
-        dlam[stuck] *= 0.5
-        arrived[moved[lam[moved] >= 1.0]] = True
-        # A fold of the manifold over this path; creeping closer only
-        # burns iterations.
-        live = live[~arrived[live] & (dlam[live] >= 1e-3)]
-    return good % TWO_PI, rmax, arrived
+        lam_next = min(1.0, lam + dlam)
+        trial = x.copy()
+        trial[:npin] = start + (leading - start) * lam_next
+        trial, rmax, ok = _newton(trial, phi, _TOL, 40, pinned)
+        if ok:
+            x, lam = trial, lam_next
+            if lam >= 1.0:
+                return x % TWO_PI
+            dlam = min(2.0 * dlam, 1.0 / _TRANSPORT_STEPS)
+        else:
+            dlam *= 0.5
+            if dlam < 1e-3:
+                break
+    raise SolverError(f"manifold transport lost the root (residual {rmax:.3e})")
 
 
-def transport(phases, phi: float, leading, tol: float = 1e-12) -> np.ndarray:
-    """Slide a root along its solution manifold until its leading relative
-    phases equal ``leading`` (at most floor(n/2) values, the manifold
-    dimension).  This is the equivalence move connecting the published
-    representatives of one root class.  Raises SolverError if the
-    continuation loses the root.
-    """
-    x0 = np.asarray(phases, dtype=float)[None, :]
-    leading = np.asarray(leading, dtype=float)[None, :]
-    x, rmax, arrived = _transport_batch(x0, phi, leading, tol)
-    if not arrived[0]:
-        raise SolverError(
-            f"manifold transport lost the root (residual {rmax[0]:.3e})"
-        )
-    return x[0]
-
-
-def _paths(x: np.ndarray) -> list[tuple[float, ...]]:
-    # Canonical targets for the leading phases of x, nearest first.
-    npin = pinned_zero_count(len(x))
-    return sorted(
-        itertools.product((0.0, TWO_PI), repeat=npin),
-        key=lambda t: float(np.linalg.norm(np.array(t) - x[:npin])),
-    )
-
-
-def _canonicalize_batch(roots: np.ndarray, phi: float, tol: float):
-    """``canonicalize`` of every row of ``roots`` (B, n) at once: each row
-    tries its own paths nearest-first, all rows still searching move along
-    their next path together.  A row arrives only at a point that still
-    hits the target gate: transport keeps the derivative conditions but not
-    the zero-error gate, so an odd-order root can slide onto a degenerate
-    point.  Returns the rows, whether each arrived, each row's last
-    residual max-norm, and whether some path of the row reached the
-    canonical form off the target gate."""
-    x = np.asarray(roots, dtype=float) % TWO_PI
-    paths = [_paths(row) for row in x]
-    canon = x.copy()
-    arrived = np.zeros(len(x), dtype=bool)
-    missed = np.zeros(len(x), dtype=bool)
-    rmax = np.full(len(x), math.inf)
-    for k in range(max(map(len, paths), default=0)):
-        todo = np.flatnonzero(~arrived)
-        if not todo.size:
-            break
-        leading = np.array([paths[i][k] for i in todo])
-        got, rmax[todo], ok = _transport_batch(x[todo], phi, leading, tol)
-        hit = _hits_target(got, phi)
-        missed[todo[ok & ~hit]] = True
-        ok &= hit
-        canon[todo[ok]] = got[ok]
-        arrived[todo[ok]] = True
-    return canon, arrived, rmax, missed
-
-
-def canonicalize(phases, phi: float, tol: float = 1e-12) -> np.ndarray:
+def canonicalize(phases, phi: float) -> np.ndarray:
     """Transport a root to the leading-zeros canonical form (first
     floor(n/2) relative phases zero), reduced mod 2*pi.
 
     Zero can be approached from below or above (0 vs 2*pi) per
     coordinate; the manifold may fold over one path, so direction
-    combinations are tried nearest-first.
-    A path whose end point misses the target gate does not count.
+    combinations are tried nearest-first.  A path counts only if its end
+    point still hits the target gate: transport keeps the derivative
+    conditions but not the zero-error gate, so an odd-order root can
+    slide onto a degenerate point.
     """
-    x = np.asarray(phases, dtype=float)[None, :]
-    canon, arrived, rmax, missed = _canonicalize_batch(x, phi, tol)
-    if not arrived[0]:
-        reason = (
-            "the canonical point reached misses the target gate"
-            if missed[0]
-            else f"manifold transport lost the root (residual {rmax[0]:.3e})"
-        )
-        raise SolverError(f"canonicalization failed on every path: {reason}")
-    return canon[0]
+    x = np.asarray(phases, dtype=float) % TWO_PI
+    npin = pinned_zero_count(len(x))
+    paths = sorted(
+        itertools.product((0.0, TWO_PI), repeat=npin),
+        key=lambda t: float(np.linalg.norm(np.array(t) - x[:npin])),
+    )
+    lost, missed = "", False
+    for leading in paths:
+        try:
+            canon = transport(x, phi, leading)
+        except SolverError as exc:
+            lost = str(exc)
+            continue
+        if _hits_target(canon[None, :], phi)[0]:
+            return canon
+        missed = True
+    reason = "the canonical point reached misses the target gate" if missed else lost
+    raise SolverError(f"canonicalization failed on every path: {reason}")
 
 
 def _circular_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
@@ -417,9 +346,7 @@ def solve(config: SolverConfig) -> list[Solution]:
     pinned = np.arange(config.n) < pinned_zero_count(config.n)
     seeds[:, pinned] = 0.0
     start = time.perf_counter()
-    x, rmax, converged = _newton_batch(
-        seeds, config.phi, config.tol, config.max_iter, pinned
-    )
+    x, rmax, converged = _newton_batch(seeds, config.phi, _TOL, _MAX_ITER, pinned)
     newton_s = time.perf_counter() - start
     ok = converged & _hits_target(x, config.phi)
     roots = x % TWO_PI

@@ -27,7 +27,10 @@ class Su2:
     b: complex
 
     def matrix(self) -> np.ndarray:
-        """Reconstruct the full 2x2 matrix [[a, b], [-b*, a*]]."""
+        """Reconstruct the full 2x2 matrix [[a, b], [-b*, a*]].
+
+        The tests' dense-matrix reference; nothing in the package calls it.
+        """
         return np.array(
             [[self.a, self.b], [-self.b.conjugate(), self.a.conjugate()]],
             dtype=complex,
@@ -35,14 +38,23 @@ class Su2:
 
     @property
     def unitarity_defect(self) -> float:
-        """|a|^2 + |b|^2 - 1; zero for an exact SU(2) element."""
+        """|a|^2 + |b|^2 - 1; zero for an exact SU(2) element.
+
+        A test check of ``compose``; nothing in the package reads it.
+        """
         return abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0
 
     def dagger(self) -> "Su2":
+        """Inverse element (a*, -b).  A test reference; nothing in the
+        package calls it."""
         return Su2(self.a.conjugate(), -self.b)
 
     def __matmul__(self, other: "Su2") -> "Su2":
-        # Matrix product self @ other in the Cayley-Klein parametrization.
+        """Matrix product self @ other in the Cayley-Klein parametrization.
+
+        The tests' reference for the product that ``compose`` inlines;
+        nothing in the package calls it.
+        """
         return Su2(
             self.a * other.a - self.b * other.b.conjugate(),
             self.a * other.b + self.b * other.a.conjugate(),

@@ -211,9 +211,7 @@ def test_criterion_6_solver_recovery(capsys):
         float(p) - float(ref_seq.phases[0]) for p in ref_seq.phases[1:5]
     ]
     ref_canon = solver.canonicalize(ref_rel, phi)
-    sols = solver.solve(
-        solver.SolverConfig(n=4, phi=phi, seeds=256, max_iter=60)
-    )
+    sols = solver.solve(solver.SolverConfig(n=4, phi=phi, seeds=256))
     match = next(
         (s for s in sols if _circ_close(s.phases, ref_canon, 1e-4 * math.pi)),
         None,

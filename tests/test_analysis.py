@@ -1,9 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from cpgate import catalog, solver
+from cpgate import analysis, catalog, precise, solver
 from cpgate.cli import spec_parse
 from cpgate.analysis import (
     AnalysisError,
@@ -194,6 +195,27 @@ def test_profile_law_gives_the_range_of_every_verify_train():
     for seq in _verify_trains():
         want = _closed_form_epsilon0(seq.order, float(seq.target_phi))
         assert abs(high_fidelity_range(seq).epsilon0 - want) <= 1e-9, seq.label
+
+
+def test_profile_law_holds_at_50_digits_on_every_verify_train():
+    # At the 20 positive epsilons of the slope grid, the Frobenius
+    # infidelity of mp_propagator equals sqrt(2)|sin(phi/4)||sin(pi eps/2)|^(n+1).
+    # The polish stops at residual 1e-42, so the deviation grows with the
+    # order, from ~1e-49 at n = 0 to ~3e-27 at n = 8.
+    with mp.workdps(50):
+        signed, _ = precise._slope_grid(
+            analysis._SLOPE_EPS_LO, analysis._SLOPE_EPS_HI,
+            analysis._SLOPE_POINTS, mp.mp.prec,
+        )
+        grid = signed[::2]
+        for seq in _verify_trains():
+            phi = mp.mpf(seq.target_phi)
+            gate = mp.expj(-phi / 2)
+            scale = mp.sqrt(2) * abs(mp.sin(phi / 4))
+            for eps, (a, b) in zip(grid, precise.mp_propagator(seq.phases, grid)):
+                infid = mp.sqrt((abs(a - gate) ** 2 + abs(b) ** 2) / 2)
+                law = scale * abs(mp.sin(mp.pi * eps / 2)) ** (seq.order + 1)
+                assert abs(infid / law - 1) <= 1e-25, (seq.label, float(eps))
 
 
 def test_profile_law_holds_on_every_solved_class():

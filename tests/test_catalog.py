@@ -140,15 +140,6 @@ def test_json_round_trip(tmp_path):
     assert loaded == entries()
 
 
-def test_catalog_env_override(tmp_path, monkeypatch):
-    path = tmp_path / "one.json"
-    save_catalog([get("S8")], path)
-    monkeypatch.setenv("CPGATE_CATALOG", str(path))
-    loaded = load_catalog()
-    assert len(loaded) == 1
-    assert loaded[0].name == "S8"
-
-
 def test_solution_to_entry_round_trips_through_json():
     entry = solution_to_entry(
         [0.0, 0.7, math.pi, 2.1], Fraction(1, 2), 1, "custom"

@@ -243,6 +243,35 @@ def test_catalog_file_as_gate(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "order = 2"
 
 
+def _s6_record(**changes):
+    return {**catalog.entry_to_dict(catalog.get("S6")), **changes}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"foo": 1},
+        [1, 2],
+        "str",
+        _s6_record(quoted_range_over_pi=5),
+        _s6_record(order=1, phases_over_pi=["0", "1.75", "0.5"]),
+        _s6_record(quoted_range_over_pi=[None, None]),
+        _s6_record(order=-1, phases_over_pi=[]),
+    ],
+    ids=["no-required-keys", "list-of-numbers", "string", "scalar-range",
+         "phase-count-off-order", "null-range", "negative-order"],
+)
+def test_malformed_catalog_file_is_validation_error(content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    for command in ("verify", "range"):
+        assert run([command, "--gate", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
 def test_bad_flags_are_validation_errors(capsys):
     assert run(["build", "--phi", "1", "--pulses", "5"]) == EXIT_VALIDATION
     assert run(["frobnicate"]) == EXIT_VALIDATION

@@ -7,13 +7,12 @@ import pytest
 
 from cpgate import catalog, solver
 from cpgate.jets import structured_jets
-from cpgate.sequences import chi_eight, chi_six
+from cpgate.sequences import chi_six
 from cpgate.solver import (
     SolverConfig,
     SolverError,
     canonicalize,
     pinned_zero_count,
-    refine,
     residual,
     solve,
     transport,
@@ -53,8 +52,6 @@ def test_config_validation():
         SolverConfig(n=0, phi=math.pi)
     with pytest.raises(ValueError, match="seed"):
         SolverConfig(n=1, phi=math.pi, seeds=0)
-    with pytest.raises(ValueError, match="tolerance"):
-        SolverConfig(n=1, phi=math.pi, tol=1.0)
 
 
 def test_jacobian_matches_independent_finite_differences():
@@ -68,36 +65,6 @@ def test_jacobian_matches_independent_finite_differences():
         lo[j] -= h
         col = (residual(hi, phi) - residual(lo, phi)) / (2 * h)
         assert np.allclose(jac[:, j], col, atol=1e-5)
-
-
-def test_refine_recovers_six_pulse_root_from_rounded_input():
-    phi = math.pi
-    exact = TWO_PI - chi_six(phi)
-    got = refine([0.0, 1.6350 * math.pi], phi, pinned=[True, False])
-    assert got[0] == 0.0
-    assert got[1] == pytest.approx(exact, abs=1e-10)
-
-
-def test_refine_preserves_eight_pulse_phase_difference():
-    # The two free eight-pulse phases differ by exactly phi/4.
-    phi = math.pi
-    got = refine(
-        [0.0, 1.8137 * math.pi, 1.5637 * math.pi], phi,
-        pinned=[True, False, False],
-    )
-    assert got[1] - got[2] == pytest.approx(phi / 4, abs=1e-10)
-    assert got[1] == pytest.approx(TWO_PI - chi_eight(phi), abs=1e-10)
-
-
-def test_refine_leaves_exact_root_in_place():
-    x = [-math.pi / 4]
-    got = refine(x, math.pi)
-    assert got[0] == pytest.approx(x[0], abs=1e-12)
-
-
-def test_refine_rejects_far_from_root_input():
-    with pytest.raises(SolverError, match="near-root"):
-        refine([1.0], math.pi)
 
 
 def test_pinned_zero_count_is_manifold_dimension():
@@ -378,8 +345,8 @@ def test_newton_batch_matches_the_reference_loop(n, mask, batch):
         # one leading block once n > 2.
         seeds[:, pinned] = 0.0
     phi = rng.uniform(0.1, TWO_PI)
-    # refine's iteration limit: rows that have not converged by then are
-    # compared mid-iteration.
+    # The float polish's iteration limit in precise.polish_structured: rows
+    # that have not converged by then are compared mid-iteration.
     got = solver._newton_batch(seeds, phi, 1e-12, 60, pinned)
     want = _reference_newton_batch(seeds, phi, 1e-12, 60, pinned)
     assert np.array_equal(got[2], want[2])
