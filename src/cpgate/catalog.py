@@ -218,12 +218,15 @@ def arbitrary_row(phi_over_pi, pulses: int, refine: bool = True) -> CompositeSeq
 # --- JSON interchange -------------------------------------------------------
 
 def entry_to_dict(entry: CatalogEntry) -> dict:
+    """JSON record of one entry; an unknown (NaN) range is written as null,
+    since NaN is not JSON."""
+    rng = list(entry.quoted_range_over_pi)
     return {
         "name": entry.name,
         "phi_over_pi": str(entry.phi_over_pi),
         "order": entry.order,
         "phases_over_pi": list(entry.phase_strings),
-        "quoted_range_over_pi": list(entry.quoted_range_over_pi),
+        "quoted_range_over_pi": None if any(map(math.isnan, rng)) else rng,
         "source": entry.source,
     }
 
@@ -268,7 +271,7 @@ def entry_from_dict(d: dict) -> CatalogEntry:
 
 def save_catalog(entry_list, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([entry_to_dict(e) for e in entry_list], fh, indent=2)
+        json.dump([entry_to_dict(e) for e in entry_list], fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -250,7 +250,8 @@ def _cmd_solve(args) -> int:
         catalog.save_catalog(entries, args.out)
         print(f"wrote {len(entries)} solution(s) to {args.out}")
     else:
-        print(json.dumps([catalog.entry_to_dict(e) for e in entries], indent=2))
+        print(json.dumps([catalog.entry_to_dict(e) for e in entries], indent=2,
+                         allow_nan=False))
     return 0
 
 

@@ -1,8 +1,11 @@
+import functools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpgate import analysis, catalog, precise, solver
 from cpgate.cli import spec_parse
@@ -24,7 +27,7 @@ from cpgate.sequences import (
     structured_sequence,
     two_pulse,
 )
-from cpgate.su2 import compose, frobenius_fidelity, target_gate
+from cpgate.su2 import compose, frobenius_fidelity, target_gate, trace_fidelity
 
 
 def _cat(name):
@@ -216,6 +219,45 @@ def test_profile_law_holds_at_50_digits_on_every_verify_train():
                 infid = mp.sqrt((abs(a - gate) ** 2 + abs(b) ** 2) / 2)
                 law = scale * abs(mp.sin(mp.pi * eps / 2)) ** (seq.order + 1)
                 assert abs(infid / law - 1) <= 1e-25, (seq.label, float(eps))
+
+
+@functools.cache
+def _verify_train_tuple():
+    return tuple(_verify_trains())
+
+
+@given(
+    k=st.integers(0, 110),
+    eps=st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=6),
+    small=st.lists(
+        st.tuples(st.floats(1e-3, 1e-2), st.booleans()), min_size=1, max_size=3
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_scalar_array_and_50_digit_paths_agree_on_the_profile_law(k, eps, small):
+    # Scalar compose, array compose and mp_propagator on one of the 111
+    # verify trains.  The 50-digit window and bound are those measured on
+    # the slope grid (see the test above).
+    seq = _verify_train_tuple()[k]
+    n, phi = seq.order, float(seq.target_phi)
+    target = target_gate(phi)
+    u = compose(seq, np.array(eps))
+    frob, trace = frobenius_fidelity(u, target), trace_fidelity(u, target)
+    for i, e in enumerate(eps):
+        cf, ct = closed_form_fidelity(n, phi, e)
+        v = compose(seq, e)
+        for f, t in ((frobenius_fidelity(v, target), trace_fidelity(v, target)),
+                     (frob[i], trace[i])):
+            assert abs(f - cf) <= 1e-12 and abs(t - ct) <= 1e-12, (seq.label, e)
+    with mp.workdps(50):
+        phi_mp = mp.mpf(seq.target_phi)
+        gate = mp.expj(-phi_mp / 2)
+        scale = mp.sqrt(2) * abs(mp.sin(phi_mp / 4))
+        grid = [mp.mpf(e) if positive else -mp.mpf(e) for e, positive in small]
+        for e, (a, b) in zip(grid, precise.mp_propagator(seq.phases, grid)):
+            infid = mp.sqrt((abs(a - gate) ** 2 + abs(b) ** 2) / 2)
+            law = scale * abs(mp.sin(mp.pi * e / 2)) ** (n + 1)
+            assert abs(infid / law - 1) <= 1e-25, (seq.label, float(e))
 
 
 def test_profile_law_holds_on_every_solved_class():

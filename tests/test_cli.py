@@ -227,6 +227,36 @@ def test_solve_stdout_is_json(capsys):
     assert isinstance(data, list) and data
 
 
+def _strict_json(text):
+    # RFC 8259 has no NaN or Infinity; json.loads accepts them unless told.
+    def reject(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_solve_stdout_is_strict_json(capsys):
+    # A solved class has no quoted range: it is written as null, not NaN.
+    assert run(["solve", "--order", "2", "--phi", "1", "--seeds", "4"]) == 0
+    data = _strict_json(capsys.readouterr().out)
+    assert data and all(d["quoted_range_over_pi"] is None for d in data)
+
+
+def test_solve_out_file_is_strict_json_and_still_loads(tmp_path, capsys):
+    path = tmp_path / "sol.json"
+    assert run(["solve", "--order", "2", "--phi", "1", "--seeds", "4",
+                "--out", str(path)]) == 0
+    capsys.readouterr()
+    data = _strict_json(path.read_text(encoding="utf-8"))
+    assert data and all(d["quoted_range_over_pi"] is None for d in data)
+    # load_catalog reads the null range back as unknown.
+    entries = catalog.load_catalog(path)
+    assert len(entries) == len(data)
+    assert all(math.isnan(v) for e in entries for v in e.quoted_range_over_pi)
+    assert run(["verify", "--gate", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "order = 2"
+
+
 def test_tables_subcommand(capsys):
     assert run(["tables", "--which", "Z"]) == 0
     out = capsys.readouterr().out

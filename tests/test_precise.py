@@ -1,5 +1,8 @@
+import logging
 import math
 import random
+import re
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import to_fixed
 
 from cpgate import analysis, catalog, cli, precise
+from cpgate.sequences import HalfSequenceSpec, six_pulse, structured_sequence
 from cpgate.su2 import CompositeSequence
 
 
@@ -184,6 +188,93 @@ def test_slope_fit_trig_cache_is_keyed_by_precision():
     assert after_30 == precise.slope_fit(seq, dps=50)
 
 
+def _structured_mp_train(rel, phi):
+    # A 50-digit two-half train, built the way catalog names, table rows
+    # and polished specs are.
+    with mp.workdps(precise.WORKING_DPS):
+        spec = HalfSequenceSpec(tuple(mp.mpf(p) for p in rel), mp.mpf(phi))
+        return structured_sequence(spec)
+
+
+def _half_length(seq, dps=precise.WORKING_DPS):
+    with mp.workdps(dps):
+        return precise._half_length(seq.phases, seq.target_phi)
+
+
+@given(
+    rel=st.integers(1, 9).flatmap(
+        lambda half: st.tuples(
+            st.integers(0, half - 1),
+            st.lists(st.floats(0.01, 2 * math.pi), min_size=half - 1,
+                     max_size=half - 1),
+        )
+    ),
+    phi=st.floats(0.05, 2 * math.pi),
+)
+@settings(max_examples=25, deadline=None)
+def test_slope_fit_of_a_structured_train_equals_the_per_epsilon_loop_bitwise(rel, phi):
+    # Half length 1-9 with 0 to half - 1 leading exact-zero relative
+    # phases: the fit runs the half train from the cached zero prefix and
+    # forms the two-half product.
+    zeros, free = rel
+    rel = [0.0] * zeros + free[zeros:]
+    seq = _structured_mp_train(rel, phi)
+    assert _half_length(seq) == len(rel) + 1
+    assert precise.slope_fit(seq) == _reference_slope_fit(seq)
+
+
+def _ulp_moved_train():
+    # Z10 with one second-half phase moved by one unit in the last place
+    # at 50 digits: no longer an exact two-half train.
+    seq = catalog.to_sequence(catalog.get("Z10"))
+    k = len(seq) // 2 + 3
+    with mp.workdps(precise.WORKING_DPS):
+        sign, man, exp, _ = mp.mpf(seq.phases[k])._mpf_
+        moved = mp.mpf(((-1) ** sign * (man + 1), exp))
+    assert moved != seq.phases[k]
+    phases = seq.phases[:k] + (moved,) + seq.phases[k + 1:]
+    return CompositeSequence(phases, seq.target_phi, seq.order, "Z10-ulp")
+
+
+_FULL_LOOP_TRAINS = {
+    "ulp-moved": (_ulp_moved_train, precise.WORKING_DPS),
+    "odd-length": (lambda: _not_even_train("three-pi-one-2pi"), precise.WORKING_DPS),
+    "float-builder": (lambda: six_pulse(math.pi / 2, 3), precise.WORKING_DPS),
+    "50-digit-at-dps-30": (lambda: catalog.to_sequence(catalog.get("S6")), 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FULL_LOOP_TRAINS))
+def test_slope_fit_takes_the_full_loop_off_the_exact_structure(name):
+    build, dps = _FULL_LOOP_TRAINS[name]
+    seq = build()
+    assert _half_length(seq, dps) == 0
+    assert precise.slope_fit(seq, dps=dps) == _reference_slope_fit(seq, dps=dps)
+
+
+def test_structured_trains_of_the_verify_path_take_the_half_loop():
+    # Catalog names, polished table rows and polished inline specs.
+    seqs = [catalog.to_sequence(catalog.get(n)) for n in catalog.names()]
+    seqs.append(catalog.arbitrary_row(Fraction(1, 3), 14))
+    spec = _rounded_14_pulse_rows()[0].values[0]
+    seqs.append(cli._measurement_sequence(cli.spec_parse(spec)))
+    assert seqs[-1].phases != cli.spec_parse(spec).phases  # polished
+    for seq in seqs:
+        assert _half_length(seq) == len(seq) // 2, seq.label
+
+
+def test_slope_fit_zero_prefix_cache_is_keyed_by_precision():
+    # Z10 starts with three phase-0 pulses, composed once per grid,
+    # precision and count.
+    seq = catalog.to_sequence(catalog.get("Z10"))
+    precise.slope_fit(seq, dps=30)
+    after_30 = precise.slope_fit(seq, dps=50)
+    precise._grid_prefix.cache_clear()
+    precise._grid_trig.cache_clear()
+    precise._slope_grid.cache_clear()
+    assert after_30 == precise.slope_fit(seq, dps=50)
+
+
 def test_pulse_trig_takes_pi_at_the_working_precision():
     # At eps = 0 the half area is exactly mp.pi / 2 at the working
     # precision (rounded to nearest), so its cos is minus the rounding
@@ -221,6 +312,72 @@ def test_pi_pulse_series_cache_is_keyed_by_precision():
         precise._pi_pulse_series.cache_clear()
         fresh = precise._mp_residual(rel, mp.pi, 3)
     assert after_30 == fresh
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_residual_with_leading_zeros_matches_dense_product(n):
+    # The leading zeros come from the cached zero prefix.  Runs of equal
+    # phases make large coefficients: at n = 8 with six or more zeros the
+    # components reach ~4e11, and both sides round at 50 digits, so the
+    # bound is 1e-40 relative to the largest component once that passes 1.
+    rng = random.Random(100 + n)
+    with mp.workdps(precise.WORKING_DPS):
+        for zeros in range(1, n + 1):
+            rel = [mp.mpf(0)] * zeros + [
+                mp.mpf(rng.uniform(0.0, 2 * math.pi)) for _ in range(n - zeros)
+            ]
+            phi = mp.mpf(rng.uniform(0.1, 2 * math.pi))
+            got = precise._mp_residual(rel, phi, n)
+            want = _dense_residual(rel, phi, n)
+            scale = max(1, max(abs(w) for w in want))
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-40 * scale, zeros
+
+
+@pytest.mark.parametrize("zeros", range(0, 5))
+def test_jet_zero_prefix_equals_pulse_by_pulse_composition_bitwise(zeros):
+    rng = random.Random(zeros)
+    with mp.workdps(precise.WORKING_DPS):
+        prec = mp.mp.prec + precise.GUARD_BITS
+        order = 6
+        phases = [mp.mpf(0)] * zeros + [mp.mpf(rng.uniform(0.0, 6.0)) for _ in range(3)]
+        cos_at, sin_at = precise._pi_pulse_series(order, prec)
+        jets = precise._mp_zero_prefix(order, 0, prec)
+        for phase in phases:
+            jets = precise._mp_jet_pulse(
+                jets, precise._rotor(phase, prec), cos_at, sin_at, prec
+            )
+        got = precise._mp_jet_compose(phases, order, prec)
+        assert [list(part) for part in got] == [list(part) for part in jets]
+
+
+def test_jet_zero_prefix_cache_is_keyed_by_precision():
+    rel = [mp.mpf(0), mp.mpf(0), mp.mpf("2.1"), mp.mpf("4.4")]
+    with mp.workdps(30):
+        precise._mp_residual(rel, mp.pi, 4)
+    with mp.workdps(50):
+        after_30 = precise._mp_residual(rel, mp.pi, 4)
+        precise._mp_zero_prefix.cache_clear()
+        precise._pi_pulse_series.cache_clear()
+        fresh = precise._mp_residual(rel, mp.pi, 4)
+    assert after_30 == fresh
+
+
+def test_polish_logs_one_debug_record(caplog):
+    # A rounded 12-pulse row: two pinned zeros and three free phases.
+    row = catalog.arbitrary_row(Fraction(1, 3), 12, refine=False)
+    rel = [float(p) for p in row.phases[1:6]]
+    with mp.workdps(precise.WORKING_DPS):
+        phi = mp.pi / 3
+    with caplog.at_level(logging.DEBUG, logger="cpgate.precise"):
+        precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG and record.name == "cpgate.precise"
+    fields = dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
+    assert int(fields["free"]) == 3
+    assert 0.0 <= float(fields["float_rmax"]) < 1e-6
+    assert int(fields["evals"]) >= 2
+    assert float(fields["rmax"]) < 10.0 ** -precise._POLISH_DIGITS
+    assert float(fields["seconds"]) > 0.0
 
 
 _ORACLE_DPS = 90
