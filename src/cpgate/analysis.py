@@ -4,6 +4,12 @@ estimation, high-fidelity error ranges, and closed-form profiles.
 The closed-form Frobenius infidelity of an order-n train is
 sqrt(2) |sin^(n+1)(pi*eps/2)| |sin(phi/4)| and the trace infidelity is
 its square over 2; sweeps of valid trains must match these pointwise.
+
+The range search reads any train, root or not, through its exact
+propagator polynomial: one ``compose`` call and one FFT per search give
+its coefficients, then a 64-cell grid on [0, 0.9] finds the first cell
+that reaches the threshold and safeguarded Newton refines the crossing
+there.
 """
 
 from __future__ import annotations
@@ -14,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import precise
-from .su2 import CompositeSequence, compose, frobenius_fidelity, target_gate, trace_fidelity
+from .su2 import (
+    CompositeSequence,
+    Su2,
+    compose,
+    frobenius_fidelity,
+    target_gate,
+    trace_fidelity,
+)
 
 
 class AnalysisError(RuntimeError):
@@ -113,19 +126,61 @@ def order_from_slope(slope: float, peak: float) -> int:
 
 _CELLS = 64
 _EPS_MAX = 0.9
-_EPS_TOL = 1e-8
 _MONOTONE_SLACK = 1e-12
+# Cap on the Newton evaluations: bisection alone shrinks a first-grid
+# cell (0.9/64 wide) to adjacent floats in fewer.
+_NEWTON_STEPS = 64
+# Relative step after which one more Newton step would be at rounding level.
+_NEWTON_DONE = math.sqrt(np.finfo(float).eps)
 
 
-def _error_range(infidelity, threshold: float) -> ErrorRange:
-    """First crossing of ``threshold`` by ``infidelity`` (an array map) on
-    [0, _EPS_MAX]: a grid of _CELLS cells, then the first cell that reaches
-    the threshold is regridded until it is at most _EPS_TOL wide.  Flagged
-    when the first grid is not nondecreasing within _MONOTONE_SLACK."""
+def _propagator_polynomial(seq: CompositeSequence):
+    """Evaluator of the train's exact propagator and its eps-derivative.
+
+    With theta = pi(1+eps)/2 every pi pulse is (cos theta, rot sin theta),
+    so the pair (a, b) of an N-pulse train is a Laurent polynomial in
+    e^{i theta} with exponents k = -N, -N+2, ..., N.  This holds for any
+    train.  One ``compose`` call at M = 2N+2 equispaced theta and one FFT
+    give its N+1 coefficients (c_k = fft[k mod M] / M; M > 2N, so no
+    aliasing), and d/deps multiplies c_k by i k pi/2.  The evaluator maps
+    eps (a float or an array) to the rows (a, b, da/deps, db/deps) by one
+    exp(i theta k) outer product and one matmul.
+    """
+    n = len(seq)
+    m = 2 * n + 2
+    # eps = 4j/M - 1 puts theta at 2 pi j / M.
+    samples = compose(seq, 4.0 * np.arange(m) / m - 1.0)
+    k = np.arange(-n, n + 1, 2)
+    coeffs = np.fft.fft(np.stack((samples.a, samples.b)), axis=1)[:, k % m] / m
+    ik = 0.5j * math.pi * k  # i theta k = (1 + eps) ik
+    table = np.concatenate((coeffs, coeffs * ik)).T
+
+    def evaluate(eps):
+        return (np.exp(np.multiply.outer(1.0 + eps, ik)) @ table).T
+
+    return evaluate
+
+
+def _error_range(seq: CompositeSequence, threshold: float, infidelity,
+                 slope) -> ErrorRange:
+    """Crossing of ``threshold`` by the infidelity of ``seq`` in the first
+    cell of a grid on [0, _EPS_MAX] that reaches it.
+
+    ``infidelity`` maps a propagator (an Su2 of arrays or of scalars) to
+    its infidelity; ``slope`` maps (u, du/deps) at one point to the
+    infidelity's eps-derivative.  Both read the train's exact polynomial
+    (``_propagator_polynomial``), built once per call.  A grid of _CELLS
+    cells finds the first cell whose right end reaches the threshold;
+    safeguarded Newton on (infidelity - threshold) refines the crossing in
+    that cell, bisecting whenever a step would leave the bracket.  Flagged
+    when the grid is not nondecreasing within _MONOTONE_SLACK.
+    """
     if not 0.0 < threshold < 0.5:
         raise ValueError("threshold must be in (0, 0.5)")
+    propagator = _propagator_polynomial(seq)
     eps = np.linspace(0.0, _EPS_MAX, _CELLS + 1)
-    vals = infidelity(eps)
+    a, b = propagator(eps)[:2]
+    vals = infidelity(Su2(a, b))
     if vals[0] >= threshold:
         raise AnalysisError(f"infidelity {vals[0]:.3g} at eps = 0 is not below threshold")
     if not np.any(vals >= threshold):
@@ -133,21 +188,45 @@ def _error_range(infidelity, threshold: float) -> ErrorRange:
     flagged = bool(np.any(np.diff(vals) < -_MONOTONE_SLACK))
     k = int(np.argmax(vals >= threshold))
     lo, hi = float(eps[k - 1]), float(eps[k])
-    while hi - lo > _EPS_TOL:
-        eps = np.linspace(lo, hi, _CELLS + 1)
-        # lo is below the threshold and hi reaches it: evaluate the interior.
-        above = np.append(infidelity(eps[1:-1]) >= threshold, True)
-        k = int(np.argmax(above))
-        lo, hi = float(eps[k]), float(eps[k + 1])
-    eps0 = 0.5 * (lo + hi)
-    return ErrorRange(eps0, threshold, 1.0 - eps0, 1.0 + eps0, flagged)
+    # The bracket keeps infidelity(lo) < threshold <= infidelity(hi); the
+    # first iterate is the chord's crossing.
+    x = lo + (hi - lo) * float((threshold - vals[k - 1]) / (vals[k] - vals[k - 1]))
+    for _ in range(_NEWTON_STEPS):
+        a, b, da, db = propagator(x).tolist()
+        u = Su2(a, b)
+        excess = float(infidelity(u)) - threshold
+        if excess < 0.0:
+            lo = x
+        else:
+            hi = x
+        d = slope(u, Su2(da, db))
+        step = excess / d if d else math.inf
+        if not lo <= x - step <= hi:
+            x = 0.5 * (lo + hi)
+            continue
+        x -= step
+        if abs(step) <= _NEWTON_DONE * x:
+            # Newton converges quadratically: after this step the error is
+            # of order step^2, below the rounding of the infidelity.
+            break
+    return ErrorRange(x, threshold, 1.0 - x, 1.0 + x, flagged)
 
 
 def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> ErrorRange:
     """Error half-width keeping the Frobenius infidelity below ``threshold``."""
     target = target_gate(seq.target_phi)
+
+    def slope(u, du):
+        # d/deps sqrt(dist2), dist2 = (|a - fa|^2 + |b|^2) / 2.
+        diff = u.a - target.a
+        dist = math.sqrt(0.5 * (abs(diff) ** 2 + abs(u.b) ** 2))
+        if dist == 0.0:
+            return 0.0
+        return 0.5 * ((diff.conjugate() * du.a).real
+                      + (u.b.conjugate() * du.b).real) / dist
+
     return _error_range(
-        lambda eps: 1.0 - frobenius_fidelity(compose(seq, eps), target), threshold
+        seq, threshold, lambda u: 1.0 - frobenius_fidelity(u, target), slope
     )
 
 
@@ -155,5 +234,6 @@ def trace_range(seq: CompositeSequence, threshold: float = 1e-4) -> ErrorRange:
     """Error half-width keeping the trace infidelity below ``threshold``."""
     target = target_gate(seq.target_phi)
     return _error_range(
-        lambda eps: 1.0 - trace_fidelity(compose(seq, eps), target), threshold
+        seq, threshold, lambda u: 1.0 - trace_fidelity(u, target),
+        lambda u, du: -(du.a * target.a.conjugate()).real,
     )

@@ -2,7 +2,8 @@
 
 All user-facing angles are in units of pi (``--phi 0.5`` means pi/2);
 radians never cross the CLI boundary.  Exit codes: 0 success, 2
-validation error, 3 numerical failure.
+validation error (an allocation too large for memory included), 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -365,6 +366,10 @@ def run(argv=None) -> int:
         return args.func(args)
     except (CliError, catalog.CatalogError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # An oversized request (--steps, --seeds) that numpy cannot allocate.
+        print(f"error: request too large: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (solver.SolverError, analysis.AnalysisError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

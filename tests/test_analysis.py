@@ -27,7 +27,13 @@ from cpgate.sequences import (
     structured_sequence,
     two_pulse,
 )
-from cpgate.su2 import compose, frobenius_fidelity, target_gate, trace_fidelity
+from cpgate.su2 import (
+    CompositeSequence,
+    compose,
+    frobenius_fidelity,
+    target_gate,
+    trace_fidelity,
+)
 
 
 def _cat(name):
@@ -306,3 +312,113 @@ def test_range_of_a_train_missing_its_gate_raises():
     seq = spec_parse("phi=1.46;phases=0.0,0.56,0.27,0.83")
     with pytest.raises(AnalysisError, match="eps = 0"):
         high_fidelity_range(seq, threshold=0.2)
+
+
+def _interpolant_error(seq, eps):
+    # Largest deviation of the exact-polynomial (a, b) from compose's.
+    a, b = analysis._propagator_polynomial(seq)(eps)[:2]
+    u = compose(seq, eps)
+    return max(np.max(np.abs(a - u.a)), np.max(np.abs(b - u.b)))
+
+
+@given(
+    phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=18),
+    phi=st.floats(0.0, 2 * math.pi),
+    eps=st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_interpolant_is_compose_on_arbitrary_trains(phases, phi, eps):
+    # Any train, root or not, odd lengths included, is a trigonometric
+    # polynomial of degree N in the pulse area.
+    seq = CompositeSequence(tuple(phases), phi, 0)
+    eps = np.array(eps)
+    assert _interpolant_error(seq, eps) <= 1e-14
+    # The derivative rows against a central difference of compose.
+    h = 1e-6
+    da, db = analysis._propagator_polynomial(seq)(eps)[2:]
+    up, down = compose(seq, eps + h), compose(seq, eps - h)
+    assert np.max(np.abs(da - (up.a - down.a) / (2 * h))) <= 1e-7
+    assert np.max(np.abs(db - (up.b - down.b) / (2 * h))) <= 1e-7
+
+
+def test_interpolant_is_compose_on_every_verify_train():
+    eps = np.linspace(-0.9, 0.9, 801)
+    for seq in _verify_trains():
+        assert _interpolant_error(seq, eps) <= 1e-14, seq.label
+
+
+def _reference_error_range(seq, infidelity, threshold):
+    # The range search before the exact polynomial: the first grid of 64
+    # cells, then the first cell that reaches the threshold regridded into
+    # 64 until it is at most 1e-8 wide; epsilon0 is its midpoint.
+    target = target_gate(seq.target_phi)
+
+    def curve(eps):
+        return 1.0 - infidelity(compose(seq, eps), target)
+
+    eps = np.linspace(0.0, 0.9, 65)
+    vals = curve(eps)
+    flagged = bool(np.any(np.diff(vals) < -1e-12))
+    k = int(np.argmax(vals >= threshold))
+    assert vals[0] < threshold <= vals[k]
+    lo, hi = float(eps[k - 1]), float(eps[k])
+    while hi - lo > 1e-8:
+        eps = np.linspace(lo, hi, 65)
+        above = np.append(curve(eps[1:-1]) >= threshold, True)
+        k = int(np.argmax(above))
+        lo, hi = float(eps[k]), float(eps[k + 1])
+    return 0.5 * (lo + hi), flagged
+
+
+def _assert_matches_the_reference(seq, threshold=1e-4):
+    for search, fidelity in ((high_fidelity_range, frobenius_fidelity),
+                             (trace_range, trace_fidelity)):
+        rng = search(seq, threshold)
+        eps0, flagged = _reference_error_range(seq, fidelity, threshold)
+        assert abs(rng.epsilon0 - eps0) <= 1e-9, (seq.label, search.__name__)
+        assert rng.flagged == flagged, (seq.label, search.__name__)
+
+
+def test_range_matches_the_regrid_reference_on_every_verify_train():
+    for seq in _verify_trains():
+        _assert_matches_the_reference(seq)
+
+
+def test_range_matches_the_regrid_reference_on_the_builders():
+    rng = np.random.default_rng(14)
+    for _ in range(6):
+        phi = rng.uniform(0.05, 1.95) * math.pi
+        _assert_matches_the_reference(two_pulse(phi))
+        for build, variants in ((four_pulse, 4), (six_pulse, 4), (eight_pulse, 6)):
+            _assert_matches_the_reference(build(phi, int(rng.integers(1, variants + 1))))
+
+
+@pytest.mark.parametrize("threshold", [1e-4, 0.2])
+def test_range_matches_the_regrid_reference_on_a_non_monotone_profile(threshold):
+    _assert_matches_the_reference(
+        spec_parse("phi=1.67;phases=0.0,0.49,0.65,0.165,0.655,0.815"), threshold
+    )
+
+
+def test_range_newton_takes_few_evaluations(monkeypatch):
+    # Bisection alone would take ~40 evaluations to shrink a first-grid
+    # cell to rounding noise; Newton's derivative keeps it to a handful
+    # (at most 6 on these trains).
+    build = analysis._propagator_polynomial
+    points = []
+
+    def counting(seq):
+        evaluate = build(seq)
+
+        def wrapped(eps):
+            points.append(np.ndim(eps) == 0)
+            return evaluate(eps)
+
+        return wrapped
+
+    monkeypatch.setattr(analysis, "_propagator_polynomial", counting)
+    for seq in _verify_trains():
+        for search in (high_fidelity_range, trace_range):
+            points.clear()
+            search(seq)
+            assert sum(points) <= 10, (seq.label, search.__name__)

@@ -398,6 +398,23 @@ def test_os_errors_are_validation_errors(argv, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--gate", "Z4", "--steps", str(10**15)],
+        ["solve", "--order", "2", "--phi", "0.5", "--seeds", str(10**15)],
+    ],
+    ids=["sweep-steps", "solve-seeds"],
+)
+def test_oversized_request_is_validation_error(argv, capsys):
+    # numpy refuses the petabyte arrays before allocating anything.
+    assert run(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_negative_measured_order_is_numerical_error(capsys):
     # An uncompensated 6-pulse train misses the gate even at zero error.
     rc = run(["verify", "--gate", "phi=1;phases=0,0.3,0.7,0.1,0.2,0.9"])
