@@ -168,6 +168,8 @@ _BUILDERS = {4: sequences.four_pulse, 6: sequences.six_pulse, 8: sequences.eight
 
 def _cmd_build(args) -> int:
     phi = args.phi * PI
+    if args.pulses not in _BUILDERS and args.variant != 1:
+        raise CliError(f"{args.pulses} pulses have one train: --variant must be 1")
     if args.pulses == 2:
         seq = sequences.two_pulse(phi)
     elif args.pulses in _BUILDERS:
@@ -319,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=_finite, required=True, help="gate angle, units of pi")
     p.add_argument("--pulses", type=int, required=True,
                    choices=[2, 4, 6, 8, 10, 12, 14])
-    p.add_argument("--variant", type=int, default=1)
+    p.add_argument("--variant", type=int, default=1,
+                   help="which 4-, 6- or 8-pulse train; other lengths have one")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("sweep", help="fidelity sweep to CSV")

@@ -24,19 +24,35 @@ with a 90-digit evaluation to ~1e-51, the rounding of its own result.
 
 ``slope_fit`` runs the same pulse loop (``_pulse_loop``), with the
 cos/sin of the half area at its grid's epsilons cached per (grid,
-precision), and also takes the Frobenius gate distance in fixed point,
-rounding each distance to mpf once.  It takes logs of infidelities of at
+precision), and also takes the squared Frobenius gate distance in fixed
+point, one integer per point.  It takes logs of infidelities of at
 least ~1e-26 for the trains it measures (order 8 at eps = 1e-3), so an
 error of ~1e-51 in a propagator entry moves a log by ~1e-25, ten decades
-below the spacing of doubles.  Its float logs, and the slope and peak
-fitted from them, therefore come out bit-identical to plain mpf object
+below the spacing of doubles.  A train of an even number of pi pulses
+has an infidelity that is even in eps (see ``mp_propagator``);
+``slope_fit`` then evaluates only the positive half of its grid, where
+an odd-length train is averaged over both signs.  The two signs agree to
+~1e-51, so the one-sign fit is bit-identical to the two-sign average
+under the proviso below.  On the one-sign path the infidelity is the
+distance itself, so its log is half the log of the squared distance,
+and the reported peak is the root of the largest square: one sqrt per
+fit in place of one per point, with the same peak, since rounding is
+monotone.  Only the double of each log is kept, so every log runs at 96
+bits, a double's 53 and 43 guard bits (``_LOG_BITS``), not at the
+working 169 (at 50 digits): rounding the squared distance to 96 bits
+and taking its log at 96 bits puts the result within ~2^-89 of the
+exact log, so it rounds to the same double unless the exact log lies
+within ~2^-43 units in the last place of a rounding boundary; halving a
+double is exact.  The line is fitted by the
+``lstsq`` call ``np.polyfit`` makes, on the scaled Vandermonde matrix of
+the log grid built once per grid (``_line_design``), so the slope is
+polyfit's bit for bit.  The float logs, and the slope and peak fitted
+from them, therefore come out bit-identical to plain mpf object
 arithmetic, barring a value that falls within 1e-25 of a rounding
-boundary (none of the 111 benchmark trains does).  A train of an even
-number of pi pulses has an infidelity that is even in eps (see
-``mp_propagator``); ``slope_fit`` then evaluates only the positive half
-of its grid, where an odd-length train is averaged over both signs.  The
-two signs agree to ~1e-51, so the one-sign fit is bit-identical to the
-two-sign average under the same proviso.
+boundary or a log within ~2^-43 units in the last place of one.  None of 342 checks does: the
+111 benchmark trains and 60 random float trains of odd and even length,
+each at 50 and 30 digits; the tests check the 27 names and the 84
+rounded rows against the mpc reference.
 
 Every catalog name, table row and polished inline spec is a two-half
 train, built by ``sequences.structured_sequence``: a half H followed by H
@@ -63,6 +79,16 @@ trains at 50 digits; 82 begin with 2-4 phase-0 pulses) this took
 (CPU time, best of 5 alternated processes of 7 passes, 2 shared cores,
 Python 3.11.7, mpmath 1.3.0 on its Python backend), with the slope and
 peak of every train bit-identical.
+
+The polish (``polish_structured``) runs the float Newton of ``solver``,
+which returns the free-column Jacobian at the point it converged to, and
+reuses it for every 50-digit step instead of evaluating it again there;
+the gate's cos/sin of phi/2 is taken once per polish and handed to each
+50-digit residual (``_mp_residual``), ~3.4 per polish of a rounded table
+row.  With the slope-fit cuts above, this took ``slope_fit`` from 0.64
+to 0.47 ms per train and ``polish_structured`` from 1.40 to 1.33 ms per
+rounded row (CPU time, best of 7 alternated processes of 7 passes, same
+machine), with every polished phase and fit bit-identical.
 """
 
 from __future__ import annotations
@@ -80,7 +106,6 @@ from mpmath.libmp import (
     fzero,
     mpf_add,
     mpf_cos_sin,
-    mpf_gt,
     mpf_log,
     mpf_mul,
     mpf_pi,
@@ -99,6 +124,8 @@ _log = logging.getLogger("cpgate.precise")
 WORKING_DPS = 50
 # Fractional bits of the fixed-point loops beyond the working precision.
 GUARD_BITS = 16
+# Bits of the logs in ``slope_fit``: a double's 53 and 43 guard bits.
+_LOG_BITS = 53 + 43
 # Residual max-norm 10^-_POLISH_DIGITS that ends ``polish_structured``.
 _POLISH_DIGITS = WORKING_DPS - 8
 
@@ -107,6 +134,11 @@ def _cos_sin_fixed(x, prec):
     """cos and sin of the raw mpf ``x`` as fixed-point integers at 2^prec."""
     c, s = mpf_cos_sin(x, prec)
     return to_fixed(c, prec), to_fixed(s, prec)
+
+
+def _half_angle_trig(phi, prec):
+    """cos and sin of ``phi`` / 2 as fixed-point integers at 2^prec."""
+    return _cos_sin_fixed(mpf_shift(mp.mpf(phi)._mpf_, -1), prec)
 
 
 def _rotor(phase, prec):
@@ -248,6 +280,22 @@ def _grid_prefix(eps_lo, eps_hi, points, wp, count):
     )
 
 
+@lru_cache(maxsize=8)
+def _line_design(logs):
+    """(lhs, scale, rcond) of ``np.polyfit(logs, y, 1)``: the Vandermonde
+    matrix of the log grid ``logs`` with its columns scaled to unit norm,
+    the scales and the default cutoff.  ``slope_fit`` passes them to the
+    same ``lstsq`` call polyfit makes, so its slope is polyfit's, bit for
+    bit, without rebuilding the matrix for every train."""
+    x = np.array(logs)
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    lhs.flags.writeable = False
+    scale.flags.writeable = False
+    return lhs, scale, len(x) * np.finfo(x.dtype).eps
+
+
 def slope_fit(seq: CompositeSequence, eps_lo=1e-3, eps_hi=1e-2, points=20,
               dps=50) -> tuple[float, float]:
     """Least-squares slope of log-infidelity vs log-error.
@@ -273,39 +321,61 @@ def slope_fit(seq: CompositeSequence, eps_lo=1e-3, eps_hi=1e-2, points=20,
         _, grid_logs = _slope_grid(eps_lo, eps_hi, points, wp)
         # The gate (fa, 0), fa = e^{-i phi/2} = fc - i fs; the shift of the
         # second half is e^{i(pi - phi/2)} = -fc + i fs.
-        fc, fs = _cos_sin_fixed(mpf_shift(mp.mpf(seq.target_phi)._mpf_, -1), prec)
-        signs = (0,) if len(seq) % 2 == 0 else (0, 1)
-        logs = []
-        vals = []
-        peak = fzero
-        for i, log_eps in enumerate(grid_logs):
-            dists = []
-            for sign in signs:
-                k = 2 * i + sign
-                ar, ai, br, bi = _pulse_loop(rotors, *trig[k], prec, starts[k])
-                if half:
-                    ar, ai, br, bi = _two_half(ar, ai, br, bi, -fc, fs, prec)
-                # sqrt((|a - fa|^2 + |b|^2) / 2), the Frobenius distance.
-                total = (ar - fc) ** 2 + (ai + fs) ** 2 + br * br + bi * bi
-                half_dist = from_man_exp(total, -2 * prec - 1, wp, round_nearest)
-                dists.append(mpf_sqrt(half_dist, wp))
-            infid = dists[0] if len(dists) == 1 else mpf_shift(mpf_add(*dists, wp), -1)
-            if mpf_gt(infid, peak):
-                peak = infid
-            if infid != fzero:
-                logs.append(log_eps)
-                vals.append(to_float(mpf_log(infid, wp), rnd=round_nearest))
-        peak = to_float(peak, rnd=round_nearest)
-        if len(logs) < 2:
+        fc, fs = _half_angle_trig(seq.target_phi, prec)
+        even = len(seq) % 2 == 0
+        # (|a - fa|^2 + |b|^2) / 2, the squared Frobenius distance, is the
+        # integer total times 2^shift; one total per signed epsilon, or per
+        # positive one when the infidelity is even in eps.
+        shift = -2 * prec - 1
+        totals = []
+        for k in range(0, len(trig), 2 if even else 1):
+            ar, ai, br, bi = _pulse_loop(rotors, *trig[k], prec, starts[k])
+            if half:
+                ar, ai, br, bi = _two_half(ar, ai, br, bi, -fc, fs, prec)
+            totals.append((ar - fc) ** 2 + (ai + fs) ** 2 + br * br + bi * bi)
+        # Only the double of each log is kept, so it is taken at 53 + 43
+        # bits (or the working precision, if lower).
+        log_prec = min(wp, _LOG_BITS)
+        if even:
+            # The infidelity is the distance itself: its log is half the
+            # log of the square, and the peak is the root of the largest
+            # square (rounding is monotone).
+            peak = to_float(mpf_sqrt(
+                from_man_exp(max(totals), shift, wp, round_nearest), wp
+            ), rnd=round_nearest)
+            fit = [
+                (log_eps, 0.5 * to_float(mpf_log(
+                    from_man_exp(t, shift, log_prec, round_nearest), log_prec
+                ), rnd=round_nearest))
+                for log_eps, t in zip(grid_logs, totals) if t
+            ]
+        else:
+            dists = [
+                mpf_sqrt(from_man_exp(t, shift, wp, round_nearest), wp) for t in totals
+            ]
+            infids = [
+                mpf_shift(mpf_add(plus, minus, wp), -1)
+                for plus, minus in zip(dists[::2], dists[1::2])
+            ]
+            peak = max(to_float(v, rnd=round_nearest) for v in infids)
+            fit = [
+                (log_eps, to_float(mpf_log(v, log_prec), rnd=round_nearest))
+                for log_eps, v in zip(grid_logs, infids) if v != fzero
+            ]
+        if len(fit) < 2:
             return math.nan, peak
-        return float(np.polyfit(np.array(logs), np.array(vals), 1)[0]), peak
+        logs, vals = zip(*fit)
+        lhs, scale, rcond = _line_design(logs)
+        coef = np.linalg.lstsq(lhs, np.array(vals), rcond)[0]
+        return float(coef[0] / scale[0]), peak
 
 
 def polish_structured(rel_phases, phi, pinned=None):
     """Newton-polish structured relative phases to ``WORKING_DPS`` digits.
 
-    ``phi`` may be an mpf (kept exact); the float Jacobian is computed
-    once, which is enough for fast linear convergence near the root.
+    ``phi`` may be an mpf (kept exact); the float Jacobian that the float
+    Newton returns at its root serves every 50-digit step, which is
+    enough for fast linear convergence near the root.
     Returns mpf phases with residual max-norm below 10^-_POLISH_DIGITS.
     Logs one DEBUG record under ``cpgate.precise``: the free-phase count,
     the residual max-norm after the float stage, the number of 50-digit
@@ -321,7 +391,7 @@ def polish_structured(rel_phases, phi, pinned=None):
         # stage finishes the convergence anyway.
         n_rel = len(x_float)
         float_tol = 1e-11 * max(1.0, math.factorial(n_rel))
-        x_float, float_rmax, ok = solver._newton(
+        x_float, float_rmax, ok, jac = solver._newton(
             x_float, float(phi_mp), tol=float_tol, max_iter=60, pinned=pinned
         )
         if not ok:
@@ -334,12 +404,12 @@ def polish_structured(rel_phases, phi, pinned=None):
             if pinned is None
             else np.flatnonzero(~np.asarray(pinned, dtype=bool))
         )
-        jac = solver._jacobian(x_float, float(phi_mp), free)
         jac_pinv = np.linalg.pinv(jac, rcond=solver._RCOND)
+        gate = _half_angle_trig(phi_mp, mp.mp.prec + GUARD_BITS)
         x = [mp.mpf(v) for v in x_float]
         tol = mp.mpf(10) ** (-_POLISH_DIGITS)
         for evals in range(1, WORKING_DPS + 1):
-            r = _mp_residual(x, phi_mp, n)
+            r = _mp_residual(x, gate, n)
             rmax = max(abs(v) for v in r)
             if rmax < tol:
                 break
@@ -355,16 +425,18 @@ def polish_structured(rel_phases, phi, pinned=None):
         return x
 
 
-def _mp_residual(rel_phases, phi_mp, n):
+def _mp_residual(rel_phases, gate, n):
     # The full train is the half-train H followed by H with every phase
     # shifted by pi - phi/2, i.e. (a, rot * b) with rot = e^{i(pi - phi/2)}
-    # = -cos(phi/2) + i sin(phi/2).  Its pair is a*a - rot * (b*conj(b)),
-    # a*b + rot * (b*conj(a)); residual m reads the a entry at even m and
-    # the b entry at odd m.  b*conj(b) has real coefficients: its
-    # imaginary parts cancel pairwise, exactly in integers too.
+    # = -cos(phi/2) + i sin(phi/2), ``gate`` being that cos and sin from
+    # ``_half_angle_trig`` at the working precision.  Its pair is
+    # a*a - rot * (b*conj(b)), a*b + rot * (b*conj(a)); residual m reads
+    # the a entry at even m and the b entry at odd m.  b*conj(b) has real
+    # coefficients: its imaginary parts cancel pairwise, exactly in
+    # integers too.
     prec = mp.mp.prec + GUARD_BITS
     ar, ai, br, bi = _mp_jet_compose([mp.mpf(0)] + list(rel_phases), n, prec)
-    c, s = _cos_sin_fixed(mpf_shift(mp.mpf(phi_mp)._mpf_, -1), prec)
+    c, s = gate
     rot_r, rot_i = -c, s
     out = []
     fact = 1

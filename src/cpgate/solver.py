@@ -155,12 +155,14 @@ def _newton_batch(
     tol: float,
     max_iter: int,
     pinned=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped least-squares Newton on each row of ``x0`` (B, n) at once.
 
-    Returns the rows, their residual max-norms and whether each converged.
-    Every row follows its own iteration exactly as if it were alone: rows
-    that converge or fail leave the batch, the rest go on.
+    Returns the rows, their residual max-norms, whether each converged and
+    the Jacobian (B, 2n, F) of each row's residual in its F free phases at
+    the returned row.  Every row follows its own iteration exactly as if
+    it were alone: rows that converge or fail leave the batch, the rest
+    go on.
     """
     x = np.array(x0, dtype=float)
     batch, n = x.shape
@@ -171,22 +173,25 @@ def _newton_batch(
         if pinned is None
         else np.flatnonzero(~np.asarray(pinned, dtype=bool))
     )
+    jac_out = np.empty((batch, 2 * n, len(free)))
     if len(free) == 0:
         rmax = np.max(np.abs(_residuals(x, phi)), axis=1, initial=0.0)
-        return x, rmax, rmax < tol
+        return x, rmax, rmax < tol, jac_out
+    wrt = tuple(free.tolist())
     rmax = np.full(batch, math.inf)
     ok = np.zeros(batch, dtype=bool)
     live = np.arange(batch)
     # Residual rows and Jacobians (in the free phases) at x[live].
-    r, jac = _residuals(x, phi, jacobian=free)
+    r, jac = _residuals(x, phi, jacobian=wrt)
     for _ in range(max_iter):
         rmax[live] = np.abs(r).max(axis=1)
         done = rmax[live] < tol
         if done.any():
             ok[live[done]] = True
+            jac_out[live[done]] = jac[done]
             live, r, jac = live[~done], r[~done], jac[~done]
             if not live.size:
-                return x, rmax, ok
+                return x, rmax, ok, jac_out
         wr = w * r
         step = -(np.linalg.pinv(w[:, None] * jac, rcond=_RCOND) @ wr[:, :, None])[:, :, 0]
         # Backtracking on the scaled residual norm; arcsin-flavored roots
@@ -198,7 +203,8 @@ def _newton_batch(
         norm0 = np.linalg.norm(wr, axis=1)
         trial = x[live]
         trial[:, free] += step
-        r, jac = _residuals(trial, phi, jacobian=free)
+        jac_at_x = jac
+        r, jac = _residuals(trial, phi, jacobian=wrt)
         full = np.linalg.norm(w * r, axis=1) < norm0
         x[live[full]] = trial[full]
         if full.all():
@@ -220,14 +226,16 @@ def _newton_batch(
             todo = todo[~hit]
         halved = np.flatnonzero(moved & ~full)
         if halved.size:
-            r[halved], jac[halved] = _residuals(x[live[halved]], phi, jacobian=free)
+            r[halved], jac[halved] = _residuals(x[live[halved]], phi, jacobian=wrt)
         # A row whose every halving failed stops where it is.
+        jac_out[live[~moved]] = jac_at_x[~moved]
         live, r, jac = live[moved], r[moved], jac[moved]
         if not live.size:
-            return x, rmax, ok
+            return x, rmax, ok, jac_out
     rmax[live] = np.abs(r).max(axis=1)
     ok[live] = rmax[live] < tol
-    return x, rmax, ok
+    jac_out[live] = jac
+    return x, rmax, ok, jac_out
 
 
 def _newton(
@@ -236,16 +244,18 @@ def _newton(
     tol: float,
     max_iter: int,
     pinned: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, bool]:
+) -> tuple[np.ndarray, float, bool, np.ndarray]:
     """Damped least-squares Newton; pinned coordinates never move.
 
     The pseudo-inverse cutoff keeps steps out of the root manifold's
     tangent directions, so near-roots are polished in place instead of
-    drifting along the manifold.
+    drifting along the manifold.  Returns the phases, their residual
+    max-norm, whether they converged and the Jacobian (2n, F) in the F
+    free phases at the returned phases.
     """
     x0 = np.asarray(phases, dtype=float)[None, :]
-    x, rmax, ok = _newton_batch(x0, phi, tol, max_iter, pinned)
-    return x[0], float(rmax[0]), bool(ok[0])
+    x, rmax, ok, jac = _newton_batch(x0, phi, tol, max_iter, pinned)
+    return x[0], float(rmax[0]), bool(ok[0]), jac[0]
 
 
 def pinned_zero_count(n: int) -> int:
@@ -280,7 +290,7 @@ def transport(phases, phi: float, leading) -> np.ndarray:
         lam_next = min(1.0, lam + dlam)
         trial = x.copy()
         trial[:npin] = start + (leading - start) * lam_next
-        trial, rmax, ok = _newton(trial, phi, _TOL, 40, pinned)
+        trial, rmax, ok, _ = _newton(trial, phi, _TOL, 40, pinned)
         if ok:
             x, lam = trial, lam_next
             if lam >= 1.0:
@@ -346,7 +356,7 @@ def solve(config: SolverConfig) -> list[Solution]:
     pinned = np.arange(config.n) < pinned_zero_count(config.n)
     seeds[:, pinned] = 0.0
     start = time.perf_counter()
-    x, rmax, converged = _newton_batch(seeds, config.phi, _TOL, _MAX_ITER, pinned)
+    x, rmax, converged, _ = _newton_batch(seeds, config.phi, _TOL, _MAX_ITER, pinned)
     newton_s = time.perf_counter() - start
     ok = converged & _hits_target(x, config.phi)
     roots = x % TWO_PI

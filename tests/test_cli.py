@@ -176,6 +176,16 @@ def test_build_four_pulse(capsys):
     assert "spec: phi=0.5;phases=" in out
 
 
+@pytest.mark.parametrize("pulses", ["2", "10", "12", "14"])
+def test_build_rejects_a_variant_for_a_length_without_variants(pulses, capsys):
+    args = ["build", "--phi", "0.5", "--pulses", pulses]
+    assert run(args + ["--variant", "2"]) == EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--variant must be 1" in out.err
+    assert run(args + ["--variant", "1"]) == 0
+
+
 def test_build_compact_row(capsys):
     assert run(["build", "--phi", "1", "--pulses", "12"]) == 0
     out = capsys.readouterr().out

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import to_fixed
 
-from cpgate import analysis, catalog, cli, precise
+from cpgate import analysis, catalog, cli, precise, solver
+from cpgate.jets import structured_jets
 from cpgate.sequences import HalfSequenceSpec, six_pulse, structured_sequence
 from cpgate.su2 import CompositeSequence
 
@@ -156,24 +157,44 @@ def test_slope_fit_averages_both_signs_when_not_even_in_epsilon(name):
     assert precise.slope_fit(seq) == _reference_slope_fit(seq)
 
 
-def _rounded_14_pulse_rows():
+def _rounded_row_specs(pulses):
+    # The 14 table rows of one train length, rounded, as 17-digit specs.
     specs = []
     for row in catalog.arbitrary_rows():
-        seq = catalog.arbitrary_row(row.phi_over_pi, 14, refine=False)
-        specs.append(pytest.param(
+        seq = catalog.arbitrary_row(row.phi_over_pi, pulses, refine=False)
+        specs.append((
+            row.phi_over_pi,
             f"phi={float(row.phi_over_pi):.17g};phases="
             + ",".join(f"{float(p) / math.pi:.17g}" for p in seq.phases),
-            id=str(row.phi_over_pi),
         ))
     assert len(specs) == 14
     return specs
 
 
-@pytest.mark.parametrize("spec", _rounded_14_pulse_rows())
-def test_slope_fit_equals_the_per_epsilon_loop_bitwise_on_rounded_rows(spec):
+def _assert_slope_fit_is_the_reference_on_a_rounded_row(spec):
     seq = cli._measurement_sequence(cli.spec_parse(spec))
+    assert seq.phases != cli.spec_parse(spec).phases  # polished
     assert len(seq) % 2 == 0  # the one-sign path
     assert precise.slope_fit(seq) == _reference_slope_fit(seq)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(spec, id=str(frac)) for frac, spec in _rounded_row_specs(14)
+])
+def test_slope_fit_equals_the_per_epsilon_loop_bitwise_on_rounded_rows(spec):
+    _assert_slope_fit_is_the_reference_on_a_rounded_row(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(spec, id=f"{pulses}p-{frac}")
+    for pulses in (4, 6, 8, 10, 12)
+    for frac, spec in _rounded_row_specs(pulses)
+])
+def test_slope_fit_equals_the_per_epsilon_loop_bitwise_on_shorter_rounded_rows(spec):
+    # The other five columns of the table: with the 14-pulse column above,
+    # every rounded row of the verify path, each train length's logs
+    # checked bit for bit against the mpc reference.
+    _assert_slope_fit_is_the_reference_on_a_rounded_row(spec)
 
 
 def test_slope_fit_trig_cache_is_keyed_by_precision():
@@ -256,7 +277,7 @@ def test_structured_trains_of_the_verify_path_take_the_half_loop():
     # Catalog names, polished table rows and polished inline specs.
     seqs = [catalog.to_sequence(catalog.get(n)) for n in catalog.names()]
     seqs.append(catalog.arbitrary_row(Fraction(1, 3), 14))
-    spec = _rounded_14_pulse_rows()[0].values[0]
+    _, spec = _rounded_row_specs(14)[0]
     seqs.append(cli._measurement_sequence(cli.spec_parse(spec)))
     assert seqs[-1].phases != cli.spec_parse(spec).phases  # polished
     for seq in seqs:
@@ -291,6 +312,13 @@ def test_pulse_trig_takes_pi_at_the_working_precision():
         assert abs(s - want_s) <= 1
 
 
+def _mp_residual(rel, phi, n):
+    # The polish residual with the gate's cos/sin of phi / 2 taken at the
+    # working precision, the way polish_structured hands them over.
+    gate = precise._half_angle_trig(phi, mp.mp.prec + precise.GUARD_BITS)
+    return precise._mp_residual(rel, gate, n)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cached_series_residual_matches_dense_product(n):
     rng = random.Random(n)
@@ -298,7 +326,7 @@ def test_cached_series_residual_matches_dense_product(n):
         for _ in range(3):
             rel = [mp.mpf(rng.uniform(0.0, 2 * math.pi)) for _ in range(n)]
             phi = mp.mpf(rng.uniform(0.1, 2 * math.pi))
-            got = precise._mp_residual(rel, phi, n)
+            got = _mp_residual(rel, phi, n)
             want = _dense_residual(rel, phi, n)
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-40
 
@@ -306,11 +334,11 @@ def test_cached_series_residual_matches_dense_product(n):
 def test_pi_pulse_series_cache_is_keyed_by_precision():
     rel = [mp.mpf("0.3"), mp.mpf("2.1"), mp.mpf("4.4")]
     with mp.workdps(30):
-        precise._mp_residual(rel, mp.pi, 3)
+        _mp_residual(rel, mp.pi, 3)
     with mp.workdps(50):
-        after_30 = precise._mp_residual(rel, mp.pi, 3)
+        after_30 = _mp_residual(rel, mp.pi, 3)
         precise._pi_pulse_series.cache_clear()
-        fresh = precise._mp_residual(rel, mp.pi, 3)
+        fresh = _mp_residual(rel, mp.pi, 3)
     assert after_30 == fresh
 
 
@@ -327,7 +355,7 @@ def test_residual_with_leading_zeros_matches_dense_product(n):
                 mp.mpf(rng.uniform(0.0, 2 * math.pi)) for _ in range(n - zeros)
             ]
             phi = mp.mpf(rng.uniform(0.1, 2 * math.pi))
-            got = precise._mp_residual(rel, phi, n)
+            got = _mp_residual(rel, phi, n)
             want = _dense_residual(rel, phi, n)
             scale = max(1, max(abs(w) for w in want))
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-40 * scale, zeros
@@ -353,12 +381,12 @@ def test_jet_zero_prefix_equals_pulse_by_pulse_composition_bitwise(zeros):
 def test_jet_zero_prefix_cache_is_keyed_by_precision():
     rel = [mp.mpf(0), mp.mpf(0), mp.mpf("2.1"), mp.mpf("4.4")]
     with mp.workdps(30):
-        precise._mp_residual(rel, mp.pi, 4)
+        _mp_residual(rel, mp.pi, 4)
     with mp.workdps(50):
-        after_30 = precise._mp_residual(rel, mp.pi, 4)
+        after_30 = _mp_residual(rel, mp.pi, 4)
         precise._mp_zero_prefix.cache_clear()
         precise._pi_pulse_series.cache_clear()
-        fresh = precise._mp_residual(rel, mp.pi, 4)
+        fresh = _mp_residual(rel, mp.pi, 4)
     assert after_30 == fresh
 
 
@@ -378,6 +406,27 @@ def test_polish_logs_one_debug_record(caplog):
     assert int(fields["evals"]) >= 2
     assert float(fields["rmax"]) < 10.0 ** -precise._POLISH_DIGITS
     assert float(fields["seconds"]) > 0.0
+
+
+def test_polish_evaluates_the_float_jacobian_once_at_its_converged_point(monkeypatch):
+    # A rounded 14-pulse row: the float Newton returns the Jacobian it
+    # evaluated at its last point, and the 50-digit stage reuses it.
+    row = catalog.arbitrary_row(Fraction(1, 3), 14, refine=False)
+    rel = [float(p) for p in row.phases[1:7]]
+    with mp.workdps(precise.WORKING_DPS):
+        phi = mp.pi / 3
+    points = []
+
+    def counted(x, phi, order, jacobian=False):
+        if jacobian is not False:
+            points.extend(np.array(x, dtype=float))
+        return structured_jets(x, phi, order, jacobian)
+
+    monkeypatch.setattr(solver, "structured_jets", counted)
+    precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
+    converged = points[-1]
+    assert sum(np.array_equal(x, converged) for x in points) == 1
+    assert len(points) > 1  # the rounded row took Newton steps
 
 
 _ORACLE_DPS = 90

@@ -78,7 +78,7 @@ def test_canonicalize_moves_leading_phase_along_root_set():
     # canonicalization is the right entry point.
     phi = math.pi
     seeds = np.random.default_rng(3).uniform(0.0, TWO_PI, size=(8, 2))
-    x, _, ok = solver._newton_batch(seeds, phi, 1e-12, 200)
+    x, _, ok, _ = solver._newton_batch(seeds, phi, 1e-12, 200)
     start = x[np.flatnonzero(ok & solver._hits_target(x, phi))[0]]
     assert not _circ_close([start[0]], [0.0], 1e-3)
     moved = canonicalize(start, phi)
@@ -211,15 +211,15 @@ def test_batched_newton_root_does_not_depend_on_batch_companions():
     rng = np.random.default_rng(11)
     phi = 2 * math.pi / 3
     seeds = rng.uniform(0.0, TWO_PI, size=(16, 4))
-    x, _, ok = solver._newton_batch(seeds, phi, 1e-12, 200)
+    x, _, ok, _ = solver._newton_batch(seeds, phi, 1e-12, 200)
     assert ok.sum() >= 8
     # Same seeds, reversed, next to eight seeds the first batch did not have.
     others = rng.uniform(0.0, TWO_PI, size=(8, 4))
-    y, _, ok_y = solver._newton_batch(np.vstack([seeds[::-1], others]), phi, 1e-12, 200)
+    y, _, ok_y, _ = solver._newton_batch(np.vstack([seeds[::-1], others]), phi, 1e-12, 200)
     assert np.array_equal(ok, ok_y[:16][::-1])
     assert np.max(np.abs(x[ok] - y[:16][::-1][ok])) <= 1e-12
     for k in np.flatnonzero(ok)[:4]:
-        alone, _, converged = solver._newton(seeds[k], phi, 1e-12, 200)
+        alone, _, converged, _ = solver._newton(seeds[k], phi, 1e-12, 200)
         assert converged
         assert np.max(np.abs(alone - x[k])) <= 1e-12
 
@@ -354,6 +354,13 @@ def test_newton_batch_matches_the_reference_loop(n, mask, batch):
         finite = np.isfinite(r)
         assert np.array_equal(finite, np.isfinite(g))
         assert np.max(np.abs(g[finite] - r[finite]), initial=0.0) <= 1e-12
+    # The Jacobian returned with each row, whichever way the row left the
+    # loop, is the one at the row returned.
+    free = np.arange(n) if pinned is None else np.flatnonzero(~pinned)
+    want_jac = np.array([solver._jacobian(row, phi, free) for row in got[0]])
+    assert got[3].shape == (batch, 2 * n, len(free))
+    scale = max(1.0, np.max(np.abs(want_jac), initial=0.0))
+    assert np.max(np.abs(got[3] - want_jac), initial=0.0) <= 1e-12 * scale
 
 
 def test_newton_full_steps_make_one_jets_call_per_iteration(monkeypatch):
@@ -370,7 +377,7 @@ def test_newton_full_steps_make_one_jets_call_per_iteration(monkeypatch):
 
     monkeypatch.setattr(solver, "structured_jets", counted)
     pinned = np.array([True, True, False, False])
-    _, _, ok = solver._newton_batch(seeds, math.pi, 1e-12, 200, pinned)
+    _, _, ok, _ = solver._newton_batch(seeds, math.pi, 1e-12, 200, pinned)
     new = list(calls)
     calls.clear()
     _, _, ok_ref = _reference_newton_batch(seeds, math.pi, 1e-12, 200, pinned)
