@@ -6,9 +6,13 @@ area pi(1+eps), so all pulses share one pair of cos and sin series
 (``_pi_series``) and differ only in the phase factor of b; arbitrary-order
 derivatives come out of series products with no numerical
 differentiation.  ``structured_jets`` is the batched kernel the solver
-runs; ``jet_compose`` composes any train pulse by pulse with dense
-products and is the independent check of that kernel.  Coefficients are
-stored dense; the orders needed here never exceed single digits.
+runs: the jets of the major-diagonal element a_h of the half train
+pi_0 pi_p1 ... pi_pn, with their exact tangents in the phases.  The half
+alone decides the order of the two-half train built on it (see
+``solver``), so the kernel never forms the second half.  ``jet_compose``
+composes any train pulse by pulse with dense products and is the
+independent check of that kernel.  Coefficients are stored dense; the
+orders needed here never exceed single digits.
 """
 
 from __future__ import annotations
@@ -51,17 +55,6 @@ def _pi_toeplitz(order: int) -> np.ndarray:
     t = t.reshape(2 * (order + 1), order + 1)
     t.flags.writeable = False
     return t
-
-
-@lru_cache(maxsize=16)
-def _antidiagonals(order: int) -> np.ndarray:
-    # S[m, j * (order + 1) + k] = 1 where j + k = m: applied to the
-    # flattened outer product of two series, the truncated Cauchy product.
-    size = order + 1
-    j, k = np.divmod(np.arange(size * size), size)
-    s = (np.arange(size)[:, None] == j + k).astype(complex)
-    s.flags.writeable = False
-    return s
 
 
 # i for the a row, -i for the b row of the rotor i e^{ip} of a pulse.
@@ -128,23 +121,21 @@ def _zero_prefix(order: int, count: int) -> np.ndarray:
     return w
 
 
-def structured_jets(rel_phases, phi: float, order: int, jacobian=False):
-    """Jets of a batch of two-half trains of nominal pi pulses.
+def structured_jets(rel_phases, order: int, jacobian=False):
+    """Jets of the major-diagonal element a_h of a batch of half trains.
 
     Row k of ``rel_phases`` (shape (B, n)) holds the relative phases
-    p1..pn of one half pi_0 pi_p1 ... pi_pn; the second half repeats it
-    shifted by pi - phi/2.  Returns the Cayley-Klein jets ``(a, b)`` of the
-    trains, each of shape (B, order + 1).
+    p1..pn of one half pi_0 pi_p1 ... pi_pn.  Returns the jets of a_h,
+    shape (B, order + 1).
 
     ``jacobian`` selects tangents: False for none, True for all n phases,
     or a sequence of distinct integer phase indices J (a boolean mask is
-    rejected, not read as indices).  With tangents it returns
-    ``(a, b, da, db)``, where ``da[k, i]`` (shape (B, len(J), order + 1))
-    is the exact derivative of ``a[k]`` with respect to p_{J[i]}:
-    forward-mode differentiation, with d b_pulse / d p = i * b_pulse for
-    each pulse and the two occurrences of each phase summed by the product
-    rule.  Leading phases that are exactly 0 in every row and not in J are
-    composed once per (order, count) and broadcast.
+    rejected, not read as indices).  With tangents it returns ``(a, da)``,
+    where ``da[k, i]`` (shape (B, len(J), order + 1)) is the exact
+    derivative of ``a[k]`` with respect to p_{J[i]}: forward-mode
+    differentiation, with d b_pulse / d p = i * b_pulse for the one pulse
+    of each phase.  Leading phases that are exactly 0 in every row and not
+    in J are composed once per (order, count) and broadcast.
     """
     x = np.asarray(rel_phases, dtype=float)
     if x.ndim != 2:
@@ -152,14 +143,13 @@ def structured_jets(rel_phases, phi: float, order: int, jacobian=False):
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     batch, n = x.shape
-    size = order + 1
     slot, tangents = _tangent_slots(_tangent_key(jacobian), n)
     head = 0
     while head < n and not slot[head] and not x[:, head].any():
         head += 1
     # Axes: series order, (a, b), value then its derivative in each
     # selected phase, batch.  The first pulse has phase 0.
-    w = np.zeros((size, 2, 1 + (tangents or 0), batch), dtype=complex)
+    w = np.zeros((order + 1, 2, 1 + (tangents or 0), batch), dtype=complex)
     w[:, :, 0] = _zero_prefix(order, head)[:, :, None]
     # i e^{ip} for the a row, -i e^{ip} for the b row of each later pulse.
     u_all = np.exp(1j * x[:, head:].T)[:, None, None, :] * _ROTOR_ROWS
@@ -168,23 +158,9 @@ def structured_jets(rel_phases, phi: float, order: int, jacobian=False):
         if k:
             cw[:, :, k] += 1j * swapped[:, :, 0]
         w = cw + swapped
-    # (a, rot*b) @ (a, b) = (a*a - rot b*conj(b), a*b + rot b*conj(a)):
-    # a times (a, b) and b times (conj b, conj a), each of a value and its
-    # tangents (axis 3); the product rule gives the tangents.
-    right = np.empty((size, 2) + w.shape[1:], dtype=complex)
-    right[:, 0] = w
-    np.conj(w[:, ::-1], out=right[:, 1])
-    outer = w[:, None, :, None] * right[None, :, :, :, :1]
-    if tangents is not None:
-        outer[:, :, :, :, 1:] += w[:, None, :, None, :1] * right[None, :, :, :, 1:]
-    p = (_antidiagonals(order) @ outer.reshape(size * size, -1)).reshape(right.shape)
-    rot = cmath.exp(1j * (math.pi - phi / 2))
-    full = p[:, 0] + np.array([-rot, rot])[:, None, None] * p[:, 1]
-    full_a, full_b = full[:, 0], full[:, 1]
     if tangents is None:
-        return full_a[:, 0].T, full_b[:, 0].T
-    return (full_a[:, 0].T, full_b[:, 0].T,
-            full_a[:, 1:].transpose(2, 1, 0), full_b[:, 1:].transpose(2, 1, 0))
+        return w[:, 0, 0].T
+    return w[:, 0, 0].T, w[:, 0, 1:].transpose(2, 1, 0)
 
 
 def jet_compose(seq: CompositeSequence, order: int) -> tuple[np.ndarray, np.ndarray]:

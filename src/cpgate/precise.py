@@ -13,10 +13,11 @@ the Python integer floor(x * 2^P), with P = ``mp.mp.prec + GUARD_BITS``,
 so the loops follow the working precision (``workdps(30)`` callers get
 P = 119).  Fixed point fits them because their values are bounded: SU(2)
 entries by 1, and the m-th Taylor coefficient of an N-pulse train by
-(N pi / 2)^m / m!, about 1e7 at N = 18, m = 8.  A product is one integer multiply and
-one shift, with none of the renormalization that dominates mpf object
-arithmetic.  The inputs (rotor cos/sin, the pulse cos/sin at each
-epsilon, the pi-pulse series) are converted once with ``mpmath.libmp.to_fixed``,
+(N pi / 2)^m / m!, about 2e4 for the largest half the polish composes
+(N = 9, m = 7).  A product is one integer multiply and one shift, with
+none of the renormalization that dominates mpf object arithmetic.  The
+inputs (rotor cos/sin, the pulse cos/sin at each epsilon, the pi-pulse
+series) are converted once with ``mpmath.libmp.to_fixed``,
 and the results are rounded back to mpf at the working precision.  Each
 shift truncates by less than one unit of 2^-P, and the 16 guard bits
 absorb that over a few dozen pulses: at 50 digits the propagator agrees
@@ -74,21 +75,27 @@ after them per (window, points, precision, count), and
 the integer operations of the pulse-by-pulse loop, so the jets are
 bitwise unchanged.  On the 111 benchmark trains (all exact two-half
 trains at 50 digits; 82 begin with 2-4 phase-0 pulses) this took
-``slope_fit`` from 0.98 to 0.66 ms per train, ``_mp_jet_compose`` from
-96 to 72 us per first half and ``_mp_residual`` from 191 to 156 us
-(CPU time, best of 5 alternated processes of 7 passes, 2 shared cores,
-Python 3.11.7, mpmath 1.3.0 on its Python backend), with the slope and
-peak of every train bit-identical.
+``slope_fit`` from 0.98 to 0.66 ms per train and ``_mp_jet_compose`` from
+96 to 72 us per first half (CPU time, best of 5 alternated processes of
+7 passes, 2 shared cores, Python 3.11.7, mpmath 1.3.0 on its Python
+backend), with the slope and peak of every train bit-identical.
 
-The polish (``polish_structured``) runs the float Newton of ``solver``,
-which returns the free-column Jacobian at the point it converged to, and
-reuses it for every 50-digit step instead of evaluating it again there;
-the gate's cos/sin of phi/2 is taken once per polish and handed to each
-50-digit residual (``_mp_residual``), ~3.4 per polish of a rounded table
-row.  With the slope-fit cuts above, this took ``slope_fit`` from 0.64
-to 0.47 ms per train and ``polish_structured`` from 1.40 to 1.33 ms per
-rounded row (CPU time, best of 7 alternated processes of 7 passes, same
-machine), with every polished phase and fit bit-identical.
+The polish (``polish_structured``) solves the solver's half-train
+conditions (see ``solver``): its 50-digit residual (``_mp_residual``)
+composes the jets of the half to order n - 1 and reads the eps-Taylor
+coefficients of Im(e^{i phi/4} a_h) = sin(phi/4) Re a_h
++ cos(phi/4) Im a_h of orders n - 1, n - 3, ... >= 0, with the cos/sin
+of phi/4 taken once per polish.  It runs the float Newton of ``solver``
+to ``_FLOAT_TOL``, which returns the free-column Jacobian at the point it
+converged to, and reuses that Jacobian for every 50-digit step.  The
+50-digit stage stops at 10^-_POLISH_DIGITS = 1e-45, which holds the
+full-train derivative conditions of every polished table row and named
+train below 1e-40 at 90 digits (the tests check the 28 rows of 12 and 14
+pulses and the 6 named trains of 16 and 18).  A polish of a rounded table
+row took 0.9-1.5 ms against 1.5-2.2 ms on the full-train conditions (CPU
+time, best of 5 passes over the 84 rows, two alternated runs each, 2
+shared cores), and ``verify --json`` printed the same bytes on all 111
+benchmark trains.
 """
 
 from __future__ import annotations
@@ -126,8 +133,12 @@ WORKING_DPS = 50
 GUARD_BITS = 16
 # Bits of the logs in ``slope_fit``: a double's 53 and 43 guard bits.
 _LOG_BITS = 53 + 43
-# Residual max-norm 10^-_POLISH_DIGITS that ends ``polish_structured``.
-_POLISH_DIGITS = WORKING_DPS - 8
+# Residual max-norm of the float stage of ``polish_structured``, 40 times
+# the largest double-precision residual of a polished catalog train or
+# table row (2.4e-13, at n = 8), and the max-norm 10^-_POLISH_DIGITS that
+# ends its extended-precision stage.
+_FLOAT_TOL = 1e-11
+_POLISH_DIGITS = WORKING_DPS - 5
 
 
 def _cos_sin_fixed(x, prec):
@@ -136,9 +147,9 @@ def _cos_sin_fixed(x, prec):
     return to_fixed(c, prec), to_fixed(s, prec)
 
 
-def _half_angle_trig(phi, prec):
-    """cos and sin of ``phi`` / 2 as fixed-point integers at 2^prec."""
-    return _cos_sin_fixed(mpf_shift(mp.mpf(phi)._mpf_, -1), prec)
+def _angle_trig(phi, halvings, prec):
+    """cos and sin of ``phi`` / 2^halvings as fixed-point integers at 2^prec."""
+    return _cos_sin_fixed(mpf_shift(mp.mpf(phi)._mpf_, -halvings), prec)
 
 
 def _rotor(phase, prec):
@@ -321,7 +332,7 @@ def slope_fit(seq: CompositeSequence, eps_lo=1e-3, eps_hi=1e-2, points=20,
         _, grid_logs = _slope_grid(eps_lo, eps_hi, points, wp)
         # The gate (fa, 0), fa = e^{-i phi/2} = fc - i fs; the shift of the
         # second half is e^{i(pi - phi/2)} = -fc + i fs.
-        fc, fs = _half_angle_trig(seq.target_phi, prec)
+        fc, fs = _angle_trig(seq.target_phi, 1, prec)
         even = len(seq) % 2 == 0
         # (|a - fa|^2 + |b|^2) / 2, the squared Frobenius distance, is the
         # integer total times 2^shift; one total per signed epsilon, or per
@@ -386,13 +397,8 @@ def polish_structured(rel_phases, phi, pinned=None):
     with mp.workdps(WORKING_DPS):
         phi_mp = mp.mpf(phi) if not isinstance(phi, (mp.mpf, mp.mpc)) else phi
         x_float = np.asarray([float(v) for v in rel_phases], dtype=float)
-        # Loose, order-scaled float tolerance: factorial scaling raises
-        # the double-precision residual floor, and the extended-precision
-        # stage finishes the convergence anyway.
-        n_rel = len(x_float)
-        float_tol = 1e-11 * max(1.0, math.factorial(n_rel))
         x_float, float_rmax, ok, jac = solver._newton(
-            x_float, float(phi_mp), tol=float_tol, max_iter=60, pinned=pinned
+            x_float, float(phi_mp), tol=_FLOAT_TOL, max_iter=60, pinned=pinned
         )
         if not ok:
             raise solver.SolverError(
@@ -405,7 +411,7 @@ def polish_structured(rel_phases, phi, pinned=None):
             else np.flatnonzero(~np.asarray(pinned, dtype=bool))
         )
         jac_pinv = np.linalg.pinv(jac, rcond=solver._RCOND)
-        gate = _half_angle_trig(phi_mp, mp.mp.prec + GUARD_BITS)
+        gate = _angle_trig(phi_mp, 2, mp.mp.prec + GUARD_BITS)
         x = [mp.mpf(v) for v in x_float]
         tol = mp.mpf(10) ** (-_POLISH_DIGITS)
         for evals in range(1, WORKING_DPS + 1):
@@ -426,37 +432,17 @@ def polish_structured(rel_phases, phi, pinned=None):
 
 
 def _mp_residual(rel_phases, gate, n):
-    # The full train is the half-train H followed by H with every phase
-    # shifted by pi - phi/2, i.e. (a, rot * b) with rot = e^{i(pi - phi/2)}
-    # = -cos(phi/2) + i sin(phi/2), ``gate`` being that cos and sin from
-    # ``_half_angle_trig`` at the working precision.  Its pair is
-    # a*a - rot * (b*conj(b)), a*b + rot * (b*conj(a)); residual m reads
-    # the a entry at even m and the b entry at odd m.  b*conj(b) has real
-    # coefficients: its imaginary parts cancel pairwise, exactly in
-    # integers too.
+    # The solver's residual at the working precision: the eps-Taylor
+    # coefficients of Im(e^{i phi/4} a_h) = sin(phi/4) Re a_h
+    # + cos(phi/4) Im a_h of orders n - 1, n - 3, ... >= 0, a_h being the
+    # half train's major-diagonal element and ``gate`` the cos and sin of
+    # phi/4 from ``_angle_trig``.
     prec = mp.mp.prec + GUARD_BITS
-    ar, ai, br, bi = _mp_jet_compose([mp.mpf(0)] + list(rel_phases), n, prec)
+    ar, ai, _, _ = _mp_jet_compose([mp.mpf(0)] + list(rel_phases), n - 1, prec)
     c, s = gate
-    rot_r, rot_i = -c, s
-    out = []
-    fact = 1
-    for m in range(1, n + 1):
-        fact *= m
-        pairs = [(j, m - j) for j in range(m + 1)]
-        if m % 2 == 0:
-            re = sum(ar[j] * ar[k] - ai[j] * ai[k] for j, k in pairs)
-            im = sum(ar[j] * ai[k] + ai[j] * ar[k] for j, k in pairs)
-            t = sum(br[j] * br[k] + bi[j] * bi[k] for j, k in pairs) >> prec
-            re, im = re - rot_r * t, im - rot_i * t
-        else:
-            re = sum(ar[j] * br[k] - ai[j] * bi[k] for j, k in pairs)
-            im = sum(ar[j] * bi[k] + ai[j] * br[k] for j, k in pairs)
-            tr = sum(br[j] * ar[k] + bi[j] * ai[k] for j, k in pairs) >> prec
-            ti = sum(bi[j] * ar[k] - br[j] * ai[k] for j, k in pairs) >> prec
-            re, im = re + rot_r * tr - rot_i * ti, im + rot_r * ti + rot_i * tr
-        out.append(mp.mpf((fact * re, -2 * prec)))
-        out.append(mp.mpf((fact * im, -2 * prec)))
-    return out
+    return [
+        mp.mpf((s * ar[m] + c * ai[m], -2 * prec)) for m in range((n + 1) % 2, n, 2)
+    ]
 
 
 @lru_cache(maxsize=16)

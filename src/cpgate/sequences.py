@@ -44,14 +44,19 @@ class HalfSequenceSpec:
 def structured_sequence(spec: HalfSequenceSpec, nu: float = 0.0) -> CompositeSequence:
     """Full 2(n+1)-pulse train from one half, second half shifted by pi - phi/2.
 
-    An mpf ``phi`` takes the shift with ``mp.pi`` at the working mpmath
-    precision, so extended-precision phases stay on their exact root.
+    An mpmath ``phi`` (an mpf, or a constant such as ``mp.pi``) becomes an
+    mpf at the working mpmath precision and takes the shift with ``mp.pi``
+    there, so extended-precision phases stay on their exact root.
     """
-    pi = mp.pi if isinstance(spec.phi, mp.mpf) else PI
+    phi = spec.phi
+    if isinstance(phi, (mp.mpf, type(mp.pi))):
+        phi, pi = mp.mpf(phi), mp.pi
+    else:
+        pi = PI
     half = [nu] + [nu + p for p in spec.relative_phases]
-    shift = pi - spec.phi / 2
+    shift = pi - phi / 2
     phases = tuple(half + [p + shift for p in half])
-    return CompositeSequence(phases, spec.phi, spec.order, f"struct(n={spec.order})")
+    return CompositeSequence(phases, phi, spec.order, f"struct(n={spec.order})")
 
 
 def two_pulse(phi: float, nu: float = 0.0) -> CompositeSequence:

@@ -1,17 +1,30 @@
-"""Numerical derivation of composite phases by derivative nullification.
+"""Numerical derivation of composite phases from the half-train conditions.
 
-The free parameters are the n relative phases of the half-sequence; the
-equations demand that, at zero error, the even eps-derivatives of the
-major-diagonal propagator element and the odd derivatives of the
-minor-diagonal one vanish through order n (the complementary derivatives
-vanish identically by structure).  The resulting 2n real conditions are
-rank-deficient at the roots: solutions form manifolds of dimension
-floor(n/2).  ``solve`` therefore runs Newton in the canonical chart, with
-the leading floor(n/2) relative phases pinned to zero (the compact
-3pi/4pi-block forms), where the roots are isolated points; each root it
-finds is already the canonical representative of its class.
-``transport`` and ``canonicalize`` bring a root found elsewhere on its
-manifold, such as a published train, into that chart.
+The free parameters are the n relative phases p1..pn of the half train
+H = pi_0 pi_p1 ... pi_pn; the two-half train is H followed by H shifted by
+pi - phi/2.  With (a, b) the Cayley-Klein pair of the full train and a_h
+the major-diagonal element of H, every exact two-half train, root or not,
+satisfies
+
+    Re(a e^{i phi/2}) = 1 - 2 Im(a_h e^{i phi/4})^2,
+
+since a = a_h^2 + e^{-i phi/2} |b_h|^2.  The Frobenius distance to the
+target gate is therefore sqrt(2) |Im(a_h e^{i phi/4})|, a quantity of the
+half alone.  As a polynomial in s = sin(pi eps/2) it has degree n + 1 and
+the parity of n + 1, and its s^{n+1} coefficient is fixed by the
+structure, so the train has order n exactly when the coefficients of
+s^{n-1}, s^{n-3}, ... vanish.  Equivalently, the ``residual`` is the
+ceil(n/2) eps-Taylor coefficients of Im(e^{i phi/4} a_h) of orders n - 1,
+n - 3, ... >= 0.  For odd n its order-0 entry is the zero-error gate
+itself; for even n the gate holds by parity.
+
+The roots form manifolds of dimension floor(n/2).  ``solve`` runs
+Newton in the canonical chart, with the leading floor(n/2) relative
+phases pinned to zero (the compact 3pi/4pi-block forms), where the
+system is square and the roots are isolated points; each root it finds
+is already the canonical representative of its class.  ``transport``
+and ``canonicalize`` bring a root found elsewhere on its manifold, such
+as a published train, into that chart.
 """
 
 from __future__ import annotations
@@ -22,7 +35,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,8 +47,8 @@ _RCOND = 1e-6
 _DEDUPE_TOL = 1e-6
 # Nominal steps of the continuation path in ``transport``.
 _TRANSPORT_STEPS = 12
-# Residual max-norm a root must reach (raised to ``_tol_floor`` at high
-# order), and the Newton iteration limit of a ``solve`` restart.
+# Residual max-norm a root must reach, and the Newton iteration limit of
+# a ``solve`` restart.
 _TOL = 1e-12
 _MAX_ITER = 200
 
@@ -72,80 +84,44 @@ class Solution:
     members: tuple[tuple[float, ...], ...] = field(default=())
 
 
-# For odd n the conditions fix derivatives 1..n but not the zero-error
-# gate itself: the class (0, pi, pi) at n = 3 converges to a0 = 1.  Valid
-# roots hit the target to rounding; such degenerate ones miss by ~1.
-_TARGET_TOL = 1e-6
-
-
-def _hits_target(x: np.ndarray, phi: float) -> np.ndarray:
-    """Per row of ``x``: whether the zero-error propagator of the root is
-    the target gate."""
-    a, _ = structured_jets(x, phi, 0)
-    return np.abs(a[:, 0] - cmath.exp(-0.5j * phi)) < _TARGET_TOL
-
-
-@lru_cache(maxsize=16)
-def _condition_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Which of a_m (even m) or b_m (odd m) each derivative m = 1..n reads,
-    # and the m! that turns Taylor coefficients into derivatives, repeated
-    # for the interleaved (Re, Im) entries.
-    m = np.arange(1, n + 1)
-    fact = np.array([math.factorial(k) for k in m], dtype=float)
-    return m % 2 == 0, np.repeat(fact, 2)
-
-
-def _condition_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # m! * (Re, Im) of the selected coefficient m, m = 1..n, interleaved
-    # along the last axis.
-    even, scale = _condition_layout(a.shape[-1] - 1)
-    c = np.ascontiguousarray(np.where(even, a[..., 1:], b[..., 1:]))
-    return c.view(float) * scale
-
-
 def _residuals(x: np.ndarray, phi: float, jacobian=False):
-    """Residual rows (B, 2n) of a batch of relative-phase vectors and, with
-    ``jacobian`` (True, or the phase indices J as in ``structured_jets``),
-    their exact Jacobians (B, 2n, n), or (B, 2n, len(J)) in J."""
+    """Residual rows (B, ceil(n/2)) of a batch of relative-phase vectors
+    and, with ``jacobian`` (True, or the phase indices J as in
+    ``structured_jets``), their exact Jacobians (B, ceil(n/2), n), or
+    (B, ceil(n/2), len(J)) in J."""
     n = x.shape[1]
+    rot = cmath.exp(0.25j * phi)
+    # Orders n - 1, n - 3, ... >= 0 of the jets up to order n - 1 (none
+    # at n = 0).
+    order, rows = max(n - 1, 0), slice((n + 1) % 2, None, 2)
     if jacobian is False:
-        return _condition_rows(*structured_jets(x, phi, n))
-    a, b, da, db = structured_jets(x, phi, n, jacobian=jacobian)
-    return _condition_rows(a, b), _condition_rows(da, db).transpose(0, 2, 1)
+        return (rot * structured_jets(x, order)[:, rows]).imag
+    a, da = structured_jets(x, order, jacobian=jacobian)
+    return (rot * a[:, rows]).imag, (rot * da[:, :, rows]).imag.transpose(0, 2, 1)
 
 
 def residual(phases, phi: float) -> np.ndarray:
-    """Real residual vector of the parity-surviving nullification conditions.
+    """Real residual vector of the half-train conditions.
 
-    Entries are Re and Im of the m-th derivative at 0 of the major-diagonal
-    element for even m and of the minor-diagonal element for odd m,
-    m = 1..n, giving a vector of length 2n.
+    Entries are the eps-Taylor coefficients of Im(e^{i phi/4} a_h) of
+    orders n - 1, n - 3, ... >= 0 (ascending), a_h being the
+    major-diagonal element of the half train; the two-half train has
+    order n exactly when all ceil(n/2) of them vanish.
     """
     return _residuals(np.asarray(phases, dtype=float)[None, :], phi)[0]
 
 
 def _jacobian(phases: np.ndarray, phi: float, wrt=True) -> np.ndarray:
-    """Exact Jacobian (2n, n) of ``residual`` in the relative phases, or
-    (2n, len(wrt)) in the phases ``wrt``."""
+    """Exact Jacobian (ceil(n/2), n) of ``residual`` in the relative
+    phases, or (ceil(n/2), len(wrt)) in the phases ``wrt``."""
     x = np.asarray(phases, dtype=float)[None, :]
     return _residuals(x, phi, jacobian=wrt)[1][0]
 
 
-def _row_scale(n: int) -> np.ndarray:
-    # 1/m! per derivative row (Re and Im): evens out the dynamic range of
-    # the residual so the least-squares step is well conditioned.
-    return np.repeat([1.0 / math.factorial(m) for m in range(1, n + 1)], 2)
-
-
-def _tol_floor(n: int, tol: float) -> float:
-    # The m!-scaled residual of an exact root evaluated in doubles sits at
-    # ~n! * machine-eps; don't demand convergence below that.
-    return max(tol, math.factorial(n) * 1e-12)
-
-
 # Backtracking step lengths 2^-k, k = 1..29, after a failed full step,
-# tried in two groups: on the benchmark's solve workload ~89 % of such
-# rows improve within the first three, so most skip the other 26.
+# tried in two groups: on the benchmark's solve workload 82 % of such
+# rows improve within the first three (75-88 % per op list, seeds
+# 7001-7010), so most skip the other 26.
 _HALVINGS = (0.5 ** np.arange(1, 4), 0.5 ** np.arange(4, 30))
 
 
@@ -159,21 +135,19 @@ def _newton_batch(
     """Damped least-squares Newton on each row of ``x0`` (B, n) at once.
 
     Returns the rows, their residual max-norms, whether each converged and
-    the Jacobian (B, 2n, F) of each row's residual in its F free phases at
-    the returned row.  Every row follows its own iteration exactly as if
-    it were alone: rows that converge or fail leave the batch, the rest
-    go on.
+    the Jacobian (B, ceil(n/2), F) of each row's residual in its F free
+    phases at the returned row.  Every row follows its own iteration
+    exactly as if it were alone: rows that converge or fail leave the
+    batch, the rest go on.
     """
     x = np.array(x0, dtype=float)
     batch, n = x.shape
-    tol = _tol_floor(n, tol)
-    w = _row_scale(n)
     free = (
         np.arange(n)
         if pinned is None
         else np.flatnonzero(~np.asarray(pinned, dtype=bool))
     )
-    jac_out = np.empty((batch, 2 * n, len(free)))
+    jac_out = np.empty((batch, (n + 1) // 2, len(free)))
     if len(free) == 0:
         rmax = np.max(np.abs(_residuals(x, phi)), axis=1, initial=0.0)
         return x, rmax, rmax < tol, jac_out
@@ -192,20 +166,19 @@ def _newton_batch(
             live, r, jac = live[~done], r[~done], jac[~done]
             if not live.size:
                 return x, rmax, ok, jac_out
-        wr = w * r
-        step = -(np.linalg.pinv(w[:, None] * jac, rcond=_RCOND) @ wr[:, :, None])[:, :, 0]
-        # Backtracking on the scaled residual norm; arcsin-flavored roots
+        step = -(np.linalg.pinv(jac, rcond=_RCOND) @ r[:, :, None])[:, :, 0]
+        # Backtracking on the residual norm; arcsin-flavored roots
         # have steep basins, so halve up to 29 times before giving up.
         # The full step goes first, evaluated with its Jacobian so a row
         # that takes it needs no new evaluation next iteration; a row it
         # does not improve tries the halvings and takes the longest that
         # does.
-        norm0 = np.linalg.norm(wr, axis=1)
+        norm0 = np.linalg.norm(r, axis=1)
         trial = x[live]
         trial[:, free] += step
         jac_at_x = jac
         r, jac = _residuals(trial, phi, jacobian=wrt)
-        full = np.linalg.norm(w * r, axis=1) < norm0
+        full = np.linalg.norm(r, axis=1) < norm0
         x[live[full]] = trial[full]
         if full.all():
             continue
@@ -217,7 +190,7 @@ def _newton_batch(
             trial = np.repeat(x[live[todo], None, :], len(t), axis=1)
             trial[:, :, free] += t[:, None] * step[todo, None, :]
             r_trial = _residuals(trial.reshape(-1, n), phi)
-            norms = np.linalg.norm(w * r_trial, axis=1).reshape(len(todo), len(t))
+            norms = np.linalg.norm(r_trial, axis=1).reshape(len(todo), len(t))
             better = norms < norm0[todo, None]
             hit = better.any(axis=1)
             first = better.argmax(axis=1)
@@ -250,8 +223,8 @@ def _newton(
     The pseudo-inverse cutoff keeps steps out of the root manifold's
     tangent directions, so near-roots are polished in place instead of
     drifting along the manifold.  Returns the phases, their residual
-    max-norm, whether they converged and the Jacobian (2n, F) in the F
-    free phases at the returned phases.
+    max-norm, whether they converged and the Jacobian (ceil(n/2), F) in
+    the F free phases at the returned phases.
     """
     x0 = np.asarray(phases, dtype=float)[None, :]
     x, rmax, ok, jac = _newton_batch(x0, phi, tol, max_iter, pinned)
@@ -309,10 +282,8 @@ def canonicalize(phases, phi: float) -> np.ndarray:
 
     Zero can be approached from below or above (0 vs 2*pi) per
     coordinate; the manifold may fold over one path, so direction
-    combinations are tried nearest-first.  A path counts only if its end
-    point still hits the target gate: transport keeps the derivative
-    conditions but not the zero-error gate, so an odd-order root can
-    slide onto a degenerate point.
+    combinations are tried nearest-first.  Raises SolverError with the
+    reason the last path failed if none reaches the chart.
     """
     x = np.asarray(phases, dtype=float) % TWO_PI
     npin = pinned_zero_count(len(x))
@@ -320,18 +291,13 @@ def canonicalize(phases, phi: float) -> np.ndarray:
         itertools.product((0.0, TWO_PI), repeat=npin),
         key=lambda t: float(np.linalg.norm(np.array(t) - x[:npin])),
     )
-    lost, missed = "", False
+    lost = ""
     for leading in paths:
         try:
-            canon = transport(x, phi, leading)
+            return transport(x, phi, leading)
         except SolverError as exc:
             lost = str(exc)
-            continue
-        if _hits_target(canon[None, :], phi)[0]:
-            return canon
-        missed = True
-    reason = "the canonical point reached misses the target gate" if missed else lost
-    raise SolverError(f"canonicalization failed on every path: {reason}")
+    raise SolverError(f"canonicalization failed on every path: {lost}")
 
 
 def _circular_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
@@ -344,11 +310,10 @@ def solve(config: SolverConfig) -> list[Solution]:
 
     Every restart draws n uniform phases, sets the first floor(n/2) of
     them to 0 and keeps them there, so each root comes out in canonical
-    form.  All restarts run as one batch.  Returns
-    one Solution per distinct root, sorted by its phase vector; every
-    converged root whose zero-error propagator is the target gate is kept
-    as a member of its class.  Raises SolverError if no restart converges
-    to such a root.
+    form.  All restarts run as one batch.  Returns one Solution per
+    distinct root, sorted by its phase vector; every converged root is
+    kept as a member of its class.  Raises SolverError if no restart
+    converges.
     """
     rng = np.random.default_rng(config.rng_seed)
     # Row k holds the same draws as the k-th of `seeds` calls of size n.
@@ -358,10 +323,9 @@ def solve(config: SolverConfig) -> list[Solution]:
     start = time.perf_counter()
     x, rmax, converged, _ = _newton_batch(seeds, config.phi, _TOL, _MAX_ITER, pinned)
     newton_s = time.perf_counter() - start
-    ok = converged & _hits_target(x, config.phi)
     roots = x % TWO_PI
     classes: list[tuple[np.ndarray, float, list[np.ndarray]]] = []
-    for k in np.flatnonzero(ok):
+    for k in np.flatnonzero(converged):
         for existing, _, members in classes:
             if _circular_close(existing, roots[k], _DEDUPE_TOL):
                 members.append(roots[k])
@@ -369,14 +333,12 @@ def solve(config: SolverConfig) -> list[Solution]:
         else:
             classes.append((roots[k], float(rmax[k]), [roots[k]]))
     _log.debug(
-        "solve n=%d phi=%.6g: restarts=%d converged=%d off_target=%d "
-        "classes=%d newton_s=%.3f",
-        config.n, config.phi, config.seeds, converged.sum(),
-        converged.sum() - ok.sum(), len(classes), newton_s,
+        "solve n=%d phi=%.6g: restarts=%d converged=%d classes=%d newton_s=%.3f",
+        config.n, config.phi, config.seeds, converged.sum(), len(classes), newton_s,
     )
     if not classes:
         raise SolverError(
-            "no convergence: every restart failed or missed the target gate "
+            "no convergence: every restart failed "
             f"(n={config.n}, phi={config.phi:.6g}, seeds={config.seeds})"
         )
     classes.sort(key=lambda item: tuple(item[0]))

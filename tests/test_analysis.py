@@ -209,8 +209,8 @@ def test_profile_law_gives_the_range_of_every_verify_train():
 def test_profile_law_holds_at_50_digits_on_every_verify_train():
     # At the 20 positive epsilons of the slope grid, the Frobenius
     # infidelity of mp_propagator equals sqrt(2)|sin(phi/4)||sin(pi eps/2)|^(n+1).
-    # The polish stops at residual 1e-42, so the deviation grows with the
-    # order, from ~1e-49 at n = 0 to ~3e-27 at n = 8.
+    # The polish stops at a half-train residual of 1e-45, so the deviation
+    # grows with the order, from ~3e-49 at n = 0 to ~2e-27 at n = 7.
     with mp.workdps(50):
         signed, _ = precise._slope_grid(
             analysis._SLOPE_EPS_LO, analysis._SLOPE_EPS_HI,
@@ -267,7 +267,7 @@ def test_scalar_array_and_50_digit_paths_agree_on_the_profile_law(k, eps, small)
 
 
 def test_profile_law_holds_on_every_solved_class():
-    # n = 2-4 at the 14 row angles, 16 seeds, rng-seed 0: 124 classes.
+    # n = 2-4 at the 14 row angles, 16 seeds, rng-seed 0: 140 classes.
     # The bound is the benchmark oracle's for solve output.
     for n in (2, 3, 4):
         for row in catalog.arbitrary_rows():

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from cpgate import catalog
+from cpgate import analysis, catalog, precise
 from cpgate.catalog import (
     CatalogError,
     arbitrary_row,
@@ -152,3 +153,20 @@ def test_solution_to_entry_round_trips_through_json():
     assert [float(p) for p in seq.phases[:2]] == pytest.approx(
         [0.0, 0.7], abs=1e-9
     )
+
+
+def test_polished_sequence_takes_mp_pi_as_the_exact_angle():
+    # mp.pi is an mpmath constant, not an mpf.  Polished on it, Z16 must be
+    # the exact two-half train that mp.mpf(mp.pi) gives, slope 8 (order 7),
+    # not one whose second half is shifted by the double nearest pi.
+    entry = get("Z16")
+    strings = entry.phase_strings[1 : entry.order + 1]
+    rel = [float(Fraction(s)) * math.pi for s in strings]
+    pinned = ["." not in s for s in strings]
+    with mp.workdps(precise.WORKING_DPS):
+        got = catalog.polished_sequence(rel, mp.pi, pinned)
+        want = catalog.polished_sequence(rel, mp.mpf(mp.pi), pinned)
+    assert got.phases == want.phases and got.target_phi == want.target_phi
+    slope, _ = analysis.order_slope(got)
+    assert abs(slope - 8) < 1e-3
+    assert analysis.verify_order(got) == 7

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpgate.jets import _pi_series, jet_compose, structured_jets
-from cpgate.sequences import HalfSequenceSpec, structured_sequence
 from cpgate.su2 import CompositeSequence, compose
 
 
@@ -85,18 +84,46 @@ def test_jet_polynomial_approximates_propagator(eps):
     assert abs(np.dot(b, powers) - u.b) < 1e-10
 
 
+def _half_train(row):
+    # The half train pi_0 pi_p1 ... pi_pn of one row of relative phases.
+    return CompositeSequence((0.0,) + tuple(row), target_phi=math.pi, order=0)
+
+
+def _phase_derivative(row, j, order):
+    # The phase p_j enters one pulse, whose entries are c, e^{i p_j} s and
+    # e^{-i p_j} s, so each jet of a_h is alpha + beta e^{i p_j} +
+    # gamma e^{-i p_j}: three evaluations a third of a turn apart give
+    # beta e^{i p_j} and gamma e^{-i p_j}, and the derivative
+    # i (beta e^{i p_j} - gamma e^{-i p_j}), with no step size.
+    turn = np.exp(2j * math.pi * np.arange(3) / 3)
+    values = []
+    for k in range(3):
+        moved = np.array(row, dtype=float)
+        moved[j] += 2 * math.pi * k / 3
+        values.append(jet_compose(_half_train(moved), order)[0])
+    values = np.array(values)
+    plus = (turn.conj()[:, None] * values).sum(axis=0) / 3
+    minus = (turn[:, None] * values).sum(axis=0) / 3
+    return 1j * (plus - minus)
+
+
 @pytest.mark.parametrize("n", range(0, 7))
-def test_structured_jets_match_composed_train(n):
-    # The batched two-half kernel against the pulse-by-pulse composition
-    # of the full train.
+def test_structured_jets_match_composed_half_train(n):
+    # The batched kernel against the pulse-by-pulse composition of the
+    # half train, values and tangents.
     rng = np.random.default_rng(n)
     x = rng.uniform(0.0, 2 * math.pi, size=(5, n))
-    phi = 0.7 * math.pi
-    a, b = structured_jets(x, phi, n + 1)
-    for row, ra, rb in zip(x, a, b):
-        ref = jet_compose(structured_sequence(HalfSequenceSpec(tuple(row), phi)), n + 1)
-        for got, want in zip((ra, rb), ref):
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    order = n + 1
+    a = structured_jets(x, order)
+    a_t, da = structured_jets(x, order, jacobian=True)
+    assert a.shape == (5, order + 1) and da.shape == (5, n, order + 1)
+    assert np.array_equal(a, a_t)
+    for row, ra, rda in zip(x, a, da):
+        want, _ = jet_compose(_half_train(row), order)
+        assert np.max(np.abs(ra - want)) <= 1e-13 * np.max(np.abs(want))
+        for j in range(n):
+            want_d = _phase_derivative(row, j, order)
+            assert np.max(np.abs(rda[j] - want_d)) <= 1e-13 * np.max(np.abs(want_d))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -104,10 +131,10 @@ def test_structured_jets_tangent_subsets_are_columns_of_the_full_jacobian(n):
     rng = np.random.default_rng(20 + n)
     x = rng.uniform(0.0, 2 * math.pi, size=(6, n))
     x[:, 0] = 0.0  # a zero that is differentiated stays out of the prefix
-    a, b, da, db = structured_jets(x, 1.3, n, jacobian=True)
+    a, da = structured_jets(x, n, jacobian=True)
     for wrt in ([n - 1], list(range(n))[::-1], list(range(n // 2, n))):
-        sa, sb, dsa, dsb = structured_jets(x, 1.3, n, jacobian=wrt)
-        for got, full in ((sa, a), (sb, b), (dsa, da[:, wrt]), (dsb, db[:, wrt])):
+        sa, dsa = structured_jets(x, n, jacobian=wrt)
+        for got, full in ((sa, a), (dsa, da[:, wrt])):
             assert got.shape == full.shape
             assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
 
@@ -118,22 +145,20 @@ def test_structured_jets_rejects_bad_tangent_indices():
     for wrt in ([3], [-1], [1, 1], [True, False, True], np.ones(3, dtype=bool),
                 [1.7], 1, np.intp(1), None, [[0, 1]]):
         with pytest.raises(ValueError, match="jacobian"):
-            structured_jets(x, 1.0, 3, jacobian=wrt)
+            structured_jets(x, 3, jacobian=wrt)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_structured_jets_zero_prefix_matches_composed_train(n):
+def test_structured_jets_zero_prefix_matches_composed_half_train(n):
     # Leading zeros in every row go through the cached prefix.
     rng = np.random.default_rng(40 + n)
-    phi = 0.3 * math.pi
     for zeros in range(1, n + 1):
         x = rng.uniform(0.0, 2 * math.pi, size=(3, n))
         x[:, :zeros] = 0.0
-        a, b = structured_jets(x, phi, n + 1)
-        for row, ra, rb in zip(x, a, b):
-            ref = jet_compose(structured_sequence(HalfSequenceSpec(tuple(row), phi)), n + 1)
-            for got, want in zip((ra, rb), ref):
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        a = structured_jets(x, n + 1)
+        for row, ra in zip(x, a):
+            want, _ = jet_compose(_half_train(row), n + 1)
+            assert np.max(np.abs(ra - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("jacobian", [False, True, [1, 2]])
@@ -144,8 +169,10 @@ def test_structured_jets_prefix_needs_the_zero_in_every_row(jacobian):
     x = rng.uniform(0.0, 2 * math.pi, size=(6, 4))
     x[::2, 0] = 0.0
     x[::3, 1] = 0.0
-    batch = structured_jets(x, 0.9, 4, jacobian=jacobian)
-    rows = [structured_jets(row[None, :], 0.9, 4, jacobian=jacobian) for row in x]
+    batch = structured_jets(x, 4, jacobian=jacobian)
+    rows = [structured_jets(row[None, :], 4, jacobian=jacobian) for row in x]
+    if jacobian is False:
+        batch, rows = (batch,), [(r,) for r in rows]
     for k, got in enumerate(batch):
         want = np.concatenate([r[k] for r in rows])
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

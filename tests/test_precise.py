@@ -66,20 +66,35 @@ def _mp_jet_mul(a2, b2, a1, b1):
     return a, b
 
 
-def _dense_residual(rel_phases, phi_mp, n):
-    # Full truncated products of the pi-pulse series, zeros included, in
-    # mpc object arithmetic at the caller's precision.
+def _dense_half_jets(rel_phases, order):
+    # Full truncated products of the pi-pulse series of the half train,
+    # zeros included, in mpc object arithmetic at the caller's precision.
     half_pi = mp.pi / 2
     base_cos = [half_pi**m * mp.cos(half_pi + m * half_pi) / mp.factorial(m)
-                for m in range(n + 1)]
+                for m in range(order + 1)]
     base_sin = [half_pi**m * mp.sin(half_pi + m * half_pi) / mp.factorial(m)
-                for m in range(n + 1)]
+                for m in range(order + 1)]
     a = b = None
     for phase in [mp.mpf(0)] + list(rel_phases):
         rot = -1j * mp.exp(1j * phase)
         pa = [mp.mpc(c) for c in base_cos]
         pb = [rot * s for s in base_sin]
         a, b = (pa, pb) if a is None else _mp_jet_mul(pa, pb, a, b)
+    return a, b
+
+
+def _dense_half_residual(rel_phases, phi_mp, n):
+    # The half-train conditions from the dense jets: the coefficients of
+    # Im(e^{i phi/4} a_h) of orders n - 1, n - 3, ... >= 0.
+    a, _ = _dense_half_jets(rel_phases, n - 1)
+    rot = mp.exp(1j * phi_mp / 4)
+    return [mp.im(rot * a[m]) for m in range((n + 1) % 2, n, 2)]
+
+
+def _dense_residual(rel_phases, phi_mp, n):
+    # The full-system conditions of the two-half train, the oracle for a
+    # root: m! (Re, Im) of a_m for even m and of b_m for odd m, m = 1..n.
+    a, b = _dense_half_jets(rel_phases, n)
     rot = mp.exp(1j * (mp.pi - phi_mp / 2))
     a, b = _mp_jet_mul(a, [rot * c for c in b], a, b)
     out = []
@@ -313,21 +328,22 @@ def test_pulse_trig_takes_pi_at_the_working_precision():
 
 
 def _mp_residual(rel, phi, n):
-    # The polish residual with the gate's cos/sin of phi / 2 taken at the
-    # working precision, the way polish_structured hands them over.
-    gate = precise._half_angle_trig(phi, mp.mp.prec + precise.GUARD_BITS)
+    # The polish residual with the cos/sin of phi / 4 taken at the working
+    # precision, the way polish_structured hands them over.
+    gate = precise._angle_trig(phi, 2, mp.mp.prec + precise.GUARD_BITS)
     return precise._mp_residual(rel, gate, n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_cached_series_residual_matches_dense_product(n):
+def test_cached_series_residual_matches_dense_half_product(n):
     rng = random.Random(n)
     with mp.workdps(precise.WORKING_DPS):
         for _ in range(3):
             rel = [mp.mpf(rng.uniform(0.0, 2 * math.pi)) for _ in range(n)]
             phi = mp.mpf(rng.uniform(0.1, 2 * math.pi))
             got = _mp_residual(rel, phi, n)
-            want = _dense_residual(rel, phi, n)
+            want = _dense_half_residual(rel, phi, n)
+            assert len(got) == len(want) == (n + 1) // 2
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-40
 
 
@@ -343,10 +359,10 @@ def test_pi_pulse_series_cache_is_keyed_by_precision():
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_residual_with_leading_zeros_matches_dense_product(n):
+def test_residual_with_leading_zeros_matches_dense_half_product(n):
     # The leading zeros come from the cached zero prefix.  Runs of equal
-    # phases make large coefficients: at n = 8 with six or more zeros the
-    # components reach ~4e11, and both sides round at 50 digits, so the
+    # phases make large coefficients: at n = 8 with seven or more zeros the
+    # components reach ~2e4, and both sides round at 50 digits, so the
     # bound is 1e-40 relative to the largest component once that passes 1.
     rng = random.Random(100 + n)
     with mp.workdps(precise.WORKING_DPS):
@@ -356,7 +372,7 @@ def test_residual_with_leading_zeros_matches_dense_product(n):
             ]
             phi = mp.mpf(rng.uniform(0.1, 2 * math.pi))
             got = _mp_residual(rel, phi, n)
-            want = _dense_residual(rel, phi, n)
+            want = _dense_half_residual(rel, phi, n)
             scale = max(1, max(abs(w) for w in want))
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-40 * scale, zeros
 
@@ -417,10 +433,10 @@ def test_polish_evaluates_the_float_jacobian_once_at_its_converged_point(monkeyp
         phi = mp.pi / 3
     points = []
 
-    def counted(x, phi, order, jacobian=False):
+    def counted(x, order, jacobian=False):
         if jacobian is not False:
             points.extend(np.array(x, dtype=float))
-        return structured_jets(x, phi, order, jacobian)
+        return structured_jets(x, order, jacobian)
 
     monkeypatch.setattr(solver, "structured_jets", counted)
     precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])

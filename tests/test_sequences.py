@@ -1,8 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cpgate import precise
 from cpgate.jets import jet_compose
 from cpgate.sequences import (
     HalfSequenceSpec,
@@ -15,7 +19,7 @@ from cpgate.sequences import (
     structured_sequence,
     two_pulse,
 )
-from cpgate.su2 import compose, frobenius_fidelity, target_gate
+from cpgate.su2 import CompositeSequence, compose, frobenius_fidelity, target_gate
 
 TWO_PI = 2 * math.pi
 PHIS = [math.pi, math.pi / 2, math.pi / 4]
@@ -161,3 +165,58 @@ def test_gate_angle_orders_infidelity(phi):
         for p, s in seqs.items()
     }
     assert infids[math.pi] >= infids[math.pi / 2] >= infids[math.pi / 4]
+
+
+def test_structured_sequence_takes_an_mpmath_constant_angle_exactly():
+    # mp.pi is an mpmath constant, not an mpf: it must still shift the
+    # second half by mp.pi - phi/2 at the working precision.
+    with mp.workdps(precise.WORKING_DPS):
+        rel = (mp.mpf("0.3"), mp.mpf("1.9"))
+        seq = structured_sequence(HalfSequenceSpec(rel, mp.pi))
+        assert isinstance(seq.target_phi, mp.mpf) and seq.target_phi == +mp.pi
+        shift = mp.pi - mp.pi / 2
+        for k in range(3):
+            assert seq.phases[3 + k] == seq.phases[k] + shift
+        assert precise._half_length(seq.phases, seq.target_phi) == 3
+
+
+_TWO_HALF_TRAINS = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(0.0, TWO_PI), min_size=n, max_size=n),
+        st.floats(0.05, TWO_PI),
+        st.floats(0.0, TWO_PI),
+        st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=8),
+    )
+)
+
+
+@given(_TWO_HALF_TRAINS)
+@settings(max_examples=40, deadline=None)
+def test_half_train_identity_on_the_float_path(train):
+    # Re(a e^{i phi/2}) = 1 - 2 Im(a_h e^{i phi/4})^2 for every exact
+    # two-half train, root or not: a = a_h^2 + e^{-i phi/2} |b_h|^2.
+    rel, phi, nu, eps = train
+    seq = structured_sequence(HalfSequenceSpec(tuple(rel), phi), nu)
+    half = CompositeSequence(seq.phases[: len(rel) + 1], phi, 0)
+    eps = np.array(eps)
+    a = compose(seq, eps).a
+    a_h = compose(half, eps).a
+    lhs = (a * np.exp(0.5j * phi)).real
+    rhs = 1.0 - 2.0 * (a_h * np.exp(0.25j * phi)).imag ** 2
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13
+
+
+@given(_TWO_HALF_TRAINS)
+@settings(max_examples=15, deadline=None)
+def test_half_train_identity_at_50_digits(train):
+    rel, phi, nu, eps = train
+    with mp.workdps(precise.WORKING_DPS):
+        spec = HalfSequenceSpec(tuple(mp.mpf(p) for p in rel), mp.mpf(phi))
+        seq = structured_sequence(spec, mp.mpf(nu))
+        grid = [mp.mpf(e) for e in eps]
+        full = precise.mp_propagator(seq.phases, grid)
+        half = precise.mp_propagator(seq.phases[: len(rel) + 1], grid)
+        for (a, _), (a_h, _) in zip(full, half):
+            lhs = mp.re(a * mp.expj(seq.target_phi / 2))
+            rhs = 1 - 2 * mp.im(a_h * mp.expj(seq.target_phi / 4)) ** 2
+            assert abs(lhs - rhs) <= 1e-45
