@@ -3,19 +3,23 @@ estimation, high-fidelity error ranges, and closed-form profiles.
 
 The closed-form Frobenius infidelity of an order-n train is
 sqrt(2) |sin^(n+1)(pi*eps/2)| |sin(phi/4)| and the trace infidelity is
-its square over 2; sweeps of valid trains must match these pointwise.
+its square; sweeps of valid trains must match these pointwise.  The
+square holds for any train: against a phase gate both infidelities read
+the squared Frobenius distance 1 - Re(a e^{i phi/2}) of the pair (a, b),
+the trace infidelity as it is and the Frobenius infidelity as its root.
 
 The range search reads any train, root or not, through its exact
 propagator polynomial: one ``compose`` call and one FFT per search give
 its coefficients, then a 64-cell grid on [0, 0.9] finds the first cell
-that reaches the threshold and safeguarded Newton refines the crossing
-there.
+where the Frobenius infidelity reaches the threshold and safeguarded
+Newton refines the crossing there.  ``trace_range`` is that search at
+the root of its threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,9 +92,6 @@ def closed_form_fidelity(n: int, phi: float, epsilon: float) -> tuple[float, flo
     return 1.0 - math.sqrt(2.0) * s * g, 1.0 - 2.0 * (s * g) ** 2
 
 
-_SLOPE_EPS_LO = 1e-3
-_SLOPE_EPS_HI = 1e-2
-_SLOPE_POINTS = 20
 # Measurability floor for the slope window, set by the extended-precision
 # evaluation (50 digits), not by double precision.
 _MEASURABLE_INFIDELITY = 1e-40
@@ -98,9 +99,7 @@ _MEASURABLE_INFIDELITY = 1e-40
 
 def order_slope(seq: CompositeSequence) -> tuple[float, float]:
     """(slope, peak infidelity) of the log-log fit on eps in [1e-3, 1e-2]."""
-    return precise.slope_fit(
-        seq, _SLOPE_EPS_LO, _SLOPE_EPS_HI, points=_SLOPE_POINTS
-    )
+    return precise.slope_fit(seq)
 
 
 def verify_order(seq: CompositeSequence) -> int:
@@ -161,26 +160,28 @@ def _propagator_polynomial(seq: CompositeSequence):
     return evaluate
 
 
-def _error_range(seq: CompositeSequence, threshold: float, infidelity,
-                 slope) -> ErrorRange:
-    """Crossing of ``threshold`` by the infidelity of ``seq`` in the first
-    cell of a grid on [0, _EPS_MAX] that reaches it.
-
-    ``infidelity`` maps a propagator (an Su2 of arrays or of scalars) to
-    its infidelity; ``slope`` maps (u, du/deps) at one point to the
-    infidelity's eps-derivative.  Both read the train's exact polynomial
-    (``_propagator_polynomial``), built once per call.  A grid of _CELLS
-    cells finds the first cell whose right end reaches the threshold;
-    safeguarded Newton on (infidelity - threshold) refines the crossing in
-    that cell, bisecting whenever a step would leave the bracket.  Flagged
-    when the grid is not nondecreasing within _MONOTONE_SLACK.
-    """
+def _check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 0.5:
         raise ValueError("threshold must be in (0, 0.5)")
+
+
+def _error_range(seq: CompositeSequence, threshold: float) -> ErrorRange:
+    """Crossing of ``threshold`` by the Frobenius infidelity of ``seq`` in
+    the first cell of a grid on [0, _EPS_MAX] that reaches it.
+
+    The infidelity and its eps-derivative read the train's exact
+    polynomial (``_propagator_polynomial``), built once per call.  A grid
+    of _CELLS cells finds the first cell whose right end reaches the
+    threshold; safeguarded Newton on (infidelity - threshold) refines the
+    crossing in that cell, bisecting whenever a step would leave the
+    bracket.  Flagged when the grid is not nondecreasing within
+    _MONOTONE_SLACK.
+    """
+    target = target_gate(seq.target_phi)
     propagator = _propagator_polynomial(seq)
     eps = np.linspace(0.0, _EPS_MAX, _CELLS + 1)
     a, b = propagator(eps)[:2]
-    vals = infidelity(Su2(a, b))
+    vals = 1.0 - frobenius_fidelity(Su2(a, b), target)
     if vals[0] >= threshold:
         raise AnalysisError(f"infidelity {vals[0]:.3g} at eps = 0 is not below threshold")
     if not np.any(vals >= threshold):
@@ -193,13 +194,17 @@ def _error_range(seq: CompositeSequence, threshold: float, infidelity,
     x = lo + (hi - lo) * float((threshold - vals[k - 1]) / (vals[k] - vals[k - 1]))
     for _ in range(_NEWTON_STEPS):
         a, b, da, db = propagator(x).tolist()
-        u = Su2(a, b)
-        excess = float(infidelity(u)) - threshold
+        excess = float(1.0 - frobenius_fidelity(Su2(a, b), target)) - threshold
         if excess < 0.0:
             lo = x
         else:
             hi = x
-        d = slope(u, Su2(da, db))
+        # d/deps sqrt(dist2), dist2 = (|a - fa|^2 + |b|^2) / 2.
+        diff = a - target.a
+        dist = math.sqrt(0.5 * (abs(diff) ** 2 + abs(b) ** 2))
+        d = 0.0 if dist == 0.0 else 0.5 * (
+            (diff.conjugate() * da).real + (b.conjugate() * db).real
+        ) / dist
         step = excess / d if d else math.inf
         if not lo <= x - step <= hi:
             x = 0.5 * (lo + hi)
@@ -214,26 +219,15 @@ def _error_range(seq: CompositeSequence, threshold: float, infidelity,
 
 def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> ErrorRange:
     """Error half-width keeping the Frobenius infidelity below ``threshold``."""
-    target = target_gate(seq.target_phi)
-
-    def slope(u, du):
-        # d/deps sqrt(dist2), dist2 = (|a - fa|^2 + |b|^2) / 2.
-        diff = u.a - target.a
-        dist = math.sqrt(0.5 * (abs(diff) ** 2 + abs(u.b) ** 2))
-        if dist == 0.0:
-            return 0.0
-        return 0.5 * ((diff.conjugate() * du.a).real
-                      + (u.b.conjugate() * du.b).real) / dist
-
-    return _error_range(
-        seq, threshold, lambda u: 1.0 - frobenius_fidelity(u, target), slope
-    )
+    _check_threshold(threshold)
+    return _error_range(seq, threshold)
 
 
 def trace_range(seq: CompositeSequence, threshold: float = 1e-4) -> ErrorRange:
-    """Error half-width keeping the trace infidelity below ``threshold``."""
-    target = target_gate(seq.target_phi)
-    return _error_range(
-        seq, threshold, lambda u: 1.0 - trace_fidelity(u, target),
-        lambda u, du: -(du.a * target.a.conjugate()).real,
-    )
+    """Error half-width keeping the trace infidelity below ``threshold``.
+
+    The trace infidelity is the square of the Frobenius infidelity, so
+    this is the Frobenius search at sqrt(threshold).
+    """
+    _check_threshold(threshold)
+    return replace(_error_range(seq, math.sqrt(threshold)), threshold=threshold)

@@ -175,7 +175,14 @@ def _cmd_build(args) -> int:
     elif args.pulses in _BUILDERS:
         seq = _BUILDERS[args.pulses](phi, args.variant)
     elif args.pulses in (10, 12, 14):
-        seq = catalog.arbitrary_row(Fraction(args.phi).limit_denominator(64), args.pulses)
+        # Only a tabulated angle has a row; any other angle would silently
+        # print the phases of the nearest row.
+        frac = _pi_fraction(phi)
+        if frac is None:
+            raise CliError(
+                f"{args.pulses} pulses need a tabulated angle, not phi={args.phi:.10g}"
+            )
+        seq = catalog.arbitrary_row(frac, args.pulses)
     else:
         raise CliError(f"no constructor for {args.pulses} pulses")
     print(f"label: {seq.label}")

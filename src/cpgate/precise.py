@@ -23,58 +23,59 @@ shift truncates by less than one unit of 2^-P, and the 16 guard bits
 absorb that over a few dozen pulses: at 50 digits the propagator agrees
 with a 90-digit evaluation to ~1e-51, the rounding of its own result.
 
-``slope_fit`` runs the same pulse loop (``_pulse_loop``), with the
-cos/sin of the half area at its grid's epsilons cached per (grid,
-precision), and also takes the squared Frobenius gate distance in fixed
-point, one integer per point.  It takes logs of infidelities of at
-least ~1e-26 for the trains it measures (order 8 at eps = 1e-3), so an
-error of ~1e-51 in a propagator entry moves a log by ~1e-25, ten decades
-below the spacing of doubles.  A train of an even number of pi pulses
-has an infidelity that is even in eps (see ``mp_propagator``);
-``slope_fit`` then evaluates only the positive half of its grid, where
-an odd-length train is averaged over both signs.  The two signs agree to
-~1e-51, so the one-sign fit is bit-identical to the two-sign average
-under the proviso below.  On the one-sign path the infidelity is the
-distance itself, so its log is half the log of the squared distance,
-and the reported peak is the root of the largest square: one sqrt per
-fit in place of one per point, with the same peak, since rounding is
-monotone.  Only the double of each log is kept, so every log runs at 96
-bits, a double's 53 and 43 guard bits (``_LOG_BITS``), not at the
-working 169 (at 50 digits): rounding the squared distance to 96 bits
-and taking its log at 96 bits puts the result within ~2^-89 of the
-exact log, so it rounds to the same double unless the exact log lies
-within ~2^-43 units in the last place of a rounding boundary; halving a
-double is exact.  The line is fitted by the
-``lstsq`` call ``np.polyfit`` makes, on the scaled Vandermonde matrix of
-the log grid built once per grid (``_line_design``), so the slope is
-polyfit's bit for bit.  The float logs, and the slope and peak fitted
-from them, therefore come out bit-identical to plain mpf object
-arithmetic, barring a value that falls within 1e-25 of a rounding
-boundary or a log within ~2^-43 units in the last place of one.  None of 342 checks does: the
-111 benchmark trains and 60 random float trains of odd and even length,
-each at 50 and 30 digits; the tests check the 27 names and the 84
-rounded rows against the mpc reference.
+``slope_fit`` runs the same pulse loop (``_pulse_loop``) at
+``WORKING_DPS`` digits on one fixed window, the 20 log-spaced errors from
+1e-3 to 1e-2, with the cos/sin of the half area at each cached per
+precision (``_slope_grid``), and takes the squared Frobenius gate
+distance in fixed point, one integer per point.  It takes logs of
+infidelities of at least ~1e-26 for the trains it measures (order 8 at
+eps = 1e-3), so an error of ~1e-51 in a propagator entry moves a log by
+~1e-25, ten decades below the spacing of doubles.  A train of an even
+number of pi pulses has an infidelity that is even in eps (see
+``mp_propagator``), so ``slope_fit`` evaluates +eps only; an odd number
+of pi pulses is off-diagonal at eps = 0, no phase gate at all, and
+raises ValueError.  The infidelity is the distance itself, so its log is
+half the log of the squared distance, and the reported peak is the root
+of the largest square: one sqrt per fit, with the peak of one sqrt per
+point, since rounding is monotone.  Only the double of each log is kept,
+so every log runs at 96 bits, a double's 53 and 43 guard bits
+(``_LOG_BITS``), not at the working 169: rounding the squared distance
+to 96 bits and taking its log at 96 bits puts the result within ~2^-89
+of the exact log, so it rounds to the same double unless the exact log
+lies within ~2^-43 units in the last place of a rounding boundary;
+halving a double is exact.  The line is fitted by the ``lstsq`` call
+``np.polyfit`` makes, on the scaled Vandermonde matrix of the log grid
+built once per grid (``_line_design``), so the slope is polyfit's bit
+for bit.  The float logs, and the slope and peak fitted from them,
+therefore come out bit-identical to plain mpf object arithmetic averaged
+over both signs of eps, barring a value that falls within 1e-25 of a
+rounding boundary or a log within ~2^-43 units in the last place of one;
+the tests check the 27 names, the 84 rounded rows, random two-half
+trains and trains off that structure against that mpc reference.
 
 Every catalog name, table row and polished inline spec is a two-half
 train, built by ``sequences.structured_sequence``: a half H followed by H
 with every phase shifted by pi - phi/2.  ``slope_fit`` checks that
 structure exactly at its own precision (``_half_length``): the second
-half must equal the first plus ``mp.pi - phi/2``, value for value.  Such
-a train runs the pulse loop over the first half only and forms the full
-pair with the two-half product (a*a - rot |b|^2, a*b + rot b conj(a)),
-rot = e^{i(pi - phi/2)} = -cos(phi/2) + i sin(phi/2) taken from the gate's
-cos/sin (``_two_half``).  Any other train (odd length, float phases,
-phases rounded at another precision) runs the full loop.  The check only
-picks the faster path: a train that passes it is a two-half train, and
-the exact rot differs from the rounded shift of its phases by ~1e-50,
-which moves a log by ~1e-24, still far below the spacing of doubles.
+half must equal the first plus ``mp.pi - phi/2``, value for value.  For
+such a train the squared distance 1 - Re(a e^{i phi/2}) is
+2 Im(e^{i phi/4} a_h)^2, a_h being the half's major-diagonal element (see
+``solver``), so the pulse loop runs over the first half only and the
+square is 2 t^2, t = sin(phi/4) Re a_h + cos(phi/4) Im a_h in fixed
+point, with the cos/sin of phi/4 from ``_angle_trig``.  Any other train
+(float phases, phases rounded at another precision) runs the full loop
+and takes (|a - e^{-i phi/2}|^2 + |b|^2) / 2.  The check only picks the
+faster path: a train that passes it is a two-half train, and the exact
+shift differs from the rounded shift of its phases by ~1e-50, which moves
+a log by ~1e-24, still far below the spacing of doubles.  All 111
+benchmark trains take the half path, and ``verify --json`` prints the
+same bytes on each as through the full two-half pair it replaced.
 Leading pulses of phase exactly 0 are alike in every train, so both
 loops compose them once: ``_grid_prefix`` holds the pulse-loop state
-after them per (window, points, precision, count), and
-``_mp_zero_prefix`` the polish jets per (order, count, precision), with
-the integer operations of the pulse-by-pulse loop, so the jets are
-bitwise unchanged.  On the 111 benchmark trains (all exact two-half
-trains at 50 digits; 82 begin with 2-4 phase-0 pulses) this took
+after them per (precision, count), and ``_mp_zero_prefix`` the polish
+jets per (order, count, precision), with the integer operations of the
+pulse-by-pulse loop, so the jets are bitwise unchanged.  On the 111
+benchmark trains (82 begin with 2-4 phase-0 pulses) this took
 ``slope_fit`` from 0.98 to 0.66 ms per train and ``_mp_jet_compose`` from
 96 to 72 us per first half (CPU time, best of 5 alternated processes of
 7 passes, 2 shared cores, Python 3.11.7, mpmath 1.3.0 on its Python
@@ -110,7 +111,6 @@ import numpy as np
 from mpmath.libmp import (
     fone,
     from_man_exp,
-    fzero,
     mpf_add,
     mpf_cos_sin,
     mpf_log,
@@ -129,6 +129,11 @@ from .su2 import CompositeSequence
 _log = logging.getLogger("cpgate.precise")
 
 WORKING_DPS = 50
+# The slope window: _SLOPE_POINTS log-spaced errors from _SLOPE_EPS_LO to
+# _SLOPE_EPS_HI.
+_SLOPE_EPS_LO = 1e-3
+_SLOPE_EPS_HI = 1e-2
+_SLOPE_POINTS = 20
 # Fractional bits of the fixed-point loops beyond the working precision.
 GUARD_BITS = 16
 # Bits of the logs in ``slope_fit``: a double's 53 and 43 guard bits.
@@ -195,21 +200,6 @@ def _pulse_loop(rotors, c, s, prec, start=None):
     return ar, ai, br, bi
 
 
-def _two_half(ar, ai, br, bi, rot_r, rot_i, prec):
-    """Fixed-point pair of the half (a, b) followed by the same half with
-    every phase shifted by the angle of rot = rot_r + i rot_i, i.e. by
-    (a, rot * b): (a*a - rot |b|^2, a*b + rot * b*conj(a))."""
-    bb = (br * br + bi * bi) >> prec
-    tr = (br * ar + bi * ai) >> prec
-    ti = (bi * ar - br * ai) >> prec
-    return (
-        (ar * ar - ai * ai - rot_r * bb) >> prec,
-        (2 * ar * ai - rot_i * bb) >> prec,
-        (ar * br - ai * bi + rot_r * tr - rot_i * ti) >> prec,
-        (ar * bi + ai * br + rot_r * ti + rot_i * tr) >> prec,
-    )
-
-
 def _leading_zeros(phases):
     """Number of leading phases that are exactly 0."""
     count = 0
@@ -221,9 +211,8 @@ def _leading_zeros(phases):
 def _half_length(phases, phi):
     """Length of the first half if the second half of ``phases`` is exactly
     the first plus ``mp.pi - phi / 2`` at the working precision, the way
-    ``sequences.structured_sequence`` builds it, else 0."""
-    if len(phases) % 2:
-        return 0
+    ``sequences.structured_sequence`` builds it, else 0.  ``phases`` has
+    even length."""
     half = len(phases) // 2
     shift = mp.pi - mp.mpf(phi) / 2
     if all(phases[half + k] == phases[k] + shift for k in range(half)):
@@ -261,34 +250,29 @@ def mp_propagator(phases, epsilon):
     return out[0] if single else out
 
 
-@lru_cache(maxsize=8)
-def _slope_grid(eps_lo, eps_hi, points, prec):
-    """(signed, logs) of ``slope_fit`` at ``prec`` bits: the log-spaced
-    epsilons, each followed by its negative, and the float log of each."""
-    with mp.workprec(prec):
-        lo, hi = mp.log(mp.mpf(eps_lo)), mp.log(mp.mpf(eps_hi))
-        grid = [mp.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
-        signed = tuple(s for e in grid for s in (e, -e))
-        return signed, tuple(float(mp.log(e)) for e in grid)
-
-
-@lru_cache(maxsize=8)
-def _grid_trig(eps_lo, eps_hi, points, wp):
-    """``_pi_trig`` at each signed epsilon of ``_slope_grid``."""
-    signed, _ = _slope_grid(eps_lo, eps_hi, points, wp)
-    return tuple(_pi_trig(eps._mpf_, wp) for eps in signed)
+@lru_cache(maxsize=4)
+def _slope_grid(wp):
+    """(grid, trig, logs) of ``slope_fit`` at ``wp`` bits: the
+    ``_SLOPE_POINTS`` log-spaced epsilons of the window, ``_pi_trig`` at
+    each and the float log of each."""
+    with mp.workprec(wp):
+        lo, hi = mp.log(mp.mpf(_SLOPE_EPS_LO)), mp.log(mp.mpf(_SLOPE_EPS_HI))
+        grid = tuple(
+            mp.exp(lo + (hi - lo) * i / (_SLOPE_POINTS - 1))
+            for i in range(_SLOPE_POINTS)
+        )
+        trig = tuple(_pi_trig(eps._mpf_, wp) for eps in grid)
+        return grid, trig, tuple(float(mp.log(eps)) for eps in grid)
 
 
 @lru_cache(maxsize=32)
-def _grid_prefix(eps_lo, eps_hi, points, wp, count):
+def _grid_prefix(wp, count):
     """``_pulse_loop`` state after ``count`` pulses of phase 0 at each
-    signed epsilon of ``_slope_grid``: leading zeros of a train are the
-    same in every train, so they are composed once."""
+    epsilon of ``_slope_grid``: leading zeros of a train are the same in
+    every train, so they are composed once."""
     prec = wp + GUARD_BITS
     rotors = [_rotor(0, prec)] * count
-    return tuple(
-        _pulse_loop(rotors, c, s, prec) for c, s in _grid_trig(eps_lo, eps_hi, points, wp)
-    )
+    return tuple(_pulse_loop(rotors, c, s, prec) for c, s in _slope_grid(wp)[1])
 
 
 @lru_cache(maxsize=8)
@@ -307,72 +291,62 @@ def _line_design(logs):
     return lhs, scale, len(x) * np.finfo(x.dtype).eps
 
 
-def slope_fit(seq: CompositeSequence, eps_lo=1e-3, eps_hi=1e-2, points=20,
-              dps=50) -> tuple[float, float]:
+def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
     """Least-squares slope of log-infidelity vs log-error.
 
-    Returns (slope, max infidelity over the window).  Evaluated under
-    mpmath so the fit sees the true power law, not roundoff.  The
-    infidelity at each of the ``points`` log-spaced errors is the average
-    over both signs of eps, except for an even-length train, whose
-    infidelity is even in eps (every catalog train, table row and CLI
-    spec), which is evaluated at +eps only.  The pulse loop and the
-    Frobenius gate distance run in fixed point; each distance is rounded
-    to mpf once, then takes one sqrt and one log.
+    Returns (slope, max infidelity over the window): the Frobenius
+    infidelity at the ``_SLOPE_POINTS`` log-spaced errors from
+    ``_SLOPE_EPS_LO`` to ``_SLOPE_EPS_HI``, at ``WORKING_DPS`` digits, so
+    the fit sees the true power law, not roundoff.  The infidelity of an
+    even-length train is even in eps, so it is evaluated at +eps only;
+    an odd-length train, off-diagonal at eps = 0, raises ValueError.
+    The pulse loop and the squared distance run in fixed point; each
+    square is rounded to mpf once and takes one log.
     """
-    with mp.workdps(dps):
+    if len(seq) % 2:
+        raise ValueError(f"slope_fit needs an even number of pulses, got {len(seq)}")
+    with mp.workdps(WORKING_DPS):
         wp = mp.mp.prec
         prec = wp + GUARD_BITS
         half = _half_length(seq.phases, seq.target_phi)
         looped = seq.phases[:half] if half else seq.phases
         zeros = _leading_zeros(looped)
         rotors = [_rotor(phase, prec) for phase in looped[zeros:]]
-        trig = _grid_trig(eps_lo, eps_hi, points, wp)
-        starts = _grid_prefix(eps_lo, eps_hi, points, wp, zeros)
-        _, grid_logs = _slope_grid(eps_lo, eps_hi, points, wp)
-        # The gate (fa, 0), fa = e^{-i phi/2} = fc - i fs; the shift of the
-        # second half is e^{i(pi - phi/2)} = -fc + i fs.
-        fc, fs = _angle_trig(seq.target_phi, 1, prec)
-        even = len(seq) % 2 == 0
-        # (|a - fa|^2 + |b|^2) / 2, the squared Frobenius distance, is the
-        # integer total times 2^shift; one total per signed epsilon, or per
-        # positive one when the infidelity is even in eps.
-        shift = -2 * prec - 1
-        totals = []
-        for k in range(0, len(trig), 2 if even else 1):
-            ar, ai, br, bi = _pulse_loop(rotors, *trig[k], prec, starts[k])
-            if half:
-                ar, ai, br, bi = _two_half(ar, ai, br, bi, -fc, fs, prec)
-            totals.append((ar - fc) ** 2 + (ai + fs) ** 2 + br * br + bi * bi)
-        # Only the double of each log is kept, so it is taken at 53 + 43
-        # bits (or the working precision, if lower).
-        log_prec = min(wp, _LOG_BITS)
-        if even:
-            # The infidelity is the distance itself: its log is half the
-            # log of the square, and the peak is the root of the largest
-            # square (rounding is monotone).
-            peak = to_float(mpf_sqrt(
-                from_man_exp(max(totals), shift, wp, round_nearest), wp
-            ), rnd=round_nearest)
-            fit = [
-                (log_eps, 0.5 * to_float(mpf_log(
-                    from_man_exp(t, shift, log_prec, round_nearest), log_prec
-                ), rnd=round_nearest))
-                for log_eps, t in zip(grid_logs, totals) if t
-            ]
+        _, trig, grid_logs = _slope_grid(wp)
+        starts = _grid_prefix(wp, zeros)
+        # The squared Frobenius distance is the integer total times
+        # 2^shift, one total per epsilon.
+        if half:
+            # 2 Im(e^{i phi/4} a_h)^2 from the half's a_h.
+            c, s = _angle_trig(seq.target_phi, 2, prec)
+            shift = 1 - 2 * prec
+            totals = []
+            for (cp, sp), start in zip(trig, starts):
+                ar, ai, _, _ = _pulse_loop(rotors, cp, sp, prec, start)
+                t = (s * ar + c * ai) >> prec
+                totals.append(t * t)
         else:
-            dists = [
-                mpf_sqrt(from_man_exp(t, shift, wp, round_nearest), wp) for t in totals
-            ]
-            infids = [
-                mpf_shift(mpf_add(plus, minus, wp), -1)
-                for plus, minus in zip(dists[::2], dists[1::2])
-            ]
-            peak = max(to_float(v, rnd=round_nearest) for v in infids)
-            fit = [
-                (log_eps, to_float(mpf_log(v, log_prec), rnd=round_nearest))
-                for log_eps, v in zip(grid_logs, infids) if v != fzero
-            ]
+            # (|a - fa|^2 + |b|^2) / 2 against the gate (fa, 0),
+            # fa = e^{-i phi/2} = fc - i fs.
+            fc, fs = _angle_trig(seq.target_phi, 1, prec)
+            shift = -1 - 2 * prec
+            totals = []
+            for (cp, sp), start in zip(trig, starts):
+                ar, ai, br, bi = _pulse_loop(rotors, cp, sp, prec, start)
+                totals.append((ar - fc) ** 2 + (ai + fs) ** 2 + br * br + bi * bi)
+        # The infidelity is the distance itself: its log is half the log of
+        # the square, and the peak is the root of the largest square
+        # (rounding is monotone).  Only the double of each log is kept, so
+        # it is taken at 53 + 43 bits.
+        peak = to_float(mpf_sqrt(
+            from_man_exp(max(totals), shift, wp, round_nearest), wp
+        ), rnd=round_nearest)
+        fit = [
+            (log_eps, 0.5 * to_float(mpf_log(
+                from_man_exp(t, shift, _LOG_BITS, round_nearest), _LOG_BITS
+            ), rnd=round_nearest))
+            for log_eps, t in zip(grid_logs, totals) if t
+        ]
         if len(fit) < 2:
             return math.nan, peak
         logs, vals = zip(*fit)

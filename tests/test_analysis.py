@@ -127,6 +127,17 @@ def test_high_fidelity_ranges_match_known_values():
     )
 
 
+@pytest.mark.parametrize("threshold", [1e-4, 1e-2])
+def test_trace_range_is_the_frobenius_search_at_the_root_of_the_threshold(threshold):
+    for name in ("Z4", "S6", "T18"):
+        got = trace_range(_cat(name), threshold)
+        want = high_fidelity_range(_cat(name), math.sqrt(threshold))
+        assert got.threshold == threshold
+        assert (got.epsilon0, got.lower, got.upper, got.flagged) == (
+            want.epsilon0, want.lower, want.upper, want.flagged
+        )
+
+
 def test_trace_ranges_match_known_values():
     assert trace_range(_cat("Z4")).epsilon0 == pytest.approx(0.064, abs=5e-4)
     assert trace_range(_cat("S4")).epsilon0 == pytest.approx(0.087, abs=5e-4)
@@ -141,11 +152,12 @@ def test_range_interval_is_centered_on_nominal_area():
 
 
 def test_range_threshold_validation():
+    # Each search checks its own threshold against (0, 0.5).
     seq = _cat("Z4")
-    with pytest.raises(ValueError, match="threshold"):
-        high_fidelity_range(seq, threshold=0.0)
-    with pytest.raises(ValueError, match="threshold"):
-        high_fidelity_range(seq, threshold=0.6)
+    for search in (high_fidelity_range, trace_range):
+        for threshold in (0.0, -1e-4, 0.5, 0.6):
+            with pytest.raises(ValueError, match="threshold"):
+                search(seq, threshold=threshold)
 
 
 @pytest.mark.parametrize("phi", [math.pi, math.pi / 2, math.pi / 4])
@@ -212,11 +224,7 @@ def test_profile_law_holds_at_50_digits_on_every_verify_train():
     # The polish stops at a half-train residual of 1e-45, so the deviation
     # grows with the order, from ~3e-49 at n = 0 to ~2e-27 at n = 7.
     with mp.workdps(50):
-        signed, _ = precise._slope_grid(
-            analysis._SLOPE_EPS_LO, analysis._SLOPE_EPS_HI,
-            analysis._SLOPE_POINTS, mp.mp.prec,
-        )
-        grid = signed[::2]
+        grid, _, _ = precise._slope_grid(mp.mp.prec)
         for seq in _verify_trains():
             phi = mp.mpf(seq.target_phi)
             gate = mp.expj(-phi / 2)
@@ -264,6 +272,34 @@ def test_scalar_array_and_50_digit_paths_agree_on_the_profile_law(k, eps, small)
             infid = mp.sqrt((abs(a - gate) ** 2 + abs(b) ** 2) / 2)
             law = scale * abs(mp.sin(mp.pi * e / 2)) ** (n + 1)
             assert abs(infid / law - 1) <= 1e-25, (seq.label, float(e))
+
+
+@given(
+    k=st.integers(0, 110),
+    eps=st.one_of(
+        st.floats(-0.9, 0.9), st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=8)
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_trace_infidelity_is_the_square_of_the_frobenius_infidelity(k, eps):
+    # For an SU(2) pair against a phase gate both infidelities read the
+    # squared distance 1 - Re(a e^{i phi/2}): trace_range is the Frobenius
+    # search at sqrt(threshold).  In doubles the two differ by half of
+    # compose's unitarity defect |a|^2 + |b|^2 - 1 (up to ~2e-15 on 18
+    # pulses) and by rounding, which reaches ~1.3e-15 near infidelity 2;
+    # below 0.5, where every range threshold lies, rounding stays under
+    # 1e-15.
+    seq = _verify_train_tuple()[k]
+    eps = np.array(eps) if isinstance(eps, list) else eps
+    u = compose(seq, eps)
+    target = target_gate(seq.target_phi)
+    trace = 1.0 - trace_fidelity(u, target)
+    frob = 1.0 - frobenius_fidelity(u, target)
+    defect = np.abs(u.a) ** 2 + np.abs(u.b) ** 2 - 1.0
+    assert np.shape(trace) == np.shape(frob) == np.shape(eps)
+    below = trace < 0.5
+    gap = np.abs(trace - frob**2) - 0.5 * np.abs(defect)
+    assert np.all(gap[below] <= 1e-15), (seq.label, eps)
 
 
 def test_profile_law_holds_on_every_solved_class():

@@ -194,6 +194,25 @@ def test_build_compact_row(capsys):
     assert spec_parse(spec_line.removeprefix("spec: ")).order == 5
 
 
+@pytest.mark.parametrize("pulses", ["10", "12", "14"])
+@pytest.mark.parametrize("phi", ["0.2501", "0.3", "0.3333"])
+def test_build_rejects_an_angle_without_a_table_row(pulses, phi, capsys):
+    # Near-miss angles once printed the nearest row's phases under the
+    # requested angle, a spec that misses its gate at eps = 0.
+    assert run(["build", "--phi", phi, "--pulses", pulses]) == EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("phi", ["0.0625", "0.25", "0.3333333333333333", "0.9375"])
+def test_build_accepts_every_tabulated_angle(phi, capsys):
+    assert run(["build", "--phi", phi, "--pulses", "10"]) == 0
+    spec_line = capsys.readouterr().out.splitlines()[-1]
+    assert run(["range", "--gate", spec_line.removeprefix("spec: ")]) == 0
+    capsys.readouterr()
+
+
 def test_solve_writes_loadable_catalog(tmp_path, capsys):
     out_path = tmp_path / "sol.json"
     assert run(

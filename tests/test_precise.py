@@ -143,33 +143,29 @@ def test_mp_propagator_of_an_even_pi_train_flips_b_with_epsilon(phases, eps):
         assert abs(b_neg + b) <= 1e-45
 
 
-# A train whose infidelity is not even in eps: three pi pulses and one 2 pi
+# Odd counts of pi pulses: one pulse, and three pi pulses and one 2 pi
 # block, i.e. five pi pulses, the 2 pi block as two of equal phase.
-_NOT_EVEN_TRAINS = {"three-pi-one-2pi": (0.0, 0.7, 1.9, 1.9, 0.4)}
+_ODD_TRAINS = {"one-pi": (0.3,), "three-pi-one-2pi": (0.0, 0.7, 1.9, 1.9, 0.4)}
 
 
-def _not_even_train(name):
+def _odd_train(name):
     return CompositeSequence(
-        _NOT_EVEN_TRAINS[name], target_phi=math.pi / 2, order=1, label=name
+        _ODD_TRAINS[name], target_phi=math.pi / 2, order=1, label=name
     )
 
 
-def _infidelity(pair, phi):
-    a, b = pair
-    return mp.sqrt((abs(a - mp.exp(-1j * phi / 2)) ** 2 + abs(b) ** 2) / 2)
-
-
-@pytest.mark.parametrize("name", sorted(_NOT_EVEN_TRAINS))
-def test_slope_fit_averages_both_signs_when_not_even_in_epsilon(name):
-    seq = _not_even_train(name)
+@pytest.mark.parametrize("name", sorted(_ODD_TRAINS))
+def test_slope_fit_rejects_an_odd_length_train(name):
+    # An odd count of pi pulses is off-diagonal at eps = 0, so it is no
+    # phase gate and has no order to measure.
+    seq = _odd_train(name)
     with mp.workdps(precise.WORKING_DPS):
-        plus, minus = precise.mp_propagator(
-            [mp.mpf(p) for p in seq.phases], [mp.mpf("1e-2"), mp.mpf("-1e-2")]
-        )
-        # The two signs differ, so the fit must take both.
-        phi = mp.mpf(seq.target_phi)
-        assert abs(_infidelity(plus, phi) - _infidelity(minus, phi)) > 1e-6
-    assert precise.slope_fit(seq) == _reference_slope_fit(seq)
+        a, b = precise.mp_propagator([mp.mpf(p) for p in seq.phases], mp.mpf(0))
+        assert abs(a) < 1e-45 and abs(abs(b) - 1) < 1e-45
+    with pytest.raises(ValueError, match="even number of pulses"):
+        precise.slope_fit(seq)
+    with pytest.raises(ValueError, match="even number of pulses"):
+        analysis.verify_order(seq)
 
 
 def _rounded_row_specs(pulses):
@@ -212,18 +208,6 @@ def test_slope_fit_equals_the_per_epsilon_loop_bitwise_on_shorter_rounded_rows(s
     _assert_slope_fit_is_the_reference_on_a_rounded_row(spec)
 
 
-def test_slope_fit_trig_cache_is_keyed_by_precision():
-    # The grid and its fixed-point trig depend only on the window and the
-    # precision, so only the precision in the key keeps a 30-digit table
-    # out of a 50-digit fit.
-    seq = _not_even_train("three-pi-one-2pi")
-    precise.slope_fit(seq, dps=30)
-    after_30 = precise.slope_fit(seq, dps=50)
-    precise._grid_trig.cache_clear()
-    precise._slope_grid.cache_clear()
-    assert after_30 == precise.slope_fit(seq, dps=50)
-
-
 def _structured_mp_train(rel, phi):
     # A 50-digit two-half train, built the way catalog names, table rows
     # and polished specs are.
@@ -232,8 +216,8 @@ def _structured_mp_train(rel, phi):
         return structured_sequence(spec)
 
 
-def _half_length(seq, dps=precise.WORKING_DPS):
-    with mp.workdps(dps):
+def _half_length(seq):
+    with mp.workdps(precise.WORKING_DPS):
         return precise._half_length(seq.phases, seq.target_phi)
 
 
@@ -272,20 +256,30 @@ def _ulp_moved_train():
     return CompositeSequence(phases, seq.target_phi, seq.order, "Z10-ulp")
 
 
+def _30_digit_train():
+    # S6 built at 30 digits: its second half is the first plus the 30-digit
+    # shift, which differs from the 50-digit shift that slope_fit checks.
+    seq = catalog.to_sequence(catalog.get("S6"))
+    half = len(seq) // 2
+    with mp.workdps(30):
+        spec = HalfSequenceSpec(
+            tuple(mp.mpf(p) for p in seq.phases[1:half]), mp.mpf(seq.target_phi)
+        )
+        return structured_sequence(spec)
+
+
 _FULL_LOOP_TRAINS = {
-    "ulp-moved": (_ulp_moved_train, precise.WORKING_DPS),
-    "odd-length": (lambda: _not_even_train("three-pi-one-2pi"), precise.WORKING_DPS),
-    "float-builder": (lambda: six_pulse(math.pi / 2, 3), precise.WORKING_DPS),
-    "50-digit-at-dps-30": (lambda: catalog.to_sequence(catalog.get("S6")), 30),
+    "ulp-moved": _ulp_moved_train,
+    "float-builder": lambda: six_pulse(math.pi / 2, 3),
+    "30-digit-S6": _30_digit_train,
 }
 
 
 @pytest.mark.parametrize("name", sorted(_FULL_LOOP_TRAINS))
 def test_slope_fit_takes_the_full_loop_off_the_exact_structure(name):
-    build, dps = _FULL_LOOP_TRAINS[name]
-    seq = build()
-    assert _half_length(seq, dps) == 0
-    assert precise.slope_fit(seq, dps=dps) == _reference_slope_fit(seq, dps=dps)
+    seq = _FULL_LOOP_TRAINS[name]()
+    assert _half_length(seq) == 0
+    assert precise.slope_fit(seq) == _reference_slope_fit(seq)
 
 
 def test_structured_trains_of_the_verify_path_take_the_half_loop():
@@ -297,18 +291,6 @@ def test_structured_trains_of_the_verify_path_take_the_half_loop():
     assert seqs[-1].phases != cli.spec_parse(spec).phases  # polished
     for seq in seqs:
         assert _half_length(seq) == len(seq) // 2, seq.label
-
-
-def test_slope_fit_zero_prefix_cache_is_keyed_by_precision():
-    # Z10 starts with three phase-0 pulses, composed once per grid,
-    # precision and count.
-    seq = catalog.to_sequence(catalog.get("Z10"))
-    precise.slope_fit(seq, dps=30)
-    after_30 = precise.slope_fit(seq, dps=50)
-    precise._grid_prefix.cache_clear()
-    precise._grid_trig.cache_clear()
-    precise._slope_grid.cache_clear()
-    assert after_30 == precise.slope_fit(seq, dps=50)
 
 
 def test_pulse_trig_takes_pi_at_the_working_precision():
