@@ -135,7 +135,9 @@ def _measurement_sequence(seq: CompositeSequence) -> CompositeSequence:
 
 
 def _fmt_phase(p) -> str:
-    return f"{float(p) / PI:.10g}"
+    # 17 significant digits: a double round-trips, so a printed spec is the
+    # train itself, not one with an infidelity floor from its rounding.
+    return f"{float(p) / PI:.17g}"
 
 
 def _cmd_list(args) -> int:
@@ -180,14 +182,14 @@ def _cmd_build(args) -> int:
         frac = _pi_fraction(phi)
         if frac is None:
             raise CliError(
-                f"{args.pulses} pulses need a tabulated angle, not phi={args.phi:.10g}"
+                f"{args.pulses} pulses need a tabulated angle, not phi={args.phi:.17g}"
             )
         seq = catalog.arbitrary_row(frac, args.pulses)
     else:
         raise CliError(f"no constructor for {args.pulses} pulses")
     print(f"label: {seq.label}")
     print("phases (units of pi): " + ", ".join(_fmt_phase(p) for p in seq.phases))
-    print(f"spec: phi={args.phi:.10g};phases=" + ",".join(
+    print(f"spec: phi={args.phi:.17g};phases=" + ",".join(
         _fmt_phase(p) for p in seq.phases
     ))
     return 0

@@ -7,21 +7,26 @@ The slope-based order estimate and the final polish of tabulated phases
 therefore run at mpmath's working precision.  Every pulse is a nominal
 pi pulse, of area exactly pi(1 + eps) with pi at the working precision.
 
-The two hot loops, the pulse loop of ``mp_propagator`` and the jet
-composition behind the polish residual, run in fixed point: a real x is
-the Python integer floor(x * 2^P), with P = ``mp.mp.prec + GUARD_BITS``,
-so the loops follow the working precision (``workdps(30)`` callers get
-P = 119).  Fixed point fits them because their values are bounded: SU(2)
-entries by 1, and the m-th Taylor coefficient of an N-pulse train by
-(N pi / 2)^m / m!, about 2e4 for the largest half the polish composes
-(N = 9, m = 7).  A product is one integer multiply and one shift, with
-none of the renormalization that dominates mpf object arithmetic.  The
-inputs (rotor cos/sin, the pulse cos/sin at each epsilon, the pi-pulse
-series) are converted once with ``mpmath.libmp.to_fixed``,
-and the results are rounded back to mpf at the working precision.  Each
-shift truncates by less than one unit of 2^-P, and the 16 guard bits
-absorb that over a few dozen pulses: at 50 digits the propagator agrees
-with a 90-digit evaluation to ~1e-51, the rounding of its own result.
+The two hot loops, the pulse loop of ``mp_propagator`` and the
+polynomial composition behind the polish residual, run in fixed point: a
+real x is the Python integer floor(x * 2^P), with
+P = ``mp.mp.prec + GUARD_BITS``, so the loops follow the working
+precision (``workdps(30)`` callers get P = 119).  Fixed point fits them
+because their values are bounded.  SU(2) entries are bounded by 1.  The
+polish composes a train of N pulses as (a, sqrt(1 - s^2) B), with a and
+B polynomials in s = sin(pi eps/2) (see ``jets``); on real s in [-1, 1],
+|a| <= 1 and |B| <= N (Schur's inequality), so by V. A. Markov's
+coefficient bound no coefficient of a exceeds the largest of the
+Chebyshev polynomial T_N, nor one of B N times that of T_{N-1}: 576 and
+2304 for the largest half the polish composes (N = 9).  A product is one
+integer multiply and one shift, with none of the renormalization that
+dominates mpf object arithmetic.  The inputs (rotor cos/sin, the pulse
+cos/sin at each epsilon) are converted once with
+``mpmath.libmp.to_fixed``, and the results are rounded back to mpf at
+the working precision.  Each shift truncates by less than one unit of
+2^-P, and the 16 guard bits absorb that over a few dozen pulses: at 50
+digits the propagator agrees with a 90-digit evaluation to ~1e-51, the
+rounding of its own result.
 
 ``slope_fit`` runs the same pulse loop (``_pulse_loop``) at
 ``WORKING_DPS`` digits on one fixed window, the 20 log-spaced errors from
@@ -73,22 +78,25 @@ same bytes on each as through the full two-half pair it replaced.
 Leading pulses of phase exactly 0 are alike in every train, so both
 loops compose them once: ``_grid_prefix`` holds the pulse-loop state
 after them per (precision, count), and ``_mp_zero_prefix`` the polish
-jets per (order, count, precision), with the integer operations of the
-pulse-by-pulse loop, so the jets are bitwise unchanged.  On the 111
-benchmark trains (82 begin with 2-4 phase-0 pulses) this took
-``slope_fit`` from 0.98 to 0.66 ms per train and ``_mp_jet_compose`` from
-96 to 72 us per first half (CPU time, best of 5 alternated processes of
-7 passes, 2 shared cores, Python 3.11.7, mpmath 1.3.0 on its Python
-backend), with the slope and peak of every train bit-identical.
+polynomials per (length, count, precision), with the integer operations
+of the pulse-by-pulse loop, so the polynomials are bitwise unchanged.
+On the 111 benchmark trains (82 begin with 2-4 phase-0 pulses) the
+pulse-loop prefix took ``slope_fit`` from 0.98 to 0.66 ms per train (CPU
+time, best of 5 alternated processes of 7 passes, 2 shared cores,
+Python 3.11.7, mpmath 1.3.0 on its Python backend), with the slope and
+peak of every train bit-identical.
 
 The polish (``polish_structured``) solves the solver's half-train
 conditions (see ``solver``): its 50-digit residual (``_mp_residual``)
-composes the jets of the half to order n - 1 and reads the eps-Taylor
-coefficients of Im(e^{i phi/4} a_h) = sin(phi/4) Re a_h
-+ cos(phi/4) Im a_h of orders n - 1, n - 3, ... >= 0, with the cos/sin
-of phi/4 taken once per polish.  It runs the float Newton of ``solver``
-to ``_FLOAT_TOL``, which returns the free-column Jacobian at the point it
-converged to, and reuses that Jacobian for every 50-digit step.  The
+composes the half as a polynomial pair in s, O(L) shifts and products
+per pulse, and reads the coefficients of s^{n-1}, s^{n-3}, ... >= 0 of
+Im(e^{i phi/4} a_h) = sin(phi/4) Re a_h + cos(phi/4) Im a_h, with the
+cos/sin of phi/4 taken once per polish.  At 50 digits it agrees with a
+90-digit interpolation of the half to ~1e-50.  It runs the float Newton
+of ``solver`` to ``_FLOAT_TOL``, which returns the free-column Jacobian
+at the point it converged to, and reuses that Jacobian for every
+50-digit step; both residuals read the same s-coefficients, so one
+Jacobian serves both.  The
 50-digit stage stops at 10^-_POLISH_DIGITS = 1e-45, which holds the
 full-train derivative conditions of every polished table row and named
 train below 1e-40 at 90 digits (the tests check the 28 rows of 12 and 14
@@ -406,103 +414,63 @@ def polish_structured(rel_phases, phi, pinned=None):
 
 
 def _mp_residual(rel_phases, gate, n):
-    # The solver's residual at the working precision: the eps-Taylor
-    # coefficients of Im(e^{i phi/4} a_h) = sin(phi/4) Re a_h
-    # + cos(phi/4) Im a_h of orders n - 1, n - 3, ... >= 0, a_h being the
-    # half train's major-diagonal element and ``gate`` the cos and sin of
-    # phi/4 from ``_angle_trig``.
+    # The solver's residual at the working precision: the coefficients of
+    # s^{n-1}, s^{n-3}, ... >= 0 of Im(e^{i phi/4} a_h) = sin(phi/4) Re a_h
+    # + cos(phi/4) Im a_h, a polynomial in s = sin(pi eps/2), a_h being
+    # the half train's major-diagonal element and ``gate`` the cos and sin
+    # of phi/4 from ``_angle_trig``.
     prec = mp.mp.prec + GUARD_BITS
-    ar, ai, _, _ = _mp_jet_compose([mp.mpf(0)] + list(rel_phases), n - 1, prec)
+    ar, ai, _, _ = _mp_jet_compose([mp.mpf(0)] + list(rel_phases), prec)
     c, s = gate
     return [
         mp.mpf((s * ar[m] + c * ai[m], -2 * prec)) for m in range((n + 1) % 2, n, 2)
     ]
 
 
-@lru_cache(maxsize=16)
-def _pi_pulse_series(order: int, prec: int):
-    """Taylor coefficients in eps of cos and sin of (pi/2)(1 + eps) up to
-    ``order``, fixed-point integers at scale 2^prec, laid out for the
-    truncated Cauchy product: entry m of each of the two tuples lists the
-    (coefficient j, index m - j) pairs of the nonzero coefficients j <= m.
-
-    Coefficient m is (pi/2)^m trig(pi/2 + m pi/2) / m!, so the cos series
-    lives on odd m and the sin series on even m, with signs +-1.
-    """
-    with mp.workprec(prec):
-        half_pi = mp.pi / 2
-        terms = [
-            to_fixed((half_pi**m / mp.factorial(m))._mpf_, prec)
-            for m in range(order + 1)
-        ]
-    cos_terms = [
-        (m, -terms[m] if m % 4 == 1 else terms[m]) for m in range(1, order + 1, 2)
-    ]
-    sin_terms = [
-        (m, -terms[m] if m % 4 == 2 else terms[m]) for m in range(0, order + 1, 2)
-    ]
-    return tuple(
-        tuple(tuple((c, m - j) for j, c in series if j <= m) for m in range(order + 1))
-        for series in (cos_terms, sin_terms)
-    )
-
-
-def _mp_jet_pulse(jets, rotor, cos_at, sin_at, prec):
-    """Fixed-point jets of the pi pulse with rotor ``rotor`` applied after
-    the train whose jets are ``jets``."""
-    # The pi pulse is (c, rot * s) with real series c, s and rotor
-    # rot = -i e^{i phase}; its product with the running pair (a, b) reads
-    # a' = c*a - rot * (s*conj(b)), b' = c*b + rot * (s*conj(a)).
-    ar, ai, br, bi = jets
+def _mp_jet_pulse(poly, rotor, prec):
+    """Fixed-point polynomials in s of the pi pulse with rotor ``rotor``
+    applied after the train whose polynomials are ``poly``."""
+    # The train is (a, sqrt(1 - s^2) B) and the pulse (-s, rot sqrt(1 - s^2))
+    # with rot = -i e^{i phase}: a' = -s a - rot (1 - s^2) conj(B),
+    # B' = -s B + rot conj(a) (see ``jets``).  Two leading zeros stand for
+    # the coefficients below s^0.
+    ar, ai, br, bi = ((0, 0, *part) for part in poly)
     rot_r, rot_i = rotor
     nar, nai, nbr, nbi = [], [], [], []
-    for m in range(len(ar)):
-        ca_r = ca_i = cb_r = cb_i = 0
-        for c, k in cos_at[m]:
-            ca_r += c * ar[k]
-            ca_i += c * ai[k]
-            cb_r += c * br[k]
-            cb_i += c * bi[k]
-        sb_r = sb_i = sa_r = sa_i = 0
-        for s, k in sin_at[m]:
-            sb_r += s * br[k]
-            sb_i -= s * bi[k]
-            sa_r += s * ar[k]
-            sa_i -= s * ai[k]
-        sb_r >>= prec
-        sb_i >>= prec
-        sa_r >>= prec
-        sa_i >>= prec
-        nar.append((ca_r - rot_r * sb_r + rot_i * sb_i) >> prec)
-        nai.append((ca_i - rot_r * sb_i - rot_i * sb_r) >> prec)
-        nbr.append((cb_r + rot_r * sa_r - rot_i * sa_i) >> prec)
-        nbi.append((cb_i + rot_r * sa_i + rot_i * sa_r) >> prec)
+    for m in range(2, len(ar)):
+        # (1 - s^2) conj(B) at s^m.
+        qr, qi = br[m] - br[m - 2], bi[m - 2] - bi[m]
+        nar.append(-ar[m - 1] - ((rot_r * qr - rot_i * qi) >> prec))
+        nai.append(-ai[m - 1] - ((rot_r * qi + rot_i * qr) >> prec))
+        nbr.append(-br[m - 1] + ((rot_r * ar[m] + rot_i * ai[m]) >> prec))
+        nbi.append(-bi[m - 1] + ((rot_i * ar[m] - rot_r * ai[m]) >> prec))
     return nar, nai, nbr, nbi
 
 
 @lru_cache(maxsize=64)
-def _mp_zero_prefix(order: int, count: int, prec: int):
-    """Jets after ``count`` pi pulses of phase exactly 0, from the identity:
-    the pinned leading zeros of a polish are the same on every residual
-    evaluation, so they are composed once per (order, count, precision)."""
-    zero = (0,) * (order + 1)
-    jets = ((1 << prec,) + zero[1:], zero, zero, zero)
-    cos_at, sin_at = _pi_pulse_series(order, prec)
+def _mp_zero_prefix(length: int, count: int, prec: int):
+    """Polynomials of ``length`` coefficients after ``count`` pi pulses of
+    phase exactly 0, from the identity: the pinned leading zeros of a
+    polish are the same on every residual evaluation, so they are composed
+    once per (length, count, precision)."""
+    zero = (0,) * length
+    poly = ((1 << prec,) + zero[1:], zero, zero, zero)
     rotor = _rotor(0, prec)
     for _ in range(count):
-        jets = _mp_jet_pulse(jets, rotor, cos_at, sin_at, prec)
-    return tuple(tuple(part) for part in jets)
+        poly = _mp_jet_pulse(poly, rotor, prec)
+    return tuple(tuple(part) for part in poly)
 
 
-def _mp_jet_compose(phases, order, prec):
-    """Jets (ar, ai, br, bi) of a train of nominal pi pulses, fixed point
-    at 2^prec: four sequences of the real and imaginary Taylor
-    coefficients of the Cayley-Klein pair up to ``order``.  Leading phases
-    that are exactly 0 come from ``_mp_zero_prefix``; the first pulse
-    applied to the identity is the pulse itself, bit for bit."""
-    cos_at, sin_at = _pi_pulse_series(order, prec)
+def _mp_jet_compose(phases, prec):
+    """Polynomials (ar, ai, Br, Bi) in s = sin(pi eps/2) of a train of
+    nominal pi pulses, fixed point at 2^prec: the real and imaginary
+    coefficients of s^0 .. s^N of a and of B, the Cayley-Klein pair being
+    (a, sqrt(1 - s^2) B) for N pulses.  Leading phases that are exactly 0
+    come from ``_mp_zero_prefix``; the first pulse applied to the identity
+    is the pulse itself, bit for bit."""
+    length = len(phases) + 1
     zeros = _leading_zeros(phases)
-    jets = _mp_zero_prefix(order, zeros, prec)
+    poly = _mp_zero_prefix(length, zeros, prec)
     for phase in phases[zeros:]:
-        jets = _mp_jet_pulse(jets, _rotor(phase, prec), cos_at, sin_at, prec)
-    return jets
+        poly = _mp_jet_pulse(poly, _rotor(phase, prec), prec)
+    return poly

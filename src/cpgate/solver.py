@@ -10,13 +10,16 @@ satisfies
 
 since a = a_h^2 + e^{-i phi/2} |b_h|^2.  The Frobenius distance to the
 target gate is therefore sqrt(2) |Im(a_h e^{i phi/4})|, a quantity of the
-half alone.  As a polynomial in s = sin(pi eps/2) it has degree n + 1 and
-the parity of n + 1, and its s^{n+1} coefficient is fixed by the
-structure, so the train has order n exactly when the coefficients of
-s^{n-1}, s^{n-3}, ... vanish.  Equivalently, the ``residual`` is the
-ceil(n/2) eps-Taylor coefficients of Im(e^{i phi/4} a_h) of orders n - 1,
-n - 3, ... >= 0.  For odd n its order-0 entry is the zero-error gate
-itself; for even n the gate holds by parity.
+half alone.  With s = sin(pi eps/2), a_h is a polynomial in s of degree
+n + 1 with the parity of n + 1 (see ``jets``), and so is
+Im(e^{i phi/4} a_h).  Its top coefficient is not fixed by the structure,
+but its value at s = 1 is: there every pulse is -I, so a_h = (-1)^{n+1}
+and the coefficients sum to (-1)^{n+1} sin(phi/4).  The train has order n
+exactly when the coefficients of s^{n-1}, s^{n-3}, ... vanish; the top
+coefficient then equals that sum, which is the profile law.  The
+``residual`` is those ceil(n/2) coefficients, ascending.  For odd n its
+s^0 entry is the zero-error gate itself; for even n the gate holds by
+parity.
 
 The roots form manifolds of dimension floor(n/2).  ``solve`` runs
 Newton in the canonical chart, with the leading floor(n/2) relative
@@ -91,22 +94,21 @@ def _residuals(x: np.ndarray, phi: float, jacobian=False):
     (B, ceil(n/2), len(J)) in J."""
     n = x.shape[1]
     rot = cmath.exp(0.25j * phi)
-    # Orders n - 1, n - 3, ... >= 0 of the jets up to order n - 1 (none
-    # at n = 0).
-    order, rows = max(n - 1, 0), slice((n + 1) % 2, None, 2)
+    # The coefficients of s^{n-1}, s^{n-3}, ... >= 0 (none at n = 0).
+    rows = slice((n + 1) % 2, n, 2)
     if jacobian is False:
-        return (rot * structured_jets(x, order)[:, rows]).imag
-    a, da = structured_jets(x, order, jacobian=jacobian)
+        return (rot * structured_jets(x)[:, rows]).imag
+    a, da = structured_jets(x, jacobian=jacobian)
     return (rot * a[:, rows]).imag, (rot * da[:, :, rows]).imag.transpose(0, 2, 1)
 
 
 def residual(phases, phi: float) -> np.ndarray:
     """Real residual vector of the half-train conditions.
 
-    Entries are the eps-Taylor coefficients of Im(e^{i phi/4} a_h) of
-    orders n - 1, n - 3, ... >= 0 (ascending), a_h being the
-    major-diagonal element of the half train; the two-half train has
-    order n exactly when all ceil(n/2) of them vanish.
+    Entries are the coefficients of s^{n-1}, s^{n-3}, ... >= 0
+    (ascending) of Im(e^{i phi/4} a_h), a polynomial in s = sin(pi eps/2),
+    a_h being the major-diagonal element of the half train; the two-half
+    train has order n exactly when all ceil(n/2) of them vanish.
     """
     return _residuals(np.asarray(phases, dtype=float)[None, :], phi)[0]
 

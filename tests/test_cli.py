@@ -205,6 +205,23 @@ def test_build_rejects_an_angle_without_a_table_row(pulses, phi, capsys):
     assert out.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("pulses", ["10", "12", "14"])
+@pytest.mark.parametrize(
+    "phi", [format(float(row.phi_over_pi), ".17g") for row in catalog.arbitrary_rows()]
+)
+def test_build_spec_round_trips(phi, pulses, capsys):
+    # The printed spec is the row itself: its range is not flagged, and its
+    # printed angle builds the same row.
+    assert run(["build", "--phi", phi, "--pulses", pulses]) == 0
+    out = capsys.readouterr().out
+    spec = out.splitlines()[-1].removeprefix("spec: ")
+    printed_phi = spec.split(";")[0].removeprefix("phi=")
+    assert run(["range", "--gate", spec]) == 0
+    assert "non-monotonic" not in capsys.readouterr().out
+    assert run(["build", "--phi", printed_phi, "--pulses", pulses]) == 0
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("phi", ["0.0625", "0.25", "0.3333333333333333", "0.9375"])
 def test_build_accepts_every_tabulated_angle(phi, capsys):
     assert run(["build", "--phi", phi, "--pulses", "10"]) == 0

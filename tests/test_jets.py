@@ -89,41 +89,69 @@ def _half_train(row):
     return CompositeSequence((0.0,) + tuple(row), target_phi=math.pi, order=0)
 
 
-def _phase_derivative(row, j, order):
-    # The phase p_j enters one pulse, whose entries are c, e^{i p_j} s and
-    # e^{-i p_j} s, so each jet of a_h is alpha + beta e^{i p_j} +
-    # gamma e^{-i p_j}: three evaluations a third of a turn apart give
-    # beta e^{i p_j} and gamma e^{-i p_j}, and the derivative
-    # i (beta e^{i p_j} - gamma e^{-i p_j}), with no step size.
+# Chebyshev nodes of s = sin(pi eps/2) in [-1, 1]: more than the n + 2
+# that fix a polynomial of degree n + 1 for every half tested here.
+_NODES = np.cos(math.pi * (np.arange(17) + 0.5) / 17)
+
+
+def _composed_values(row):
+    # a_h of the half train on ``row`` at the nodes, from ``compose``: an
+    # oracle that shares no code with the recurrence.  Matching it at the
+    # nodes fixes every coefficient, without the ill-conditioned fit.
+    return compose(_half_train(row), 2 / math.pi * np.arcsin(_NODES)).a
+
+
+def _phase_derivative(row, j):
+    # The phase p_j enters one pulse, whose entries are -s, e^{i p_j} c and
+    # e^{-i p_j} c, so a_h is alpha + beta e^{i p_j} + gamma e^{-i p_j}:
+    # three evaluations a third of a turn apart give beta e^{i p_j} and
+    # gamma e^{-i p_j}, and the derivative i (beta e^{i p_j} -
+    # gamma e^{-i p_j}), with no step size.
     turn = np.exp(2j * math.pi * np.arange(3) / 3)
     values = []
     for k in range(3):
         moved = np.array(row, dtype=float)
         moved[j] += 2 * math.pi * k / 3
-        values.append(jet_compose(_half_train(moved), order)[0])
+        values.append(_composed_values(moved))
     values = np.array(values)
     plus = (turn.conj()[:, None] * values).sum(axis=0) / 3
     minus = (turn[:, None] * values).sum(axis=0) / 3
     return 1j * (plus - minus)
 
 
-@pytest.mark.parametrize("n", range(0, 7))
+def _assert_at_nodes(coefficients, want):
+    # The polynomial at the nodes against ``want``.  The rounding of its
+    # evaluation grows with sum |c_k|, which passes 1e3 for a half of
+    # equal phases (a Chebyshev polynomial in s).
+    got = np.polynomial.polynomial.polyval(_NODES, coefficients)
+    bound = 1e-14 * max(1.0, np.abs(coefficients).sum())
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("n", range(0, 9))
 def test_structured_jets_match_composed_half_train(n):
-    # The batched kernel against the pulse-by-pulse composition of the
-    # half train, values and tangents.
+    # The batched kernel against the half train composed by ``compose``
+    # at the Chebyshev nodes in s, values and tangents.
     rng = np.random.default_rng(n)
     x = rng.uniform(0.0, 2 * math.pi, size=(5, n))
-    order = n + 1
-    a = structured_jets(x, order)
-    a_t, da = structured_jets(x, order, jacobian=True)
-    assert a.shape == (5, order + 1) and da.shape == (5, n, order + 1)
+    a = structured_jets(x)
+    a_t, da = structured_jets(x, jacobian=True)
+    assert a.shape == (5, n + 2) and da.shape == (5, n, n + 2)
     assert np.array_equal(a, a_t)
     for row, ra, rda in zip(x, a, da):
-        want, _ = jet_compose(_half_train(row), order)
-        assert np.max(np.abs(ra - want)) <= 1e-13 * np.max(np.abs(want))
+        _assert_at_nodes(ra, _composed_values(row))
         for j in range(n):
-            want_d = _phase_derivative(row, j, order)
-            assert np.max(np.abs(rda[j] - want_d)) <= 1e-13 * np.max(np.abs(want_d))
+            _assert_at_nodes(rda[j], _phase_derivative(row, j))
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_structured_jets_have_the_parity_and_the_value_at_s_one(n):
+    # a_h has degree n + 1 and the parity of n + 1, with the other
+    # coefficients exactly zero; at s = 1 every pulse is -I.
+    rng = np.random.default_rng(80 + n)
+    a = structured_jets(rng.uniform(0.0, 2 * math.pi, size=(4, n)))
+    assert np.all(a[:, n % 2::2] == 0)
+    assert np.max(np.abs(a.sum(axis=1) - (-1) ** (n + 1))) <= 1e-13 * np.max(np.abs(a))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -131,9 +159,9 @@ def test_structured_jets_tangent_subsets_are_columns_of_the_full_jacobian(n):
     rng = np.random.default_rng(20 + n)
     x = rng.uniform(0.0, 2 * math.pi, size=(6, n))
     x[:, 0] = 0.0  # a zero that is differentiated stays out of the prefix
-    a, da = structured_jets(x, n, jacobian=True)
+    a, da = structured_jets(x, jacobian=True)
     for wrt in ([n - 1], list(range(n))[::-1], list(range(n // 2, n))):
-        sa, dsa = structured_jets(x, n, jacobian=wrt)
+        sa, dsa = structured_jets(x, jacobian=wrt)
         for got, full in ((sa, a), (dsa, da[:, wrt])):
             assert got.shape == full.shape
             assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
@@ -145,20 +173,19 @@ def test_structured_jets_rejects_bad_tangent_indices():
     for wrt in ([3], [-1], [1, 1], [True, False, True], np.ones(3, dtype=bool),
                 [1.7], 1, np.intp(1), None, [[0, 1]]):
         with pytest.raises(ValueError, match="jacobian"):
-            structured_jets(x, 3, jacobian=wrt)
+            structured_jets(x, jacobian=wrt)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_structured_jets_zero_prefix_matches_composed_half_train(n):
     # Leading zeros in every row go through the cached prefix.
     rng = np.random.default_rng(40 + n)
     for zeros in range(1, n + 1):
         x = rng.uniform(0.0, 2 * math.pi, size=(3, n))
         x[:, :zeros] = 0.0
-        a = structured_jets(x, n + 1)
+        a = structured_jets(x)
         for row, ra in zip(x, a):
-            want, _ = jet_compose(_half_train(row), n + 1)
-            assert np.max(np.abs(ra - want)) <= 1e-13 * np.max(np.abs(want))
+            _assert_at_nodes(ra, _composed_values(row))
 
 
 @pytest.mark.parametrize("jacobian", [False, True, [1, 2]])
@@ -169,8 +196,8 @@ def test_structured_jets_prefix_needs_the_zero_in_every_row(jacobian):
     x = rng.uniform(0.0, 2 * math.pi, size=(6, 4))
     x[::2, 0] = 0.0
     x[::3, 1] = 0.0
-    batch = structured_jets(x, 4, jacobian=jacobian)
-    rows = [structured_jets(row[None, :], 4, jacobian=jacobian) for row in x]
+    batch = structured_jets(x, jacobian=jacobian)
+    rows = [structured_jets(row[None, :], jacobian=jacobian) for row in x]
     if jacobian is False:
         batch, rows = (batch,), [(r,) for r in rows]
     for k, got in enumerate(batch):

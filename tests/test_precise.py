@@ -83,14 +83,6 @@ def _dense_half_jets(rel_phases, order):
     return a, b
 
 
-def _dense_half_residual(rel_phases, phi_mp, n):
-    # The half-train conditions from the dense jets: the coefficients of
-    # Im(e^{i phi/4} a_h) of orders n - 1, n - 3, ... >= 0.
-    a, _ = _dense_half_jets(rel_phases, n - 1)
-    rot = mp.exp(1j * phi_mp / 4)
-    return [mp.im(rot * a[m]) for m in range((n + 1) % 2, n, 2)]
-
-
 def _dense_residual(rel_phases, phi_mp, n):
     # The full-system conditions of the two-half train, the oracle for a
     # root: m! (Re, Im) of a_m for even m and of b_m for odd m, m = 1..n.
@@ -316,36 +308,44 @@ def _mp_residual(rel, phi, n):
     return precise._mp_residual(rel, gate, n)
 
 
+def _fitted_half_residual(rel, phi, n):
+    # The half-train conditions from a 90-digit fit: Im(e^{i phi/4} a_h) of
+    # the mpc pulse loop at the n + 2 Chebyshev nodes of s = sin(pi eps/2),
+    # interpolated by a polynomial of degree n + 1, whose coefficients of
+    # s^{n-1}, s^{n-3}, ... >= 0 are read.  Nothing is shared with the
+    # fixed-point recurrence under test.
+    with mp.workdps(_ORACLE_DPS):
+        nodes = [mp.cos(mp.pi * (k + mp.mpf(0.5)) / (n + 2)) for k in range(n + 2)]
+        rot = mp.exp(1j * mp.mpf(phi) / 4)
+        half = [mp.mpf(0)] + list(rel)
+        values = [
+            mp.im(rot * _oracle_propagator(half, 2 * mp.asin(s) / mp.pi)[0])
+            for s in nodes
+        ]
+        vander = mp.matrix([[s**k for k in range(n + 2)] for s in nodes])
+        coeffs = mp.lu_solve(vander, mp.matrix(values))
+        return [coeffs[m] for m in range((n + 1) % 2, n, 2)]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
-def test_cached_series_residual_matches_dense_half_product(n):
+def test_mp_residual_matches_a_90_digit_fit_of_the_half(n):
     rng = random.Random(n)
     with mp.workdps(precise.WORKING_DPS):
         for _ in range(3):
             rel = [mp.mpf(rng.uniform(0.0, 2 * math.pi)) for _ in range(n)]
             phi = mp.mpf(rng.uniform(0.1, 2 * math.pi))
             got = _mp_residual(rel, phi, n)
-            want = _dense_half_residual(rel, phi, n)
+            want = _fitted_half_residual(rel, phi, n)
             assert len(got) == len(want) == (n + 1) // 2
-            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-40
-
-
-def test_pi_pulse_series_cache_is_keyed_by_precision():
-    rel = [mp.mpf("0.3"), mp.mpf("2.1"), mp.mpf("4.4")]
-    with mp.workdps(30):
-        _mp_residual(rel, mp.pi, 3)
-    with mp.workdps(50):
-        after_30 = _mp_residual(rel, mp.pi, 3)
-        precise._pi_pulse_series.cache_clear()
-        fresh = _mp_residual(rel, mp.pi, 3)
-    assert after_30 == fresh
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-45
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_residual_with_leading_zeros_matches_dense_half_product(n):
+def test_mp_residual_with_leading_zeros_matches_a_90_digit_fit(n):
     # The leading zeros come from the cached zero prefix.  Runs of equal
-    # phases make large coefficients: at n = 8 with seven or more zeros the
-    # components reach ~2e4, and both sides round at 50 digits, so the
-    # bound is 1e-40 relative to the largest component once that passes 1.
+    # phases make large coefficients (a Chebyshev polynomial in s for a
+    # half of equal phases), so the bound is relative to the largest once
+    # that passes 1.
     rng = random.Random(100 + n)
     with mp.workdps(precise.WORKING_DPS):
         for zeros in range(1, n + 1):
@@ -354,9 +354,32 @@ def test_residual_with_leading_zeros_matches_dense_half_product(n):
             ]
             phi = mp.mpf(rng.uniform(0.1, 2 * math.pi))
             got = _mp_residual(rel, phi, n)
-            want = _dense_half_residual(rel, phi, n)
+            want = _fitted_half_residual(rel, phi, n)
             scale = max(1, max(abs(w) for w in want))
-            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-40 * scale, zeros
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-45 * scale, zeros
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_float_polynomials_match_the_50_digit_polynomials(n):
+    # structured_jets against the fixed-point recurrence on random halves,
+    # with and without leading zeros.
+    rng = np.random.default_rng(300 + n)
+    with mp.workdps(precise.WORKING_DPS):
+        prec = mp.mp.prec + precise.GUARD_BITS
+        for zeros in sorted({0, n // 2, n}):
+            x = rng.uniform(0.0, 2 * math.pi, size=(3, n))
+            x[:, :zeros] = 0.0
+            for row, got in zip(x, structured_jets(x)):
+                ar, ai, _, _ = precise._mp_jet_compose(
+                    [mp.mpf(0)] + [mp.mpf(p) for p in row], prec
+                )
+                want = np.array([
+                    complex(float(mp.mpf((r, -prec))), float(mp.mpf((i, -prec))))
+                    for r, i in zip(ar, ai)
+                ])
+                assert got.shape == want.shape == (n + 2,)
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale, zeros
 
 
 @pytest.mark.parametrize("zeros", range(0, 5))
@@ -364,16 +387,12 @@ def test_jet_zero_prefix_equals_pulse_by_pulse_composition_bitwise(zeros):
     rng = random.Random(zeros)
     with mp.workdps(precise.WORKING_DPS):
         prec = mp.mp.prec + precise.GUARD_BITS
-        order = 6
         phases = [mp.mpf(0)] * zeros + [mp.mpf(rng.uniform(0.0, 6.0)) for _ in range(3)]
-        cos_at, sin_at = precise._pi_pulse_series(order, prec)
-        jets = precise._mp_zero_prefix(order, 0, prec)
+        poly = precise._mp_zero_prefix(len(phases) + 1, 0, prec)
         for phase in phases:
-            jets = precise._mp_jet_pulse(
-                jets, precise._rotor(phase, prec), cos_at, sin_at, prec
-            )
-        got = precise._mp_jet_compose(phases, order, prec)
-        assert [list(part) for part in got] == [list(part) for part in jets]
+            poly = precise._mp_jet_pulse(poly, precise._rotor(phase, prec), prec)
+        got = precise._mp_jet_compose(phases, prec)
+        assert [list(part) for part in got] == [list(part) for part in poly]
 
 
 def test_jet_zero_prefix_cache_is_keyed_by_precision():
@@ -383,7 +402,6 @@ def test_jet_zero_prefix_cache_is_keyed_by_precision():
     with mp.workdps(50):
         after_30 = _mp_residual(rel, mp.pi, 4)
         precise._mp_zero_prefix.cache_clear()
-        precise._pi_pulse_series.cache_clear()
         fresh = _mp_residual(rel, mp.pi, 4)
     assert after_30 == fresh
 
@@ -415,10 +433,10 @@ def test_polish_evaluates_the_float_jacobian_once_at_its_converged_point(monkeyp
         phi = mp.pi / 3
     points = []
 
-    def counted(x, order, jacobian=False):
+    def counted(x, jacobian=False):
         if jacobian is not False:
             points.extend(np.array(x, dtype=float))
-        return structured_jets(x, order, jacobian)
+        return structured_jets(x, jacobian)
 
     monkeypatch.setattr(solver, "structured_jets", counted)
     precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
