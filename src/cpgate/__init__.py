@@ -14,7 +14,6 @@ from .analysis import (
     verify_order,
 )
 from .catalog import ArbitraryPhaseRow, CatalogEntry, arbitrary_row, get, to_sequence
-from .jets import jet_compose
 from .sequences import (
     HalfSequenceSpec,
     appendix_b_sequence,
@@ -59,7 +58,6 @@ __all__ = [
     "frobenius_fidelity",
     "get",
     "high_fidelity_range",
-    "jet_compose",
     "residual",
     "six_pulse",
     "solve",

@@ -10,16 +10,22 @@ the trace infidelity as it is and the Frobenius infidelity as its root.
 
 The range search reads any train, root or not, through its exact
 propagator polynomial: one ``compose`` call and one FFT per search give
-its coefficients, then a 64-cell grid on [0, 0.9] finds the first cell
-where the Frobenius infidelity reaches the threshold and safeguarded
-Newton refines the crossing there.  ``trace_range`` is that search at
+its coefficients.  A 64-cell grid on [0, 0.9] is one matmul with the
+grid's exp(i theta k) basis, built once per pulse count and cached; it
+finds the first cell where the Frobenius infidelity reaches the
+threshold.  Safeguarded Newton refines the crossing there, evaluating
+the polynomial and its derivative at each iterate by Horner in
+w = e^{2 i theta} on Python scalars.  ``trace_range`` is that search at
 the root of its threshold.
 """
 
 from __future__ import annotations
 
+import cmath
+import logging
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +38,8 @@ from .su2 import (
     target_gate,
     trace_fidelity,
 )
+
+_log = logging.getLogger("cpgate.analysis")
 
 
 class AnalysisError(RuntimeError):
@@ -133,31 +141,60 @@ _NEWTON_STEPS = 64
 _NEWTON_DONE = math.sqrt(np.finfo(float).eps)
 
 
-def _propagator_polynomial(seq: CompositeSequence):
-    """Evaluator of the train's exact propagator and its eps-derivative.
+def _propagator_polynomial(seq: CompositeSequence) -> np.ndarray:
+    """Coefficients, shape (2, N+1), of the train's exact pair (a, b).
 
     With theta = pi(1+eps)/2 every pi pulse is (cos theta, rot sin theta),
     so the pair (a, b) of an N-pulse train is a Laurent polynomial in
     e^{i theta} with exponents k = -N, -N+2, ..., N.  This holds for any
     train.  One ``compose`` call at M = 2N+2 equispaced theta and one FFT
-    give its N+1 coefficients (c_k = fft[k mod M] / M; M > 2N, so no
-    aliasing), and d/deps multiplies c_k by i k pi/2.  The evaluator maps
-    eps (a float or an array) to the rows (a, b, da/deps, db/deps) by one
-    exp(i theta k) outer product and one matmul.
+    give its N+1 coefficients, row 0 for a and row 1 for b, in increasing
+    k (c_k = fft[k mod M] / M; M > 2N, so no aliasing).
     """
     n = len(seq)
     m = 2 * n + 2
     # eps = 4j/M - 1 puts theta at 2 pi j / M.
     samples = compose(seq, 4.0 * np.arange(m) / m - 1.0)
     k = np.arange(-n, n + 1, 2)
-    coeffs = np.fft.fft(np.stack((samples.a, samples.b)), axis=1)[:, k % m] / m
-    ik = 0.5j * math.pi * k  # i theta k = (1 + eps) ik
-    table = np.concatenate((coeffs, coeffs * ik)).T
+    return np.fft.fft(np.stack((samples.a, samples.b)), axis=1)[:, k % m] / m
 
-    def evaluate(eps):
-        return (np.exp(np.multiply.outer(1.0 + eps, ik)) @ table).T
 
-    return evaluate
+@lru_cache(maxsize=64)
+def _grid_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # The first grid of the range search, _CELLS + 1 points on
+    # [0, _EPS_MAX], and its basis exp(i theta k), shape (_CELLS + 1, n + 1),
+    # for the exponents of ``_propagator_polynomial`` of an n-pulse train.
+    eps = np.linspace(0.0, _EPS_MAX, _CELLS + 1)
+    ik = 0.5j * math.pi * np.arange(-n, n + 1, 2)
+    basis = np.exp(np.multiply.outer(1.0 + eps, ik))
+    eps.flags.writeable = False
+    basis.flags.writeable = False
+    return eps, basis
+
+
+def _propagator_at(coeffs, eps: float):
+    """(a, b, da/deps, db/deps) of the train at one float ``eps``, from
+    the coefficient rows of ``_propagator_polynomial`` as Python lists.
+
+    A row is e^{-iN theta} p(w), p(w) = sum_j c_j w^j and w = e^{2 i theta},
+    so its eps-derivative is (pi/2) i e^{-iN theta} (2 w p'(w) - N p(w)).
+    Horner gives p and p' together in Python complex arithmetic, and the
+    lead factor is applied once.
+    """
+    n = len(coeffs[0]) - 1
+    theta = 0.5 * math.pi * (1.0 + eps)
+    w = cmath.exp(2j * theta)
+    lead = cmath.exp(-1j * n * theta)
+    dlead = 0.5j * math.pi * lead
+    out = []
+    for row in coeffs:
+        p = dp = 0j
+        for c in reversed(row):
+            dp = dp * w + p
+            p = p * w + c
+        out.append((lead * p, dlead * (2.0 * w * dp - n * p)))
+    (a, da), (b, db) = out
+    return a, b, da, db
 
 
 def _check_threshold(threshold: float) -> None:
@@ -169,18 +206,20 @@ def _error_range(seq: CompositeSequence, threshold: float) -> ErrorRange:
     """Crossing of ``threshold`` by the Frobenius infidelity of ``seq`` in
     the first cell of a grid on [0, _EPS_MAX] that reaches it.
 
-    The infidelity and its eps-derivative read the train's exact
-    polynomial (``_propagator_polynomial``), built once per call.  A grid
-    of _CELLS cells finds the first cell whose right end reaches the
-    threshold; safeguarded Newton on (infidelity - threshold) refines the
-    crossing in that cell, bisecting whenever a step would leave the
-    bracket.  Flagged when the grid is not nondecreasing within
-    _MONOTONE_SLACK.
+    The infidelity reads the train's exact polynomial
+    (``_propagator_polynomial``), built once per call: on the grid
+    through the cached basis of ``_grid_basis``, at the Newton iterates
+    through ``_propagator_at``.  A grid of _CELLS cells finds the first
+    cell whose right end reaches the threshold; safeguarded Newton on
+    (infidelity - threshold) refines the crossing in that cell, bisecting
+    whenever a step would leave the bracket.  Flagged when the grid is
+    not nondecreasing within _MONOTONE_SLACK.  Logs one DEBUG record
+    under ``cpgate.analysis``.
     """
     target = target_gate(seq.target_phi)
-    propagator = _propagator_polynomial(seq)
-    eps = np.linspace(0.0, _EPS_MAX, _CELLS + 1)
-    a, b = propagator(eps)[:2]
+    coeffs = _propagator_polynomial(seq)
+    eps, basis = _grid_basis(len(seq))
+    a, b = (basis @ coeffs.T).T
     vals = 1.0 - frobenius_fidelity(Su2(a, b), target)
     if vals[0] >= threshold:
         raise AnalysisError(f"infidelity {vals[0]:.3g} at eps = 0 is not below threshold")
@@ -192,16 +231,18 @@ def _error_range(seq: CompositeSequence, threshold: float) -> ErrorRange:
     # The bracket keeps infidelity(lo) < threshold <= infidelity(hi); the
     # first iterate is the chord's crossing.
     x = lo + (hi - lo) * float((threshold - vals[k - 1]) / (vals[k] - vals[k - 1]))
-    for _ in range(_NEWTON_STEPS):
-        a, b, da, db = propagator(x).tolist()
-        excess = float(1.0 - frobenius_fidelity(Su2(a, b), target)) - threshold
+    rows = coeffs.tolist()
+    fa = target.a
+    for evals in range(1, _NEWTON_STEPS + 1):
+        a, b, da, db = _propagator_at(rows, x)
+        # The product form dist^2 = (|a - fa|^2 + |b|^2) / 2: no cancellation.
+        diff = a - fa
+        dist = math.sqrt(0.5 * (abs(diff) ** 2 + abs(b) ** 2))
+        excess = dist - threshold
         if excess < 0.0:
             lo = x
         else:
             hi = x
-        # d/deps sqrt(dist2), dist2 = (|a - fa|^2 + |b|^2) / 2.
-        diff = a - target.a
-        dist = math.sqrt(0.5 * (abs(diff) ** 2 + abs(b) ** 2))
         d = 0.0 if dist == 0.0 else 0.5 * (
             (diff.conjugate() * da).real + (b.conjugate() * db).real
         ) / dist
@@ -214,6 +255,10 @@ def _error_range(seq: CompositeSequence, threshold: float) -> ErrorRange:
             # Newton converges quadratically: after this step the error is
             # of order step^2, below the rounding of the infidelity.
             break
+    _log.debug(
+        "range threshold=%.3g cell=%d evals=%d step=%.3g flagged=%s",
+        threshold, k, evals, step, flagged,
+    )
     return ErrorRange(x, threshold, 1.0 - x, 1.0 + x, flagged)
 
 

@@ -48,7 +48,10 @@ def spec_parse(text: str) -> CompositeSequence:
         if "=" not in part:
             raise CliError(f"malformed sequence spec segment {part!r}")
         key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise CliError(f"repeated key {key!r} in sequence spec")
+        fields[key] = value.strip()
     if set(fields) != {"phi", "phases"}:
         raise CliError("sequence spec needs exactly phi=<v>;phases=<p0,p1,...>")
     try:

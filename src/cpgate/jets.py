@@ -15,39 +15,13 @@ pi_0 pi_p1 ... pi_pn, with their exact tangents in the phases.  The half
 alone decides the order of the two-half train built on it (see
 ``solver``), so the kernel never forms the second half.  ``precise`` runs
 the same recurrence in fixed point.
-
-``jet_compose`` is the tests' oracle in the other variable: truncated
-complex Taylor series ("jets") in eps of the composite propagator, whose
-m-th coefficient is exactly U^{(m)}(0)/m!, composed pulse by pulse from
-the cos and sin series of a pi pulse (``_pi_series``) with dense
-truncated products.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from functools import lru_cache
 
 import numpy as np
-
-from .su2 import CompositeSequence
-
-
-@lru_cache(maxsize=16)
-def _pi_series(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Taylor coefficients of cos and sin of (pi/2)(1 + eps) about
-    eps = 0, up to ``order``: d^m/deps^m trig((pi/2)(1 + eps)) at 0 is
-    (pi/2)^m trig(pi/2 + m pi/2)."""
-    half = 0.5 * math.pi
-    m = np.arange(order + 1)
-    fact = np.array([math.factorial(k) for k in m], dtype=float)
-    out = []
-    for trig in (np.cos, np.sin):
-        c = (half**m * trig(half + m * math.pi / 2) / fact).astype(complex)
-        c.flags.writeable = False
-        out.append(c)
-    return tuple(out)
 
 
 @lru_cache(maxsize=16)
@@ -174,26 +148,3 @@ def structured_jets(rel_phases, jacobian=False):
         return w[:, 0, 0].T
     return w[:, 0, 0].T, w[:, 0, 1:].transpose(2, 1, 0)
 
-
-def jet_compose(seq: CompositeSequence, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jets ``(a, b)`` of the composite propagator, each of length
-    ``order + 1``, composed pulse by pulse in application order with dense
-    truncated products."""
-    if not seq.phases:
-        raise ValueError("empty sequence")
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
-
-    def mul(x, y):
-        # Cauchy product truncated to the order.
-        return np.convolve(x, y)[: order + 1]
-
-    cos_c, sin_c = _pi_series(order)
-    a = np.zeros(order + 1, dtype=complex)
-    a[0] = 1.0
-    b = np.zeros(order + 1, dtype=complex)
-    for phase in seq.phases:
-        # (cos_c, pb) @ (a, b): the pulse acts after the train so far.
-        pb = -1j * cmath.exp(1j * float(phase)) * sin_c
-        a, b = mul(cos_c, a) - mul(pb, np.conj(b)), mul(cos_c, b) + mul(pb, np.conj(a))
-    return a, b

@@ -1,5 +1,7 @@
 import functools
+import logging
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpgate import analysis, catalog, precise, solver
-from cpgate.cli import spec_parse
+from cpgate.cli import run, spec_parse
 from cpgate.analysis import (
     AnalysisError,
     closed_form_fidelity,
@@ -350,11 +352,37 @@ def test_range_of_a_train_missing_its_gate_raises():
         high_fidelity_range(seq, threshold=0.2)
 
 
+def _interpolant(seq, eps):
+    # (a, b) of the coefficients of ``_propagator_polynomial`` at an eps
+    # array, summed directly: c_k e^{i k theta}, theta = pi(1+eps)/2.
+    coeffs = analysis._propagator_polynomial(seq)
+    n = len(seq)
+    assert coeffs.shape == (2, n + 1)
+    ik = 0.5j * math.pi * np.arange(-n, n + 1, 2)
+    return (np.exp(np.multiply.outer(1.0 + eps, ik)) @ coeffs.T).T
+
+
 def _interpolant_error(seq, eps):
     # Largest deviation of the exact-polynomial (a, b) from compose's.
-    a, b = analysis._propagator_polynomial(seq)(eps)[:2]
+    a, b = _interpolant(seq, eps)
     u = compose(seq, eps)
     return max(np.max(np.abs(a - u.a)), np.max(np.abs(b - u.b)))
+
+
+def _scalar_errors(seq, eps):
+    # Largest deviations of ``_propagator_at`` from compose (values) and
+    # from a central difference of compose (eps-derivatives).
+    rows = analysis._propagator_polynomial(seq).tolist()
+    h = 1e-6
+    value = slope = 0.0
+    for e in eps:
+        a, b, da, db = analysis._propagator_at(rows, e)
+        assert all(type(v) is complex for v in (a, b, da, db))
+        u, up, down = compose(seq, e), compose(seq, e + h), compose(seq, e - h)
+        value = max(value, abs(a - u.a), abs(b - u.b))
+        slope = max(slope, abs(da - (up.a - down.a) / (2 * h)),
+                    abs(db - (up.b - down.b) / (2 * h)))
+    return value, slope
 
 
 @given(
@@ -367,20 +395,35 @@ def test_interpolant_is_compose_on_arbitrary_trains(phases, phi, eps):
     # Any train, root or not, odd lengths included, is a trigonometric
     # polynomial of degree N in the pulse area.
     seq = CompositeSequence(tuple(phases), phi, 0)
-    eps = np.array(eps)
-    assert _interpolant_error(seq, eps) <= 1e-14
-    # The derivative rows against a central difference of compose.
-    h = 1e-6
-    da, db = analysis._propagator_polynomial(seq)(eps)[2:]
-    up, down = compose(seq, eps + h), compose(seq, eps - h)
-    assert np.max(np.abs(da - (up.a - down.a) / (2 * h))) <= 1e-7
-    assert np.max(np.abs(db - (up.b - down.b) / (2 * h))) <= 1e-7
+    assert _interpolant_error(seq, np.array(eps)) <= 1e-14
+    # The scalar Horner evaluator against compose, and its derivative
+    # against a central difference of compose.
+    value, slope = _scalar_errors(seq, eps)
+    assert value <= 1e-14
+    assert slope <= 1e-7
 
 
 def test_interpolant_is_compose_on_every_verify_train():
     eps = np.linspace(-0.9, 0.9, 801)
     for seq in _verify_trains():
         assert _interpolant_error(seq, eps) <= 1e-14, seq.label
+        value, slope = _scalar_errors(seq, eps[::40])
+        assert value <= 1e-14 and slope <= 1e-7, seq.label
+
+
+def test_grid_basis_is_the_direct_exp_product_cached_per_pulse_count():
+    for n in (1, 2, 7, 18):
+        eps, basis = analysis._grid_basis(n)
+        assert np.array_equal(eps, np.linspace(0.0, 0.9, 65))
+        ik = 0.5j * math.pi * np.arange(-n, n + 1, 2)
+        direct = np.exp(np.multiply.outer(1.0 + eps, ik))
+        assert basis.shape == (65, n + 1)
+        assert np.array_equal(basis.view(float), direct.view(float))
+        assert not eps.flags.writeable and not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0.0
+        assert analysis._grid_basis(n) is analysis._grid_basis(n)
+    assert analysis._grid_basis(4)[1].shape != analysis._grid_basis(6)[1].shape
 
 
 def _reference_error_range(seq, infidelity, threshold):
@@ -436,25 +479,40 @@ def test_range_matches_the_regrid_reference_on_a_non_monotone_profile(threshold)
     )
 
 
-def test_range_newton_takes_few_evaluations(monkeypatch):
+def _range_record(caplog, search, seq, threshold=1e-4):
+    # The one DEBUG record a range search logs, as a dict of its fields.
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cpgate.analysis"):
+        search(seq, threshold)
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG and record.name == "cpgate.analysis"
+    return dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
+
+
+def test_range_newton_takes_few_evaluations(caplog):
     # Bisection alone would take ~40 evaluations to shrink a first-grid
     # cell to rounding noise; Newton's derivative keeps it to a handful
     # (at most 6 on these trains).
-    build = analysis._propagator_polynomial
-    points = []
-
-    def counting(seq):
-        evaluate = build(seq)
-
-        def wrapped(eps):
-            points.append(np.ndim(eps) == 0)
-            return evaluate(eps)
-
-        return wrapped
-
-    monkeypatch.setattr(analysis, "_propagator_polynomial", counting)
     for seq in _verify_trains():
         for search in (high_fidelity_range, trace_range):
-            points.clear()
-            search(seq)
-            assert sum(points) <= 10, (seq.label, search.__name__)
+            fields = _range_record(caplog, search, seq)
+            assert 1 <= int(fields["evals"]) <= 10, (seq.label, search.__name__)
+
+
+def test_range_logs_its_search(caplog, capsys):
+    seq = spec_parse("phi=1.67;phases=0.0,0.49,0.65,0.165,0.655,0.815")
+    fields = _range_record(caplog, high_fidelity_range, seq, 0.2)
+    assert float(fields["threshold"]) == 0.2
+    assert 1 <= int(fields["cell"]) <= 64
+    assert abs(float(fields["step"])) < 1e-6
+    assert fields["flagged"] == "True"
+    # trace_range searches the Frobenius infidelity at the root of its
+    # threshold, and the record shows that threshold.
+    fields = _range_record(caplog, trace_range, _cat("Z10"), 1e-4)
+    assert float(fields["threshold"]) == 0.01
+    assert fields["flagged"] == "False"
+    # Nothing is printed by default.
+    caplog.clear()
+    assert run(["range", "--gate", "Z10"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("epsilon0 = ") and err == ""

@@ -41,6 +41,27 @@ def test_spec_parse_rejects_malformed_input(text):
         spec_parse(text)
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ("phi=1;phi=0.5;phases=0,0.75", "phi"),
+        ("phi=0.5;phases=0,0.75;phases=0,0.5", "phases"),
+        ("phi=0.5; phases=0,0.75;phases =0,0.75", "phases"),
+    ],
+)
+@pytest.mark.parametrize("command", ["range", "sweep", "verify"])
+def test_repeated_spec_key_is_validation_error(command, spec, key, tmp_path, capsys):
+    # The last value of a repeated key would otherwise win silently.
+    args = [command, "--gate", spec]
+    if command == "sweep":
+        args += ["--out", str(tmp_path / "sweep.csv")]
+    assert run(args) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and f"repeated key {key!r}" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_list_covers_catalog(capsys):
     assert run(["list"]) == 0
     out = capsys.readouterr().out

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpgate.jets import _pi_series, jet_compose, structured_jets
+from cpgate.jets import structured_jets
 from cpgate.su2 import CompositeSequence, compose
+
+from jet_oracle import jet_compose, pi_series
 
 
 def _mp_taylor(fn, order):
@@ -18,7 +20,7 @@ def test_trig_coeffs_match_mpmath_taylor():
     for order in (0, 1, 5, 9):
         ref_cos = _mp_taylor(lambda e: mp.cos(mp.pi * (1 + e) / 2), order)
         ref_sin = _mp_taylor(lambda e: mp.sin(mp.pi * (1 + e) / 2), order)
-        cos_c, sin_c = _pi_series(order)
+        cos_c, sin_c = pi_series(order)
         assert np.allclose(cos_c, ref_cos, rtol=0, atol=1e-15)
         assert np.allclose(sin_c, ref_sin, rtol=0, atol=1e-15)
 

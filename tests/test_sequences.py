@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpgate import precise
-from cpgate.jets import jet_compose
 from cpgate.sequences import (
     HalfSequenceSpec,
     appendix_b_sequence,
@@ -20,6 +19,8 @@ from cpgate.sequences import (
     two_pulse,
 )
 from cpgate.su2 import CompositeSequence, compose, frobenius_fidelity, target_gate
+
+from jet_oracle import jet_compose
 
 TWO_PI = 2 * math.pi
 PHIS = [math.pi, math.pi / 2, math.pi / 4]

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpgate import catalog, solver
-from cpgate.jets import jet_compose, structured_jets
+from cpgate.jets import structured_jets
 from cpgate.sequences import HalfSequenceSpec, chi_six, structured_sequence
 from cpgate.su2 import CompositeSequence, compose
 from cpgate.solver import (
@@ -20,6 +20,8 @@ from cpgate.solver import (
     solve,
     transport,
 )
+
+from jet_oracle import jet_compose
 
 TWO_PI = 2 * math.pi
 
