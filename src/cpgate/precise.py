@@ -3,108 +3,81 @@
 High compensation orders push the residual infidelity far below double
 precision: an order-8 train has infidelity ~1e-17 at one percent error,
 two decades under the noise floor of a double-precision matrix product.
-The slope-based order estimate and the final polish of tabulated phases
-therefore run at mpmath's working precision.  Every pulse is a nominal
-pi pulse, of area exactly pi(1 + eps) with pi at the working precision.
+The slope-based order estimate (``slope_fit``) and the final polish of
+tabulated phases (``polish_structured``) therefore run at ``WORKING_DPS``
+digits, on one kernel: ``_mp_jet_compose`` composes a train of N nominal
+pi pulses as (a, sqrt(1 - s^2) B), with a and B polynomials in
+s = sin(pi eps/2) (see ``jets``), one ``_mp_jet_pulse`` per pulse, O(N)
+shifts and products each.
 
-The two hot loops, the pulse loop of ``mp_propagator`` and the
-polynomial composition behind the polish residual, run in fixed point: a
-real x is the Python integer floor(x * 2^P), with
-P = ``mp.mp.prec + GUARD_BITS``, so the loops follow the working
-precision (``workdps(30)`` callers get P = 119).  Fixed point fits them
-because their values are bounded.  SU(2) entries are bounded by 1.  The
-polish composes a train of N pulses as (a, sqrt(1 - s^2) B), with a and
-B polynomials in s = sin(pi eps/2) (see ``jets``); on real s in [-1, 1],
-|a| <= 1 and |B| <= N (Schur's inequality), so by V. A. Markov's
-coefficient bound no coefficient of a exceeds the largest of the
-Chebyshev polynomial T_N, nor one of B N times that of T_{N-1}: 576 and
-2304 for the largest half the polish composes (N = 9).  A product is one
-integer multiply and one shift, with none of the renormalization that
-dominates mpf object arithmetic.  The inputs (rotor cos/sin, the pulse
-cos/sin at each epsilon) are converted once with
-``mpmath.libmp.to_fixed``, and the results are rounded back to mpf at
-the working precision.  Each shift truncates by less than one unit of
-2^-P, and the 16 guard bits absorb that over a few dozen pulses: at 50
-digits the propagator agrees with a 90-digit evaluation to ~1e-51, the
-rounding of its own result.
+The kernel runs in fixed point: a real x is the Python integer
+floor(x * 2^P), with P = ``mp.mp.prec + GUARD_BITS``, so it follows the
+working precision (``workdps(30)`` callers get P = 119).  A product is
+one integer multiply and one shift, with none of the renormalization
+that dominates mpf object arithmetic.  Fixed point fits because the
+values are bounded: on real s in [-1, 1], |a| <= 1 and |B| <= N (Schur's
+inequality), so by V. A. Markov's coefficient bound no coefficient of a
+exceeds the largest of the Chebyshev polynomial T_N, nor one of B N times
+that of T_{N-1}: 576 and 2304 for the largest half the polish composes
+(N = 9).  The inputs (rotor cos/sin, the gate's cos/sin, s and
+cos(pi eps/2) on the slope window) are converted once with
+``mpmath.libmp.to_fixed``.  Each shift truncates by less than one unit of
+2^-P, and the 16 guard bits absorb that.
 
-``slope_fit`` runs the same pulse loop (``_pulse_loop``) at
-``WORKING_DPS`` digits on one fixed window, the 20 log-spaced errors from
-1e-3 to 1e-2, with the cos/sin of the half area at each cached per
-precision (``_slope_grid``), and takes the squared Frobenius gate
-distance in fixed point, one integer per point.  It takes logs of
-infidelities of at least ~1e-26 for the trains it measures (order 8 at
-eps = 1e-3), so an error of ~1e-51 in a propagator entry moves a log by
-~1e-25, ten decades below the spacing of doubles.  A train of an even
-number of pi pulses has an infidelity that is even in eps (see
-``mp_propagator``), so ``slope_fit`` evaluates +eps only; an odd number
-of pi pulses is off-diagonal at eps = 0, no phase gate at all, and
-raises ValueError.  The infidelity is the distance itself, so its log is
-half the log of the squared distance, and the reported peak is the root
-of the largest square: one sqrt per fit, with the peak of one sqrt per
-point, since rounding is monotone.  Only the double of each log is kept,
-so every log runs at 96 bits, a double's 53 and 43 guard bits
-(``_LOG_BITS``), not at the working 169: rounding the squared distance
-to 96 bits and taking its log at 96 bits puts the result within ~2^-89
-of the exact log, so it rounds to the same double unless the exact log
-lies within ~2^-43 units in the last place of a rounding boundary;
-halving a double is exact.  The line is fitted by the ``lstsq`` call
-``np.polyfit`` makes, on the scaled Vandermonde matrix of the log grid
-built once per grid (``_line_design``), so the slope is polyfit's bit
-for bit.  The float logs, and the slope and peak fitted from them,
-therefore come out bit-identical to plain mpf object arithmetic averaged
-over both signs of eps, barring a value that falls within 1e-25 of a
-rounding boundary or a log within ~2^-43 units in the last place of one;
-the tests check the 27 names, the 84 rounded rows, random two-half
-trains and trains off that structure against that mpc reference.
+``slope_fit`` evaluates the composed polynomial by Horner's rule
+(``_horner``) at the 20 log-spaced errors from 1e-3 to 1e-2, whose
+fixed-point s and cos(pi eps/2) are cached per precision
+(``_slope_grid``).  There |s| < 0.016, so a pulse multiplies an error
+carried in by at most ~1 + |s| and the truncations of N pulses and of
+Horner's rule add up to a few N units of 2^-P at each point, as in a
+pulse-by-pulse product.  A train of an even number of pi pulses has an
+infidelity that is even in eps (U(-eps) = -Z U(eps) Z^dagger per pulse,
+Z = diag(1, -1)), so only +eps is evaluated; an odd number is
+off-diagonal at eps = 0, no phase gate at all, and raises ValueError.
 
 Every catalog name, table row and polished inline spec is a two-half
 train, built by ``sequences.structured_sequence``: a half H followed by H
 with every phase shifted by pi - phi/2.  ``slope_fit`` checks that
-structure exactly at its own precision (``_half_length``): the second
-half must equal the first plus ``mp.pi - phi/2``, value for value.  For
-such a train the squared distance 1 - Re(a e^{i phi/2}) is
-2 Im(e^{i phi/4} a_h)^2, a_h being the half's major-diagonal element (see
-``solver``), so the pulse loop runs over the first half only and the
-square is 2 t^2, t = sin(phi/4) Re a_h + cos(phi/4) Im a_h in fixed
-point, with the cos/sin of phi/4 from ``_angle_trig``.  Any other train
-(float phases, phases rounded at another precision) runs the full loop
-and takes (|a - e^{-i phi/2}|^2 + |b|^2) / 2.  The check only picks the
-faster path: a train that passes it is a two-half train, and the exact
-shift differs from the rounded shift of its phases by ~1e-50, which moves
-a log by ~1e-24, still far below the spacing of doubles.  All 111
-benchmark trains take the half path, and ``verify --json`` prints the
-same bytes on each as through the full two-half pair it replaced.
-Leading pulses of phase exactly 0 are alike in every train, so both
-loops compose them once: ``_grid_prefix`` holds the pulse-loop state
-after them per (precision, count), and ``_mp_zero_prefix`` the polish
-polynomials per (length, count, precision), with the integer operations
-of the pulse-by-pulse loop, so the polynomials are bitwise unchanged.
-On the 111 benchmark trains (82 begin with 2-4 phase-0 pulses) the
-pulse-loop prefix took ``slope_fit`` from 0.98 to 0.66 ms per train (CPU
-time, best of 5 alternated processes of 7 passes, 2 shared cores,
-Python 3.11.7, mpmath 1.3.0 on its Python backend), with the slope and
-peak of every train bit-identical.
+structure exactly at its own precision (``_half_length``).  For such a
+train the squared gate distance is 2 t(s)^2, t = Im(e^{i phi/4} a_h),
+a_h being the half's major-diagonal element (see ``solver``), so only
+the half is composed and t's coefficients are combined before the
+evaluation.  Any other train (float phases, phases rounded at another
+precision) composes the full (a, B) and takes
+(|a - e^{-i phi/2}|^2 + cos^2(pi eps/2) |B|^2) / 2, at O(N^2) cost
+against the O(20 N) of a pulse loop over the grid.  The check only picks
+the cheaper path: the exact shift differs from the rounded shift of a
+two-half train's phases by ~1e-50, which moves a log by ~1e-24.
 
-The polish (``polish_structured``) solves the solver's half-train
-conditions (see ``solver``): its 50-digit residual (``_mp_residual``)
-composes the half as a polynomial pair in s, O(L) shifts and products
-per pulse, and reads the coefficients of s^{n-1}, s^{n-3}, ... >= 0 of
-Im(e^{i phi/4} a_h) = sin(phi/4) Re a_h + cos(phi/4) Im a_h, with the
-cos/sin of phi/4 taken once per polish.  At 50 digits it agrees with a
-90-digit interpolation of the half to ~1e-50.  It runs the float Newton
-of ``solver`` to ``_FLOAT_TOL``, which returns the free-column Jacobian
-at the point it converged to, and reuses that Jacobian for every
-50-digit step; both residuals read the same s-coefficients, so one
-Jacobian serves both.  The
-50-digit stage stops at 10^-_POLISH_DIGITS = 1e-45, which holds the
-full-train derivative conditions of every polished table row and named
-train below 1e-40 at 90 digits (the tests check the 28 rows of 12 and 14
-pulses and the 6 named trains of 16 and 18).  A polish of a rounded table
-row took 0.9-1.5 ms against 1.5-2.2 ms on the full-train conditions (CPU
-time, best of 5 passes over the 84 rows, two alternated runs each, 2
-shared cores), and ``verify --json`` printed the same bytes on all 111
-benchmark trains.
+The fit takes logs of infidelities of at least ~1e-26 (order 8 at
+eps = 1e-3), so an error of ~1e-51 in the distance moves a log by
+~1e-25, ten decades below the spacing of doubles.  The infidelity is the
+distance itself, so its log is half the log of the square, and the peak
+is the root of the largest square: one sqrt per fit.  Only the double of
+each log is kept, so every log runs at 96 bits, a double's 53 and 43
+guard bits (``_LOG_BITS``): the result rounds to the same double as the
+exact log unless that lies within ~2^-43 units in the last place of a
+rounding boundary.  The line is fitted by the ``lstsq`` call
+``np.polyfit`` makes, on the scaled Vandermonde matrix of the log grid
+built once per grid (``_line_design``), so the slope is polyfit's bit for
+bit.  The tests check slope and peak bit for bit against plain mpc
+object arithmetic averaged over both signs of eps, on the 27 names, the
+84 rounded rows, random two-half trains and random trains off that
+structure.
+
+The polish solves the solver's half-train conditions (see ``solver``):
+its residual (``_mp_residual``) reads the coefficients of s^{n-1},
+s^{n-3}, ... >= 0 of t from the composed half, with the cos/sin of phi/4
+taken once per polish; at 50 digits it agrees with a 90-digit
+interpolation of the half to ~1e-50.  It runs the float Newton of
+``solver`` to ``_FLOAT_TOL``, which returns the free-column Jacobian at
+the point it converged to, and reuses that Jacobian for every 50-digit
+step: both residuals read the same s-coefficients.  The 50-digit stage
+stops at 10^-_POLISH_DIGITS = 1e-45, which holds the full-train
+derivative conditions of every polished table row and named train below
+1e-40 at 90 digits.  Leading phases of exactly 0 are alike in every
+train, so their polynomials are composed once per (length, count,
+precision) (``_mp_zero_prefix``), bitwise as pulse by pulse.
 """
 
 from __future__ import annotations
@@ -117,13 +90,9 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
-    fone,
     from_man_exp,
-    mpf_add,
     mpf_cos_sin,
     mpf_log,
-    mpf_mul,
-    mpf_pi,
     mpf_shift,
     mpf_sqrt,
     round_nearest,
@@ -171,43 +140,6 @@ def _rotor(phase, prec):
     return s, -c
 
 
-def _from_fixed(re, im, prec):
-    """The mpc re/2^prec + i im/2^prec at the working precision."""
-    wp = mp.mp.prec
-    return mp.make_mpc((
-        from_man_exp(re, -prec, wp, round_nearest),
-        from_man_exp(im, -prec, wp, round_nearest),
-    ))
-
-
-def _pi_trig(eps, wp):
-    """cos and sin of pi (1 + eps) / 2 for the raw mpf ``eps``, fixed point
-    at 2^(wp + GUARD_BITS), with pi rounded to nearest at ``wp`` bits (the
-    ``mp.pi`` of the working precision)."""
-    prec = wp + GUARD_BITS
-    pi = mpf_pi(wp, round_nearest)
-    half = mpf_shift(mpf_mul(pi, mpf_add(fone, eps, prec), prec), -1)
-    return _cos_sin_fixed(half, prec)
-
-
-def _pulse_loop(rotors, c, s, prec, start=None):
-    """Raw fixed-point (ar, ai, br, bi) of the train whose pulses have the
-    rotors ``rotors`` and the half-area cos ``c`` and sin ``s``, at 2^prec,
-    applied after the state ``start`` (the identity if None)."""
-    ar, ai, br, bi = (1 << prec, 0, 0, 0) if start is None else start
-    for rr, ri in rotors:
-        pr = rr * s >> prec
-        pi = ri * s >> prec
-        # a' = c a - pb conj(b), b' = c b + pb conj(a), pb = rot * s.
-        ar, ai, br, bi = (
-            (c * ar - pr * br - pi * bi) >> prec,
-            (c * ai - pi * br + pr * bi) >> prec,
-            (c * br + pr * ar + pi * ai) >> prec,
-            (c * bi + pi * ar - pr * ai) >> prec,
-        )
-    return ar, ai, br, bi
-
-
 def _leading_zeros(phases):
     """Number of leading phases that are exactly 0."""
     count = 0
@@ -228,59 +160,35 @@ def _half_length(phases, phi):
     return 0
 
 
-def mp_propagator(phases, epsilon):
-    """Cayley-Klein pair of the pi-pulse train with coupling phases
-    ``phases`` at error ``epsilon``.
-
-    ``epsilon`` may also be a sequence, the way ``su2.compose`` takes an
-    array: the result is then a list of pairs, one per value.  The pulse
-    rotors -i e^{i phase} are computed once per call, and cos/sin of the
-    half area once per epsilon.  The pulse loop (``_pulse_loop``, shared
-    with ``slope_fit``) runs in fixed point at ``mp.mp.prec + GUARD_BITS``
-    bits.
-
-    Flipping the sign of eps gives U(-eps) = -Z U(eps) Z^dagger for each
-    pi pulse, with Z = diag(1, -1), so an N-pulse train has the pair
-    (+-a, -+b) at -eps, the sign being that of (-1)^N.
-
-    Nothing in the package calls it: ``slope_fit`` runs ``_pulse_loop``
-    itself.  It is the tests' reference for that loop and for the
-    profile law at 50 digits.
-    """
-    single = np.ndim(epsilon) == 0
-    wp = mp.mp.prec
-    prec = wp + GUARD_BITS
-    rotors = [_rotor(phase, prec) for phase in phases]
-    out = []
-    for eps in [epsilon] if single else epsilon:
-        ar, ai, br, bi = _pulse_loop(rotors, *_pi_trig(mp.mpf(eps)._mpf_, wp), prec)
-        out.append((_from_fixed(ar, ai, prec), _from_fixed(br, bi, prec)))
-    return out[0] if single else out
-
-
 @lru_cache(maxsize=4)
 def _slope_grid(wp):
     """(grid, trig, logs) of ``slope_fit`` at ``wp`` bits: the
-    ``_SLOPE_POINTS`` log-spaced epsilons of the window, ``_pi_trig`` at
-    each and the float log of each."""
+    ``_SLOPE_POINTS`` log-spaced epsilons of the window, the sin and cos of
+    pi eps / 2 at each as fixed-point integers at 2^(wp + GUARD_BITS), and
+    the float log of each."""
+    prec = wp + GUARD_BITS
     with mp.workprec(wp):
         lo, hi = mp.log(mp.mpf(_SLOPE_EPS_LO)), mp.log(mp.mpf(_SLOPE_EPS_HI))
         grid = tuple(
             mp.exp(lo + (hi - lo) * i / (_SLOPE_POINTS - 1))
             for i in range(_SLOPE_POINTS)
         )
-        trig = tuple(_pi_trig(eps._mpf_, wp) for eps in grid)
-        return grid, trig, tuple(float(mp.log(eps)) for eps in grid)
+        logs = tuple(float(mp.log(eps)) for eps in grid)
+    with mp.workprec(prec):
+        trig = []
+        for eps in grid:
+            c, s = _cos_sin_fixed((mp.pi * eps / 2)._mpf_, prec)
+            trig.append((s, c))
+    return grid, tuple(trig), logs
 
 
-@lru_cache(maxsize=32)
-def _grid_prefix(wp, count):
-    """``_pulse_loop`` state after ``count`` pulses of phase 0 at each
-    epsilon of ``_slope_grid``: leading zeros of a train are the same in
-    every train, so they are composed once."""
-    prec = wp + GUARD_BITS
-    rotors = [_rotor(0, prec)] * count
-    return tuple(_pulse_loop(rotors, c, s, prec) for c, s in _slope_grid(wp)[1])
+def _horner(coeffs, x, prec):
+    """The polynomial with fixed-point coefficients ``coeffs`` (s^0 first)
+    at the fixed-point ``x``, at 2^prec."""
+    acc = 0
+    for coeff in reversed(coeffs):
+        acc = (acc * x >> prec) + coeff
+    return acc
 
 
 @lru_cache(maxsize=8)
@@ -308,8 +216,8 @@ def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
     the fit sees the true power law, not roundoff.  The infidelity of an
     even-length train is even in eps, so it is evaluated at +eps only;
     an odd-length train, off-diagonal at eps = 0, raises ValueError.
-    The pulse loop and the squared distance run in fixed point; each
-    square is rounded to mpf once and takes one log.
+    The train's polynomial and the squared distance run in fixed point;
+    each square is rounded to mpf once and takes one log.
     """
     if len(seq) % 2:
         raise ValueError(f"slope_fit needs an even number of pulses, got {len(seq)}")
@@ -317,31 +225,29 @@ def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
         wp = mp.mp.prec
         prec = wp + GUARD_BITS
         half = _half_length(seq.phases, seq.target_phi)
-        looped = seq.phases[:half] if half else seq.phases
-        zeros = _leading_zeros(looped)
-        rotors = [_rotor(phase, prec) for phase in looped[zeros:]]
+        composed = seq.phases[:half] if half else seq.phases
+        ar, ai, br, bi = _mp_jet_compose(composed, prec)
         _, trig, grid_logs = _slope_grid(wp)
-        starts = _grid_prefix(wp, zeros)
         # The squared Frobenius distance is the integer total times
         # 2^shift, one total per epsilon.
         if half:
-            # 2 Im(e^{i phi/4} a_h)^2 from the half's a_h.
+            # 2 t(s)^2, t = Im(e^{i phi/4} a_h) from the half's a_h.
             c, s = _angle_trig(seq.target_phi, 2, prec)
+            t_poly = [(s * r + c * i) >> prec for r, i in zip(ar, ai)]
             shift = 1 - 2 * prec
-            totals = []
-            for (cp, sp), start in zip(trig, starts):
-                ar, ai, _, _ = _pulse_loop(rotors, cp, sp, prec, start)
-                t = (s * ar + c * ai) >> prec
-                totals.append(t * t)
+            totals = [_horner(t_poly, x, prec) ** 2 for x, _ in trig]
         else:
             # (|a - fa|^2 + |b|^2) / 2 against the gate (fa, 0),
-            # fa = e^{-i phi/2} = fc - i fs.
+            # fa = e^{-i phi/2} = fc - i fs, with b = cos(pi eps/2) B.
             fc, fs = _angle_trig(seq.target_phi, 1, prec)
             shift = -1 - 2 * prec
             totals = []
-            for (cp, sp), start in zip(trig, starts):
-                ar, ai, br, bi = _pulse_loop(rotors, cp, sp, prec, start)
-                totals.append((ar - fc) ** 2 + (ai + fs) ** 2 + br * br + bi * bi)
+            for x, cx in trig:
+                a_re, a_im, b_re, b_im = (_horner(p, x, prec) for p in (ar, ai, br, bi))
+                totals.append(
+                    (a_re - fc) ** 2 + (a_im + fs) ** 2
+                    + (cx * b_re >> prec) ** 2 + (cx * b_im >> prec) ** 2
+                )
         # The infidelity is the distance itself: its log is half the log of
         # the square, and the peak is the root of the largest square
         # (rounding is monotone).  Only the double of each log is kept, so
@@ -450,9 +356,9 @@ def _mp_jet_pulse(poly, rotor, prec):
 @lru_cache(maxsize=64)
 def _mp_zero_prefix(length: int, count: int, prec: int):
     """Polynomials of ``length`` coefficients after ``count`` pi pulses of
-    phase exactly 0, from the identity: the pinned leading zeros of a
-    polish are the same on every residual evaluation, so they are composed
-    once per (length, count, precision)."""
+    phase exactly 0, from the identity: leading zeros are alike in every
+    train and the pinned ones of a polish in every residual evaluation, so
+    they are composed once per (length, count, precision)."""
     zero = (0,) * length
     poly = ((1 << prec,) + zero[1:], zero, zero, zero)
     rotor = _rotor(0, prec)

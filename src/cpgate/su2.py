@@ -26,40 +26,6 @@ class Su2:
     a: complex
     b: complex
 
-    def matrix(self) -> np.ndarray:
-        """Reconstruct the full 2x2 matrix [[a, b], [-b*, a*]].
-
-        The tests' dense-matrix reference; nothing in the package calls it.
-        """
-        return np.array(
-            [[self.a, self.b], [-self.b.conjugate(), self.a.conjugate()]],
-            dtype=complex,
-        )
-
-    @property
-    def unitarity_defect(self) -> float:
-        """|a|^2 + |b|^2 - 1; zero for an exact SU(2) element.
-
-        A test check of ``compose``; nothing in the package reads it.
-        """
-        return abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0
-
-    def dagger(self) -> "Su2":
-        """Inverse element (a*, -b).  A test reference; nothing in the
-        package calls it."""
-        return Su2(self.a.conjugate(), -self.b)
-
-    def __matmul__(self, other: "Su2") -> "Su2":
-        """Matrix product self @ other in the Cayley-Klein parametrization.
-
-        The tests' reference for the product that ``compose`` inlines;
-        nothing in the package calls it.
-        """
-        return Su2(
-            self.a * other.a - self.b * other.b.conjugate(),
-            self.a * other.b + self.b * other.a.conjugate(),
-        )
-
 
 @dataclass(frozen=True)
 class CompositeSequence:
@@ -107,7 +73,8 @@ def compose(seq: CompositeSequence, epsilon) -> Su2:
     pb = -1j * np.exp(1j * phases) * s
     a, b = c, pb[0]
     for cb in pb[1:]:
-        # Su2(c, cb) @ Su2(a, b), inlined: no Su2 object per pulse.
+        # The pulse (c, cb) times the train (a, b), inlined: no Su2 object
+        # per pulse.
         a, b = c * a - cb * b.conjugate(), c * b + cb * a.conjugate()
     return Su2(a, b)
 

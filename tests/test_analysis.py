@@ -37,6 +37,8 @@ from cpgate.su2 import (
     trace_fidelity,
 )
 
+from mp_oracle import mp_propagator
+
 
 def _cat(name):
     return catalog.to_sequence(catalog.get(name))
@@ -222,7 +224,8 @@ def test_profile_law_gives_the_range_of_every_verify_train():
 
 def test_profile_law_holds_at_50_digits_on_every_verify_train():
     # At the 20 positive epsilons of the slope grid, the Frobenius
-    # infidelity of mp_propagator equals sqrt(2)|sin(phi/4)||sin(pi eps/2)|^(n+1).
+    # infidelity of the 50-digit propagator (``mp_oracle``) equals
+    # sqrt(2)|sin(phi/4)||sin(pi eps/2)|^(n+1).
     # The polish stops at a half-train residual of 1e-45, so the deviation
     # grows with the order, from ~3e-49 at n = 0 to ~2e-27 at n = 7.
     with mp.workdps(50):
@@ -231,7 +234,7 @@ def test_profile_law_holds_at_50_digits_on_every_verify_train():
             phi = mp.mpf(seq.target_phi)
             gate = mp.expj(-phi / 2)
             scale = mp.sqrt(2) * abs(mp.sin(phi / 4))
-            for eps, (a, b) in zip(grid, precise.mp_propagator(seq.phases, grid)):
+            for eps, (a, b) in zip(grid, mp_propagator(seq.phases, grid)):
                 infid = mp.sqrt((abs(a - gate) ** 2 + abs(b) ** 2) / 2)
                 law = scale * abs(mp.sin(mp.pi * eps / 2)) ** (seq.order + 1)
                 assert abs(infid / law - 1) <= 1e-25, (seq.label, float(eps))
@@ -251,8 +254,8 @@ def _verify_train_tuple():
 )
 @settings(max_examples=40, deadline=None)
 def test_scalar_array_and_50_digit_paths_agree_on_the_profile_law(k, eps, small):
-    # Scalar compose, array compose and mp_propagator on one of the 111
-    # verify trains.  The 50-digit window and bound are those measured on
+    # Scalar compose, array compose and the 50-digit propagator on one of
+    # the 111 verify trains.  The 50-digit window and bound are those measured on
     # the slope grid (see the test above).
     seq = _verify_train_tuple()[k]
     n, phi = seq.order, float(seq.target_phi)
@@ -270,7 +273,7 @@ def test_scalar_array_and_50_digit_paths_agree_on_the_profile_law(k, eps, small)
         gate = mp.expj(-phi_mp / 2)
         scale = mp.sqrt(2) * abs(mp.sin(phi_mp / 4))
         grid = [mp.mpf(e) if positive else -mp.mpf(e) for e, positive in small]
-        for e, (a, b) in zip(grid, precise.mp_propagator(seq.phases, grid)):
+        for e, (a, b) in zip(grid, mp_propagator(seq.phases, grid)):
             infid = mp.sqrt((abs(a - gate) ** 2 + abs(b) ** 2) / 2)
             law = scale * abs(mp.sin(mp.pi * e / 2)) ** (n + 1)
             assert abs(infid / law - 1) <= 1e-25, (seq.label, float(e))

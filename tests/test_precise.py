@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import to_fixed
 
 from cpgate import analysis, catalog, cli, precise, solver
 from cpgate.jets import structured_jets
 from cpgate.sequences import HalfSequenceSpec, six_pulse, structured_sequence
 from cpgate.su2 import CompositeSequence
+
+from mp_oracle import mp_propagator
 
 
 def _reference_slope_fit(seq, eps_lo=1e-3, eps_hi=1e-2, points=20, dps=50):
@@ -101,10 +102,10 @@ def test_mp_propagator_over_an_epsilon_list_equals_scalar_calls():
     with mp.workdps(precise.WORKING_DPS):
         phases = [mp.mpf(p) for p in seq.phases]
         eps = [mp.mpf("0.01"), -mp.mpf("0.01"), mp.mpf(0), mp.mpf("-0.3")]
-        pairs = precise.mp_propagator(phases, eps)
+        pairs = mp_propagator(phases, eps)
         assert len(pairs) == len(eps)
         for e, (a, b) in zip(eps, pairs):
-            a1, b1 = precise.mp_propagator(phases, e)
+            a1, b1 = mp_propagator(phases, e)
             assert a == a1 and b == b1
 
 
@@ -128,7 +129,7 @@ def test_mp_propagator_of_an_even_pi_train_flips_b_with_epsilon(phases, eps):
     # identity slope_fit's one-sign shortcut rests on.
     with mp.workdps(precise.WORKING_DPS):
         mp_phases = [mp.mpf(p) for p in phases]
-        (a, b), (a_neg, b_neg) = precise.mp_propagator(
+        (a, b), (a_neg, b_neg) = mp_propagator(
             mp_phases, [mp.mpf(eps), -mp.mpf(eps)]
         )
         assert abs(a_neg - a) <= 1e-45
@@ -152,7 +153,7 @@ def test_slope_fit_rejects_an_odd_length_train(name):
     # phase gate and has no order to measure.
     seq = _odd_train(name)
     with mp.workdps(precise.WORKING_DPS):
-        a, b = precise.mp_propagator([mp.mpf(p) for p in seq.phases], mp.mpf(0))
+        a, b = mp_propagator([mp.mpf(p) for p in seq.phases], mp.mpf(0))
         assert abs(a) < 1e-45 and abs(abs(b) - 1) < 1e-45
     with pytest.raises(ValueError, match="even number of pulses"):
         precise.slope_fit(seq)
@@ -274,6 +275,29 @@ def test_slope_fit_takes_the_full_loop_off_the_exact_structure(name):
     assert precise.slope_fit(seq) == _reference_slope_fit(seq)
 
 
+@given(
+    phases=st.integers(1, 9).flatmap(
+        lambda half: st.tuples(
+            st.floats(0.01, 2 * math.pi),
+            st.lists(st.floats(0.0, 2 * math.pi), min_size=2 * half - 1,
+                     max_size=2 * half - 1),
+        )
+    ),
+    phi=st.floats(0.05, 2 * math.pi),
+)
+@settings(max_examples=25, deadline=None)
+def test_slope_fit_of_a_random_float_train_equals_the_per_epsilon_loop_bitwise(
+    phases, phi
+):
+    # 2-18 float phases, the first nonzero: no two halves and no zero
+    # prefix, so the fit composes the whole train's (a, B) and evaluates
+    # (|a - fa|^2 + cos^2(pi eps/2) |B|^2) / 2 at each point.
+    first, rest = phases
+    seq = CompositeSequence((first, *rest), phi, len(rest) // 2)
+    assert _half_length(seq) == 0
+    assert precise.slope_fit(seq) == _reference_slope_fit(seq)
+
+
 def test_structured_trains_of_the_verify_path_take_the_half_loop():
     # Catalog names, polished table rows and polished inline specs.
     seqs = [catalog.to_sequence(catalog.get(n)) for n in catalog.names()]
@@ -285,20 +309,21 @@ def test_structured_trains_of_the_verify_path_take_the_half_loop():
         assert _half_length(seq) == len(seq) // 2, seq.label
 
 
-def test_pulse_trig_takes_pi_at_the_working_precision():
-    # At eps = 0 the half area is exactly mp.pi / 2 at the working
-    # precision (rounded to nearest), so its cos is minus the rounding
-    # error of that pi / 2; pi rounded any other way moves it by ~2^16
-    # units.  The sin, near 1, may differ from mpmath's by its own last unit.
-    with mp.workdps(precise.WORKING_DPS):
+@pytest.mark.parametrize("dps", [30, precise.WORKING_DPS])
+def test_slope_grid_holds_sin_and_cos_of_the_half_error_area(dps):
+    # Each point's fixed-point s = sin(pi eps/2) and cos(pi eps/2) at
+    # 2^-P, P = wp + GUARD_BITS, is within one unit of mpmath's at P bits.
+    with mp.workdps(dps):
         wp = mp.mp.prec
-        half_pi = mp.pi / 2
-        prec = wp + precise.GUARD_BITS
-        with mp.workprec(prec):
-            want_c, want_s = (to_fixed(f(half_pi)._mpf_, prec) for f in (mp.cos, mp.sin))
-        c, s = precise._pi_trig(mp.mpf(0)._mpf_, wp)
-        assert c == want_c
-        assert abs(s - want_s) <= 1
+    prec = wp + precise.GUARD_BITS
+    grid, trig, logs = precise._slope_grid(wp)
+    assert len(grid) == len(trig) == len(logs) == precise._SLOPE_POINTS
+    unit = mp.mpf(2) ** -prec
+    with mp.workprec(prec):
+        for eps, (s, c) in zip(grid, trig):
+            x = mp.pi * eps / 2
+            assert abs(s * unit - mp.sin(x)) <= unit
+            assert abs(c * unit - mp.cos(x)) <= unit
 
 
 def _mp_residual(rel, phi, n):
@@ -474,7 +499,7 @@ def _random_trains(count, seed):
 
 def _assert_matches_oracle(phases, bound):
     eps = [mp.mpf(e) for e in _ORACLE_EPS]
-    for e, (a, b) in zip(eps, precise.mp_propagator(phases, eps)):
+    for e, (a, b) in zip(eps, mp_propagator(phases, eps)):
         want_a, want_b = _oracle_propagator(phases, e)
         assert abs(a - want_a) <= bound
         assert abs(b - want_b) <= bound

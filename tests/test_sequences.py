@@ -21,6 +21,7 @@ from cpgate.sequences import (
 from cpgate.su2 import CompositeSequence, compose, frobenius_fidelity, target_gate
 
 from jet_oracle import jet_compose
+from mp_oracle import mp_propagator
 
 TWO_PI = 2 * math.pi
 PHIS = [math.pi, math.pi / 2, math.pi / 4]
@@ -215,8 +216,8 @@ def test_half_train_identity_at_50_digits(train):
         spec = HalfSequenceSpec(tuple(mp.mpf(p) for p in rel), mp.mpf(phi))
         seq = structured_sequence(spec, mp.mpf(nu))
         grid = [mp.mpf(e) for e in eps]
-        full = precise.mp_propagator(seq.phases, grid)
-        half = precise.mp_propagator(seq.phases[: len(rel) + 1], grid)
+        full = mp_propagator(seq.phases, grid)
+        half = mp_propagator(seq.phases[: len(rel) + 1], grid)
         for (a, _), (a_h, _) in zip(full, half):
             lhs = mp.re(a * mp.expj(seq.target_phi / 2))
             rhs = 1 - 2 * mp.im(a_h * mp.expj(seq.target_phi / 4)) ** 2

@@ -11,11 +11,14 @@ from cpgate import catalog, precise
 from cpgate.sequences import four_pulse
 from cpgate.su2 import (
     CompositeSequence,
+    Su2,
     compose,
     frobenius_fidelity,
     target_gate,
     trace_fidelity,
 )
+
+from mp_oracle import mp_propagator
 
 angles = st.floats(min_value=-10.0, max_value=10.0)
 errors = st.floats(min_value=-0.5, max_value=0.5)
@@ -26,12 +29,38 @@ def _pulse(phase, eps):
     return compose(CompositeSequence((phase,), target_phi=math.pi, order=0), eps)
 
 
+# Dense-matrix references for the Cayley-Klein pair (a, b), the full
+# matrix being [[a, b], [-b*, a*]].
+
+
+def _matrix(u):
+    return np.array([[u.a, u.b], [-u.b.conjugate(), u.a.conjugate()]], dtype=complex)
+
+
+def _unitarity_defect(u):
+    # |a|^2 + |b|^2 - 1; zero for an exact SU(2) element.
+    return abs(u.a) ** 2 + abs(u.b) ** 2 - 1.0
+
+
+def _dagger(u):
+    return Su2(u.a.conjugate(), -u.b)
+
+
+def _product(u2, u1):
+    # The matrix product u2 @ u1 in the Cayley-Klein parametrization, the
+    # product that compose inlines.
+    return Su2(
+        u2.a * u1.a - u2.b * u1.b.conjugate(),
+        u2.a * u1.b + u2.b * u1.a.conjugate(),
+    )
+
+
 @given(angles, errors)
 @settings(max_examples=50, deadline=None)
 def test_pulse_propagator_is_special_unitary(phase, eps):
     u = _pulse(phase, eps)
-    assert abs(u.unitarity_defect) < 1e-12
-    m = u.matrix()
+    assert abs(_unitarity_defect(u)) < 1e-12
+    m = _matrix(u)
     assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
     assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
@@ -41,20 +70,20 @@ def test_pulse_propagator_is_special_unitary(phase, eps):
 def test_product_matches_matrix_product(p1, e1, p2, e2):
     u1 = _pulse(p1, e1)
     u2 = _pulse(p2, e2)
-    prod = (u2 @ u1).matrix()
-    assert np.allclose(prod, u2.matrix() @ u1.matrix(), atol=1e-12)
+    prod = _matrix(_product(u2, u1))
+    assert np.allclose(prod, _matrix(u2) @ _matrix(u1), atol=1e-12)
 
 
 def test_dagger_inverts():
     u = _pulse(0.7, 0.2)
-    ident = (u @ u.dagger()).matrix()
+    ident = _matrix(_product(u, _dagger(u)))
     assert np.allclose(ident, np.eye(2), atol=1e-12)
 
 
 def test_compose_applies_first_pulse_first():
     seq = CompositeSequence((0.3, -0.8), target_phi=math.pi, order=0)
     u = compose(seq, 0.07)
-    expected = _pulse(-0.8, 0.07) @ _pulse(0.3, 0.07)
+    expected = _product(_pulse(-0.8, 0.07), _pulse(0.3, 0.07))
     assert u.a == pytest.approx(expected.a, abs=1e-14)
     assert u.b == pytest.approx(expected.b, abs=1e-14)
 
@@ -127,6 +156,6 @@ def test_array_compose_matches_mpmath_propagator(name):
         # The same double-precision inputs, evaluated in 50 digits.
         phases = [mp.mpf(float(p)) for p in seq.phases]
         for k, e in enumerate(eps):
-            a, b = precise.mp_propagator(phases, mp.mpf(float(e)))
+            a, b = mp_propagator(phases, mp.mpf(float(e)))
             assert abs(u.a[k] - complex(a)) <= 1e-14
             assert abs(u.b[k] - complex(b)) <= 1e-14
