@@ -205,9 +205,7 @@ def _cmd_sweep(args) -> int:
         analysis.write_csv(profile, args.out)
         print(f"wrote {args.steps} rows to {args.out}")
     else:
-        print("epsilon,frobenius_fidelity,trace_fidelity")
-        for e, f, t in zip(profile.epsilons, profile.frobenius, profile.trace):
-            print(f"{e:.17g},{f:.17g},{t:.17g}")
+        sys.stdout.write(analysis.csv_bytes(profile).decode("ascii"))
     return 0
 
 

@@ -113,13 +113,6 @@ def residual(phases, phi: float) -> np.ndarray:
     return _residuals(np.asarray(phases, dtype=float)[None, :], phi)[0]
 
 
-def _jacobian(phases: np.ndarray, phi: float, wrt=True) -> np.ndarray:
-    """Exact Jacobian (ceil(n/2), n) of ``residual`` in the relative
-    phases, or (ceil(n/2), len(wrt)) in the phases ``wrt``."""
-    x = np.asarray(phases, dtype=float)[None, :]
-    return _residuals(x, phi, jacobian=wrt)[1][0]
-
-
 # Backtracking step lengths 2^-k, k = 1..29, after a failed full step,
 # tried in two groups: on the benchmark's solve workload 82 % of such
 # rows improve within the first three (75-88 % per op list, seeds

@@ -2,6 +2,8 @@ import functools
 import logging
 import math
 import re
+import struct
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +15,9 @@ from cpgate import analysis, catalog, precise, solver
 from cpgate.cli import run, spec_parse
 from cpgate.analysis import (
     AnalysisError,
+    FidelityProfile,
     closed_form_fidelity,
+    csv_bytes,
     high_fidelity_range,
     order_slope,
     sweep,
@@ -50,6 +54,10 @@ def test_sweep_validation():
         sweep(seq, -0.1, 0.1, 1)
     with pytest.raises(ValueError, match="eps_min"):
         sweep(seq, 0.2, 0.1, 10)
+    for lo, hi in [(-math.inf, 0.4), (0.0, math.inf), (-math.inf, math.inf),
+                   (math.nan, 0.4), (-0.4, math.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            sweep(seq, lo, hi, 4)
 
 
 def test_sweep_is_exact_and_symmetric_at_zero_error():
@@ -106,6 +114,94 @@ def test_write_csv_matches_row_by_row_formatting(tmp_path):
         for e, f, t in zip(profile.epsilons, profile.frobenius, profile.trace)
     )
     assert path.read_bytes() == want.encode()
+
+
+_CSV_HEADER = b"epsilon,frobenius_fidelity,trace_fidelity\n"
+
+
+def _csv_row_by_row(rows) -> bytes:
+    return _CSV_HEADER + b"".join(b"%.17g,%.17g,%.17g\n" % tuple(row) for row in rows)
+
+
+def _csv_bytes_of(rows) -> bytes:
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    return csv_bytes(FidelityProfile(table[:, 0], table[:, 1], table[:, 2]))
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _neighbours(x: float, count: int = 3) -> list[float]:
+    out, lo, hi = [x], x, x
+    for _ in range(count):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+_DOUBLES = st.floats() | st.integers(0, 2**64 - 1).map(_double)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_DOUBLES, _DOUBLES, _DOUBLES), min_size=1, max_size=40))
+def test_csv_bytes_equal_17g_of_every_double(rows):
+    assert _csv_bytes_of(rows) == _csv_row_by_row(rows)
+
+
+def test_csv_bytes_at_the_edges_of_fixed_notation():
+    values = [
+        0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, math.inf, math.nan,
+        1 - 2**-53, 1.0, 0.5, 100.0, 123.0, 1234567890123456.0, 0.1 + 0.2,
+        9.9999999999999995e-07, *_neighbours(1e-4), *_neighbours(1e16),
+    ]
+    # Every power of ten the encoder meets and its float neighbours, and
+    # the doubles below a power of ten whose 17 digits round up to it.
+    for k in range(-6, 18):
+        values += _neighbours(float(Fraction(10) ** k), 4)
+    round_up = [1e-14, 1e-70, 1e98]
+    for v in round_up:
+        assert Fraction(v) < Fraction(repr(v)) and "%.17g" % v == repr(v)
+    values += round_up
+    values += [-v for v in values]
+    values += [0.0] * (-len(values) % 3)
+    rows = np.reshape(values, (-1, 3)).tolist()
+    assert _csv_bytes_of(rows) == _csv_row_by_row(rows)
+
+
+def test_csv_bytes_round_exact_ties_to_even():
+    # x = t / 2^(k+1), t odd, is a double exactly halfway between two
+    # 17-digit decimals when 2 10^16 <= t 5^k < 2 10^17: x 10^k = t 5^k / 2.
+    rng = np.random.default_rng(7)
+    values = []
+    for k in range(1, 21):
+        for n in rng.integers(10**16, 10**17, 20).tolist():
+            t = (2 * n + 1) // 5**k | 1
+            if t < 2**53 and 2 * 10**16 <= t * 5**k < 2 * 10**17:
+                v = t / 2 ** (k + 1)
+                assert Fraction(v) * 10**k % 1 == Fraction(1, 2)
+                values.append(v)
+    assert len(values) >= 300
+    values += [-v for v in values]
+    values += [0.0] * (-len(values) % 3)
+    rows = np.reshape(values, (-1, 3)).tolist()
+    assert _csv_bytes_of(rows) == _csv_row_by_row(rows)
+
+
+def test_csv_bytes_of_float32_columns_are_their_exact_values():
+    col = np.array([0.1, 1 / 3, -2.5e-3, 7e-5], dtype=np.float32)
+    got = csv_bytes(FidelityProfile(col, col, col))
+    assert got == _csv_row_by_row([[v, v, v] for v in col.tolist()])
+
+
+def test_csv_bytes_across_blocks_of_rows():
+    # Raw bit patterns over several encoder blocks and a partial one.
+    rng = np.random.default_rng(3)
+    rows = 2 * analysis._CSV_BLOCK_ROWS + 7
+    bits = rng.integers(0, 2**64, size=3 * rows, dtype=np.uint64)
+    table = bits.view(np.float64).reshape(rows, 3)
+    assert _csv_bytes_of(table) == _csv_row_by_row(table.tolist())
 
 
 def test_verify_order_on_analytic_and_catalog_trains():

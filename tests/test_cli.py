@@ -184,6 +184,27 @@ def test_sweep_csv_is_byte_deterministic(tmp_path, capsys):
     assert len(lines) == 102
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--steps", "101"],
+        ["--eps-min", "-0.4", "--eps-max", "0.4", "--steps", "5"],
+        ["--eps-min", "1e-9", "--eps-max", "2e-9", "--steps", "101"],
+    ],
+    ids=["default-range", "exact-zero", "tiny"],
+)
+@pytest.mark.parametrize("gate", ["S4", "Z10"])
+def test_sweep_stdout_is_the_csv_file(gate, grid, tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    args = ["sweep", "--gate", gate, *grid]
+    assert run(args + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    assert run(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == path.read_bytes()
+
+
 def test_sweep_rejects_bad_grid(capsys):
     assert run(
         ["sweep", "--gate", "Z2", "--eps-min", "0.4", "--eps-max", "-0.4"]
