@@ -87,6 +87,8 @@ def sweep(seq: CompositeSequence, eps_min: float, eps_max: float,
         raise ValueError("eps_min and eps_max must be finite")
     if not eps_min < eps_max:
         raise ValueError("eps_min must be below eps_max")
+    if not math.isfinite(eps_max - eps_min):
+        raise ValueError("eps_max - eps_min must be finite")
     target = target_gate(seq.target_phi)
     eps = np.linspace(eps_min, eps_max, steps)
     u = compose(seq, eps)

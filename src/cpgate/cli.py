@@ -171,8 +171,17 @@ def _cmd_show(args) -> int:
 _BUILDERS = {4: sequences.four_pulse, 6: sequences.six_pulse, 8: sequences.eight_pulse}
 
 
+def _radians(phi_over_pi: float) -> float:
+    """The gate angle ``phi_over_pi`` (units of pi) in radians; CliError if
+    that overflows."""
+    phi = phi_over_pi * PI
+    if not math.isfinite(phi):
+        raise CliError(f"--phi {phi_over_pi:.17g} overflows in radians")
+    return phi
+
+
 def _cmd_build(args) -> int:
-    phi = args.phi * PI
+    phi = _radians(args.phi)
     if args.pulses not in _BUILDERS and args.variant != 1:
         raise CliError(f"{args.pulses} pulses have one train: --variant must be 1")
     if args.pulses == 2:
@@ -190,6 +199,8 @@ def _cmd_build(args) -> int:
         seq = catalog.arbitrary_row(frac, args.pulses)
     else:
         raise CliError(f"no constructor for {args.pulses} pulses")
+    if not all(math.isfinite(p) for p in seq.phases):
+        raise CliError(f"--phi {args.phi:.17g} overflows a phase")
     print(f"label: {seq.label}")
     print("phases (units of pi): " + ", ".join(_fmt_phase(p) for p in seq.phases))
     print(f"spec: phi={args.phi:.17g};phases=" + ",".join(
@@ -238,7 +249,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     config = solver.SolverConfig(
-        n=args.order, phi=args.phi * PI, seeds=args.seeds, rng_seed=args.rng_seed
+        n=args.order, phi=_radians(args.phi), seeds=args.seeds, rng_seed=args.rng_seed
     )
     # Record a small fraction only if it is the requested angle; otherwise
     # the shortest decimal whose float is the angle the solver used.

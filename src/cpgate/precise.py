@@ -67,17 +67,29 @@ structure.
 
 The polish solves the solver's half-train conditions (see ``solver``):
 its residual (``_mp_residual``) reads the coefficients of s^{n-1},
-s^{n-3}, ... >= 0 of t from the composed half, with the cos/sin of phi/4
-taken once per polish; at 50 digits it agrees with a 90-digit
-interpolation of the half to ~1e-50.  It runs the float Newton of
-``solver`` to ``_FLOAT_TOL``, which returns the free-column Jacobian at
-the point it converged to, and reuses that Jacobian for every 50-digit
-step: both residuals read the same s-coefficients.  The 50-digit stage
-stops at 10^-_POLISH_DIGITS = 1e-45, which holds the full-train
-derivative conditions of every polished table row and named train below
-1e-40 at 90 digits.  Leading phases of exactly 0 are alike in every
-train, so their polynomials are composed once per (length, count,
-precision) (``_mp_zero_prefix``), bitwise as pulse by pulse.
+s^{n-3}, ... >= 0 of t from the half composed from its pulses' rotors,
+with the cos/sin of phi/4 taken once per polish; at 50 digits it agrees
+with a 90-digit interpolation of the half to ~1e-50.  It runs the float
+Newton of ``solver`` to ``_FLOAT_TOL``, which returns the free-column
+Jacobian at the point it converged to, and reuses that Jacobian for
+every 50-digit step: both residuals read the same s-coefficients.  The
+50-digit stage (``_fixed_newton``) runs in fixed point end to end.  The
+float root is converted once to integers at 2^P, exactly (``_fixed``),
+and each phase after the leading pinned zeros takes one ``mpf_cos_sin``
+per polish.  A step adds each double to its phase exactly, as an
+integer, and turns the phase's rotor by e^{i step}, its cos and sin
+summed by Taylor series in fixed point (``_small_cos_sin``; steps are
+~1e-9 and below, so three or four terms): a few units of 2^-P from a
+fresh cos/sin of the phase after three turns.  The residual stays the
+integer sin(phi/4) Re a_h + cos(phi/4) Im a_h at 2^-2P, only the step's
+right-hand side becomes doubles, and the stop test at
+10^-_POLISH_DIGITS = 1e-45 is an integer comparison.  That bound holds
+the full-train derivative conditions of every polished table row and
+named train below 1e-40 at 90 digits.  The phases become mpf at the
+working precision once, when they are returned.  Leading phases of
+exactly 0 are alike in every train, so their polynomials are composed
+once per (length, count, precision) (``_mp_zero_prefix``), bitwise as
+pulse by pulse.
 """
 
 from __future__ import annotations
@@ -91,6 +103,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
     from_man_exp,
+    fzero,
     mpf_cos_sin,
     mpf_log,
     mpf_shift,
@@ -134,9 +147,10 @@ def _angle_trig(phi, halvings, prec):
     return _cos_sin_fixed(mpf_shift(mp.mpf(phi)._mpf_, -halvings), prec)
 
 
-def _rotor(phase, prec):
-    """-i e^{i phase} = sin(phase) - i cos(phase), fixed point at 2^prec."""
-    c, s = _cos_sin_fixed(mp.mpf(phase)._mpf_, prec)
+def _rotor(x, prec):
+    """-i e^{i x} = sin(x) - i cos(x) of the raw mpf ``x``, fixed point at
+    2^prec."""
+    c, s = _cos_sin_fixed(x, prec)
     return s, -c
 
 
@@ -299,38 +313,92 @@ def polish_structured(rel_phases, phi, pinned=None):
             else np.flatnonzero(~np.asarray(pinned, dtype=bool))
         )
         jac_pinv = np.linalg.pinv(jac, rcond=solver._RCOND)
-        gate = _angle_trig(phi_mp, 2, mp.mp.prec + GUARD_BITS)
-        x = [mp.mpf(v) for v in x_float]
-        tol = mp.mpf(10) ** (-_POLISH_DIGITS)
-        for evals in range(1, WORKING_DPS + 1):
-            r = _mp_residual(x, gate, n)
-            rmax = max(abs(v) for v in r)
-            if rmax < tol:
-                break
-            step = -jac_pinv @ np.array([float(v) for v in r])
-            for idx, j in enumerate(free):
-                x[j] = x[j] + mp.mpf(float(step[idx]))
-        else:
-            raise solver.SolverError("extended-precision polish did not converge")
+        prec = mp.mp.prec + GUARD_BITS
+        gate = _angle_trig(phi_mp, 2, prec)
+        x, evals, rmax = _fixed_newton(x_float, free, jac_pinv, gate, prec)
         _log.debug(
             "polish free=%d float_rmax=%.3g evals=%d rmax=%.3g seconds=%.6f",
-            len(free), float_rmax, evals, float(rmax), time.perf_counter() - start,
+            len(free), float_rmax, evals, math.ldexp(rmax, -2 * prec),
+            time.perf_counter() - start,
         )
-        return x
+        return [mp.mpf((v, -prec)) for v in x]
 
 
-def _mp_residual(rel_phases, gate, n):
-    # The solver's residual at the working precision: the coefficients of
-    # s^{n-1}, s^{n-3}, ... >= 0 of Im(e^{i phi/4} a_h) = sin(phi/4) Re a_h
-    # + cos(phi/4) Im a_h, a polynomial in s = sin(pi eps/2), a_h being
-    # the half train's major-diagonal element and ``gate`` the cos and sin
-    # of phi/4 from ``_angle_trig``.
-    prec = mp.mp.prec + GUARD_BITS
-    ar, ai, _, _ = _mp_jet_compose([mp.mpf(0)] + list(rel_phases), prec)
+def _fixed(value, prec):
+    """The double ``value`` as a fixed-point integer at 2^prec: exact when
+    ``value`` is a multiple of 2^-prec (every double of magnitude at least
+    2^(52 - prec)), else rounded down; finite doubles never raise."""
+    num, den = float(value).as_integer_ratio()
+    return (num << prec) // den
+
+
+def _small_cos_sin(d, prec):
+    """cos and sin of the small fixed-point angle ``d`` (|d| << 2^prec) at
+    2^prec, by their Taylor series, summed until a term rounds to 0."""
+    d2 = d * d >> prec
+    c = s = 0
+    term_c, term_s, k = 1 << prec, abs(d), 0
+    while term_c or term_s:
+        if k % 2:
+            c, s = c - term_c, s - term_s
+        else:
+            c, s = c + term_c, s + term_s
+        k += 1
+        term_c = (term_c * d2 >> prec) // ((2 * k - 1) * 2 * k)
+        term_s = (term_s * d2 >> prec) // (2 * k * (2 * k + 1))
+    return c, (s if d >= 0 else -s)
+
+
+def _turn(rotor, d, prec):
+    """``rotor`` times e^{i d} for the small fixed-point angle ``d``: the
+    rotor -i e^{i phase} of the phase moved by d."""
+    rot_r, rot_i = rotor
+    c, s = _small_cos_sin(d, prec)
+    return (rot_r * c - rot_i * s) >> prec, (rot_r * s + rot_i * c) >> prec
+
+
+def _fixed_newton(x_float, free, jac_pinv, gate, prec):
+    """The 50-digit stage of ``polish_structured``, in fixed point at
+    2^prec from the float root ``x_float`` on: Newton steps with the
+    pseudo-inverse ``jac_pinv`` of the float Jacobian in the ``free``
+    phases, until the residual max-norm is below 10^-_POLISH_DIGITS.
+
+    Each phase is an integer, the double converted once; a step adds the
+    double step exactly, as an integer.  The rotors of the phases after
+    the leading pinned zeros are taken once, and a step turns the rotor
+    of each moved phase by e^{i step}.  Returns (phases, residual
+    evaluations, residual max-norm at 2^-2prec).
+    """
+    n = len(x_float)
+    x = [_fixed(v, prec) for v in x_float]
+    # Pinned leading zeros never move: the cached zero prefix serves them.
+    zeros = _leading_zeros(x[: free[0] if len(free) else n])
+    rotors = [_rotor(from_man_exp(v, -prec), prec) for v in x[zeros:]]
+    # |r| 2^-2prec < 10^-_POLISH_DIGITS, for an integer r, is |r| < limit.
+    limit = -(-(1 << 2 * prec) // 10**_POLISH_DIGITS)
+    for evals in range(1, WORKING_DPS + 1):
+        r = _mp_residual(zeros, rotors, gate, n, prec)
+        rmax = max(abs(v) for v in r)
+        if rmax < limit:
+            return x, evals, rmax
+        step = -jac_pinv @ np.array([math.ldexp(float(v), -2 * prec) for v in r])
+        for idx, j in enumerate(free):
+            d = _fixed(step[idx], prec)
+            x[j] += d
+            rotors[j - zeros] = _turn(rotors[j - zeros], d, prec)
+    raise solver.SolverError("extended-precision polish did not converge")
+
+
+def _mp_residual(zeros, rotors, gate, n, prec):
+    """The solver's residual at 2^-2prec, as integers: the coefficients of
+    s^{n-1}, s^{n-3}, ... >= 0 of Im(e^{i phi/4} a_h) = sin(phi/4) Re a_h
+    + cos(phi/4) Im a_h, a polynomial in s = sin(pi eps/2), a_h being the
+    major-diagonal element of the half train of n + 1 phases: 0, ``zeros``
+    phases of 0 and the phases with fixed-point ``rotors`` at 2^prec.
+    ``gate`` is the cos and sin of phi/4 from ``_angle_trig``."""
+    ar, ai, _, _ = _mp_jet_rotors(n + 2, zeros + 1, rotors, prec)
     c, s = gate
-    return [
-        mp.mpf((s * ar[m] + c * ai[m], -2 * prec)) for m in range((n + 1) % 2, n, 2)
-    ]
+    return [s * ar[m] + c * ai[m] for m in range((n + 1) % 2, n, 2)]
 
 
 def _mp_jet_pulse(poly, rotor, prec):
@@ -361,10 +429,19 @@ def _mp_zero_prefix(length: int, count: int, prec: int):
     they are composed once per (length, count, precision)."""
     zero = (0,) * length
     poly = ((1 << prec,) + zero[1:], zero, zero, zero)
-    rotor = _rotor(0, prec)
+    rotor = _rotor(fzero, prec)
     for _ in range(count):
         poly = _mp_jet_pulse(poly, rotor, prec)
     return tuple(tuple(part) for part in poly)
+
+
+def _mp_jet_rotors(length, zeros, rotors, prec):
+    """Fixed-point polynomials of ``length`` coefficients of ``zeros`` pi
+    pulses of phase exactly 0 followed by the pulses with ``rotors``."""
+    poly = _mp_zero_prefix(length, zeros, prec)
+    for rotor in rotors:
+        poly = _mp_jet_pulse(poly, rotor, prec)
+    return poly
 
 
 def _mp_jet_compose(phases, prec):
@@ -374,9 +451,6 @@ def _mp_jet_compose(phases, prec):
     (a, sqrt(1 - s^2) B) for N pulses.  Leading phases that are exactly 0
     come from ``_mp_zero_prefix``; the first pulse applied to the identity
     is the pulse itself, bit for bit."""
-    length = len(phases) + 1
     zeros = _leading_zeros(phases)
-    poly = _mp_zero_prefix(length, zeros, prec)
-    for phase in phases[zeros:]:
-        poly = _mp_jet_pulse(poly, _rotor(phase, prec), prec)
-    return poly
+    rotors = [_rotor(mp.mpf(phase)._mpf_, prec) for phase in phases[zeros:]]
+    return _mp_jet_rotors(len(phases) + 1, zeros, rotors, prec)

@@ -55,9 +55,12 @@ def test_sweep_validation():
     with pytest.raises(ValueError, match="eps_min"):
         sweep(seq, 0.2, 0.1, 10)
     for lo, hi in [(-math.inf, 0.4), (0.0, math.inf), (-math.inf, math.inf),
-                   (math.nan, 0.4), (-0.4, math.nan)]:
+                   (math.nan, 0.4), (-0.4, math.nan), (-1e308, 1e308),
+                   (-math.ldexp(1.0, 1023), math.ldexp(1.0, 1023))]:
         with pytest.raises(ValueError, match="finite"):
             sweep(seq, lo, hi, 4)
+    # The largest finite span is a grid.
+    assert len(sweep(seq, -0.5 * 1.7e308, 0.5 * 1.7e308, 3).epsilons) == 3
 
 
 def test_sweep_is_exact_and_symmetric_at_zero_error():

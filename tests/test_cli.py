@@ -205,11 +205,14 @@ def test_sweep_stdout_is_the_csv_file(gate, grid, tmp_path, capsys):
     assert captured.out.encode() == path.read_bytes()
 
 
-def test_sweep_rejects_bad_grid(capsys):
-    assert run(
-        ["sweep", "--gate", "Z2", "--eps-min", "0.4", "--eps-max", "-0.4"]
-    ) == EXIT_VALIDATION
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "grid", [["--eps-min", "0.4", "--eps-max", "-0.4"],
+             # Finite bounds whose span overflows: once nan rows with exit 0.
+             ["--eps-min=-1e308", "--eps-max=1e308", "--steps", "3"]],
+)
+def test_sweep_rejects_bad_grid(grid, capsys):
+    assert run(["sweep", "--gate", "Z2", *grid]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
 
 
 def test_build_four_pulse(capsys):
@@ -270,6 +273,25 @@ def test_build_accepts_every_tabulated_angle(phi, capsys):
     spec_line = capsys.readouterr().out.splitlines()[-1]
     assert run(["range", "--gate", spec_line.removeprefix("spec: ")]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["build", "--phi", "1e308", "--pulses", "4"],
+        ["build", "--phi", "1e308", "--pulses", "12"],
+        ["solve", "--order", "2", "--phi", "1e308", "--seeds", "2"],
+        # 5e307 pi is finite, but a four-pulse phase of it is not.
+        ["build", "--phi", "5e307", "--pulses", "4"],
+    ],
+)
+def test_an_angle_that_overflows_is_rejected(args, capsys):
+    # 1e308 is finite, but 1e308 pi is not: once -inf phases with exit 0,
+    # or an OverflowError traceback.
+    assert run(args) == EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "overflows" in out.err
 
 
 def test_solve_writes_loadable_catalog(tmp_path, capsys):

@@ -7,8 +7,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
 from cpgate import analysis, catalog, cli, precise, solver
 from cpgate.jets import structured_jets
@@ -327,10 +328,15 @@ def test_slope_grid_holds_sin_and_cos_of_the_half_error_area(dps):
 
 
 def _mp_residual(rel, phi, n):
-    # The polish residual with the cos/sin of phi / 4 taken at the working
-    # precision, the way polish_structured hands them over.
-    gate = precise._angle_trig(phi, 2, mp.mp.prec + precise.GUARD_BITS)
-    return precise._mp_residual(rel, gate, n)
+    # The polish residual at the mpf phases ``rel``, each rotor taken from
+    # its phase and the cos/sin of phi / 4 at the working precision, the
+    # way polish_structured takes them before its first step.
+    prec = mp.mp.prec + precise.GUARD_BITS
+    gate = precise._angle_trig(phi, 2, prec)
+    zeros = precise._leading_zeros(rel)
+    rotors = [precise._rotor(mp.mpf(p)._mpf_, prec) for p in rel[zeros:]]
+    residual = precise._mp_residual(zeros, rotors, gate, n, prec)
+    return [mp.mpf((r, -2 * prec)) for r in residual]
 
 
 def _fitted_half_residual(rel, phi, n):
@@ -415,7 +421,7 @@ def test_jet_zero_prefix_equals_pulse_by_pulse_composition_bitwise(zeros):
         phases = [mp.mpf(0)] * zeros + [mp.mpf(rng.uniform(0.0, 6.0)) for _ in range(3)]
         poly = precise._mp_zero_prefix(len(phases) + 1, 0, prec)
         for phase in phases:
-            poly = precise._mp_jet_pulse(poly, precise._rotor(phase, prec), prec)
+            poly = precise._mp_jet_pulse(poly, precise._rotor(phase._mpf_, prec), prec)
         got = precise._mp_jet_compose(phases, prec)
         assert [list(part) for part in got] == [list(part) for part in poly]
 
@@ -468,6 +474,105 @@ def test_polish_evaluates_the_float_jacobian_once_at_its_converged_point(monkeyp
     converged = points[-1]
     assert sum(np.array_equal(x, converged) for x in points) == 1
     assert len(points) > 1  # the rounded row took Newton steps
+
+
+def _polish_prec():
+    with mp.workdps(precise.WORKING_DPS):
+        return mp.mp.prec + precise.GUARD_BITS
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-1e-6, max_value=1e-6))
+@example(0.0)
+@example(-0.0)
+@example(1e-6)
+@example(-1e-6)
+@example(3e-12)
+@example(-3e-12)
+def test_small_cos_sin_matches_mpmath_at_twice_the_precision(delta):
+    # The turn of a rotor by a Newton step: cos and sin of the step at
+    # 2^-P from the fixed-point Taylor series, against mpmath at 2P bits.
+    prec = _polish_prec()
+    d = precise._fixed(delta, prec)
+    c, s = precise._small_cos_sin(d, prec)
+    with mp.workprec(2 * prec):
+        x = mp.ldexp(d, -prec)
+        unit = mp.ldexp(1, -prec)
+        assert abs(mp.ldexp(c, -prec) - mp.cos(x)) <= 3 * unit
+        assert abs(mp.ldexp(s, -prec) - mp.sin(x)) <= 3 * unit
+    if delta == 0:
+        assert (c, s) == (1 << prec, 0)
+
+
+def test_fixed_converts_every_finite_double():
+    # Exact where the double is a multiple of 2^-P; never an OverflowError.
+    prec = _polish_prec()
+    for value in (0.0, -0.0, 1.0, -math.pi, 2.5e-40, 1e308, -1.7976931348623157e308):
+        assert precise._fixed(value, prec) == mp.mpf(value) * 2**prec
+    assert precise._fixed(5e-324, prec) == 0
+    assert precise._fixed(-5e-324, prec) == -1
+
+
+def test_turned_rotors_are_the_rotors_of_the_fixed_point_phases(monkeypatch):
+    # A rounded 14-pulse row: three free phases, each rotor turned once per
+    # Newton step, against a fresh cos/sin of its final fixed-point phase.
+    row = catalog.arbitrary_row(Fraction(1, 3), 14, refine=False)
+    rel = [float(p) for p in row.phases[1:7]]
+    with mp.workdps(precise.WORKING_DPS):
+        phi = mp.pi / 3
+    prec = _polish_prec()
+    results, rotors = [], []
+    newton, residual = precise._fixed_newton, precise._mp_residual
+
+    def recorded(*args):
+        results.append(newton(*args))
+        return results[-1]
+
+    def spied(zeros, turned, *args):
+        rotors[:] = list(turned)
+        return residual(zeros, turned, *args)
+
+    monkeypatch.setattr(precise, "_fixed_newton", recorded)
+    monkeypatch.setattr(precise, "_mp_residual", spied)
+    polished = precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
+    # The rotors of the last residual evaluation, after every turn.
+    [(x, evals, _)] = results
+    assert evals >= 3 and len(rotors) == 3
+    zeros = len(x) - len(rotors)
+    assert x[:zeros] == [0] * zeros
+    for phase, rotor in zip(x[zeros:], rotors):
+        fresh = precise._rotor(from_man_exp(phase, -prec), prec)
+        assert max(abs(got - want) for got, want in zip(rotor, fresh)) <= 8
+    # The returned phases are the fixed-point phases at the working precision.
+    with mp.workdps(precise.WORKING_DPS):
+        assert polished == [mp.mpf((v, -prec)) for v in x]
+
+
+def _rounded_polish_cases():
+    frac = Fraction(1, 3)
+    rows = []
+    for pulses in (4, 6, 8, 10, 12, 14):
+        seq = catalog.arbitrary_row(frac, pulses, refine=False)
+        rel = [float(p) for p in seq.phases[1 : seq.order + 1]]
+        rows.append(pytest.param(rel, frac, id=f"row-{frac}-{pulses}p"))
+    return rows
+
+
+@pytest.mark.parametrize("rel, frac", _rounded_polish_cases())
+def test_polished_rounded_rows_are_roots_to_1e_45_at_90_digits(rel, frac):
+    with mp.workdps(precise.WORKING_DPS):
+        phi = mp.pi * frac.numerator / frac.denominator
+        polished = precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
+    residual = _fitted_half_residual(polished, phi, len(rel))
+    assert max(abs(r) for r in residual) < 10.0 ** -precise._POLISH_DIGITS
+
+
+@pytest.mark.parametrize("name", ["Z12", "S16", "T18"])
+def test_polished_named_trains_are_roots_to_1e_45_at_90_digits(name):
+    seq = catalog.to_sequence(catalog.get(name))
+    n = seq.order
+    residual = _fitted_half_residual(seq.phases[1 : n + 1], seq.target_phi, n)
+    assert max(abs(r) for r in residual) < 10.0 ** -precise._POLISH_DIGITS
 
 
 _ORACLE_DPS = 90
