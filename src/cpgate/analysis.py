@@ -9,14 +9,29 @@ the squared Frobenius distance 1 - Re(a e^{i phi/2}) of the pair (a, b),
 the trace infidelity as it is and the Frobenius infidelity as its root.
 
 The range search reads any train, root or not, through its exact
-propagator polynomial: one ``compose`` call and one FFT per search give
-its coefficients.  A 64-cell grid on [0, 0.9] is one matmul with the
-grid's exp(i theta k) basis, built once per pulse count and cached; it
-finds the first cell where the Frobenius infidelity reaches the
-threshold.  Safeguarded Newton refines the crossing there, evaluating
-the polynomial and its derivative at each iterate by Horner in
-w = e^{2 i theta} on Python scalars.  ``trace_range`` is that search at
-the root of its threshold.
+propagator polynomial: the N+1 coefficients of (a, b) in z = e^{i theta},
+theta = pi(1+eps)/2, composed pulse by pulse on Python complex scalars
+(``_propagator_polynomial``).  A pulse of phase p, doubled, is
+(z + 1/z, -h (z - 1/z)), h = e^{ip}.  With index j for exponent 2j - N,
+n the old length, and conj(b) on |z| = 1 being b's coefficients reversed
+and conjugated,
+    a'[j] = a[j-1] + a[j] + h (conj b[n-j] - conj b[n-1-j])
+    b'[j] = b[j-1] + b[j] - h (conj a[n-j] - conj a[n-1-j]);
+the scaling by 2^-N is exact.  The basis is e^{i theta}, not the s of
+``jets``, because it is well conditioned: |a|^2 + |b|^2 = 1 on |z| = 1,
+so the squared coefficients sum to 1, where the s-coefficients of 18
+pulses reach 1.1e6 (those of T_18, for 18 pulses of one phase).  The
+loop is O(N^2) Python operations: against ``compose`` at 2N+2 points and
+an FFT it took 7 against 39 us at 2 pulses, 84 against 115 us at 18,
+about even near 40, and 18.7 against 6.5 ms at 400
+(BENCH_range_laurent.json).  No catalog train or workload has more than
+18 pulses, so there is one path.  A 64-cell grid on [0, 0.9] is one
+matmul with the grid's exp(i theta k) basis, built once per pulse count
+and cached; it finds the first cell where the Frobenius infidelity
+reaches the threshold.  Safeguarded Newton refines the crossing there,
+evaluating the polynomial and its derivative at each iterate by Horner
+in w = e^{2 i theta} on Python scalars.  ``trace_range`` is that search
+at the root of its threshold.
 
 A sweep's CSV (``csv_bytes``, behind ``write_csv`` and the CLI's stdout)
 holds the bytes of "%.17g" of every value, encoded a block of rows at a
@@ -299,22 +314,65 @@ _NEWTON_STEPS = 64
 _NEWTON_DONE = math.sqrt(np.finfo(float).eps)
 
 
+# Pulses between two rescalings of the doubled coefficients in
+# ``_propagator_polynomial``: those of k pulses are at most 2^k, finite
+# for k < 1024.
+_RESCALE_PULSES = 512
+_RESCALE = 2.0 ** -_RESCALE_PULSES
+
+
 def _propagator_polynomial(seq: CompositeSequence) -> np.ndarray:
     """Coefficients, shape (2, N+1), of the train's exact pair (a, b).
 
-    With theta = pi(1+eps)/2 every pi pulse is (cos theta, rot sin theta),
-    so the pair (a, b) of an N-pulse train is a Laurent polynomial in
-    e^{i theta} with exponents k = -N, -N+2, ..., N.  This holds for any
-    train.  One ``compose`` call at M = 2N+2 equispaced theta and one FFT
-    give its N+1 coefficients, row 0 for a and row 1 for b, in increasing
-    k (c_k = fft[k mod M] / M; M > 2N, so no aliasing).
+    With z = e^{i theta}, theta = pi(1+eps)/2, a pi pulse of phase p is
+    ((z + 1/z)/2, -e^{ip} (z - 1/z)/2), so the pair (a, b) of any N-pulse
+    train is a Laurent polynomial in z with exponents k = -N, -N+2, ..., N:
+    row 0 holds a's N+1 coefficients and row 1 b's, in increasing k.
+
+    The pulses are composed one at a time on Python complex scalars, the
+    e^{i theta} twin of ``precise._mp_jet_pulse``, by the doubled
+    recurrence of the module docstring.  Each pulse has
+    U(-eps) = -Z U(eps) Z, Z = diag(1, -1), and -eps is z -> -1/z, so a's
+    coefficients are a palindrome and b's an antipalindrome (c_{-k} = c_k
+    and -c_k).  Then conj a[n-j] = conj a[j-1] and conj b[n-j] =
+    -conj b[j-1], and the loop composes only the first ceil((N+1)/2)
+    coefficients of each row,
+        a'[j] = a[j-1] + a[j] + h (conj b[j] - conj b[j-1])
+        b'[j] = b[j-1] + b[j] + h (conj a[j] - conj a[j-1]),
+    mirroring them once at the end.  The full recurrence's sums and
+    negations keep the palindromes exact, so its results are equal.
+    Doubling keeps the pulse's factor 1/2 out of the loop; the exact
+    scaling by 2^-N is applied at the end, and by 2^-512 every
+    _RESCALE_PULSES pulses on the way.
     """
-    n = len(seq)
-    m = 2 * n + 2
-    # eps = 4j/M - 1 puts theta at 2 pi j / M.
-    samples = compose(seq, 4.0 * np.arange(m) / m - 1.0)
-    k = np.arange(-n, n + 1, 2)
-    return np.fft.fft(np.stack((samples.a, samples.b)), axis=1)[:, k % m] / m
+    if not seq.phases:
+        raise ValueError("empty sequence")
+    phases = [float(p) for p in seq.phases]
+    conj = complex.conjugate
+    # The first halves of the doubled first pulse, a = [1, 1], b = [e, -e].
+    a, b = [1 + 0j], [cmath.exp(1j * phases[0])]
+    for count, p in enumerate(phases[1:], 2):
+        if count % 2 == 0:
+            # The old pair has an even length and the new half one more
+            # coefficient: the mirror of the last.
+            a.append(a[-1])
+            b.append(-b[-1])
+        h = cmath.exp(1j * p)
+        # pa[j] = a[j-1], ca[j] = conj a[j-1], with zeros at j = 0.
+        pa, pb = [0j, *a], [0j, *b]
+        ca, cb = [0j, *map(conj, a)], [0j, *map(conj, b)]
+        half = range(len(a))
+        a, b = (
+            [pa[j] + pa[j + 1] + h * (cb[j + 1] - cb[j]) for j in half],
+            [pb[j] + pb[j + 1] + h * (ca[j + 1] - ca[j]) for j in half],
+        )
+        if count % _RESCALE_PULSES == 0:
+            a = [x * _RESCALE for x in a]
+            b = [x * _RESCALE for x in b]
+    # The first (N+1) // 2 coefficients reversed, negated for b, are the rest.
+    tail = (len(phases) + 1) // 2
+    mirrored = (a + a[tail - 1::-1], b + [-x for x in b[tail - 1::-1]])
+    return np.array(mirrored) * 2.0 ** -(len(phases) % _RESCALE_PULSES)
 
 
 @lru_cache(maxsize=64)

@@ -237,7 +237,8 @@ _REQUIRED_KEYS = ("name", "phi_over_pi", "order", "phases_over_pi")
 def entry_from_dict(d: dict) -> CatalogEntry:
     """Entry of one JSON record; raises CatalogError if the record is not
     an object with the required keys, its phases are not a list of
-    2(order + 1) values, or its optional range is not a pair."""
+    2(order + 1) values, its angle or a phase times pi is not a finite
+    double, or its optional range is not a pair."""
     if not isinstance(d, dict):
         raise CatalogError(f"catalog record is not an object: {d!r}")
     missing = [k for k in _REQUIRED_KEYS if k not in d]
@@ -266,7 +267,20 @@ def entry_from_dict(d: dict) -> CatalogEntry:
             f"{entry.name}: order {entry.order} needs 2(order + 1) phases, "
             f"not {entry.pulse_count}"
         )
+    texts = (str(d["phi_over_pi"]), *phases)
+    for text, value in zip(texts, (entry.phi_over_pi, *entry.phases_over_pi)):
+        if not _finite_radians(value):
+            raise CatalogError(f"{entry.name}: angle {text} pi is not a finite double")
     return entry
+
+
+def _finite_radians(value: Fraction) -> bool:
+    """Whether ``value`` pi, an angle in units of pi, is a finite double."""
+    try:
+        return math.isfinite(float(value) * math.pi)
+    except OverflowError:
+        # float() of a Fraction beyond the double range.
+        return False
 
 
 def save_catalog(entry_list, path) -> None:

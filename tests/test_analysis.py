@@ -1,3 +1,4 @@
+import cmath
 import functools
 import logging
 import math
@@ -263,6 +264,13 @@ def test_range_threshold_validation():
                 search(seq, threshold=threshold)
 
 
+def test_range_of_an_empty_train_raises():
+    seq = CompositeSequence((), math.pi, 0)
+    for search in (high_fidelity_range, trace_range):
+        with pytest.raises(ValueError, match="empty"):
+            search(seq)
+
+
 @pytest.mark.parametrize("phi", [math.pi, math.pi / 2, math.pi / 4])
 def test_high_fidelity_range_inverts_the_closed_form(phi):
     seqs = [two_pulse(phi)] + [
@@ -471,6 +479,24 @@ def _interpolant_error(seq, eps):
     return max(np.max(np.abs(a - u.a)), np.max(np.abs(b - u.b)))
 
 
+def _reference_polynomial(phases):
+    # The coefficients of ``_propagator_polynomial`` by the full doubled
+    # recurrence, every coefficient composed and no symmetry used:
+    # a'[j] = a[j-1] + a[j] + h (conj b[n-j] - conj b[n-1-j]),
+    # b'[j] = b[j-1] + b[j] - h (conj a[n-j] - conj a[n-1-j]).
+    e = cmath.exp(1j * phases[0])
+    a, b = [1 + 0j, 1 + 0j], [e, -e]
+    for p in phases[1:]:
+        h = cmath.exp(1j * p)
+        ca = [x.conjugate() for x in reversed(a)]
+        cb = [x.conjugate() for x in reversed(b)]
+        a, b = (
+            [x + y + h * (u - v) for x, y, u, v in zip([0j, *a], [*a, 0j], [0j, *cb], [*cb, 0j])],
+            [x + y - h * (u - v) for x, y, u, v in zip([0j, *b], [*b, 0j], [0j, *ca], [*ca, 0j])],
+        )
+    return np.array((a, b)) * 2.0 ** -len(phases)
+
+
 def _scalar_errors(seq, eps):
     # Largest deviations of ``_propagator_at`` from compose (values) and
     # from a central difference of compose (eps-derivatives).
@@ -488,16 +514,23 @@ def _scalar_errors(seq, eps):
 
 
 @given(
-    phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=18),
+    phases=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
     phi=st.floats(0.0, 2 * math.pi),
     eps=st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=8),
 )
 @settings(max_examples=60, deadline=None)
 def test_interpolant_is_compose_on_arbitrary_trains(phases, phi, eps):
-    # Any train, root or not, odd lengths included, is a trigonometric
-    # polynomial of degree N in the pulse area.
+    # Any train, root or not, odd lengths and unreduced phases included,
+    # is a trigonometric polynomial of degree N in the pulse area.
     seq = CompositeSequence(tuple(phases), phi, 0)
     assert _interpolant_error(seq, np.array(eps)) <= 1e-14
+    # |a|^2 + |b|^2 = 1 on the unit circle, so by Parseval the squared
+    # coefficients sum to 1.
+    coeffs = analysis._propagator_polynomial(seq)
+    assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= 1e-14
+    # The half-row loop is the full recurrence, whose sums and negations
+    # keep the palindromes exact: equal results.
+    assert np.array_equal(coeffs, _reference_polynomial(seq.phases))
     # The scalar Horner evaluator against compose, and its derivative
     # against a central difference of compose.
     value, slope = _scalar_errors(seq, eps)
@@ -511,6 +544,17 @@ def test_interpolant_is_compose_on_every_verify_train():
         assert _interpolant_error(seq, eps) <= 1e-14, seq.label
         value, slope = _scalar_errors(seq, eps[::40])
         assert value <= 1e-14 and slope <= 1e-7, seq.label
+
+
+def test_polynomial_of_a_train_past_a_thousand_pulses_stays_exact():
+    # The doubled coefficients of 1100 pulses would reach 2^1100, beyond
+    # the double range, and 2^-1100 underflows: the rescaling every
+    # 512 pulses keeps them finite and exact.
+    rng = np.random.default_rng(11)
+    seq = CompositeSequence(tuple(rng.uniform(0.0, 2 * math.pi, 1100)), math.pi, 0)
+    coeffs = analysis._propagator_polynomial(seq)
+    assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= 1e-14
+    assert _interpolant_error(seq, np.linspace(-0.9, 0.9, 7)) <= 1e-12
 
 
 def test_grid_basis_is_the_direct_exp_product_cached_per_pulse_count():

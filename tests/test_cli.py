@@ -412,6 +412,30 @@ def test_malformed_catalog_file_is_validation_error(content, tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"phi_over_pi": "1e400", "phases_over_pi": ["0", "0", "0", "0"]},
+        {"phi_over_pi": "1e400", "phases_over_pi": ["0", "0.5", "0", "0.5"]},
+        {"phi_over_pi": "1", "phases_over_pi": ["0", "1e400", "0", "0"]},
+        {"phi_over_pi": "1", "phases_over_pi": ["0", "0.5", "1e308", "0"]},
+    ],
+    ids=["angle", "angle-decimal-phase", "phase", "phase-times-pi"],
+)
+def test_catalog_file_angle_that_overflows_is_validation_error(record, tmp_path, capsys):
+    # An angle or a phase whose multiple of pi is no finite double is
+    # refused on loading, before any polish: no nan rows, no range or
+    # order of a meaningless train, no OverflowError.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([{"name": "X", "order": 1, **record}]))
+    for command in ("sweep", "range", "verify"):
+        assert run([command, "--gate", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: X: ")
+        assert "finite" in captured.err
+
+
 def test_bad_flags_are_validation_errors(capsys):
     assert run(["build", "--phi", "1", "--pulses", "5"]) == EXIT_VALIDATION
     assert run(["frobnicate"]) == EXIT_VALIDATION
