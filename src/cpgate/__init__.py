@@ -15,7 +15,6 @@ from .analysis import (
 )
 from .catalog import ArbitraryPhaseRow, CatalogEntry, arbitrary_row, get, to_sequence
 from .sequences import (
-    HalfSequenceSpec,
     appendix_b_sequence,
     chi_eight,
     chi_six,
@@ -43,7 +42,6 @@ __all__ = [
     "CompositeSequence",
     "ErrorRange",
     "FidelityProfile",
-    "HalfSequenceSpec",
     "Solution",
     "SolverConfig",
     "Su2",

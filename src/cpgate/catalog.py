@@ -24,8 +24,8 @@ from importlib import resources
 
 import mpmath as mp
 
-from . import precise
-from .sequences import HalfSequenceSpec, structured_sequence
+from . import precise, solver
+from .sequences import structured_sequence
 from .su2 import CompositeSequence
 
 # phi (units pi) -> free phases per train length, as published.
@@ -167,7 +167,7 @@ def polished_sequence(rel_phases, phi: mp.mpf, pinned) -> CompositeSequence:
     """
     with mp.workdps(precise.WORKING_DPS):
         rel = precise.polish_structured(rel_phases, phi, pinned=pinned)
-        return structured_sequence(HalfSequenceSpec(tuple(rel), phi))
+        return structured_sequence(rel, phi)
 
 
 def _build_structured(rel_strings, phi_over_pi: Fraction, label: str,
@@ -187,7 +187,7 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str,
             seq = polished_sequence([float(f) * math.pi for f in fracs], phi, exact)
         else:
             rel = tuple(mp.pi * f.numerator / f.denominator for f in fracs)
-            seq = structured_sequence(HalfSequenceSpec(rel, phi))
+            seq = structured_sequence(rel, phi)
     return replace(seq, label=label)
 
 
@@ -201,16 +201,15 @@ def to_sequence(entry: CatalogEntry, refine: bool = True) -> CompositeSequence:
     return _build_structured(first_half[1:], entry.phi_over_pi, entry.name, refine)
 
 
-_ROW_LEADING_ZEROS = {4: 0, 6: 1, 8: 1, 10: 2, 12: 2, 14: 3}
-
-
 @lru_cache(maxsize=None)
 def arbitrary_row(phi_over_pi, pulses: int, refine: bool = True) -> CompositeSequence:
-    """Train for an arbitrary-angle table row and train length."""
+    """Train for an arbitrary-angle table row and train length: the
+    column's free phases after the zeros the solver's chart pins."""
     row = get_arbitrary_row(phi_over_pi)
-    if pulses not in _ROW_LEADING_ZEROS:
+    if pulses not in row.columns:
         raise CatalogError(f"no {pulses}-pulse column")
-    rel = ["0"] * _ROW_LEADING_ZEROS[pulses] + list(row.columns[pulses])
+    zeros = solver.pinned_zero_count(pulses // 2 - 1)
+    rel = ["0"] * zeros + list(row.columns[pulses])
     label = f"phi={phi_over_pi}pi-{pulses}p"
     return _build_structured(rel, row.phi_over_pi, label, refine)
 

@@ -63,7 +63,7 @@ def spec_parse(text: str) -> CompositeSequence:
         raise CliError("non-finite number in sequence spec")
     if len(phases) % 2 != 0 or not phases:
         raise CliError("phase count must be even and positive")
-    return CompositeSequence(tuple(phases), phi, len(phases) // 2 - 1, "inline")
+    return CompositeSequence(tuple(phases), phi, label="inline")
 
 
 def _resolve_gate(text: str) -> CompositeSequence:
@@ -76,22 +76,6 @@ def _resolve_gate(text: str) -> CompositeSequence:
     return spec_parse(text)
 
 
-def _is_structured(seq: CompositeSequence, tol: float = 1e-3):
-    """First-half relative phases if the second half repeats the first
-    shifted by pi - phi/2 within ``tol`` (radians), else None."""
-    m = len(seq)
-    if m % 2 != 0:
-        return None
-    half = m // 2
-    phases = [float(p) for p in seq.phases]
-    shift = PI - float(seq.target_phi) / 2
-    for k in range(half):
-        if sequences._mod_distance(phases[half + k], phases[k] + shift) > tol:
-            return None
-    base = phases[0]
-    return [phases[k] - base for k in range(1, half)]
-
-
 def _pi_fraction(phi: float) -> Fraction | None:
     """The fraction p/q, q <= 64, whose multiple of pi is within 1e-12 of
     the angle ``phi`` (radians), or None if there is none."""
@@ -102,9 +86,11 @@ def _pi_fraction(phi: float) -> Fraction | None:
 def _measurement_sequence(seq: CompositeSequence) -> CompositeSequence:
     """Polish the 4-decimal phases of an inline spec onto the exact root
     before order/slope measurement; leaves non-structured input untouched."""
-    rel = _is_structured(seq)
-    if rel is None or not rel:
+    half = sequences.first_half(seq, tol=1e-3)
+    if half is None or len(half) < 2:
         return seq
+    base = float(half[0])
+    rel = [float(p) - base for p in half[1:]]
     phi = float(seq.target_phi)
     # Snap a float gate angle that is (numerically) a small fraction of pi
     # back to the exact value; a rounded target otherwise caps the
@@ -259,9 +245,7 @@ def _cmd_solve(args) -> int:
     solutions = solver.solve(config)
     entries = []
     for i, sol in enumerate(solutions):
-        seq = sequences.structured_sequence(
-            sequences.HalfSequenceSpec(sol.phases, config.phi)
-        )
+        seq = sequences.structured_sequence(sol.phases, config.phi)
         entries.append(
             catalog.solution_to_entry(
                 [p % (2 * PI) for p in seq.phases],

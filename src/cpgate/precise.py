@@ -37,17 +37,19 @@ off-diagonal at eps = 0, no phase gate at all, and raises ValueError.
 
 Every catalog name, table row and polished inline spec is a two-half
 train, built by ``sequences.structured_sequence``: a half H followed by H
-with every phase shifted by pi - phi/2.  ``slope_fit`` checks that
-structure exactly at its own precision (``_half_length``).  For such a
-train the squared gate distance is 2 t(s)^2, t = Im(e^{i phi/4} a_h),
-a_h being the half's major-diagonal element (see ``solver``), so only
-the half is composed and t's coefficients are combined before the
-evaluation.  Any other train (float phases, phases rounded at another
-precision) composes the full (a, B) and takes
-(|a - e^{-i phi/2}|^2 + cos^2(pi eps/2) |B|^2) / 2, at O(N^2) cost
-against the O(20 N) of a pulse loop over the grid.  The check only picks
-the cheaper path: the exact shift differs from the rounded shift of a
-two-half train's phases by ~1e-50, which moves a log by ~1e-24.
+with every phase shifted by pi - phi/2.  ``slope_fit`` recognizes that
+structure exactly at its own precision (``sequences.first_half`` with no
+tolerance), and not where the phases are too large for that precision to
+resolve the shift.  For such a train the squared gate distance is
+2 t(s)^2, t = Im(e^{i phi/4} a_h), a_h being the half's major-diagonal
+element (see ``solver``), so only the half is composed and t's
+coefficients are combined before the evaluation.  Any other train (float
+phases, phases rounded at another precision, phases too large) composes
+the full (a, B) and takes (|a - e^{-i phi/2}|^2 + cos^2(pi eps/2) |B|^2)
+/ 2, at O(N^2) cost against the O(20 N) of a pulse loop over the grid.
+The check only picks the cheaper path: the exact shift differs from the
+rounded shift of a recognized train's phases by at most 1e-45, which
+moves a log by at most ~1e-19.
 
 The fit takes logs of infidelities of at least ~1e-26 (order 8 at
 eps = 1e-3), so an error of ~1e-51 in the distance moves a log by
@@ -114,6 +116,7 @@ from mpmath.libmp import (
 )
 
 from . import solver
+from .sequences import first_half
 from .su2 import CompositeSequence
 
 _log = logging.getLogger("cpgate.precise")
@@ -160,18 +163,6 @@ def _leading_zeros(phases):
     while count < len(phases) and phases[count] == 0:
         count += 1
     return count
-
-
-def _half_length(phases, phi):
-    """Length of the first half if the second half of ``phases`` is exactly
-    the first plus ``mp.pi - phi / 2`` at the working precision, the way
-    ``sequences.structured_sequence`` builds it, else 0.  ``phases`` has
-    even length."""
-    half = len(phases) // 2
-    shift = mp.pi - mp.mpf(phi) / 2
-    if all(phases[half + k] == phases[k] + shift for k in range(half)):
-        return half
-    return 0
 
 
 @lru_cache(maxsize=4)
@@ -238,8 +229,8 @@ def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
     with mp.workdps(WORKING_DPS):
         wp = mp.mp.prec
         prec = wp + GUARD_BITS
-        half = _half_length(seq.phases, seq.target_phi)
-        composed = seq.phases[:half] if half else seq.phases
+        half = first_half(seq)
+        composed = half if half else seq.phases
         ar, ai, br, bi = _mp_jet_compose(composed, prec)
         _, trig, grid_logs = _slope_grid(wp)
         # The squared Frobenius distance is the integer total times

@@ -13,12 +13,16 @@ derivatives of the minor-diagonal one.  It pins the zero-error propagator
 to the target gate only for even n; for odd n the zero-error diagonal
 element is exp(2i sum_k (-1)^(k+1) p_k) (p_0 = 0), which equals
 exp(-i phi/2) only on some roots of the derivative conditions.
+
+``structured_sequence`` builds that structure; ``first_half`` recognizes
+it, exactly (for the slope fit) or within a tolerance (for the CLI's
+polish of a rounded inline train).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import mpmath as mp
 
@@ -29,39 +33,54 @@ PI = math.pi
 _CONSTRAINT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HalfSequenceSpec:
-    """Relative phases p1..pn of one half (the leading phase is 0)."""
-
-    relative_phases: tuple[float, ...]
-    phi: float
-
-    @property
-    def order(self) -> int:
-        return len(self.relative_phases)
-
-
-def structured_sequence(spec: HalfSequenceSpec, nu: float = 0.0) -> CompositeSequence:
-    """Full 2(n+1)-pulse train from one half, second half shifted by pi - phi/2.
+def structured_sequence(rel_phases, phi, nu: float = 0.0) -> CompositeSequence:
+    """Full 2(n+1)-pulse train from the relative phases p1..pn of one half
+    (its leading phase is ``nu``), second half shifted by pi - phi/2.
 
     An mpmath ``phi`` (an mpf, or a constant such as ``mp.pi``) becomes an
     mpf at the working mpmath precision and takes the shift with ``mp.pi``
     there, so extended-precision phases stay on their exact root.
     """
-    phi = spec.phi
     if isinstance(phi, (mp.mpf, type(mp.pi))):
         phi, pi = mp.mpf(phi), mp.pi
     else:
         pi = PI
-    half = [nu] + [nu + p for p in spec.relative_phases]
+    half = [nu] + [nu + p for p in rel_phases]
     shift = pi - phi / 2
     phases = tuple(half + [p + shift for p in half])
-    return CompositeSequence(phases, phi, spec.order, f"struct(n={spec.order})")
+    return CompositeSequence(phases, phi, label=f"struct(n={len(rel_phases)})")
+
+
+def first_half(seq: CompositeSequence, tol: float = 0.0):
+    """The first half of ``seq`` if its second half is the first shifted by
+    pi - phi/2, the way ``structured_sequence`` builds it, else None (an
+    odd-length train included).
+
+    The shift is taken once, at the working mpmath precision.  With ``tol``
+    0 every pair must match exactly; a positive ``tol`` (radians) also
+    accepts a pair within it modulo 2 pi.  A train with a phase too large
+    for that precision to resolve the shift to max(``tol``, 1e-45) is never
+    accepted: there p + shift rounds back to p.
+    """
+    half, odd = divmod(len(seq), 2)
+    if odd:
+        return None
+    largest = max((abs(float(p)) for p in seq.phases), default=0.0)
+    if math.ldexp(largest, -mp.mp.prec) > max(tol, 1e-45):
+        return None
+    shift = mp.pi - mp.mpf(seq.target_phi) / 2
+    first = seq.phases[:half]
+    for p, q in zip(first, seq.phases[half:]):
+        d = q - (p + shift)
+        # At tol 0 only an exact match counts, not one a whole turn away.
+        if d and (not tol or abs(math.remainder(d, 2 * PI)) > tol):
+            return None
+    return first
 
 
 def two_pulse(phi: float, nu: float = 0.0) -> CompositeSequence:
     """pi_nu pi_{nu+pi-phi/2}: the bare (uncompensated) phase gate."""
-    return replace(structured_sequence(HalfSequenceSpec((), phi), nu), label="two")
+    return replace(structured_sequence((), phi, nu), label="two")
 
 
 _FOUR_VARIANTS = 4
@@ -82,7 +101,7 @@ def four_pulse(phi: float, variant: int = 1) -> CompositeSequence:
         3: [phi / 4, 0.0, PI - phi / 4, s],
         4: [PI + phi / 4, 0.0, -phi / 4, s],
     }
-    return CompositeSequence(tuple(variants[variant]), phi, 1, f"four-v{variant}")
+    return CompositeSequence(tuple(variants[variant]), phi, label=f"four-v{variant}")
 
 
 def chi_six(phi: float) -> float:
@@ -109,7 +128,7 @@ def six_pulse(phi: float, variant: int = 1) -> CompositeSequence:
         3: [0.0, 0.0, s + c, s, s, -phi + c],
         4: [0.0, 0.0, -c, s, s, -c + s],
     }
-    return CompositeSequence(tuple(variants[variant]), phi, 2, f"six-v{variant}")
+    return CompositeSequence(tuple(variants[variant]), phi, label=f"six-v{variant}")
 
 
 def eight_pulse(phi: float, variant: int = 1) -> CompositeSequence:
@@ -126,7 +145,7 @@ def eight_pulse(phi: float, variant: int = 1) -> CompositeSequence:
         5: [c + phi / 4, c, 0.0, 0.0, c + PI - phi / 4, c + s, s, s],
         6: [PI + phi / 2 - c, PI + phi / 4 - c, 0.0, 0.0, -c, -c - phi / 4, s, s],
     }
-    return CompositeSequence(tuple(variants[variant]), phi, 3, f"eight-v{variant}")
+    return CompositeSequence(tuple(variants[variant]), phi, label=f"eight-v{variant}")
 
 
 def appendix_b_sequence(phi: float, pulses: int, phases) -> CompositeSequence:
@@ -159,9 +178,7 @@ def appendix_b_sequence(phi: float, pulses: int, phases) -> CompositeSequence:
         rel = (0.0, 0.0, 0.0) + phases
     else:
         raise ValueError(f"compact forms exist for 10/12/14 pulses, got {pulses}")
-    # The order is the length of ``rel``: 4, 5 and 6 for 10, 12 and 14 pulses.
-    seq = structured_sequence(HalfSequenceSpec(rel, phi))
-    return replace(seq, label=f"compact-{pulses}")
+    return replace(structured_sequence(rel, phi), label=f"compact-{pulses}")
 
 
 def _mod_distance(x: float, y: float) -> float:

@@ -5,7 +5,8 @@ being [[a, b], [-b*, a*]].  Every pulse is a nominal pi pulse: with a
 systematic relative area error eps its area is pi(1+eps), and a coupling
 phase p propagates the qubit with a = cos(pi(1+eps)/2),
 b = -i e^{ip} sin(pi(1+eps)/2).  A 2pi, 3pi or 4pi block is a run of
-equal-phase pi pulses, so a train is its phases.  Functions of eps take a
+equal-phase pi pulses, so a train is its gate and its phases; its order is
+measured (``analysis.verify_order``), not claimed.  Functions of eps take a
 float or an array, and a float is the 0-d case: propagators and
 fidelities then hold arrays of the shape of eps.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,14 +37,12 @@ class CompositeSequence:
     high-precision values (e.g. ``mpmath.mpf``) are kept, and the fast
     numeric paths cast with ``float``.  Pulses are applied in list order
     (index 0 acts first on the state); the matrix product therefore runs
-    in the opposite direction.  ``order`` is the claimed
-    error-compensation order n, so the train has 2(n+1) pulses.
+    in the opposite direction.  ``label`` is keyword-only.
     """
 
     phases: tuple
     target_phi: float
-    order: int
-    label: str = ""
+    label: str = field(default="", kw_only=True)
 
     def __len__(self) -> int:
         return len(self.phases)

@@ -27,7 +27,6 @@ from cpgate.analysis import (
     write_csv,
 )
 from cpgate.sequences import (
-    HalfSequenceSpec,
     eight_pulse,
     four_pulse,
     six_pulse,
@@ -265,7 +264,7 @@ def test_range_threshold_validation():
 
 
 def test_range_of_an_empty_train_raises():
-    seq = CompositeSequence((), math.pi, 0)
+    seq = CompositeSequence((), math.pi)
     for search in (high_fidelity_range, trace_range):
         with pytest.raises(ValueError, match="empty"):
             search(seq)
@@ -280,7 +279,7 @@ def test_high_fidelity_range_inverts_the_closed_form(phi):
     ]
     threshold = 1e-4
     for seq in seqs:
-        n = seq.order
+        n = len(seq) // 2 - 1
         x = threshold / (math.sqrt(2.0) * abs(math.sin(phi / 4)))
         want = 2.0 / math.pi * math.asin(x ** (1.0 / (n + 1)))
         rng = high_fidelity_range(seq, threshold)
@@ -319,13 +318,13 @@ def test_profile_law_holds_on_every_verify_train():
     # Every root of order n at angle phi has the closed-form profile; the
     # bound is acceptance criterion 2's.
     for seq in _verify_trains():
-        worst = _closed_form_profile_error(seq, seq.order, float(seq.target_phi))
+        worst = _closed_form_profile_error(seq, len(seq) // 2 - 1, float(seq.target_phi))
         assert worst <= 1e-12, seq.label
 
 
 def test_profile_law_gives_the_range_of_every_verify_train():
     for seq in _verify_trains():
-        want = _closed_form_epsilon0(seq.order, float(seq.target_phi))
+        want = _closed_form_epsilon0(len(seq) // 2 - 1, float(seq.target_phi))
         assert abs(high_fidelity_range(seq).epsilon0 - want) <= 1e-9, seq.label
 
 
@@ -343,7 +342,7 @@ def test_profile_law_holds_at_50_digits_on_every_verify_train():
             scale = mp.sqrt(2) * abs(mp.sin(phi / 4))
             for eps, (a, b) in zip(grid, mp_propagator(seq.phases, grid)):
                 infid = mp.sqrt((abs(a - gate) ** 2 + abs(b) ** 2) / 2)
-                law = scale * abs(mp.sin(mp.pi * eps / 2)) ** (seq.order + 1)
+                law = scale * abs(mp.sin(mp.pi * eps / 2)) ** (len(seq) // 2)
                 assert abs(infid / law - 1) <= 1e-25, (seq.label, float(eps))
 
 
@@ -365,7 +364,7 @@ def test_scalar_array_and_50_digit_paths_agree_on_the_profile_law(k, eps, small)
     # the 111 verify trains.  The 50-digit window and bound are those measured on
     # the slope grid (see the test above).
     seq = _verify_train_tuple()[k]
-    n, phi = seq.order, float(seq.target_phi)
+    n, phi = len(seq) // 2 - 1, float(seq.target_phi)
     target = target_gate(phi)
     u = compose(seq, np.array(eps))
     frob, trace = frobenius_fidelity(u, target), trace_fidelity(u, target)
@@ -422,7 +421,7 @@ def test_profile_law_holds_on_every_solved_class():
             phi = float(row.phi_over_pi) * math.pi
             config = solver.SolverConfig(n=n, phi=phi, seeds=16, rng_seed=0)
             for sol in solver.solve(config):
-                seq = structured_sequence(HalfSequenceSpec(sol.phases, phi))
+                seq = structured_sequence(sol.phases, phi)
                 worst = _closed_form_profile_error(seq, n, phi)
                 assert worst <= 1e-8, (n, row.phi_over_pi, sol.phases)
 
@@ -522,7 +521,7 @@ def _scalar_errors(seq, eps):
 def test_interpolant_is_compose_on_arbitrary_trains(phases, phi, eps):
     # Any train, root or not, odd lengths and unreduced phases included,
     # is a trigonometric polynomial of degree N in the pulse area.
-    seq = CompositeSequence(tuple(phases), phi, 0)
+    seq = CompositeSequence(tuple(phases), phi)
     assert _interpolant_error(seq, np.array(eps)) <= 1e-14
     # |a|^2 + |b|^2 = 1 on the unit circle, so by Parseval the squared
     # coefficients sum to 1.
@@ -551,7 +550,7 @@ def test_polynomial_of_a_train_past_a_thousand_pulses_stays_exact():
     # the double range, and 2^-1100 underflows: the rescaling every
     # 512 pulses keeps them finite and exact.
     rng = np.random.default_rng(11)
-    seq = CompositeSequence(tuple(rng.uniform(0.0, 2 * math.pi, 1100)), math.pi, 0)
+    seq = CompositeSequence(tuple(rng.uniform(0.0, 2 * math.pi, 1100)), math.pi)
     coeffs = analysis._propagator_polynomial(seq)
     assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= 1e-14
     assert _interpolant_error(seq, np.linspace(-0.9, 0.9, 7)) <= 1e-12

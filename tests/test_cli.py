@@ -22,7 +22,7 @@ def test_spec_parse_inline():
     assert [float(p) / math.pi for p in seq.phases] == pytest.approx(
         [0.0, 0.75, 1.25, 0.5]
     )
-    assert seq.order == 1
+    assert len(seq) // 2 - 1 == 1
 
 
 @pytest.mark.parametrize(
@@ -236,7 +236,7 @@ def test_build_compact_row(capsys):
     out = capsys.readouterr().out
     assert "spec: phi=1;phases=" in out
     spec_line = next(l for l in out.splitlines() if l.startswith("spec: "))
-    assert spec_parse(spec_line.removeprefix("spec: ")).order == 5
+    assert len(spec_parse(spec_line.removeprefix("spec: "))) // 2 - 1 == 5
 
 
 @pytest.mark.parametrize("pulses", ["10", "12", "14"])
@@ -476,7 +476,7 @@ def test_verify_rounded_row(phi, pulses, capsys):
     # the exact angle with its structural zeros pinned.
     seq = catalog.arbitrary_row(Fraction(phi), pulses, refine=False)
     assert run(["verify", "--gate", _inline_spec(Fraction(phi), seq)]) == 0
-    assert capsys.readouterr().out.strip() == f"order = {seq.order}"
+    assert capsys.readouterr().out.strip() == f"order = {len(seq) // 2 - 1}"
 
 
 def test_catalog_file_entry_is_polished(tmp_path, capsys):
@@ -549,11 +549,27 @@ def test_oversized_request_is_validation_error(argv, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_negative_measured_order_is_numerical_error(capsys):
-    # An uncompensated 6-pulse train misses the gate even at zero error.
-    rc = run(["verify", "--gate", "phi=1;phases=0,0.3,0.7,0.1,0.2,0.9"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # An uncompensated 6-pulse train misses the gate even at zero error.
+        "phi=1;phases=0,0.3,0.7,0.1,0.2,0.9",
+        # Two equal pulses, -I: the phases are too large for the shift
+        # pi - phi/2 to register, so these are no two-half trains.
+        "phi=1;phases=1e60,1e60",
+        "phi=1;phases=1e300,1e300",
+        # A huge first-half phase and a small partner: p + shift overflows
+        # a double, so the check must reject the train before the pair.
+        "phi=-5e307;phases=5e307,0",
+    ],
+)
+def test_negative_measured_order_is_numerical_error(spec, flags, capsys):
+    rc = run(["verify", "--gate", spec, *flags])
     assert rc == EXIT_NUMERICAL
-    assert "order -1" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "order -1" in err
 
 
 @pytest.mark.parametrize(
@@ -620,10 +636,20 @@ def test_measurement_sequence_logs_a_polish_that_drifted(caplog):
     assert "moved a phase by" in record.getMessage()
 
 
-def test_measurement_sequence_logs_nothing_on_a_rounded_row(caplog):
+@pytest.mark.parametrize(
+    "moved, polished", [(0.0, True), (5e-4, True), (2e-3, False)]
+)
+def test_measurement_sequence_logs_nothing_on_a_rounded_row(moved, polished, caplog):
+    # A second-half phase moved by ``moved`` rad: within the 1e-3 tolerance
+    # of the two-half check the row is still polished, beyond it the input
+    # comes back as it is.
     seq = catalog.arbitrary_row(Fraction(1, 2), 8, refine=False)
     spec = "phi=0.5;phases=" + ",".join(f"{float(p) / math.pi:.4f}" for p in seq.phases)
     rounded = spec_parse(spec)
+    phases = list(rounded.phases)
+    phases[5] += moved
+    rounded = replace(rounded, phases=tuple(phases))
     with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
-        assert cli._measurement_sequence(rounded) is not rounded
+        measured = cli._measurement_sequence(rounded)
+    assert (measured is not rounded) == polished
     assert caplog.records == []

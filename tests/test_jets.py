@@ -26,7 +26,7 @@ def test_trig_coeffs_match_mpmath_taylor():
 
 
 def test_jet_pulse_value_matches_propagator():
-    seq = CompositeSequence((0.7,), target_phi=math.pi, order=0)
+    seq = CompositeSequence((0.7,), target_phi=math.pi)
     a, b = jet_compose(seq, 4)
     u = compose(seq, 0.0)
     assert a[0] == pytest.approx(u.a, abs=1e-14)
@@ -58,7 +58,7 @@ def _finite_difference(seq, element, m, h=1e-2):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("element", ["11", "12"])
 def test_jet_derivatives_match_finite_differences(element, m):
-    seq = CompositeSequence((0.0, 1.1, -0.4), target_phi=math.pi, order=0)
+    seq = CompositeSequence((0.0, 1.1, -0.4), target_phi=math.pi)
     a, b = jet_compose(seq, 3)
     coeff = a[m] if element == "11" else b[m]
     fd = _finite_difference(seq, element, m)
@@ -66,10 +66,10 @@ def test_jet_derivatives_match_finite_differences(element, m):
 
 
 def test_jet_compose_rejects_empty_and_negative():
-    empty = CompositeSequence((), target_phi=math.pi, order=0)
+    empty = CompositeSequence((), target_phi=math.pi)
     with pytest.raises(ValueError, match="empty"):
         jet_compose(empty, 2)
-    seq = CompositeSequence((0.0,), target_phi=math.pi, order=0)
+    seq = CompositeSequence((0.0,), target_phi=math.pi)
     with pytest.raises(ValueError):
         jet_compose(seq, -2)
 
@@ -77,7 +77,7 @@ def test_jet_compose_rejects_empty_and_negative():
 @given(st.floats(min_value=-0.01, max_value=0.01))
 @settings(max_examples=25, deadline=None)
 def test_jet_polynomial_approximates_propagator(eps):
-    seq = CompositeSequence((0.2, 2.2, -1.0, 0.9), target_phi=math.pi, order=1)
+    seq = CompositeSequence((0.2, 2.2, -1.0, 0.9), target_phi=math.pi)
     order = 5
     a, b = jet_compose(seq, order)
     powers = eps ** np.arange(order + 1)
@@ -88,7 +88,7 @@ def test_jet_polynomial_approximates_propagator(eps):
 
 def _half_train(row):
     # The half train pi_0 pi_p1 ... pi_pn of one row of relative phases.
-    return CompositeSequence((0.0,) + tuple(row), target_phi=math.pi, order=0)
+    return CompositeSequence((0.0,) + tuple(row), target_phi=math.pi)
 
 
 # Chebyshev nodes of s = sin(pi eps/2) in [-1, 1]: more than the n + 2

@@ -13,7 +13,7 @@ from mpmath.libmp import from_man_exp
 
 from cpgate import analysis, catalog, cli, precise, solver
 from cpgate.jets import structured_jets
-from cpgate.sequences import HalfSequenceSpec, six_pulse, structured_sequence
+from cpgate.sequences import first_half, six_pulse, structured_sequence
 from cpgate.su2 import CompositeSequence
 
 from mp_oracle import mp_propagator
@@ -144,7 +144,7 @@ _ODD_TRAINS = {"one-pi": (0.3,), "three-pi-one-2pi": (0.0, 0.7, 1.9, 1.9, 0.4)}
 
 def _odd_train(name):
     return CompositeSequence(
-        _ODD_TRAINS[name], target_phi=math.pi / 2, order=1, label=name
+        _ODD_TRAINS[name], target_phi=math.pi / 2, label=name
     )
 
 
@@ -206,13 +206,12 @@ def _structured_mp_train(rel, phi):
     # A 50-digit two-half train, built the way catalog names, table rows
     # and polished specs are.
     with mp.workdps(precise.WORKING_DPS):
-        spec = HalfSequenceSpec(tuple(mp.mpf(p) for p in rel), mp.mpf(phi))
-        return structured_sequence(spec)
+        return structured_sequence([mp.mpf(p) for p in rel], mp.mpf(phi))
 
 
-def _half_length(seq):
+def _first_half(seq):
     with mp.workdps(precise.WORKING_DPS):
-        return precise._half_length(seq.phases, seq.target_phi)
+        return first_half(seq)
 
 
 @given(
@@ -233,7 +232,7 @@ def test_slope_fit_of_a_structured_train_equals_the_per_epsilon_loop_bitwise(rel
     zeros, free = rel
     rel = [0.0] * zeros + free[zeros:]
     seq = _structured_mp_train(rel, phi)
-    assert _half_length(seq) == len(rel) + 1
+    assert len(_first_half(seq)) == len(rel) + 1
     assert precise.slope_fit(seq) == _reference_slope_fit(seq)
 
 
@@ -247,7 +246,19 @@ def _ulp_moved_train():
         moved = mp.mpf(((-1) ** sign * (man + 1), exp))
     assert moved != seq.phases[k]
     phases = seq.phases[:k] + (moved,) + seq.phases[k + 1:]
-    return CompositeSequence(phases, seq.target_phi, seq.order, "Z10-ulp")
+    return CompositeSequence(phases, seq.target_phi, label="Z10-ulp")
+
+
+def _whole_turn_train():
+    # Z10 with one second-half phase a whole turn on at 50 digits: the same
+    # gate, but no longer the pair structured_sequence builds, and the
+    # difference rounds to the double 2 pi.
+    seq = catalog.to_sequence(catalog.get("Z10"))
+    k = len(seq) // 2 + 3
+    with mp.workdps(precise.WORKING_DPS):
+        moved = seq.phases[k] + 2 * mp.pi
+    phases = seq.phases[:k] + (moved,) + seq.phases[k + 1:]
+    return CompositeSequence(phases, seq.target_phi, label="Z10-turn")
 
 
 def _30_digit_train():
@@ -256,14 +267,14 @@ def _30_digit_train():
     seq = catalog.to_sequence(catalog.get("S6"))
     half = len(seq) // 2
     with mp.workdps(30):
-        spec = HalfSequenceSpec(
-            tuple(mp.mpf(p) for p in seq.phases[1:half]), mp.mpf(seq.target_phi)
+        return structured_sequence(
+            [mp.mpf(p) for p in seq.phases[1:half]], mp.mpf(seq.target_phi)
         )
-        return structured_sequence(spec)
 
 
 _FULL_LOOP_TRAINS = {
     "ulp-moved": _ulp_moved_train,
+    "whole-turn": _whole_turn_train,
     "float-builder": lambda: six_pulse(math.pi / 2, 3),
     "30-digit-S6": _30_digit_train,
 }
@@ -272,8 +283,27 @@ _FULL_LOOP_TRAINS = {
 @pytest.mark.parametrize("name", sorted(_FULL_LOOP_TRAINS))
 def test_slope_fit_takes_the_full_loop_off_the_exact_structure(name):
     seq = _FULL_LOOP_TRAINS[name]()
-    assert _half_length(seq) == 0
+    assert _first_half(seq) is None
     assert precise.slope_fit(seq) == _reference_slope_fit(seq)
+
+
+def _large_phase_train(kind):
+    # Two pulses whose phases are so large that p + (pi - phi/2) rounds back
+    # to p at 50 digits: two equal pulses, -I, at infidelity 1.
+    if kind == "float":
+        return CompositeSequence((1e300 * math.pi,) * 2, math.pi)
+    with mp.workdps(precise.WORKING_DPS):
+        return structured_sequence((), mp.pi, mp.mpf("1e60"))
+
+
+@pytest.mark.parametrize("kind", ["float", "50-digit"])
+def test_slope_fit_of_phases_too_large_for_the_shift_sees_the_real_train(kind):
+    seq = _large_phase_train(kind)
+    assert seq.phases[0] == seq.phases[1]
+    assert _first_half(seq) is None
+    slope, peak = precise.slope_fit(seq)
+    assert abs(slope) <= 1e-9
+    assert peak == 1.0
 
 
 @given(
@@ -294,8 +324,8 @@ def test_slope_fit_of_a_random_float_train_equals_the_per_epsilon_loop_bitwise(
     # prefix, so the fit composes the whole train's (a, B) and evaluates
     # (|a - fa|^2 + cos^2(pi eps/2) |B|^2) / 2 at each point.
     first, rest = phases
-    seq = CompositeSequence((first, *rest), phi, len(rest) // 2)
-    assert _half_length(seq) == 0
+    seq = CompositeSequence((first, *rest), phi)
+    assert _first_half(seq) is None
     assert precise.slope_fit(seq) == _reference_slope_fit(seq)
 
 
@@ -307,7 +337,7 @@ def test_structured_trains_of_the_verify_path_take_the_half_loop():
     seqs.append(cli._measurement_sequence(cli.spec_parse(spec)))
     assert seqs[-1].phases != cli.spec_parse(spec).phases  # polished
     for seq in seqs:
-        assert _half_length(seq) == len(seq) // 2, seq.label
+        assert len(_first_half(seq)) == len(seq) // 2, seq.label
 
 
 @pytest.mark.parametrize("dps", [30, precise.WORKING_DPS])
@@ -553,7 +583,7 @@ def _rounded_polish_cases():
     rows = []
     for pulses in (4, 6, 8, 10, 12, 14):
         seq = catalog.arbitrary_row(frac, pulses, refine=False)
-        rel = [float(p) for p in seq.phases[1 : seq.order + 1]]
+        rel = [float(p) for p in seq.phases[1 : len(seq) // 2]]
         rows.append(pytest.param(rel, frac, id=f"row-{frac}-{pulses}p"))
     return rows
 
@@ -570,7 +600,7 @@ def test_polished_rounded_rows_are_roots_to_1e_45_at_90_digits(rel, frac):
 @pytest.mark.parametrize("name", ["Z12", "S16", "T18"])
 def test_polished_named_trains_are_roots_to_1e_45_at_90_digits(name):
     seq = catalog.to_sequence(catalog.get(name))
-    n = seq.order
+    n = len(seq) // 2 - 1
     residual = _fitted_half_residual(seq.phases[1 : n + 1], seq.target_phi, n)
     assert max(abs(r) for r in residual) < 10.0 ** -precise._POLISH_DIGITS
 
@@ -653,7 +683,7 @@ def test_polished_trains_are_roots_to_90_digits(case):
         seq = catalog.arbitrary_row(*key)
     else:
         seq = catalog.to_sequence(catalog.get(key))
-    n = seq.order
+    n = len(seq) // 2 - 1
     rel = list(seq.phases[1 : n + 1])
     with mp.workdps(_ORACLE_DPS):
         residual = _dense_residual(rel, seq.target_phi, n)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 from cpgate import precise
 from cpgate.sequences import (
-    HalfSequenceSpec,
     appendix_b_sequence,
     chi_eight,
     chi_six,
     eight_pulse,
+    first_half,
     four_pulse,
     six_pulse,
     structured_sequence,
@@ -32,7 +33,7 @@ def _mod(x):
 
 
 def assert_structured(seq):
-    n = seq.order
+    n = len(seq) // 2 - 1
     assert len(seq) == 2 * (n + 1)
     phases = [float(p) for p in seq.phases]
     shift = math.pi - float(seq.target_phi) / 2
@@ -93,11 +94,14 @@ def test_variant_validation(builder, bad):
 
 
 def test_structured_sequence_shape_and_shift():
-    spec = HalfSequenceSpec((0.3, 1.9, 0.1), math.pi / 2)
-    seq = structured_sequence(spec, nu=0.25)
-    assert seq.order == 3
+    seq = structured_sequence((0.3, 1.9, 0.1), math.pi / 2, nu=0.25)
+    assert len(seq) // 2 - 1 == 3
     assert_structured(seq)
     assert float(seq.phases[0]) == pytest.approx(0.25)
+    assert first_half(seq, tol=1e-12) == seq.phases[:4]
+    # An odd-length train has no halves; an empty one is two empty halves.
+    assert first_half(replace(seq, phases=seq.phases[:-1])) is None
+    assert first_half(replace(seq, phases=())) == ()
 
 
 def test_chi_identities():
@@ -123,7 +127,7 @@ def test_four_pulse_special_case_of_known_phase_gate():
 
 def test_compact_ten_pulse_form():
     seq = appendix_b_sequence(math.pi, 10, [1.2, 0.4])
-    assert seq.order == 4
+    assert len(seq) // 2 - 1 == 4
     assert len(seq) == 10
     # leading 3 pi block: three equal-phase pi pulses
     phases = [float(p) for p in seq.phases]
@@ -136,14 +140,14 @@ def test_compact_twelve_pulse_constraint():
     p3, p4 = 0.9, 2.2
     p5 = p4 - p3 - phi / 4
     seq = appendix_b_sequence(phi, 12, [p3, p4, p5])
-    assert seq.order == 5
+    assert len(seq) // 2 - 1 == 5
     with pytest.raises(ValueError, match="constraint"):
         appendix_b_sequence(phi, 12, [p3, p4, p5 + 1e-3])
 
 
 def test_compact_fourteen_pulse_form():
     seq = appendix_b_sequence(math.pi, 14, [0.5, 1.5, 2.5])
-    assert seq.order == 6
+    assert len(seq) // 2 - 1 == 6
     phases = [float(p) for p in seq.phases]
     assert phases[0] == phases[1] == phases[2] == phases[3] == 0.0
     assert_structured(seq)
@@ -174,12 +178,12 @@ def test_structured_sequence_takes_an_mpmath_constant_angle_exactly():
     # second half by mp.pi - phi/2 at the working precision.
     with mp.workdps(precise.WORKING_DPS):
         rel = (mp.mpf("0.3"), mp.mpf("1.9"))
-        seq = structured_sequence(HalfSequenceSpec(rel, mp.pi))
+        seq = structured_sequence(rel, mp.pi)
         assert isinstance(seq.target_phi, mp.mpf) and seq.target_phi == +mp.pi
         shift = mp.pi - mp.pi / 2
         for k in range(3):
             assert seq.phases[3 + k] == seq.phases[k] + shift
-        assert precise._half_length(seq.phases, seq.target_phi) == 3
+        assert len(first_half(seq)) == 3
 
 
 _TWO_HALF_TRAINS = st.integers(0, 8).flatmap(
@@ -198,8 +202,8 @@ def test_half_train_identity_on_the_float_path(train):
     # Re(a e^{i phi/2}) = 1 - 2 Im(a_h e^{i phi/4})^2 for every exact
     # two-half train, root or not: a = a_h^2 + e^{-i phi/2} |b_h|^2.
     rel, phi, nu, eps = train
-    seq = structured_sequence(HalfSequenceSpec(tuple(rel), phi), nu)
-    half = CompositeSequence(seq.phases[: len(rel) + 1], phi, 0)
+    seq = structured_sequence(rel, phi, nu)
+    half = CompositeSequence(seq.phases[: len(rel) + 1], phi)
     eps = np.array(eps)
     a = compose(seq, eps).a
     a_h = compose(half, eps).a
@@ -213,8 +217,9 @@ def test_half_train_identity_on_the_float_path(train):
 def test_half_train_identity_at_50_digits(train):
     rel, phi, nu, eps = train
     with mp.workdps(precise.WORKING_DPS):
-        spec = HalfSequenceSpec(tuple(mp.mpf(p) for p in rel), mp.mpf(phi))
-        seq = structured_sequence(spec, mp.mpf(nu))
+        seq = structured_sequence(
+            [mp.mpf(p) for p in rel], mp.mpf(phi), mp.mpf(nu)
+        )
         grid = [mp.mpf(e) for e in eps]
         full = mp_propagator(seq.phases, grid)
         half = mp_propagator(seq.phases[: len(rel) + 1], grid)

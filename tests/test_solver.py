@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cpgate import catalog, solver
 from cpgate.jets import structured_jets
-from cpgate.sequences import HalfSequenceSpec, chi_six, structured_sequence
+from cpgate.sequences import chi_six, structured_sequence
 from cpgate.su2 import CompositeSequence, compose
 from cpgate.solver import (
     SolverConfig,
@@ -46,7 +46,7 @@ def _full_system_defects(rel, phi):
     bound (N pi / 2)^m for N pulses; the zero-error gate distance
     |a_0 - e^{-i phi/2}|)."""
     n = len(rel)
-    a, b = jet_compose(structured_sequence(HalfSequenceSpec(tuple(rel), phi)), n)
+    a, b = jet_compose(structured_sequence(rel, phi), n)
     bound = math.pi * (n + 1)  # N pi / 2 with N = 2(n + 1)
     conditions = max(
         (math.factorial(m) * abs(a[m] if m % 2 == 0 else b[m]) / bound**m
@@ -91,7 +91,7 @@ def _fitted_half_polynomial(rel, phi):
     n = len(rel)
     nodes = 4 * (n + 2)
     s = np.cos(math.pi * (np.arange(nodes) + 0.5) / nodes)
-    half = CompositeSequence((0.0, *rel), phi, 0)
+    half = CompositeSequence((0.0, *rel), phi)
     values = (np.exp(0.25j * phi) * compose(half, 2 / math.pi * np.arcsin(s)).a).imag
     powers = np.arange((n + 1) % 2, n + 2, 2)
     out = np.zeros(n + 2)
@@ -295,7 +295,7 @@ def _named_half(name):
     # Relative phases of the first half of a polished named train.
     seq = catalog.to_sequence(catalog.get(name))
     phases = [float(p) for p in seq.phases]
-    return [p - phases[0] for p in phases[1:seq.order + 1]]
+    return [p - phases[0] for p in phases[1:len(seq) // 2]]
 
 
 # The class each named train of order >= 4 canonicalizes into (units of

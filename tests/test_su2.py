@@ -26,7 +26,7 @@ errors = st.floats(min_value=-0.5, max_value=0.5)
 
 def _pulse(phase, eps):
     # Propagator of one pi pulse of area pi(1 + eps).
-    return compose(CompositeSequence((phase,), target_phi=math.pi, order=0), eps)
+    return compose(CompositeSequence((phase,), target_phi=math.pi), eps)
 
 
 # Dense-matrix references for the Cayley-Klein pair (a, b), the full
@@ -81,15 +81,23 @@ def test_dagger_inverts():
 
 
 def test_compose_applies_first_pulse_first():
-    seq = CompositeSequence((0.3, -0.8), target_phi=math.pi, order=0)
+    seq = CompositeSequence((0.3, -0.8), target_phi=math.pi)
     u = compose(seq, 0.07)
     expected = _product(_pulse(-0.8, 0.07), _pulse(0.3, 0.07))
     assert u.a == pytest.approx(expected.a, abs=1e-14)
     assert u.b == pytest.approx(expected.b, abs=1e-14)
 
 
+def test_sequence_label_is_keyword_only():
+    # A train carries no order: a third positional argument is an error,
+    # not a label.
+    with pytest.raises(TypeError):
+        CompositeSequence((0.0, 1.0), 1.0, 3)
+    assert CompositeSequence((0.0, 1.0), 1.0, label="x").label == "x"
+
+
 def test_compose_rejects_empty_sequence():
-    seq = CompositeSequence((), target_phi=math.pi, order=0)
+    seq = CompositeSequence((), target_phi=math.pi)
     with pytest.raises(ValueError, match="empty"):
         compose(seq, 0.0)
 
@@ -109,7 +117,7 @@ def test_fidelities_of_perfect_gate_are_one():
 def test_two_pulse_fidelities_match_oracle():
     # Independently computed from the 2x2 matrix product at epsilon 0.1:
     # the two-pulse pi train (phases 0, pi/2) against the pi phase gate.
-    seq = CompositeSequence((0.0, math.pi / 2), target_phi=math.pi, order=0)
+    seq = CompositeSequence((0.0, math.pi / 2), target_phi=math.pi)
     u = compose(seq, 0.1)
     f = target_gate(math.pi)
     assert frobenius_fidelity(u, f) == pytest.approx(0.843565534959769, abs=1e-12)
