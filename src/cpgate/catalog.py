@@ -25,7 +25,7 @@ from importlib import resources
 import mpmath as mp
 
 from . import precise, solver
-from .sequences import structured_sequence
+from .sequences import first_half, structured_sequence
 from .su2 import CompositeSequence
 
 # phi (units pi) -> free phases per train length, as published.
@@ -156,18 +156,20 @@ def _is_exact(s: str) -> bool:
     return "." not in s
 
 
-def polished_sequence(rel_phases, phi: mp.mpf, pinned) -> CompositeSequence:
+def polished_sequence(rel_phases, phi: mp.mpf, pinned):
     """Two-half train from first-half relative phases (radians) Newton-
     polished onto the exact root at the mpf gate angle ``phi``.
 
     ``pinned`` marks the phases that must not move.  The polish and the
     train both use ``phi`` itself: polishing at a rounded angle leaves a
     residual near double precision that caps the measurable order.
-    Raises SolverError if the polish fails.
+    Returns the train and the a_h coefficients of its first half that the
+    polish composed last (see ``precise.half_slope_fit``).  Raises
+    SolverError if the polish fails.
     """
     with mp.workdps(precise.WORKING_DPS):
-        rel = precise.polish_structured(rel_phases, phi, pinned=pinned)
-        return structured_sequence(rel, phi)
+        rel, a_h = precise.polish_structured(rel_phases, phi, pinned=pinned)
+        return structured_sequence(rel, phi), a_h
 
 
 def _build_structured(rel_strings, phi_over_pi: Fraction, label: str,
@@ -184,7 +186,7 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str,
     with mp.workdps(precise.WORKING_DPS):
         phi = mp.pi * phi_over_pi.numerator / phi_over_pi.denominator
         if refine and not all(exact):
-            seq = polished_sequence([float(f) * math.pi for f in fracs], phi, exact)
+            seq, _ = polished_sequence([float(f) * math.pi for f in fracs], phi, exact)
         else:
             rel = tuple(mp.pi * f.numerator / f.denominator for f in fracs)
             seq = structured_sequence(rel, phi)
@@ -194,11 +196,25 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str,
 @lru_cache
 def to_sequence(entry: CatalogEntry, refine: bool = True) -> CompositeSequence:
     """Pulse train of a catalog entry (see ``_build_structured`` for the
-    refinement of printed decimals)."""
-    first_half = entry.phase_strings[: entry.order + 1]
-    if Fraction(first_half[0]) != 0:
+    refinement of printed decimals), built from its first half.
+
+    Raises CatalogError unless the entry's second half is its first
+    shifted by pi - phi/2 within 1e-3 rad modulo 2 pi, which admits the
+    4-decimal rounding of the tables and the mod-2 phases ``solve``
+    writes, or if its first phase is not 0.
+    """
+    train = CompositeSequence(
+        tuple(float(p) * math.pi for p in entry.phases_over_pi),
+        float(entry.phi_over_pi) * math.pi,
+    )
+    if first_half(train, tol=1e-3) is None:
+        raise CatalogError(
+            f"{entry.name}: the second half is not the first shifted by pi - phi/2"
+        )
+    half = entry.phase_strings[: entry.order + 1]
+    if Fraction(half[0]) != 0:
         raise CatalogError(f"{entry.name}: first phase must be 0")
-    return _build_structured(first_half[1:], entry.phi_over_pi, entry.name, refine)
+    return _build_structured(half[1:], entry.phi_over_pi, entry.name, refine)
 
 
 @lru_cache(maxsize=None)

@@ -83,12 +83,15 @@ def _pi_fraction(phi: float) -> Fraction | None:
     return frac if abs(float(frac) * PI - phi) < 1e-12 else None
 
 
-def _measurement_sequence(seq: CompositeSequence) -> CompositeSequence:
+def _measurement_sequence(seq: CompositeSequence):
     """Polish the 4-decimal phases of an inline spec onto the exact root
-    before order/slope measurement; leaves non-structured input untouched."""
+    before order/slope measurement.  Returns the train to measure and the
+    a_h coefficients of its half from the polish (``precise.half_slope_fit``),
+    or ``seq`` itself and None where the input is left untouched: not two
+    halves, a polish that failed or one that drifted."""
     half = sequences.first_half(seq, tol=1e-3)
     if half is None or len(half) < 2:
-        return seq
+        return seq, None
     base = float(half[0])
     rel = [float(p) - base for p in half[1:]]
     phi = float(seq.target_phi)
@@ -104,10 +107,10 @@ def _measurement_sequence(seq: CompositeSequence) -> CompositeSequence:
     # Exact zeros are the structural leading blocks; left free, the polish
     # of a rounded row can slide along the root manifold.
     try:
-        polished = catalog.polished_sequence(rel, phi_mp, [r == 0 for r in rel])
+        polished, a_h = catalog.polished_sequence(rel, phi_mp, [r == 0 for r in rel])
     except solver.SolverError as exc:
         _log.debug("measuring the unpolished input: polish failed: %s", exc)
-        return seq
+        return seq, None
     # Only accept the polish if it stayed on the same root (the input was
     # a rounded table row, not some arbitrary far-from-root train).
     drift = max(
@@ -119,8 +122,8 @@ def _measurement_sequence(seq: CompositeSequence) -> CompositeSequence:
             "measuring the unpolished input: the polish moved a phase by "
             "%.3g rad, more than 1e-2 from the input", drift
         )
-        return seq
-    return replace(polished, label=seq.label)
+        return seq, None
+    return replace(polished, label=seq.label), a_h
 
 
 def _fmt_phase(p) -> str:
@@ -218,18 +221,22 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seq = _resolve_gate(args.gate)
+    seq, a_h = _resolve_gate(args.gate), None
     if "=" in args.gate:
         # Only an inline spec can carry rounded phases: catalog names and
         # files come from catalog.to_sequence, already polished at the
         # exact angle.
-        seq = _measurement_sequence(seq)
-    if args.json:
+        seq, a_h = _measurement_sequence(seq)
+    if a_h is None:
         slope, peak = analysis.order_slope(seq)
-        n = analysis.order_from_slope(slope, peak)
+    else:
+        # The polish has just composed the half at the polished phases.
+        slope, peak = precise.half_slope_fit(a_h, seq.target_phi)
+    n = analysis.order_from_slope(slope, peak)
+    if args.json:
         print(json.dumps({"order": n, "slope": slope, "peak": peak}))
     else:
-        print(f"order = {analysis.verify_order(seq)}")
+        print(f"order = {n}")
     return 0
 
 

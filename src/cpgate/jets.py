@@ -13,12 +13,15 @@ degree k - 1, so the composition is exact: there is no truncation order.
 s-coefficients of the major-diagonal element a_h of the half train
 pi_0 pi_p1 ... pi_pn, with their exact tangents in the phases.  The half
 alone decides the order of the two-half train built on it (see
-``solver``), so the kernel never forms the second half.  ``precise`` runs
-the same recurrence in fixed point.
+``solver``), so the kernel never forms the second half.  ``half_jets``
+runs the same recurrence for one half on Python scalars, for the square
+systems of ``precise``'s polish, where numpy's per-call overhead would
+dominate; ``precise`` runs it in fixed point.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -148,3 +151,64 @@ def structured_jets(rel_phases, jacobian=False):
         return w[:, 0, 0].T
     return w[:, 0, 0].T, w[:, 0, 1:].transpose(2, 1, 0)
 
+
+@lru_cache(maxsize=64)
+def _zero_prefix_scalars(length: int, count: int):
+    # ``_zero_prefix`` as Python complex lists for ``half_jets``, each
+    # after two zeros that stand for the coefficients below s^0.
+    w = _zero_prefix(length, count)
+    return (0j, 0j, *w[:, 0].tolist()), (0j, 0j, *w[:, 1].tolist())
+
+
+def half_jets(rel_phases, free=()):
+    """``structured_jets`` of one half on Python scalars.
+
+    ``rel_phases`` holds the n relative phases p1..pn of the half
+    pi_0 pi_p1 ... pi_pn.  Returns the n + 2 coefficients of s^0 .. s^{n+1}
+    of a_h (a list of complex) and, for each distinct phase index j in
+    ``free``, in that order, the list of their exact derivatives in p_j.
+    Leading phases that are exactly 0 and not in ``free`` come from the
+    cached zero prefix.  After k pulses a holds only the powers of s of
+    k's parity and B only the others, so each pulse forms only those.
+    """
+    n = len(rel_phases)
+    slot = {j: k for k, j in enumerate(free)}
+    head = 0
+    while head < n and head not in slot and rel_phases[head] == 0:
+        head += 1
+    a, b = _zero_prefix_scalars(n + 2, head)
+    size = n + 4
+    # Tangents (slot, da, dB) of the phases already applied.
+    tangents = []
+    # Padded index 2 + m holds s^m; a has the parity of the pulse count.
+    parity = (head + 1) % 2
+    for j in range(head, n):
+        # a' = -s a + u (1 - s^2) conj(B), B' = -s B - u conj(a), u = i e^{ip}.
+        p = rel_phases[j]
+        u = complex(-math.sin(p), math.cos(p))
+        a_rows = range(3 - parity, size, 2)
+        b_rows = range(2 + parity, size, 2)
+        if j in slot:
+            # d/dp of the rotated terms, the only ones that hold p.
+            iu = 1j * u
+            da, db = [0j] * size, [0j] * size
+            for m in a_rows:
+                da[m] = iu * (b[m] - b[m - 2]).conjugate()
+            for m in b_rows:
+                db[m] = -iu * a[m].conjugate()
+        moved = []
+        for k, ta, tb in tangents + [(None, a, b)]:
+            na, nb = [0j] * size, [0j] * size
+            for m in a_rows:
+                na[m] = u * (tb[m] - tb[m - 2]).conjugate() - ta[m - 1]
+            for m in b_rows:
+                nb[m] = -tb[m - 1] - u * ta[m].conjugate()
+            moved.append((k, na, nb))
+        *tangents, (_, a, b) = moved
+        if j in slot:
+            tangents.append((slot[j], da, db))
+        parity ^= 1
+    out = [None] * len(slot)
+    for k, ta, _ in tangents:
+        out[k] = ta[2:]
+    return list(a[2:]), out

@@ -71,14 +71,27 @@ The polish solves the solver's half-train conditions (see ``solver``):
 its residual (``_mp_residual``) reads the coefficients of s^{n-1},
 s^{n-3}, ... >= 0 of t from the half composed from its pulses' rotors,
 with the cos/sin of phi/4 taken once per polish; at 50 digits it agrees
-with a 90-digit interpolation of the half to ~1e-50.  It runs the float
-Newton of ``solver`` to ``_FLOAT_TOL``, which returns the free-column
-Jacobian at the point it converged to, and reuses that Jacobian for
-every 50-digit step: both residuals read the same s-coefficients.  The
-50-digit stage (``_fixed_newton``) runs in fixed point end to end.  The
-float root is converted once to integers at 2^P, exactly (``_fixed``),
-and each phase after the leading pinned zeros takes one ``mpf_cos_sin``
-per polish.  A step adds each double to its phase exactly, as an
+with a 90-digit interpolation of the half to ~1e-50.  Its float stage
+runs Newton to ``_FLOAT_TOL`` and keeps the inverse of the free-column
+Jacobian at the point it converged to for every 50-digit step: both
+residuals read the same s-coefficients.  A square system, as many free
+phases as the ceil(n/2) residual entries (every table row, its leading
+zeros pinned as the solver's chart pins them), runs on Python scalars
+(``solver._newton_square`` on ``jets.half_jets``), where numpy's
+per-call overhead and an SVD would dominate systems of at most a few
+rows.  Its root is isolated, so the scalar arithmetic moves the 50-digit
+phases only within the polish's own accuracy.  Its step is a pivoted
+solve whose inverse is certified by ||J||_F ||J^-1||_F <
+1/``solver._RCOND``, so that it is the step the pseudo-inverse would
+take; a zero pivot or a failed certificate sends the polish back to its
+input through ``solver._newton``.  An underdetermined system (the named
+trains of order >= 4) runs ``solver._newton`` and ``np.linalg.pinv``:
+there the float root's last bits choose the point on the root manifold,
+and those bits must stay the ones ``solver.canonicalize`` was charted
+with.  The 50-digit stage (``_fixed_newton``) runs in fixed point end to
+end.  The float root is converted once to integers at 2^P, exactly
+(``_fixed``), and each phase after the leading pinned zeros takes one
+``mpf_cos_sin`` per polish.  A step adds each double to its phase exactly, as an
 integer, and turns the phase's rotor by e^{i step}, its cos and sin
 summed by Taylor series in fixed point (``_small_cos_sin``; steps are
 ~1e-9 and below, so three or four terms): a few units of 2^-P from a
@@ -91,7 +104,17 @@ named train below 1e-40 at 90 digits.  The phases become mpf at the
 working precision once, when they are returned.  Leading phases of
 exactly 0 are alike in every train, so their polynomials are composed
 once per (length, count, precision) (``_mp_zero_prefix``), bitwise as
-pulse by pulse.
+pulse by pulse.  After k pulses a holds only the powers of s of k's
+parity and B only the others, so ``_mp_jet_pulse`` forms only those.
+
+The polish's last residual evaluation composes the half at the returned
+phases, from the turned rotors (at most 8 units of 2^-P from fresh ones),
+and ``polish_structured`` returns that a_h with the phases.  The CLI's
+verify of a polished inline spec hands it to ``half_slope_fit``, which
+fits it as given: no recognition of the two halves and no composition.
+That moves a log by ~1e-30 relative against ``slope_fit`` of the
+returned train, far below the spacing of doubles; the tests check the
+two bit for bit on every rounded table row.
 """
 
 from __future__ import annotations
@@ -230,57 +253,79 @@ def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
         wp = mp.mp.prec
         prec = wp + GUARD_BITS
         half = first_half(seq)
-        composed = half if half else seq.phases
-        ar, ai, br, bi = _mp_jet_compose(composed, prec)
-        _, trig, grid_logs = _slope_grid(wp)
-        # The squared Frobenius distance is the integer total times
-        # 2^shift, one total per epsilon.
         if half:
-            # 2 t(s)^2, t = Im(e^{i phi/4} a_h) from the half's a_h.
-            c, s = _angle_trig(seq.target_phi, 2, prec)
-            t_poly = [(s * r + c * i) >> prec for r, i in zip(ar, ai)]
-            shift = 1 - 2 * prec
-            totals = [_horner(t_poly, x, prec) ** 2 for x, _ in trig]
-        else:
-            # (|a - fa|^2 + |b|^2) / 2 against the gate (fa, 0),
-            # fa = e^{-i phi/2} = fc - i fs, with b = cos(pi eps/2) B.
-            fc, fs = _angle_trig(seq.target_phi, 1, prec)
-            shift = -1 - 2 * prec
-            totals = []
-            for x, cx in trig:
-                a_re, a_im, b_re, b_im = (_horner(p, x, prec) for p in (ar, ai, br, bi))
-                totals.append(
-                    (a_re - fc) ** 2 + (a_im + fs) ** 2
-                    + (cx * b_re >> prec) ** 2 + (cx * b_im >> prec) ** 2
-                )
-        # The infidelity is the distance itself: its log is half the log of
-        # the square, and the peak is the root of the largest square
-        # (rounding is monotone).  Only the double of each log is kept, so
-        # it is taken at 53 + 43 bits.
-        peak = to_float(mpf_sqrt(
-            from_man_exp(max(totals), shift, wp, round_nearest), wp
-        ), rnd=round_nearest)
-        fit = [
-            (log_eps, 0.5 * to_float(mpf_log(
-                from_man_exp(t, shift, _LOG_BITS, round_nearest), _LOG_BITS
-            ), rnd=round_nearest))
-            for log_eps, t in zip(grid_logs, totals) if t
-        ]
-        if len(fit) < 2:
-            return math.nan, peak
-        logs, vals = zip(*fit)
-        lhs, scale, rcond = _line_design(logs)
-        coef = np.linalg.lstsq(lhs, np.array(vals), rcond)[0]
-        return float(coef[0] / scale[0]), peak
+            ar, ai, _, _ = _mp_jet_compose(half, prec)
+            return _half_fit((ar, ai), seq.target_phi, wp)
+        ar, ai, br, bi = _mp_jet_compose(seq.phases, prec)
+        # (|a - fa|^2 + |b|^2) / 2 against the gate (fa, 0),
+        # fa = e^{-i phi/2} = fc - i fs, with b = cos(pi eps/2) B: the
+        # squared Frobenius distance is each total times 2^shift.
+        fc, fs = _angle_trig(seq.target_phi, 1, prec)
+        totals = []
+        for x, cx in _slope_grid(wp)[1]:
+            a_re, a_im, b_re, b_im = (_horner(p, x, prec) for p in (ar, ai, br, bi))
+            totals.append(
+                (a_re - fc) ** 2 + (a_im + fs) ** 2
+                + (cx * b_re >> prec) ** 2 + (cx * b_im >> prec) ** 2
+            )
+        return _line_fit(totals, -1 - 2 * prec, wp)
+
+
+def half_slope_fit(a_h, phi) -> tuple[float, float]:
+    """``slope_fit`` of the two-half train at gate angle ``phi`` whose
+    half has the major-diagonal coefficients ``a_h``: the (real, imaginary)
+    fixed-point pair that ``polish_structured`` returns, at the
+    ``WORKING_DPS`` precision.  The fit reads the half's polynomial as
+    given, with no recognition of the structure and no composition."""
+    with mp.workdps(WORKING_DPS):
+        return _half_fit(a_h, phi, mp.mp.prec)
+
+
+def _half_fit(a_h, phi, wp):
+    """The fit of a two-half train from its half's a_h = (ar, ai), fixed
+    point at 2^(wp + GUARD_BITS): the squared distance is 2 t(s)^2,
+    t = Im(e^{i phi/4} a_h), whose coefficients are combined once."""
+    prec = wp + GUARD_BITS
+    c, s = _angle_trig(phi, 2, prec)
+    t_poly = [(s * r + c * i) >> prec for r, i in zip(*a_h)]
+    totals = [_horner(t_poly, x, prec) ** 2 for x, _ in _slope_grid(wp)[1]]
+    return _line_fit(totals, 1 - 2 * prec, wp)
+
+
+def _line_fit(totals, shift, wp):
+    """(slope, peak) from the squared distances ``totals`` times 2^shift
+    on the slope grid at ``wp`` bits."""
+    # The infidelity is the distance itself: its log is half the log of
+    # the square, and the peak is the root of the largest square (rounding
+    # is monotone).  Only the double of each log is kept, so it is taken
+    # at 53 + 43 bits.
+    peak = to_float(mpf_sqrt(
+        from_man_exp(max(totals), shift, wp, round_nearest), wp
+    ), rnd=round_nearest)
+    fit = [
+        (log_eps, 0.5 * to_float(mpf_log(
+            from_man_exp(t, shift, _LOG_BITS, round_nearest), _LOG_BITS
+        ), rnd=round_nearest))
+        for log_eps, t in zip(_slope_grid(wp)[2], totals) if t
+    ]
+    if len(fit) < 2:
+        return math.nan, peak
+    logs, vals = zip(*fit)
+    lhs, scale, rcond = _line_design(logs)
+    coef = np.linalg.lstsq(lhs, np.array(vals), rcond)[0]
+    return float(coef[0] / scale[0]), peak
 
 
 def polish_structured(rel_phases, phi, pinned=None):
     """Newton-polish structured relative phases to ``WORKING_DPS`` digits.
 
-    ``phi`` may be an mpf (kept exact); the float Jacobian that the float
-    Newton returns at its root serves every 50-digit step, which is
-    enough for fast linear convergence near the root.
-    Returns mpf phases with residual max-norm below 10^-_POLISH_DIGITS.
+    ``phi`` may be an mpf (kept exact); the inverse of the float Jacobian
+    at the float root serves every 50-digit step, which is enough for
+    fast linear convergence near the root.
+    Returns (phases, a_h): the mpf phases, with residual max-norm below
+    10^-_POLISH_DIGITS, and the half's major-diagonal coefficients
+    (real, imaginary) at those phases, fixed point at the working
+    precision, from the last residual evaluation (see ``half_slope_fit``).
     Logs one DEBUG record under ``cpgate.precise``: the free-phase count,
     the residual max-norm after the float stage, the number of 50-digit
     residual evaluations, the final residual max-norm and the seconds
@@ -289,30 +334,44 @@ def polish_structured(rel_phases, phi, pinned=None):
     start = time.perf_counter()
     with mp.workdps(WORKING_DPS):
         phi_mp = mp.mpf(phi) if not isinstance(phi, (mp.mpf, mp.mpc)) else phi
-        x_float = np.asarray([float(v) for v in rel_phases], dtype=float)
-        x_float, float_rmax, ok, jac = solver._newton(
-            x_float, float(phi_mp), tol=_FLOAT_TOL, max_iter=60, pinned=pinned
+        x_float = [float(v) for v in rel_phases]
+        n = len(x_float)
+        free = (
+            list(range(n))
+            if pinned is None
+            else np.flatnonzero(~np.asarray(pinned, dtype=bool)).tolist()
         )
+        # A square system runs its float stage on scalars (see the module
+        # docstring), an underdetermined one through the batched solver.
+        square = None
+        if len(free) == (n + 1) // 2 >= 1:
+            square = solver._newton_square(
+                x_float, float(phi_mp), _FLOAT_TOL, 60, free
+            )
+        if square is not None:
+            x_float, float_rmax, ok, jac_inv = square
+        else:
+            x_float, float_rmax, ok, jac = solver._newton(
+                np.asarray(x_float, dtype=float), float(phi_mp), tol=_FLOAT_TOL,
+                max_iter=60, pinned=pinned,
+            )
         if not ok:
             raise solver.SolverError(
                 f"float-precision polish failed; residual max-norm {float_rmax:.3e}"
             )
-        n = len(x_float)
-        free = (
-            np.arange(n)
-            if pinned is None
-            else np.flatnonzero(~np.asarray(pinned, dtype=bool))
-        )
-        jac_pinv = np.linalg.pinv(jac, rcond=solver._RCOND)
+        if square is None:
+            jac_inv = np.linalg.pinv(jac, rcond=solver._RCOND)
         prec = mp.mp.prec + GUARD_BITS
         gate = _angle_trig(phi_mp, 2, prec)
-        x, evals, rmax = _fixed_newton(x_float, free, jac_pinv, gate, prec)
+        x, evals, rmax, a_h = _fixed_newton(
+            x_float, free, np.asarray(jac_inv), gate, prec
+        )
         _log.debug(
             "polish free=%d float_rmax=%.3g evals=%d rmax=%.3g seconds=%.6f",
             len(free), float_rmax, evals, math.ldexp(rmax, -2 * prec),
             time.perf_counter() - start,
         )
-        return [mp.mpf((v, -prec)) for v in x]
+        return [mp.mpf((v, -prec)) for v in x], a_h
 
 
 def _fixed(value, prec):
@@ -348,17 +407,19 @@ def _turn(rotor, d, prec):
     return (rot_r * c - rot_i * s) >> prec, (rot_r * s + rot_i * c) >> prec
 
 
-def _fixed_newton(x_float, free, jac_pinv, gate, prec):
+def _fixed_newton(x_float, free, jac_inv, gate, prec):
     """The 50-digit stage of ``polish_structured``, in fixed point at
     2^prec from the float root ``x_float`` on: Newton steps with the
-    pseudo-inverse ``jac_pinv`` of the float Jacobian in the ``free``
-    phases, until the residual max-norm is below 10^-_POLISH_DIGITS.
+    inverse or pseudo-inverse ``jac_inv`` of the float Jacobian in the
+    ``free`` phases, until the residual max-norm is below
+    10^-_POLISH_DIGITS.
 
     Each phase is an integer, the double converted once; a step adds the
     double step exactly, as an integer.  The rotors of the phases after
     the leading pinned zeros are taken once, and a step turns the rotor
     of each moved phase by e^{i step}.  Returns (phases, residual
-    evaluations, residual max-norm at 2^-2prec).
+    evaluations, residual max-norm at 2^-2prec, a_h), a_h being the
+    half's (ar, ai) that the last residual evaluation composed.
     """
     n = len(x_float)
     x = [_fixed(v, prec) for v in x_float]
@@ -368,11 +429,11 @@ def _fixed_newton(x_float, free, jac_pinv, gate, prec):
     # |r| 2^-2prec < 10^-_POLISH_DIGITS, for an integer r, is |r| < limit.
     limit = -(-(1 << 2 * prec) // 10**_POLISH_DIGITS)
     for evals in range(1, WORKING_DPS + 1):
-        r = _mp_residual(zeros, rotors, gate, n, prec)
+        r, a_h = _mp_residual(zeros, rotors, gate, n, prec)
         rmax = max(abs(v) for v in r)
         if rmax < limit:
-            return x, evals, rmax
-        step = -jac_pinv @ np.array([math.ldexp(float(v), -2 * prec) for v in r])
+            return x, evals, rmax, a_h
+        step = -jac_inv @ np.array([math.ldexp(float(v), -2 * prec) for v in r])
         for idx, j in enumerate(free):
             d = _fixed(step[idx], prec)
             x[j] += d
@@ -386,10 +447,11 @@ def _mp_residual(zeros, rotors, gate, n, prec):
     + cos(phi/4) Im a_h, a polynomial in s = sin(pi eps/2), a_h being the
     major-diagonal element of the half train of n + 1 phases: 0, ``zeros``
     phases of 0 and the phases with fixed-point ``rotors`` at 2^prec.
-    ``gate`` is the cos and sin of phi/4 from ``_angle_trig``."""
+    ``gate`` is the cos and sin of phi/4 from ``_angle_trig``.  Returns
+    the residual and the half's (ar, ai) it was read from."""
     ar, ai, _, _ = _mp_jet_rotors(n + 2, zeros + 1, rotors, prec)
     c, s = gate
-    return [s * ar[m] + c * ai[m] for m in range((n + 1) % 2, n, 2)]
+    return [s * ar[m] + c * ai[m] for m in range((n + 1) % 2, n, 2)], (ar, ai)
 
 
 def _mp_jet_pulse(poly, rotor, prec):
@@ -398,17 +460,23 @@ def _mp_jet_pulse(poly, rotor, prec):
     # The train is (a, sqrt(1 - s^2) B) and the pulse (-s, rot sqrt(1 - s^2))
     # with rot = -i e^{i phase}: a' = -s a - rot (1 - s^2) conj(B),
     # B' = -s B + rot conj(a) (see ``jets``).  Two leading zeros stand for
-    # the coefficients below s^0.
+    # the coefficients below s^0.  After k pulses a holds only the powers
+    # of k's parity and B only the others, every other coefficient being
+    # an exact 0; a(0) != 0 exactly when k is even.  So a' takes the
+    # powers of the other parity than a, B' those of a, and the rest stay 0.
     ar, ai, br, bi = ((0, 0, *part) for part in poly)
     rot_r, rot_i = rotor
-    nar, nai, nbr, nbi = [], [], [], []
-    for m in range(2, len(ar)):
+    size = len(ar) - 2
+    nar, nai, nbr, nbi = [0] * size, [0] * size, [0] * size, [0] * size
+    even = 1 if ar[2] or ai[2] else 0
+    for m in range(2 + even, len(ar), 2):
         # (1 - s^2) conj(B) at s^m.
         qr, qi = br[m] - br[m - 2], bi[m - 2] - bi[m]
-        nar.append(-ar[m - 1] - ((rot_r * qr - rot_i * qi) >> prec))
-        nai.append(-ai[m - 1] - ((rot_r * qi + rot_i * qr) >> prec))
-        nbr.append(-br[m - 1] + ((rot_r * ar[m] + rot_i * ai[m]) >> prec))
-        nbi.append(-bi[m - 1] + ((rot_i * ar[m] - rot_r * ai[m]) >> prec))
+        nar[m - 2] = -ar[m - 1] - ((rot_r * qr - rot_i * qi) >> prec)
+        nai[m - 2] = -ai[m - 1] - ((rot_r * qi + rot_i * qr) >> prec)
+    for m in range(3 - even, len(ar), 2):
+        nbr[m - 2] = -br[m - 1] + ((rot_r * ar[m] + rot_i * ai[m]) >> prec)
+        nbi[m - 2] = -bi[m - 1] + ((rot_i * ar[m] - rot_r * ai[m]) >> prec)
     return nar, nai, nbr, nbi
 
 

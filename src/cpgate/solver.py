@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import structured_jets
+from .jets import half_jets, structured_jets
 
 TWO_PI = 2.0 * math.pi
 # Pseudo-inverse cutoff of the Newton step.
@@ -118,6 +118,8 @@ def residual(phases, phi: float) -> np.ndarray:
 # rows improve within the first three (75-88 % per op list, seeds
 # 7001-7010), so most skip the other 26.
 _HALVINGS = (0.5 ** np.arange(1, 4), 0.5 ** np.arange(4, 30))
+# The same step lengths as Python floats, for ``_newton_square``.
+_HALVING_STEPS = tuple(np.concatenate(_HALVINGS).tolist())
 
 
 def _newton_batch(
@@ -224,6 +226,91 @@ def _newton(
     x0 = np.asarray(phases, dtype=float)[None, :]
     x, rmax, ok, jac = _newton_batch(x0, phi, tol, max_iter, pinned)
     return x[0], float(rmax[0]), bool(ok[0]), jac[0]
+
+
+def _certified_inverse(jac):
+    """Inverse of the square matrix ``jac`` (a list of rows) by Gauss-Jordan
+    elimination with partial pivoting, or None on a zero pivot or when
+    ||J||_F ||J^-1||_F >= 1/_RCOND.  That bound certifies
+    sigma_min > _RCOND sigma_max, so the pseudo-inverse at ``_RCOND`` drops
+    no singular value and is this inverse."""
+    size = len(jac)
+    rows = [
+        [*row, *(float(i == k) for k in range(size))] for i, row in enumerate(jac)
+    ]
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda i: abs(rows[i][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        if lead == 0:
+            return None
+        row = rows[col] = [v / lead for v in rows[col]]
+        for i in range(size):
+            factor = rows[i][col]
+            if i != col and factor:
+                rows[i] = [v - factor * w for v, w in zip(rows[i], row)]
+    inv = [row[size:] for row in rows]
+    bound = math.sqrt(sum(v * v for row in jac for v in row)) * math.sqrt(
+        sum(v * v for row in inv for v in row)
+    )
+    # A NaN bound fails the test too.
+    return inv if bound < 1.0 / _RCOND else None
+
+
+def _newton_square(phases, phi: float, tol: float, max_iter: int, free):
+    """``_newton`` on Python scalars for a square system, as many ``free``
+    phase indices as residual entries: the same full step, halvings,
+    acceptance on a smaller residual 2-norm and stopping rule, with a
+    pivoted solve in place of the pseudo-inverse.
+
+    Returns (phases, residual max-norm, converged, inverse) with the
+    inverse of the Jacobian in the free phases at the returned phases, as
+    a list of rows, or None if any Jacobian it inverts is singular or fails
+    the certificate of ``_certified_inverse``.
+    """
+    x = [float(v) for v in phases]
+    n = len(x)
+    rot = cmath.exp(0.25j * phi)
+    rows = range((n + 1) % 2, n, 2)
+
+    def evaluate(point, tangents):
+        a, da = half_jets(point, free if tangents else ())
+        r = [(rot * a[m]).imag for m in rows]
+        return r, [[(rot * d[m]).imag for d in da] for m in rows]
+
+    def norm(r):
+        return math.sqrt(sum(v * v for v in r))
+
+    def moved(step, t):
+        trial = list(x)
+        for j, d in zip(free, step):
+            trial[j] += t * d
+        return trial
+
+    r, jac = evaluate(x, True)
+    for it in range(max_iter + 1):
+        rmax = max(abs(v) for v in r)
+        inv = _certified_inverse(jac)
+        if inv is None:
+            return None
+        if rmax < tol or it == max_iter:
+            return x, rmax, rmax < tol, inv
+        step = [-sum(w * v for w, v in zip(row, r)) for row in inv]
+        norm0 = norm(r)
+        trial = moved(step, 1.0)
+        r_trial, jac_trial = evaluate(trial, True)
+        if norm(r_trial) < norm0:
+            x, r, jac = trial, r_trial, jac_trial
+            continue
+        for t in _HALVING_STEPS:
+            trial = moved(step, t)
+            if norm(evaluate(trial, False)[0]) < norm0:
+                break
+        else:
+            # Every halving failed: the iteration stops where it is.
+            return x, rmax, False, inv
+        x = trial
+        r, jac = evaluate(x, True)
 
 
 def pinned_zero_count(n: int) -> int:

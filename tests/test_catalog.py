@@ -142,8 +142,11 @@ def test_json_round_trip(tmp_path):
 
 
 def test_solution_to_entry_round_trips_through_json():
+    # A two-half train at phi = pi/2: the second half is the first shifted
+    # by 3 pi / 4, the last phase written mod 2 pi as solve writes it.
+    shift = 0.75 * math.pi
     entry = solution_to_entry(
-        [0.0, 0.7, math.pi, 2.1], Fraction(1, 2), 1, "custom"
+        [0.0, 0.7, shift, (0.7 + shift) % (2 * math.pi)], Fraction(1, 2), 1, "custom"
     )
     assert entry.source == "solver"
     assert entry.pulse_count == 4
@@ -153,6 +156,11 @@ def test_solution_to_entry_round_trips_through_json():
     assert [float(p) for p in seq.phases[:2]] == pytest.approx(
         [0.0, 0.7], abs=1e-9
     )
+    # The same first half with a second half that is not its shift.
+    other = solution_to_entry([0.0, 0.7, math.pi, 2.1], Fraction(1, 2), 1, "other")
+    assert entry_from_dict(entry_to_dict(other)) == other
+    with pytest.raises(CatalogError, match="second half"):
+        to_sequence(other, refine=False)
 
 
 def test_polished_sequence_takes_mp_pi_as_the_exact_angle():
@@ -164,8 +172,8 @@ def test_polished_sequence_takes_mp_pi_as_the_exact_angle():
     rel = [float(Fraction(s)) * math.pi for s in strings]
     pinned = ["." not in s for s in strings]
     with mp.workdps(precise.WORKING_DPS):
-        got = catalog.polished_sequence(rel, mp.pi, pinned)
-        want = catalog.polished_sequence(rel, mp.mpf(mp.pi), pinned)
+        got, _ = catalog.polished_sequence(rel, mp.pi, pinned)
+        want, _ = catalog.polished_sequence(rel, mp.mpf(mp.pi), pinned)
     assert got.phases == want.phases and got.target_phi == want.target_phi
     slope, _ = analysis.order_slope(got)
     assert abs(slope - 8) < 1e-3

@@ -142,8 +142,36 @@ def test_verify_pasted_table_row(capsys):
     assert capsys.readouterr().out.strip() == "order = 4"
 
 
-@pytest.mark.parametrize("gate", ["T12", "Z18", "phi=1;phases=0,1.75,0.5,0.25"])
+_S10 = (
+    "0,0.8225606328124041,0.82256551733751782,1.9152390433822561,"
+    "0.44160567403125545,0.75,1.5725606328124042,1.5725655173375179,"
+    "2.6652390433822566,1.1916056740312555"
+)
+# The inline specs of CI's strict-JSON verify step: rounded 12- and
+# 14-pulse rows (one with its last free phase moved by 2 in both halves),
+# the pi/2 14-pulse row, the smallest half, and two trains that are not
+# two halves.
+_CI_VERIFY_SPECS = [
+    "phi=0.5;phases=0,0,0,1.0477,1.5126,0.3399,0.75,0.75,0.75,1.7977,2.2626,1.0899",
+    "phi=0.3333333333333333;phases=0,0,0,0,0.9974,0.979,0.924,0.8333,0.8333,"
+    "0.8333,0.8333,1.8307,1.8123,1.7573",
+    "phi=1;phases=0,0,0,0,0.992,0.935,0.7638,0.5,0.5,0.5,0.5,1.492,1.435,1.2638",
+    "phi=0.5;phases=0,0,0,0,0.9961,0.9684,2.8855,0.75,0.75,0.75,0.75,1.7461,"
+    "1.7184,3.6355",
+    "phi=0.5;phases=0,0,0,0,0.9961,0.9684,0.8855,0.75,0.75,0.75,0.75,1.7461,"
+    "1.7184,1.6355",
+    "phi=1;phases=0,0.3,0.3,0.3,0.3,0.5",
+    "phi=0.5;phases=0,0.75",
+    f"phi=1;phases={_S10},{_S10}",
+]
+
+
+@pytest.mark.parametrize(
+    "gate", ["T12", "Z18", "phi=1;phases=0,1.75,0.5,0.25", *_CI_VERIFY_SPECS]
+)
 def test_verify_json_reports_the_fit(gate, capsys):
+    # For a polished inline spec verify fits the half the polish handed
+    # on; that fit is slope_fit's of the polished train, bit for bit.
     assert run(["verify", "--gate", gate]) == 0
     plain = capsys.readouterr().out
     assert run(["verify", "--gate", gate, "--json"]) == 0
@@ -152,7 +180,7 @@ def test_verify_json_reports_the_fit(gate, capsys):
     assert plain == f"order = {report['order']}\n"
     seq = cli._resolve_gate(gate)
     if "=" in gate:
-        seq = cli._measurement_sequence(seq)
+        seq, _ = cli._measurement_sequence(seq)
     slope, peak = analysis.order_slope(seq)
     assert report["slope"] == slope and report["peak"] == peak
     assert report["order"] == round(slope) - 1
@@ -436,6 +464,38 @@ def test_catalog_file_angle_that_overflows_is_validation_error(record, tmp_path,
         assert "finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "second, ok",
+    [(["0.9", "0.1"], False), (["0.5", "0.25"], True), (["0.5001", "0.2499"], True)],
+    ids=["other-train", "shifted-mod-2", "shifted-4-decimals"],
+)
+def test_catalog_file_second_half_must_be_the_shifted_first(second, ok, tmp_path, capsys):
+    # Z4's first half at phi = pi, where the shift is pi/2.  A second half
+    # that is not the first shifted is refused, not measured as Z4; one
+    # within the tables' 4-decimal rounding, or written mod 2, is Z4.
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps([{
+        "name": "x", "phi_over_pi": "1", "order": 1,
+        "phases_over_pi": ["0", "1.75", *second],
+    }]))
+    for command in ("sweep", "range", "verify"):
+        rc = run([command, "--gate", str(path)])
+        captured = capsys.readouterr()
+        if ok:
+            assert rc == 0
+            continue
+        assert rc == EXIT_VALIDATION
+        assert captured.out == ""
+        assert captured.err.startswith("error: x: the second half")
+    if ok:
+        assert run(["verify", "--json", "--gate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 1
+    else:
+        # The same phases inline miss the gate.
+        spec = "phi=1;phases=0,1.75," + ",".join(second)
+        assert run(["verify", "--json", "--gate", spec]) == EXIT_NUMERICAL
+
+
 def test_bad_flags_are_validation_errors(capsys):
     assert run(["build", "--phi", "1", "--pulses", "5"]) == EXIT_VALIDATION
     assert run(["frobnicate"]) == EXIT_VALIDATION
@@ -620,7 +680,8 @@ def test_measurement_sequence_logs_a_failed_polish(caplog):
     # polish has nothing to move on a train that is not a root.
     seq = spec_parse("phi=1;phases=0,0,0,0.5,0.5,0.5")
     with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
-        assert cli._measurement_sequence(seq) is seq
+        measured, a_h = cli._measurement_sequence(seq)
+    assert measured is seq and a_h is None
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
     assert "polish failed" in record.getMessage()
@@ -630,7 +691,8 @@ def test_measurement_sequence_logs_a_polish_that_drifted(caplog):
     # Structured, but far from any root: Newton lands on another one.
     seq = spec_parse("phi=1;phases=0,0.3,0.7,0.5,0.8,1.2")
     with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
-        assert cli._measurement_sequence(seq) is seq
+        measured, a_h = cli._measurement_sequence(seq)
+    assert measured is seq and a_h is None
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
     assert "moved a phase by" in record.getMessage()
@@ -650,6 +712,7 @@ def test_measurement_sequence_logs_nothing_on_a_rounded_row(moved, polished, cap
     phases[5] += moved
     rounded = replace(rounded, phases=tuple(phases))
     with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
-        measured = cli._measurement_sequence(rounded)
+        measured, a_h = cli._measurement_sequence(rounded)
     assert (measured is not rounded) == polished
+    assert (a_h is not None) == polished
     assert caplog.records == []

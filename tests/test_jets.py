@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpgate.jets import structured_jets
+from cpgate.jets import half_jets, structured_jets
 from cpgate.su2 import CompositeSequence, compose
 
 from jet_oracle import jet_compose, pi_series
@@ -167,6 +167,31 @@ def test_structured_jets_tangent_subsets_are_columns_of_the_full_jacobian(n):
         for got, full in ((sa, a), (dsa, da[:, wrt])):
             assert got.shape == full.shape
             assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_half_jets_match_structured_jets(n):
+    # The scalar kernel against the batched one on random halves, with
+    # and without leading zeros, and tangents in every phase, in the free
+    # phases after the zeros, in a differentiated zero and in none:
+    # a_h, and so every residual entry and Jacobian entry read from it,
+    # within 1e-14 of the largest coefficient (or of 1).
+    rng = np.random.default_rng(60 + n)
+    for zeros in sorted({0, n // 2, n}):
+        x = rng.uniform(0.0, 2 * math.pi, size=(3, n))
+        x[:, :zeros] = 0.0
+        for wrt in sorted({(), tuple(range(n)), tuple(range(zeros, n)),
+                           tuple(range(n))[::-1][:2]}):
+            for row in x:
+                a, da = half_jets(list(row), wrt)
+                want = structured_jets(row[None, :])[0]
+                scale = max(1.0, np.max(np.abs(want)))
+                assert len(a) == n + 2 and len(da) == len(wrt)
+                assert np.max(np.abs(np.array(a) - want)) <= 1e-14 * scale
+                if wrt:
+                    _, want_da = structured_jets(row[None, :], jacobian=list(wrt))
+                    scale = max(1.0, np.max(np.abs(want_da)))
+                    assert np.max(np.abs(np.array(da) - want_da[0])) <= 1e-14 * scale
 
 
 def test_structured_jets_rejects_bad_tangent_indices():

@@ -7,12 +7,12 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
 from cpgate import analysis, catalog, cli, precise, solver
-from cpgate.jets import structured_jets
+from cpgate.jets import half_jets, structured_jets
 from cpgate.sequences import first_half, six_pulse, structured_sequence
 from cpgate.su2 import CompositeSequence
 
@@ -177,10 +177,13 @@ def _rounded_row_specs(pulses):
 
 
 def _assert_slope_fit_is_the_reference_on_a_rounded_row(spec):
-    seq = cli._measurement_sequence(cli.spec_parse(spec))
+    seq, a_h = cli._measurement_sequence(cli.spec_parse(spec))
     assert seq.phases != cli.spec_parse(spec).phases  # polished
     assert len(seq) % 2 == 0  # the one-sign path
-    assert precise.slope_fit(seq) == _reference_slope_fit(seq)
+    want = _reference_slope_fit(seq)
+    assert precise.slope_fit(seq) == want
+    # The fit of the half the polish composed last, as verify runs it.
+    assert precise.half_slope_fit(a_h, seq.target_phi) == want
 
 
 @pytest.mark.parametrize("spec", [
@@ -334,7 +337,7 @@ def test_structured_trains_of_the_verify_path_take_the_half_loop():
     seqs = [catalog.to_sequence(catalog.get(n)) for n in catalog.names()]
     seqs.append(catalog.arbitrary_row(Fraction(1, 3), 14))
     _, spec = _rounded_row_specs(14)[0]
-    seqs.append(cli._measurement_sequence(cli.spec_parse(spec)))
+    seqs.append(cli._measurement_sequence(cli.spec_parse(spec))[0])
     assert seqs[-1].phases != cli.spec_parse(spec).phases  # polished
     for seq in seqs:
         assert len(_first_half(seq)) == len(seq) // 2, seq.label
@@ -365,7 +368,7 @@ def _mp_residual(rel, phi, n):
     gate = precise._angle_trig(phi, 2, prec)
     zeros = precise._leading_zeros(rel)
     rotors = [precise._rotor(mp.mpf(p)._mpf_, prec) for p in rel[zeros:]]
-    residual = precise._mp_residual(zeros, rotors, gate, n, prec)
+    residual, _ = precise._mp_residual(zeros, rotors, gate, n, prec)
     return [mp.mpf((r, -2 * prec)) for r in residual]
 
 
@@ -485,13 +488,27 @@ def test_polish_logs_one_debug_record(caplog):
     assert float(fields["seconds"]) > 0.0
 
 
-def test_polish_evaluates_the_float_jacobian_once_at_its_converged_point(monkeypatch):
-    # A rounded 14-pulse row: the float Newton returns the Jacobian it
-    # evaluated at its last point, and the 50-digit stage reuses it.
-    row = catalog.arbitrary_row(Fraction(1, 3), 14, refine=False)
-    rel = [float(p) for p in row.phases[1:7]]
-    with mp.workdps(precise.WORKING_DPS):
-        phi = mp.pi / 3
+def _polish_inputs(case):
+    # (rel, phi, pinned) of a rounded 14-pulse row (three free phases
+    # against three residual entries: square) or of a named train of
+    # order >= 4 (underdetermined), pinned as polish_structured's callers
+    # pin them.
+    if case == "row-14p":
+        seq = catalog.arbitrary_row(Fraction(1, 3), 14, refine=False)
+    else:
+        seq = catalog.to_sequence(catalog.get(case), refine=False)
+    rel = [float(p) for p in seq.phases[1 : len(seq) // 2]]
+    return rel, seq.target_phi, [p == 0 for p in rel]
+
+
+@pytest.mark.parametrize("case", ["row-14p", "Z12"])
+def test_polish_evaluates_the_float_jacobian_once_at_its_converged_point(
+    case, monkeypatch
+):
+    # The float Newton returns the Jacobian (or its inverse) it evaluated
+    # at its last point, and the 50-digit stage reuses it: the scalar kernel
+    # serves the square row, the batched one the named train.
+    rel, phi, pinned = _polish_inputs(case)
     points = []
 
     def counted(x, jacobian=False):
@@ -499,11 +516,138 @@ def test_polish_evaluates_the_float_jacobian_once_at_its_converged_point(monkeyp
             points.extend(np.array(x, dtype=float))
         return structured_jets(x, jacobian)
 
+    def counted_scalar(x, free=()):
+        if free:
+            points.append(np.array(x, dtype=float))
+        return half_jets(x, free)
+
     monkeypatch.setattr(solver, "structured_jets", counted)
-    precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
+    monkeypatch.setattr(solver, "half_jets", counted_scalar)
+    precise.polish_structured(rel, phi, pinned=pinned)
     converged = points[-1]
     assert sum(np.array_equal(x, converged) for x in points) == 1
     assert len(points) > 1  # the rounded row took Newton steps
+
+
+def _newton_both_ways(rel, phi, pinned):
+    # The float stage on scalars and through the batched solver on one
+    # square system: the same converged flag and, when converged, the same
+    # 50-digit root as the polish with the scalar stage switched off.  Each
+    # polish stops at a residual max-norm below 1e-45, which pins its
+    # phases within ||J^-1||_inf 1e-45 of the exact root, so the two agree
+    # within twice that.  (The batched polish itself is 1.03e-45 from the
+    # exact root on the pi 2/3 12-pulse row.)
+    free = [j for j, p in enumerate(pinned) if not p]
+    assert len(free) == (len(rel) + 1) // 2  # square
+    square = solver._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, free)
+    batched = solver._newton(np.array(rel), float(phi), precise._FLOAT_TOL, 60, pinned)
+    assert square is not None and square[2] == batched[2]
+    if not batched[2]:
+        return
+    bound = 2e-45 * max(sum(abs(v) for v in row) for row in square[3])
+    with mp.workdps(precise.WORKING_DPS):
+        got, _ = precise.polish_structured(rel, phi, pinned)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_newton_square", lambda *args: None)
+            want, _ = precise.polish_structured(rel, phi, pinned)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= bound
+    assert [float(g) for g in got] == [float(w) for w in want]
+
+
+def _rounded_rows():
+    # The 84 rounded table rows as the CLI polishes them, zeros pinned:
+    # every one a square system.
+    return [
+        pytest.param(row.phi_over_pi, pulses, id=f"{row.phi_over_pi}-{pulses}p")
+        for row in catalog.arbitrary_rows()
+        for pulses in (4, 6, 8, 10, 12, 14)
+    ]
+
+
+@pytest.mark.parametrize("frac, pulses", _rounded_rows())
+def test_scalar_newton_matches_the_batched_newton_on_the_rounded_rows(frac, pulses):
+    seq = catalog.arbitrary_row(frac, pulses, refine=False)
+    rel = [float(p) for p in seq.phases[1 : pulses // 2]]
+    _newton_both_ways(rel, seq.target_phi, [p == 0 for p in rel])
+
+
+@given(
+    n=st.integers(1, 8),
+    phi=st.floats(0.05, 2 * math.pi - 0.05),
+    rng_seed=st.integers(0, 2**16),
+    offsets=st.lists(st.floats(-1e-4, 1e-4), min_size=4, max_size=4),
+)
+@settings(max_examples=15, deadline=None)
+def test_scalar_newton_matches_the_batched_newton_on_pinned_square_systems(
+    n, phi, rng_seed, offsets
+):
+    # A chart root of a random problem (its leading floor(n/2) phases pinned
+    # at 0), each free phase moved by up to 1e-4 pi, the size of a table's
+    # rounding.
+    try:
+        sols = solver.solve(solver.SolverConfig(n=n, phi=phi, seeds=4, rng_seed=rng_seed))
+    except solver.SolverError:
+        assume(False)
+    pinned = [j < solver.pinned_zero_count(n) for j in range(n)]
+    rel = list(sols[0].phases)
+    for k, j in enumerate(j for j in range(n) if not pinned[j]):
+        rel[j] += offsets[k] * math.pi
+    _newton_both_ways(rel, phi, pinned)
+
+
+def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
+    # The rounded 14-pulse row with the tangent of its first free phase
+    # scaled by 1e-8: sigma_min / sigma_max falls below _RCOND, so the
+    # scalar stage gives up and the polish restarts from its input through
+    # solver._newton, as it runs with the scalar stage switched off.
+    rel, phi, pinned = _polish_inputs("row-14p")
+    free = [j for j, p in enumerate(pinned) if not p]
+    batched, calls = solver._newton, []
+
+    def degenerate(x, wrt=()):
+        a, da = half_jets(x, wrt)
+        if da:
+            da[0] = [1e-8 * v for v in da[0]]
+        return a, da
+
+    def recorded(phases, *args, **kwargs):
+        calls.append(list(phases))
+        return batched(phases, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "half_jets", degenerate)
+        _, da = degenerate(rel, free)
+        rot = complex(mp.exp(0.25j * phi))
+        n = len(rel)
+        jac = [[(rot * d[m]).imag for d in da] for m in range((n + 1) % 2, n, 2)]
+        sigma = np.linalg.svd(np.array(jac), compute_uv=False)
+        assert sigma[-1] < solver._RCOND * sigma[0]
+        assert solver._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, free) is None
+        patch.setattr(solver, "_newton", recorded)
+        got = precise.polish_structured(rel, phi, pinned)
+        patch.setattr(solver, "_newton_square", lambda *args: None)
+        want = precise.polish_structured(rel, phi, pinned)
+    assert calls == [rel, rel]
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog.names() if catalog.get(n).order >= 4]
+)
+def test_named_trains_of_order_four_or_more_polish_through_the_batched_newton(name):
+    # 4 to 8 free phases against ceil(n/2) entries: the minimum-norm step.
+    rel, phi, pinned = _polish_inputs(name)
+    batched, calls = solver._newton, []
+
+    def recorded(*args, **kwargs):
+        calls.append("batched")
+        return batched(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_newton_square", lambda *args: calls.append("square"))
+        patch.setattr(solver, "_newton", recorded)
+        precise.polish_structured(rel, phi, pinned)
+    assert calls == ["batched"]
 
 
 def _polish_prec():
@@ -564,9 +708,9 @@ def test_turned_rotors_are_the_rotors_of_the_fixed_point_phases(monkeypatch):
 
     monkeypatch.setattr(precise, "_fixed_newton", recorded)
     monkeypatch.setattr(precise, "_mp_residual", spied)
-    polished = precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
+    polished, handed = precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
     # The rotors of the last residual evaluation, after every turn.
-    [(x, evals, _)] = results
+    [(x, evals, _, a_h)] = results
     assert evals >= 3 and len(rotors) == 3
     zeros = len(x) - len(rotors)
     assert x[:zeros] == [0] * zeros
@@ -576,6 +720,11 @@ def test_turned_rotors_are_the_rotors_of_the_fixed_point_phases(monkeypatch):
     # The returned phases are the fixed-point phases at the working precision.
     with mp.workdps(precise.WORKING_DPS):
         assert polished == [mp.mpf((v, -prec)) for v in x]
+    # The half handed on is the one composed from those turned rotors.
+    assert handed is a_h
+    n = len(x)
+    ar, ai, _, _ = precise._mp_jet_rotors(n + 2, zeros + 1, rotors, prec)
+    assert a_h == (ar, ai)
 
 
 def _rounded_polish_cases():
@@ -592,7 +741,7 @@ def _rounded_polish_cases():
 def test_polished_rounded_rows_are_roots_to_1e_45_at_90_digits(rel, frac):
     with mp.workdps(precise.WORKING_DPS):
         phi = mp.pi * frac.numerator / frac.denominator
-        polished = precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
+        polished, _ = precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
     residual = _fitted_half_residual(polished, phi, len(rel))
     assert max(abs(r) for r in residual) < 10.0 ** -precise._POLISH_DIGITS
 
