@@ -278,22 +278,18 @@ def closed_form_fidelity(n: int, phi: float, epsilon: float) -> tuple[float, flo
 _MEASURABLE_INFIDELITY = 1e-40
 
 
-def order_slope(seq: CompositeSequence) -> tuple[float, float]:
-    """(slope, peak infidelity) of the log-log fit on eps in [1e-3, 1e-2]."""
-    return precise.slope_fit(seq)
-
-
 def verify_order(seq: CompositeSequence) -> int:
     """Compensation order from the infidelity power law: round(slope) - 1.
 
     Raises AnalysisError when the order is beyond the measurable range or
     below zero (the train misses the target gate even at zero error).
     """
-    return order_from_slope(*order_slope(seq))
+    return order_from_slope(*precise.slope_fit(seq))
 
 
 def order_from_slope(slope: float, peak: float) -> int:
-    """The order ``verify_order`` reads off an ``order_slope`` result."""
+    """The order ``verify_order`` reads off a ``precise.slope_fit`` result:
+    (slope, peak infidelity) of the log-log fit on eps in [1e-3, 1e-2]."""
     if not math.isfinite(slope) or peak < _MEASURABLE_INFIDELITY:
         raise AnalysisError("order exceeds measurable range")
     order = int(round(slope)) - 1

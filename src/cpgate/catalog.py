@@ -172,37 +172,33 @@ def polished_sequence(rel_phases, phi: mp.mpf, pinned):
         return structured_sequence(rel, phi), a_h
 
 
-def _build_structured(rel_strings, phi_over_pi: Fraction, label: str,
-                      refine: bool) -> CompositeSequence:
+def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bool):
     """Construct the full train from first-half relative phases (units pi).
 
     Decimal phases are polished onto the exact root; "0" entries and exact
     fractions are pinned.  Phases come out as mpf values so downstream
     extended-precision checks see the actual root, while float consumers
-    simply cast.
+    simply cast.  Returns the train and the a_h of its half: the polish's,
+    or composed once from the exact phases where nothing was polished.
     """
     exact = [_is_exact(s) for s in rel_strings]
     fracs = [Fraction(s) for s in rel_strings]
     with mp.workdps(precise.WORKING_DPS):
         phi = mp.pi * phi_over_pi.numerator / phi_over_pi.denominator
         if refine and not all(exact):
-            seq, _ = polished_sequence([float(f) * math.pi for f in fracs], phi, exact)
+            seq, a_h = polished_sequence([float(f) * math.pi for f in fracs], phi, exact)
         else:
             rel = tuple(mp.pi * f.numerator / f.denominator for f in fracs)
             seq = structured_sequence(rel, phi)
-    return replace(seq, label=label)
+            prec = mp.mp.prec + precise.GUARD_BITS
+            a_h = precise._mp_jet_compose(seq.phases[: len(rel) + 1], prec)[:2]
+    return replace(seq, label=label), tuple(map(tuple, a_h))
 
 
 @lru_cache
-def to_sequence(entry: CatalogEntry, refine: bool = True) -> CompositeSequence:
-    """Pulse train of a catalog entry (see ``_build_structured`` for the
-    refinement of printed decimals), built from its first half.
-
-    Raises CatalogError unless the entry's second half is its first
-    shifted by pi - phi/2 within 1e-3 rad modulo 2 pi, which admits the
-    4-decimal rounding of the tables and the mod-2 phases ``solve``
-    writes, or if its first phase is not 0.
-    """
+def _entry_train(entry: CatalogEntry, refine: bool):
+    """(train, a_h) of a catalog entry, built from its first half by
+    ``_build_structured``; see ``to_sequence``."""
     train = CompositeSequence(
         tuple(float(p) * math.pi for p in entry.phases_over_pi),
         float(entry.phi_over_pi) * math.pi,
@@ -217,6 +213,25 @@ def to_sequence(entry: CatalogEntry, refine: bool = True) -> CompositeSequence:
     return _build_structured(half[1:], entry.phi_over_pi, entry.name, refine)
 
 
+def to_sequence(entry: CatalogEntry, refine: bool = True) -> CompositeSequence:
+    """Pulse train of a catalog entry (see ``_build_structured`` for the
+    refinement of printed decimals), built from its first half.
+
+    Raises CatalogError unless the entry's second half is its first
+    shifted by pi - phi/2 within 1e-3 rad modulo 2 pi, which admits the
+    4-decimal rounding of the tables and the mod-2 phases ``solve``
+    writes, or if its first phase is not 0.
+    """
+    return _entry_train(entry, refine)[0]
+
+
+def half_polynomial(entry: CatalogEntry):
+    """The a_h of ``to_sequence(entry)`` that ``precise.half_slope_fit``
+    fits: its half's major-diagonal coefficients, as ``_build_structured``
+    keeps them.  Raises CatalogError as ``to_sequence`` does."""
+    return _entry_train(entry, True)[1]
+
+
 @lru_cache(maxsize=None)
 def arbitrary_row(phi_over_pi, pulses: int, refine: bool = True) -> CompositeSequence:
     """Train for an arbitrary-angle table row and train length: the
@@ -227,7 +242,7 @@ def arbitrary_row(phi_over_pi, pulses: int, refine: bool = True) -> CompositeSeq
     zeros = solver.pinned_zero_count(pulses // 2 - 1)
     rel = ["0"] * zeros + list(row.columns[pulses])
     label = f"phi={phi_over_pi}pi-{pulses}p"
-    return _build_structured(rel, row.phi_over_pi, label, refine)
+    return _build_structured(rel, row.phi_over_pi, label, refine)[0]
 
 
 # --- JSON interchange -------------------------------------------------------

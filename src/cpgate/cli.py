@@ -36,13 +36,7 @@ class CliError(Exception):
 
 
 def spec_parse(text: str) -> CompositeSequence:
-    """Sequence from ``phi=<v>;phases=<p0,p1,...>`` (units of pi) or a
-    catalog JSON file path."""
-    if "=" not in text and os.path.exists(text):
-        entries = catalog.load_catalog(text)
-        if not entries:
-            raise CliError(f"catalog file {text!r} is empty")
-        return catalog.to_sequence(entries[0])
+    """Sequence from the inline spec ``phi=<v>;phases=<p0,...>`` (units of pi)."""
     fields = {}
     for part in text.split(";"):
         if "=" not in part:
@@ -66,14 +60,23 @@ def spec_parse(text: str) -> CompositeSequence:
     return CompositeSequence(tuple(phases), phi, label="inline")
 
 
-def _resolve_gate(text: str) -> CompositeSequence:
+def _resolve_gate(text: str):
+    """(train, a_h, inline) of a ``--gate`` value: a catalog name, else the
+    first entry of an existing catalog JSON file, else an inline spec.
+    a_h is a catalog train's ``catalog.half_polynomial``, None for an
+    inline spec; ``inline`` says which it was."""
     try:
-        return catalog.to_sequence(catalog.get(text))
+        entry = catalog.get(text)
     except catalog.CatalogError:
-        pass
-    if "=" not in text and not os.path.exists(text):
-        raise CliError(f"unknown gate {text!r} (not a catalog name, spec, or file)")
-    return spec_parse(text)
+        if not os.path.exists(text):
+            if "=" not in text:
+                raise CliError(f"unknown gate {text!r} (not a catalog name, spec, or file)")
+            return spec_parse(text), None, True
+        entries = catalog.load_catalog(text)
+        if not entries:
+            raise CliError(f"catalog file {text!r} is empty")
+        entry = entries[0]
+    return catalog.to_sequence(entry), catalog.half_polynomial(entry), False
 
 
 def _pi_fraction(phi: float) -> Fraction | None:
@@ -199,7 +202,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    seq = _resolve_gate(args.gate)
+    seq = _resolve_gate(args.gate)[0]
     profile = analysis.sweep(seq, args.eps_min, args.eps_max, args.steps)
     if args.out:
         analysis.write_csv(profile, args.out)
@@ -210,7 +213,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_range(args) -> int:
-    seq = _resolve_gate(args.gate)
+    seq = _resolve_gate(args.gate)[0]
     rng = analysis.high_fidelity_range(seq, args.threshold)
     note = "  (non-monotonic profile; scanned)" if rng.flagged else ""
     print(
@@ -221,16 +224,15 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seq, a_h = _resolve_gate(args.gate), None
-    if "=" in args.gate:
+    seq, a_h, inline = _resolve_gate(args.gate)
+    if inline:
         # Only an inline spec can carry rounded phases: catalog names and
         # files come from catalog.to_sequence, already polished at the
-        # exact angle.
+        # exact angle, with the a_h of their half.
         seq, a_h = _measurement_sequence(seq)
     if a_h is None:
-        slope, peak = analysis.order_slope(seq)
+        slope, peak = precise.slope_fit(seq)
     else:
-        # The polish has just composed the half at the polished phases.
         slope, peak = precise.half_slope_fit(a_h, seq.target_phi)
     n = analysis.order_from_slope(slope, peak)
     if args.json:

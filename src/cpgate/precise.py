@@ -35,21 +35,18 @@ infidelity that is even in eps (U(-eps) = -Z U(eps) Z^dagger per pulse,
 Z = diag(1, -1)), so only +eps is evaluated; an odd number is
 off-diagonal at eps = 0, no phase gate at all, and raises ValueError.
 
-Every catalog name, table row and polished inline spec is a two-half
-train, built by ``sequences.structured_sequence``: a half H followed by H
-with every phase shifted by pi - phi/2.  ``slope_fit`` recognizes that
-structure exactly at its own precision (``sequences.first_half`` with no
-tolerance), and not where the phases are too large for that precision to
-resolve the shift.  For such a train the squared gate distance is
-2 t(s)^2, t = Im(e^{i phi/4} a_h), a_h being the half's major-diagonal
-element (see ``solver``), so only the half is composed and t's
-coefficients are combined before the evaluation.  Any other train (float
-phases, phases rounded at another precision, phases too large) composes
-the full (a, B) and takes (|a - e^{-i phi/2}|^2 + cos^2(pi eps/2) |B|^2)
-/ 2, at O(N^2) cost against the O(20 N) of a pulse loop over the grid.
-The check only picks the cheaper path: the exact shift differs from the
-rounded shift of a recognized train's phases by at most 1e-45, which
-moves a log by at most ~1e-19.
+``slope_fit`` composes the full (a, B) of whatever train it is given and
+takes (|a - e^{-i phi/2}|^2 + cos^2(pi eps/2) |B|^2) / 2, at O(N^2) cost
+against the O(20 N) of a pulse loop over the grid; it recognizes no
+structure.  Every catalog name, table row and polished inline spec is a
+two-half train, built by ``sequences.structured_sequence``: a half H
+followed by H with every phase shifted by pi - phi/2.  For such a train
+the squared gate distance is 2 t(s)^2, t = Im(e^{i phi/4} a_h), a_h being
+the half's major-diagonal element (see ``solver``), and
+``half_slope_fit`` fits it from a_h alone, t's coefficients combined
+before the evaluation.  The half is handed along as a value, never found
+again from the phases: the polish returns the a_h it composed last, and
+``catalog.half_polynomial`` keeps it for each catalog entry.
 
 The fit takes logs of infidelities of at least ~1e-26 (order 8 at
 eps = 1e-3), so an error of ~1e-51 in the distance moves a log by
@@ -109,12 +106,12 @@ parity and B only the others, so ``_mp_jet_pulse`` forms only those.
 
 The polish's last residual evaluation composes the half at the returned
 phases, from the turned rotors (at most 8 units of 2^-P from fresh ones),
-and ``polish_structured`` returns that a_h with the phases.  The CLI's
-verify of a polished inline spec hands it to ``half_slope_fit``, which
-fits it as given: no recognition of the two halves and no composition.
-That moves a log by ~1e-30 relative against ``slope_fit`` of the
-returned train, far below the spacing of doubles; the tests check the
-two bit for bit on every rounded table row.
+and ``polish_structured`` returns that a_h with the phases, ~1e-48 from
+the a_h of those rounded to the working precision.  Verify fits it, or
+the catalog's for a name or file, with ``half_slope_fit``.  That moves a
+log by ~1e-30 relative against ``slope_fit`` of the returned train, far
+below the spacing of doubles; the tests check the two bit for bit on the
+27 names and every rounded table row.
 """
 
 from __future__ import annotations
@@ -139,7 +136,6 @@ from mpmath.libmp import (
 )
 
 from . import solver
-from .sequences import first_half
 from .su2 import CompositeSequence
 
 _log = logging.getLogger("cpgate.precise")
@@ -252,10 +248,6 @@ def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
     with mp.workdps(WORKING_DPS):
         wp = mp.mp.prec
         prec = wp + GUARD_BITS
-        half = first_half(seq)
-        if half:
-            ar, ai, _, _ = _mp_jet_compose(half, prec)
-            return _half_fit((ar, ai), seq.target_phi, wp)
         ar, ai, br, bi = _mp_jet_compose(seq.phases, prec)
         # (|a - fa|^2 + |b|^2) / 2 against the gate (fa, 0),
         # fa = e^{-i phi/2} = fc - i fs, with b = cos(pi eps/2) B: the
@@ -274,22 +266,18 @@ def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
 def half_slope_fit(a_h, phi) -> tuple[float, float]:
     """``slope_fit`` of the two-half train at gate angle ``phi`` whose
     half has the major-diagonal coefficients ``a_h``: the (real, imaginary)
-    fixed-point pair that ``polish_structured`` returns, at the
-    ``WORKING_DPS`` precision.  The fit reads the half's polynomial as
-    given, with no recognition of the structure and no composition."""
+    fixed-point pair at the ``WORKING_DPS`` precision that
+    ``polish_structured`` returns and ``catalog.half_polynomial`` keeps.  The
+    squared distance is 2 t(s)^2, t = Im(e^{i phi/4} a_h), whose
+    coefficients are combined once; the fit reads the half's polynomial
+    as given, with no composition."""
     with mp.workdps(WORKING_DPS):
-        return _half_fit(a_h, phi, mp.mp.prec)
-
-
-def _half_fit(a_h, phi, wp):
-    """The fit of a two-half train from its half's a_h = (ar, ai), fixed
-    point at 2^(wp + GUARD_BITS): the squared distance is 2 t(s)^2,
-    t = Im(e^{i phi/4} a_h), whose coefficients are combined once."""
-    prec = wp + GUARD_BITS
-    c, s = _angle_trig(phi, 2, prec)
-    t_poly = [(s * r + c * i) >> prec for r, i in zip(*a_h)]
-    totals = [_horner(t_poly, x, prec) ** 2 for x, _ in _slope_grid(wp)[1]]
-    return _line_fit(totals, 1 - 2 * prec, wp)
+        wp = mp.mp.prec
+        prec = wp + GUARD_BITS
+        c, s = _angle_trig(phi, 2, prec)
+        t_poly = [(s * r + c * i) >> prec for r, i in zip(*a_h)]
+        totals = [_horner(t_poly, x, prec) ** 2 for x, _ in _slope_grid(wp)[1]]
+        return _line_fit(totals, 1 - 2 * prec, wp)
 
 
 def _line_fit(totals, shift, wp):

@@ -15,8 +15,8 @@ element is exp(2i sum_k (-1)^(k+1) p_k) (p_0 = 0), which equals
 exp(-i phi/2) only on some roots of the derivative conditions.
 
 ``structured_sequence`` builds that structure; ``first_half`` recognizes
-it, exactly (for the slope fit) or within a tolerance (for the CLI's
-polish of a rounded inline train).
+it within a tolerance, in doubles, where a train enters as input: a
+catalog record, or an inline train the CLI polishes.
 """
 
 from __future__ import annotations
@@ -51,31 +51,27 @@ def structured_sequence(rel_phases, phi, nu: float = 0.0) -> CompositeSequence:
     return CompositeSequence(phases, phi, label=f"struct(n={len(rel_phases)})")
 
 
-def first_half(seq: CompositeSequence, tol: float = 0.0):
+def first_half(seq: CompositeSequence, tol: float):
     """The first half of ``seq`` if its second half is the first shifted by
-    pi - phi/2, the way ``structured_sequence`` builds it, else None (an
-    odd-length train included).
-
-    The shift is taken once, at the working mpmath precision.  With ``tol``
-    0 every pair must match exactly; a positive ``tol`` (radians) also
-    accepts a pair within it modulo 2 pi.  A train with a phase too large
-    for that precision to resolve the shift to max(``tol``, 1e-45) is never
-    accepted: there p + shift rounds back to p.
+    pi - phi/2 within the positive ``tol`` (radians, modulo 2 pi), the way
+    ``structured_sequence`` builds it, else None (an odd-length train
+    included).  The check runs in doubles.  A train with a phase too large
+    for a double to resolve the shift to ``tol`` is never accepted: there
+    p + shift rounds to within ``tol`` of p whatever the shift.
     """
+    if not tol > 0:
+        raise ValueError(f"first_half needs a positive tolerance, got {tol!r}")
     half, odd = divmod(len(seq), 2)
     if odd:
         return None
-    largest = max((abs(float(p)) for p in seq.phases), default=0.0)
-    if math.ldexp(largest, -mp.mp.prec) > max(tol, 1e-45):
+    phases = [float(p) for p in seq.phases]
+    if math.ldexp(max(map(abs, phases), default=0.0), -53) > tol:
         return None
-    shift = mp.pi - mp.mpf(seq.target_phi) / 2
-    first = seq.phases[:half]
-    for p, q in zip(first, seq.phases[half:]):
-        d = q - (p + shift)
-        # At tol 0 only an exact match counts, not one a whole turn away.
-        if d and (not tol or abs(math.remainder(d, 2 * PI)) > tol):
+    shift = PI - float(seq.target_phi) / 2
+    for p, q in zip(phases, phases[half:]):
+        if abs(math.remainder(q - (p + shift), 2 * PI)) > tol:
             return None
-    return first
+    return seq.phases[:half]
 
 
 def two_pulse(phi: float, nu: float = 0.0) -> CompositeSequence:

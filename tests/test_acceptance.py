@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cpgate import analysis, catalog, solver
+from cpgate import analysis, catalog, precise, solver
 from cpgate.sequences import (
     chi_eight,
     chi_six,
@@ -105,7 +105,7 @@ def test_criterion_3_order_verification(capsys):
     worst = 0.0
     for entry in catalog.entries():
         seq = catalog.to_sequence(entry)
-        slope, _ = analysis.order_slope(seq)
+        slope, _ = precise.slope_fit(seq)
         assert abs(slope - (entry.order + 1)) < 0.1, entry.name
         worst = max(worst, abs(slope - (entry.order + 1)))
         assert analysis.verify_order(seq) == entry.order, entry.name

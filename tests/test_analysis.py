@@ -20,7 +20,6 @@ from cpgate.analysis import (
     closed_form_fidelity,
     csv_bytes,
     high_fidelity_range,
-    order_slope,
     sweep,
     trace_range,
     verify_order,
@@ -212,8 +211,8 @@ def test_verify_order_on_analytic_and_catalog_trains():
     assert verify_order(_cat("Z8")) == 3
 
 
-def test_order_slope_is_close_to_integer():
-    slope, peak = order_slope(_cat("Z8"))
+def test_slope_fit_is_close_to_integer():
+    slope, peak = precise.slope_fit(_cat("Z8"))
     assert abs(slope - 4.0) < 0.1
     assert peak > 0
 

@@ -175,6 +175,25 @@ def test_polished_sequence_takes_mp_pi_as_the_exact_angle():
         got, _ = catalog.polished_sequence(rel, mp.pi, pinned)
         want, _ = catalog.polished_sequence(rel, mp.mpf(mp.pi), pinned)
     assert got.phases == want.phases and got.target_phi == want.target_phi
-    slope, _ = analysis.order_slope(got)
+    slope, _ = precise.slope_fit(got)
     assert abs(slope - 8) < 1e-3
     assert analysis.verify_order(got) == 7
+
+
+@pytest.mark.parametrize("name", names())
+def test_half_polynomial_is_the_half_of_the_train(name):
+    # The a_h that verify fits.  Where no phase was polished it is composed
+    # from the train's first half, bit for bit; else it is the polish's
+    # last composition, at phases that the returned mpf values round to
+    # the working precision, within the polish's 1e-45.
+    entry = get(name)
+    seq = to_sequence(entry)
+    with mp.workdps(precise.WORKING_DPS):
+        prec = mp.mp.prec + precise.GUARD_BITS
+        composed = precise._mp_jet_compose(seq.phases[: entry.order + 1], prec)[:2]
+    got = catalog.half_polynomial(entry)
+    diff = max(abs(x - y) for p, q in zip(got, composed) for x, y in zip(p, q))
+    if all("." not in s for s in entry.phase_strings):
+        assert diff == 0
+    else:
+        assert diff < math.ldexp(1e-45, prec)

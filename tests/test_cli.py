@@ -170,18 +170,20 @@ _CI_VERIFY_SPECS = [
     "gate", ["T12", "Z18", "phi=1;phases=0,1.75,0.5,0.25", *_CI_VERIFY_SPECS]
 )
 def test_verify_json_reports_the_fit(gate, capsys):
-    # For a polished inline spec verify fits the half the polish handed
-    # on; that fit is slope_fit's of the polished train, bit for bit.
+    # For a catalog name or a polished inline spec verify fits the half
+    # the polish handed on; that fit is slope_fit's of the whole train,
+    # bit for bit.
     assert run(["verify", "--gate", gate]) == 0
     plain = capsys.readouterr().out
     assert run(["verify", "--gate", gate, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert set(report) == {"order", "slope", "peak"}
     assert plain == f"order = {report['order']}\n"
-    seq = cli._resolve_gate(gate)
-    if "=" in gate:
+    seq, _, inline = cli._resolve_gate(gate)
+    assert inline == ("=" in gate)
+    if inline:
         seq, _ = cli._measurement_sequence(seq)
-    slope, peak = analysis.order_slope(seq)
+    slope, peak = precise.slope_fit(seq)
     assert report["slope"] == slope and report["peak"] == peak
     assert report["order"] == round(slope) - 1
 
@@ -409,6 +411,44 @@ def test_catalog_file_as_gate(tmp_path, capsys):
     catalog.save_catalog([catalog.get("S6")], path)
     assert run(["verify", "--gate", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "order = 2"
+
+
+def test_catalog_file_with_an_equals_sign_in_its_path(tmp_path, capsys):
+    # The file solve --out writes is a gate, even where its path holds an
+    # '=' that an inline spec would hold too.
+    path = tmp_path / "run-phi=0.5.json"
+    assert run(["solve", "--order", "2", "--phi", "0.5", "--seeds", "8",
+                "--out", str(path)]) == 0
+    capsys.readouterr()
+    seq, a_h, inline = cli._resolve_gate(str(path))
+    assert not inline and a_h is not None
+    assert run(["verify", "--json", "--gate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 2
+    assert run(["range", "--gate", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("epsilon0 = ")
+    assert run(["sweep", "--gate", str(path), "--steps", "5"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 6
+    assert analysis.csv_bytes(analysis.sweep(seq, -0.4, 0.4, 5)).decode(
+        "ascii"
+    ).splitlines() == rows
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_verify_json_of_a_name_is_that_of_its_catalog_file(name, tmp_path, capsys):
+    # Through the name and through a file holding its record, verify
+    # prints the same bytes: the slope and peak of slope_fit of the train.
+    entry = catalog.get(name)
+    path = tmp_path / f"{name}.json"
+    catalog.save_catalog([entry], path)
+    assert run(["verify", "--json", "--gate", name]) == 0
+    by_name = capsys.readouterr()
+    assert run(["verify", "--json", "--gate", str(path)]) == 0
+    by_file = capsys.readouterr()
+    assert by_file == by_name and by_name.err == ""
+    report = json.loads(by_name.out)
+    slope, peak = precise.slope_fit(catalog.to_sequence(entry))
+    assert report["slope"] == slope and report["peak"] == peak
 
 
 def _s6_record(**changes):

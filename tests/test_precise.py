@@ -13,7 +13,7 @@ from mpmath.libmp import from_man_exp
 
 from cpgate import analysis, catalog, cli, precise, solver
 from cpgate.jets import half_jets, structured_jets
-from cpgate.sequences import first_half, six_pulse, structured_sequence
+from cpgate.sequences import six_pulse, structured_sequence
 from cpgate.su2 import CompositeSequence
 
 from mp_oracle import mp_propagator
@@ -212,11 +212,6 @@ def _structured_mp_train(rel, phi):
         return structured_sequence([mp.mpf(p) for p in rel], mp.mpf(phi))
 
 
-def _first_half(seq):
-    with mp.workdps(precise.WORKING_DPS):
-        return first_half(seq)
-
-
 @given(
     rel=st.integers(1, 9).flatmap(
         lambda half: st.tuples(
@@ -230,13 +225,16 @@ def _first_half(seq):
 @settings(max_examples=25, deadline=None)
 def test_slope_fit_of_a_structured_train_equals_the_per_epsilon_loop_bitwise(rel, phi):
     # Half length 1-9 with 0 to half - 1 leading exact-zero relative
-    # phases: the fit runs the half train from the cached zero prefix and
-    # forms the two-half product.
+    # phases: the fit composes the train from the cached zero prefix, and
+    # the fit of its half's a_h is the same, bit for bit.
     zeros, free = rel
     rel = [0.0] * zeros + free[zeros:]
     seq = _structured_mp_train(rel, phi)
-    assert len(_first_half(seq)) == len(rel) + 1
-    assert precise.slope_fit(seq) == _reference_slope_fit(seq)
+    want = _reference_slope_fit(seq)
+    assert precise.slope_fit(seq) == want
+    with mp.workdps(precise.WORKING_DPS):
+        a_h = precise._mp_jet_compose(seq.phases[: len(rel) + 1], _polish_prec())[:2]
+    assert precise.half_slope_fit(a_h, seq.target_phi) == want
 
 
 def _ulp_moved_train():
@@ -266,7 +264,7 @@ def _whole_turn_train():
 
 def _30_digit_train():
     # S6 built at 30 digits: its second half is the first plus the 30-digit
-    # shift, which differs from the 50-digit shift that slope_fit checks.
+    # shift, which differs from the 50-digit shift of a two-half train.
     seq = catalog.to_sequence(catalog.get("S6"))
     half = len(seq) // 2
     with mp.workdps(30):
@@ -286,7 +284,6 @@ _FULL_LOOP_TRAINS = {
 @pytest.mark.parametrize("name", sorted(_FULL_LOOP_TRAINS))
 def test_slope_fit_takes_the_full_loop_off_the_exact_structure(name):
     seq = _FULL_LOOP_TRAINS[name]()
-    assert _first_half(seq) is None
     assert precise.slope_fit(seq) == _reference_slope_fit(seq)
 
 
@@ -303,7 +300,6 @@ def _large_phase_train(kind):
 def test_slope_fit_of_phases_too_large_for_the_shift_sees_the_real_train(kind):
     seq = _large_phase_train(kind)
     assert seq.phases[0] == seq.phases[1]
-    assert _first_half(seq) is None
     slope, peak = precise.slope_fit(seq)
     assert abs(slope) <= 1e-9
     assert peak == 1.0
@@ -328,19 +324,7 @@ def test_slope_fit_of_a_random_float_train_equals_the_per_epsilon_loop_bitwise(
     # (|a - fa|^2 + cos^2(pi eps/2) |B|^2) / 2 at each point.
     first, rest = phases
     seq = CompositeSequence((first, *rest), phi)
-    assert _first_half(seq) is None
     assert precise.slope_fit(seq) == _reference_slope_fit(seq)
-
-
-def test_structured_trains_of_the_verify_path_take_the_half_loop():
-    # Catalog names, polished table rows and polished inline specs.
-    seqs = [catalog.to_sequence(catalog.get(n)) for n in catalog.names()]
-    seqs.append(catalog.arbitrary_row(Fraction(1, 3), 14))
-    _, spec = _rounded_row_specs(14)[0]
-    seqs.append(cli._measurement_sequence(cli.spec_parse(spec))[0])
-    assert seqs[-1].phases != cli.spec_parse(spec).phases  # polished
-    for seq in seqs:
-        assert len(_first_half(seq)) == len(seq) // 2, seq.label
 
 
 @pytest.mark.parametrize("dps", [30, precise.WORKING_DPS])

@@ -24,6 +24,7 @@ from cpgate.su2 import CompositeSequence, compose, frobenius_fidelity, target_ga
 from jet_oracle import jet_compose
 from mp_oracle import mp_propagator
 
+PI = math.pi
 TWO_PI = 2 * math.pi
 PHIS = [math.pi, math.pi / 2, math.pi / 4]
 
@@ -100,8 +101,83 @@ def test_structured_sequence_shape_and_shift():
     assert float(seq.phases[0]) == pytest.approx(0.25)
     assert first_half(seq, tol=1e-12) == seq.phases[:4]
     # An odd-length train has no halves; an empty one is two empty halves.
-    assert first_half(replace(seq, phases=seq.phases[:-1])) is None
-    assert first_half(replace(seq, phases=())) == ()
+    assert first_half(replace(seq, phases=seq.phases[:-1]), tol=1e-3) is None
+    assert first_half(replace(seq, phases=()), tol=1e-3) == ()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+def test_first_half_needs_a_positive_tolerance(tol):
+    with pytest.raises(ValueError, match="positive tolerance"):
+        first_half(two_pulse(math.pi), tol)
+
+
+def _mp_first_half(seq, tol):
+    # The check first_half ran in mpmath before it ran in doubles: the
+    # shift taken once at the working precision (53 bits here), a train
+    # with a phase too large for that precision to resolve the shift to
+    # max(tol, 1e-45) never accepted.
+    with mp.workprec(53):
+        half, odd = divmod(len(seq), 2)
+        if odd:
+            return None
+        largest = max((abs(float(p)) for p in seq.phases), default=0.0)
+        if math.ldexp(largest, -mp.mp.prec) > max(tol, 1e-45):
+            return None
+        shift = mp.pi - mp.mpf(seq.target_phi) / 2
+        first = seq.phases[:half]
+        for p, q in zip(first, seq.phases[half:]):
+            d = q - (p + shift)
+            if d and abs(math.remainder(d, 2 * PI)) > tol:
+                return None
+        return first
+
+
+_TOL = 1e-3
+# Offsets of a second-half phase from the shifted first: whole turns, a
+# few units in the last place either side of the tolerance, and the
+# rounding of a phase to 4 and 17 digits in units of pi.
+_OFFSETS = st.one_of(
+    st.integers(-3, 3).map(lambda k: k * 2 * PI),
+    st.tuples(st.integers(-4, 4), st.sampled_from([1, -1]),
+              st.integers(-2, 2)).map(
+        lambda t: t[1] * _ulps(_TOL, t[0]) + t[2] * 2 * PI
+    ),
+    st.floats(-1e-3, 1e-3),
+)
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+def _rounded(p, digits):
+    return float(f"{p / PI:.{digits - 1}e}") * PI
+
+
+@given(
+    half=st.lists(st.floats(-1e13, 1e13), min_size=0, max_size=9),
+    phi=st.floats(-1e13, 1e13),
+    offsets=st.lists(_OFFSETS, min_size=9, max_size=9),
+    digits=st.sampled_from([None, 4, 17]),
+    scale=st.sampled_from([1.0, 1e-12]),
+)
+@settings(max_examples=400, deadline=None)
+def test_first_half_in_doubles_is_the_53_bit_mpmath_check(
+    half, phi, offsets, digits, scale
+):
+    # Every phase and the angle up to 1e13, the second half the first
+    # shifted and moved by an offset, each phase then rounded to 4 or 17
+    # digits (in units of pi) or left as it is; small phases too.
+    half = [p * scale for p in half]
+    shift = PI - phi / 2
+    second = [p + shift + d for p, d in zip(half, offsets)]
+    phases = half + second
+    if digits is not None:
+        phases = [_rounded(p, digits) for p in phases]
+    seq = CompositeSequence(tuple(phases), phi)
+    assert first_half(seq, _TOL) == _mp_first_half(seq, _TOL)
 
 
 def test_chi_identities():
@@ -183,7 +259,6 @@ def test_structured_sequence_takes_an_mpmath_constant_angle_exactly():
         shift = mp.pi - mp.pi / 2
         for k in range(3):
             assert seq.phases[3 + k] == seq.phases[k] + shift
-        assert len(first_half(seq)) == 3
 
 
 _TWO_HALF_TRAINS = st.integers(0, 8).flatmap(
