@@ -9,8 +9,12 @@ same JSON form with ``source="solver"``.
 
 Four printed decimals limit a phase to ~1e-4 pi, which is far too coarse
 for high-order derivative cancellation, so sequence construction polishes
-decimal phases back onto the exact root by pinned Newton refinement (the
-structural zeros and exact fractions never move).
+decimal phases back onto the exact root by Newton refinement.  The polish
+holds the leading relative phases that are exactly 0, the structural
+3pi/4pi blocks, and moves every later one.  So an exact phase never
+moves: a half whose phases are all exact is not polished, and one with
+decimal phases whose exact phases are not all leading zeros is rejected
+with CatalogError.
 """
 
 from __future__ import annotations
@@ -156,37 +160,46 @@ def _is_exact(s: str) -> bool:
     return "." not in s
 
 
-def polished_sequence(rel_phases, phi: mp.mpf, pinned):
+def polished_sequence(rel_phases, phi: mp.mpf):
     """Two-half train from first-half relative phases (radians) Newton-
     polished onto the exact root at the mpf gate angle ``phi``.
 
-    ``pinned`` marks the phases that must not move.  The polish and the
-    train both use ``phi`` itself: polishing at a rounded angle leaves a
-    residual near double precision that caps the measurable order.
+    The leading phases that are exactly 0 stay there and the rest move
+    (see ``precise.polish_structured``).  The polish and the train both
+    use ``phi`` itself: polishing at a rounded angle leaves a residual
+    near double precision that caps the measurable order.
     Returns the train and the a_h coefficients of its first half that the
     polish composed last (see ``precise.half_slope_fit``).  Raises
     SolverError if the polish fails.
     """
     with mp.workdps(precise.WORKING_DPS):
-        rel, a_h = precise.polish_structured(rel_phases, phi, pinned=pinned)
+        rel, a_h = precise.polish_structured(rel_phases, phi)
         return structured_sequence(rel, phi), a_h
 
 
 def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bool):
     """Construct the full train from first-half relative phases (units pi).
 
-    Decimal phases are polished onto the exact root; "0" entries and exact
-    fractions are pinned.  Phases come out as mpf values so downstream
-    extended-precision checks see the actual root, while float consumers
-    simply cast.  Returns the train and the a_h of its half: the polish's,
-    or composed once from the exact phases where nothing was polished.
+    With ``refine``, a half with decimal phases is polished onto the exact
+    root, its leading zeros held; raises CatalogError if one of its exact
+    phases is not a leading zero, since the polish would move it.  Phases
+    come out as mpf values so downstream extended-precision checks see the
+    actual root, while float consumers simply cast.  Returns the train and
+    the a_h of its half: the polish's, or composed once from the exact
+    phases where nothing was polished.
     """
     exact = [_is_exact(s) for s in rel_strings]
     fracs = [Fraction(s) for s in rel_strings]
     with mp.workdps(precise.WORKING_DPS):
         phi = mp.pi * phi_over_pi.numerator / phi_over_pi.denominator
         if refine and not all(exact):
-            seq, a_h = polished_sequence([float(f) * math.pi for f in fracs], phi, exact)
+            rel = [float(f) * math.pi for f in fracs]
+            if any(exact[precise._leading_zeros(rel):]):
+                raise CatalogError(
+                    f"{label}: an exact phase after the leading zeros of a half "
+                    "with decimal phases would be polished"
+                )
+            seq, a_h = polished_sequence(rel, phi)
         else:
             rel = tuple(mp.pi * f.numerator / f.denominator for f in fracs)
             seq = structured_sequence(rel, phi)
@@ -203,7 +216,7 @@ def _entry_train(entry: CatalogEntry, refine: bool):
         tuple(float(p) * math.pi for p in entry.phases_over_pi),
         float(entry.phi_over_pi) * math.pi,
     )
-    if first_half(train, tol=1e-3) is None:
+    if first_half(train) is None:
         raise CatalogError(
             f"{entry.name}: the second half is not the first shifted by pi - phi/2"
         )

@@ -61,17 +61,23 @@ def spec_parse(text: str) -> CompositeSequence:
 
 
 def _resolve_gate(text: str):
-    """(train, a_h, inline) of a ``--gate`` value: a catalog name, else the
-    first entry of an existing catalog JSON file, else an inline spec.
-    a_h is a catalog train's ``catalog.half_polynomial``, None for an
-    inline spec; ``inline`` says which it was."""
+    """(train, a_h, inline) of a ``--gate`` value: a catalog name, else an
+    inline spec, else the first entry of an existing catalog JSON file (so
+    a file named like a valid spec is read as the spec).  a_h is a catalog
+    train's ``catalog.half_polynomial``, None for an inline spec;
+    ``inline`` says which it was."""
     try:
         entry = catalog.get(text)
     except catalog.CatalogError:
-        if not os.path.exists(text):
-            if "=" not in text:
-                raise CliError(f"unknown gate {text!r} (not a catalog name, spec, or file)")
+        try:
             return spec_parse(text), None, True
+        except CliError:
+            if not os.path.exists(text):
+                if "=" not in text:
+                    raise CliError(
+                        f"unknown gate {text!r} (not a catalog name, spec, or file)"
+                    ) from None
+                raise
         entries = catalog.load_catalog(text)
         if not entries:
             raise CliError(f"catalog file {text!r} is empty")
@@ -92,7 +98,7 @@ def _measurement_sequence(seq: CompositeSequence):
     a_h coefficients of its half from the polish (``precise.half_slope_fit``),
     or ``seq`` itself and None where the input is left untouched: not two
     halves, a polish that failed or one that drifted."""
-    half = sequences.first_half(seq, tol=1e-3)
+    half = sequences.first_half(seq)
     if half is None or len(half) < 2:
         return seq, None
     base = float(half[0])
@@ -107,10 +113,10 @@ def _measurement_sequence(seq: CompositeSequence):
             phi_mp = mp.pi * frac.numerator / frac.denominator
         else:
             phi_mp = mp.mpf(phi)
-    # Exact zeros are the structural leading blocks; left free, the polish
-    # of a rounded row can slide along the root manifold.
+    # The polish holds the leading zeros, the structural blocks: left free,
+    # the polish of a rounded row could slide along the root manifold.
     try:
-        polished, a_h = catalog.polished_sequence(rel, phi_mp, [r == 0 for r in rel])
+        polished, a_h = catalog.polished_sequence(rel, phi_mp)
     except solver.SolverError as exc:
         _log.debug("measuring the unpolished input: polish failed: %s", exc)
         return seq, None

@@ -11,8 +11,11 @@ s = sin(pi eps/2) (see ``jets``), one ``_mp_jet_pulse`` per pulse, O(N)
 shifts and products each.
 
 The kernel runs in fixed point: a real x is the Python integer
-floor(x * 2^P), with P = ``mp.mp.prec + GUARD_BITS``, so it follows the
-working precision (``workdps(30)`` callers get P = 119).  A product is
+floor(x * 2^P), with P = ``mp.mp.prec + GUARD_BITS`` at ``WORKING_DPS``
+digits, 169 + 16 = 185 bits.  Every entry point enters
+``workdps(WORKING_DPS)`` itself, so P is the same whatever precision its
+caller runs at: ``slope_fit`` called under ``workdps(30)`` still fits at
+169 bits.  A product is
 one integer multiply and one shift, with none of the renormalization
 that dominates mpf object arithmetic.  Fixed point fits because the
 values are bounded: on real s in [-1, 1], |a| <= 1 and |B| <= N (Schur's
@@ -71,9 +74,12 @@ with the cos/sin of phi/4 taken once per polish; at 50 digits it agrees
 with a 90-digit interpolation of the half to ~1e-50.  Its float stage
 runs Newton to ``_FLOAT_TOL`` and keeps the inverse of the free-column
 Jacobian at the point it converged to for every 50-digit step: both
-residuals read the same s-coefficients.  A square system, as many free
-phases as the ceil(n/2) residual entries (every table row, its leading
-zeros pinned as the solver's chart pins them), runs on Python scalars
+residuals read the same s-coefficients.  The polish holds the leading
+phases of its input that are exactly 0, a count it reads from the
+phases, and moves the rest; the system is square, as many free phases
+as the ceil(n/2) residual entries, exactly when that count is
+``solver.pinned_zero_count(n)``, the zeros the solver's chart holds
+(every table row).  A square system runs on Python scalars
 (``solver._newton_square`` on ``jets.half_jets``), where numpy's
 per-call overhead and an SVD would dominate systems of at most a few
 rows.  Its root is isolated, so the scalar arithmetic moves the 50-digit
@@ -87,7 +93,7 @@ there the float root's last bits choose the point on the root manifold,
 and those bits must stay the ones ``solver.canonicalize`` was charted
 with.  The 50-digit stage (``_fixed_newton``) runs in fixed point end to
 end.  The float root is converted once to integers at 2^P, exactly
-(``_fixed``), and each phase after the leading pinned zeros takes one
+(``_fixed``), and each phase after the held zeros takes one
 ``mpf_cos_sin`` per polish.  A step adds each double to its phase exactly, as an
 integer, and turns the phase's rotor by e^{i step}, its cos and sin
 summed by Taylor series in fixed point (``_small_cos_sin``; steps are
@@ -304,12 +310,13 @@ def _line_fit(totals, shift, wp):
     return float(coef[0] / scale[0]), peak
 
 
-def polish_structured(rel_phases, phi, pinned=None):
+def polish_structured(rel_phases, phi):
     """Newton-polish structured relative phases to ``WORKING_DPS`` digits.
 
-    ``phi`` may be an mpf (kept exact); the inverse of the float Jacobian
-    at the float root serves every 50-digit step, which is enough for
-    fast linear convergence near the root.
+    The leading phases that are exactly 0 are held there, and the rest
+    move.  ``phi`` may be an mpf (kept exact); the inverse of the float
+    Jacobian at the float root serves every 50-digit step, which is
+    enough for fast linear convergence near the root.
     Returns (phases, a_h): the mpf phases, with residual max-norm below
     10^-_POLISH_DIGITS, and the half's major-diagonal coefficients
     (real, imaginary) at those phases, fixed point at the working
@@ -324,17 +331,13 @@ def polish_structured(rel_phases, phi, pinned=None):
         phi_mp = mp.mpf(phi) if not isinstance(phi, (mp.mpf, mp.mpc)) else phi
         x_float = [float(v) for v in rel_phases]
         n = len(x_float)
-        free = (
-            list(range(n))
-            if pinned is None
-            else np.flatnonzero(~np.asarray(pinned, dtype=bool)).tolist()
-        )
+        pinned = _leading_zeros(x_float)
         # A square system runs its float stage on scalars (see the module
         # docstring), an underdetermined one through the batched solver.
         square = None
-        if len(free) == (n + 1) // 2 >= 1:
+        if n and pinned == solver.pinned_zero_count(n):
             square = solver._newton_square(
-                x_float, float(phi_mp), _FLOAT_TOL, 60, free
+                x_float, float(phi_mp), _FLOAT_TOL, 60, pinned
             )
         if square is not None:
             x_float, float_rmax, ok, jac_inv = square
@@ -352,11 +355,11 @@ def polish_structured(rel_phases, phi, pinned=None):
         prec = mp.mp.prec + GUARD_BITS
         gate = _angle_trig(phi_mp, 2, prec)
         x, evals, rmax, a_h = _fixed_newton(
-            x_float, free, np.asarray(jac_inv), gate, prec
+            x_float, pinned, np.asarray(jac_inv), gate, prec
         )
         _log.debug(
             "polish free=%d float_rmax=%.3g evals=%d rmax=%.3g seconds=%.6f",
-            len(free), float_rmax, evals, math.ldexp(rmax, -2 * prec),
+            n - pinned, float_rmax, evals, math.ldexp(rmax, -2 * prec),
             time.perf_counter() - start,
         )
         return [mp.mpf((v, -prec)) for v in x], a_h
@@ -395,37 +398,36 @@ def _turn(rotor, d, prec):
     return (rot_r * c - rot_i * s) >> prec, (rot_r * s + rot_i * c) >> prec
 
 
-def _fixed_newton(x_float, free, jac_inv, gate, prec):
+def _fixed_newton(x_float, pinned, jac_inv, gate, prec):
     """The 50-digit stage of ``polish_structured``, in fixed point at
-    2^prec from the float root ``x_float`` on: Newton steps with the
-    inverse or pseudo-inverse ``jac_inv`` of the float Jacobian in the
-    ``free`` phases, until the residual max-norm is below
-    10^-_POLISH_DIGITS.
+    2^prec from the float root ``x_float``, whose first ``pinned`` phases
+    are exactly 0 and held there: Newton steps with the inverse or
+    pseudo-inverse ``jac_inv`` of the float Jacobian in the phases after
+    them, until the residual max-norm is below 10^-_POLISH_DIGITS.
 
     Each phase is an integer, the double converted once; a step adds the
     double step exactly, as an integer.  The rotors of the phases after
-    the leading pinned zeros are taken once, and a step turns the rotor
-    of each moved phase by e^{i step}.  Returns (phases, residual
+    the held zeros are taken once, and a step turns the rotor of each
+    moved phase by e^{i step}.  Returns (phases, residual
     evaluations, residual max-norm at 2^-2prec, a_h), a_h being the
     half's (ar, ai) that the last residual evaluation composed.
     """
     n = len(x_float)
     x = [_fixed(v, prec) for v in x_float]
-    # Pinned leading zeros never move: the cached zero prefix serves them.
-    zeros = _leading_zeros(x[: free[0] if len(free) else n])
-    rotors = [_rotor(from_man_exp(v, -prec), prec) for v in x[zeros:]]
+    # The held zeros never move: the cached zero prefix serves them.
+    rotors = [_rotor(from_man_exp(v, -prec), prec) for v in x[pinned:]]
     # |r| 2^-2prec < 10^-_POLISH_DIGITS, for an integer r, is |r| < limit.
     limit = -(-(1 << 2 * prec) // 10**_POLISH_DIGITS)
     for evals in range(1, WORKING_DPS + 1):
-        r, a_h = _mp_residual(zeros, rotors, gate, n, prec)
+        r, a_h = _mp_residual(pinned, rotors, gate, n, prec)
         rmax = max(abs(v) for v in r)
         if rmax < limit:
             return x, evals, rmax, a_h
         step = -jac_inv @ np.array([math.ldexp(float(v), -2 * prec) for v in r])
-        for idx, j in enumerate(free):
-            d = _fixed(step[idx], prec)
-            x[j] += d
-            rotors[j - zeros] = _turn(rotors[j - zeros], d, prec)
+        for k, dk in enumerate(step.tolist()):
+            d = _fixed(dk, prec)
+            x[pinned + k] += d
+            rotors[k] = _turn(rotors[k], d, prec)
     raise solver.SolverError("extended-precision polish did not converge")
 
 
@@ -472,7 +474,7 @@ def _mp_jet_pulse(poly, rotor, prec):
 def _mp_zero_prefix(length: int, count: int, prec: int):
     """Polynomials of ``length`` coefficients after ``count`` pi pulses of
     phase exactly 0, from the identity: leading zeros are alike in every
-    train and the pinned ones of a polish in every residual evaluation, so
+    train and the held ones of a polish in every residual evaluation, so
     they are composed once per (length, count, precision)."""
     zero = (0,) * length
     poly = ((1 << prec,) + zero[1:], zero, zero, zero)

@@ -31,6 +31,9 @@ from .su2 import CompositeSequence
 PI = math.pi
 # Tolerance (radians, mod 2 pi) on the phase constraint of the 12-pulse form.
 _CONSTRAINT_TOL = 1e-9
+# Tolerance (radians, mod 2 pi) of ``first_half``: it admits the 4-decimal
+# rounding of the tables and the mod-2 phases ``solve`` writes.
+_HALF_TOL = 1e-3
 
 
 def structured_sequence(rel_phases, phi, nu: float = 0.0) -> CompositeSequence:
@@ -51,25 +54,23 @@ def structured_sequence(rel_phases, phi, nu: float = 0.0) -> CompositeSequence:
     return CompositeSequence(phases, phi, label=f"struct(n={len(rel_phases)})")
 
 
-def first_half(seq: CompositeSequence, tol: float):
+def first_half(seq: CompositeSequence):
     """The first half of ``seq`` if its second half is the first shifted by
-    pi - phi/2 within the positive ``tol`` (radians, modulo 2 pi), the way
+    pi - phi/2 within ``_HALF_TOL`` = 1e-3 rad (modulo 2 pi), the way
     ``structured_sequence`` builds it, else None (an odd-length train
     included).  The check runs in doubles.  A train with a phase too large
-    for a double to resolve the shift to ``tol`` is never accepted: there
-    p + shift rounds to within ``tol`` of p whatever the shift.
+    for a double to resolve the shift to the tolerance is never accepted:
+    there p + shift rounds to within it of p whatever the shift.
     """
-    if not tol > 0:
-        raise ValueError(f"first_half needs a positive tolerance, got {tol!r}")
     half, odd = divmod(len(seq), 2)
     if odd:
         return None
     phases = [float(p) for p in seq.phases]
-    if math.ldexp(max(map(abs, phases), default=0.0), -53) > tol:
+    if math.ldexp(max(map(abs, phases), default=0.0), -53) > _HALF_TOL:
         return None
     shift = PI - float(seq.target_phi) / 2
     for p, q in zip(phases, phases[half:]):
-        if abs(math.remainder(q - (p + shift), 2 * PI)) > tol:
+        if abs(math.remainder(q - (p + shift), 2 * PI)) > _HALF_TOL:
             return None
     return seq.phases[:half]
 

@@ -27,7 +27,10 @@ phases pinned to zero (the compact 3pi/4pi-block forms), where the
 system is square and the roots are isolated points; each root it finds
 is already the canonical representative of its class.  ``transport``
 and ``canonicalize`` bring a root found elsewhere on its manifold, such
-as a published train, into that chart.
+as a published train, into that chart.  Every Newton iteration here
+holds a count ``pinned`` of leading phases fixed and steps along the
+rest: ``solve`` holds floor(n/2), ``transport`` the block it moves, and
+``precise``'s polish the leading phases of its input that are exactly 0.
 """
 
 from __future__ import annotations
@@ -87,18 +90,18 @@ class Solution:
     members: tuple[tuple[float, ...], ...] = field(default=())
 
 
-def _residuals(x: np.ndarray, phi: float, jacobian=False):
+def _residuals(x: np.ndarray, phi: float, pinned=None):
     """Residual rows (B, ceil(n/2)) of a batch of relative-phase vectors
-    and, with ``jacobian`` (True, or the phase indices J as in
-    ``structured_jets``), their exact Jacobians (B, ceil(n/2), n), or
-    (B, ceil(n/2), len(J)) in J."""
+    and, unless ``pinned`` is None, their exact Jacobians
+    (B, ceil(n/2), n - pinned) in the phases after the first ``pinned``,
+    as in ``structured_jets``."""
     n = x.shape[1]
     rot = cmath.exp(0.25j * phi)
     # The coefficients of s^{n-1}, s^{n-3}, ... >= 0 (none at n = 0).
     rows = slice((n + 1) % 2, n, 2)
-    if jacobian is False:
+    if pinned is None:
         return (rot * structured_jets(x)[:, rows]).imag
-    a, da = structured_jets(x, jacobian=jacobian)
+    a, da = structured_jets(x, pinned)
     return (rot * a[:, rows]).imag, (rot * da[:, :, rows]).imag.transpose(0, 2, 1)
 
 
@@ -127,33 +130,28 @@ def _newton_batch(
     phi: float,
     tol: float,
     max_iter: int,
-    pinned=None,
+    pinned: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Damped least-squares Newton on each row of ``x0`` (B, n) at once.
+    """Damped least-squares Newton on each row of ``x0`` (B, n) at once,
+    the leading ``pinned`` phases of each row held fixed.
 
     Returns the rows, their residual max-norms, whether each converged and
-    the Jacobian (B, ceil(n/2), F) of each row's residual in its F free
-    phases at the returned row.  Every row follows its own iteration
+    the Jacobian (B, ceil(n/2), n - pinned) of each row's residual in its
+    free phases at the returned row.  Every row follows its own iteration
     exactly as if it were alone: rows that converge or fail leave the
     batch, the rest go on.
     """
     x = np.array(x0, dtype=float)
     batch, n = x.shape
-    free = (
-        np.arange(n)
-        if pinned is None
-        else np.flatnonzero(~np.asarray(pinned, dtype=bool))
-    )
-    jac_out = np.empty((batch, (n + 1) // 2, len(free)))
-    if len(free) == 0:
+    jac_out = np.empty((batch, (n + 1) // 2, n - pinned))
+    if pinned == n:
         rmax = np.max(np.abs(_residuals(x, phi)), axis=1, initial=0.0)
         return x, rmax, rmax < tol, jac_out
-    wrt = tuple(free.tolist())
     rmax = np.full(batch, math.inf)
     ok = np.zeros(batch, dtype=bool)
     live = np.arange(batch)
     # Residual rows and Jacobians (in the free phases) at x[live].
-    r, jac = _residuals(x, phi, jacobian=wrt)
+    r, jac = _residuals(x, phi, pinned)
     for _ in range(max_iter):
         rmax[live] = np.abs(r).max(axis=1)
         done = rmax[live] < tol
@@ -172,9 +170,9 @@ def _newton_batch(
         # does.
         norm0 = np.linalg.norm(r, axis=1)
         trial = x[live]
-        trial[:, free] += step
+        trial[:, pinned:] += step
         jac_at_x = jac
-        r, jac = _residuals(trial, phi, jacobian=wrt)
+        r, jac = _residuals(trial, phi, pinned)
         full = np.linalg.norm(r, axis=1) < norm0
         x[live[full]] = trial[full]
         if full.all():
@@ -185,7 +183,7 @@ def _newton_batch(
             if not todo.size:
                 break
             trial = np.repeat(x[live[todo], None, :], len(t), axis=1)
-            trial[:, :, free] += t[:, None] * step[todo, None, :]
+            trial[:, :, pinned:] += t[:, None] * step[todo, None, :]
             r_trial = _residuals(trial.reshape(-1, n), phi)
             norms = np.linalg.norm(r_trial, axis=1).reshape(len(todo), len(t))
             better = norms < norm0[todo, None]
@@ -196,7 +194,7 @@ def _newton_batch(
             todo = todo[~hit]
         halved = np.flatnonzero(moved & ~full)
         if halved.size:
-            r[halved], jac[halved] = _residuals(x[live[halved]], phi, jacobian=wrt)
+            r[halved], jac[halved] = _residuals(x[live[halved]], phi, pinned)
         # A row whose every halving failed stops where it is.
         jac_out[live[~moved]] = jac_at_x[~moved]
         live, r, jac = live[moved], r[moved], jac[moved]
@@ -213,15 +211,16 @@ def _newton(
     phi: float,
     tol: float,
     max_iter: int,
-    pinned: np.ndarray | None = None,
+    pinned: int = 0,
 ) -> tuple[np.ndarray, float, bool, np.ndarray]:
-    """Damped least-squares Newton; pinned coordinates never move.
+    """Damped least-squares Newton; the leading ``pinned`` phases never
+    move.
 
     The pseudo-inverse cutoff keeps steps out of the root manifold's
     tangent directions, so near-roots are polished in place instead of
     drifting along the manifold.  Returns the phases, their residual
-    max-norm, whether they converged and the Jacobian (ceil(n/2), F) in
-    the F free phases at the returned phases.
+    max-norm, whether they converged and the Jacobian
+    (ceil(n/2), n - pinned) in the free phases at the returned phases.
     """
     x0 = np.asarray(phases, dtype=float)[None, :]
     x, rmax, ok, jac = _newton_batch(x0, phi, tol, max_iter, pinned)
@@ -257,11 +256,11 @@ def _certified_inverse(jac):
     return inv if bound < 1.0 / _RCOND else None
 
 
-def _newton_square(phases, phi: float, tol: float, max_iter: int, free):
-    """``_newton`` on Python scalars for a square system, as many ``free``
-    phase indices as residual entries: the same full step, halvings,
-    acceptance on a smaller residual 2-norm and stopping rule, with a
-    pivoted solve in place of the pseudo-inverse.
+def _newton_square(phases, phi: float, tol: float, max_iter: int, pinned: int):
+    """``_newton`` on Python scalars for a square system, as many phases
+    after the leading ``pinned`` as residual entries: the same full step,
+    halvings, acceptance on a smaller residual 2-norm and stopping rule,
+    with a pivoted solve in place of the pseudo-inverse.
 
     Returns (phases, residual max-norm, converged, inverse) with the
     inverse of the Jacobian in the free phases at the returned phases, as
@@ -274,7 +273,7 @@ def _newton_square(phases, phi: float, tol: float, max_iter: int, free):
     rows = range((n + 1) % 2, n, 2)
 
     def evaluate(point, tangents):
-        a, da = half_jets(point, free if tangents else ())
+        a, da = half_jets(point, pinned if tangents else None)
         r = [(rot * a[m]).imag for m in rows]
         return r, [[(rot * d[m]).imag for d in da] for m in rows]
 
@@ -283,7 +282,7 @@ def _newton_square(phases, phi: float, tol: float, max_iter: int, free):
 
     def moved(step, t):
         trial = list(x)
-        for j, d in zip(free, step):
+        for j, d in enumerate(step, start=pinned):
             trial[j] += t * d
         return trial
 
@@ -334,7 +333,6 @@ def transport(phases, phi: float, leading) -> np.ndarray:
         )
     if npin == 0:
         return x
-    pinned = np.arange(n) < npin
     start = x[:npin].copy()
     # Move the leading block along the straight path with adaptive step
     # control: halve the step whenever the pinned Newton polish fails to
@@ -345,7 +343,7 @@ def transport(phases, phi: float, leading) -> np.ndarray:
         lam_next = min(1.0, lam + dlam)
         trial = x.copy()
         trial[:npin] = start + (leading - start) * lam_next
-        trial, rmax, ok, _ = _newton(trial, phi, _TOL, 40, pinned)
+        trial, rmax, ok, _ = _newton(trial, phi, _TOL, 40, npin)
         if ok:
             x, lam = trial, lam_next
             if lam >= 1.0:
@@ -400,8 +398,8 @@ def solve(config: SolverConfig) -> list[Solution]:
     rng = np.random.default_rng(config.rng_seed)
     # Row k holds the same draws as the k-th of `seeds` calls of size n.
     seeds = rng.uniform(0.0, TWO_PI, size=(config.seeds, config.n))
-    pinned = np.arange(config.n) < pinned_zero_count(config.n)
-    seeds[:, pinned] = 0.0
+    pinned = pinned_zero_count(config.n)
+    seeds[:, :pinned] = 0.0
     start = time.perf_counter()
     x, rmax, converged, _ = _newton_batch(seeds, config.phi, _TOL, _MAX_ITER, pinned)
     newton_s = time.perf_counter() - start

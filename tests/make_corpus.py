@@ -1,0 +1,151 @@
+"""Regenerate ``tests/data/corpus.json``, the CLI outputs that
+``test_corpus.py`` holds the program to.
+
+    PYTHONPATH=src python tests/make_corpus.py
+
+It records, for the program in ``src``:
+
+- ``verify --json`` on the 27 catalog names, on the 84 rounded
+  arbitrary-angle rows as the 17-digit inline specs the verify benchmark
+  passes, on the inline specs of the CI verify steps, and on the files two
+  ``solve --out`` runs write (with the text of those files);
+- ``range`` at five thresholds on the 27 names, with the epsilon0 and the
+  non-monotonic flag that the command prints rounded, at full precision.
+
+Regenerate it only where an output is meant to change, and say which and
+why in the change that does.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+from cpgate import analysis, catalog, cli
+
+CORPUS = Path(__file__).parent / "data" / "corpus.json"
+ROW_PULSES = (4, 6, 8, 10, 12, 14)
+RANGE_THRESHOLDS = ("1e-4", "1e-3", "1e-2", "0.2", "0.45")
+_S10 = ("0,0.8225606328124041,0.82256551733751782,1.9152390433822561,"
+        "0.44160567403125545,0.75,1.5725606328124042,1.5725655173375179,"
+        "2.6652390433822566,1.1916056740312555")
+# The inline gates of the CI verify steps: rounded table rows (one moved by
+# 2 in both halves), a train that is not two halves, the smallest half, the
+# second S10 twice, and phases too large for the shift to register (exit 3).
+CI_SPECS = (
+    "phi=0.5;phases=0,0,0,1.0477,1.5126,0.3399,0.75,0.75,0.75,1.7977,2.2626,1.0899",
+    "phi=0.3333333333333333;phases=0,0,0,0,0.9974,0.979,0.924,0.8333,0.8333,"
+    "0.8333,0.8333,1.8307,1.8123,1.7573",
+    "phi=1;phases=0,0,0,0,0.992,0.935,0.7638,0.5,0.5,0.5,0.5,1.492,1.435,1.2638",
+    "phi=0.5;phases=0,0,0,0,0.9961,0.9684,2.8855,0.75,0.75,0.75,0.75,1.7461,"
+    "1.7184,3.6355",
+    "phi=0.5;phases=0,0,0,0,0.9961,0.9684,0.8855,0.75,0.75,0.75,0.75,1.7461,"
+    "1.7184,1.6355",
+    "phi=1;phases=0,0.3,0.3,0.3,0.3,0.5",
+    "phi=0.5;phases=0,0.75",
+    f"phi=1;phases={_S10},{_S10}",
+    "phi=1;phases=1e60,1e60",
+    "phi=1;phases=1e300,1e300",
+)
+SOLVES = (
+    ("solve", "--order", "2", "--phi", "0.5", "--seeds", "16", "--rng-seed", "1"),
+    ("solve", "--order", "4", "--phi", "0.5", "--seeds", "16", "--rng-seed", "1"),
+)
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of ``cli.run(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def verify_record(gate):
+    """Exit code of ``verify --json --gate gate`` and its order, slope and
+    peak, or its stderr where it fails."""
+    code, out, err = run_cli(("verify", "--json", "--gate", gate))
+    if code:
+        return {"code": code, "err": err}
+    return {"code": code, **json.loads(out)}
+
+
+def range_record(gate, threshold):
+    """Exit code of ``range --gate gate --threshold threshold`` and the
+    epsilon0 and flag of the range it printed, or its stderr where it
+    fails."""
+    found = []
+    measure = analysis.high_fidelity_range
+
+    def recorded(*args, **kwargs):
+        found.append(measure(*args, **kwargs))
+        return found[-1]
+
+    analysis.high_fidelity_range = recorded
+    try:
+        code, _, err = run_cli(("range", "--gate", gate, "--threshold", threshold))
+    finally:
+        analysis.high_fidelity_range = measure
+    if code:
+        return {"code": code, "err": err}
+    return {"code": code, "epsilon0": found[0].epsilon0, "flagged": found[0].flagged}
+
+
+def row_specs():
+    """The 84 rounded table rows as the 17-digit inline specs of the
+    verify benchmark."""
+    specs = []
+    for row in catalog.arbitrary_rows():
+        for pulses in ROW_PULSES:
+            seq = catalog.arbitrary_row(row.phi_over_pi, pulses, refine=False)
+            specs.append(
+                f"phi={float(row.phi_over_pi):.17g};phases="
+                + ",".join(f"{float(p) / math.pi:.17g}" for p in seq.phases)
+            )
+    return specs
+
+
+def solve_records(workdir):
+    """For each of ``SOLVES``: its argv, the text of the file it writes,
+    and ``verify_record`` of that file."""
+    records = []
+    for k, argv in enumerate(SOLVES):
+        path = Path(workdir) / f"solve-{k}.json"
+        code, _, err = run_cli((*argv, "--out", str(path)))
+        if code:
+            raise SystemExit(f"{' '.join(argv)} failed: {err}")
+        records.append({
+            "argv": list(argv),
+            "file": path.read_text(),
+            "verify": verify_record(str(path)),
+        })
+    return records
+
+
+def build():
+    gates = [*catalog.names(), *row_specs(), *CI_SPECS]
+    with tempfile.TemporaryDirectory() as workdir:
+        solves = solve_records(workdir)
+    return {
+        "verify": [{"gate": gate, **verify_record(gate)} for gate in gates],
+        "solve": solves,
+        "range": [
+            {"gate": name, "threshold": t, **range_record(name, t)}
+            for name in catalog.names() for t in RANGE_THRESHOLDS
+        ],
+    }
+
+
+def main():
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps(build(), indent=1) + "\n")
+    print(f"wrote {CORPUS}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from cpgate import analysis, catalog, precise
+from cpgate import analysis, catalog, precise, solver
 from cpgate.catalog import (
     CatalogError,
     arbitrary_row,
@@ -82,6 +82,34 @@ def test_refinement_stays_within_printed_rounding():
         # the rounding radius.
         for r, p in zip(refined, printed):
             assert _circ_dist(r, p) < 3e-4 * math.pi
+
+
+def test_leading_zeros_of_the_packaged_halves_are_held_exactly():
+    # Every named train and table row: the printed leading zeros of its
+    # half stay exactly 0 through the polish.
+    trains = [(to_sequence(e), e.phase_strings[1 : e.order + 1]) for e in entries()]
+    for row in arbitrary_rows():
+        for pulses in (10, 12, 14):
+            zeros = solver.pinned_zero_count(pulses // 2 - 1)
+            trains.append((arbitrary_row(row.phi_over_pi, pulses), ("0",) * zeros))
+    for seq, printed in trains:
+        zeros = precise._leading_zeros([Fraction(p) for p in printed])
+        assert seq.phases[: zeros + 1] == (0,) * (zeros + 1)
+
+
+@pytest.mark.parametrize(
+    "half", [["0", "1.2345", "1/2"], ["0", "0.3", "0"], ["0", "1/3", "0", "0.25"]]
+)
+def test_an_exact_phase_after_the_leading_zeros_of_a_decimal_half_is_rejected(half):
+    # The polish moves every phase after the leading zeros, so a half that
+    # mixes decimals with an exact phase there cannot keep it exact.
+    shift = Fraction(1, 2)
+    record = {"name": "X", "phi_over_pi": "1", "order": len(half) - 1,
+              "phases_over_pi": half + [str(Fraction(p) + shift) for p in half]}
+    entry = entry_from_dict(record)
+    with pytest.raises(CatalogError, match="exact phase after the leading zeros"):
+        to_sequence(entry)
+    assert len(to_sequence(entry, refine=False)) == 2 * len(half)
 
 
 def test_refine_false_returns_literal_printed_values():
@@ -170,10 +198,9 @@ def test_polished_sequence_takes_mp_pi_as_the_exact_angle():
     entry = get("Z16")
     strings = entry.phase_strings[1 : entry.order + 1]
     rel = [float(Fraction(s)) * math.pi for s in strings]
-    pinned = ["." not in s for s in strings]
     with mp.workdps(precise.WORKING_DPS):
-        got, _ = catalog.polished_sequence(rel, mp.pi, pinned)
-        want, _ = catalog.polished_sequence(rel, mp.mpf(mp.pi), pinned)
+        got, _ = catalog.polished_sequence(rel, mp.pi)
+        want, _ = catalog.polished_sequence(rel, mp.mpf(mp.pi))
     assert got.phases == want.phases and got.target_phi == want.target_phi
     slope, _ = precise.slope_fit(got)
     assert abs(slope - 8) < 1e-3

@@ -1,6 +1,8 @@
+import builtins
 import json
 import logging
 import math
+import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -432,6 +434,67 @@ def test_catalog_file_with_an_equals_sign_in_its_path(tmp_path, capsys):
     assert analysis.csv_bytes(analysis.sweep(seq, -0.4, 0.4, 5)).decode(
         "ascii"
     ).splitlines() == rows
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_a_solve_file_keeps_its_chart_zeros(order, tmp_path, capsys):
+    # solve writes the chart zeros as the decimals "0.0000000000"; the
+    # polish holds them, so the train stays in the chart it was solved in.
+    path = tmp_path / "solve.json"
+    assert run(["solve", "--order", str(order), "--phi", "0.5", "--seeds", "16",
+                "--rng-seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    for entry in catalog.load_catalog(path):
+        zeros = solver.pinned_zero_count(order)
+        assert entry.phase_strings[1 : zeros + 1] == ("0.0000000000",) * zeros
+        assert catalog.to_sequence(entry).phases[: zeros + 1] == (0,) * (zeros + 1)
+    assert run(["verify", "--json", "--gate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == order
+
+
+def test_a_zero_after_a_nonzero_relative_phase_is_polished(capsys):
+    # The zero after 0.3 in the half is no leading zero: the polish moves it,
+    # and the train measures the order of the root it came from.
+    spec = ("phi=0.5;phases=0.0000,0.3000,0.0000,0.9739,1.1844,"
+            "0.7500,1.0500,0.7500,1.7239,1.9344")
+    seq, a_h = cli._measurement_sequence(spec_parse(spec))
+    assert a_h is not None and seq.phases[2] != 0
+    assert run(["verify", "--json", "--gate", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 4
+
+
+def test_an_inline_spec_never_reaches_the_file_system(monkeypatch, capsys):
+    # A gate that parses as a spec is the spec: no file is looked up.
+    catalog.names()  # the packaged catalog, read once per process
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the file system was consulted")
+
+    monkeypatch.setattr(os.path, "exists", refuse)
+    monkeypatch.setattr(builtins, "open", refuse)
+    spec = "phi=0.5;phases=0,0.75"
+    for args in (["verify", "--json"], ["range"], ["sweep", "--steps", "5"]):
+        assert run([*args, "--gate", spec]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_file_named_like_a_spec_is_read_as_the_spec(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    spec = "phi=0.5;phases=0,0.75"
+    catalog.save_catalog([catalog.get("Z18")], tmp_path / spec)
+    assert run(["verify", "--json", "--gate", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 0
+
+
+def test_a_missing_file_whose_path_holds_an_equals_sign_is_a_malformed_spec(
+    tmp_path, capsys
+):
+    # Neither a spec nor a file: the spec's error, as before specs were
+    # tried first.
+    assert run(["verify", "--gate", str(tmp_path / "missing=1.json")]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "sequence spec needs exactly phi=<v>;phases=<p0,p1,...>" in err
 
 
 @pytest.mark.parametrize("name", catalog.names())

@@ -1,0 +1,61 @@
+"""The CLI outputs recorded in ``data/corpus.json`` (see ``make_corpus.py``)."""
+
+import json
+import math
+from pathlib import Path
+
+from make_corpus import CORPUS, range_record, run_cli, verify_record
+
+# The slope comes from LAPACK's lstsq, whose last bits may differ between
+# builds; every other recorded value must match exactly.
+_SLOPE_ULPS = 16
+# epsilon0 comes from a float Newton search on numpy arithmetic.
+_EPSILON0_TOL = 1e-12
+
+
+def _verify_mismatch(got, want):
+    if set(got) != set(want):
+        return True
+    if got["code"] or want["code"]:
+        return got != want
+    if (got["order"], got["peak"]) != (want["order"], want["peak"]):
+        return True
+    return not abs(got["slope"] - want["slope"]) <= _SLOPE_ULPS * math.ulp(want["slope"])
+
+
+def _range_mismatch(got, want):
+    if set(got) != set(want):
+        return True
+    if got["code"] or want["code"]:
+        return got != want
+    return (
+        not abs(got["epsilon0"] - want["epsilon0"]) <= _EPSILON0_TOL
+        or got["flagged"] != want["flagged"]
+    )
+
+
+def test_cli_outputs_match_the_committed_corpus(tmp_path):
+    corpus = json.loads(CORPUS.read_text())
+    bad = []
+    for want in corpus["verify"]:
+        want = dict(want)
+        gate = want.pop("gate")
+        got = verify_record(gate)
+        if _verify_mismatch(got, want):
+            bad.append(("verify", gate, got, want))
+    for k, solve in enumerate(corpus["solve"]):
+        path = Path(tmp_path) / f"solve-{k}.json"
+        assert run_cli((*solve["argv"], "--out", str(path)))[0] == 0
+        if path.read_text() != solve["file"]:
+            bad.append(("solve file", solve["argv"], path.read_text(), solve["file"]))
+        got = verify_record(str(path))
+        if _verify_mismatch(got, solve["verify"]):
+            bad.append(("verify", solve["argv"], got, solve["verify"]))
+    for want in corpus["range"]:
+        want = dict(want)
+        gate, threshold = want.pop("gate"), want.pop("threshold")
+        got = range_record(gate, threshold)
+        if _range_mismatch(got, want):
+            bad.append(("range", gate, threshold, got, want))
+    assert not bad, bad[:5]
+    assert len(corpus["verify"]) == 27 + 84 + 10 and len(corpus["range"]) == 27 * 5

@@ -137,7 +137,7 @@ def test_structured_jets_match_composed_half_train(n):
     rng = np.random.default_rng(n)
     x = rng.uniform(0.0, 2 * math.pi, size=(5, n))
     a = structured_jets(x)
-    a_t, da = structured_jets(x, jacobian=True)
+    a_t, da = structured_jets(x, pinned=0)
     assert a.shape == (5, n + 2) and da.shape == (5, n, n + 2)
     assert np.array_equal(a, a_t)
     for row, ra, rda in zip(x, a, da):
@@ -157,50 +157,50 @@ def test_structured_jets_have_the_parity_and_the_value_at_s_one(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_structured_jets_tangent_subsets_are_columns_of_the_full_jacobian(n):
+def test_structured_jets_tangents_after_the_held_phases_are_jacobian_columns(n):
     rng = np.random.default_rng(20 + n)
     x = rng.uniform(0.0, 2 * math.pi, size=(6, n))
     x[:, 0] = 0.0  # a zero that is differentiated stays out of the prefix
-    a, da = structured_jets(x, jacobian=True)
-    for wrt in ([n - 1], list(range(n))[::-1], list(range(n // 2, n))):
-        sa, dsa = structured_jets(x, jacobian=wrt)
-        for got, full in ((sa, a), (dsa, da[:, wrt])):
+    a, da = structured_jets(x, pinned=0)
+    for pinned in range(1, n + 1):
+        sa, dsa = structured_jets(x, pinned)
+        for got, full in ((sa, a), (dsa, da[:, pinned:])):
             assert got.shape == full.shape
-            assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
+            bound = 1e-15 * np.max(np.abs(full), initial=0.0)
+            assert np.max(np.abs(got - full), initial=0.0) <= bound
 
 
 @pytest.mark.parametrize("n", range(0, 9))
 def test_half_jets_match_structured_jets(n):
     # The scalar kernel against the batched one on random halves, with
-    # and without leading zeros, and tangents in every phase, in the free
-    # phases after the zeros, in a differentiated zero and in none:
-    # a_h, and so every residual entry and Jacobian entry read from it,
-    # within 1e-14 of the largest coefficient (or of 1).
+    # and without leading zeros, and tangents after every held count
+    # (differentiated zeros included) and none: a_h, and so every residual
+    # entry and Jacobian entry read from it, within 1e-14 of the largest
+    # coefficient (or of 1).
     rng = np.random.default_rng(60 + n)
     for zeros in sorted({0, n // 2, n}):
         x = rng.uniform(0.0, 2 * math.pi, size=(3, n))
         x[:, :zeros] = 0.0
-        for wrt in sorted({(), tuple(range(n)), tuple(range(zeros, n)),
-                           tuple(range(n))[::-1][:2]}):
+        for pinned in (None, *range(n + 1)):
             for row in x:
-                a, da = half_jets(list(row), wrt)
+                a, da = half_jets(list(row), pinned)
                 want = structured_jets(row[None, :])[0]
                 scale = max(1.0, np.max(np.abs(want)))
-                assert len(a) == n + 2 and len(da) == len(wrt)
+                free = 0 if pinned is None else n - pinned
+                assert len(a) == n + 2 and len(da) == free
                 assert np.max(np.abs(np.array(a) - want)) <= 1e-14 * scale
-                if wrt:
-                    _, want_da = structured_jets(row[None, :], jacobian=list(wrt))
+                if free:
+                    _, want_da = structured_jets(row[None, :], pinned)
                     scale = max(1.0, np.max(np.abs(want_da)))
                     assert np.max(np.abs(np.array(da) - want_da[0])) <= 1e-14 * scale
 
 
-def test_structured_jets_rejects_bad_tangent_indices():
-    x = np.zeros((2, 3))
-    # Out of range, repeated, a boolean mask, floats, a scalar, None.
-    for wrt in ([3], [-1], [1, 1], [True, False, True], np.ones(3, dtype=bool),
-                [1.7], 1, np.intp(1), None, [[0, 1]]):
-        with pytest.raises(ValueError, match="jacobian"):
-            structured_jets(x, jacobian=wrt)
+@pytest.mark.parametrize("pinned", [-1, 4])
+def test_jets_reject_a_held_count_out_of_range(pinned):
+    with pytest.raises(ValueError, match="cannot hold"):
+        structured_jets(np.zeros((2, 3)), pinned)
+    with pytest.raises(ValueError, match="cannot hold"):
+        half_jets([0.0, 0.0, 0.0], pinned)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -215,18 +215,19 @@ def test_structured_jets_zero_prefix_matches_composed_half_train(n):
             _assert_at_nodes(ra, _composed_values(row))
 
 
-@pytest.mark.parametrize("jacobian", [False, True, [1, 2]])
-def test_structured_jets_prefix_needs_the_zero_in_every_row(jacobian):
+@pytest.mark.parametrize("pinned", [None, 0, 1, 2, 4])
+def test_structured_jets_prefix_needs_the_zero_in_every_row(pinned):
     # Column 0 is zero in some rows only: the batch composes it row by row,
     # and each zero row alone goes through the prefix.
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, 2 * math.pi, size=(6, 4))
     x[::2, 0] = 0.0
     x[::3, 1] = 0.0
-    batch = structured_jets(x, jacobian=jacobian)
-    rows = [structured_jets(row[None, :], jacobian=jacobian) for row in x]
-    if jacobian is False:
+    batch = structured_jets(x, pinned)
+    rows = [structured_jets(row[None, :], pinned) for row in x]
+    if pinned is None:
         batch, rows = (batch,), [(r,) for r in rows]
     for k, got in enumerate(batch):
         want = np.concatenate([r[k] for r in rows])
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        bound = 1e-15 * np.max(np.abs(want), initial=0.0)
+        assert np.max(np.abs(got - want), initial=0.0) <= bound

@@ -455,13 +455,13 @@ def test_jet_zero_prefix_cache_is_keyed_by_precision():
 
 
 def test_polish_logs_one_debug_record(caplog):
-    # A rounded 12-pulse row: two pinned zeros and three free phases.
+    # A rounded 12-pulse row: two held zeros and three free phases.
     row = catalog.arbitrary_row(Fraction(1, 3), 12, refine=False)
     rel = [float(p) for p in row.phases[1:6]]
     with mp.workdps(precise.WORKING_DPS):
         phi = mp.pi / 3
     with caplog.at_level(logging.DEBUG, logger="cpgate.precise"):
-        precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
+        precise.polish_structured(rel, phi)
     [record] = caplog.records
     assert record.levelno == logging.DEBUG and record.name == "cpgate.precise"
     fields = dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
@@ -473,16 +473,14 @@ def test_polish_logs_one_debug_record(caplog):
 
 
 def _polish_inputs(case):
-    # (rel, phi, pinned) of a rounded 14-pulse row (three free phases
-    # against three residual entries: square) or of a named train of
-    # order >= 4 (underdetermined), pinned as polish_structured's callers
-    # pin them.
+    # (rel, phi) of a rounded 14-pulse row (three free phases after three
+    # held zeros against three residual entries: square) or of a named
+    # train of order >= 4 (underdetermined).
     if case == "row-14p":
         seq = catalog.arbitrary_row(Fraction(1, 3), 14, refine=False)
     else:
         seq = catalog.to_sequence(catalog.get(case), refine=False)
-    rel = [float(p) for p in seq.phases[1 : len(seq) // 2]]
-    return rel, seq.target_phi, [p == 0 for p in rel]
+    return [float(p) for p in seq.phases[1 : len(seq) // 2]], seq.target_phi
 
 
 @pytest.mark.parametrize("case", ["row-14p", "Z12"])
@@ -492,54 +490,55 @@ def test_polish_evaluates_the_float_jacobian_once_at_its_converged_point(
     # The float Newton returns the Jacobian (or its inverse) it evaluated
     # at its last point, and the 50-digit stage reuses it: the scalar kernel
     # serves the square row, the batched one the named train.
-    rel, phi, pinned = _polish_inputs(case)
+    rel, phi = _polish_inputs(case)
     points = []
 
-    def counted(x, jacobian=False):
-        if jacobian is not False:
+    def counted(x, pinned=None):
+        if pinned is not None:
             points.extend(np.array(x, dtype=float))
-        return structured_jets(x, jacobian)
+        return structured_jets(x, pinned)
 
-    def counted_scalar(x, free=()):
-        if free:
+    def counted_scalar(x, pinned=None):
+        if pinned is not None:
             points.append(np.array(x, dtype=float))
-        return half_jets(x, free)
+        return half_jets(x, pinned)
 
     monkeypatch.setattr(solver, "structured_jets", counted)
     monkeypatch.setattr(solver, "half_jets", counted_scalar)
-    precise.polish_structured(rel, phi, pinned=pinned)
+    precise.polish_structured(rel, phi)
     converged = points[-1]
     assert sum(np.array_equal(x, converged) for x in points) == 1
     assert len(points) > 1  # the rounded row took Newton steps
 
 
-def _newton_both_ways(rel, phi, pinned):
+def _newton_both_ways(rel, phi):
     # The float stage on scalars and through the batched solver on one
-    # square system: the same converged flag and, when converged, the same
+    # square system, its leading zeros held: the same converged flag and,
+    # when converged, the same
     # 50-digit root as the polish with the scalar stage switched off.  Each
     # polish stops at a residual max-norm below 1e-45, which pins its
     # phases within ||J^-1||_inf 1e-45 of the exact root, so the two agree
     # within twice that.  (The batched polish itself is 1.03e-45 from the
     # exact root on the pi 2/3 12-pulse row.)
-    free = [j for j, p in enumerate(pinned) if not p]
-    assert len(free) == (len(rel) + 1) // 2  # square
-    square = solver._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, free)
+    pinned = precise._leading_zeros(rel)
+    assert pinned == solver.pinned_zero_count(len(rel))  # square
+    square = solver._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, pinned)
     batched = solver._newton(np.array(rel), float(phi), precise._FLOAT_TOL, 60, pinned)
     assert square is not None and square[2] == batched[2]
     if not batched[2]:
         return
     bound = 2e-45 * max(sum(abs(v) for v in row) for row in square[3])
     with mp.workdps(precise.WORKING_DPS):
-        got, _ = precise.polish_structured(rel, phi, pinned)
+        got, _ = precise.polish_structured(rel, phi)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_newton_square", lambda *args: None)
-            want, _ = precise.polish_structured(rel, phi, pinned)
+            want, _ = precise.polish_structured(rel, phi)
         assert max(abs(g - w) for g, w in zip(got, want)) <= bound
     assert [float(g) for g in got] == [float(w) for w in want]
 
 
 def _rounded_rows():
-    # The 84 rounded table rows as the CLI polishes them, zeros pinned:
+    # The 84 rounded table rows as the CLI polishes them, zeros held:
     # every one a square system.
     return [
         pytest.param(row.phi_over_pi, pulses, id=f"{row.phi_over_pi}-{pulses}p")
@@ -552,7 +551,7 @@ def _rounded_rows():
 def test_scalar_newton_matches_the_batched_newton_on_the_rounded_rows(frac, pulses):
     seq = catalog.arbitrary_row(frac, pulses, refine=False)
     rel = [float(p) for p in seq.phases[1 : pulses // 2]]
-    _newton_both_ways(rel, seq.target_phi, [p == 0 for p in rel])
+    _newton_both_ways(rel, seq.target_phi)
 
 
 @given(
@@ -572,11 +571,11 @@ def test_scalar_newton_matches_the_batched_newton_on_pinned_square_systems(
         sols = solver.solve(solver.SolverConfig(n=n, phi=phi, seeds=4, rng_seed=rng_seed))
     except solver.SolverError:
         assume(False)
-    pinned = [j < solver.pinned_zero_count(n) for j in range(n)]
+    pinned = solver.pinned_zero_count(n)
     rel = list(sols[0].phases)
-    for k, j in enumerate(j for j in range(n) if not pinned[j]):
+    for k, j in enumerate(range(pinned, n)):
         rel[j] += offsets[k] * math.pi
-    _newton_both_ways(rel, phi, pinned)
+    _newton_both_ways(rel, phi)
 
 
 def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
@@ -584,12 +583,12 @@ def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
     # scaled by 1e-8: sigma_min / sigma_max falls below _RCOND, so the
     # scalar stage gives up and the polish restarts from its input through
     # solver._newton, as it runs with the scalar stage switched off.
-    rel, phi, pinned = _polish_inputs("row-14p")
-    free = [j for j, p in enumerate(pinned) if not p]
+    rel, phi = _polish_inputs("row-14p")
+    pinned = precise._leading_zeros(rel)
     batched, calls = solver._newton, []
 
-    def degenerate(x, wrt=()):
-        a, da = half_jets(x, wrt)
+    def degenerate(x, pinned=None):
+        a, da = half_jets(x, pinned)
         if da:
             da[0] = [1e-8 * v for v in da[0]]
         return a, da
@@ -600,17 +599,17 @@ def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "half_jets", degenerate)
-        _, da = degenerate(rel, free)
+        _, da = degenerate(rel, pinned)
         rot = complex(mp.exp(0.25j * phi))
         n = len(rel)
         jac = [[(rot * d[m]).imag for d in da] for m in range((n + 1) % 2, n, 2)]
         sigma = np.linalg.svd(np.array(jac), compute_uv=False)
         assert sigma[-1] < solver._RCOND * sigma[0]
-        assert solver._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, free) is None
+        assert solver._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, pinned) is None
         patch.setattr(solver, "_newton", recorded)
-        got = precise.polish_structured(rel, phi, pinned)
+        got = precise.polish_structured(rel, phi)
         patch.setattr(solver, "_newton_square", lambda *args: None)
-        want = precise.polish_structured(rel, phi, pinned)
+        want = precise.polish_structured(rel, phi)
     assert calls == [rel, rel]
     assert got == want
 
@@ -620,7 +619,7 @@ def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
 )
 def test_named_trains_of_order_four_or_more_polish_through_the_batched_newton(name):
     # 4 to 8 free phases against ceil(n/2) entries: the minimum-norm step.
-    rel, phi, pinned = _polish_inputs(name)
+    rel, phi = _polish_inputs(name)
     batched, calls = solver._newton, []
 
     def recorded(*args, **kwargs):
@@ -630,7 +629,7 @@ def test_named_trains_of_order_four_or_more_polish_through_the_batched_newton(na
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_newton_square", lambda *args: calls.append("square"))
         patch.setattr(solver, "_newton", recorded)
-        precise.polish_structured(rel, phi, pinned)
+        precise.polish_structured(rel, phi)
     assert calls == ["batched"]
 
 
@@ -692,7 +691,7 @@ def test_turned_rotors_are_the_rotors_of_the_fixed_point_phases(monkeypatch):
 
     monkeypatch.setattr(precise, "_fixed_newton", recorded)
     monkeypatch.setattr(precise, "_mp_residual", spied)
-    polished, handed = precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
+    polished, handed = precise.polish_structured(rel, phi)
     # The rotors of the last residual evaluation, after every turn.
     [(x, evals, _, a_h)] = results
     assert evals >= 3 and len(rotors) == 3
@@ -725,7 +724,23 @@ def _rounded_polish_cases():
 def test_polished_rounded_rows_are_roots_to_1e_45_at_90_digits(rel, frac):
     with mp.workdps(precise.WORKING_DPS):
         phi = mp.pi * frac.numerator / frac.denominator
-        polished, _ = precise.polish_structured(rel, phi, pinned=[p == 0 for p in rel])
+        polished, _ = precise.polish_structured(rel, phi)
+    residual = _fitted_half_residual(polished, phi, len(rel))
+    assert max(abs(r) for r in residual) < 10.0 ** -precise._POLISH_DIGITS
+
+
+def test_polish_holds_the_leading_zeros_only(caplog):
+    # A 14-pulse root at pi/3 moved along its manifold to the leading
+    # phases (0, 0.3 pi, 0), rounded to 4 decimals: the leading zero is
+    # held, the zero after 0.3 pi moves like the phases around it.
+    rel = [p * math.pi for p in (0.0, 0.3, 0.0, 0.9957, 1.2733, 0.9183)]
+    with mp.workdps(precise.WORKING_DPS):
+        phi = mp.pi / 3
+        with caplog.at_level(logging.DEBUG, logger="cpgate.precise"):
+            polished, _ = precise.polish_structured(rel, phi)
+    [record] = caplog.records
+    assert re.search(r"\bfree=5\b", record.getMessage())
+    assert polished[0] == 0 and polished[2] != 0
     residual = _fitted_half_residual(polished, phi, len(rel))
     assert max(abs(r) for r in residual) < 10.0 ** -precise._POLISH_DIGITS
 

@@ -99,16 +99,10 @@ def test_structured_sequence_shape_and_shift():
     assert len(seq) // 2 - 1 == 3
     assert_structured(seq)
     assert float(seq.phases[0]) == pytest.approx(0.25)
-    assert first_half(seq, tol=1e-12) == seq.phases[:4]
+    assert first_half(seq) == seq.phases[:4]
     # An odd-length train has no halves; an empty one is two empty halves.
-    assert first_half(replace(seq, phases=seq.phases[:-1]), tol=1e-3) is None
-    assert first_half(replace(seq, phases=()), tol=1e-3) == ()
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
-def test_first_half_needs_a_positive_tolerance(tol):
-    with pytest.raises(ValueError, match="positive tolerance"):
-        first_half(two_pulse(math.pi), tol)
+    assert first_half(replace(seq, phases=seq.phases[:-1])) is None
+    assert first_half(replace(seq, phases=())) == ()
 
 
 def _mp_first_half(seq, tol):
@@ -177,7 +171,7 @@ def test_first_half_in_doubles_is_the_53_bit_mpmath_check(
     if digits is not None:
         phases = [_rounded(p, digits) for p in phases]
     seq = CompositeSequence(tuple(phases), phi)
-    assert first_half(seq, _TOL) == _mp_first_half(seq, _TOL)
+    assert first_half(seq) == _mp_first_half(seq, _TOL)
 
 
 def test_chi_identities():

@@ -26,12 +26,12 @@ from jet_oracle import jet_compose
 TWO_PI = 2 * math.pi
 
 
-def _jacobian(phases, phi: float, wrt=True) -> np.ndarray:
-    """Exact Jacobian (ceil(n/2), n) of ``residual`` in the relative
-    phases, or (ceil(n/2), len(wrt)) in the phases ``wrt``: a batch of
-    one through the solver's batched kernel."""
+def _jacobian(phases, phi: float, pinned=0) -> np.ndarray:
+    """Exact Jacobian (ceil(n/2), n - pinned) of ``residual`` in the
+    relative phases after the first ``pinned``: a batch of one through the
+    solver's batched kernel."""
     x = np.asarray(phases, dtype=float)[None, :]
-    return solver._residuals(x, phi, jacobian=wrt)[1][0]
+    return solver._residuals(x, phi, pinned)[1][0]
 
 
 def _circ_close(x, y, tol):
@@ -387,7 +387,7 @@ def test_batched_residual_and_jacobian_match_batch_of_one(n):
     rng = np.random.default_rng(n)
     x = rng.uniform(0.0, TWO_PI, size=(16, n))
     phi = 2 * math.pi / 3
-    r, jac = solver._residuals(x, phi, jacobian=True)
+    r, jac = solver._residuals(x, phi, 0)
     r_one = np.array([residual(row, phi) for row in x])
     jac_one = np.array([_jacobian(row, phi) for row in x])
     assert np.max(np.abs(r - r_one)) <= 1e-12 * np.max(np.abs(r_one))
@@ -476,18 +476,14 @@ def test_certified_inverse_refuses_what_pinv_would_truncate():
         assert np.max(np.abs(np.array(inv) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _reference_newton_batch(x0, phi, tol, max_iter, pinned=None, rcond=1e-6):
+def _reference_newton_batch(x0, phi, tol, max_iter, pinned=0, rcond=1e-6):
     # The Newton loop as it ran before the full step carried its Jacobian,
     # on the half-train residual: every iteration evaluates the Jacobian
-    # in all n phases and slices the free columns, then tries the full step
-    # and the 29 halvings apart.
+    # in all n phases and takes the columns of the phases after the first
+    # ``pinned``, then tries the full step and the 29 halvings apart.
     x = np.array(x0, dtype=float)
     batch, n = x.shape
-    free = (
-        np.arange(n)
-        if pinned is None
-        else np.flatnonzero(~np.asarray(pinned, dtype=bool))
-    )
+    free = np.arange(pinned, n)
     if len(free) == 0:
         rmax = np.max(np.abs(solver._residuals(x, phi)), axis=1, initial=0.0)
         return x, rmax, rmax < tol
@@ -495,7 +491,7 @@ def _reference_newton_batch(x0, phi, tol, max_iter, pinned=None, rcond=1e-6):
     ok = np.zeros(batch, dtype=bool)
     live = np.arange(batch)
     for _ in range(max_iter):
-        r, jac = solver._residuals(x[live], phi, jacobian=True)
+        r, jac = solver._residuals(x[live], phi, 0)
         rmax[live] = np.max(np.abs(r), axis=1)
         done = rmax[live] < tol
         ok[live[done]] = True
@@ -526,25 +522,15 @@ def _reference_newton_batch(x0, phi, tol, max_iter, pinned=None, rcond=1e-6):
     return x, rmax, ok
 
 
-def _newton_masks(n):
-    return {
-        "none": None,
-        "chart": np.arange(n) < pinned_zero_count(n),
-        "alternate": np.arange(n) % 2 == 0,
-    }
-
-
 @pytest.mark.parametrize("batch", [1, 16])
-@pytest.mark.parametrize("mask", ["none", "chart", "alternate"])
-@pytest.mark.parametrize("n", range(1, 7))
-def test_newton_batch_matches_the_reference_loop(n, mask, batch):
-    pinned = _newton_masks(n)[mask]
+@pytest.mark.parametrize(
+    "n, pinned", [(n, pinned) for n in range(1, 7) for pinned in range(n + 1)]
+)
+def test_newton_batch_matches_the_reference_loop(n, pinned, batch):
     rng = np.random.default_rng(1000 * n + batch)
     seeds = rng.uniform(0.0, TWO_PI, size=(batch, n))
-    if pinned is not None:
-        # The chart pins zeros; the alternate mask pins zeros that are not
-        # one leading block once n > 2.
-        seeds[:, pinned] = 0.0
+    # Held zeros, as the chart's (pinned = floor(n/2)) and the polish's.
+    seeds[:, :pinned] = 0.0
     phi = rng.uniform(0.1, TWO_PI)
     # The float polish's iteration limit in precise.polish_structured: rows
     # that have not converged by then are compared mid-iteration.
@@ -557,9 +543,8 @@ def test_newton_batch_matches_the_reference_loop(n, mask, batch):
         assert np.max(np.abs(g[finite] - r[finite]), initial=0.0) <= 1e-12
     # The Jacobian returned with each row, whichever way the row left the
     # loop, is the one at the row returned.
-    free = np.arange(n) if pinned is None else np.flatnonzero(~pinned)
-    want_jac = np.array([_jacobian(row, phi, free) for row in got[0]])
-    assert got[3].shape == (batch, (n + 1) // 2, len(free))
+    want_jac = np.array([_jacobian(row, phi, pinned) for row in got[0]])
+    assert got[3].shape == (batch, (n + 1) // 2, n - pinned)
     scale = max(1.0, np.max(np.abs(want_jac), initial=0.0))
     assert np.max(np.abs(got[3] - want_jac), initial=0.0) <= 1e-12 * scale
 
@@ -572,16 +557,15 @@ def test_newton_full_steps_make_one_jets_call_per_iteration(monkeypatch):
     seeds[:, :2] = z10[:2]
     calls = []
 
-    def counted(x, jacobian=False):
-        calls.append(jacobian is not False)
-        return structured_jets(x, jacobian)
+    def counted(x, pinned=None):
+        calls.append(pinned is not None)
+        return structured_jets(x, pinned)
 
     monkeypatch.setattr(solver, "structured_jets", counted)
-    pinned = np.array([True, True, False, False])
-    _, _, ok, _ = solver._newton_batch(seeds, math.pi, 1e-12, 200, pinned)
+    _, _, ok, _ = solver._newton_batch(seeds, math.pi, 1e-12, 200, 2)
     new = list(calls)
     calls.clear()
-    _, _, ok_ref = _reference_newton_batch(seeds, math.pi, 1e-12, 200, pinned)
+    _, _, ok_ref = _reference_newton_batch(seeds, math.pi, 1e-12, 200, 2)
     assert ok.all() and ok_ref.all()
     # The reference makes a Jacobian call and a full-step call per step, and
     # one Jacobian call at the converged point.
