@@ -15,7 +15,6 @@ from .analysis import (
 )
 from .catalog import ArbitraryPhaseRow, CatalogEntry, arbitrary_row, get, to_sequence
 from .sequences import (
-    appendix_b_sequence,
     chi_eight,
     chi_six,
     eight_pulse,
@@ -45,7 +44,6 @@ __all__ = [
     "Solution",
     "SolverConfig",
     "Su2",
-    "appendix_b_sequence",
     "arbitrary_row",
     "chi_eight",
     "chi_six",

@@ -203,8 +203,7 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bo
         else:
             rel = tuple(mp.pi * f.numerator / f.denominator for f in fracs)
             seq = structured_sequence(rel, phi)
-            prec = mp.mp.prec + precise.GUARD_BITS
-            a_h = precise._mp_jet_compose(seq.phases[: len(rel) + 1], prec)[:2]
+            a_h = precise._mp_jet_compose(seq.phases[: len(rel) + 1])[:2]
     return replace(seq, label=label), tuple(map(tuple, a_h))
 
 

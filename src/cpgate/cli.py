@@ -71,13 +71,12 @@ def _resolve_gate(text: str):
     except catalog.CatalogError:
         try:
             return spec_parse(text), None, True
-        except CliError:
+        except CliError as exc:
             if not os.path.exists(text):
-                if "=" not in text:
-                    raise CliError(
-                        f"unknown gate {text!r} (not a catalog name, spec, or file)"
-                    ) from None
-                raise
+                raise CliError(
+                    f"unknown gate {text!r}: not a catalog name, no such file, "
+                    f"and not a spec: {exc}"
+                ) from None
         entries = catalog.load_catalog(text)
         if not entries:
             raise CliError(f"catalog file {text!r} is empty")

@@ -10,13 +10,16 @@ pi pulses as (a, sqrt(1 - s^2) B), with a and B polynomials in
 s = sin(pi eps/2) (see ``jets``), one ``_mp_jet_pulse`` per pulse, O(N)
 shifts and products each.
 
-The kernel runs in fixed point: a real x is the Python integer
-floor(x * 2^P), with P = ``mp.mp.prec + GUARD_BITS`` at ``WORKING_DPS``
-digits, 169 + 16 = 185 bits.  Every entry point enters
-``workdps(WORKING_DPS)`` itself, so P is the same whatever precision its
-caller runs at: ``slope_fit`` called under ``workdps(30)`` still fits at
-169 bits.  A product is
-one integer multiply and one shift, with none of the renormalization
+The kernel runs in one fixed-point format: a real x is the Python
+integer floor(x * 2^``PREC``), ``PREC`` = ``WP`` + ``GUARD_BITS`` =
+169 + 16 = 185 bits, ``WP`` being the bits of ``WORKING_DPS`` digits.
+Both are constants: no helper takes a precision, and no call but the
+one that builds the slope grid reads mpmath's context, so every result
+is the same whatever precision the caller runs at.  An input (a float,
+an mpf or an mpmath constant such as ``mp.pi``) is rounded to nearest at
+``WP`` bits once (``_raw``), and the returned phases and the fit's
+values are rounded from fixed point at an explicit precision.  A product
+is one integer multiply and one shift, with none of the renormalization
 that dominates mpf object arithmetic.  Fixed point fits because the
 values are bounded: on real s in [-1, 1], |a| <= 1 and |B| <= N (Schur's
 inequality), so by V. A. Markov's coefficient bound no coefficient of a
@@ -25,18 +28,18 @@ that of T_{N-1}: 576 and 2304 for the largest half the polish composes
 (N = 9).  The inputs (rotor cos/sin, the gate's cos/sin, s and
 cos(pi eps/2) on the slope window) are converted once with
 ``mpmath.libmp.to_fixed``.  Each shift truncates by less than one unit of
-2^-P, and the 16 guard bits absorb that.
+2^-PREC, and the 16 guard bits absorb that.
 
 ``slope_fit`` evaluates the composed polynomial by Horner's rule
 (``_horner``) at the 20 log-spaced errors from 1e-3 to 1e-2, whose
-fixed-point s and cos(pi eps/2) are cached per precision
-(``_slope_grid``).  There |s| < 0.016, so a pulse multiplies an error
-carried in by at most ~1 + |s| and the truncations of N pulses and of
-Horner's rule add up to a few N units of 2^-P at each point, as in a
-pulse-by-pulse product.  A train of an even number of pi pulses has an
-infidelity that is even in eps (U(-eps) = -Z U(eps) Z^dagger per pulse,
-Z = diag(1, -1)), so only +eps is evaluated; an odd number is
-off-diagonal at eps = 0, no phase gate at all, and raises ValueError.
+fixed-point s and cos(pi eps/2) are computed once (``_slope_grid``).
+There |s| < 0.016, so a pulse multiplies an error carried in by at most
+~1 + |s| and the truncations of N pulses and of Horner's rule add up to
+a few N units of 2^-PREC at each point, as in a pulse-by-pulse product.
+A train of an even number of pi pulses has an infidelity that is even
+in eps (U(-eps) = -Z U(eps) Z^dagger per pulse, Z = diag(1, -1)), so
+only +eps is evaluated; an odd number is off-diagonal at eps = 0, no
+phase gate at all, and raises ValueError.
 
 ``slope_fit`` composes the full (a, B) of whatever train it is given and
 takes (|a - e^{-i phi/2}|^2 + cos^2(pi eps/2) |B|^2) / 2, at O(N^2) cost
@@ -92,28 +95,28 @@ trains of order >= 4) runs ``solver._newton`` and ``np.linalg.pinv``:
 there the float root's last bits choose the point on the root manifold,
 and those bits must stay the ones ``solver.canonicalize`` was charted
 with.  The 50-digit stage (``_fixed_newton``) runs in fixed point end to
-end.  The float root is converted once to integers at 2^P, exactly
+end.  The float root is converted once to integers at 2^PREC, exactly
 (``_fixed``), and each phase after the held zeros takes one
 ``mpf_cos_sin`` per polish.  A step adds each double to its phase exactly, as an
 integer, and turns the phase's rotor by e^{i step}, its cos and sin
 summed by Taylor series in fixed point (``_small_cos_sin``; steps are
-~1e-9 and below, so three or four terms): a few units of 2^-P from a
+~1e-9 and below, so three or four terms): a few units of 2^-PREC from a
 fresh cos/sin of the phase after three turns.  The residual stays the
-integer sin(phi/4) Re a_h + cos(phi/4) Im a_h at 2^-2P, only the step's
-right-hand side becomes doubles, and the stop test at
+integer sin(phi/4) Re a_h + cos(phi/4) Im a_h at 2^-2PREC, only the
+step's right-hand side becomes doubles, and the stop test at
 10^-_POLISH_DIGITS = 1e-45 is an integer comparison.  That bound holds
 the full-train derivative conditions of every polished table row and
-named train below 1e-40 at 90 digits.  The phases become mpf at the
-working precision once, when they are returned.  Leading phases of
-exactly 0 are alike in every train, so their polynomials are composed
-once per (length, count, precision) (``_mp_zero_prefix``), bitwise as
-pulse by pulse.  After k pulses a holds only the powers of s of k's
-parity and B only the others, so ``_mp_jet_pulse`` forms only those.
+named train below 1e-40 at 90 digits.  The phases become mpf at ``WP``
+bits once, when they are returned.  Leading phases of exactly 0 are
+alike in every train, so their polynomials are composed once per
+(length, count) (``_mp_zero_prefix``), bitwise as pulse by pulse.
+After k pulses a holds only the powers of s of k's parity and B only
+the others, so ``_mp_jet_pulse`` forms only those.
 
 The polish's last residual evaluation composes the half at the returned
-phases, from the turned rotors (at most 8 units of 2^-P from fresh ones),
-and ``polish_structured`` returns that a_h with the phases, ~1e-48 from
-the a_h of those rounded to the working precision.  Verify fits it, or
+phases, from the turned rotors (at most 8 units of 2^-PREC from fresh
+ones), and ``polish_structured`` returns that a_h with the phases, ~1e-48
+from the a_h of those rounded to ``WP`` bits.  Verify fits it, or
 the catalog's for a name or file, with ``half_slope_fit``.  That moves a
 log by ~1e-30 relative against ``slope_fit`` of the returned train, far
 below the spacing of doubles; the tests check the two bit for bit on the
@@ -130,10 +133,12 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
+    from_float,
     from_man_exp,
     fzero,
     mpf_cos_sin,
     mpf_log,
+    mpf_pos,
     mpf_shift,
     mpf_sqrt,
     round_nearest,
@@ -152,8 +157,12 @@ WORKING_DPS = 50
 _SLOPE_EPS_LO = 1e-3
 _SLOPE_EPS_HI = 1e-2
 _SLOPE_POINTS = 20
-# Fractional bits of the fixed-point loops beyond the working precision.
+# The fixed-point format (see the module docstring): inputs and results
+# at WP bits, the WORKING_DPS digits, and integers at 2^PREC, GUARD_BITS
+# fractional bits beyond them.
+WP = 169
 GUARD_BITS = 16
+PREC = WP + GUARD_BITS
 # Bits of the logs in ``slope_fit``: a double's 53 and 43 guard bits.
 _LOG_BITS = 53 + 43
 # Residual max-norm of the float stage of ``polish_structured``, 40 times
@@ -162,23 +171,36 @@ _LOG_BITS = 53 + 43
 # ends its extended-precision stage.
 _FLOAT_TOL = 1e-11
 _POLISH_DIGITS = WORKING_DPS - 5
+# |r| 2^-2PREC < 10^-_POLISH_DIGITS, for an integer r, is |r| < _LIMIT.
+_LIMIT = -(-(1 << 2 * PREC) // 10**_POLISH_DIGITS)
 
 
-def _cos_sin_fixed(x, prec):
-    """cos and sin of the raw mpf ``x`` as fixed-point integers at 2^prec."""
-    c, s = mpf_cos_sin(x, prec)
-    return to_fixed(c, prec), to_fixed(s, prec)
+def _raw(x):
+    """The raw mpf of ``x`` (a float, an mpf or an mpmath constant such as
+    ``mp.pi``) rounded to nearest at ``WP`` bits."""
+    if isinstance(x, mp.mpf):
+        return mpf_pos(x._mpf_, WP, round_nearest)
+    if isinstance(x, type(mp.pi)):
+        return x.func(WP, round_nearest)
+    return from_float(float(x), WP, round_nearest)
 
 
-def _angle_trig(phi, halvings, prec):
-    """cos and sin of ``phi`` / 2^halvings as fixed-point integers at 2^prec."""
-    return _cos_sin_fixed(mpf_shift(mp.mpf(phi)._mpf_, -halvings), prec)
+def _cos_sin_fixed(x):
+    """cos and sin of the raw mpf ``x`` as fixed-point integers at 2^PREC."""
+    c, s = mpf_cos_sin(x, PREC)
+    return to_fixed(c, PREC), to_fixed(s, PREC)
 
 
-def _rotor(x, prec):
+def _angle_trig(phi, halvings):
+    """cos and sin of ``phi`` / 2^halvings, ``phi`` rounded by ``_raw``, as
+    fixed-point integers at 2^PREC."""
+    return _cos_sin_fixed(mpf_shift(_raw(phi), -halvings))
+
+
+def _rotor(x):
     """-i e^{i x} = sin(x) - i cos(x) of the raw mpf ``x``, fixed point at
-    2^prec."""
-    c, s = _cos_sin_fixed(x, prec)
+    2^PREC."""
+    c, s = _cos_sin_fixed(x)
     return s, -c
 
 
@@ -190,34 +212,33 @@ def _leading_zeros(phases):
     return count
 
 
-@lru_cache(maxsize=4)
-def _slope_grid(wp):
-    """(grid, trig, logs) of ``slope_fit`` at ``wp`` bits: the
-    ``_SLOPE_POINTS`` log-spaced epsilons of the window, the sin and cos of
-    pi eps / 2 at each as fixed-point integers at 2^(wp + GUARD_BITS), and
-    the float log of each."""
-    prec = wp + GUARD_BITS
-    with mp.workprec(wp):
+@lru_cache(maxsize=None)
+def _slope_grid():
+    """(grid, trig, logs) of ``slope_fit``: the ``_SLOPE_POINTS``
+    log-spaced epsilons of the window at ``WP`` bits, the sin and cos of
+    pi eps / 2 at each as fixed-point integers at 2^PREC, and the float log
+    of each."""
+    with mp.workprec(WP):
         lo, hi = mp.log(mp.mpf(_SLOPE_EPS_LO)), mp.log(mp.mpf(_SLOPE_EPS_HI))
         grid = tuple(
             mp.exp(lo + (hi - lo) * i / (_SLOPE_POINTS - 1))
             for i in range(_SLOPE_POINTS)
         )
         logs = tuple(float(mp.log(eps)) for eps in grid)
-    with mp.workprec(prec):
+    with mp.workprec(PREC):
         trig = []
         for eps in grid:
-            c, s = _cos_sin_fixed((mp.pi * eps / 2)._mpf_, prec)
+            c, s = _cos_sin_fixed((mp.pi * eps / 2)._mpf_)
             trig.append((s, c))
     return grid, tuple(trig), logs
 
 
-def _horner(coeffs, x, prec):
+def _horner(coeffs, x):
     """The polynomial with fixed-point coefficients ``coeffs`` (s^0 first)
-    at the fixed-point ``x``, at 2^prec."""
+    at the fixed-point ``x``, at 2^PREC."""
     acc = 0
     for coeff in reversed(coeffs):
-        acc = (acc * x >> prec) + coeff
+        acc = (acc * x >> PREC) + coeff
     return acc
 
 
@@ -251,56 +272,50 @@ def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
     """
     if len(seq) % 2:
         raise ValueError(f"slope_fit needs an even number of pulses, got {len(seq)}")
-    with mp.workdps(WORKING_DPS):
-        wp = mp.mp.prec
-        prec = wp + GUARD_BITS
-        ar, ai, br, bi = _mp_jet_compose(seq.phases, prec)
-        # (|a - fa|^2 + |b|^2) / 2 against the gate (fa, 0),
-        # fa = e^{-i phi/2} = fc - i fs, with b = cos(pi eps/2) B: the
-        # squared Frobenius distance is each total times 2^shift.
-        fc, fs = _angle_trig(seq.target_phi, 1, prec)
-        totals = []
-        for x, cx in _slope_grid(wp)[1]:
-            a_re, a_im, b_re, b_im = (_horner(p, x, prec) for p in (ar, ai, br, bi))
-            totals.append(
-                (a_re - fc) ** 2 + (a_im + fs) ** 2
-                + (cx * b_re >> prec) ** 2 + (cx * b_im >> prec) ** 2
-            )
-        return _line_fit(totals, -1 - 2 * prec, wp)
+    ar, ai, br, bi = _mp_jet_compose(seq.phases)
+    # (|a - fa|^2 + |b|^2) / 2 against the gate (fa, 0),
+    # fa = e^{-i phi/2} = fc - i fs, with b = cos(pi eps/2) B: the
+    # squared Frobenius distance is each total times 2^shift.
+    fc, fs = _angle_trig(seq.target_phi, 1)
+    totals = []
+    for x, cx in _slope_grid()[1]:
+        a_re, a_im, b_re, b_im = (_horner(p, x) for p in (ar, ai, br, bi))
+        totals.append(
+            (a_re - fc) ** 2 + (a_im + fs) ** 2
+            + (cx * b_re >> PREC) ** 2 + (cx * b_im >> PREC) ** 2
+        )
+    return _line_fit(totals, -1 - 2 * PREC)
 
 
 def half_slope_fit(a_h, phi) -> tuple[float, float]:
     """``slope_fit`` of the two-half train at gate angle ``phi`` whose
     half has the major-diagonal coefficients ``a_h``: the (real, imaginary)
-    fixed-point pair at the ``WORKING_DPS`` precision that
-    ``polish_structured`` returns and ``catalog.half_polynomial`` keeps.  The
-    squared distance is 2 t(s)^2, t = Im(e^{i phi/4} a_h), whose
-    coefficients are combined once; the fit reads the half's polynomial
-    as given, with no composition."""
-    with mp.workdps(WORKING_DPS):
-        wp = mp.mp.prec
-        prec = wp + GUARD_BITS
-        c, s = _angle_trig(phi, 2, prec)
-        t_poly = [(s * r + c * i) >> prec for r, i in zip(*a_h)]
-        totals = [_horner(t_poly, x, prec) ** 2 for x, _ in _slope_grid(wp)[1]]
-        return _line_fit(totals, 1 - 2 * prec, wp)
+    fixed-point pair at 2^PREC that ``polish_structured`` returns and
+    ``catalog.half_polynomial`` keeps.  The squared distance is
+    2 t(s)^2, t = Im(e^{i phi/4} a_h), whose coefficients are combined
+    once; the fit reads the half's polynomial as given, with no
+    composition."""
+    c, s = _angle_trig(phi, 2)
+    t_poly = [(s * r + c * i) >> PREC for r, i in zip(*a_h)]
+    totals = [_horner(t_poly, x) ** 2 for x, _ in _slope_grid()[1]]
+    return _line_fit(totals, 1 - 2 * PREC)
 
 
-def _line_fit(totals, shift, wp):
+def _line_fit(totals, shift):
     """(slope, peak) from the squared distances ``totals`` times 2^shift
-    on the slope grid at ``wp`` bits."""
+    on the slope grid."""
     # The infidelity is the distance itself: its log is half the log of
     # the square, and the peak is the root of the largest square (rounding
     # is monotone).  Only the double of each log is kept, so it is taken
     # at 53 + 43 bits.
     peak = to_float(mpf_sqrt(
-        from_man_exp(max(totals), shift, wp, round_nearest), wp
+        from_man_exp(max(totals), shift, WP, round_nearest), WP
     ), rnd=round_nearest)
     fit = [
         (log_eps, 0.5 * to_float(mpf_log(
             from_man_exp(t, shift, _LOG_BITS, round_nearest), _LOG_BITS
         ), rnd=round_nearest))
-        for log_eps, t in zip(_slope_grid(wp)[2], totals) if t
+        for log_eps, t in zip(_slope_grid()[2], totals) if t
     ]
     if len(fit) < 2:
         return math.nan, peak
@@ -314,93 +329,88 @@ def polish_structured(rel_phases, phi):
     """Newton-polish structured relative phases to ``WORKING_DPS`` digits.
 
     The leading phases that are exactly 0 are held there, and the rest
-    move.  ``phi`` may be an mpf (kept exact); the inverse of the float
-    Jacobian at the float root serves every 50-digit step, which is
-    enough for fast linear convergence near the root.
-    Returns (phases, a_h): the mpf phases, with residual max-norm below
-    10^-_POLISH_DIGITS, and the half's major-diagonal coefficients
-    (real, imaginary) at those phases, fixed point at the working
-    precision, from the last residual evaluation (see ``half_slope_fit``).
+    move.  ``phi`` may be an mpf or an mpmath constant such as ``mp.pi``,
+    taken at ``WP`` bits; the inverse of the float Jacobian at the float
+    root serves every 50-digit step, which is enough for fast linear
+    convergence near the root.
+    Returns (phases, a_h): the mpf phases at ``WP`` bits, with residual
+    max-norm below 10^-_POLISH_DIGITS, and the half's major-diagonal
+    coefficients (real, imaginary) at those phases, fixed point at
+    2^PREC, from the last residual evaluation (see ``half_slope_fit``).
     Logs one DEBUG record under ``cpgate.precise``: the free-phase count,
     the residual max-norm after the float stage, the number of 50-digit
     residual evaluations, the final residual max-norm and the seconds
     spent.
     """
     start = time.perf_counter()
-    with mp.workdps(WORKING_DPS):
-        phi_mp = mp.mpf(phi) if not isinstance(phi, (mp.mpf, mp.mpc)) else phi
-        x_float = [float(v) for v in rel_phases]
-        n = len(x_float)
-        pinned = _leading_zeros(x_float)
-        # A square system runs its float stage on scalars (see the module
-        # docstring), an underdetermined one through the batched solver.
-        square = None
-        if n and pinned == solver.pinned_zero_count(n):
-            square = solver._newton_square(
-                x_float, float(phi_mp), _FLOAT_TOL, 60, pinned
-            )
-        if square is not None:
-            x_float, float_rmax, ok, jac_inv = square
-        else:
-            x_float, float_rmax, ok, jac = solver._newton(
-                np.asarray(x_float, dtype=float), float(phi_mp), tol=_FLOAT_TOL,
-                max_iter=60, pinned=pinned,
-            )
-        if not ok:
-            raise solver.SolverError(
-                f"float-precision polish failed; residual max-norm {float_rmax:.3e}"
-            )
-        if square is None:
-            jac_inv = np.linalg.pinv(jac, rcond=solver._RCOND)
-        prec = mp.mp.prec + GUARD_BITS
-        gate = _angle_trig(phi_mp, 2, prec)
-        x, evals, rmax, a_h = _fixed_newton(
-            x_float, pinned, np.asarray(jac_inv), gate, prec
+    phi_float = to_float(_raw(phi), rnd=round_nearest)
+    x_float = [float(v) for v in rel_phases]
+    n = len(x_float)
+    pinned = _leading_zeros(x_float)
+    # A square system runs its float stage on scalars (see the module
+    # docstring), an underdetermined one through the batched solver.
+    square = None
+    if n and pinned == solver.pinned_zero_count(n):
+        square = solver._newton_square(x_float, phi_float, _FLOAT_TOL, 60, pinned)
+    if square is not None:
+        x_float, float_rmax, ok, jac_inv = square
+    else:
+        x_float, float_rmax, ok, jac = solver._newton(
+            np.asarray(x_float, dtype=float), phi_float, tol=_FLOAT_TOL,
+            max_iter=60, pinned=pinned,
         )
-        _log.debug(
-            "polish free=%d float_rmax=%.3g evals=%d rmax=%.3g seconds=%.6f",
-            n - pinned, float_rmax, evals, math.ldexp(rmax, -2 * prec),
-            time.perf_counter() - start,
+    if not ok:
+        raise solver.SolverError(
+            f"float-precision polish failed; residual max-norm {float_rmax:.3e}"
         )
-        return [mp.mpf((v, -prec)) for v in x], a_h
+    if square is None:
+        jac_inv = np.linalg.pinv(jac, rcond=solver._RCOND)
+    gate = _angle_trig(phi, 2)
+    x, evals, rmax, a_h = _fixed_newton(x_float, pinned, np.asarray(jac_inv), gate)
+    _log.debug(
+        "polish free=%d float_rmax=%.3g evals=%d rmax=%.3g seconds=%.6f",
+        n - pinned, float_rmax, evals, math.ldexp(rmax, -2 * PREC),
+        time.perf_counter() - start,
+    )
+    return [mp.make_mpf(from_man_exp(v, -PREC, WP, round_nearest)) for v in x], a_h
 
 
-def _fixed(value, prec):
-    """The double ``value`` as a fixed-point integer at 2^prec: exact when
-    ``value`` is a multiple of 2^-prec (every double of magnitude at least
-    2^(52 - prec)), else rounded down; finite doubles never raise."""
+def _fixed(value):
+    """The double ``value`` as a fixed-point integer at 2^PREC: exact when
+    ``value`` is a multiple of 2^-PREC (every double of magnitude at least
+    2^(52 - PREC)), else rounded down; finite doubles never raise."""
     num, den = float(value).as_integer_ratio()
-    return (num << prec) // den
+    return (num << PREC) // den
 
 
-def _small_cos_sin(d, prec):
-    """cos and sin of the small fixed-point angle ``d`` (|d| << 2^prec) at
-    2^prec, by their Taylor series, summed until a term rounds to 0."""
-    d2 = d * d >> prec
+def _small_cos_sin(d):
+    """cos and sin of the small fixed-point angle ``d`` (|d| << 2^PREC) at
+    2^PREC, by their Taylor series, summed until a term rounds to 0."""
+    d2 = d * d >> PREC
     c = s = 0
-    term_c, term_s, k = 1 << prec, abs(d), 0
+    term_c, term_s, k = 1 << PREC, abs(d), 0
     while term_c or term_s:
         if k % 2:
             c, s = c - term_c, s - term_s
         else:
             c, s = c + term_c, s + term_s
         k += 1
-        term_c = (term_c * d2 >> prec) // ((2 * k - 1) * 2 * k)
-        term_s = (term_s * d2 >> prec) // (2 * k * (2 * k + 1))
+        term_c = (term_c * d2 >> PREC) // ((2 * k - 1) * 2 * k)
+        term_s = (term_s * d2 >> PREC) // (2 * k * (2 * k + 1))
     return c, (s if d >= 0 else -s)
 
 
-def _turn(rotor, d, prec):
+def _turn(rotor, d):
     """``rotor`` times e^{i d} for the small fixed-point angle ``d``: the
     rotor -i e^{i phase} of the phase moved by d."""
     rot_r, rot_i = rotor
-    c, s = _small_cos_sin(d, prec)
-    return (rot_r * c - rot_i * s) >> prec, (rot_r * s + rot_i * c) >> prec
+    c, s = _small_cos_sin(d)
+    return (rot_r * c - rot_i * s) >> PREC, (rot_r * s + rot_i * c) >> PREC
 
 
-def _fixed_newton(x_float, pinned, jac_inv, gate, prec):
+def _fixed_newton(x_float, pinned, jac_inv, gate):
     """The 50-digit stage of ``polish_structured``, in fixed point at
-    2^prec from the float root ``x_float``, whose first ``pinned`` phases
+    2^PREC from the float root ``x_float``, whose first ``pinned`` phases
     are exactly 0 and held there: Newton steps with the inverse or
     pseudo-inverse ``jac_inv`` of the float Jacobian in the phases after
     them, until the residual max-norm is below 10^-_POLISH_DIGITS.
@@ -409,42 +419,40 @@ def _fixed_newton(x_float, pinned, jac_inv, gate, prec):
     double step exactly, as an integer.  The rotors of the phases after
     the held zeros are taken once, and a step turns the rotor of each
     moved phase by e^{i step}.  Returns (phases, residual
-    evaluations, residual max-norm at 2^-2prec, a_h), a_h being the
+    evaluations, residual max-norm at 2^-2PREC, a_h), a_h being the
     half's (ar, ai) that the last residual evaluation composed.
     """
     n = len(x_float)
-    x = [_fixed(v, prec) for v in x_float]
+    x = [_fixed(v) for v in x_float]
     # The held zeros never move: the cached zero prefix serves them.
-    rotors = [_rotor(from_man_exp(v, -prec), prec) for v in x[pinned:]]
-    # |r| 2^-2prec < 10^-_POLISH_DIGITS, for an integer r, is |r| < limit.
-    limit = -(-(1 << 2 * prec) // 10**_POLISH_DIGITS)
+    rotors = [_rotor(from_man_exp(v, -PREC)) for v in x[pinned:]]
     for evals in range(1, WORKING_DPS + 1):
-        r, a_h = _mp_residual(pinned, rotors, gate, n, prec)
+        r, a_h = _mp_residual(pinned, rotors, gate, n)
         rmax = max(abs(v) for v in r)
-        if rmax < limit:
+        if rmax < _LIMIT:
             return x, evals, rmax, a_h
-        step = -jac_inv @ np.array([math.ldexp(float(v), -2 * prec) for v in r])
+        step = -jac_inv @ np.array([math.ldexp(float(v), -2 * PREC) for v in r])
         for k, dk in enumerate(step.tolist()):
-            d = _fixed(dk, prec)
+            d = _fixed(dk)
             x[pinned + k] += d
-            rotors[k] = _turn(rotors[k], d, prec)
+            rotors[k] = _turn(rotors[k], d)
     raise solver.SolverError("extended-precision polish did not converge")
 
 
-def _mp_residual(zeros, rotors, gate, n, prec):
-    """The solver's residual at 2^-2prec, as integers: the coefficients of
+def _mp_residual(zeros, rotors, gate, n):
+    """The solver's residual at 2^-2PREC, as integers: the coefficients of
     s^{n-1}, s^{n-3}, ... >= 0 of Im(e^{i phi/4} a_h) = sin(phi/4) Re a_h
     + cos(phi/4) Im a_h, a polynomial in s = sin(pi eps/2), a_h being the
     major-diagonal element of the half train of n + 1 phases: 0, ``zeros``
-    phases of 0 and the phases with fixed-point ``rotors`` at 2^prec.
-    ``gate`` is the cos and sin of phi/4 from ``_angle_trig``.  Returns
-    the residual and the half's (ar, ai) it was read from."""
-    ar, ai, _, _ = _mp_jet_rotors(n + 2, zeros + 1, rotors, prec)
+    phases of 0 and the phases with fixed-point ``rotors`` at 2^PREC.
+    ``gate`` is the cos and sin of phi/4 at 2^PREC.  Returns the residual
+    and the half's (ar, ai) it was read from."""
+    ar, ai, _, _ = _mp_jet_rotors(n + 2, zeros + 1, rotors)
     c, s = gate
     return [s * ar[m] + c * ai[m] for m in range((n + 1) % 2, n, 2)], (ar, ai)
 
 
-def _mp_jet_pulse(poly, rotor, prec):
+def _mp_jet_pulse(poly, rotor):
     """Fixed-point polynomials in s of the pi pulse with rotor ``rotor``
     applied after the train whose polynomials are ``poly``."""
     # The train is (a, sqrt(1 - s^2) B) and the pulse (-s, rot sqrt(1 - s^2))
@@ -462,44 +470,44 @@ def _mp_jet_pulse(poly, rotor, prec):
     for m in range(2 + even, len(ar), 2):
         # (1 - s^2) conj(B) at s^m.
         qr, qi = br[m] - br[m - 2], bi[m - 2] - bi[m]
-        nar[m - 2] = -ar[m - 1] - ((rot_r * qr - rot_i * qi) >> prec)
-        nai[m - 2] = -ai[m - 1] - ((rot_r * qi + rot_i * qr) >> prec)
+        nar[m - 2] = -ar[m - 1] - ((rot_r * qr - rot_i * qi) >> PREC)
+        nai[m - 2] = -ai[m - 1] - ((rot_r * qi + rot_i * qr) >> PREC)
     for m in range(3 - even, len(ar), 2):
-        nbr[m - 2] = -br[m - 1] + ((rot_r * ar[m] + rot_i * ai[m]) >> prec)
-        nbi[m - 2] = -bi[m - 1] + ((rot_i * ar[m] - rot_r * ai[m]) >> prec)
+        nbr[m - 2] = -br[m - 1] + ((rot_r * ar[m] + rot_i * ai[m]) >> PREC)
+        nbi[m - 2] = -bi[m - 1] + ((rot_i * ar[m] - rot_r * ai[m]) >> PREC)
     return nar, nai, nbr, nbi
 
 
 @lru_cache(maxsize=64)
-def _mp_zero_prefix(length: int, count: int, prec: int):
+def _mp_zero_prefix(length: int, count: int):
     """Polynomials of ``length`` coefficients after ``count`` pi pulses of
     phase exactly 0, from the identity: leading zeros are alike in every
     train and the held ones of a polish in every residual evaluation, so
-    they are composed once per (length, count, precision)."""
+    they are composed once per (length, count)."""
     zero = (0,) * length
-    poly = ((1 << prec,) + zero[1:], zero, zero, zero)
-    rotor = _rotor(fzero, prec)
+    poly = ((1 << PREC,) + zero[1:], zero, zero, zero)
+    rotor = _rotor(fzero)
     for _ in range(count):
-        poly = _mp_jet_pulse(poly, rotor, prec)
+        poly = _mp_jet_pulse(poly, rotor)
     return tuple(tuple(part) for part in poly)
 
 
-def _mp_jet_rotors(length, zeros, rotors, prec):
+def _mp_jet_rotors(length, zeros, rotors):
     """Fixed-point polynomials of ``length`` coefficients of ``zeros`` pi
     pulses of phase exactly 0 followed by the pulses with ``rotors``."""
-    poly = _mp_zero_prefix(length, zeros, prec)
+    poly = _mp_zero_prefix(length, zeros)
     for rotor in rotors:
-        poly = _mp_jet_pulse(poly, rotor, prec)
+        poly = _mp_jet_pulse(poly, rotor)
     return poly
 
 
-def _mp_jet_compose(phases, prec):
+def _mp_jet_compose(phases):
     """Polynomials (ar, ai, Br, Bi) in s = sin(pi eps/2) of a train of
-    nominal pi pulses, fixed point at 2^prec: the real and imaginary
+    nominal pi pulses, fixed point at 2^PREC: the real and imaginary
     coefficients of s^0 .. s^N of a and of B, the Cayley-Klein pair being
     (a, sqrt(1 - s^2) B) for N pulses.  Leading phases that are exactly 0
     come from ``_mp_zero_prefix``; the first pulse applied to the identity
-    is the pulse itself, bit for bit."""
+    is the pulse itself, bit for bit.  Each phase is rounded by ``_raw``."""
     zeros = _leading_zeros(phases)
-    rotors = [_rotor(mp.mpf(phase)._mpf_, prec) for phase in phases[zeros:]]
-    return _mp_jet_rotors(len(phases) + 1, zeros, rotors, prec)
+    rotors = [_rotor(_raw(phase)) for phase in phases[zeros:]]
+    return _mp_jet_rotors(len(phases) + 1, zeros, rotors)

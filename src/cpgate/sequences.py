@@ -29,8 +29,6 @@ import mpmath as mp
 from .su2 import CompositeSequence
 
 PI = math.pi
-# Tolerance (radians, mod 2 pi) on the phase constraint of the 12-pulse form.
-_CONSTRAINT_TOL = 1e-9
 # Tolerance (radians, mod 2 pi) of ``first_half``: it admits the 4-decimal
 # rounding of the tables and the mod-2 phases ``solve`` writes.
 _HALF_TOL = 1e-3
@@ -143,39 +141,6 @@ def eight_pulse(phi: float, variant: int = 1) -> CompositeSequence:
         6: [PI + phi / 2 - c, PI + phi / 4 - c, 0.0, 0.0, -c, -c - phi / 4, s, s],
     }
     return CompositeSequence(tuple(variants[variant]), phi, label=f"eight-v{variant}")
-
-
-def appendix_b_sequence(phi: float, pulses: int, phases) -> CompositeSequence:
-    """Compact 10/12/14-pulse forms built around 3pi/4pi leading blocks.
-
-    ``phases`` holds the free phases of the first half in radians:
-    two for 10 pulses ((3pi)_0 pi_p pi_q), three for 12 pulses (which must
-    satisfy p3 = p2 - p1 - phi/4 within ``_CONSTRAINT_TOL``), three for 14
-    pulses ((4pi)_0 pi_p pi_q pi_r).  The second half repeats the first
-    shifted by pi - phi/2.
-    """
-    phases = tuple(phases)
-    if pulses == 10:
-        if len(phases) != 2:
-            raise ValueError("10-pulse form takes exactly 2 free phases")
-        rel = (0.0, 0.0) + phases
-    elif pulses == 12:
-        if len(phases) != 3:
-            raise ValueError("12-pulse form takes exactly 3 free phases")
-        p1, p2, p3 = phases
-        defect = _mod_distance(p3, p2 - p1 - phi / 4)
-        if defect > _CONSTRAINT_TOL:
-            raise ValueError(
-                f"12-pulse phase constraint violated by {defect:.3e} rad"
-            )
-        rel = (0.0, 0.0) + phases
-    elif pulses == 14:
-        if len(phases) != 3:
-            raise ValueError("14-pulse form takes exactly 3 free phases")
-        rel = (0.0, 0.0, 0.0) + phases
-    else:
-        raise ValueError(f"compact forms exist for 10/12/14 pulses, got {pulses}")
-    return replace(structured_sequence(rel, phi), label=f"compact-{pulses}")
 
 
 def _mod_distance(x: float, y: float) -> float:

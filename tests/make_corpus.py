@@ -1,5 +1,5 @@
-"""Regenerate ``tests/data/corpus.json``, the CLI outputs that
-``test_corpus.py`` holds the program to.
+"""Regenerate ``tests/data/corpus.json``, the CLI outputs and polished
+halves that ``test_corpus.py`` holds the program to.
 
     PYTHONPATH=src python tests/make_corpus.py
 
@@ -10,7 +10,10 @@ It records, for the program in ``src``:
   passes, on the inline specs of the CI verify steps, and on the files two
   ``solve --out`` runs write (with the text of those files);
 - ``range`` at five thresholds on the 27 names, with the epsilon0 and the
-  non-monotonic flag that the command prints rounded, at full precision.
+  non-monotonic flag that the command prints rounded, at full precision;
+- the first-half phases (radians, as doubles) of ``catalog.to_sequence``
+  on the 27 names and of ``catalog.arbitrary_row`` on the 84 table rows:
+  where the polish leaves each root on its manifold.
 
 Regenerate it only where an output is meant to change, and say which and
 why in the change that does.
@@ -110,6 +113,24 @@ def row_specs():
     return specs
 
 
+def half_records():
+    """The first-half phases of the 27 polished named trains and of the 84
+    polished table rows, as doubles."""
+    def half(seq):
+        return [float(p) for p in seq.phases[: len(seq) // 2]]
+
+    records = [{"gate": name, "half": half(catalog.to_sequence(catalog.get(name)))}
+               for name in catalog.names()]
+    for row in catalog.arbitrary_rows():
+        for pulses in ROW_PULSES:
+            records.append({
+                "phi_over_pi": str(row.phi_over_pi),
+                "pulses": pulses,
+                "half": half(catalog.arbitrary_row(row.phi_over_pi, pulses)),
+            })
+    return records
+
+
 def solve_records(workdir):
     """For each of ``SOLVES``: its argv, the text of the file it writes,
     and ``verify_record`` of that file."""
@@ -138,6 +159,7 @@ def build():
             {"gate": name, "threshold": t, **range_record(name, t)}
             for name in catalog.names() for t in RANGE_THRESHOLDS
         ],
+        "halves": half_records(),
     }
 
 

@@ -333,8 +333,8 @@ def test_profile_law_holds_at_50_digits_on_every_verify_train():
     # sqrt(2)|sin(phi/4)||sin(pi eps/2)|^(n+1).
     # The polish stops at a half-train residual of 1e-45, so the deviation
     # grows with the order, from ~3e-49 at n = 0 to ~2e-27 at n = 7.
+    grid, _, _ = precise._slope_grid()
     with mp.workdps(50):
-        grid, _, _ = precise._slope_grid(mp.mp.prec)
         for seq in _verify_trains():
             phi = mp.mpf(seq.target_phi)
             gate = mp.expj(-phi / 2)

@@ -162,6 +162,15 @@ def test_arbitrary_row_sequence():
         arbitrary_row(Fraction(1, 2), 16)
 
 
+def test_twelve_pulse_rows_keep_the_paper_constraint():
+    # The paper's 12-pulse form ties its three free phases together,
+    # p3 = p2 - p1 - phi/4 (mod 2 pi), and the polish keeps them on it.
+    for row in arbitrary_rows():
+        seq = arbitrary_row(row.phi_over_pi, 12)
+        p1, p2, p3 = (float(p) for p in seq.phases[3:6])
+        assert _circ_dist(p3, p2 - p1 - float(seq.target_phi) / 4) < 1e-9
+
+
 def test_json_round_trip(tmp_path):
     path = tmp_path / "cat.json"
     save_catalog(entries(), path)
@@ -215,12 +224,10 @@ def test_half_polynomial_is_the_half_of_the_train(name):
     # the working precision, within the polish's 1e-45.
     entry = get(name)
     seq = to_sequence(entry)
-    with mp.workdps(precise.WORKING_DPS):
-        prec = mp.mp.prec + precise.GUARD_BITS
-        composed = precise._mp_jet_compose(seq.phases[: entry.order + 1], prec)[:2]
+    composed = precise._mp_jet_compose(seq.phases[: entry.order + 1])[:2]
     got = catalog.half_polynomial(entry)
     diff = max(abs(x - y) for p, q in zip(got, composed) for x, y in zip(p, q))
     if all("." not in s for s in entry.phase_strings):
         assert diff == 0
     else:
-        assert diff < math.ldexp(1e-45, prec)
+        assert diff < math.ldexp(1e-45, precise.PREC)

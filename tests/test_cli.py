@@ -486,15 +486,20 @@ def test_a_file_named_like_a_spec_is_read_as_the_spec(tmp_path, monkeypatch, cap
     assert json.loads(capsys.readouterr().out)["order"] == 0
 
 
-def test_a_missing_file_whose_path_holds_an_equals_sign_is_a_malformed_spec(
-    tmp_path, capsys
-):
-    # Neither a spec nor a file: the spec's error, as before specs were
-    # tried first.
-    assert run(["verify", "--gate", str(tmp_path / "missing=1.json")]) == EXIT_VALIDATION
+@pytest.mark.parametrize("gate", ["missing=1.json", "missing.json"])
+def test_an_unknown_gate_names_all_three_readings(gate, tmp_path, capsys):
+    # Neither a catalog name, nor a file, nor a spec: one message says all
+    # three, with the spec's own error, whether or not the path holds '='.
+    path = str(tmp_path / gate)
+    assert run(["verify", "--gate", path]) == EXIT_VALIDATION
     out, err = capsys.readouterr()
     assert out == ""
-    assert "sequence spec needs exactly phi=<v>;phases=<p0,p1,...>" in err
+    assert err.startswith(f"error: unknown gate {path!r}: not a catalog name, ")
+    assert "no such file" in err and "not a spec: " in err
+    if "=" in gate:
+        assert "sequence spec needs exactly phi=<v>;phases=<p0,p1,...>" in err
+    else:
+        assert "malformed sequence spec segment" in err
 
 
 @pytest.mark.parametrize("name", catalog.names())

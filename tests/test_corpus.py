@@ -1,16 +1,21 @@
-"""The CLI outputs recorded in ``data/corpus.json`` (see ``make_corpus.py``)."""
+"""The CLI outputs and polished halves recorded in ``data/corpus.json`` (see
+``make_corpus.py``)."""
 
 import json
 import math
 from pathlib import Path
 
-from make_corpus import CORPUS, range_record, run_cli, verify_record
+from make_corpus import CORPUS, half_records, range_record, run_cli, verify_record
 
 # The slope comes from LAPACK's lstsq, whose last bits may differ between
 # builds; every other recorded value must match exactly.
 _SLOPE_ULPS = 16
 # epsilon0 comes from a float Newton search on numpy arithmetic.
 _EPSILON0_TOL = 1e-12
+# Radians.  The polish of an underdetermined half starts from a float root
+# whose last bits differ between machines (a few 1e-15 rad), while a root
+# that slides along its manifold moves by ~1e-10 rad.
+_HALF_TOL = 1e-12
 
 
 def _verify_mismatch(got, want):
@@ -32,6 +37,14 @@ def _range_mismatch(got, want):
         not abs(got["epsilon0"] - want["epsilon0"]) <= _EPSILON0_TOL
         or got["flagged"] != want["flagged"]
     )
+
+
+def _half_mismatch(got, want):
+    got, want = dict(got), dict(want)
+    got_half, want_half = got.pop("half"), want.pop("half")
+    if got != want or len(got_half) != len(want_half):
+        return True
+    return not all(abs(g - w) <= _HALF_TOL for g, w in zip(got_half, want_half))
 
 
 def test_cli_outputs_match_the_committed_corpus(tmp_path):
@@ -59,3 +72,11 @@ def test_cli_outputs_match_the_committed_corpus(tmp_path):
             bad.append(("range", gate, threshold, got, want))
     assert not bad, bad[:5]
     assert len(corpus["verify"]) == 27 + 84 + 10 and len(corpus["range"]) == 27 * 5
+
+
+def test_polished_halves_match_the_committed_corpus():
+    corpus = json.loads(CORPUS.read_text())
+    bad = [(got, want) for got, want in zip(half_records(), corpus["halves"])
+           if _half_mismatch(got, want)]
+    assert not bad, bad[:5]
+    assert len(corpus["halves"]) == 27 + 84

@@ -232,8 +232,7 @@ def test_slope_fit_of_a_structured_train_equals_the_per_epsilon_loop_bitwise(rel
     seq = _structured_mp_train(rel, phi)
     want = _reference_slope_fit(seq)
     assert precise.slope_fit(seq) == want
-    with mp.workdps(precise.WORKING_DPS):
-        a_h = precise._mp_jet_compose(seq.phases[: len(rel) + 1], _polish_prec())[:2]
+    a_h = precise._mp_jet_compose(seq.phases[: len(rel) + 1])[:2]
     assert precise.half_slope_fit(a_h, seq.target_phi) == want
 
 
@@ -327,17 +326,13 @@ def test_slope_fit_of_a_random_float_train_equals_the_per_epsilon_loop_bitwise(
     assert precise.slope_fit(seq) == _reference_slope_fit(seq)
 
 
-@pytest.mark.parametrize("dps", [30, precise.WORKING_DPS])
-def test_slope_grid_holds_sin_and_cos_of_the_half_error_area(dps):
+def test_slope_grid_holds_sin_and_cos_of_the_half_error_area():
     # Each point's fixed-point s = sin(pi eps/2) and cos(pi eps/2) at
-    # 2^-P, P = wp + GUARD_BITS, is within one unit of mpmath's at P bits.
-    with mp.workdps(dps):
-        wp = mp.mp.prec
-    prec = wp + precise.GUARD_BITS
-    grid, trig, logs = precise._slope_grid(wp)
+    # 2^-PREC is within one unit of mpmath's at PREC bits.
+    grid, trig, logs = precise._slope_grid()
     assert len(grid) == len(trig) == len(logs) == precise._SLOPE_POINTS
-    unit = mp.mpf(2) ** -prec
-    with mp.workprec(prec):
+    unit = mp.mpf(2) ** -precise.PREC
+    with mp.workprec(precise.PREC):
         for eps, (s, c) in zip(grid, trig):
             x = mp.pi * eps / 2
             assert abs(s * unit - mp.sin(x)) <= unit
@@ -346,14 +341,13 @@ def test_slope_grid_holds_sin_and_cos_of_the_half_error_area(dps):
 
 def _mp_residual(rel, phi, n):
     # The polish residual at the mpf phases ``rel``, each rotor taken from
-    # its phase and the cos/sin of phi / 4 at the working precision, the
-    # way polish_structured takes them before its first step.
-    prec = mp.mp.prec + precise.GUARD_BITS
-    gate = precise._angle_trig(phi, 2, prec)
+    # its phase and the cos/sin of phi / 4, the way polish_structured takes
+    # them before its first step.
+    gate = precise._angle_trig(phi, 2)
     zeros = precise._leading_zeros(rel)
-    rotors = [precise._rotor(mp.mpf(p)._mpf_, prec) for p in rel[zeros:]]
-    residual, _ = precise._mp_residual(zeros, rotors, gate, n, prec)
-    return [mp.mpf((r, -2 * prec)) for r in residual]
+    rotors = [precise._rotor(precise._raw(p)) for p in rel[zeros:]]
+    residual, _ = precise._mp_residual(zeros, rotors, gate, n)
+    return [mp.mpf((r, -2 * precise.PREC)) for r in residual]
 
 
 def _fitted_half_residual(rel, phi, n):
@@ -412,14 +406,14 @@ def test_float_polynomials_match_the_50_digit_polynomials(n):
     # structured_jets against the fixed-point recurrence on random halves,
     # with and without leading zeros.
     rng = np.random.default_rng(300 + n)
+    prec = precise.PREC
     with mp.workdps(precise.WORKING_DPS):
-        prec = mp.mp.prec + precise.GUARD_BITS
         for zeros in sorted({0, n // 2, n}):
             x = rng.uniform(0.0, 2 * math.pi, size=(3, n))
             x[:, :zeros] = 0.0
             for row, got in zip(x, structured_jets(x)):
                 ar, ai, _, _ = precise._mp_jet_compose(
-                    [mp.mpf(0)] + [mp.mpf(p) for p in row], prec
+                    [mp.mpf(0)] + [mp.mpf(p) for p in row]
                 )
                 want = np.array([
                     complex(float(mp.mpf((r, -prec))), float(mp.mpf((i, -prec))))
@@ -433,25 +427,12 @@ def test_float_polynomials_match_the_50_digit_polynomials(n):
 @pytest.mark.parametrize("zeros", range(0, 5))
 def test_jet_zero_prefix_equals_pulse_by_pulse_composition_bitwise(zeros):
     rng = random.Random(zeros)
-    with mp.workdps(precise.WORKING_DPS):
-        prec = mp.mp.prec + precise.GUARD_BITS
-        phases = [mp.mpf(0)] * zeros + [mp.mpf(rng.uniform(0.0, 6.0)) for _ in range(3)]
-        poly = precise._mp_zero_prefix(len(phases) + 1, 0, prec)
-        for phase in phases:
-            poly = precise._mp_jet_pulse(poly, precise._rotor(phase._mpf_, prec), prec)
-        got = precise._mp_jet_compose(phases, prec)
-        assert [list(part) for part in got] == [list(part) for part in poly]
-
-
-def test_jet_zero_prefix_cache_is_keyed_by_precision():
-    rel = [mp.mpf(0), mp.mpf(0), mp.mpf("2.1"), mp.mpf("4.4")]
-    with mp.workdps(30):
-        _mp_residual(rel, mp.pi, 4)
-    with mp.workdps(50):
-        after_30 = _mp_residual(rel, mp.pi, 4)
-        precise._mp_zero_prefix.cache_clear()
-        fresh = _mp_residual(rel, mp.pi, 4)
-    assert after_30 == fresh
+    phases = [0.0] * zeros + [rng.uniform(0.0, 6.0) for _ in range(3)]
+    poly = precise._mp_zero_prefix(len(phases) + 1, 0)
+    for phase in phases:
+        poly = precise._mp_jet_pulse(poly, precise._rotor(precise._raw(phase)))
+    got = precise._mp_jet_compose(phases)
+    assert [list(part) for part in got] == [list(part) for part in poly]
 
 
 def test_polish_logs_one_debug_record(caplog):
@@ -633,11 +614,6 @@ def test_named_trains_of_order_four_or_more_polish_through_the_batched_newton(na
     assert calls == ["batched"]
 
 
-def _polish_prec():
-    with mp.workdps(precise.WORKING_DPS):
-        return mp.mp.prec + precise.GUARD_BITS
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=-1e-6, max_value=1e-6))
 @example(0.0)
@@ -648,10 +624,11 @@ def _polish_prec():
 @example(-3e-12)
 def test_small_cos_sin_matches_mpmath_at_twice_the_precision(delta):
     # The turn of a rotor by a Newton step: cos and sin of the step at
-    # 2^-P from the fixed-point Taylor series, against mpmath at 2P bits.
-    prec = _polish_prec()
-    d = precise._fixed(delta, prec)
-    c, s = precise._small_cos_sin(d, prec)
+    # 2^-PREC from the fixed-point Taylor series, against mpmath at 2 PREC
+    # bits.
+    prec = precise.PREC
+    d = precise._fixed(delta)
+    c, s = precise._small_cos_sin(d)
     with mp.workprec(2 * prec):
         x = mp.ldexp(d, -prec)
         unit = mp.ldexp(1, -prec)
@@ -662,12 +639,12 @@ def test_small_cos_sin_matches_mpmath_at_twice_the_precision(delta):
 
 
 def test_fixed_converts_every_finite_double():
-    # Exact where the double is a multiple of 2^-P; never an OverflowError.
-    prec = _polish_prec()
+    # Exact where the double is a multiple of 2^-PREC; never an
+    # OverflowError.
     for value in (0.0, -0.0, 1.0, -math.pi, 2.5e-40, 1e308, -1.7976931348623157e308):
-        assert precise._fixed(value, prec) == mp.mpf(value) * 2**prec
-    assert precise._fixed(5e-324, prec) == 0
-    assert precise._fixed(-5e-324, prec) == -1
+        assert precise._fixed(value) == mp.mpf(value) * 2**precise.PREC
+    assert precise._fixed(5e-324) == 0
+    assert precise._fixed(-5e-324) == -1
 
 
 def test_turned_rotors_are_the_rotors_of_the_fixed_point_phases(monkeypatch):
@@ -677,7 +654,7 @@ def test_turned_rotors_are_the_rotors_of_the_fixed_point_phases(monkeypatch):
     rel = [float(p) for p in row.phases[1:7]]
     with mp.workdps(precise.WORKING_DPS):
         phi = mp.pi / 3
-    prec = _polish_prec()
+    prec = precise.PREC
     results, rotors = [], []
     newton, residual = precise._fixed_newton, precise._mp_residual
 
@@ -698,7 +675,7 @@ def test_turned_rotors_are_the_rotors_of_the_fixed_point_phases(monkeypatch):
     zeros = len(x) - len(rotors)
     assert x[:zeros] == [0] * zeros
     for phase, rotor in zip(x[zeros:], rotors):
-        fresh = precise._rotor(from_man_exp(phase, -prec), prec)
+        fresh = precise._rotor(from_man_exp(phase, -prec))
         assert max(abs(got - want) for got, want in zip(rotor, fresh)) <= 8
     # The returned phases are the fixed-point phases at the working precision.
     with mp.workdps(precise.WORKING_DPS):
@@ -706,8 +683,54 @@ def test_turned_rotors_are_the_rotors_of_the_fixed_point_phases(monkeypatch):
     # The half handed on is the one composed from those turned rotors.
     assert handed is a_h
     n = len(x)
-    ar, ai, _, _ = precise._mp_jet_rotors(n + 2, zeros + 1, rotors, prec)
+    ar, ai, _, _ = precise._mp_jet_rotors(n + 2, zeros + 1, rotors)
     assert a_h == (ar, ai)
+
+
+def _outputs_at(dps, inputs):
+    # slope_fit, half_slope_fit, polish_structured and a cleared catalog's
+    # trains and halves under a caller at ``dps`` digits, as exact bits
+    # (a float as it is); the caller's precision must come back unchanged.
+    trains, a_h, phi, polish_cases, entry = inputs
+
+    def raw(values):
+        return [getattr(v, "_mpf_", v) for v in values]
+
+    with mp.workdps(dps):
+        prec = mp.mp.prec
+        catalog._entry_train.cache_clear()
+        catalog.arbitrary_row.cache_clear()
+        out = [precise.slope_fit(seq) for seq in trains]
+        out.append(precise.half_slope_fit(a_h, phi))
+        for rel, angle in polish_cases:
+            phases, half = precise.polish_structured(rel, angle)
+            out.append((raw(phases), half))
+        for seq, half in (
+            (catalog.to_sequence(entry), catalog.half_polynomial(entry)),
+            (catalog.arbitrary_row(Fraction(1, 3), 12), None),
+        ):
+            out.append((raw(seq.phases), raw([seq.target_phi]), half))
+        assert mp.mp.prec == prec
+    return out
+
+
+@pytest.mark.parametrize("dps", [15, 50, 90])
+def test_results_do_not_follow_the_callers_precision(dps):
+    # The fixed-point format is a constant: the results under a caller at
+    # 15, 50 and 90 digits are the same, bit for bit, as under one at 30.
+    # The inputs are built before: floats, mpf at the working and at 30
+    # digits, and the constant mp.pi as an angle.
+    assert precise.WP == mp.libmp.dps_to_prec(precise.WORKING_DPS)
+    row = catalog.arbitrary_row(Fraction(1), 14, refine=False)
+    row_rel = [float(p) for p in row.phases[1:7]]
+    named_rel, named_phi = _polish_inputs("Z12")
+    trains = [catalog.to_sequence(catalog.get("T18")), six_pulse(math.pi / 2, 3),
+              _30_digit_train()]
+    entry = catalog.get("S16")
+    a_h, phi = catalog.half_polynomial(entry), catalog.to_sequence(entry).target_phi
+    polish_cases = ((row_rel, mp.pi), (row_rel, math.pi), (named_rel, named_phi))
+    inputs = (trains, a_h, phi, polish_cases, entry)
+    assert _outputs_at(dps, inputs) == _outputs_at(30, inputs)
 
 
 def _rounded_polish_cases():

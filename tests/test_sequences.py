@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cpgate import precise
 from cpgate.sequences import (
-    appendix_b_sequence,
     chi_eight,
     chi_six,
     eight_pulse,
@@ -193,41 +192,6 @@ def test_four_pulse_special_case_of_known_phase_gate():
     seq = four_pulse(math.pi, 1)
     got = [_mod(float(p)) / math.pi for p in seq.phases]
     assert got == pytest.approx([0.0, 1.75, 0.5, 0.25], abs=1e-15)
-
-
-def test_compact_ten_pulse_form():
-    seq = appendix_b_sequence(math.pi, 10, [1.2, 0.4])
-    assert len(seq) // 2 - 1 == 4
-    assert len(seq) == 10
-    # leading 3 pi block: three equal-phase pi pulses
-    phases = [float(p) for p in seq.phases]
-    assert phases[0] == phases[1] == phases[2] == 0.0
-    assert_structured(seq)
-
-
-def test_compact_twelve_pulse_constraint():
-    phi = math.pi / 2
-    p3, p4 = 0.9, 2.2
-    p5 = p4 - p3 - phi / 4
-    seq = appendix_b_sequence(phi, 12, [p3, p4, p5])
-    assert len(seq) // 2 - 1 == 5
-    with pytest.raises(ValueError, match="constraint"):
-        appendix_b_sequence(phi, 12, [p3, p4, p5 + 1e-3])
-
-
-def test_compact_fourteen_pulse_form():
-    seq = appendix_b_sequence(math.pi, 14, [0.5, 1.5, 2.5])
-    assert len(seq) // 2 - 1 == 6
-    phases = [float(p) for p in seq.phases]
-    assert phases[0] == phases[1] == phases[2] == phases[3] == 0.0
-    assert_structured(seq)
-
-
-def test_compact_form_validation():
-    with pytest.raises(ValueError, match="free phases"):
-        appendix_b_sequence(math.pi, 10, [0.1])
-    with pytest.raises(ValueError, match="10/12/14"):
-        appendix_b_sequence(math.pi, 16, [0.1, 0.2, 0.3])
 
 
 @pytest.mark.parametrize("phi", PHIS)
