@@ -168,13 +168,13 @@ def polished_sequence(rel_phases, phi: mp.mpf):
     (see ``precise.polish_structured``).  The polish and the train both
     use ``phi`` itself: polishing at a rounded angle leaves a residual
     near double precision that caps the measurable order.
-    Returns the train and the a_h coefficients of its first half that the
-    polish composed last (see ``precise.half_slope_fit``).  Raises
+    Returns the train and the coefficients of its first half's t(s) that
+    the polish composed last (see ``precise.half_slope_fit``).  Raises
     SolverError if the polish fails.
     """
     with mp.workdps(precise.WORKING_DPS):
-        rel, a_h = precise.polish_structured(rel_phases, phi)
-        return structured_sequence(rel, phi), a_h
+        rel, t = precise.polish_structured(rel_phases, phi)
+        return structured_sequence(rel, phi), t
 
 
 def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bool):
@@ -185,8 +185,7 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bo
     phases is not a leading zero, since the polish would move it.  Phases
     come out as mpf values so downstream extended-precision checks see the
     actual root, while float consumers simply cast.  Returns the train and
-    the a_h of its half: the polish's, or composed once from the exact
-    phases where nothing was polished.
+    the polish's t of its half, or None where nothing was polished.
     """
     exact = [_is_exact(s) for s in rel_strings]
     fracs = [Fraction(s) for s in rel_strings]
@@ -199,17 +198,16 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bo
                     f"{label}: an exact phase after the leading zeros of a half "
                     "with decimal phases would be polished"
                 )
-            seq, a_h = polished_sequence(rel, phi)
+            seq, t = polished_sequence(rel, phi)
         else:
             rel = tuple(mp.pi * f.numerator / f.denominator for f in fracs)
-            seq = structured_sequence(rel, phi)
-            a_h = precise._mp_jet_compose(seq.phases[: len(rel) + 1])[:2]
-    return replace(seq, label=label), tuple(map(tuple, a_h))
+            seq, t = structured_sequence(rel, phi), None
+    return replace(seq, label=label), t
 
 
 @lru_cache
 def _entry_train(entry: CatalogEntry, refine: bool):
-    """(train, a_h) of a catalog entry, built from its first half by
+    """(train, t) of a catalog entry, built from its first half by
     ``_build_structured``; see ``to_sequence``."""
     train = CompositeSequence(
         tuple(float(p) * math.pi for p in entry.phases_over_pi),
@@ -237,11 +235,17 @@ def to_sequence(entry: CatalogEntry, refine: bool = True) -> CompositeSequence:
     return _entry_train(entry, refine)[0]
 
 
+@lru_cache
 def half_polynomial(entry: CatalogEntry):
-    """The a_h of ``to_sequence(entry)`` that ``precise.half_slope_fit``
-    fits: its half's major-diagonal coefficients, as ``_build_structured``
-    keeps them.  Raises CatalogError as ``to_sequence`` does."""
-    return _entry_train(entry, True)[1]
+    """The t(s) = Im(e^{i phi/4} a_h) of the half of ``to_sequence(entry)``
+    that ``precise.half_slope_fit`` fits: the polish's, or composed from
+    the exact phases of a half that was not polished (on first use, so
+    that building the train takes no trig for it).  Raises CatalogError
+    as ``to_sequence`` does."""
+    seq, t = _entry_train(entry, True)
+    if t is None:
+        t = precise.t_polynomial(seq.phases[: entry.order + 1], seq.target_phi)
+    return t
 
 
 @lru_cache(maxsize=None)

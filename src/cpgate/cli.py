@@ -61,9 +61,9 @@ def spec_parse(text: str) -> CompositeSequence:
 
 
 def _resolve_gate(text: str):
-    """(train, a_h, inline) of a ``--gate`` value: a catalog name, else an
+    """(train, t, inline) of a ``--gate`` value: a catalog name, else an
     inline spec, else the first entry of an existing catalog JSON file (so
-    a file named like a valid spec is read as the spec).  a_h is a catalog
+    a file named like a valid spec is read as the spec).  t is a catalog
     train's ``catalog.half_polynomial``, None for an inline spec;
     ``inline`` says which it was."""
     try:
@@ -94,7 +94,7 @@ def _pi_fraction(phi: float) -> Fraction | None:
 def _measurement_sequence(seq: CompositeSequence):
     """Polish the 4-decimal phases of an inline spec onto the exact root
     before order/slope measurement.  Returns the train to measure and the
-    a_h coefficients of its half from the polish (``precise.half_slope_fit``),
+    coefficients of its half's t(s) from the polish (``precise.half_slope_fit``),
     or ``seq`` itself and None where the input is left untouched: not two
     halves, a polish that failed or one that drifted."""
     half = sequences.first_half(seq)
@@ -115,7 +115,7 @@ def _measurement_sequence(seq: CompositeSequence):
     # The polish holds the leading zeros, the structural blocks: left free,
     # the polish of a rounded row could slide along the root manifold.
     try:
-        polished, a_h = catalog.polished_sequence(rel, phi_mp)
+        polished, t = catalog.polished_sequence(rel, phi_mp)
     except solver.SolverError as exc:
         _log.debug("measuring the unpolished input: polish failed: %s", exc)
         return seq, None
@@ -131,7 +131,7 @@ def _measurement_sequence(seq: CompositeSequence):
             "%.3g rad, more than 1e-2 from the input", drift
         )
         return seq, None
-    return replace(polished, label=seq.label), a_h
+    return replace(polished, label=seq.label), t
 
 
 def _fmt_phase(p) -> str:
@@ -229,16 +229,16 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seq, a_h, inline = _resolve_gate(args.gate)
+    seq, t, inline = _resolve_gate(args.gate)
     if inline:
         # Only an inline spec can carry rounded phases: catalog names and
         # files come from catalog.to_sequence, already polished at the
-        # exact angle, with the a_h of their half.
-        seq, a_h = _measurement_sequence(seq)
-    if a_h is None:
+        # exact angle, with the t of their half.
+        seq, t = _measurement_sequence(seq)
+    if t is None:
         slope, peak = precise.slope_fit(seq)
     else:
-        slope, peak = precise.half_slope_fit(a_h, seq.target_phi)
+        slope, peak = precise.half_slope_fit(t)
     n = analysis.order_from_slope(slope, peak)
     if args.json:
         print(json.dumps({"order": n, "slope": slope, "peak": peak}))

@@ -49,26 +49,37 @@ two-half train, built by ``sequences.structured_sequence``: a half H
 followed by H with every phase shifted by pi - phi/2.  For such a train
 the squared gate distance is 2 t(s)^2, t = Im(e^{i phi/4} a_h), a_h being
 the half's major-diagonal element (see ``solver``), and
-``half_slope_fit`` fits it from a_h alone, t's coefficients combined
-before the evaluation.  The half is handed along as a value, never found
-again from the phases: the polish returns the a_h it composed last, and
-``catalog.half_polynomial`` keeps it for each catalog entry.
+``half_slope_fit`` fits it from t's fixed-point coefficients alone.  The
+half is handed along as a value, never found again from the phases: the
+polish returns the t it composed last (``t_polynomial`` composes it
+where nothing was polished), and ``catalog.half_polynomial`` keeps it
+for each catalog entry.
 
-The fit takes logs of infidelities of at least ~1e-26 (order 8 at
-eps = 1e-3), so an error of ~1e-51 in the distance moves a log by
-~1e-25, ten decades below the spacing of doubles.  The infidelity is the
-distance itself, so its log is half the log of the square, and the peak
-is the root of the largest square: one sqrt per fit.  Only the double of
-each log is kept, so every log runs at 96 bits, a double's 53 and 43
-guard bits (``_LOG_BITS``): the result rounds to the same double as the
-exact log unless that lies within ~2^-43 units in the last place of a
-rounding boundary.  The line is fitted by the ``lstsq`` call
-``np.polyfit`` makes, on the scaled Vandermonde matrix of the log grid
-built once per grid (``_line_design``), so the slope is polyfit's bit for
-bit.  The tests check slope and peak bit for bit against plain mpc
-object arithmetic averaged over both signs of eps, on the 27 names, the
-84 rounded rows, random two-half trains and random trains off that
-structure.
+The fit runs on integers from the squares to the two doubles it returns
+(``_line_fit``), with no mpf and no LAPACK.  It takes logs of
+infidelities of at least ~1e-26 (order 8 at eps = 1e-3), so an error of
+~1e-51 in the distance moves a log by ~1e-25, ten decades below the
+spacing of doubles.  The infidelity is the distance itself, so its log
+is half the log of the square, and the peak is the root of the largest
+square, one ``math.isqrt`` with a sticky bit, rounded to a double once
+(``_root``).  Each log (``_ln``) is an integer at 2^-_LOG_Q, Q = 120,
+within one unit of the exact log: the square is normalized to x in
+[1, 2) times a power of two, divided by the start c_k of its interval in
+a table of 2^7 (the reciprocal rounded, its log kept exactly), and the
+log of the quotient y, below 1 + 2^-7, is 2 atanh((y - 1)/(y + 1)) by
+nine terms of its series.  The table and ln 2 are built on the first
+fit, from the same series (``_log_table``).  The slope is the exact
+least-squares slope of those logs on the double logs of the errors:
+one integer dot product with weights (x_k - mean x) / sum((x_j -
+mean x)^2) over a common denominator, cached per set of nonzero squares
+(``_slope_weights``; a zero square drops its point, fewer than two
+leave NaN), and one correctly rounded integer division.  So the slope
+is the exact regression of the exact logs, correctly rounded, unless
+that lies within ~2^-68 units in the last place of a rounding boundary.
+The tests check slope and peak bit for bit against plain mpc object
+arithmetic averaged over both signs of eps and an exact rational
+regression of its logs, on the 27 names, the 84 rounded rows, random
+two-half trains and random trains off that structure.
 
 The polish solves the solver's half-train conditions (see ``solver``):
 its residual (``_mp_residual``) reads the coefficients of s^{n-1},
@@ -115,9 +126,10 @@ the others, so ``_mp_jet_pulse`` forms only those.
 
 The polish's last residual evaluation composes the half at the returned
 phases, from the turned rotors (at most 8 units of 2^-PREC from fresh
-ones), and ``polish_structured`` returns that a_h with the phases, ~1e-48
-from the a_h of those rounded to ``WP`` bits.  Verify fits it, or
-the catalog's for a name or file, with ``half_slope_fit``.  That moves a
+ones), and ``polish_structured`` returns the t of that a_h, with the
+gate's cos and sin it already holds, and the phases, ~1e-48 from the t
+of those rounded to ``WP`` bits.  Verify fits it, or the catalog's for a
+name or file, with ``half_slope_fit``.  That moves a
 log by ~1e-30 relative against ``slope_fit`` of the returned train, far
 below the spacing of doubles; the tests check the two bit for bit on the
 27 names and every rounded table row.
@@ -128,6 +140,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -137,10 +150,8 @@ from mpmath.libmp import (
     from_man_exp,
     fzero,
     mpf_cos_sin,
-    mpf_log,
     mpf_pos,
     mpf_shift,
-    mpf_sqrt,
     round_nearest,
     to_fixed,
     to_float,
@@ -163,8 +174,14 @@ _SLOPE_POINTS = 20
 WP = 169
 GUARD_BITS = 16
 PREC = WP + GUARD_BITS
-# Bits of the logs in ``slope_fit``: a double's 53 and 43 guard bits.
-_LOG_BITS = 53 + 43
+# The fit's logs (``_ln``): ln of each square at 2^-_LOG_Q, summed at
+# 2^-_LOG_W, _LOG_GUARD bits finer, from a table of 2^_LOG_TABLE_BITS
+# steps and _LOG_TERMS terms of an atanh series.
+_LOG_Q = 120
+_LOG_GUARD = 30
+_LOG_W = _LOG_Q + _LOG_GUARD
+_LOG_TABLE_BITS = 7
+_LOG_TERMS = 9
 # Residual max-norm of the float stage of ``polish_structured``, 40 times
 # the largest double-precision residual of a polished catalog train or
 # table row (2.4e-13, at n = 8), and the max-norm 10^-_POLISH_DIGITS that
@@ -242,22 +259,6 @@ def _horner(coeffs, x):
     return acc
 
 
-@lru_cache(maxsize=8)
-def _line_design(logs):
-    """(lhs, scale, rcond) of ``np.polyfit(logs, y, 1)``: the Vandermonde
-    matrix of the log grid ``logs`` with its columns scaled to unit norm,
-    the scales and the default cutoff.  ``slope_fit`` passes them to the
-    same ``lstsq`` call polyfit makes, so its slope is polyfit's, bit for
-    bit, without rebuilding the matrix for every train."""
-    x = np.array(logs)
-    lhs = np.vander(x, 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    lhs.flags.writeable = False
-    scale.flags.writeable = False
-    return lhs, scale, len(x) * np.finfo(x.dtype).eps
-
-
 def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
     """Least-squares slope of log-infidelity vs log-error.
 
@@ -267,8 +268,8 @@ def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
     the fit sees the true power law, not roundoff.  The infidelity of an
     even-length train is even in eps, so it is evaluated at +eps only;
     an odd-length train, off-diagonal at eps = 0, raises ValueError.
-    The train's polynomial and the squared distance run in fixed point;
-    each square is rounded to mpf once and takes one log.
+    The train's polynomial, the squared distance and the fit run on
+    integers (see ``_line_fit``).
     """
     if len(seq) % 2:
         raise ValueError(f"slope_fit needs an even number of pulses, got {len(seq)}")
@@ -287,42 +288,131 @@ def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
     return _line_fit(totals, -1 - 2 * PREC)
 
 
-def half_slope_fit(a_h, phi) -> tuple[float, float]:
-    """``slope_fit`` of the two-half train at gate angle ``phi`` whose
-    half has the major-diagonal coefficients ``a_h``: the (real, imaginary)
-    fixed-point pair at 2^PREC that ``polish_structured`` returns and
-    ``catalog.half_polynomial`` keeps.  The squared distance is
-    2 t(s)^2, t = Im(e^{i phi/4} a_h), whose coefficients are combined
-    once; the fit reads the half's polynomial as given, with no
-    composition."""
-    c, s = _angle_trig(phi, 2)
-    t_poly = [(s * r + c * i) >> PREC for r, i in zip(*a_h)]
-    totals = [_horner(t_poly, x) ** 2 for x, _ in _slope_grid()[1]]
+def half_slope_fit(t) -> tuple[float, float]:
+    """``slope_fit`` of the two-half train whose half has the polynomial
+    t(s) = Im(e^{i phi/4} a_h): its fixed-point coefficients at 2^PREC
+    (s^0 first), as ``polish_structured`` returns them and
+    ``catalog.half_polynomial`` keeps them.  The squared distance is
+    2 t(s)^2; the fit reads the polynomial as given, with no composition
+    and no trig."""
+    totals = [_horner(t, x) ** 2 for x, _ in _slope_grid()[1]]
     return _line_fit(totals, 1 - 2 * PREC)
+
+
+def t_polynomial(half, phi):
+    """The fixed-point coefficients at 2^PREC of t(s) = Im(e^{i phi/4}
+    a_h), a_h being the major-diagonal element of the train of pi pulses
+    with phases ``half`` (see ``half_slope_fit``)."""
+    ar, ai, _, _ = _mp_jet_compose(half)
+    return _half_t(ar, ai, _angle_trig(phi, 2))
+
+
+def _half_t(ar, ai, gate):
+    """The coefficients of sin(phi/4) Re a_h + cos(phi/4) Im a_h at 2^PREC
+    from those of a_h, ``gate`` being the cos and sin of phi/4."""
+    c, s = gate
+    return tuple((s * r + c * i) >> PREC for r, i in zip(ar, ai))
 
 
 def _line_fit(totals, shift):
     """(slope, peak) from the squared distances ``totals`` times 2^shift
-    on the slope grid."""
+    on the slope grid, on integers: the exact least-squares slope of the
+    logs (``_ln``, at 2^-_LOG_Q) and the peak, each rounded to a double
+    once.  A zero square drops its point; fewer than two points leave the
+    slope NaN."""
     # The infidelity is the distance itself: its log is half the log of
-    # the square, and the peak is the root of the largest square (rounding
-    # is monotone).  Only the double of each log is kept, so it is taken
-    # at 53 + 43 bits.
-    peak = to_float(mpf_sqrt(
-        from_man_exp(max(totals), shift, WP, round_nearest), WP
-    ), rnd=round_nearest)
-    fit = [
-        (log_eps, 0.5 * to_float(mpf_log(
-            from_man_exp(t, shift, _LOG_BITS, round_nearest), _LOG_BITS
-        ), rnd=round_nearest))
-        for log_eps, t in zip(_slope_grid()[2], totals) if t
-    ]
-    if len(fit) < 2:
+    # the square, and the peak is the root of the largest square.
+    peak = _root(max(totals), shift)
+    points = tuple(k for k, total in enumerate(totals) if total)
+    if len(points) < 2:
         return math.nan, peak
-    logs, vals = zip(*fit)
-    lhs, scale, rcond = _line_design(logs)
-    coef = np.linalg.lstsq(lhs, np.array(vals), rcond)[0]
-    return float(coef[0] / scale[0]), peak
+    weights, den = _slope_weights(points)
+    dot = sum(w * _ln(totals[k], shift) for w, k in zip(weights, points))
+    return dot / den, peak
+
+
+@lru_cache(maxsize=None)
+def _slope_weights(points):
+    """(weights, den) of the least-squares slope through the slope-grid
+    ``points`` (indices): the slope of the half logs L_k 2^-(_LOG_Q + 1) on
+    the double logs x_k of the errors is sum(weights_k L_k) / den, the
+    exact weights (x_k - mean x) / sum((x_j - mean x)^2) over one common
+    integer denominator."""
+    logs = _slope_grid()[2]
+    xs = [Fraction(logs[k]) for k in points]
+    mean = sum(xs) / len(xs)
+    ss = sum((x - mean) ** 2 for x in xs)
+    exact = [(x - mean) / ss for x in xs]
+    den = math.lcm(*(w.denominator for w in exact))
+    weights = tuple(w.numerator * (den // w.denominator) for w in exact)
+    return weights, den << (_LOG_Q + 1)
+
+
+def _root(n, shift):
+    """sqrt(n 2^shift), the integer ``n`` >= 0, rounded to the nearest
+    double."""
+    if not n:
+        return 0.0
+    if shift % 2:
+        n, shift = n << 1, shift - 1
+    # A root of at least 55 bits, so that r + 1/2 for an inexact root
+    # rounds as the exact root in (r, r + 1) does: the half is a sticky bit.
+    extra = max(0, 110 - n.bit_length()) // 2
+    n <<= 2 * extra
+    r = math.isqrt(n)
+    return math.ldexp(float(2 * r + (r * r != n)), shift // 2 - extra - 1)
+
+
+@lru_cache(maxsize=None)
+def _log_table():
+    """(ln 2, steps, odd) of ``_ln`` at 2^-_LOG_W, built on first use:
+    for each of the 2^_LOG_TABLE_BITS intervals [c_k, c_k + 2^-_LOG_TABLE_BITS)
+    of [1, 2), c_k = 1 + k 2^-_LOG_TABLE_BITS, the pair (r_k, -ln r_k) of
+    r_k = floor(2^_LOG_W / c_k) 2^-_LOG_W; and the atanh series'
+    coefficients 1/(2j + 1), j = _LOG_TERMS - 1 down to 0."""
+    one = 1 << _LOG_W
+    size = 1 << _LOG_TABLE_BITS
+    steps = []
+    for k in range(size):
+        r = (size << _LOG_W) // (size + k)
+        steps.append((r, _atanh_series(one - r, one + r)))
+    odd = tuple(one // (2 * j + 1) for j in reversed(range(_LOG_TERMS)))
+    return _atanh_series(1, 3), tuple(steps), odd
+
+
+def _atanh_series(num, den):
+    """2 atanh(num / den) = ln((den + num) / (den - num)) at 2^-_LOG_W, for
+    0 <= num / den <= 1/3, summed until a term is 0."""
+    u = (num << _LOG_W) // den
+    u2 = u * u >> _LOG_W
+    total, term, k = 0, u, 1
+    while term:
+        total += term // k
+        term = term * u2 >> _LOG_W
+        k += 2
+    return 2 * total
+
+
+def _ln(n, shift):
+    """ln(n 2^shift), the integer ``n`` > 0, at 2^-_LOG_Q, rounded to
+    nearest: within one unit of 2^-_LOG_Q."""
+    # n = 2^bits x with x in [1, 2), taken at 2^-_LOG_W; x = c_k y with
+    # y = x r_k in [1, 1 + 2^-_LOG_TABLE_BITS) (to two units), so ln y is
+    # 2 atanh(u), u = (y - 1) / (y + 1) below 2^-(_LOG_TABLE_BITS + 1),
+    # and _LOG_TERMS terms of its series leave less than 2^-(_LOG_W + 4).
+    ln2, steps, odd = _log_table()
+    bits = n.bit_length() - 1
+    x = n << (_LOG_W - bits) if bits <= _LOG_W else n >> (bits - _LOG_W)
+    r, log_c = steps[(x >> (_LOG_W - _LOG_TABLE_BITS)) - (1 << _LOG_TABLE_BITS)]
+    y = x * r >> _LOG_W
+    one = 1 << _LOG_W
+    u = ((y - one) << _LOG_W) // (y + one)
+    u2 = u * u >> _LOG_W
+    acc = 0
+    for coeff in odd:
+        acc = (acc * u2 >> _LOG_W) + coeff
+    total = (bits + shift) * ln2 + log_c + (acc * u >> (_LOG_W - 1))
+    return (total + (1 << (_LOG_GUARD - 1))) >> _LOG_GUARD
 
 
 def polish_structured(rel_phases, phi):
@@ -333,10 +423,10 @@ def polish_structured(rel_phases, phi):
     taken at ``WP`` bits; the inverse of the float Jacobian at the float
     root serves every 50-digit step, which is enough for fast linear
     convergence near the root.
-    Returns (phases, a_h): the mpf phases at ``WP`` bits, with residual
-    max-norm below 10^-_POLISH_DIGITS, and the half's major-diagonal
-    coefficients (real, imaginary) at those phases, fixed point at
-    2^PREC, from the last residual evaluation (see ``half_slope_fit``).
+    Returns (phases, t): the mpf phases at ``WP`` bits, with residual
+    max-norm below 10^-_POLISH_DIGITS, and the coefficients of the half's
+    t(s) = Im(e^{i phi/4} a_h) at those phases, fixed point at 2^PREC,
+    from the a_h of the last residual evaluation (see ``half_slope_fit``).
     Logs one DEBUG record under ``cpgate.precise``: the free-phase count,
     the residual max-norm after the float stage, the number of 50-digit
     residual evaluations, the final residual max-norm and the seconds
@@ -372,7 +462,8 @@ def polish_structured(rel_phases, phi):
         n - pinned, float_rmax, evals, math.ldexp(rmax, -2 * PREC),
         time.perf_counter() - start,
     )
-    return [mp.make_mpf(from_man_exp(v, -PREC, WP, round_nearest)) for v in x], a_h
+    phases = [mp.make_mpf(from_man_exp(v, -PREC, WP, round_nearest)) for v in x]
+    return phases, _half_t(*a_h, gate)
 
 
 def _fixed(value):

@@ -422,8 +422,8 @@ def test_catalog_file_with_an_equals_sign_in_its_path(tmp_path, capsys):
     assert run(["solve", "--order", "2", "--phi", "0.5", "--seeds", "8",
                 "--out", str(path)]) == 0
     capsys.readouterr()
-    seq, a_h, inline = cli._resolve_gate(str(path))
-    assert not inline and a_h is not None
+    seq, t, inline = cli._resolve_gate(str(path))
+    assert not inline and t is not None
     assert run(["verify", "--json", "--gate", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == 2
     assert run(["range", "--gate", str(path)]) == 0
@@ -457,8 +457,8 @@ def test_a_zero_after_a_nonzero_relative_phase_is_polished(capsys):
     # and the train measures the order of the root it came from.
     spec = ("phi=0.5;phases=0.0000,0.3000,0.0000,0.9739,1.1844,"
             "0.7500,1.0500,0.7500,1.7239,1.9344")
-    seq, a_h = cli._measurement_sequence(spec_parse(spec))
-    assert a_h is not None and seq.phases[2] != 0
+    seq, t = cli._measurement_sequence(spec_parse(spec))
+    assert t is not None and seq.phases[2] != 0
     assert run(["verify", "--json", "--gate", spec]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == 4
 
@@ -788,8 +788,8 @@ def test_measurement_sequence_logs_a_failed_polish(caplog):
     # polish has nothing to move on a train that is not a root.
     seq = spec_parse("phi=1;phases=0,0,0,0.5,0.5,0.5")
     with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
-        measured, a_h = cli._measurement_sequence(seq)
-    assert measured is seq and a_h is None
+        measured, t = cli._measurement_sequence(seq)
+    assert measured is seq and t is None
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
     assert "polish failed" in record.getMessage()
@@ -799,8 +799,8 @@ def test_measurement_sequence_logs_a_polish_that_drifted(caplog):
     # Structured, but far from any root: Newton lands on another one.
     seq = spec_parse("phi=1;phases=0,0.3,0.7,0.5,0.8,1.2")
     with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
-        measured, a_h = cli._measurement_sequence(seq)
-    assert measured is seq and a_h is None
+        measured, t = cli._measurement_sequence(seq)
+    assert measured is seq and t is None
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
     assert "moved a phase by" in record.getMessage()
@@ -820,7 +820,7 @@ def test_measurement_sequence_logs_nothing_on_a_rounded_row(moved, polished, cap
     phases[5] += moved
     rounded = replace(rounded, phases=tuple(phases))
     with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
-        measured, a_h = cli._measurement_sequence(rounded)
+        measured, t = cli._measurement_sequence(rounded)
     assert (measured is not rounded) == polished
-    assert (a_h is not None) == polished
+    assert (t is not None) == polished
     assert caplog.records == []

@@ -2,30 +2,16 @@
 ``make_corpus.py``)."""
 
 import json
-import math
 from pathlib import Path
 
 from make_corpus import CORPUS, half_records, range_record, run_cli, verify_record
 
-# The slope comes from LAPACK's lstsq, whose last bits may differ between
-# builds; every other recorded value must match exactly.
-_SLOPE_ULPS = 16
 # epsilon0 comes from a float Newton search on numpy arithmetic.
 _EPSILON0_TOL = 1e-12
 # Radians.  The polish of an underdetermined half starts from a float root
 # whose last bits differ between machines (a few 1e-15 rad), while a root
 # that slides along its manifold moves by ~1e-10 rad.
 _HALF_TOL = 1e-12
-
-
-def _verify_mismatch(got, want):
-    if set(got) != set(want):
-        return True
-    if got["code"] or want["code"]:
-        return got != want
-    if (got["order"], got["peak"]) != (want["order"], want["peak"]):
-        return True
-    return not abs(got["slope"] - want["slope"]) <= _SLOPE_ULPS * math.ulp(want["slope"])
 
 
 def _range_mismatch(got, want):
@@ -54,7 +40,7 @@ def test_cli_outputs_match_the_committed_corpus(tmp_path):
         want = dict(want)
         gate = want.pop("gate")
         got = verify_record(gate)
-        if _verify_mismatch(got, want):
+        if got != want:
             bad.append(("verify", gate, got, want))
     for k, solve in enumerate(corpus["solve"]):
         path = Path(tmp_path) / f"solve-{k}.json"
@@ -62,7 +48,7 @@ def test_cli_outputs_match_the_committed_corpus(tmp_path):
         if path.read_text() != solve["file"]:
             bad.append(("solve file", solve["argv"], path.read_text(), solve["file"]))
         got = verify_record(str(path))
-        if _verify_mismatch(got, solve["verify"]):
+        if got != solve["verify"]:
             bad.append(("verify", solve["argv"], got, solve["verify"]))
     for want in corpus["range"]:
         want = dict(want)

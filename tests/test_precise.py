@@ -1,8 +1,12 @@
 import logging
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -19,10 +23,30 @@ from cpgate.su2 import CompositeSequence
 from mp_oracle import mp_propagator
 
 
+def _fraction(value):
+    # The mpf ``value`` as an exact Fraction.
+    sign, man, exp, _ = value._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _exact_slope(xs, ys):
+    # The least-squares slope of the Fractions ys on the Fractions xs,
+    # exact, rounded to a double once; NaN below two points.
+    if len(xs) < 2:
+        return math.nan
+    mean = sum(xs) / len(xs)
+    return float(
+        sum((x - mean) * y for x, y in zip(xs, ys))
+        / sum((x - mean) ** 2 for x in xs)
+    )
+
+
 def _reference_slope_fit(seq, eps_lo=1e-3, eps_hi=1e-2, points=20, dps=50):
     # The per-epsilon loop slope_fit ran before mp_propagator took an
     # epsilon list: one propagator call, with all its trig, per signed eps,
-    # in mpc object arithmetic, always averaged over both signs.
+    # in mpc object arithmetic, always averaged over both signs.  The slope
+    # is the exact regression of the 50-digit logs on the double log of
+    # each eps.
     with mp.workdps(dps):
         phases = [mp.mpf(p) for p in seq.phases]
         fa = mp.exp(-1j * mp.mpf(seq.target_phi) / 2)
@@ -45,10 +69,9 @@ def _reference_slope_fit(seq, eps_lo=1e-3, eps_hi=1e-2, points=20, dps=50):
             infid /= 2
             peak = max(peak, infid)
             if infid > 0:
-                logs.append(float(mp.log(eps)))
-                vals.append(float(mp.log(infid)))
-        slope = float(np.polyfit(np.array(logs), np.array(vals), 1)[0])
-        return slope, float(peak)
+                logs.append(Fraction(float(mp.log(eps))))
+                vals.append(_fraction(mp.log(infid)))
+        return _exact_slope(logs, vals), float(peak)
 
 
 def _mp_jet_mul(a2, b2, a1, b1):
@@ -177,13 +200,13 @@ def _rounded_row_specs(pulses):
 
 
 def _assert_slope_fit_is_the_reference_on_a_rounded_row(spec):
-    seq, a_h = cli._measurement_sequence(cli.spec_parse(spec))
+    seq, t = cli._measurement_sequence(cli.spec_parse(spec))
     assert seq.phases != cli.spec_parse(spec).phases  # polished
     assert len(seq) % 2 == 0  # the one-sign path
     want = _reference_slope_fit(seq)
     assert precise.slope_fit(seq) == want
     # The fit of the half the polish composed last, as verify runs it.
-    assert precise.half_slope_fit(a_h, seq.target_phi) == want
+    assert precise.half_slope_fit(t) == want
 
 
 @pytest.mark.parametrize("spec", [
@@ -226,14 +249,14 @@ def _structured_mp_train(rel, phi):
 def test_slope_fit_of_a_structured_train_equals_the_per_epsilon_loop_bitwise(rel, phi):
     # Half length 1-9 with 0 to half - 1 leading exact-zero relative
     # phases: the fit composes the train from the cached zero prefix, and
-    # the fit of its half's a_h is the same, bit for bit.
+    # the fit of its half's t is the same, bit for bit.
     zeros, free = rel
     rel = [0.0] * zeros + free[zeros:]
     seq = _structured_mp_train(rel, phi)
     want = _reference_slope_fit(seq)
     assert precise.slope_fit(seq) == want
-    a_h = precise._mp_jet_compose(seq.phases[: len(rel) + 1])[:2]
-    assert precise.half_slope_fit(a_h, seq.target_phi) == want
+    t = precise.t_polynomial(seq.phases[: len(rel) + 1], seq.target_phi)
+    assert precise.half_slope_fit(t) == want
 
 
 def _ulp_moved_train():
@@ -337,6 +360,112 @@ def test_slope_grid_holds_sin_and_cos_of_the_half_error_area():
             x = mp.pi * eps / 2
             assert abs(s * unit - mp.sin(x)) <= unit
             assert abs(c * unit - mp.cos(x)) <= unit
+
+
+def _edge_integers():
+    # Powers of two, their neighbours and random integers of 1-400 bits.
+    rng = random.Random(400)
+    for bits in range(1, 401):
+        yield 1 << (bits - 1)
+        yield (1 << bits) - 1
+        yield rng.getrandbits(bits) | (1 << (bits - 1))
+
+
+def test_integer_log_is_within_one_unit_of_a_100_digit_log():
+    rng = random.Random(401)
+    unit = mp.mpf(2) ** precise._LOG_Q
+    with mp.workdps(100):
+        ln2 = mp.log(2)
+        for n in _edge_integers():
+            shift = rng.randint(-800, 100)
+            want = (mp.log(n) + shift * ln2) * unit
+            assert abs(precise._ln(n, shift) - want) <= 1, (n, shift)
+
+
+def test_root_is_the_correctly_rounded_square_root():
+    rng = random.Random(402)
+    with mp.workprec(600):
+        for n in _edge_integers():
+            shift = rng.randint(-800, 100)
+            want = mp.sqrt(mp.ldexp(n, shift))
+            got = precise._root(n, shift)
+            assert got == float(want), (n, shift)  # float() rounds to nearest
+    assert precise._root(0, -371) == 0.0
+
+
+def test_a_zero_square_drops_its_point():
+    # The squares of S8's half on the grid with some set to 0: the slope is
+    # the exact regression through the others, and one point left gives a
+    # NaN slope; the peak is the root of the largest square left.
+    t = catalog.half_polynomial(catalog.get("S8"))
+    _, trig, logs = precise._slope_grid()
+    totals = [precise._horner(t, x) ** 2 for x, _ in trig]
+    assert all(totals)
+    shift = 1 - 2 * precise.PREC
+    for dropped in ((0,), (3, 11), (19,), tuple(range(2, 20)), tuple(range(1, 20))):
+        masked = [0 if k in dropped else v for k, v in enumerate(totals)]
+        kept = [k for k in range(len(totals)) if k not in dropped]
+        with mp.workdps(100):
+            ys = [
+                _fraction(mp.log(mp.ldexp(totals[k], shift)) / 2) for k in kept
+            ]
+            peak = float(mp.sqrt(mp.ldexp(max(masked), shift)))
+        want = _exact_slope([Fraction(logs[k]) for k in kept], ys)
+        slope, got_peak = precise._line_fit(masked, shift)
+        assert got_peak == peak
+        if len(kept) < 2:
+            assert math.isnan(slope) and math.isnan(want)
+        else:
+            assert slope == want, dropped
+
+
+def test_a_half_that_vanishes_has_no_slope_and_no_peak():
+    slope, peak = precise.half_slope_fit((0,) * 5)
+    assert math.isnan(slope) and peak == 0.0
+
+
+def test_the_fit_uses_neither_mpmath_logs_nor_lapack(monkeypatch):
+    # With mpmath's log, root and conversions and numpy's lstsq made to
+    # raise, the fits give what they gave before, the lazy log table and
+    # the slope weights rebuilt under the patch.
+    entry = catalog.get("T18")
+    seq, t = catalog.to_sequence(entry), catalog.half_polynomial(entry)
+    builder = six_pulse(math.pi / 2, 3)
+    want = [precise.slope_fit(seq), precise.half_slope_fit(t), precise.slope_fit(builder)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit called a library it should not")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    for name in ("mpf_log", "mpf_sqrt", "from_man_exp", "to_float"):
+        monkeypatch.setattr(mp.libmp, name, refuse)
+    for name in ("from_man_exp", "to_float"):
+        monkeypatch.setattr(precise, name, refuse)
+    assert not hasattr(precise, "mpf_log") and not hasattr(precise, "mpf_sqrt")
+    precise._log_table.cache_clear()
+    precise._slope_weights.cache_clear()
+    got = [precise.slope_fit(seq), precise.half_slope_fit(t), precise.slope_fit(builder)]
+    assert got == want
+
+
+def test_the_log_table_is_built_on_the_first_fit():
+    # Importing the package and building the 27 named trains, as every
+    # process does, computes no log table; the first fit does.
+    src = str(Path(precise.__file__).resolve().parents[1])
+    code = (
+        "from cpgate import catalog, precise\n"
+        "for name in catalog.names():\n"
+        "    catalog.to_sequence(catalog.get(name))\n"
+        "print(precise._log_table.cache_info().currsize)\n"
+        "precise.half_slope_fit(catalog.half_polynomial(catalog.get('Z18')))\n"
+        "print(precise._log_table.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    ).stdout
+    assert out.split() == ["0", "1"]
 
 
 def _mp_residual(rel, phi, n):
@@ -680,18 +809,19 @@ def test_turned_rotors_are_the_rotors_of_the_fixed_point_phases(monkeypatch):
     # The returned phases are the fixed-point phases at the working precision.
     with mp.workdps(precise.WORKING_DPS):
         assert polished == [mp.mpf((v, -prec)) for v in x]
-    # The half handed on is the one composed from those turned rotors.
-    assert handed is a_h
+    # The t handed on is that of the half composed from those turned
+    # rotors.
     n = len(x)
     ar, ai, _, _ = precise._mp_jet_rotors(n + 2, zeros + 1, rotors)
     assert a_h == (ar, ai)
+    assert handed == precise._half_t(ar, ai, precise._angle_trig(phi, 2))
 
 
 def _outputs_at(dps, inputs):
     # slope_fit, half_slope_fit, polish_structured and a cleared catalog's
     # trains and halves under a caller at ``dps`` digits, as exact bits
     # (a float as it is); the caller's precision must come back unchanged.
-    trains, a_h, phi, polish_cases, entry = inputs
+    trains, t, polish_cases, entry = inputs
 
     def raw(values):
         return [getattr(v, "_mpf_", v) for v in values]
@@ -699,9 +829,10 @@ def _outputs_at(dps, inputs):
     with mp.workdps(dps):
         prec = mp.mp.prec
         catalog._entry_train.cache_clear()
+        catalog.half_polynomial.cache_clear()
         catalog.arbitrary_row.cache_clear()
         out = [precise.slope_fit(seq) for seq in trains]
-        out.append(precise.half_slope_fit(a_h, phi))
+        out.append(precise.half_slope_fit(t))
         for rel, angle in polish_cases:
             phases, half = precise.polish_structured(rel, angle)
             out.append((raw(phases), half))
@@ -727,9 +858,8 @@ def test_results_do_not_follow_the_callers_precision(dps):
     trains = [catalog.to_sequence(catalog.get("T18")), six_pulse(math.pi / 2, 3),
               _30_digit_train()]
     entry = catalog.get("S16")
-    a_h, phi = catalog.half_polynomial(entry), catalog.to_sequence(entry).target_phi
     polish_cases = ((row_rel, mp.pi), (row_rel, math.pi), (named_rel, named_phi))
-    inputs = (trains, a_h, phi, polish_cases, entry)
+    inputs = (trains, catalog.half_polynomial(entry), polish_cases, entry)
     assert _outputs_at(dps, inputs) == _outputs_at(30, inputs)
 
 
