@@ -26,10 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-import mpmath as mp
-
 from . import precise, solver
-from .sequences import first_half, structured_sequence
+from .sequences import first_half
 from .su2 import CompositeSequence
 
 # phi (units pi) -> free phases per train length, as published.
@@ -160,49 +158,28 @@ def _is_exact(s: str) -> bool:
     return "." not in s
 
 
-def polished_sequence(rel_phases, phi: mp.mpf):
-    """Two-half train from first-half relative phases (radians) Newton-
-    polished onto the exact root at the mpf gate angle ``phi``.
-
-    The leading phases that are exactly 0 stay there and the rest move
-    (see ``precise.polish_structured``).  The polish and the train both
-    use ``phi`` itself: polishing at a rounded angle leaves a residual
-    near double precision that caps the measurable order.
-    Returns the train and the coefficients of its first half's t(s) that
-    the polish composed last (see ``precise.half_slope_fit``).  Raises
-    SolverError if the polish fails.
-    """
-    with mp.workdps(precise.WORKING_DPS):
-        rel, t = precise.polish_structured(rel_phases, phi)
-        return structured_sequence(rel, phi), t
-
-
 def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bool):
     """Construct the full train from first-half relative phases (units pi).
 
     With ``refine``, a half with decimal phases is polished onto the exact
     root, its leading zeros held; raises CatalogError if one of its exact
-    phases is not a leading zero, since the polish would move it.  Phases
-    come out as mpf values so downstream extended-precision checks see the
-    actual root, while float consumers simply cast.  Returns the train and
-    the polish's t of its half, or None where nothing was polished.
+    phases is not a leading zero, since the polish would move it.  Exact
+    angles reach ``precise`` as Fractions of pi, and its mpf phases let
+    downstream extended-precision checks see the actual root, while float
+    consumers simply cast.  Returns the train and the polish's t of its
+    half, or None where nothing was polished.
     """
     exact = [_is_exact(s) for s in rel_strings]
-    fracs = [Fraction(s) for s in rel_strings]
-    with mp.workdps(precise.WORKING_DPS):
-        phi = mp.pi * phi_over_pi.numerator / phi_over_pi.denominator
-        if refine and not all(exact):
-            rel = [float(f) * math.pi for f in fracs]
-            if any(exact[precise._leading_zeros(rel):]):
-                raise CatalogError(
-                    f"{label}: an exact phase after the leading zeros of a half "
-                    "with decimal phases would be polished"
-                )
-            seq, t = polished_sequence(rel, phi)
-        else:
-            rel = tuple(mp.pi * f.numerator / f.denominator for f in fracs)
-            seq, t = structured_sequence(rel, phi), None
-    return replace(seq, label=label), t
+    rel, t = [Fraction(s) for s in rel_strings], None
+    if refine and not all(exact):
+        rel = [float(f) * math.pi for f in rel]
+        if any(exact[precise._leading_zeros(rel):]):
+            raise CatalogError(
+                f"{label}: an exact phase after the leading zeros of a half "
+                "with decimal phases would be polished"
+            )
+        rel, t = precise.polish_structured(rel, phi_over_pi)
+    return replace(precise.structured_train(rel, phi_over_pi), label=label), t
 
 
 @lru_cache

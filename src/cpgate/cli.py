@@ -15,10 +15,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
-
-import mpmath as mp
 
 from . import analysis, catalog, precise, sequences, solver
 from .su2 import CompositeSequence
@@ -91,15 +88,15 @@ def _pi_fraction(phi: float) -> Fraction | None:
     return frac if abs(float(frac) * PI - phi) < 1e-12 else None
 
 
-def _measurement_sequence(seq: CompositeSequence):
-    """Polish the 4-decimal phases of an inline spec onto the exact root
-    before order/slope measurement.  Returns the train to measure and the
-    coefficients of its half's t(s) from the polish (``precise.half_slope_fit``),
-    or ``seq`` itself and None where the input is left untouched: not two
-    halves, a polish that failed or one that drifted."""
+def _polished_half(seq: CompositeSequence):
+    """Polish the 4-decimal phases of an inline spec's half onto the exact
+    root before order/slope measurement.  Returns the coefficients of the
+    polished half's t(s) (``precise.half_slope_fit``), or None where the
+    input is measured as it is: not two halves, a polish that failed or
+    one that drifted."""
     half = sequences.first_half(seq)
     if half is None or len(half) < 2:
-        return seq, None
+        return None
     base = float(half[0])
     rel = [float(p) - base for p in half[1:]]
     phi = float(seq.target_phi)
@@ -107,31 +104,23 @@ def _measurement_sequence(seq: CompositeSequence):
     # back to the exact value; a rounded target otherwise caps the
     # measurable infidelity near double precision.
     frac = _pi_fraction(phi)
-    with mp.workdps(precise.WORKING_DPS):
-        if frac is not None:
-            phi_mp = mp.pi * frac.numerator / frac.denominator
-        else:
-            phi_mp = mp.mpf(phi)
     # The polish holds the leading zeros, the structural blocks: left free,
     # the polish of a rounded row could slide along the root manifold.
     try:
-        polished, t = catalog.polished_sequence(rel, phi_mp)
+        polished, t = precise.polish_structured(rel, phi if frac is None else frac)
     except solver.SolverError as exc:
         _log.debug("measuring the unpolished input: polish failed: %s", exc)
-        return seq, None
+        return None
     # Only accept the polish if it stayed on the same root (the input was
     # a rounded table row, not some arbitrary far-from-root train).
-    drift = max(
-        sequences._mod_distance(float(p), r)
-        for p, r in zip(polished.phases[1:], rel)
-    )
+    drift = max(sequences._mod_distance(float(p), r) for p, r in zip(polished, rel))
     if drift > 1e-2:
         _log.debug(
             "measuring the unpolished input: the polish moved a phase by "
             "%.3g rad, more than 1e-2 from the input", drift
         )
-        return seq, None
-    return replace(polished, label=seq.label), t
+        return None
+    return t
 
 
 def _fmt_phase(p) -> str:
@@ -234,7 +223,7 @@ def _cmd_verify(args) -> int:
         # Only an inline spec can carry rounded phases: catalog names and
         # files come from catalog.to_sequence, already polished at the
         # exact angle, with the t of their half.
-        seq, t = _measurement_sequence(seq)
+        t = _polished_half(seq)
     if t is None:
         slope, peak = precise.slope_fit(seq)
     else:

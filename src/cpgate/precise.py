@@ -1,4 +1,4 @@
-"""Extended-precision evaluation paths (mpmath).
+"""Extended-precision evaluation paths: the 50-digit format.
 
 High compensation orders push the residual infidelity far below double
 precision: an order-8 train has infidelity ~1e-17 at one percent error,
@@ -15,10 +15,11 @@ integer floor(x * 2^``PREC``), ``PREC`` = ``WP`` + ``GUARD_BITS`` =
 169 + 16 = 185 bits, ``WP`` being the bits of ``WORKING_DPS`` digits.
 Both are constants: no helper takes a precision, and no call but the
 one that builds the slope grid reads mpmath's context, so every result
-is the same whatever precision the caller runs at.  An input (a float,
-an mpf or an mpmath constant such as ``mp.pi``) is rounded to nearest at
-``WP`` bits once (``_raw``), and the returned phases and the fit's
-values are rounded from fixed point at an explicit precision.  A product
+is the same whatever precision the caller runs at.  An input (a
+Fraction in units of pi, an mpf or a float) is rounded to nearest at
+``WP`` bits once (``_raw``), and the returned phases, the catalog's
+trains (``structured_train``) and the fit's values are rounded at an
+explicit precision: no other module names the format.  A product
 is one integer multiply and one shift, with none of the renormalization
 that dominates mpf object arithmetic.  Fixed point fits because the
 values are bounded: on real s in [-1, 1], |a| <= 1 and |B| <= N (Schur's
@@ -45,9 +46,8 @@ phase gate at all, and raises ValueError.
 takes (|a - e^{-i phi/2}|^2 + cos^2(pi eps/2) |B|^2) / 2, at O(N^2) cost
 against the O(20 N) of a pulse loop over the grid; it recognizes no
 structure.  Every catalog name, table row and polished inline spec is a
-two-half train, built by ``sequences.structured_sequence``: a half H
-followed by H with every phase shifted by pi - phi/2.  For such a train
-the squared gate distance is 2 t(s)^2, t = Im(e^{i phi/4} a_h), a_h being
+two-half train: a half H followed by H with every phase shifted by
+pi - phi/2.  For such a train the squared gate distance is 2 t(s)^2, t = Im(e^{i phi/4} a_h), a_h being
 the half's major-diagonal element (see ``solver``), and
 ``half_slope_fit`` fits it from t's fixed-point coefficients alone.  The
 half is handed along as a value, never found again from the phases: the
@@ -147,11 +147,17 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
     from_float,
+    from_int,
     from_man_exp,
     fzero,
+    mpf_add,
     mpf_cos_sin,
+    mpf_div,
+    mpf_mul_int,
+    mpf_pi,
     mpf_pos,
     mpf_shift,
+    mpf_sub,
     round_nearest,
     to_fixed,
     to_float,
@@ -193,13 +199,18 @@ _LIMIT = -(-(1 << 2 * PREC) // 10**_POLISH_DIGITS)
 
 
 def _raw(x):
-    """The raw mpf of ``x`` (a float, an mpf or an mpmath constant such as
-    ``mp.pi``) rounded to nearest at ``WP`` bits."""
+    """The raw mpf of ``x`` rounded to nearest at ``WP`` bits: a Fraction
+    p/q in units of pi (pi p / q, each step rounded), an mpf, a float or
+    an int.  Anything else raises TypeError: an mpmath constant such as
+    ``mp.pi`` would lose its digits through a float."""
+    if isinstance(x, Fraction):
+        turn = mpf_mul_int(mpf_pi(WP, round_nearest), x.numerator, WP, round_nearest)
+        return mpf_div(turn, from_int(x.denominator), WP, round_nearest)
     if isinstance(x, mp.mpf):
         return mpf_pos(x._mpf_, WP, round_nearest)
-    if isinstance(x, type(mp.pi)):
-        return x.func(WP, round_nearest)
-    return from_float(float(x), WP, round_nearest)
+    if isinstance(x, (float, int)):
+        return from_float(float(x), WP, round_nearest)
+    raise TypeError(f"an angle must be a Fraction of pi, an mpf or a float, not {x!r}")
 
 
 def _cos_sin_fixed(x):
@@ -419,8 +430,8 @@ def polish_structured(rel_phases, phi):
     """Newton-polish structured relative phases to ``WORKING_DPS`` digits.
 
     The leading phases that are exactly 0 are held there, and the rest
-    move.  ``phi`` may be an mpf or an mpmath constant such as ``mp.pi``,
-    taken at ``WP`` bits; the inverse of the float Jacobian at the float
+    move.  ``phi`` is a Fraction in units of pi (an exact angle), an mpf or
+    a float (see ``_raw``); the inverse of the float Jacobian at the float
     root serves every 50-digit step, which is enough for fast linear
     convergence near the root.
     Returns (phases, t): the mpf phases at ``WP`` bits, with residual
@@ -464,6 +475,20 @@ def polish_structured(rel_phases, phi):
     )
     phases = [mp.make_mpf(from_man_exp(v, -PREC, WP, round_nearest)) for v in x]
     return phases, _half_t(*a_h, gate)
+
+
+def structured_train(rel_phases, phi) -> CompositeSequence:
+    """``sequences.structured_sequence`` at ``WP`` bits: the half 0.0,
+    ``rel_phases``, then each of its phases plus pi - ``phi``/2, every
+    input rounded by ``_raw`` and every sum to nearest, the rest mpf."""
+    phi = _raw(phi)
+    shift = mpf_sub(mpf_pi(WP, round_nearest), mpf_shift(phi, -1), WP, round_nearest)
+    half = [fzero] + [_raw(p) for p in rel_phases]
+    phases = [0.0] + [mp.make_mpf(p) for p in half[1:]]
+    phases += [mp.make_mpf(mpf_add(p, shift, WP, round_nearest)) for p in half]
+    return CompositeSequence(
+        tuple(phases), mp.make_mpf(phi), label=f"struct(n={len(rel_phases)})"
+    )
 
 
 def _fixed(value):

@@ -14,17 +14,16 @@ to the target gate only for even n; for odd n the zero-error diagonal
 element is exp(2i sum_k (-1)^(k+1) p_k) (p_0 = 0), which equals
 exp(-i phi/2) only on some roots of the derivative conditions.
 
-``structured_sequence`` builds that structure; ``first_half`` recognizes
-it within a tolerance, in doubles, where a train enters as input: a
-catalog record, or an inline train the CLI polishes.
+``structured_sequence`` builds that structure in doubles
+(``precise.structured_train`` builds it at 50 digits); ``first_half``
+recognizes it within a tolerance, in doubles, where a train enters as
+input: a catalog record, or an inline train the CLI polishes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-
-import mpmath as mp
 
 from .su2 import CompositeSequence
 
@@ -38,16 +37,13 @@ def structured_sequence(rel_phases, phi, nu: float = 0.0) -> CompositeSequence:
     """Full 2(n+1)-pulse train from the relative phases p1..pn of one half
     (its leading phase is ``nu``), second half shifted by pi - phi/2.
 
-    An mpmath ``phi`` (an mpf, or a constant such as ``mp.pi``) becomes an
-    mpf at the working mpmath precision and takes the shift with ``mp.pi``
-    there, so extended-precision phases stay on their exact root.
+    It works in doubles: ``phi``, ``nu`` and the phases are cast with
+    ``float``, so an mpf input gives a float train.  The 50-digit train of
+    an exact root is ``precise.structured_train``'s.
     """
-    if isinstance(phi, (mp.mpf, type(mp.pi))):
-        phi, pi = mp.mpf(phi), mp.pi
-    else:
-        pi = PI
-    half = [nu] + [nu + p for p in rel_phases]
-    shift = pi - phi / 2
+    phi, nu = float(phi), float(nu)
+    half = [nu] + [nu + float(p) for p in rel_phases]
+    shift = PI - phi / 2
     phases = tuple(half + [p + shift for p in half])
     return CompositeSequence(phases, phi, label=f"struct(n={len(rel_phases)})")
 

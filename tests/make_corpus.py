@@ -8,7 +8,8 @@ It records, for the program in ``src``:
 - ``verify --json`` on the 27 catalog names, on the 84 rounded
   arbitrary-angle rows as the 17-digit inline specs the verify benchmark
   passes, on the inline specs of the CI verify steps, and on the files two
-  ``solve --out`` runs write (with the text of those files);
+  ``solve --out`` runs write (with the text of those files), and on 100
+  seeded inline specs (``inline_specs``);
 - ``range`` at five thresholds on the 27 names, with the epsilon0 and the
   non-monotonic flag that the command prints rounded, at full precision;
 - the first-half phases (radians, as doubles) of ``catalog.to_sequence``
@@ -25,11 +26,12 @@ import contextlib
 import io
 import json
 import math
+import random
 import sys
 import tempfile
 from pathlib import Path
 
-from cpgate import analysis, catalog, cli
+from cpgate import analysis, catalog, cli, sequences
 
 CORPUS = Path(__file__).parent / "data" / "corpus.json"
 ROW_PULSES = (4, 6, 8, 10, 12, 14)
@@ -55,6 +57,7 @@ CI_SPECS = (
     "phi=1;phases=1e60,1e60",
     "phi=1;phases=1e300,1e300",
 )
+INLINE_SEED = 34
 SOLVES = (
     ("solve", "--order", "2", "--phi", "0.5", "--seeds", "16", "--rng-seed", "1"),
     ("solve", "--order", "4", "--phi", "0.5", "--seeds", "16", "--rng-seed", "1"),
@@ -113,6 +116,74 @@ def row_specs():
     return specs
 
 
+def _spec(phi, phases, fmt):
+    """Inline spec of the angle ``phi`` and ``phases`` (units of pi)."""
+    return f"phi={phi:.17g};phases=" + ",".join(format(p, fmt) for p in phases)
+
+
+def inline_specs():
+    """100 seeded inline specs of four kinds, so that every branch of the
+    inline polish is held to its output:
+
+    - 30 rounded table rows with each nonzero first-half phase moved by up
+      to 2e-4 and the second half the shifted first moved by up to 1e-4
+      (units of pi; within the two-half tolerance), the held zeros kept;
+    - 25 two-half trains at an angle that is no fraction of pi with
+      denominator <= 64: the 4-, 6- and 8-pulse builders at a random angle,
+      and rounded rows at an angle moved by up to 1e-3;
+    - 25 random two-half trains, some with leading zeros, most far from a
+      root, so that the polish fails or drifts;
+    - 20 trains that are not two halves: 10 pairs of builder trains in a
+      row, the gate of their summed angle, and 10 random trains of 2 to
+      18 pulses.
+    """
+    rng = random.Random(INLINE_SEED)
+    rows = catalog.arbitrary_rows()
+    specs = []
+
+    def rounded_half(pulses):
+        row = rng.choice(rows)
+        seq = catalog.arbitrary_row(row.phi_over_pi, pulses, refine=False)
+        half = seq.phases[: pulses // 2]
+        return float(row.phi_over_pi), [float(p) / math.pi for p in half]
+
+    def two_halves(phi, half, jitter=0.0):
+        shift = 1 - phi / 2
+        return half + [p + shift + rng.uniform(-jitter, jitter) for p in half]
+
+    for _ in range(30):
+        phi, half = rounded_half(rng.choice(ROW_PULSES))
+        half = [p + rng.uniform(-2e-4, 2e-4) if p else p for p in half]
+        specs.append(_spec(phi, two_halves(phi, half, 1e-4), ".10f"))
+    builders = (sequences.four_pulse, sequences.six_pulse, sequences.eight_pulse)
+    for k in range(15):
+        phi = rng.uniform(0.05, 1.95)
+        assert cli._pi_fraction(phi * math.pi) is None
+        seq = builders[k % 3](phi * math.pi, rng.randint(1, 4))
+        specs.append(_spec(phi, [p / math.pi for p in seq.phases], ".17g"))
+    for _ in range(10):
+        phi, half = rounded_half(rng.choice(ROW_PULSES))
+        phi += rng.uniform(-1e-3, 1e-3)
+        assert cli._pi_fraction(phi * math.pi) is None
+        specs.append(_spec(phi, two_halves(phi, half), ".10f"))
+    for _ in range(25):
+        n = rng.randint(1, 8)
+        zeros = rng.randint(0, n - 1)
+        half = [0.0] * (zeros + 1) + [rng.uniform(0, 2) for _ in range(n - zeros)]
+        phi = rng.uniform(0.05, 1.95)
+        specs.append(_spec(phi, two_halves(phi, half), ".8f"))
+    for _ in range(10):
+        # Two builder trains in a row: the gate of the summed angle.
+        phis = [rng.uniform(0.05, 0.95) for _ in range(2)]
+        trains = [rng.choice(builders)(phi * math.pi, rng.randint(1, 4)) for phi in phis]
+        phases = [p / math.pi for seq in trains for p in seq.phases]
+        specs.append(_spec(sum(phis), phases, ".17g"))
+    for _ in range(10):
+        phases = [rng.uniform(0, 2) for _ in range(2 * rng.randint(1, 9))]
+        specs.append(_spec(rng.uniform(0.05, 1.95), phases, ".8f"))
+    return specs
+
+
 def half_records():
     """The first-half phases of the 27 polished named trains and of the 84
     polished table rows, as doubles."""
@@ -149,7 +220,7 @@ def solve_records(workdir):
 
 
 def build():
-    gates = [*catalog.names(), *row_specs(), *CI_SPECS]
+    gates = [*catalog.names(), *row_specs(), *CI_SPECS, *inline_specs()]
     with tempfile.TemporaryDirectory() as workdir:
         solves = solve_records(workdir)
     return {

@@ -1,5 +1,6 @@
 """The tests' 50-digit propagator: the pi-pulse train multiplied out pulse
-by pulse at each error, in fixed point at the working precision.
+by pulse at each error, in fixed point at the working precision; and the
+two-half train built in mpf object arithmetic (``mp_structured_train``).
 
 It composes no polynomial in s, so it shares no code with the kernel of
 ``cpgate.precise``, and the profile law, the half-train identity and the
@@ -28,8 +29,22 @@ from mpmath.libmp import (
     to_fixed,
 )
 
+from cpgate.su2 import CompositeSequence
+
 # Fractional bits beyond the working precision.
 GUARD_BITS = 16
+
+
+def mp_structured_train(rel_phases, phi, nu=0.0):
+    """The two-half train of the mpf relative phases ``rel_phases`` at the
+    gate angle ``phi`` (an mpf, or an mpmath constant such as ``mp.pi``),
+    in mpf object arithmetic at the working precision: the half nu,
+    nu + p1, ..., then each of its phases plus ``mp.pi`` - phi/2."""
+    phi = mp.mpf(phi)
+    half = [nu] + [nu + p for p in rel_phases]
+    shift = mp.pi - phi / 2
+    phases = tuple(half + [p + shift for p in half])
+    return CompositeSequence(phases, phi, label=f"struct(n={len(rel_phases)})")
 
 
 def _cos_sin_fixed(x, prec):

@@ -200,16 +200,19 @@ def test_solution_to_entry_round_trips_through_json():
         to_sequence(other, refine=False)
 
 
-def test_polished_sequence_takes_mp_pi_as_the_exact_angle():
-    # mp.pi is an mpmath constant, not an mpf.  Polished on it, Z16 must be
-    # the exact two-half train that mp.mpf(mp.pi) gives, slope 8 (order 7),
-    # not one whose second half is shifted by the double nearest pi.
+def test_a_polish_at_fraction_one_is_the_exact_pi_train():
+    # Fraction(1) is the exact angle pi.  Polished and built on it, Z16 must
+    # be the two-half train that the 50-digit mp.mpf(mp.pi) gives, slope 8
+    # (order 7), not one whose second half is shifted by the double
+    # nearest pi.
     entry = get("Z16")
     strings = entry.phase_strings[1 : entry.order + 1]
     rel = [float(Fraction(s)) * math.pi for s in strings]
+    polished, _ = precise.polish_structured(rel, Fraction(1))
+    got = precise.structured_train(polished, Fraction(1))
     with mp.workdps(precise.WORKING_DPS):
-        got, _ = catalog.polished_sequence(rel, mp.pi)
-        want, _ = catalog.polished_sequence(rel, mp.mpf(mp.pi))
+        polished, _ = precise.polish_structured(rel, mp.mpf(mp.pi))
+        want = precise.structured_train(polished, mp.mpf(mp.pi))
     assert got.phases == want.phases and got.target_phi == want.target_phi
     slope, _ = precise.slope_fit(got)
     assert abs(slope - 8) < 1e-3

@@ -16,6 +16,21 @@ from cpgate.cli import (
     run,
     spec_parse,
 )
+from cpgate.sequences import first_half
+
+
+def _measured_train(seq):
+    # The train verify measures for an inline spec: the 50-digit two-half
+    # train of its half polished as ``cli._polished_half`` polishes it (at
+    # the angle's fraction of pi where it is one), or the input itself
+    # where that returns None.
+    if cli._polished_half(seq) is None:
+        return seq
+    half = first_half(seq)
+    rel = [float(p) - float(half[0]) for p in half[1:]]
+    frac = cli._pi_fraction(float(seq.target_phi))
+    phi = float(seq.target_phi) if frac is None else frac
+    return precise.structured_train(precise.polish_structured(rel, phi)[0], phi)
 
 
 def test_spec_parse_inline():
@@ -184,7 +199,7 @@ def test_verify_json_reports_the_fit(gate, capsys):
     seq, _, inline = cli._resolve_gate(gate)
     assert inline == ("=" in gate)
     if inline:
-        seq, _ = cli._measurement_sequence(seq)
+        seq = _measured_train(seq)
     slope, peak = precise.slope_fit(seq)
     assert report["slope"] == slope and report["peak"] == peak
     assert report["order"] == round(slope) - 1
@@ -457,8 +472,9 @@ def test_a_zero_after_a_nonzero_relative_phase_is_polished(capsys):
     # and the train measures the order of the root it came from.
     spec = ("phi=0.5;phases=0.0000,0.3000,0.0000,0.9739,1.1844,"
             "0.7500,1.0500,0.7500,1.7239,1.9344")
-    seq, t = cli._measurement_sequence(spec_parse(spec))
-    assert t is not None and seq.phases[2] != 0
+    seq = spec_parse(spec)
+    assert cli._polished_half(seq) is not None
+    assert _measured_train(seq).phases[2] != 0
     assert run(["verify", "--json", "--gate", spec]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == 4
 
@@ -783,24 +799,22 @@ def test_verify_does_not_repolish_catalog_trains(monkeypatch, capsys):
     assert calls == []
 
 
-def test_measurement_sequence_logs_a_failed_polish(caplog):
+def test_polished_half_logs_a_failed_polish(caplog):
     # Every relative phase is an exact zero, so all are pinned and the
     # polish has nothing to move on a train that is not a root.
     seq = spec_parse("phi=1;phases=0,0,0,0.5,0.5,0.5")
     with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
-        measured, t = cli._measurement_sequence(seq)
-    assert measured is seq and t is None
+        assert cli._polished_half(seq) is None
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
     assert "polish failed" in record.getMessage()
 
 
-def test_measurement_sequence_logs_a_polish_that_drifted(caplog):
+def test_polished_half_logs_a_polish_that_drifted(caplog):
     # Structured, but far from any root: Newton lands on another one.
     seq = spec_parse("phi=1;phases=0,0.3,0.7,0.5,0.8,1.2")
     with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
-        measured, t = cli._measurement_sequence(seq)
-    assert measured is seq and t is None
+        assert cli._polished_half(seq) is None
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
     assert "moved a phase by" in record.getMessage()
@@ -809,7 +823,7 @@ def test_measurement_sequence_logs_a_polish_that_drifted(caplog):
 @pytest.mark.parametrize(
     "moved, polished", [(0.0, True), (5e-4, True), (2e-3, False)]
 )
-def test_measurement_sequence_logs_nothing_on_a_rounded_row(moved, polished, caplog):
+def test_polished_half_logs_nothing_on_a_rounded_row(moved, polished, caplog):
     # A second-half phase moved by ``moved`` rad: within the 1e-3 tolerance
     # of the two-half check the row is still polished, beyond it the input
     # comes back as it is.
@@ -820,7 +834,6 @@ def test_measurement_sequence_logs_nothing_on_a_rounded_row(moved, polished, cap
     phases[5] += moved
     rounded = replace(rounded, phases=tuple(phases))
     with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
-        measured, t = cli._measurement_sequence(rounded)
-    assert (measured is not rounded) == polished
+        t = cli._polished_half(rounded)
     assert (t is not None) == polished
     assert caplog.records == []

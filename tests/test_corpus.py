@@ -57,7 +57,8 @@ def test_cli_outputs_match_the_committed_corpus(tmp_path):
         if _range_mismatch(got, want):
             bad.append(("range", gate, threshold, got, want))
     assert not bad, bad[:5]
-    assert len(corpus["verify"]) == 27 + 84 + 10 and len(corpus["range"]) == 27 * 5
+    assert len(corpus["verify"]) == 27 + 84 + 10 + 100
+    assert len(corpus["range"]) == 27 * 5
 
 
 def test_polished_halves_match_the_committed_corpus():

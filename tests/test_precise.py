@@ -17,10 +17,11 @@ from mpmath.libmp import from_man_exp
 
 from cpgate import analysis, catalog, cli, precise, solver
 from cpgate.jets import half_jets, structured_jets
-from cpgate.sequences import six_pulse, structured_sequence
+from cpgate.sequences import first_half, six_pulse
 from cpgate.su2 import CompositeSequence
 
-from mp_oracle import mp_propagator
+from make_corpus import run_cli
+from mp_oracle import mp_propagator, mp_structured_train
 
 
 def _fraction(value):
@@ -199,9 +200,20 @@ def _rounded_row_specs(pulses):
     return specs
 
 
+def _polished_row(spec):
+    # The 50-digit two-half train of a rounded row's half polished at its
+    # angle's fraction of pi, as verify polishes it, and the t verify fits.
+    seq = cli.spec_parse(spec)
+    rel = [float(p) for p in first_half(seq)[1:]]
+    phi = cli._pi_fraction(float(seq.target_phi))
+    polished, _ = precise.polish_structured(rel, phi)
+    return precise.structured_train(polished, phi), cli._polished_half(seq)
+
+
 def _assert_slope_fit_is_the_reference_on_a_rounded_row(spec):
-    seq, t = cli._measurement_sequence(cli.spec_parse(spec))
-    assert seq.phases != cli.spec_parse(spec).phases  # polished
+    seq, t = _polished_row(spec)
+    assert t is not None  # polished
+    assert seq.phases != cli.spec_parse(spec).phases
     assert len(seq) % 2 == 0  # the one-sign path
     want = _reference_slope_fit(seq)
     assert precise.slope_fit(seq) == want
@@ -228,13 +240,6 @@ def test_slope_fit_equals_the_per_epsilon_loop_bitwise_on_shorter_rounded_rows(s
     _assert_slope_fit_is_the_reference_on_a_rounded_row(spec)
 
 
-def _structured_mp_train(rel, phi):
-    # A 50-digit two-half train, built the way catalog names, table rows
-    # and polished specs are.
-    with mp.workdps(precise.WORKING_DPS):
-        return structured_sequence([mp.mpf(p) for p in rel], mp.mpf(phi))
-
-
 @given(
     rel=st.integers(1, 9).flatmap(
         lambda half: st.tuples(
@@ -252,7 +257,9 @@ def test_slope_fit_of_a_structured_train_equals_the_per_epsilon_loop_bitwise(rel
     # the fit of its half's t is the same, bit for bit.
     zeros, free = rel
     rel = [0.0] * zeros + free[zeros:]
-    seq = _structured_mp_train(rel, phi)
+    # A 50-digit two-half train, built the way catalog names and table rows
+    # are.
+    seq = precise.structured_train(rel, phi)
     want = _reference_slope_fit(seq)
     assert precise.slope_fit(seq) == want
     t = precise.t_polynomial(seq.phases[: len(rel) + 1], seq.target_phi)
@@ -274,7 +281,7 @@ def _ulp_moved_train():
 
 def _whole_turn_train():
     # Z10 with one second-half phase a whole turn on at 50 digits: the same
-    # gate, but no longer the pair structured_sequence builds, and the
+    # gate, but no longer the pair structured_train builds, and the
     # difference rounds to the double 2 pi.
     seq = catalog.to_sequence(catalog.get("Z10"))
     k = len(seq) // 2 + 3
@@ -290,8 +297,8 @@ def _30_digit_train():
     seq = catalog.to_sequence(catalog.get("S6"))
     half = len(seq) // 2
     with mp.workdps(30):
-        return structured_sequence(
-            [mp.mpf(p) for p in seq.phases[1:half]], mp.mpf(seq.target_phi)
+        return mp_structured_train(
+            [mp.mpf(p) for p in seq.phases[1:half]], seq.target_phi
         )
 
 
@@ -315,7 +322,7 @@ def _large_phase_train(kind):
     if kind == "float":
         return CompositeSequence((1e300 * math.pi,) * 2, math.pi)
     with mp.workdps(precise.WORKING_DPS):
-        return structured_sequence((), mp.pi, mp.mpf("1e60"))
+        return mp_structured_train((), mp.pi, mp.mpf("1e60"))
 
 
 @pytest.mark.parametrize("kind", ["float", "50-digit"])
@@ -821,7 +828,7 @@ def _outputs_at(dps, inputs):
     # slope_fit, half_slope_fit, polish_structured and a cleared catalog's
     # trains and halves under a caller at ``dps`` digits, as exact bits
     # (a float as it is); the caller's precision must come back unchanged.
-    trains, t, polish_cases, entry = inputs
+    trains, t, polish_cases, entry, gates = inputs
 
     def raw(values):
         return [getattr(v, "_mpf_", v) for v in values]
@@ -841,6 +848,7 @@ def _outputs_at(dps, inputs):
             (catalog.arbitrary_row(Fraction(1, 3), 12), None),
         ):
             out.append((raw(seq.phases), raw([seq.target_phi]), half))
+        out += [run_cli(("verify", "--json", "--gate", gate)) for gate in gates]
         assert mp.mp.prec == prec
     return out
 
@@ -850,7 +858,8 @@ def test_results_do_not_follow_the_callers_precision(dps):
     # The fixed-point format is a constant: the results under a caller at
     # 15, 50 and 90 digits are the same, bit for bit, as under one at 30.
     # The inputs are built before: floats, mpf at the working and at 30
-    # digits, and the constant mp.pi as an angle.
+    # digits, and Fraction(1) as an angle; verify polishes a rounded row
+    # at a fraction of pi and at a float angle.
     assert precise.WP == mp.libmp.dps_to_prec(precise.WORKING_DPS)
     row = catalog.arbitrary_row(Fraction(1), 14, refine=False)
     row_rel = [float(p) for p in row.phases[1:7]]
@@ -858,8 +867,13 @@ def test_results_do_not_follow_the_callers_precision(dps):
     trains = [catalog.to_sequence(catalog.get("T18")), six_pulse(math.pi / 2, 3),
               _30_digit_train()]
     entry = catalog.get("S16")
-    polish_cases = ((row_rel, mp.pi), (row_rel, math.pi), (named_rel, named_phi))
-    inputs = (trains, catalog.half_polynomial(entry), polish_cases, entry)
+    polish_cases = (
+        (row_rel, Fraction(1)), (row_rel, math.pi), (named_rel, named_phi)
+    )
+    [spec] = [s for frac, s in _rounded_row_specs(12) if frac == Fraction(1, 3)]
+    gates = (spec, spec.replace("phi=0.33333333333333331;", "phi=0.3334;"))
+    assert cli._pi_fraction(0.3334 * math.pi) is None
+    inputs = (trains, catalog.half_polynomial(entry), polish_cases, entry, gates)
     assert _outputs_at(dps, inputs) == _outputs_at(30, inputs)
 
 
@@ -990,3 +1004,75 @@ def test_polished_trains_are_roots_to_90_digits(case):
         residual = _dense_residual(rel, seq.target_phi, n)
     assert max(abs(r) for r in residual) <= 1e-40
     assert analysis.verify_order(seq) == len(seq) // 2 - 1
+
+
+def _catalog_fractions():
+    # Every angle and phase of the named trains and table rows, in units of
+    # pi, as the Fractions the catalog holds.
+    fracs = set()
+    for entry in catalog.entries():
+        fracs.add(entry.phi_over_pi)
+        fracs.update(entry.phases_over_pi)
+    for row in catalog.arbitrary_rows():
+        fracs.add(row.phi_over_pi)
+        for pulses in row.columns:
+            fracs.update(row.free_phases(pulses))
+    assert len(fracs) == 294
+    return fracs
+
+
+def test_raw_of_a_fraction_is_pi_times_it_at_50_digits():
+    # A Fraction in units of pi is rounded as mp.pi * p / q was in a
+    # 50-digit context, bit for bit: on every catalog fraction and on p/q
+    # for q <= 64, |p| <= 4q.
+    small = {Fraction(p, q) for q in range(1, 65) for p in range(-4 * q, 4 * q + 1)}
+    with mp.workdps(precise.WORKING_DPS):
+        for f in _catalog_fractions() | small:
+            assert precise._raw(f) == (mp.pi * f.numerator / f.denominator)._mpf_, f
+
+
+def _mpf_third(x):
+    # An mpf with 50-digit bits, as the polish returns.
+    with mp.workdps(precise.WORKING_DPS):
+        return mp.mpf(x) / 3
+
+
+_TRAIN_ANGLES = st.one_of(
+    st.floats(-7.0, 7.0),
+    st.fractions(-4, 4, max_denominator=64),
+    st.floats(-7.0, 7.0).map(_mpf_third),
+)
+
+
+@given(rel=st.lists(_TRAIN_ANGLES, max_size=9), phi=_TRAIN_ANGLES)
+@settings(max_examples=60, deadline=None)
+def test_structured_train_is_the_mpf_build(rel, phi):
+    # The train the catalog built in a 50-digit context, a Fraction f as
+    # mp.pi * f: the same types, bits, angle and label.
+    def mpf(x):
+        if isinstance(x, Fraction):
+            return mp.pi * x.numerator / x.denominator
+        return mp.mpf(x)
+
+    got = precise.structured_train(rel, phi)
+    with mp.workdps(precise.WORKING_DPS):
+        want = mp_structured_train([mpf(p) for p in rel], mpf(phi))
+    assert [type(p) for p in got.phases] == [type(p) for p in want.phases]
+    assert [getattr(p, "_mpf_", p) for p in got.phases] == [
+        getattr(p, "_mpf_", p) for p in want.phases
+    ]
+    assert type(got.target_phi) is type(want.target_phi)
+    assert got.target_phi._mpf_ == want.target_phi._mpf_
+    assert got.label == want.label
+
+
+@pytest.mark.parametrize("angle", [mp.pi, mp.e, "0.5", 0.5j, None])
+def test_raw_refuses_an_angle_it_would_round_through_a_float(angle):
+    # mp.pi through a float would silently lose its 50 digits; a Fraction
+    # of pi is the exact angle.
+    with pytest.raises(TypeError):
+        precise._raw(angle)
+    with pytest.raises(TypeError):
+        precise.structured_train((), angle)
+    with pytest.raises(TypeError):
+        precise.polish_structured([0.5], angle)

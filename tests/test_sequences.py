@@ -21,7 +21,7 @@ from cpgate.sequences import (
 from cpgate.su2 import CompositeSequence, compose, frobenius_fidelity, target_gate
 
 from jet_oracle import jet_compose
-from mp_oracle import mp_propagator
+from mp_oracle import mp_propagator, mp_structured_train
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -207,16 +207,15 @@ def test_gate_angle_orders_infidelity(phi):
     assert infids[math.pi] >= infids[math.pi / 2] >= infids[math.pi / 4]
 
 
-def test_structured_sequence_takes_an_mpmath_constant_angle_exactly():
-    # mp.pi is an mpmath constant, not an mpf: it must still shift the
-    # second half by mp.pi - phi/2 at the working precision.
+def test_structured_sequence_casts_mpf_input_to_a_float_train():
+    # Doubles throughout: an mpf or mpmath-constant input gives the float
+    # train of its doubles, never one half exact and the other shifted in
+    # doubles.  The 50-digit train is precise.structured_train's.
     with mp.workdps(precise.WORKING_DPS):
         rel = (mp.mpf("0.3"), mp.mpf("1.9"))
-        seq = structured_sequence(rel, mp.pi)
-        assert isinstance(seq.target_phi, mp.mpf) and seq.target_phi == +mp.pi
-        shift = mp.pi - mp.pi / 2
-        for k in range(3):
-            assert seq.phases[3 + k] == seq.phases[k] + shift
+        seq = structured_sequence(rel, mp.pi, mp.mpf("0.25"))
+    assert all(type(p) is float for p in (*seq.phases, seq.target_phi))
+    assert seq == structured_sequence((0.3, 1.9), math.pi, 0.25)
 
 
 _TWO_HALF_TRAINS = st.integers(0, 8).flatmap(
@@ -250,9 +249,7 @@ def test_half_train_identity_on_the_float_path(train):
 def test_half_train_identity_at_50_digits(train):
     rel, phi, nu, eps = train
     with mp.workdps(precise.WORKING_DPS):
-        seq = structured_sequence(
-            [mp.mpf(p) for p in rel], mp.mpf(phi), mp.mpf(nu)
-        )
+        seq = mp_structured_train([mp.mpf(p) for p in rel], phi, mp.mpf(nu))
         grid = [mp.mpf(e) for e in eps]
         full = mp_propagator(seq.phases, grid)
         half = mp_propagator(seq.phases[: len(rel) + 1], grid)
