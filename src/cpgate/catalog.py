@@ -307,9 +307,11 @@ def _finite_radians(value: Fraction) -> bool:
 
 
 def save_catalog(entry_list, path) -> None:
+    # One write: json.dump would stream the indented encoder's chunks
+    # through one write call each.
+    text = json.dumps([entry_to_dict(e) for e in entry_list], indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([entry_to_dict(e) for e in entry_list], fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _parse(text: str) -> list[CatalogEntry]:

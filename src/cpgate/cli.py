@@ -1,21 +1,25 @@
 """Command-line front end.
 
-All user-facing angles are in units of pi (``--phi 0.5`` means pi/2);
-radians never cross the CLI boundary.  Exit codes: 0 success, 2
-validation error (an allocation too large for memory included), 3
-numerical failure.
+The grammar is ``cpgate COMMAND [--name VALUE | --name=VALUE | --flag]...``,
+read from the one table ``_COMMANDS``: option names match exactly (no
+abbreviations), the item after an option is always its value (so
+``--eps-min -0.4``), a repeated option keeps its last value, and ``-h`` or
+``--help`` prints the program's or a command's help.  All user-facing angles
+are in units of pi (``--phi 0.5`` means pi/2); radians never cross the CLI
+boundary.  Exit codes: 0 success, 2 validation error (an argument error, or
+an allocation too large for memory), with one ``error: ...`` line on stderr,
+3 numerical failure.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import logging
 import math
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import analysis, catalog, precise, sequences, solver
 from .su2 import CompositeSequence
@@ -297,84 +301,120 @@ def _finite(text: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
-def _add_gate_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--gate",
-        required=True,
-        help="catalog name (e.g. Z8), inline spec phi=<v>;phases=<p0,...> "
-        "(units of pi), or catalog JSON path",
-    )
+def _choice(convert, *choices):
+    """Converter: ``convert``, then a check that the value is one of ``choices``."""
+    def check(text):
+        if (value := convert(text)) not in choices:
+            raise ValueError(f"invalid choice {text!r} (choose from {check.choices})")
+        return value
+    check.choices = ", ".join(map(str, choices))
+    return check
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: parse_args leaves the parser unchanged.
-    parser = argparse.ArgumentParser(
-        prog="cpgate",
-        description="Composite phase-gate pulse trains: catalog, analysis, solver.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # the default of an option that must be given
+_FLAG = object()  # the default of an option that takes no value: False, True if given
 
-    sub.add_parser("list", help="list catalog entries").set_defaults(func=_cmd_list)
+_GATE = {"--gate": (str, _REQUIRED, "catalog name (e.g. Z8), inline spec "
+                    "phi=<v>;phases=<p0,...> (units of pi), or catalog JSON path")}
+_PHI = (_finite, _REQUIRED, "gate angle, units of pi")
+_OUT = {"--out": (str, None, "file to write; stdout if not given")}
 
-    p = sub.add_parser("show", help="show one catalog entry")
-    p.add_argument("name")
-    p.set_defaults(func=_cmd_show)
+# command: (function, help, options); an option maps its name to (converter,
+# default, help), and a name without "--" is a positional.
+_COMMANDS = {
+    "list": (_cmd_list, "list catalog entries", {}),
+    "show": (_cmd_show, "show one catalog entry", {"name": (str, _REQUIRED, "")}),
+    "build": (_cmd_build, "construct an analytic train", {
+        "--phi": _PHI, "--pulses": (_choice(int, 2, 4, 6, 8, 10, 12, 14), _REQUIRED, ""),
+        "--variant": (int, 1, "which 4-, 6- or 8-pulse train; other lengths have one")}),
+    "sweep": (_cmd_sweep, "fidelity sweep to CSV", {
+        **_GATE, "--eps-min": (_finite, -0.4, ""), "--eps-max": (_finite, 0.4, ""),
+        "--steps": (int, 801, ""), **_OUT}),
+    "range": (_cmd_range, "high-fidelity error range",
+              {**_GATE, "--threshold": (float, 1e-4, "")}),
+    "verify": (_cmd_verify, "measured compensation order", {**_GATE, "--json": (
+        None, _FLAG, "print the order, fitted slope and peak infidelity as JSON")}),
+    "solve": (_cmd_solve, "derive phases numerically", {
+        "--order": (int, _REQUIRED, ""), "--phi": _PHI, "--seeds": (int, 32, ""),
+        "--rng-seed": (int, 0, ""), **_OUT}),
+    "tables": (_cmd_tables, "print one catalog table",
+               {"--which": (_choice(str, "Z", "S", "T", "IV"), _REQUIRED, "")}),
+}
 
-    p = sub.add_parser("build", help="construct an analytic train")
-    p.add_argument("--phi", type=_finite, required=True, help="gate angle, units of pi")
-    p.add_argument("--pulses", type=int, required=True,
-                   choices=[2, 4, 6, 8, 10, 12, 14])
-    p.add_argument("--variant", type=int, default=1,
-                   help="which 4-, 6- or 8-pulse train; other lengths have one")
-    p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("sweep", help="fidelity sweep to CSV")
-    _add_gate_arg(p)
-    p.add_argument("--eps-min", type=_finite, default=-0.4)
-    p.add_argument("--eps-max", type=_finite, default=0.4)
-    p.add_argument("--steps", type=int, default=801)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sweep)
+def _help(command=None) -> str:
+    """The help text of ``command``, or of the program where it is None."""
+    if command is None:
+        return "\n".join([
+            "usage: cpgate COMMAND [--name VALUE | --name=VALUE | --flag]...\n",
+            "Composite phase-gate pulse trains: catalog, analysis, solver.\n\ncommands:",
+            *(f"  {name:<7} {text}" for name, (_, text, _) in _COMMANDS.items()),
+            "\ncpgate COMMAND -h lists the options of COMMAND."])
+    _, text, options = _COMMANDS[command]
+    lines = [f"usage: cpgate {command}{' [options]' if options else ''}\n\n{text}\n"]
+    for name, (convert, default, note) in options.items():
+        value = "" if default is _FLAG or name[:2] != "--" else " VALUE"
+        notes = (note, f"one of {convert.choices}" if hasattr(convert, "choices") else "",
+                 "(required)" if default is _REQUIRED else ""
+                 if default in (None, _FLAG) else f"(default: {default})")
+        lines.append(f"  {name + value:<18}" + " ".join(n for n in notes if n))
+    return "\n".join(lines)
 
-    p = sub.add_parser("range", help="high-fidelity error range")
-    _add_gate_arg(p)
-    p.add_argument("--threshold", type=float, default=1e-4)
-    p.set_defaults(func=_cmd_range)
 
-    p = sub.add_parser("verify", help="measured compensation order")
-    _add_gate_arg(p)
-    p.add_argument("--json", action="store_true",
-                   help="print the order, fitted slope and peak infidelity as JSON")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("solve", help="derive phases numerically")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--phi", type=_finite, required=True, help="gate angle, units of pi")
-    p.add_argument("--seeds", type=int, default=32)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("tables", help="print one catalog table")
-    p.add_argument("--which", required=True, choices=["Z", "S", "T", "IV"])
-    p.set_defaults(func=_cmd_tables)
-
-    return parser
+def _parse(argv):
+    """The namespace of ``argv`` (``func``: the command's function), or None
+    after printing the help it asked for.  CliError on any argument error."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print(_help())
+        return None
+    if command not in _COMMANDS:
+        raise CliError((f"unknown command {command!r}" if argv else "missing command")
+                       + f" (choose from {', '.join(_COMMANDS)})")
+    func, _, options = _COMMANDS[command]
+    positionals = [name for name in options if name[:2] != "--"]
+    given = {}
+    items = iter(argv[1:])
+    for item in items:
+        if item in ("-h", "--help"):
+            print(_help(command))
+            return None
+        if item[:2] != "--":
+            if not positionals:
+                raise CliError(f"{command}: unexpected argument {item!r}")
+            name, text = positionals.pop(0), item
+        else:
+            name, eq, text = item.partition("=")
+            if name not in options:
+                raise CliError(f"{command}: unknown option {name}")
+            if options[name][1] is _FLAG:
+                if eq:
+                    raise CliError(f"argument {name}: takes no value")
+                given[name] = True
+                continue
+            if not eq and (text := next(items, None)) is None:
+                raise CliError(f"argument {name}: expected a value")
+        try:
+            given[name] = options[name][0](text)
+        except ValueError as exc:
+            raise CliError(f"argument {name}: {exc}") from None
+    for name, (_, default, _) in options.items():
+        if name not in given:
+            if default is _REQUIRED:
+                raise CliError(f"{command}: argument {name} is required")
+            given[name] = False if default is _FLAG else default
+    return SimpleNamespace(func=func, **{
+        name.lstrip("-").replace("-", "_"): value for name, value in given.items()})
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_VALIDATION if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else args.func(args)
     except (CliError, catalog.CatalogError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -3,8 +3,11 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -837,3 +840,80 @@ def test_polished_half_logs_nothing_on_a_rounded_row(moved, polished, caplog):
         t = cli._polished_half(rounded)
     assert (t is not None) == polished
     assert caplog.records == []
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_every_command_answers_help(command, flag, capsys):
+    assert run([command, flag]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert cli._COMMANDS[command][1] in out
+    for name in cli._COMMANDS[command][2]:
+        assert name in out
+
+
+def test_program_help_lists_the_commands(capsys):
+    assert run(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: cpgate COMMAND")
+    assert all(f"  {command} " in out for command in cli._COMMANDS)
+
+
+def test_name_equals_value_parses_as_name_value():
+    spaced = cli._parse(["sweep", "--gate", "Z4", "--steps", "5", "--out", "x=1.csv"])
+    joined = cli._parse(["sweep", "--gate=Z4", "--steps=5", "--out=x=1.csv"])
+    assert vars(spaced) == vars(joined)
+    assert joined.out == "x=1.csv" and joined.steps == 5
+
+
+def test_parsed_defaults_repeats_and_flags():
+    args = cli._parse(["range", "--threshold", "0.1", "--gate", "Z4", "--threshold", "0.2"])
+    assert (args.func, args.gate, args.threshold) == (cli._cmd_range, "Z4", 0.2)
+    assert cli._parse(["verify", "--gate", "Z4"]).json is False
+    assert cli._parse(["verify", "--json", "--gate", "Z4"]).json is True
+    args = cli._parse(["solve", "--order", "2", "--phi", "0.5"])
+    assert (args.seeds, args.rng_seed, args.out) == (32, 0, None)
+
+
+@pytest.mark.parametrize("argv", [["--eps-min", "-0.4"], ["--eps-min=-0.4"]])
+def test_a_negative_value_follows_its_option(argv):
+    args = cli._parse(["sweep", "--gate", "Z4", *argv, "--eps-max", "-0.1"])
+    assert (args.eps_min, args.eps_max) == (-0.4, -0.1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frobnicate"], "unknown command 'frobnicate'"),
+        ([], "missing command"),
+        (["range", "--gate", "Z4", "--bogus", "1"], "unknown option --bogus"),
+        # An abbreviation is an unknown option, not --threshold.
+        (["range", "--thr", "0.1", "--gate", "Z4"], "unknown option --thr"),
+        (["range", "--gate"], "argument --gate: expected a value"),
+        (["range", "--threshold", "0.1"], "argument --gate is required"),
+        (["verify", "--gate", "Z4", "--json=1"], "argument --json: takes no value"),
+        (["sweep", "--gate", "Z4", "--steps", "abc"], "argument --steps: "),
+        (["tables", "--which", "Q"], "argument --which: invalid choice 'Q'"),
+        (["build", "--phi", "1", "--pulses", "5"], "argument --pulses: invalid choice"),
+        (["show"], "argument name is required"),
+        (["show", "Z4", "Z8"], "unexpected argument 'Z8'"),
+    ],
+)
+def test_argument_errors_print_one_error_line(argv, message, capsys):
+    assert run(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err and "usage" not in err
+
+
+def test_cli_imports_no_argparse():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, cpgate.cli; print('argparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    ).stdout
+    assert out.strip() == "False"
