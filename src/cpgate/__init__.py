@@ -7,11 +7,11 @@ whose relative phases cancel systematic pulse-area errors to high order.
 from .analysis import (
     ErrorRange,
     FidelityProfile,
-    closed_form_fidelity,
+    compose,
+    frobenius_fidelity,
     high_fidelity_range,
     sweep,
-    trace_range,
-    verify_order,
+    trace_fidelity,
 )
 from .catalog import ArbitraryPhaseRow, CatalogEntry, arbitrary_row, get, to_sequence
 from .sequences import (
@@ -24,14 +24,7 @@ from .sequences import (
     two_pulse,
 )
 from .solver import SolverConfig, Solution, residual, solve
-from .su2 import (
-    CompositeSequence,
-    Su2,
-    compose,
-    frobenius_fidelity,
-    target_gate,
-    trace_fidelity,
-)
+from .su2 import CompositeSequence, Su2, target_gate
 
 __version__ = "1.0.0"
 
@@ -47,7 +40,6 @@ __all__ = [
     "arbitrary_row",
     "chi_eight",
     "chi_six",
-    "closed_form_fidelity",
     "compose",
     "eight_pulse",
     "four_pulse",
@@ -62,7 +54,5 @@ __all__ = [
     "target_gate",
     "to_sequence",
     "trace_fidelity",
-    "trace_range",
     "two_pulse",
-    "verify_order",
 ]

@@ -1,12 +1,16 @@
-"""Quantitative verification: fidelity sweeps, compensation-order
-estimation, high-fidelity error ranges, and closed-form profiles.
+"""Quantitative verification in doubles: a train's propagator and gate
+fidelities, fidelity sweeps, the order read off a slope fit, and
+high-fidelity error ranges.
 
-The closed-form Frobenius infidelity of an order-n train is
-sqrt(2) |sin^(n+1)(pi*eps/2)| |sin(phi/4)| and the trace infidelity is
-its square; sweeps of valid trains must match these pointwise.  The
-square holds for any train: against a phase gate both infidelities read
-the squared Frobenius distance 1 - Re(a e^{i phi/2}) of the pair (a, b),
-the trace infidelity as it is and the Frobenius infidelity as its root.
+``compose`` multiplies out a train over an array of errors, and
+``frobenius_fidelity`` and ``trace_fidelity`` compare the result with the
+target gate.  Against a phase gate both infidelities read the squared
+Frobenius distance 1 - Re(a e^{i phi/2}) of the pair (a, b), the trace
+infidelity as it is and the Frobenius infidelity as its root: the trace
+infidelity of any train is the square of its Frobenius infidelity, and
+the trace measure's range at threshold t is ``high_fidelity_range`` at
+sqrt(t).  An order-n train has the Frobenius infidelity
+sqrt(2) |sin^(n+1)(pi*eps/2)| |sin(phi/4)| (the profile law).
 
 The range search reads any train, root or not, through its exact
 propagator polynomial: the N+1 coefficients of (a, b) in z = e^{i theta},
@@ -30,8 +34,7 @@ matmul with the grid's exp(i theta k) basis, built once per pulse count
 and cached; it finds the first cell where the Frobenius infidelity
 reaches the threshold.  Safeguarded Newton refines the crossing there,
 evaluating the polynomial and its derivative at each iterate by Horner
-in w = e^{2 i theta} on Python scalars.  ``trace_range`` is that search
-at the root of its threshold.
+in w = e^{2 i theta} on Python scalars.
 
 A sweep's CSV (``csv_bytes``, behind ``write_csv`` and the CLI's stdout)
 holds the bytes of "%.17g" of every value, encoded a block of rows at a
@@ -48,21 +51,13 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from . import precise
-from .su2 import (
-    CompositeSequence,
-    Su2,
-    compose,
-    frobenius_fidelity,
-    target_gate,
-    trace_fidelity,
-)
+from .su2 import CompositeSequence, Su2, target_gate
 
 _log = logging.getLogger("cpgate.analysis")
 
@@ -91,6 +86,50 @@ class ErrorRange:
     lower: float
     upper: float
     flagged: bool = False
+
+
+def compose(seq: CompositeSequence, epsilon) -> Su2:
+    """Composite propagator of the whole train at error ``epsilon``, a
+    float or an array; a float is the 0-d case.
+
+    Equal to U_N ... U_2 U_1 where U_k is the k-th pulse propagator:
+    later pulses multiply from the left.  The cos and sin of the common
+    half area are evaluated once over the whole ``epsilon`` array, and one
+    pass over the pulses composes it.
+    """
+    if not seq.phases:
+        raise ValueError("empty sequence")
+    eps = np.asarray(epsilon, dtype=float)
+    half = 0.5 * math.pi * (1.0 + eps)
+    c, s = np.cos(half), np.sin(half)
+    # One row per pulse, broadcast against the error grid.
+    column = (-1,) + (1,) * eps.ndim
+    phases = np.reshape([float(p) for p in seq.phases], column)
+    pb = -1j * np.exp(1j * phases) * s
+    a, b = c, pb[0]
+    for cb in pb[1:]:
+        # The pulse (c, cb) times the train (a, b), inlined: no Su2 object
+        # per pulse.
+        a, b = c * a - cb * b.conjugate(), c * b + cb * a.conjugate()
+    return Su2(a, b)
+
+
+def frobenius_fidelity(u: Su2, f: Su2):
+    """1 minus the normalized Frobenius distance between ``u`` and ``f``.
+
+    The stringent gate measure: sensitive to both populations and phases.
+    """
+    dist2 = 0.5 * (np.abs(u.a - f.a) ** 2 + np.abs(u.b - f.b) ** 2)
+    return 1.0 - np.sqrt(dist2)
+
+
+def trace_fidelity(u: Su2, f: Su2):
+    """Re (1/2) Tr[U F^dagger]; the lenient gate measure.
+
+    For the Cayley-Klein parametrization the half-trace overlap reduces to
+    Re(a fa*) + Re(b fb*), which is real by construction.
+    """
+    return (u.a * f.a.conjugate()).real + (u.b * f.b.conjugate()).real
 
 
 def sweep(seq: CompositeSequence, eps_min: float, eps_max: float,
@@ -264,32 +303,19 @@ def _encode_block(table: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def closed_form_fidelity(n: int, phi: float, epsilon: float) -> tuple[float, float]:
-    """(frobenius, trace) fidelity of an ideal order-n train in closed form."""
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    s = abs(math.sin(math.pi * epsilon / 2)) ** (n + 1)
-    g = abs(math.sin(phi / 4))
-    return 1.0 - math.sqrt(2.0) * s * g, 1.0 - 2.0 * (s * g) ** 2
-
-
 # Measurability floor for the slope window, set by the extended-precision
 # evaluation (50 digits), not by double precision.
 _MEASURABLE_INFIDELITY = 1e-40
 
 
-def verify_order(seq: CompositeSequence) -> int:
-    """Compensation order from the infidelity power law: round(slope) - 1.
+def order_from_slope(slope: float, peak: float) -> int:
+    """Compensation order from the infidelity power law: round(slope) - 1,
+    read off a ``precise.slope_fit`` result, the (slope, peak infidelity)
+    of the log-log fit on eps in [1e-3, 1e-2].
 
     Raises AnalysisError when the order is beyond the measurable range or
     below zero (the train misses the target gate even at zero error).
     """
-    return order_from_slope(*precise.slope_fit(seq))
-
-
-def order_from_slope(slope: float, peak: float) -> int:
-    """The order ``verify_order`` reads off a ``precise.slope_fit`` result:
-    (slope, peak infidelity) of the log-log fit on eps in [1e-3, 1e-2]."""
     if not math.isfinite(slope) or peak < _MEASURABLE_INFIDELITY:
         raise AnalysisError("order exceeds measurable range")
     order = int(round(slope)) - 1
@@ -409,14 +435,10 @@ def _propagator_at(coeffs, eps: float):
     return a, b, da, db
 
 
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 < threshold < 0.5:
-        raise ValueError("threshold must be in (0, 0.5)")
-
-
-def _error_range(seq: CompositeSequence, threshold: float) -> ErrorRange:
-    """Crossing of ``threshold`` by the Frobenius infidelity of ``seq`` in
-    the first cell of a grid on [0, _EPS_MAX] that reaches it.
+def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> ErrorRange:
+    """Error half-width keeping the Frobenius infidelity below ``threshold``:
+    its crossing of ``threshold`` in the first cell of a grid on
+    [0, _EPS_MAX] that reaches it.
 
     The infidelity reads the train's exact polynomial
     (``_propagator_polynomial``), built once per call: on the grid
@@ -428,6 +450,8 @@ def _error_range(seq: CompositeSequence, threshold: float) -> ErrorRange:
     not nondecreasing within _MONOTONE_SLACK.  Logs one DEBUG record
     under ``cpgate.analysis``.
     """
+    if not 0.0 < threshold < 0.5:
+        raise ValueError("threshold must be in (0, 0.5)")
     target = target_gate(seq.target_phi)
     coeffs = _propagator_polynomial(seq)
     eps, basis = _grid_basis(len(seq))
@@ -472,19 +496,3 @@ def _error_range(seq: CompositeSequence, threshold: float) -> ErrorRange:
         threshold, k, evals, step, flagged,
     )
     return ErrorRange(x, threshold, 1.0 - x, 1.0 + x, flagged)
-
-
-def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> ErrorRange:
-    """Error half-width keeping the Frobenius infidelity below ``threshold``."""
-    _check_threshold(threshold)
-    return _error_range(seq, threshold)
-
-
-def trace_range(seq: CompositeSequence, threshold: float = 1e-4) -> ErrorRange:
-    """Error half-width keeping the trace infidelity below ``threshold``.
-
-    The trace infidelity is the square of the Frobenius infidelity, so
-    this is the Frobenius search at sqrt(threshold).
-    """
-    _check_threshold(threshold)
-    return replace(_error_range(seq, math.sqrt(threshold)), threshold=threshold)

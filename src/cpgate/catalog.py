@@ -259,14 +259,24 @@ _REQUIRED_KEYS = ("name", "phi_over_pi", "order", "phases_over_pi")
 
 def entry_from_dict(d: dict) -> CatalogEntry:
     """Entry of one JSON record; raises CatalogError if the record is not
-    an object with the required keys, its phases are not a list of
-    2(order + 1) values, its angle or a phase times pi is not a finite
-    double, or its optional range is not a pair."""
+    an object with the required keys, its name or source is not a string,
+    its order is not an integer, its phases are not a list of 2(order + 1)
+    values, its angle or a phase times pi is not a finite double, or its
+    optional range is not a pair."""
     if not isinstance(d, dict):
         raise CatalogError(f"catalog record is not an object: {d!r}")
     missing = [k for k in _REQUIRED_KEYS if k not in d]
     if missing:
         raise CatalogError(f"catalog record lacks {', '.join(missing)}")
+    for key in ("name", "source"):
+        # The entry is hashed (the train cache): a list here would not be.
+        if not isinstance(d.get(key, ""), str):
+            raise CatalogError(f"catalog record {key} {d[key]!r} is not a string")
+    order = d["order"]
+    if type(order) is float and order.is_integer():
+        order = int(order)
+    if type(order) is not int:
+        raise CatalogError(f"{d['name']}: order {d['order']!r} is not an integer")
     if not isinstance(d["phases_over_pi"], list):
         raise CatalogError(f"{d['name']}: phases_over_pi is not a list")
     rng = d.get("quoted_range_over_pi") or [math.nan, math.nan]
@@ -277,7 +287,7 @@ def entry_from_dict(d: dict) -> CatalogEntry:
         entry = CatalogEntry(
             name=d["name"],
             phi_over_pi=Fraction(str(d["phi_over_pi"])),
-            order=int(d["order"]),
+            order=order,
             phases_over_pi=tuple(Fraction(s) for s in phases),
             phase_strings=tuple(phases),
             quoted_range_over_pi=(float(rng[0]), float(rng[1])),

@@ -101,19 +101,20 @@ phases only within the polish's own accuracy.  Its step is a pivoted
 solve whose inverse is certified by ||J||_F ||J^-1||_F <
 1/``solver._RCOND``, so that it is the step the pseudo-inverse would
 take; a zero pivot or a failed certificate sends the polish back to its
-input through ``solver._newton``.  An underdetermined system (the named
-trains of order >= 4) runs ``solver._newton`` and ``np.linalg.pinv``:
-there the float root's last bits choose the point on the root manifold,
-and those bits must stay the ones ``solver.canonicalize`` was charted
-with.  The 50-digit stage (``_fixed_newton``) runs in fixed point end to
-end.  The float root is converted once to integers at 2^PREC, exactly
-(``_fixed``), and each phase after the held zeros takes one
-``mpf_cos_sin`` per polish.  A step adds each double to its phase exactly, as an
-integer, and turns the phase's rotor by e^{i step}, its cos and sin
-summed by Taylor series in fixed point (``_small_cos_sin``; steps are
-~1e-9 and below, so three or four terms): a few units of 2^-PREC from a
-fresh cos/sin of the phase after three turns.  The residual stays the
-integer sin(phi/4) Re a_h + cos(phi/4) Im a_h at 2^-2PREC, only the
+input through ``solver._newton_batch`` on one row.  An underdetermined
+system (the named trains of order >= 4) runs ``solver._newton_batch`` on
+one row and ``np.linalg.pinv``: there the float root's last bits choose
+the point on the root manifold, and those bits must stay the ones the
+named trains' chart classes were measured with.  The 50-digit stage
+(``_fixed_newton``) runs in fixed point end to end.  The float root is
+converted once to integers at 2^PREC, exactly (``_fixed``), and each
+phase after the held zeros takes one ``mpf_cos_sin`` per polish.  A step
+adds each double to its phase exactly, as an integer, and turns the
+phase's rotor by e^{i step}, its cos and sin summed by Taylor series in
+fixed point (``_small_cos_sin``; steps are ~1e-9 and below, so three or
+four terms): a few units of 2^-PREC from a fresh cos/sin of the phase
+after three turns.  The residual stays the integer sin(phi/4) Re a_h +
+cos(phi/4) Im a_h at 2^-2PREC, only the
 step's right-hand side becomes doubles, and the stop test at
 10^-_POLISH_DIGITS = 1e-45 is an integer comparison.  That bound holds
 the full-train derivative conditions of every polished table row and
@@ -456,10 +457,10 @@ def polish_structured(rel_phases, phi):
     if square is not None:
         x_float, float_rmax, ok, jac_inv = square
     else:
-        x_float, float_rmax, ok, jac = solver._newton(
-            np.asarray(x_float, dtype=float), phi_float, tol=_FLOAT_TOL,
-            max_iter=60, pinned=pinned,
+        roots, norms, converged, jacs = solver._newton_batch(
+            np.array([x_float]), phi_float, _FLOAT_TOL, 60, pinned
         )
+        x_float, float_rmax, ok, jac = roots[0], norms[0], converged[0], jacs[0]
     if not ok:
         raise solver.SolverError(
             f"float-precision polish failed; residual max-norm {float_rmax:.3e}"

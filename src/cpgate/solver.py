@@ -25,18 +25,15 @@ The roots form manifolds of dimension floor(n/2).  ``solve`` runs
 Newton in the canonical chart, with the leading floor(n/2) relative
 phases pinned to zero (the compact 3pi/4pi-block forms), where the
 system is square and the roots are isolated points; each root it finds
-is already the canonical representative of its class.  ``transport``
-and ``canonicalize`` bring a root found elsewhere on its manifold, such
-as a published train, into that chart.  Every Newton iteration here
-holds a count ``pinned`` of leading phases fixed and steps along the
-rest: ``solve`` holds floor(n/2), ``transport`` the block it moves, and
-``precise``'s polish the leading phases of its input that are exactly 0.
+is already the canonical representative of its class.  Every Newton
+iteration here holds a count ``pinned`` of leading phases fixed and steps
+along the rest: ``solve`` holds floor(n/2), and ``precise``'s polish the
+leading phases of its input that are exactly 0.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import logging
 import math
 import time
@@ -51,8 +48,6 @@ TWO_PI = 2.0 * math.pi
 _RCOND = 1e-6
 # Two roots closer than this in every phase (mod 2 pi) are one class.
 _DEDUPE_TOL = 1e-6
-# Nominal steps of the continuation path in ``transport``.
-_TRANSPORT_STEPS = 12
 # Residual max-norm a root must reach, and the Newton iteration limit of
 # a ``solve`` restart.
 _TOL = 1e-12
@@ -139,7 +134,9 @@ def _newton_batch(
     the Jacobian (B, ceil(n/2), n - pinned) of each row's residual in its
     free phases at the returned row.  Every row follows its own iteration
     exactly as if it were alone: rows that converge or fail leave the
-    batch, the rest go on.
+    batch, the rest go on.  The pseudo-inverse cutoff keeps steps out of
+    the root manifold's tangent directions, so near-roots are polished in
+    place instead of drifting along the manifold.
     """
     x = np.array(x0, dtype=float)
     batch, n = x.shape
@@ -206,27 +203,6 @@ def _newton_batch(
     return x, rmax, ok, jac_out
 
 
-def _newton(
-    phases: np.ndarray,
-    phi: float,
-    tol: float,
-    max_iter: int,
-    pinned: int = 0,
-) -> tuple[np.ndarray, float, bool, np.ndarray]:
-    """Damped least-squares Newton; the leading ``pinned`` phases never
-    move.
-
-    The pseudo-inverse cutoff keeps steps out of the root manifold's
-    tangent directions, so near-roots are polished in place instead of
-    drifting along the manifold.  Returns the phases, their residual
-    max-norm, whether they converged and the Jacobian
-    (ceil(n/2), n - pinned) in the free phases at the returned phases.
-    """
-    x0 = np.asarray(phases, dtype=float)[None, :]
-    x, rmax, ok, jac = _newton_batch(x0, phi, tol, max_iter, pinned)
-    return x[0], float(rmax[0]), bool(ok[0]), jac[0]
-
-
 def _certified_inverse(jac):
     """Inverse of the square matrix ``jac`` (a list of rows) by Gauss-Jordan
     elimination with partial pivoting, or None on a zero pivot or when
@@ -257,10 +233,11 @@ def _certified_inverse(jac):
 
 
 def _newton_square(phases, phi: float, tol: float, max_iter: int, pinned: int):
-    """``_newton`` on Python scalars for a square system, as many phases
-    after the leading ``pinned`` as residual entries: the same full step,
-    halvings, acceptance on a smaller residual 2-norm and stopping rule,
-    with a pivoted solve in place of the pseudo-inverse.
+    """``_newton_batch`` on one row, in Python scalars, for a square
+    system, as many phases after the leading ``pinned`` as residual
+    entries: the same full step, halvings, acceptance on a smaller residual
+    2-norm and stopping rule, with a pivoted solve in place of the
+    pseudo-inverse.
 
     Returns (phases, residual max-norm, converged, inverse) with the
     inverse of the Jacobian in the free phases at the returned phases, as
@@ -315,69 +292,6 @@ def _newton_square(phases, phi: float, tol: float, max_iter: int, pinned: int):
 def pinned_zero_count(n: int) -> int:
     """Dimension of the solution manifold at order n."""
     return n // 2
-
-
-def transport(phases, phi: float, leading) -> np.ndarray:
-    """Slide a root along its solution manifold until its leading relative
-    phases equal ``leading`` (at most floor(n/2) values, the manifold
-    dimension), reduced mod 2*pi.  This is the equivalence move connecting
-    the published representatives of one root class.  Raises SolverError
-    if the continuation loses the root.
-    """
-    x = np.asarray(phases, dtype=float) % TWO_PI
-    leading = np.asarray(leading, dtype=float)
-    n, npin = len(x), len(leading)
-    if npin > pinned_zero_count(n):
-        raise SolverError(
-            f"cannot pin {npin} phases on a {pinned_zero_count(n)}-dim manifold"
-        )
-    if npin == 0:
-        return x
-    start = x[:npin].copy()
-    # Move the leading block along the straight path with adaptive step
-    # control: halve the step whenever the pinned Newton polish fails to
-    # track the manifold, give up once steps become negligible (a fold of
-    # the manifold over this path; creeping closer only burns iterations).
-    lam, dlam, rmax = 0.0, 1.0 / _TRANSPORT_STEPS, math.inf
-    for _ in range(8 * _TRANSPORT_STEPS):
-        lam_next = min(1.0, lam + dlam)
-        trial = x.copy()
-        trial[:npin] = start + (leading - start) * lam_next
-        trial, rmax, ok, _ = _newton(trial, phi, _TOL, 40, npin)
-        if ok:
-            x, lam = trial, lam_next
-            if lam >= 1.0:
-                return x % TWO_PI
-            dlam = min(2.0 * dlam, 1.0 / _TRANSPORT_STEPS)
-        else:
-            dlam *= 0.5
-            if dlam < 1e-3:
-                break
-    raise SolverError(f"manifold transport lost the root (residual {rmax:.3e})")
-
-
-def canonicalize(phases, phi: float) -> np.ndarray:
-    """Transport a root to the leading-zeros canonical form (first
-    floor(n/2) relative phases zero), reduced mod 2*pi.
-
-    Zero can be approached from below or above (0 vs 2*pi) per
-    coordinate; the manifold may fold over one path, so direction
-    combinations are tried nearest-first.  Raises SolverError with the
-    reason the last path failed if none reaches the chart.
-    """
-    x = np.asarray(phases, dtype=float) % TWO_PI
-    npin = pinned_zero_count(len(x))
-    paths = sorted(
-        itertools.product((0.0, TWO_PI), repeat=npin),
-        key=lambda t: float(np.linalg.norm(np.array(t) - x[:npin])),
-    )
-    lost = ""
-    for leading in paths:
-        try:
-            return transport(x, phi, leading)
-        except SolverError as exc:
-            lost = str(exc)
-    raise SolverError(f"canonicalization failed on every path: {lost}")
 
 
 def _circular_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:

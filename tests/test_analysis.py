@@ -17,12 +17,13 @@ from cpgate.cli import run, spec_parse
 from cpgate.analysis import (
     AnalysisError,
     FidelityProfile,
-    closed_form_fidelity,
+    compose,
     csv_bytes,
+    frobenius_fidelity,
     high_fidelity_range,
+    order_from_slope,
     sweep,
-    trace_range,
-    verify_order,
+    trace_fidelity,
     write_csv,
 )
 from cpgate.sequences import (
@@ -32,15 +33,10 @@ from cpgate.sequences import (
     structured_sequence,
     two_pulse,
 )
-from cpgate.su2 import (
-    CompositeSequence,
-    compose,
-    frobenius_fidelity,
-    target_gate,
-    trace_fidelity,
-)
+from cpgate.su2 import CompositeSequence, target_gate
 
 from mp_oracle import mp_propagator
+from order_oracle import closed_form_epsilon0, closed_form_fidelity
 
 
 def _cat(name):
@@ -206,9 +202,9 @@ def test_csv_bytes_across_blocks_of_rows():
     assert _csv_bytes_of(table) == _csv_row_by_row(table.tolist())
 
 
-def test_verify_order_on_analytic_and_catalog_trains():
-    assert verify_order(two_pulse(math.pi)) == 0
-    assert verify_order(_cat("Z8")) == 3
+def test_order_from_slope_on_analytic_and_catalog_trains():
+    assert order_from_slope(*precise.slope_fit(two_pulse(math.pi))) == 0
+    assert order_from_slope(*precise.slope_fit(_cat("Z8"))) == 3
 
 
 def test_slope_fit_is_close_to_integer():
@@ -229,21 +225,12 @@ def test_high_fidelity_ranges_match_known_values():
     )
 
 
-@pytest.mark.parametrize("threshold", [1e-4, 1e-2])
-def test_trace_range_is_the_frobenius_search_at_the_root_of_the_threshold(threshold):
-    for name in ("Z4", "S6", "T18"):
-        got = trace_range(_cat(name), threshold)
-        want = high_fidelity_range(_cat(name), math.sqrt(threshold))
-        assert got.threshold == threshold
-        assert (got.epsilon0, got.lower, got.upper, got.flagged) == (
-            want.epsilon0, want.lower, want.upper, want.flagged
-        )
-
-
 def test_trace_ranges_match_known_values():
-    assert trace_range(_cat("Z4")).epsilon0 == pytest.approx(0.064, abs=5e-4)
-    assert trace_range(_cat("S4")).epsilon0 == pytest.approx(0.087, abs=5e-4)
-    assert trace_range(_cat("T4")).epsilon0 == pytest.approx(0.122, abs=5e-4)
+    # The trace infidelity is the square of the Frobenius one: its range at
+    # 1e-4 is the Frobenius search at 1e-2.
+    assert high_fidelity_range(_cat("Z4"), 1e-2).epsilon0 == pytest.approx(0.064, abs=5e-4)
+    assert high_fidelity_range(_cat("S4"), 1e-2).epsilon0 == pytest.approx(0.087, abs=5e-4)
+    assert high_fidelity_range(_cat("T4"), 1e-2).epsilon0 == pytest.approx(0.122, abs=5e-4)
 
 
 def test_range_interval_is_centered_on_nominal_area():
@@ -254,19 +241,15 @@ def test_range_interval_is_centered_on_nominal_area():
 
 
 def test_range_threshold_validation():
-    # Each search checks its own threshold against (0, 0.5).
     seq = _cat("Z4")
-    for search in (high_fidelity_range, trace_range):
-        for threshold in (0.0, -1e-4, 0.5, 0.6):
-            with pytest.raises(ValueError, match="threshold"):
-                search(seq, threshold=threshold)
+    for threshold in (0.0, -1e-4, 0.5, 0.6):
+        with pytest.raises(ValueError, match="threshold"):
+            high_fidelity_range(seq, threshold=threshold)
 
 
 def test_range_of_an_empty_train_raises():
-    seq = CompositeSequence((), math.pi)
-    for search in (high_fidelity_range, trace_range):
-        with pytest.raises(ValueError, match="empty"):
-            search(seq)
+    with pytest.raises(ValueError, match="empty"):
+        high_fidelity_range(CompositeSequence((), math.pi))
 
 
 @pytest.mark.parametrize("phi", [math.pi, math.pi / 2, math.pi / 4])
@@ -276,12 +259,9 @@ def test_high_fidelity_range_inverts_the_closed_form(phi):
         for build, variants in ((four_pulse, 4), (six_pulse, 4), (eight_pulse, 6))
         for v in range(1, variants + 1)
     ]
-    threshold = 1e-4
     for seq in seqs:
-        n = len(seq) // 2 - 1
-        x = threshold / (math.sqrt(2.0) * abs(math.sin(phi / 4)))
-        want = 2.0 / math.pi * math.asin(x ** (1.0 / (n + 1)))
-        rng = high_fidelity_range(seq, threshold)
+        rng = high_fidelity_range(seq)
+        want = closed_form_epsilon0(len(seq) // 2 - 1, phi)
         assert abs(rng.epsilon0 - want) <= 1e-7, seq.label
         assert not rng.flagged
 
@@ -308,11 +288,6 @@ def _closed_form_profile_error(seq, n, phi):
     return worst
 
 
-def _closed_form_epsilon0(n, phi, threshold=1e-4):
-    x = threshold / (math.sqrt(2.0) * abs(math.sin(phi / 4)))
-    return 2.0 / math.pi * math.asin(x ** (1.0 / (n + 1)))
-
-
 def test_profile_law_holds_on_every_verify_train():
     # Every root of order n at angle phi has the closed-form profile; the
     # bound is acceptance criterion 2's.
@@ -323,7 +298,7 @@ def test_profile_law_holds_on_every_verify_train():
 
 def test_profile_law_gives_the_range_of_every_verify_train():
     for seq in _verify_trains():
-        want = _closed_form_epsilon0(len(seq) // 2 - 1, float(seq.target_phi))
+        want = closed_form_epsilon0(len(seq) // 2 - 1, float(seq.target_phi))
         assert abs(high_fidelity_range(seq).epsilon0 - want) <= 1e-9, seq.label
 
 
@@ -393,12 +368,12 @@ def test_scalar_array_and_50_digit_paths_agree_on_the_profile_law(k, eps, small)
 @settings(max_examples=60, deadline=None)
 def test_trace_infidelity_is_the_square_of_the_frobenius_infidelity(k, eps):
     # For an SU(2) pair against a phase gate both infidelities read the
-    # squared distance 1 - Re(a e^{i phi/2}): trace_range is the Frobenius
-    # search at sqrt(threshold).  In doubles the two differ by half of
-    # compose's unitarity defect |a|^2 + |b|^2 - 1 (up to ~2e-15 on 18
-    # pulses) and by rounding, which reaches ~1.3e-15 near infidelity 2;
-    # below 0.5, where every range threshold lies, rounding stays under
-    # 1e-15.
+    # squared distance 1 - Re(a e^{i phi/2}): the trace range is the
+    # Frobenius search at sqrt(threshold).  In doubles the two differ by
+    # half of compose's unitarity defect |a|^2 + |b|^2 - 1 (up to ~2e-15
+    # on 18 pulses) and by rounding, which reaches ~1.3e-15 near
+    # infidelity 2; below 0.5, where every range threshold lies, rounding
+    # stays under 1e-15.
     seq = _verify_train_tuple()[k]
     eps = np.array(eps) if isinstance(eps, list) else eps
     u = compose(seq, eps)
@@ -427,8 +402,8 @@ def test_profile_law_holds_on_every_solved_class():
 
 def test_named_trains_and_rows_are_unflagged():
     for seq in _verify_trains():
-        assert not high_fidelity_range(seq).flagged, seq.label
-        assert not trace_range(seq).flagged, seq.label
+        for threshold in (1e-4, 1e-2):
+            assert not high_fidelity_range(seq, threshold).flagged, seq.label
 
 
 def _scanned_first_crossing(seq, threshold):
@@ -594,12 +569,13 @@ def _reference_error_range(seq, infidelity, threshold):
 
 
 def _assert_matches_the_reference(seq, threshold=1e-4):
-    for search, fidelity in ((high_fidelity_range, frobenius_fidelity),
-                             (trace_range, trace_fidelity)):
-        rng = search(seq, threshold)
+    # The trace range is the Frobenius search at the root of its threshold.
+    for search, fidelity in ((threshold, frobenius_fidelity),
+                             (math.sqrt(threshold), trace_fidelity)):
+        rng = high_fidelity_range(seq, search)
         eps0, flagged = _reference_error_range(seq, fidelity, threshold)
-        assert abs(rng.epsilon0 - eps0) <= 1e-9, (seq.label, search.__name__)
-        assert rng.flagged == flagged, (seq.label, search.__name__)
+        assert abs(rng.epsilon0 - eps0) <= 1e-9, (seq.label, fidelity.__name__)
+        assert rng.flagged == flagged, (seq.label, fidelity.__name__)
 
 
 def test_range_matches_the_regrid_reference_on_every_verify_train():
@@ -623,11 +599,11 @@ def test_range_matches_the_regrid_reference_on_a_non_monotone_profile(threshold)
     )
 
 
-def _range_record(caplog, search, seq, threshold=1e-4):
+def _range_record(caplog, seq, threshold=1e-4):
     # The one DEBUG record a range search logs, as a dict of its fields.
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="cpgate.analysis"):
-        search(seq, threshold)
+        high_fidelity_range(seq, threshold)
     [record] = caplog.records
     assert record.levelno == logging.DEBUG and record.name == "cpgate.analysis"
     return dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
@@ -638,23 +614,19 @@ def test_range_newton_takes_few_evaluations(caplog):
     # cell to rounding noise; Newton's derivative keeps it to a handful
     # (at most 6 on these trains).
     for seq in _verify_trains():
-        for search in (high_fidelity_range, trace_range):
-            fields = _range_record(caplog, search, seq)
-            assert 1 <= int(fields["evals"]) <= 10, (seq.label, search.__name__)
+        for threshold in (1e-4, 1e-2):
+            fields = _range_record(caplog, seq, threshold)
+            assert 1 <= int(fields["evals"]) <= 10, (seq.label, threshold)
 
 
 def test_range_logs_its_search(caplog, capsys):
     seq = spec_parse("phi=1.67;phases=0.0,0.49,0.65,0.165,0.655,0.815")
-    fields = _range_record(caplog, high_fidelity_range, seq, 0.2)
+    fields = _range_record(caplog, seq, 0.2)
     assert float(fields["threshold"]) == 0.2
     assert 1 <= int(fields["cell"]) <= 64
     assert abs(float(fields["step"])) < 1e-6
     assert fields["flagged"] == "True"
-    # trace_range searches the Frobenius infidelity at the root of its
-    # threshold, and the record shows that threshold.
-    fields = _range_record(caplog, trace_range, _cat("Z10"), 1e-4)
-    assert float(fields["threshold"]) == 0.01
-    assert fields["flagged"] == "False"
+    assert _range_record(caplog, _cat("Z10"))["flagged"] == "False"
     # Nothing is printed by default.
     caplog.clear()
     assert run(["range", "--gate", "Z10"]) == 0

@@ -1,10 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from cpgate import analysis, catalog, precise, solver
+from cpgate import analysis, catalog, cli, precise, solver
 from cpgate.catalog import (
     CatalogError,
     arbitrary_row,
@@ -112,6 +113,38 @@ def test_an_exact_phase_after_the_leading_zeros_of_a_decimal_half_is_rejected(ha
     assert len(to_sequence(entry, refine=False)) == 2 * len(half)
 
 
+@pytest.mark.parametrize(
+    "field, text, message",
+    [("order", "1e400", "order inf is not an integer"),
+     ("order", "1.9", "order 1.9 is not an integer"),
+     ("order", "true", "order True is not an integer"),
+     ("order", '"1"', "order '1' is not an integer"),
+     ("name", '["X"]', "name ['X'] is not a string"),
+     ("name", "7", "name 7 is not a string"),
+     ("source", '["a"]', "source ['a'] is not a string")],
+)
+def test_a_record_with_a_malformed_order_name_or_source_is_rejected(field, text, message,
+                                                                    tmp_path, capsys):
+    # Read as JSON, 1e400 is infinite and int() of it overflows; int(1.9)
+    # would drop the fraction, and a list name or source is unhashable
+    # for the train cache.  Each is invalid input: exit 2 with one error line.
+    fields = {"name": '"X"', "phi_over_pi": '"1"', "order": "1",
+              "phases_over_pi": '["0", "1.75", "0", "1.75"]', field: text}
+    path = tmp_path / "bad.json"
+    path.write_text("[{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}]")
+    with pytest.raises(CatalogError, match=re.escape(message)):
+        load_catalog(path)
+    for command in ("sweep", "range", "verify"):
+        assert cli.run([command, "--gate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+
+
+def test_an_integral_float_order_is_read_as_an_integer():
+    record = entry_to_dict(get("Z4"))
+    assert entry_from_dict({**record, "order": 1.0}) == entry_from_dict(record)
+
+
 def test_refine_false_returns_literal_printed_values():
     entry = get("Z6")
     seq = to_sequence(entry, refine=False)
@@ -214,9 +247,9 @@ def test_a_polish_at_fraction_one_is_the_exact_pi_train():
         polished, _ = precise.polish_structured(rel, mp.mpf(mp.pi))
         want = precise.structured_train(polished, mp.mpf(mp.pi))
     assert got.phases == want.phases and got.target_phi == want.target_phi
-    slope, _ = precise.slope_fit(got)
+    slope, peak = precise.slope_fit(got)
     assert abs(slope - 8) < 1e-3
-    assert analysis.verify_order(got) == 7
+    assert analysis.order_from_slope(slope, peak) == 7
 
 
 @pytest.mark.parametrize("name", names())

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpgate.jets import half_jets, structured_jets
-from cpgate.su2 import CompositeSequence, compose
+from cpgate.analysis import compose
+from cpgate.su2 import CompositeSequence
 
 from jet_oracle import jet_compose, pi_series
 

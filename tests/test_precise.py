@@ -182,8 +182,6 @@ def test_slope_fit_rejects_an_odd_length_train(name):
         assert abs(a) < 1e-45 and abs(abs(b) - 1) < 1e-45
     with pytest.raises(ValueError, match="even number of pulses"):
         precise.slope_fit(seq)
-    with pytest.raises(ValueError, match="even number of pulses"):
-        analysis.verify_order(seq)
 
 
 def _rounded_row_specs(pulses):
@@ -640,9 +638,11 @@ def _newton_both_ways(rel, phi):
     pinned = precise._leading_zeros(rel)
     assert pinned == solver.pinned_zero_count(len(rel))  # square
     square = solver._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, pinned)
-    batched = solver._newton(np.array(rel), float(phi), precise._FLOAT_TOL, 60, pinned)
-    assert square is not None and square[2] == batched[2]
-    if not batched[2]:
+    _, _, converged, _ = solver._newton_batch(
+        np.array([rel]), float(phi), precise._FLOAT_TOL, 60, pinned
+    )
+    assert square is not None and square[2] == converged[0]
+    if not converged[0]:
         return
     bound = 2e-45 * max(sum(abs(v) for v in row) for row in square[3])
     with mp.workdps(precise.WORKING_DPS):
@@ -699,10 +699,11 @@ def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
     # The rounded 14-pulse row with the tangent of its first free phase
     # scaled by 1e-8: sigma_min / sigma_max falls below _RCOND, so the
     # scalar stage gives up and the polish restarts from its input through
-    # solver._newton, as it runs with the scalar stage switched off.
+    # solver._newton_batch on one row, as it runs with the scalar stage
+    # switched off.
     rel, phi = _polish_inputs("row-14p")
     pinned = precise._leading_zeros(rel)
-    batched, calls = solver._newton, []
+    batched, calls = solver._newton_batch, []
 
     def degenerate(x, pinned=None):
         a, da = half_jets(x, pinned)
@@ -710,9 +711,9 @@ def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
             da[0] = [1e-8 * v for v in da[0]]
         return a, da
 
-    def recorded(phases, *args, **kwargs):
-        calls.append(list(phases))
-        return batched(phases, *args, **kwargs)
+    def recorded(x0, *args, **kwargs):
+        calls.append(x0[0].tolist())
+        return batched(x0, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "half_jets", degenerate)
@@ -723,7 +724,7 @@ def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
         sigma = np.linalg.svd(np.array(jac), compute_uv=False)
         assert sigma[-1] < solver._RCOND * sigma[0]
         assert solver._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, pinned) is None
-        patch.setattr(solver, "_newton", recorded)
+        patch.setattr(solver, "_newton_batch", recorded)
         got = precise.polish_structured(rel, phi)
         patch.setattr(solver, "_newton_square", lambda *args: None)
         want = precise.polish_structured(rel, phi)
@@ -737,7 +738,7 @@ def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
 def test_named_trains_of_order_four_or_more_polish_through_the_batched_newton(name):
     # 4 to 8 free phases against ceil(n/2) entries: the minimum-norm step.
     rel, phi = _polish_inputs(name)
-    batched, calls = solver._newton, []
+    batched, calls = solver._newton_batch, []
 
     def recorded(*args, **kwargs):
         calls.append("batched")
@@ -745,7 +746,7 @@ def test_named_trains_of_order_four_or_more_polish_through_the_batched_newton(na
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_newton_square", lambda *args: calls.append("square"))
-        patch.setattr(solver, "_newton", recorded)
+        patch.setattr(solver, "_newton_batch", recorded)
         precise.polish_structured(rel, phi)
     assert calls == ["batched"]
 
@@ -1003,7 +1004,7 @@ def test_polished_trains_are_roots_to_90_digits(case):
     with mp.workdps(_ORACLE_DPS):
         residual = _dense_residual(rel, seq.target_phi, n)
     assert max(abs(r) for r in residual) <= 1e-40
-    assert analysis.verify_order(seq) == len(seq) // 2 - 1
+    assert analysis.order_from_slope(*precise.slope_fit(seq)) == len(seq) // 2 - 1
 
 
 def _catalog_fractions():

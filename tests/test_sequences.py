@@ -18,7 +18,8 @@ from cpgate.sequences import (
     structured_sequence,
     two_pulse,
 )
-from cpgate.su2 import CompositeSequence, compose, frobenius_fidelity, target_gate
+from cpgate.analysis import compose, frobenius_fidelity
+from cpgate.su2 import CompositeSequence, target_gate
 
 from jet_oracle import jet_compose
 from mp_oracle import mp_propagator, mp_structured_train

@@ -9,14 +9,8 @@ from hypothesis import strategies as st
 
 from cpgate import catalog, precise
 from cpgate.sequences import four_pulse
-from cpgate.su2 import (
-    CompositeSequence,
-    Su2,
-    compose,
-    frobenius_fidelity,
-    target_gate,
-    trace_fidelity,
-)
+from cpgate.analysis import compose, frobenius_fidelity, trace_fidelity
+from cpgate.su2 import CompositeSequence, Su2, target_gate
 
 from mp_oracle import mp_propagator
 
