@@ -2,57 +2,62 @@
 
 Builds, catalogs, solves for, and analyzes trains of nominal pi pulses
 whose relative phases cancel systematic pulse-area errors to high order.
+
+The public names load their module on first use (PEP 562), and so does
+a submodule named as an attribute: ``from cpgate import catalog`` loads
+no numpy, ``cpgate.solve`` loads the solver.
 """
 
-from .analysis import (
-    ErrorRange,
-    FidelityProfile,
-    compose,
-    frobenius_fidelity,
-    high_fidelity_range,
-    sweep,
-    trace_fidelity,
-)
-from .catalog import ArbitraryPhaseRow, CatalogEntry, arbitrary_row, get, to_sequence
-from .sequences import (
-    chi_eight,
-    chi_six,
-    eight_pulse,
-    four_pulse,
-    six_pulse,
-    structured_sequence,
-    two_pulse,
-)
-from .solver import SolverConfig, Solution, residual, solve
-from .su2 import CompositeSequence, Su2, target_gate
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArbitraryPhaseRow",
-    "CatalogEntry",
-    "CompositeSequence",
-    "ErrorRange",
-    "FidelityProfile",
-    "Solution",
-    "SolverConfig",
-    "Su2",
-    "arbitrary_row",
-    "chi_eight",
-    "chi_six",
-    "compose",
-    "eight_pulse",
-    "four_pulse",
-    "frobenius_fidelity",
-    "get",
-    "high_fidelity_range",
-    "residual",
-    "six_pulse",
-    "solve",
-    "structured_sequence",
-    "sweep",
-    "target_gate",
-    "to_sequence",
-    "trace_fidelity",
-    "two_pulse",
-]
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "ArbitraryPhaseRow": "catalog",
+    "CatalogEntry": "catalog",
+    "CompositeSequence": "su2",
+    "ErrorRange": "analysis",
+    "FidelityProfile": "analysis",
+    "Solution": "solver",
+    "SolverConfig": "solver",
+    "Su2": "su2",
+    "arbitrary_row": "catalog",
+    "chi_eight": "sequences",
+    "chi_six": "sequences",
+    "compose": "analysis",
+    "eight_pulse": "sequences",
+    "four_pulse": "sequences",
+    "frobenius_fidelity": "analysis",
+    "get": "catalog",
+    "high_fidelity_range": "analysis",
+    "residual": "solver",
+    "six_pulse": "sequences",
+    "solve": "solver",
+    "structured_sequence": "sequences",
+    "sweep": "analysis",
+    "target_gate": "su2",
+    "to_sequence": "catalog",
+    "trace_fidelity": "analysis",
+    "two_pulse": "sequences",
+}
+_SUBMODULES = frozenset(
+    {"analysis", "catalog", "cli", "jets", "precise", "sequences", "solver", "su2"}
+)
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

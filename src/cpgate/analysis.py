@@ -1,6 +1,5 @@
 """Quantitative verification in doubles: a train's propagator and gate
-fidelities, fidelity sweeps, the order read off a slope fit, and
-high-fidelity error ranges.
+fidelities, fidelity sweeps and high-fidelity error ranges.
 
 ``compose`` multiplies out a train over an array of errors, and
 ``frobenius_fidelity`` and ``trace_fidelity`` compare the result with the
@@ -57,13 +56,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .su2 import CompositeSequence, Su2, target_gate
+from .su2 import AnalysisError, CompositeSequence, Su2, target_gate
 
 _log = logging.getLogger("cpgate.analysis")
-
-
-class AnalysisError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -301,29 +296,6 @@ def _encode_block(table: np.ndarray) -> bytes:
     for i, v in zip(slow.tolist(), vals[slow].tolist()):
         parts[i] = b"%.17g%s" % (v, b"\n" if newline[i] else b",")
     return b"".join(parts)
-
-
-# Measurability floor for the slope window, set by the extended-precision
-# evaluation (50 digits), not by double precision.
-_MEASURABLE_INFIDELITY = 1e-40
-
-
-def order_from_slope(slope: float, peak: float) -> int:
-    """Compensation order from the infidelity power law: round(slope) - 1,
-    read off a ``precise.slope_fit`` result, the (slope, peak infidelity)
-    of the log-log fit on eps in [1e-3, 1e-2].
-
-    Raises AnalysisError when the order is beyond the measurable range or
-    below zero (the train misses the target gate even at zero error).
-    """
-    if not math.isfinite(slope) or peak < _MEASURABLE_INFIDELITY:
-        raise AnalysisError("order exceeds measurable range")
-    order = int(round(slope)) - 1
-    if order < 0:
-        raise AnalysisError(
-            f"measured order {order}: the train misses the target gate at zero error"
-        )
-    return order
 
 
 _CELLS = 64

@@ -15,6 +15,14 @@ holds the leading relative phases that are exactly 0, the structural
 moves: a half whose phases are all exact is not polished, and one with
 decimal phases whose exact phases are not all leading zeros is rejected
 with CatalogError.
+
+The polishes of the packaged entries ship as data: ``data/polished.json``
+holds the integers ``precise.polish_fixed`` ends on for each of them,
+keyed by the polish's inputs, not by a name (``tests/make_polished.py``
+writes it).  A half whose angle and phase strings are a record's key
+takes that record, bit for bit the polish it stands for, and any other
+half is polished.  So building the named trains runs no Newton step and
+loads neither numpy nor ``solver``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from . import precise, solver
+from . import precise
 from .sequences import first_half
 from .su2 import CompositeSequence
 
@@ -119,6 +127,19 @@ class ArbitraryPhaseRow:
 
 
 @lru_cache(maxsize=None)
+def _stored_polishes() -> dict:
+    """The packaged polishes (``data/polished.json``): the integers of
+    ``precise.polish_fixed`` (phases, t), keyed by the polish's inputs,
+    the angle's Fraction string and the half's relative phase strings."""
+    text = resources.files("cpgate").joinpath("data/polished.json").read_text()
+    return {
+        (r["phi_over_pi"], tuple(r["rel_phases_over_pi"])):
+            (tuple(r["phases"]), tuple(r["t"]))
+        for r in json.loads(text)["polishes"]
+    }
+
+
+@lru_cache(maxsize=None)
 def _packaged() -> dict[str, CatalogEntry]:
     text = resources.files("cpgate").joinpath("data/catalog.json").read_text()
     return {entry.name: entry for entry in _parse(text)}
@@ -162,7 +183,8 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bo
     """Construct the full train from first-half relative phases (units pi).
 
     With ``refine``, a half with decimal phases is polished onto the exact
-    root, its leading zeros held; raises CatalogError if one of its exact
+    root, its leading zeros held, or takes the stored polish of the same
+    inputs (``_stored_polishes``); raises CatalogError if one of its exact
     phases is not a leading zero, since the polish would move it.  Exact
     angles reach ``precise`` as Fractions of pi, and its mpf phases let
     downstream extended-precision checks see the actual root, while float
@@ -178,7 +200,11 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bo
                 f"{label}: an exact phase after the leading zeros of a half "
                 "with decimal phases would be polished"
             )
-        rel, t = precise.polish_structured(rel, phi_over_pi)
+        stored = _stored_polishes().get((str(phi_over_pi), tuple(rel_strings)))
+        if stored is None:
+            rel, t = precise.polish_structured(rel, phi_over_pi)
+        else:
+            rel, t = precise.polish_result(*stored)
     return replace(precise.structured_train(rel, phi_over_pi), label=label), t
 
 
@@ -232,7 +258,8 @@ def arbitrary_row(phi_over_pi, pulses: int, refine: bool = True) -> CompositeSeq
     row = get_arbitrary_row(phi_over_pi)
     if pulses not in row.columns:
         raise CatalogError(f"no {pulses}-pulse column")
-    zeros = solver.pinned_zero_count(pulses // 2 - 1)
+    # The solver's chart pins floor(n/2) of the n relative phases.
+    zeros = (pulses // 2 - 1) // 2
     rel = ["0"] * zeros + list(row.columns[pulses])
     label = f"phi={phi_over_pi}pi-{pulses}p"
     return _build_structured(rel, row.phi_over_pi, label, refine)[0]

@@ -9,6 +9,12 @@ are in units of pi (``--phi 0.5`` means pi/2); radians never cross the CLI
 boundary.  Exit codes: 0 success, 2 validation error (an argument error, or
 an allocation too large for memory), with one ``error: ...`` line on stderr,
 3 numerical failure.
+
+A command imports the modules it runs, inside it: ``list``, ``tables``,
+``show``, ``build --pulses 2/4/6/8`` and ``verify`` on a catalog name or
+file load no numpy; ``sweep``, ``range`` and ``solve`` load ``analysis``
+or ``solver``, and ``verify`` on an inline spec the polish's numpy and
+``solver``.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from . import analysis, catalog, precise, sequences, solver
-from .su2 import CompositeSequence
+from . import catalog, precise, sequences
+from .su2 import AnalysisError, CompositeSequence, SolverError, order_from_slope
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -63,8 +69,9 @@ def spec_parse(text: str) -> CompositeSequence:
 
 def _resolve_gate(text: str):
     """(train, t, inline) of a ``--gate`` value: a catalog name, else an
-    inline spec, else the first entry of an existing catalog JSON file (so
-    a file named like a valid spec is read as the spec).  t is a catalog
+    inline spec, else the one entry of an existing catalog JSON file (so
+    a file named like a valid spec is read as the spec); a file of no entry
+    or of several is a CliError, the latter naming them.  t is a catalog
     train's ``catalog.half_polynomial``, None for an inline spec;
     ``inline`` says which it was."""
     try:
@@ -81,7 +88,12 @@ def _resolve_gate(text: str):
         entries = catalog.load_catalog(text)
         if not entries:
             raise CliError(f"catalog file {text!r} is empty")
-        entry = entries[0]
+        if len(entries) > 1:
+            raise CliError(
+                f"catalog file {text!r} holds {len(entries)} entries, not one: "
+                + ", ".join(e.name for e in entries)
+            )
+        [entry] = entries
     return catalog.to_sequence(entry), catalog.half_polynomial(entry), False
 
 
@@ -112,7 +124,7 @@ def _polished_half(seq: CompositeSequence):
     # the polish of a rounded row could slide along the root manifold.
     try:
         polished, t = precise.polish_structured(rel, phi if frac is None else frac)
-    except solver.SolverError as exc:
+    except SolverError as exc:
         _log.debug("measuring the unpolished input: polish failed: %s", exc)
         return None
     # Only accept the polish if it stayed on the same root (the input was
@@ -200,6 +212,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import analysis
+
     seq = _resolve_gate(args.gate)[0]
     profile = analysis.sweep(seq, args.eps_min, args.eps_max, args.steps)
     if args.out:
@@ -211,6 +225,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_range(args) -> int:
+    from . import analysis
+
     seq = _resolve_gate(args.gate)[0]
     rng = analysis.high_fidelity_range(seq, args.threshold)
     note = "  (non-monotonic profile; scanned)" if rng.flagged else ""
@@ -232,7 +248,7 @@ def _cmd_verify(args) -> int:
         slope, peak = precise.slope_fit(seq)
     else:
         slope, peak = precise.half_slope_fit(t)
-    n = analysis.order_from_slope(slope, peak)
+    n = order_from_slope(slope, peak)
     if args.json:
         print(json.dumps({"order": n, "slope": slope, "peak": peak}))
     else:
@@ -241,6 +257,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import solver
+
     config = solver.SolverConfig(
         n=args.order, phi=_radians(args.phi), seeds=args.seeds, rng_seed=args.rng_seed
     )
@@ -422,7 +440,7 @@ def run(argv=None) -> int:
         # An oversized request (--steps, --seeds) that numpy cannot allocate.
         print(f"error: request too large: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (solver.SolverError, analysis.AnalysisError) as exc:
+    except (SolverError, AnalysisError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -105,7 +105,9 @@ input through ``solver._newton_batch`` on one row.  An underdetermined
 system (the named trains of order >= 4) runs ``solver._newton_batch`` on
 one row and ``np.linalg.pinv``: there the float root's last bits choose
 the point on the root manifold, and those bits must stay the ones the
-named trains' chart classes were measured with.  The 50-digit stage
+named trains' chart classes were measured with.  Only the polish
+imports numpy and ``solver``, on its first call: the packaged named trains
+read their polishes from data (see ``catalog``).  The 50-digit stage
 (``_fixed_newton``) runs in fixed point end to end.  The float root is
 converted once to integers at 2^PREC, exactly (``_fixed``), and each
 phase after the held zeros takes one ``mpf_cos_sin`` per polish.  A step
@@ -118,12 +120,13 @@ cos(phi/4) Im a_h at 2^-2PREC, only the
 step's right-hand side becomes doubles, and the stop test at
 10^-_POLISH_DIGITS = 1e-45 is an integer comparison.  That bound holds
 the full-train derivative conditions of every polished table row and
-named train below 1e-40 at 90 digits.  The phases become mpf at ``WP``
-bits once, when they are returned.  Leading phases of exactly 0 are
-alike in every train, so their polynomials are composed once per
-(length, count) (``_mp_zero_prefix``), bitwise as pulse by pulse.
-After k pulses a holds only the powers of s of k's parity and B only
-the others, so ``_mp_jet_pulse`` forms only those.
+named train below 1e-40 at 90 digits.  ``polish_fixed`` returns the
+phases as those integers, and ``polish_result`` makes them mpf at ``WP``
+bits, once, for a polish and for a stored record alike.  Leading phases
+of exactly 0 are alike in every train, so their polynomials are composed
+once per (length, count) (``_mp_zero_prefix``), bitwise as pulse by
+pulse.  After k pulses a holds only the powers of s of k's parity and B
+only the others, so ``_mp_jet_pulse`` forms only those.
 
 The polish's last residual evaluation composes the half at the returned
 phases, from the turned rotors (at most 8 units of 2^-PREC from fresh
@@ -145,7 +148,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import (
     from_float,
     from_int,
@@ -164,8 +166,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from . import solver
-from .su2 import CompositeSequence
+from .su2 import CompositeSequence, SolverError
 
 _log = logging.getLogger("cpgate.precise")
 
@@ -439,11 +440,32 @@ def polish_structured(rel_phases, phi):
     max-norm below 10^-_POLISH_DIGITS, and the coefficients of the half's
     t(s) = Im(e^{i phi/4} a_h) at those phases, fixed point at 2^PREC,
     from the a_h of the last residual evaluation (see ``half_slope_fit``).
+    It is ``polish_result`` of ``polish_fixed``.
+    """
+    return polish_result(*polish_fixed(rel_phases, phi))
+
+
+def polish_result(phases, t):
+    """``polish_structured``'s (phases, t) from the integers of
+    ``polish_fixed``: the phases at 2^PREC rounded to mpf at ``WP`` bits,
+    and t's coefficients as a tuple."""
+    mpfs = [mp.make_mpf(from_man_exp(v, -PREC, WP, round_nearest)) for v in phases]
+    return mpfs, tuple(t)
+
+
+def polish_fixed(rel_phases, phi):
+    """The polish of ``polish_structured`` in its fixed-point format:
+    (phases, t), the phases as the integers at 2^PREC the 50-digit stage
+    ends on, the held zeros included, and t's coefficients at 2^PREC.
     Logs one DEBUG record under ``cpgate.precise``: the free-phase count,
     the residual max-norm after the float stage, the number of 50-digit
     residual evaluations, the final residual max-norm and the seconds
-    spent.
+    spent.  Only the polish loads numpy and ``solver``.
     """
+    import numpy as np
+
+    from . import solver
+
     start = time.perf_counter()
     phi_float = to_float(_raw(phi), rnd=round_nearest)
     x_float = [float(v) for v in rel_phases]
@@ -462,7 +484,7 @@ def polish_structured(rel_phases, phi):
         )
         x_float, float_rmax, ok, jac = roots[0], norms[0], converged[0], jacs[0]
     if not ok:
-        raise solver.SolverError(
+        raise SolverError(
             f"float-precision polish failed; residual max-norm {float_rmax:.3e}"
         )
     if square is None:
@@ -474,8 +496,7 @@ def polish_structured(rel_phases, phi):
         n - pinned, float_rmax, evals, math.ldexp(rmax, -2 * PREC),
         time.perf_counter() - start,
     )
-    phases = [mp.make_mpf(from_man_exp(v, -PREC, WP, round_nearest)) for v in x]
-    return phases, _half_t(*a_h, gate)
+    return x, _half_t(*a_h, gate)
 
 
 def structured_train(rel_phases, phi) -> CompositeSequence:
@@ -539,6 +560,8 @@ def _fixed_newton(x_float, pinned, jac_inv, gate):
     evaluations, residual max-norm at 2^-2PREC, a_h), a_h being the
     half's (ar, ai) that the last residual evaluation composed.
     """
+    import numpy as np
+
     n = len(x_float)
     x = [_fixed(v) for v in x_float]
     # The held zeros never move: the cached zero prefix serves them.
@@ -553,7 +576,7 @@ def _fixed_newton(x_float, pinned, jac_inv, gate):
             d = _fixed(dk)
             x[pinned + k] += d
             rotors[k] = _turn(rotors[k], d)
-    raise solver.SolverError("extended-precision polish did not converge")
+    raise SolverError("extended-precision polish did not converge")
 
 
 def _mp_residual(zeros, rotors, gate, n):

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import half_jets, structured_jets
+from .su2 import SolverError
 
 TWO_PI = 2.0 * math.pi
 # Pseudo-inverse cutoff of the Newton step.
@@ -54,10 +55,6 @@ _TOL = 1e-12
 _MAX_ITER = 200
 
 _log = logging.getLogger("cpgate.solver")
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """The data types of composite pulse trains: an SU(2) pair, a train of pi
-pulses and the phase gate it targets.
+pulses and the phase gate it targets; the two numerical-failure errors;
+and the order read off a slope fit.  Every command loads this module, and
+it loads no numpy.
 
 An SU(2) matrix is stored as its Cayley-Klein pair (a, b), the full matrix
 being [[a, b], [-b*, a*]].  Every pulse is a nominal pi pulse: with a
@@ -7,15 +9,25 @@ systematic relative area error eps its area is pi(1+eps), and a coupling
 phase p propagates the qubit with a = cos(pi(1+eps)/2),
 b = -i e^{ip} sin(pi(1+eps)/2).  A 2pi, 3pi or 4pi block is a run of
 equal-phase pi pulses, so a train is its gate and its phases; its order is
-measured (``precise.slope_fit``, read by ``analysis.order_from_slope``),
-not claimed.  A train's propagator and its two gate fidelities are
+measured (``precise.slope_fit``, read by ``order_from_slope``), not
+claimed.  A train's propagator and its two gate fidelities are
 ``analysis.compose``, ``frobenius_fidelity`` and ``trace_fidelity``.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
+
+
+class SolverError(RuntimeError):
+    """A Newton iteration (``solver``, the polish in ``precise``) failed."""
+
+
+class AnalysisError(RuntimeError):
+    """A train has no order or range to report (``order_from_slope``,
+    ``analysis.high_fidelity_range``)."""
 
 
 @dataclass(frozen=True)
@@ -49,3 +61,26 @@ class CompositeSequence:
 def target_gate(phi: float) -> Su2:
     """Phase gate diag(e^{-i phi/2}, e^{i phi/2}) as an Su2 value."""
     return Su2(cmath.exp(-0.5j * float(phi)), 0j)
+
+
+# Measurability floor for the slope window, set by the extended-precision
+# evaluation (50 digits), not by double precision.
+_MEASURABLE_INFIDELITY = 1e-40
+
+
+def order_from_slope(slope: float, peak: float) -> int:
+    """Compensation order from the infidelity power law: round(slope) - 1,
+    read off a ``precise.slope_fit`` result, the (slope, peak infidelity)
+    of the log-log fit on eps in [1e-3, 1e-2].
+
+    Raises AnalysisError when the order is beyond the measurable range or
+    below zero (the train misses the target gate even at zero error).
+    """
+    if not math.isfinite(slope) or peak < _MEASURABLE_INFIDELITY:
+        raise AnalysisError("order exceeds measurable range")
+    order = int(round(slope)) - 1
+    if order < 0:
+        raise AnalysisError(
+            f"measured order {order}: the train misses the target gate at zero error"
+        )
+    return order

@@ -7,9 +7,10 @@ It records, for the program in ``src``:
 
 - ``verify --json`` on the 27 catalog names, on the 84 rounded
   arbitrary-angle rows as the 17-digit inline specs the verify benchmark
-  passes, on the inline specs of the CI verify steps, and on the files two
-  ``solve --out`` runs write (with the text of those files), and on 100
-  seeded inline specs (``inline_specs``);
+  passes, on the inline specs of the CI verify steps, on the first entry
+  of the files two ``solve --out`` runs write (with the text of those
+  files; ``first_entry``), and on 100 seeded inline specs
+  (``inline_specs``);
 - ``range`` at five thresholds on the 27 names, with the epsilon0 and the
   non-monotonic flag that the command prints rounded, at full precision;
 - the first-half phases (radians, as doubles) of ``catalog.to_sequence``
@@ -202,9 +203,18 @@ def half_records():
     return records
 
 
+def first_entry(path):
+    """The path of a catalog file beside the file ``path``, written with
+    its first entry alone: a gate of one train."""
+    path = Path(path)
+    one = path.with_name(f"{path.stem}-first.json")
+    catalog.save_catalog(catalog.load_catalog(path)[:1], one)
+    return one
+
+
 def solve_records(workdir):
     """For each of ``SOLVES``: its argv, the text of the file it writes,
-    and ``verify_record`` of that file."""
+    and ``verify_record`` of its first entry."""
     records = []
     for k, argv in enumerate(SOLVES):
         path = Path(workdir) / f"solve-{k}.json"
@@ -214,7 +224,7 @@ def solve_records(workdir):
         records.append({
             "argv": list(argv),
             "file": path.read_text(),
-            "verify": verify_record(str(path)),
+            "verify": verify_record(str(first_entry(path))),
         })
     return records
 

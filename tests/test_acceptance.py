@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cpgate import analysis, catalog, precise, solver
+from cpgate import analysis, catalog, precise, solver, su2
 from cpgate.sequences import (
     chi_eight,
     chi_six,
@@ -110,7 +110,7 @@ def test_criterion_3_order_verification(capsys):
         slope, peak = precise.slope_fit(seq)
         assert abs(slope - (entry.order + 1)) < 0.1, entry.name
         worst = max(worst, abs(slope - (entry.order + 1)))
-        assert analysis.order_from_slope(slope, peak) == entry.order, entry.name
+        assert su2.order_from_slope(slope, peak) == entry.order, entry.name
     _report(
         capsys,
         "CRITERION 3: PASS — measured compensation order is exact for all "

@@ -15,13 +15,11 @@ from hypothesis import strategies as st
 from cpgate import analysis, catalog, precise, solver
 from cpgate.cli import run, spec_parse
 from cpgate.analysis import (
-    AnalysisError,
     FidelityProfile,
     compose,
     csv_bytes,
     frobenius_fidelity,
     high_fidelity_range,
-    order_from_slope,
     sweep,
     trace_fidelity,
     write_csv,
@@ -33,7 +31,7 @@ from cpgate.sequences import (
     structured_sequence,
     two_pulse,
 )
-from cpgate.su2 import CompositeSequence, target_gate
+from cpgate.su2 import AnalysisError, CompositeSequence, order_from_slope, target_gate
 
 from mp_oracle import mp_propagator
 from order_oracle import closed_form_epsilon0, closed_form_fidelity

@@ -1,16 +1,107 @@
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import cpgate
 
+ROOT = Path(__file__).parents[1]
+
 
 def test_every_exported_name_resolves():
     for name in cpgate.__all__:
         assert hasattr(cpgate, name), name
+
+
+def test_every_exported_name_is_its_modules_object_and_listed_by_dir():
+    listed = dir(cpgate)
+    for name in cpgate.__all__:
+        value = getattr(cpgate, name)
+        module = importlib.import_module(value.__module__)
+        assert module.__name__.startswith("cpgate."), name
+        assert getattr(module, name) is value, name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        cpgate.nothing
+
+
+def test_every_submodule_is_an_attribute_of_the_package():
+    for info in pkgutil.iter_modules(cpgate.__path__):
+        assert getattr(cpgate, info.name) is importlib.import_module(
+            f"cpgate.{info.name}"
+        )
+
+
+def _fresh(code):
+    # The JSON that ``code`` prints last, run in a fresh interpreter that
+    # imports cpgate from this checkout.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_CLI = """
+import contextlib, io, json, sys
+from cpgate import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run({argv!r})
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+_SPEC = "phi=0.5;phases=0,0,0,1.0477,1.5126,0.3399,0.75,0.75,0.75,1.7977,2.2626,1.0899"
+
+
+@pytest.mark.parametrize("argv, numpy", [
+    (["list"], False),
+    (["tables", "--which", "Z"], False),
+    (["tables", "--which", "IV"], False),
+    (["show", "Z18"], False),
+    *((["build", "--phi", "0.5", "--pulses", str(p)], False) for p in (2, 4, 6, 8)),
+    (["verify", "--gate", "Z18"], False),
+    (["verify", "--json", "--gate", "T10"], False),
+    (["verify", "--gate", _SPEC], True),
+    (["range", "--gate", "Z8"], True),
+    (["sweep", "--gate", "Z8", "--steps", "5"], True),
+    (["solve", "--order", "2", "--phi", "0.5", "--seeds", "2"], True),
+])
+def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy):
+    assert _fresh(_CLI.format(argv=argv)) == [0, numpy]
+
+
+def test_building_the_named_trains_runs_no_newton_and_loads_no_numpy():
+    loaded = _fresh("""
+import json, sys
+from cpgate import catalog
+for name in catalog.names():
+    catalog.to_sequence(catalog.get(name))
+    catalog.half_polynomial(catalog.get(name))
+print(json.dumps(sorted(sys.modules)))
+""")
+    for module in ("numpy", "cpgate.solver", "cpgate.jets", "cpgate.analysis"):
+        assert module not in loaded
+    assert [m for m in loaded if m.startswith("cpgate")] == [
+        "cpgate", "cpgate.catalog", "cpgate.precise", "cpgate.sequences", "cpgate.su2"
+    ]
+
+
+def test_every_packaged_data_file_is_listed_as_package_data():
+    # A file under src/cpgate/data that pyproject.toml does not list is
+    # left out of a built wheel.
+    text = (ROOT / "pyproject.toml").read_text()
+    section = re.search(r"^\[tool\.setuptools\.package-data\]\ncpgate = \[(.*?)\]",
+                        text, re.M | re.S)
+    listed = sorted(re.findall(r'"([^"]+)"', section.group(1)))
+    data = ROOT / "src" / "cpgate" / "data"
+    files = sorted(p.relative_to(data.parent).as_posix()
+                   for p in data.rglob("*") if p.is_file())
+    assert listed == files
 
 
 def _imports(module):

@@ -1,11 +1,13 @@
+import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from cpgate import analysis, catalog, cli, precise, solver
+from cpgate import catalog, cli, precise, solver, su2
 from cpgate.catalog import (
     CatalogError,
     arbitrary_row,
@@ -22,6 +24,8 @@ from cpgate.catalog import (
     to_sequence,
 )
 from cpgate.sequences import four_pulse, two_pulse
+
+import make_polished
 
 TWO_PI = 2 * math.pi
 
@@ -249,7 +253,7 @@ def test_a_polish_at_fraction_one_is_the_exact_pi_train():
     assert got.phases == want.phases and got.target_phi == want.target_phi
     slope, peak = precise.slope_fit(got)
     assert abs(slope - 8) < 1e-3
-    assert analysis.order_from_slope(slope, peak) == 7
+    assert su2.order_from_slope(slope, peak) == 7
 
 
 @pytest.mark.parametrize("name", names())
@@ -268,3 +272,81 @@ def test_half_polynomial_is_the_half_of_the_train(name):
         assert diff == 0
     else:
         assert diff < math.ldexp(1e-45, precise.PREC)
+
+
+def _stored():
+    return json.loads(make_polished.POLISHED.read_text())
+
+
+def test_the_stored_polishes_are_the_polishes_of_the_packaged_entries():
+    # Each record is the polish recomputed from the printed phases of a
+    # packaged half, integer for integer, in the store's format.
+    stored = _stored()
+    assert stored["prec"] == precise.PREC
+    assert stored["polishes"] == make_polished.records()
+
+
+def test_every_stored_key_is_the_polish_input_of_a_packaged_entry():
+    # The 21 packaged halves with decimal phases, each once; a record whose
+    # key no entry produces is an error, not a record that lies unused.
+    keys = [(r["phi_over_pi"], tuple(r["rel_phases_over_pi"]))
+            for r in _stored()["polishes"]]
+    produced = [(str(phi), tuple(rel)) for phi, rel, _ in make_polished.polish_inputs()]
+    assert len(keys) == len(set(keys)) == 21
+    assert sorted(keys) == sorted(produced)
+    assert sorted(catalog._stored_polishes()) == sorted(keys)
+
+
+def _mpf_bits(seq):
+    return [getattr(p, "_mpf_", p) for p in (*seq.phases, seq.target_phi)]
+
+
+def _counting_polish(monkeypatch):
+    calls, polish = [], precise.polish_structured
+
+    def counting(*args):
+        calls.append(args)
+        return polish(*args)
+
+    monkeypatch.setattr(precise, "polish_structured", counting)
+    return calls
+
+
+def test_a_file_entry_takes_the_stored_polish_by_its_inputs(tmp_path, monkeypatch):
+    # Z10's angle and phases under another name: no polish runs, and the
+    # train and t are Z10's, bit for bit.
+    z10 = get("Z10")
+    path = tmp_path / "mine.json"
+    save_catalog([replace(z10, name="mine")], path)
+    [entry] = load_catalog(path)
+    calls = _counting_polish(monkeypatch)
+    assert _mpf_bits(to_sequence(entry)) == _mpf_bits(to_sequence(z10))
+    assert catalog.half_polynomial(entry) == catalog.half_polynomial(z10)
+    assert calls == []
+
+
+def test_a_file_entry_named_z10_with_other_phases_is_polished(tmp_path, monkeypatch):
+    # The name selects nothing.  Z10's phase strings with a trailing zero
+    # are a store miss whose polish has the stored one's inputs: the same
+    # bits.  Its first free phase moved by 1e-4 in both halves is polished
+    # onto another root of order 4.
+    z10 = get("Z10")
+    strings = list(z10.phase_strings)
+    strings[1], strings[6] = "1.0993", "1.5993"
+    moved = entry_from_dict({**entry_to_dict(z10), "phases_over_pi": strings})
+    path = tmp_path / "z10.json"
+    # No earlier build of an equal entry may serve these from the cache.
+    catalog._entry_train.cache_clear()
+    catalog.half_polynomial.cache_clear()
+    calls = _counting_polish(monkeypatch)
+    for other in (make_polished.unstored(z10), moved):
+        save_catalog([other], path)
+        [entry] = load_catalog(path)
+        assert entry.name == "Z10" and entry.phase_strings != z10.phase_strings
+        seq = to_sequence(entry)
+        assert len(calls) == 1
+        calls.clear()
+        same = _mpf_bits(seq) == _mpf_bits(to_sequence(z10))
+        assert same == (other is not moved)
+        slope, peak = precise.half_slope_fit(catalog.half_polynomial(entry))
+        assert su2.order_from_slope(slope, peak) == 4

@@ -21,6 +21,8 @@ from cpgate.cli import (
 )
 from cpgate.sequences import first_half
 
+import make_polished
+
 
 def _measured_train(seq):
     # The train verify measures for an inline spec: the 50-digit two-half
@@ -413,8 +415,35 @@ def test_solve_out_file_is_strict_json_and_still_loads(tmp_path, capsys):
     entries = catalog.load_catalog(path)
     assert len(entries) == len(data)
     assert all(math.isnan(v) for e in entries for v in e.quoted_range_over_pi)
-    assert run(["verify", "--gate", str(path)]) == 0
-    assert capsys.readouterr().out.strip() == "order = 2"
+    for one in _entry_files(path):
+        assert run(["verify", "--gate", str(one)]) == 0
+        assert capsys.readouterr().out.strip() == "order = 2"
+
+
+def _entry_files(path):
+    # One catalog file per entry of the catalog file ``path``, beside it.
+    files = []
+    for k, entry in enumerate(catalog.load_catalog(path)):
+        files.append(path.with_name(f"{path.stem}-{k}.json"))
+        catalog.save_catalog([entry], files[-1])
+    return files
+
+
+@pytest.mark.parametrize("command", ["verify", "range", "sweep"])
+def test_a_catalog_file_of_several_entries_is_refused(command, tmp_path, capsys):
+    # A gate is one train: a file of several entries exits 2 and names
+    # them, rather than reading one of them.
+    path = tmp_path / "solve.json"
+    assert run(["solve", "--order", "3", "--phi", "0.5", "--seeds", "16",
+                "--out", str(path)]) == 0
+    capsys.readouterr()
+    names = [e.name for e in catalog.load_catalog(path)]
+    assert len(names) > 1
+    assert run([command, "--gate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: catalog file {str(path)!r} holds {len(names)} entries, "
+                   f"not one: {', '.join(names)}\n")
 
 
 def test_tables_subcommand(capsys):
@@ -434,12 +463,14 @@ def test_catalog_file_as_gate(tmp_path, capsys):
 
 
 def test_catalog_file_with_an_equals_sign_in_its_path(tmp_path, capsys):
-    # The file solve --out writes is a gate, even where its path holds an
-    # '=' that an inline spec would hold too.
-    path = tmp_path / "run-phi=0.5.json"
+    # An entry of the file solve --out writes is a gate, even where the
+    # path of its file holds an '=' that an inline spec would hold too.
+    solved = tmp_path / "run.json"
     assert run(["solve", "--order", "2", "--phi", "0.5", "--seeds", "8",
-                "--out", str(path)]) == 0
+                "--out", str(solved)]) == 0
     capsys.readouterr()
+    path = tmp_path / "run-phi=0.5.json"
+    catalog.save_catalog(catalog.load_catalog(solved)[:1], path)
     seq, t, inline = cli._resolve_gate(str(path))
     assert not inline and t is not None
     assert run(["verify", "--json", "--gate", str(path)]) == 0
@@ -466,8 +497,9 @@ def test_a_solve_file_keeps_its_chart_zeros(order, tmp_path, capsys):
         zeros = solver.pinned_zero_count(order)
         assert entry.phase_strings[1 : zeros + 1] == ("0.0000000000",) * zeros
         assert catalog.to_sequence(entry).phases[: zeros + 1] == (0,) * (zeros + 1)
-    assert run(["verify", "--json", "--gate", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["order"] == order
+    for one in _entry_files(path):
+        assert run(["verify", "--json", "--gate", str(one)]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == order
 
 
 def test_a_zero_after_a_nonzero_relative_phase_is_polished(capsys):
@@ -781,9 +813,15 @@ def test_solve_does_not_give_up_when_fast_canonicalization_drops_roots(
     assert all(s.residual_norm < 1e-9 for s in sols)
 
 
-def test_verify_does_not_repolish_catalog_trains(monkeypatch, capsys):
-    for name in catalog.names():
-        catalog.to_sequence(catalog.get(name))  # warm the polish cache
+def test_verify_does_not_repolish_catalog_trains(tmp_path, monkeypatch, capsys):
+    # The named trains and a file of S16 with its phase strings written to
+    # one more digit, which the polish builds since no stored polish has
+    # its key.
+    path = tmp_path / "s16.json"
+    catalog.save_catalog([make_polished.unstored(catalog.get("S16"))], path)
+    [unstored] = catalog.load_catalog(path)
+    for entry in (*map(catalog.get, catalog.names()), unstored):
+        catalog.to_sequence(entry)  # warm the polish cache
     calls = []
     polish = precise.polish_structured
 
@@ -799,6 +837,8 @@ def test_verify_does_not_repolish_catalog_trains(monkeypatch, capsys):
         assert run(["verify", "--gate", name]) == 0
         want = catalog.get(name).pulse_count // 2 - 1
         assert capsys.readouterr().out.strip() == f"order = {want}"
+    assert run(["verify", "--gate", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "order = 7"
     assert calls == []
 
 
