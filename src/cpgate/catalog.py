@@ -240,8 +240,9 @@ def to_sequence(entry: CatalogEntry, refine: bool = True) -> CompositeSequence:
 
 @lru_cache
 def half_polynomial(entry: CatalogEntry):
-    """The t(s) = Im(e^{i phi/4} a_h) of the half of ``to_sequence(entry)``
-    that ``precise.half_slope_fit`` fits: the polish's, or composed from
+    """The t of the half of ``to_sequence(entry)``, Im(e^{i phi/4} a_h) =
+    s^p t(u) with p the parity of entry.order + 1, that
+    ``precise.half_slope_fit`` fits: the polish's, or composed from
     the exact phases of a half that was not polished (on first use, so
     that building the train takes no trig for it).  Raises CatalogError
     as ``to_sequence`` does."""

@@ -107,7 +107,7 @@ def _pi_fraction(phi: float) -> Fraction | None:
 def _polished_half(seq: CompositeSequence):
     """Polish the 4-decimal phases of an inline spec's half onto the exact
     root before order/slope measurement.  Returns the coefficients of the
-    polished half's t(s) (``precise.half_slope_fit``), or None where the
+    polished half's t (``precise.half_slope_fit``), or None where the
     input is measured as it is: not two halves, a polish that failed or
     one that drifted."""
     half = sequences.first_half(seq)
@@ -129,7 +129,7 @@ def _polished_half(seq: CompositeSequence):
         return None
     # Only accept the polish if it stayed on the same root (the input was
     # a rounded table row, not some arbitrary far-from-root train).
-    drift = max(sequences._mod_distance(float(p), r) for p, r in zip(polished, rel))
+    drift = max(abs(math.remainder(float(p) - r, 2 * PI)) for p, r in zip(polished, rel))
     if drift > 1e-2:
         _log.debug(
             "measuring the unpolished input: the polish moved a phase by "
@@ -247,7 +247,7 @@ def _cmd_verify(args) -> int:
     if t is None:
         slope, peak = precise.slope_fit(seq)
     else:
-        slope, peak = precise.half_slope_fit(t)
+        slope, peak = precise.half_slope_fit(t, len(seq))
     n = order_from_slope(slope, peak)
     if args.json:
         print(json.dumps({"order": n, "slope": slope, "peak": peak}))

@@ -7,8 +7,8 @@ The slope-based order estimate (``slope_fit``) and the final polish of
 tabulated phases (``polish_structured``) therefore run at ``WORKING_DPS``
 digits, on one kernel: ``_mp_jet_compose`` composes a train of N nominal
 pi pulses as (a, sqrt(1 - s^2) B), with a and B polynomials in
-s = sin(pi eps/2) (see ``jets``), one ``_mp_jet_pulse`` per pulse, O(N)
-shifts and products each.
+s = sin(pi eps/2) kept as the u-coefficients, u = s^2, of A and B~ (see
+``jets``), one ``_mp_jet_pulse`` per pulse, O(N) shifts and products each.
 
 The kernel runs in one fixed-point format: a real x is the Python
 integer floor(x * 2^``PREC``), ``PREC`` = ``WP`` + ``GUARD_BITS`` =
@@ -31,12 +31,13 @@ cos(pi eps/2) on the slope window) are converted once with
 ``mpmath.libmp.to_fixed``.  Each shift truncates by less than one unit of
 2^-PREC, and the 16 guard bits absorb that.
 
-``slope_fit`` evaluates the composed polynomial by Horner's rule
+``slope_fit`` evaluates the composed polynomials by Horner's rule in u
 (``_horner``) at the 20 log-spaced errors from 1e-3 to 1e-2, whose
-fixed-point s and cos(pi eps/2) are computed once (``_slope_grid``).
-There |s| < 0.016, so a pulse multiplies an error carried in by at most
-~1 + |s| and the truncations of N pulses and of Horner's rule add up to
-a few N units of 2^-PREC at each point, as in a pulse-by-pulse product.
+fixed-point s, u and cos(pi eps/2) are computed once (``_slope_grid``),
+and multiplies once by s where the parity is odd.  There |s| < 0.016, so
+a pulse multiplies an error carried in by at most ~1 + |s| and the
+truncations of N pulses and of Horner's rule add up to a few N units of
+2^-PREC at each point, as in a pulse-by-pulse product.
 A train of an even number of pi pulses has an infidelity that is even
 in eps (U(-eps) = -Z U(eps) Z^dagger per pulse, Z = diag(1, -1)), so
 only +eps is evaluated; an odd number is off-diagonal at eps = 0, no
@@ -47,9 +48,11 @@ takes (|a - e^{-i phi/2}|^2 + cos^2(pi eps/2) |B|^2) / 2, at O(N^2) cost
 against the O(20 N) of a pulse loop over the grid; it recognizes no
 structure.  Every catalog name, table row and polished inline spec is a
 two-half train: a half H followed by H with every phase shifted by
-pi - phi/2.  For such a train the squared gate distance is 2 t(s)^2, t = Im(e^{i phi/4} a_h), a_h being
-the half's major-diagonal element (see ``solver``), and
-``half_slope_fit`` fits it from t's fixed-point coefficients alone.  The
+pi - phi/2.  For such a train the squared gate distance is
+2 Im(e^{i phi/4} a_h)^2 = 2 u^p t(u)^2, a_h being the half's
+major-diagonal element and p the parity of its pulse count (see
+``solver``), and ``half_slope_fit`` fits it from t's fixed-point
+u-coefficients and p alone.  The
 half is handed along as a value, never found again from the phases: the
 polish returns the t it composed last (``t_polynomial`` composes it
 where nothing was polished), and ``catalog.half_polynomial`` keeps it
@@ -82,13 +85,13 @@ regression of its logs, on the 27 names, the 84 rounded rows, random
 two-half trains and random trains off that structure.
 
 The polish solves the solver's half-train conditions (see ``solver``):
-its residual (``_mp_residual``) reads the coefficients of s^{n-1},
-s^{n-3}, ... >= 0 of t from the half composed from its pulses' rotors,
-with the cos/sin of phi/4 taken once per polish; at 50 digits it agrees
-with a 90-digit interpolation of the half to ~1e-50.  Its float stage
-runs Newton to ``_FLOAT_TOL`` and keeps the inverse of the free-column
-Jacobian at the point it converged to for every 50-digit step: both
-residuals read the same s-coefficients.  The polish holds the leading
+its residual (``_mp_residual``) reads every u-coefficient of t but the
+top one from the half composed from its pulses' rotors, with the cos/sin
+of phi/4 taken once per polish; at 50 digits it agrees with a 90-digit
+interpolation of the half to ~1e-50.  Its float stage runs Newton to
+``_FLOAT_TOL`` and keeps the inverse of the free-column Jacobian at the
+point it converged to for every 50-digit step: both residuals read the
+same u-coefficients.  The polish holds the leading
 phases of its input that are exactly 0, a count it reads from the
 phases, and moves the rest; the system is square, as many free phases
 as the ceil(n/2) residual entries, exactly when that count is
@@ -124,9 +127,7 @@ named train below 1e-40 at 90 digits.  ``polish_fixed`` returns the
 phases as those integers, and ``polish_result`` makes them mpf at ``WP``
 bits, once, for a polish and for a stored record alike.  Leading phases
 of exactly 0 are alike in every train, so their polynomials are composed
-once per (length, count) (``_mp_zero_prefix``), bitwise as pulse by
-pulse.  After k pulses a holds only the powers of s of k's parity and B
-only the others, so ``_mp_jet_pulse`` forms only those.
+once per count (``_mp_zero_prefix``), bitwise as pulse by pulse.
 
 The polish's last residual evaluation composes the half at the returned
 phases, from the turned rotors (at most 8 units of 2^-PREC from fresh
@@ -244,10 +245,10 @@ def _leading_zeros(phases):
 
 @lru_cache(maxsize=None)
 def _slope_grid():
-    """(grid, trig, logs) of ``slope_fit``: the ``_SLOPE_POINTS``
-    log-spaced epsilons of the window at ``WP`` bits, the sin and cos of
-    pi eps / 2 at each as fixed-point integers at 2^PREC, and the float log
-    of each."""
+    """(grid, points, logs) of ``slope_fit``: the ``_SLOPE_POINTS``
+    log-spaced epsilons of the window at ``WP`` bits, (s, u, c) at each,
+    s and c the sin and cos of pi eps / 2 and u = s^2, as fixed-point
+    integers at 2^PREC, and the float log of each."""
     with mp.workprec(WP):
         lo, hi = mp.log(mp.mpf(_SLOPE_EPS_LO)), mp.log(mp.mpf(_SLOPE_EPS_HI))
         grid = tuple(
@@ -256,15 +257,15 @@ def _slope_grid():
         )
         logs = tuple(float(mp.log(eps)) for eps in grid)
     with mp.workprec(PREC):
-        trig = []
+        points = []
         for eps in grid:
             c, s = _cos_sin_fixed((mp.pi * eps / 2)._mpf_)
-            trig.append((s, c))
-    return grid, tuple(trig), logs
+            points.append((s, s * s >> PREC, c))
+    return grid, tuple(points), logs
 
 
 def _horner(coeffs, x):
-    """The polynomial with fixed-point coefficients ``coeffs`` (s^0 first)
+    """The polynomial with fixed-point coefficients ``coeffs`` (x^0 first)
     at the fixed-point ``x``, at 2^PREC."""
     acc = 0
     for coeff in reversed(coeffs):
@@ -288,41 +289,45 @@ def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
         raise ValueError(f"slope_fit needs an even number of pulses, got {len(seq)}")
     ar, ai, br, bi = _mp_jet_compose(seq.phases)
     # (|a - fa|^2 + |b|^2) / 2 against the gate (fa, 0),
-    # fa = e^{-i phi/2} = fc - i fs, with b = cos(pi eps/2) B: the
-    # squared Frobenius distance is each total times 2^shift.
+    # fa = e^{-i phi/2} = fc - i fs, with a = A(u) and
+    # b = cos(pi eps/2) s B~(u) for an even count: the squared Frobenius
+    # distance is each total times 2^shift.
     fc, fs = _angle_trig(seq.target_phi, 1)
     totals = []
-    for x, cx in _slope_grid()[1]:
-        a_re, a_im, b_re, b_im = (_horner(p, x) for p in (ar, ai, br, bi))
-        totals.append(
-            (a_re - fc) ** 2 + (a_im + fs) ** 2
-            + (cx * b_re >> PREC) ** 2 + (cx * b_im >> PREC) ** 2
-        )
+    for s, u, c in _slope_grid()[1]:
+        a_re, a_im = _horner(ar, u), _horner(ai, u)
+        b_re, b_im = (c * (s * _horner(p, u) >> PREC) >> PREC for p in (br, bi))
+        totals.append((a_re - fc) ** 2 + (a_im + fs) ** 2 + b_re**2 + b_im**2)
     return _line_fit(totals, -1 - 2 * PREC)
 
 
-def half_slope_fit(t) -> tuple[float, float]:
-    """``slope_fit`` of the two-half train whose half has the polynomial
-    t(s) = Im(e^{i phi/4} a_h): its fixed-point coefficients at 2^PREC
-    (s^0 first), as ``polish_structured`` returns them and
-    ``catalog.half_polynomial`` keeps them.  The squared distance is
-    2 t(s)^2; the fit reads the polynomial as given, with no composition
-    and no trig."""
-    totals = [_horner(t, x) ** 2 for x, _ in _slope_grid()[1]]
+def half_slope_fit(t, pulses) -> tuple[float, float]:
+    """``slope_fit`` of the two-half train of ``pulses`` pulses whose half
+    has Im(e^{i phi/4} a_h) = s^p t(u), p the parity of pulses / 2: t's
+    fixed-point u-coefficients at 2^PREC (u^0 first), as
+    ``polish_structured`` returns them and ``catalog.half_polynomial``
+    keeps them.  The squared distance is 2 u^p t(u)^2; the fit reads the
+    polynomial as given, with no composition and no trig."""
+    totals = []
+    for s, u, _ in _slope_grid()[1]:
+        value = _horner(t, u)
+        if pulses // 2 % 2:
+            value = s * value >> PREC
+        totals.append(value * value)
     return _line_fit(totals, 1 - 2 * PREC)
 
 
 def t_polynomial(half, phi):
-    """The fixed-point coefficients at 2^PREC of t(s) = Im(e^{i phi/4}
-    a_h), a_h being the major-diagonal element of the train of pi pulses
-    with phases ``half`` (see ``half_slope_fit``)."""
+    """The fixed-point u-coefficients at 2^PREC of t, Im(e^{i phi/4} a_h)
+    = s^{len(half) mod 2} t(u), a_h being the major-diagonal element of
+    the train of pi pulses with phases ``half`` (see ``half_slope_fit``)."""
     ar, ai, _, _ = _mp_jet_compose(half)
     return _half_t(ar, ai, _angle_trig(phi, 2))
 
 
 def _half_t(ar, ai, gate):
-    """The coefficients of sin(phi/4) Re a_h + cos(phi/4) Im a_h at 2^PREC
-    from those of a_h, ``gate`` being the cos and sin of phi/4."""
+    """The coefficients of sin(phi/4) Re A + cos(phi/4) Im A at 2^PREC
+    from those of A, ``gate`` being the cos and sin of phi/4."""
     c, s = gate
     return tuple((s * r + c * i) >> PREC for r, i in zip(ar, ai))
 
@@ -437,9 +442,10 @@ def polish_structured(rel_phases, phi):
     root serves every 50-digit step, which is enough for fast linear
     convergence near the root.
     Returns (phases, t): the mpf phases at ``WP`` bits, with residual
-    max-norm below 10^-_POLISH_DIGITS, and the coefficients of the half's
-    t(s) = Im(e^{i phi/4} a_h) at those phases, fixed point at 2^PREC,
-    from the a_h of the last residual evaluation (see ``half_slope_fit``).
+    max-norm below 10^-_POLISH_DIGITS, and the u-coefficients of the
+    half's t, Im(e^{i phi/4} a_h) = s^{(n+1) mod 2} t(u), at those phases,
+    fixed point at 2^PREC, from the a_h of the last residual evaluation
+    (see ``half_slope_fit``).
     It is ``polish_result`` of ``polish_fixed``.
     """
     return polish_result(*polish_fixed(rel_phases, phi))
@@ -558,16 +564,15 @@ def _fixed_newton(x_float, pinned, jac_inv, gate):
     the held zeros are taken once, and a step turns the rotor of each
     moved phase by e^{i step}.  Returns (phases, residual
     evaluations, residual max-norm at 2^-2PREC, a_h), a_h being the
-    half's (ar, ai) that the last residual evaluation composed.
+    (ar, ai) of the half's A that the last residual evaluation composed.
     """
     import numpy as np
 
-    n = len(x_float)
     x = [_fixed(v) for v in x_float]
     # The held zeros never move: the cached zero prefix serves them.
     rotors = [_rotor(from_man_exp(v, -PREC)) for v in x[pinned:]]
     for evals in range(1, WORKING_DPS + 1):
-        r, a_h = _mp_residual(pinned, rotors, gate, n)
+        r, a_h = _mp_residual(pinned, rotors, gate)
         rmax = max(abs(v) for v in r)
         if rmax < _LIMIT:
             return x, evals, rmax, a_h
@@ -579,75 +584,73 @@ def _fixed_newton(x_float, pinned, jac_inv, gate):
     raise SolverError("extended-precision polish did not converge")
 
 
-def _mp_residual(zeros, rotors, gate, n):
-    """The solver's residual at 2^-2PREC, as integers: the coefficients of
-    s^{n-1}, s^{n-3}, ... >= 0 of Im(e^{i phi/4} a_h) = sin(phi/4) Re a_h
-    + cos(phi/4) Im a_h, a polynomial in s = sin(pi eps/2), a_h being the
-    major-diagonal element of the half train of n + 1 phases: 0, ``zeros``
-    phases of 0 and the phases with fixed-point ``rotors`` at 2^PREC.
-    ``gate`` is the cos and sin of phi/4 at 2^PREC.  Returns the residual
-    and the half's (ar, ai) it was read from."""
-    ar, ai, _, _ = _mp_jet_rotors(n + 2, zeros + 1, rotors)
+def _mp_residual(zeros, rotors, gate):
+    """The solver's residual at 2^-2PREC, as integers: every u-coefficient
+    but the top one of t, sin(phi/4) Re A + cos(phi/4) Im A, A being the
+    u-polynomial of the major-diagonal element a_h of the half train of
+    phases 0, ``zeros`` phases of 0 and the phases with fixed-point
+    ``rotors`` at 2^PREC.  ``gate`` is the cos and sin of phi/4 at 2^PREC.
+    Returns the residual and the half's (ar, ai) it was read from."""
+    ar, ai, _, _ = _mp_jet_rotors(zeros + 1, rotors)
     c, s = gate
-    return [s * ar[m] + c * ai[m] for m in range((n + 1) % 2, n, 2)], (ar, ai)
+    return [s * r + c * i for r, i in zip(ar[:-1], ai[:-1])], (ar, ai)
 
 
 def _mp_jet_pulse(poly, rotor):
-    """Fixed-point polynomials in s of the pi pulse with rotor ``rotor``
-    applied after the train whose polynomials are ``poly``."""
-    # The train is (a, sqrt(1 - s^2) B) and the pulse (-s, rot sqrt(1 - s^2))
-    # with rot = -i e^{i phase}: a' = -s a - rot (1 - s^2) conj(B),
-    # B' = -s B + rot conj(a) (see ``jets``).  Two leading zeros stand for
-    # the coefficients below s^0.  After k pulses a holds only the powers
-    # of k's parity and B only the others, every other coefficient being
-    # an exact 0; a(0) != 0 exactly when k is even.  So a' takes the
-    # powers of the other parity than a, B' those of a, and the rest stay 0.
-    ar, ai, br, bi = ((0, 0, *part) for part in poly)
+    """Fixed-point u-polynomials (A, B~) of the pi pulse with rotor
+    ``rotor`` applied after the train whose polynomials are ``poly``."""
+    # A' = -u^odd A - rot (1 - u) conj(B~), B~' = -u^(1-odd) B~ + rot conj(A)
+    # (see ``jets``), odd the parity of the k pulses so far: A holds
+    # k // 2 + 1 coefficients and B~ (k + 1) // 2, as many exactly when k is
+    # odd.  Each coefficient takes the one a power of u below (0 below u^0)
+    # for the products by u; B~' has as many coefficients as A.
+    ar, ai, br, bi = poly
     rot_r, rot_i = rotor
-    size = len(ar) - 2
-    nar, nai, nbr, nbi = [0] * size, [0] * size, [0] * size, [0] * size
-    even = 1 if ar[2] or ai[2] else 0
-    for m in range(2 + even, len(ar), 2):
-        # (1 - s^2) conj(B) at s^m.
-        qr, qi = br[m] - br[m - 2], bi[m - 2] - bi[m]
-        nar[m - 2] = -ar[m - 1] - ((rot_r * qr - rot_i * qi) >> PREC)
-        nai[m - 2] = -ai[m - 1] - ((rot_r * qi + rot_i * qr) >> PREC)
-    for m in range(3 - even, len(ar), 2):
-        nbr[m - 2] = -br[m - 1] + ((rot_r * ar[m] + rot_i * ai[m]) >> PREC)
-        nbi[m - 2] = -bi[m - 1] + ((rot_i * ar[m] - rot_r * ai[m]) >> PREC)
-    return nar, nai, nbr, nbi
+    odd = len(ar) == len(br)
+    nar, nai, nbr, nbi = [], [], [], []
+    low_ar = low_ai = low_br = low_bi = 0
+    for xr, xi, vr, vi in zip((*ar, 0), (*ai, 0), (*br, 0), (*bi, 0)):
+        # (1 - u) conj(B~).
+        qr, qi = vr - low_br, low_bi - vi
+        dar, dai, dbr, dbi = (low_ar, low_ai, vr, vi) if odd else (xr, xi, low_br, low_bi)
+        nar.append(-dar - ((rot_r * qr - rot_i * qi) >> PREC))
+        nai.append(-dai - ((rot_r * qi + rot_i * qr) >> PREC))
+        nbr.append(-dbr + ((rot_r * xr + rot_i * xi) >> PREC))
+        nbi.append(-dbi + ((rot_i * xr - rot_r * xi) >> PREC))
+        low_ar, low_ai, low_br, low_bi = xr, xi, vr, vi
+    return nar, nai, nbr[: len(ar)], nbi[: len(ar)]
 
 
 @lru_cache(maxsize=64)
-def _mp_zero_prefix(length: int, count: int):
-    """Polynomials of ``length`` coefficients after ``count`` pi pulses of
-    phase exactly 0, from the identity: leading zeros are alike in every
-    train and the held ones of a polish in every residual evaluation, so
-    they are composed once per (length, count)."""
-    zero = (0,) * length
-    poly = ((1 << PREC,) + zero[1:], zero, zero, zero)
+def _mp_zero_prefix(count: int):
+    """The polynomials after ``count`` pi pulses of phase exactly 0, from
+    the identity: leading zeros are alike in every train and the held ones
+    of a polish in every residual evaluation, so they are composed once
+    per count."""
+    poly = ((1 << PREC,), (0,), (), ())
     rotor = _rotor(fzero)
     for _ in range(count):
         poly = _mp_jet_pulse(poly, rotor)
     return tuple(tuple(part) for part in poly)
 
 
-def _mp_jet_rotors(length, zeros, rotors):
-    """Fixed-point polynomials of ``length`` coefficients of ``zeros`` pi
-    pulses of phase exactly 0 followed by the pulses with ``rotors``."""
-    poly = _mp_zero_prefix(length, zeros)
+def _mp_jet_rotors(zeros, rotors):
+    """Fixed-point u-polynomials of ``zeros`` pi pulses of phase exactly 0
+    followed by the pulses with ``rotors``."""
+    poly = _mp_zero_prefix(zeros)
     for rotor in rotors:
         poly = _mp_jet_pulse(poly, rotor)
     return poly
 
 
 def _mp_jet_compose(phases):
-    """Polynomials (ar, ai, Br, Bi) in s = sin(pi eps/2) of a train of
-    nominal pi pulses, fixed point at 2^PREC: the real and imaginary
-    coefficients of s^0 .. s^N of a and of B, the Cayley-Klein pair being
-    (a, sqrt(1 - s^2) B) for N pulses.  Leading phases that are exactly 0
-    come from ``_mp_zero_prefix``; the first pulse applied to the identity
-    is the pulse itself, bit for bit.  Each phase is rounded by ``_raw``."""
+    """Polynomials (ar, ai, Br, Bi) of a train of nominal pi pulses, fixed
+    point at 2^PREC: the real and imaginary u-coefficients of A and B~, the
+    Cayley-Klein pair being (s^{N mod 2} A(u), sqrt(1 - s^2)
+    s^{(N+1) mod 2} B~(u)) for N pulses, s = sin(pi eps/2), u = s^2.
+    Leading phases that are exactly 0 come from ``_mp_zero_prefix``; the
+    first pulse applied to the identity is the pulse itself, bit for bit.
+    Each phase is rounded by ``_raw``."""
     zeros = _leading_zeros(phases)
     rotors = [_rotor(_raw(phase)) for phase in phases[zeros:]]
-    return _mp_jet_rotors(len(phases) + 1, zeros, rotors)
+    return _mp_jet_rotors(zeros, rotors)

@@ -137,9 +137,3 @@ def eight_pulse(phi: float, variant: int = 1) -> CompositeSequence:
         6: [PI + phi / 2 - c, PI + phi / 4 - c, 0.0, 0.0, -c, -c - phi / 4, s, s],
     }
     return CompositeSequence(tuple(variants[variant]), phi, label=f"eight-v{variant}")
-
-
-def _mod_distance(x: float, y: float) -> float:
-    """Distance between two angles modulo 2*pi."""
-    d = (x - y) % (2 * PI)
-    return min(d, 2 * PI - d)

@@ -10,16 +10,16 @@ satisfies
 
 since a = a_h^2 + e^{-i phi/2} |b_h|^2.  The Frobenius distance to the
 target gate is therefore sqrt(2) |Im(a_h e^{i phi/4})|, a quantity of the
-half alone.  With s = sin(pi eps/2), a_h is a polynomial in s of degree
-n + 1 with the parity of n + 1 (see ``jets``), and so is
-Im(e^{i phi/4} a_h).  Its top coefficient is not fixed by the structure,
-but its value at s = 1 is: there every pulse is -I, so a_h = (-1)^{n+1}
-and the coefficients sum to (-1)^{n+1} sin(phi/4).  The train has order n
-exactly when the coefficients of s^{n-1}, s^{n-3}, ... vanish; the top
-coefficient then equals that sum, which is the profile law.  The
-``residual`` is those ceil(n/2) coefficients, ascending.  For odd n its
-s^0 entry is the zero-error gate itself; for even n the gate holds by
-parity.
+half alone.  With s = sin(pi eps/2) and u = s^2, a_h = s^{(n+1) mod 2} A(u)
+with A of degree (n + 1) // 2 in u (see ``jets``), and so
+Im(e^{i phi/4} a_h) = s^{(n+1) mod 2} t(u).  The top coefficient of t is
+not fixed by the structure, but its value at s = 1 is: there every pulse
+is -I, so a_h = (-1)^{n+1} and t's coefficients sum to
+(-1)^{n+1} sin(phi/4).  The train has order n exactly when all of t's
+coefficients but the top one vanish; the top one then equals that sum,
+which is the profile law.  The ``residual`` is those ceil(n/2) coefficients, ascending.
+For odd n its u^0 entry is the zero-error gate itself; for even n the gate
+holds by the factor s.
 
 The roots form manifolds of dimension floor(n/2).  ``solve`` runs
 Newton in the canonical chart, with the leading floor(n/2) relative
@@ -87,23 +87,22 @@ def _residuals(x: np.ndarray, phi: float, pinned=None):
     and, unless ``pinned`` is None, their exact Jacobians
     (B, ceil(n/2), n - pinned) in the phases after the first ``pinned``,
     as in ``structured_jets``."""
-    n = x.shape[1]
     rot = cmath.exp(0.25j * phi)
-    # The coefficients of s^{n-1}, s^{n-3}, ... >= 0 (none at n = 0).
-    rows = slice((n + 1) % 2, n, 2)
+    # Every u-coefficient but the top one (none at n = 0).
     if pinned is None:
-        return (rot * structured_jets(x)[:, rows]).imag
+        return (rot * structured_jets(x)[:, :-1]).imag
     a, da = structured_jets(x, pinned)
-    return (rot * a[:, rows]).imag, (rot * da[:, :, rows]).imag.transpose(0, 2, 1)
+    return (rot * a[:, :-1]).imag, (rot * da[:, :, :-1]).imag.transpose(0, 2, 1)
 
 
 def residual(phases, phi: float) -> np.ndarray:
     """Real residual vector of the half-train conditions.
 
-    Entries are the coefficients of s^{n-1}, s^{n-3}, ... >= 0
-    (ascending) of Im(e^{i phi/4} a_h), a polynomial in s = sin(pi eps/2),
-    a_h being the major-diagonal element of the half train; the two-half
-    train has order n exactly when all ceil(n/2) of them vanish.
+    Entries are the coefficients of u^0 .. u^{ceil(n/2) - 1}, every one
+    but the top, of t(u), Im(e^{i phi/4} a_h) = s^{(n+1) mod 2} t(u) with
+    s = sin(pi eps/2) and u = s^2, a_h being the major-diagonal element of
+    the half train; the two-half train has order n exactly when all
+    ceil(n/2) of them vanish.
     """
     return _residuals(np.asarray(phases, dtype=float)[None, :], phi)[0]
 
@@ -242,14 +241,12 @@ def _newton_square(phases, phi: float, tol: float, max_iter: int, pinned: int):
     the certificate of ``_certified_inverse``.
     """
     x = [float(v) for v in phases]
-    n = len(x)
     rot = cmath.exp(0.25j * phi)
-    rows = range((n + 1) % 2, n, 2)
 
     def evaluate(point, tangents):
         a, da = half_jets(point, pinned if tangents else None)
-        r = [(rot * a[m]).imag for m in rows]
-        return r, [[(rot * d[m]).imag for d in da] for m in rows]
+        r = [(rot * c).imag for c in a[:-1]]
+        return r, [[(rot * d[m]).imag for d in da] for m in range(len(r))]
 
     def norm(r):
         return math.sqrt(sum(v * v for v in r))

@@ -8,7 +8,7 @@ It records, for the program in ``src``:
 - ``verify --json`` on the 27 catalog names, on the 84 rounded
   arbitrary-angle rows as the 17-digit inline specs the verify benchmark
   passes, on the inline specs of the CI verify steps, on the first entry
-  of the files two ``solve --out`` runs write (with the text of those
+  of the files four ``solve --out`` runs write (with the text of those
   files; ``first_entry``), and on 100 seeded inline specs
   (``inline_specs``);
 - ``range`` at five thresholds on the 27 names, with the epsilon0 and the
@@ -62,6 +62,8 @@ INLINE_SEED = 34
 SOLVES = (
     ("solve", "--order", "2", "--phi", "0.5", "--seeds", "16", "--rng-seed", "1"),
     ("solve", "--order", "4", "--phi", "0.5", "--seeds", "16", "--rng-seed", "1"),
+    ("solve", "--order", "6", "--phi", "0.25", "--seeds", "16", "--rng-seed", "1"),
+    ("solve", "--order", "8", "--phi", "1", "--seeds", "16", "--rng-seed", "1"),
 )
 
 

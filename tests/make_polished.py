@@ -5,7 +5,8 @@ packaged catalog entries that ``catalog`` reads in place of running them.
 
 For each packaged entry with decimal phases it records what
 ``precise.polish_fixed`` returns for the half that ``catalog`` polishes:
-the phases and t's coefficients, as integers at 2^``precise.PREC``.  A
+the phases and t's u-coefficients (see ``precise.half_slope_fit``), as
+integers at 2^``precise.PREC``.  A
 record is keyed by the polish's inputs: the angle as its Fraction string
 and the half's relative phase strings.  ``test_catalog.py`` recomputes
 every record and fails on one that differs or that no entry produces.

@@ -122,11 +122,14 @@ def _phase_derivative(row, j):
     return 1j * (plus - minus)
 
 
-def _assert_at_nodes(coefficients, want):
-    # The polynomial at the nodes against ``want``.  The rounding of its
-    # evaluation grows with sum |c_k|, which passes 1e3 for a half of
-    # equal phases (a Chebyshev polynomial in s).
-    got = np.polynomial.polynomial.polyval(_NODES, coefficients)
+def _assert_at_nodes(coefficients, want, n):
+    # s^p A(s^2) at the nodes against ``want``, A's u-coefficients being
+    # ``coefficients`` and p the parity of the half's n + 1 pulses.  The
+    # rounding of its evaluation grows with sum |c_k|, which passes 1e3 for
+    # a half of equal phases (a Chebyshev polynomial in s).
+    got = _NODES ** ((n + 1) % 2) * np.polynomial.polynomial.polyval(
+        _NODES**2, coefficients
+    )
     bound = 1e-14 * max(1.0, np.abs(coefficients).sum())
     assert np.max(np.abs(got - want)) <= bound
 
@@ -139,21 +142,22 @@ def test_structured_jets_match_composed_half_train(n):
     x = rng.uniform(0.0, 2 * math.pi, size=(5, n))
     a = structured_jets(x)
     a_t, da = structured_jets(x, pinned=0)
-    assert a.shape == (5, n + 2) and da.shape == (5, n, n + 2)
+    length = (n + 1) // 2 + 1
+    assert a.shape == (5, length) and da.shape == (5, n, length)
     assert np.array_equal(a, a_t)
     for row, ra, rda in zip(x, a, da):
-        _assert_at_nodes(ra, _composed_values(row))
+        _assert_at_nodes(ra, _composed_values(row), n)
         for j in range(n):
-            _assert_at_nodes(rda[j], _phase_derivative(row, j))
+            _assert_at_nodes(rda[j], _phase_derivative(row, j), n)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
 def test_structured_jets_have_the_parity_and_the_value_at_s_one(n):
-    # a_h has degree n + 1 and the parity of n + 1, with the other
-    # coefficients exactly zero; at s = 1 every pulse is -I.
+    # a_h has degree n + 1 and the parity of n + 1, s^p A(s^2) with A of
+    # degree (n + 1) // 2; at s = 1 (u = 1) every pulse is -I.
     rng = np.random.default_rng(80 + n)
     a = structured_jets(rng.uniform(0.0, 2 * math.pi, size=(4, n)))
-    assert np.all(a[:, n % 2::2] == 0)
+    assert a.shape == (4, (n + 1) // 2 + 1)
     assert np.max(np.abs(a.sum(axis=1) - (-1) ** (n + 1))) <= 1e-13 * np.max(np.abs(a))
 
 
@@ -188,7 +192,7 @@ def test_half_jets_match_structured_jets(n):
                 want = structured_jets(row[None, :])[0]
                 scale = max(1.0, np.max(np.abs(want)))
                 free = 0 if pinned is None else n - pinned
-                assert len(a) == n + 2 and len(da) == free
+                assert len(a) == (n + 1) // 2 + 1 and len(da) == free
                 assert np.max(np.abs(np.array(a) - want)) <= 1e-14 * scale
                 if free:
                     _, want_da = structured_jets(row[None, :], pinned)
@@ -213,7 +217,7 @@ def test_structured_jets_zero_prefix_matches_composed_half_train(n):
         x[:, :zeros] = 0.0
         a = structured_jets(x)
         for row, ra in zip(x, a):
-            _assert_at_nodes(ra, _composed_values(row))
+            _assert_at_nodes(ra, _composed_values(row), n)
 
 
 @pytest.mark.parametrize("pinned", [None, 0, 1, 2, 4])

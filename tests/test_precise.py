@@ -217,7 +217,7 @@ def _assert_slope_fit_is_the_reference_on_a_rounded_row(spec):
     want = _reference_slope_fit(seq)
     assert precise.slope_fit(seq) == want
     # The fit of the half the polish composed last, as verify runs it.
-    assert precise.half_slope_fit(t) == want
+    assert precise.half_slope_fit(t, len(seq)) == want
 
 
 @pytest.mark.parametrize("spec", [
@@ -262,7 +262,7 @@ def test_slope_fit_of_a_structured_train_equals_the_per_epsilon_loop_bitwise(rel
     want = _reference_slope_fit(seq)
     assert precise.slope_fit(seq) == want
     t = precise.t_polynomial(seq.phases[: len(rel) + 1], seq.target_phi)
-    assert precise.half_slope_fit(t) == want
+    assert precise.half_slope_fit(t, len(seq)) == want
 
 
 def _ulp_moved_train():
@@ -356,15 +356,16 @@ def test_slope_fit_of_a_random_float_train_equals_the_per_epsilon_loop_bitwise(
 
 
 def test_slope_grid_holds_sin_and_cos_of_the_half_error_area():
-    # Each point's fixed-point s = sin(pi eps/2) and cos(pi eps/2) at
-    # 2^-PREC is within one unit of mpmath's at PREC bits.
-    grid, trig, logs = precise._slope_grid()
-    assert len(grid) == len(trig) == len(logs) == precise._SLOPE_POINTS
+    # Each point's fixed-point s = sin(pi eps/2), u = s^2 and cos(pi eps/2)
+    # at 2^-PREC is within one unit of mpmath's at PREC bits.
+    grid, points, logs = precise._slope_grid()
+    assert len(grid) == len(points) == len(logs) == precise._SLOPE_POINTS
     unit = mp.mpf(2) ** -precise.PREC
     with mp.workprec(precise.PREC):
-        for eps, (s, c) in zip(grid, trig):
+        for eps, (s, u, c) in zip(grid, points):
             x = mp.pi * eps / 2
             assert abs(s * unit - mp.sin(x)) <= unit
+            assert abs(u * unit - mp.sin(x) ** 2) <= unit
             assert abs(c * unit - mp.cos(x)) <= unit
 
 
@@ -402,10 +403,11 @@ def test_root_is_the_correctly_rounded_square_root():
 def test_a_zero_square_drops_its_point():
     # The squares of S8's half on the grid with some set to 0: the slope is
     # the exact regression through the others, and one point left gives a
-    # NaN slope; the peak is the root of the largest square left.
+    # NaN slope; the peak is the root of the largest square left.  The half
+    # has four pulses, so its t is a polynomial in u alone.
     t = catalog.half_polynomial(catalog.get("S8"))
-    _, trig, logs = precise._slope_grid()
-    totals = [precise._horner(t, x) ** 2 for x, _ in trig]
+    _, points, logs = precise._slope_grid()
+    totals = [precise._horner(t, u) ** 2 for _, u, _ in points]
     assert all(totals)
     shift = 1 - 2 * precise.PREC
     for dropped in ((0,), (3, 11), (19,), tuple(range(2, 20)), tuple(range(1, 20))):
@@ -426,7 +428,7 @@ def test_a_zero_square_drops_its_point():
 
 
 def test_a_half_that_vanishes_has_no_slope_and_no_peak():
-    slope, peak = precise.half_slope_fit((0,) * 5)
+    slope, peak = precise.half_slope_fit((0,) * 5, 10)
     assert math.isnan(slope) and peak == 0.0
 
 
@@ -437,7 +439,7 @@ def test_the_fit_uses_neither_mpmath_logs_nor_lapack(monkeypatch):
     entry = catalog.get("T18")
     seq, t = catalog.to_sequence(entry), catalog.half_polynomial(entry)
     builder = six_pulse(math.pi / 2, 3)
-    want = [precise.slope_fit(seq), precise.half_slope_fit(t), precise.slope_fit(builder)]
+    want = [precise.slope_fit(seq), precise.half_slope_fit(t, len(seq)), precise.slope_fit(builder)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the fit called a library it should not")
@@ -450,7 +452,7 @@ def test_the_fit_uses_neither_mpmath_logs_nor_lapack(monkeypatch):
     assert not hasattr(precise, "mpf_log") and not hasattr(precise, "mpf_sqrt")
     precise._log_table.cache_clear()
     precise._slope_weights.cache_clear()
-    got = [precise.slope_fit(seq), precise.half_slope_fit(t), precise.slope_fit(builder)]
+    got = [precise.slope_fit(seq), precise.half_slope_fit(t, len(seq)), precise.slope_fit(builder)]
     assert got == want
 
 
@@ -463,7 +465,7 @@ def test_the_log_table_is_built_on_the_first_fit():
         "for name in catalog.names():\n"
         "    catalog.to_sequence(catalog.get(name))\n"
         "print(precise._log_table.cache_info().currsize)\n"
-        "precise.half_slope_fit(catalog.half_polynomial(catalog.get('Z18')))\n"
+        "precise.half_slope_fit(catalog.half_polynomial(catalog.get('Z18')), 18)\n"
         "print(precise._log_table.cache_info().currsize)\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
@@ -474,14 +476,14 @@ def test_the_log_table_is_built_on_the_first_fit():
     assert out.split() == ["0", "1"]
 
 
-def _mp_residual(rel, phi, n):
+def _mp_residual(rel, phi):
     # The polish residual at the mpf phases ``rel``, each rotor taken from
     # its phase and the cos/sin of phi / 4, the way polish_structured takes
     # them before its first step.
     gate = precise._angle_trig(phi, 2)
     zeros = precise._leading_zeros(rel)
     rotors = [precise._rotor(precise._raw(p)) for p in rel[zeros:]]
-    residual, _ = precise._mp_residual(zeros, rotors, gate, n)
+    residual, _ = precise._mp_residual(zeros, rotors, gate)
     return [mp.mpf((r, -2 * precise.PREC)) for r in residual]
 
 
@@ -511,7 +513,7 @@ def test_mp_residual_matches_a_90_digit_fit_of_the_half(n):
         for _ in range(3):
             rel = [mp.mpf(rng.uniform(0.0, 2 * math.pi)) for _ in range(n)]
             phi = mp.mpf(rng.uniform(0.1, 2 * math.pi))
-            got = _mp_residual(rel, phi, n)
+            got = _mp_residual(rel, phi)
             want = _fitted_half_residual(rel, phi, n)
             assert len(got) == len(want) == (n + 1) // 2
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-45
@@ -530,7 +532,7 @@ def test_mp_residual_with_leading_zeros_matches_a_90_digit_fit(n):
                 mp.mpf(rng.uniform(0.0, 2 * math.pi)) for _ in range(n - zeros)
             ]
             phi = mp.mpf(rng.uniform(0.1, 2 * math.pi))
-            got = _mp_residual(rel, phi, n)
+            got = _mp_residual(rel, phi)
             want = _fitted_half_residual(rel, phi, n)
             scale = max(1, max(abs(w) for w in want))
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-45 * scale, zeros
@@ -554,7 +556,7 @@ def test_float_polynomials_match_the_50_digit_polynomials(n):
                     complex(float(mp.mpf((r, -prec))), float(mp.mpf((i, -prec))))
                     for r, i in zip(ar, ai)
                 ])
-                assert got.shape == want.shape == (n + 2,)
+                assert got.shape == want.shape == ((n + 1) // 2 + 1,)
                 scale = max(1.0, np.max(np.abs(want)))
                 assert np.max(np.abs(got - want)) <= 1e-13 * scale, zeros
 
@@ -563,7 +565,7 @@ def test_float_polynomials_match_the_50_digit_polynomials(n):
 def test_jet_zero_prefix_equals_pulse_by_pulse_composition_bitwise(zeros):
     rng = random.Random(zeros)
     phases = [0.0] * zeros + [rng.uniform(0.0, 6.0) for _ in range(3)]
-    poly = precise._mp_zero_prefix(len(phases) + 1, 0)
+    poly = precise._mp_zero_prefix(0)
     for phase in phases:
         poly = precise._mp_jet_pulse(poly, precise._rotor(precise._raw(phase)))
     got = precise._mp_jet_compose(phases)
@@ -720,8 +722,7 @@ def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
         patch.setattr(solver, "half_jets", degenerate)
         _, da = degenerate(rel, pinned)
         rot = complex(mp.exp(0.25j * phi))
-        n = len(rel)
-        jac = [[(rot * d[m]).imag for d in da] for m in range((n + 1) % 2, n, 2)]
+        jac = [[(rot * d[m]).imag for d in da] for m in range((len(rel) + 1) // 2)]
         sigma = np.linalg.svd(np.array(jac), compute_uv=False)
         assert sigma[-1] < solver._RCOND * sigma[0]
         assert solver._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, pinned) is None
@@ -820,8 +821,7 @@ def test_turned_rotors_are_the_rotors_of_the_fixed_point_phases(monkeypatch):
         assert polished == [mp.mpf((v, -prec)) for v in x]
     # The t handed on is that of the half composed from those turned
     # rotors.
-    n = len(x)
-    ar, ai, _, _ = precise._mp_jet_rotors(n + 2, zeros + 1, rotors)
+    ar, ai, _, _ = precise._mp_jet_rotors(zeros + 1, rotors)
     assert a_h == (ar, ai)
     assert handed == precise._half_t(ar, ai, precise._angle_trig(phi, 2))
 
@@ -841,7 +841,7 @@ def _outputs_at(dps, inputs):
         catalog.half_polynomial.cache_clear()
         catalog.arbitrary_row.cache_clear()
         out = [precise.slope_fit(seq) for seq in trains]
-        out.append(precise.half_slope_fit(t))
+        out.append(precise.half_slope_fit(t, 16))
         for rel, angle in polish_cases:
             phases, half = precise.polish_structured(rel, angle)
             out.append((raw(phases), half))

@@ -138,7 +138,7 @@ def test_top_coefficient_at_a_root_is_the_profile_law(n, phi, rng_seed):
         assume(False)
     for s in sols:
         a = structured_jets(np.array([s.phases]))[0]
-        top = (np.exp(0.25j * phi) * a[n + 1]).imag
+        top = (np.exp(0.25j * phi) * a[-1]).imag
         assert abs(top - (-1) ** (n + 1) * math.sin(phi / 4)) <= 1e-11, s.phases
 
 
