@@ -19,6 +19,7 @@ _EXPORTS = {
     "CompositeSequence": "su2",
     "ErrorRange": "analysis",
     "FidelityProfile": "analysis",
+    "Phase": "su2",
     "Solution": "solver",
     "SolverConfig": "solver",
     "Su2": "su2",

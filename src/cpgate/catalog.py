@@ -2,10 +2,12 @@
 
 Phases are recorded exactly as published, in units of pi: closed-form
 values as exact fractions, numerically derived values as 4-decimal
-strings.  The named Z/S/T gates live in the packaged JSON file
-``data/catalog.json``, which ``names``, ``get`` and ``entries`` read; the
-arbitrary-angle rows are embedded below.  Solver output is written in the
-same JSON form with ``source="solver"``.
+strings.  Both tables live in the packaged JSON file ``data/catalog.json``:
+the named Z/S/T gates under ``named``, which ``names``, ``get`` and
+``entries`` read, and the free phases of the arbitrary-angle rows per
+train length under ``arbitrary_rows``, which ``arbitrary_rows`` and
+``get_arbitrary_row`` read.  Solver output is written in the JSON form of
+a named entry with ``source="solver"``.
 
 Four printed decimals limit a phase to ~1e-4 pi, which is far too coarse
 for high-order derivative cancellation, so sequence construction polishes
@@ -37,53 +39,6 @@ from importlib import resources
 from . import precise
 from .sequences import first_half
 from .su2 import CompositeSequence
-
-# phi (units pi) -> free phases per train length, as published.
-_TABLE_ARBITRARY = {
-    "1/16": {4: ["127/64"], 6: ["1.9766"], 8: ["1.9883", "1.9727"],
-             10: ["0.9980", "0.9883"], 12: ["1.0316", "1.7227", "0.6755"],
-             14: ["0.9995", "0.9960", "0.9857"]},
-    "1/12": {4: ["95/48"], 6: ["1.9688"], 8: ["1.9844", "1.9635"],
-             10: ["0.9974", "0.9844"], 12: ["1.0342", "1.6996", "0.6446"],
-             14: ["0.9993", "0.9947", "0.9809"]},
-    "1/8": {4: ["63/32"], 6: ["1.9531"], 8: ["1.9766", "1.9453"],
-            10: ["0.9961", "0.9765"], 12: ["1.0379", "1.6646", "0.5955"],
-            14: ["0.9990", "0.9922", "0.9716"]},
-    "1/6": {4: ["47/24"], 6: ["1.9375"], 8: ["1.9688", "1.9271"],
-            10: ["0.9948", "0.9687"], 12: ["1.0405", "1.6378", "0.5556"],
-            14: ["0.9987", "0.9895", "0.9620"]},
-    "1/4": {4: ["31/16"], 6: ["1.9064"], 8: ["1.9531", "1.8906"],
-            10: ["0.9922", "0.9530"], 12: ["1.0439", "1.5966", "0.4901"],
-            14: ["0.9980", "0.9843", "0.9431"]},
-    "1/3": {4: ["23/12"], 6: ["1.8754"], 8: ["1.9375", "1.8542"],
-            10: ["0.9895", "0.9371"], 12: ["1.0459", "1.5642", "0.4349"],
-            14: ["0.9974", "0.9790", "0.9240"]},
-    "1/2": {4: ["15/8"], 6: ["1.8137"], 8: ["1.9064", "1.7814"],
-            10: ["0.9842", "0.9050"], 12: ["1.0477", "1.5126", "0.3399"],
-            14: ["0.9961", "0.9684", "0.8855"]},
-    "2/3": {4: ["11/6"], 6: ["1.7529"], 8: ["1.8754", "1.7087"],
-            10: ["0.9787", "0.8721"], 12: ["1.0479", "1.4703", "0.2558"],
-            14: ["0.9947", "0.9575", "0.8460"]},
-    "3/4": {4: ["29/16"], 6: ["1.7229"], 8: ["1.8599", "1.6724"],
-            10: ["0.9759", "0.8552"], 12: ["1.0475", "1.4512", "0.2162"],
-            14: ["0.9941", "0.9520", "0.8259"]},
-    "5/6": {4: ["43/24"], 6: ["1.6932"], 8: ["1.8444", "1.6361"],
-            10: ["0.9731", "0.8381"], 12: ["1.0470", "1.4332", "0.1779"],
-            14: ["0.9934", "0.9464", "0.8056"]},
-    "7/8": {4: ["57/32"], 6: ["1.6785"], 8: ["1.8368", "1.6180"],
-            10: ["0.9717", "0.8294"], 12: ["1.0467", "1.4245", "0.1591"],
-            14: ["0.9930", "0.9436", "0.7953"]},
-    "11/12": {4: ["85/48"], 6: ["1.6639"], 8: ["1.8291", "1.5999"],
-              10: ["0.9702", "0.8206"], 12: ["1.0463", "1.4161", "0.1405"],
-              14: ["0.9927", "0.9407", "0.7849"]},
-    "15/16": {4: ["113/64"], 6: ["1.6566"], 8: ["1.8252", "1.5908"],
-              10: ["0.9695", "0.8161"], 12: ["1.0462", "1.4119", "0.1314"],
-              14: ["0.9925", "0.9393", "0.7797"]},
-    "1": {4: ["7/4"], 6: ["1.6350"], 8: ["1.8137", "1.5637"],
-          10: ["0.9673", "0.8027"], 12: ["1.0456", "1.4000", "0.1041"],
-          14: ["0.9920", "0.9350", "0.7638"]},
-}
-
 
 class CatalogError(KeyError):
     # The message alone, without the quotes KeyError puts around it.
@@ -140,9 +95,26 @@ def _stored_polishes() -> dict:
 
 
 @lru_cache(maxsize=None)
-def _packaged() -> dict[str, CatalogEntry]:
+def _tables() -> dict:
+    """The packaged ``data/catalog.json``: its ``named`` records and its
+    ``arbitrary_rows``."""
     text = resources.files("cpgate").joinpath("data/catalog.json").read_text()
-    return {entry.name: entry for entry in _parse(text)}
+    return json.loads(text)
+
+
+@lru_cache(maxsize=None)
+def _packaged() -> dict[str, CatalogEntry]:
+    return {entry.name: entry for entry in map(entry_from_dict, _tables()["named"])}
+
+
+@lru_cache(maxsize=None)
+def _rows() -> dict:
+    """The arbitrary-angle rows: the angle's Fraction -> {train length:
+    free phase strings}, in the published order."""
+    return {
+        Fraction(row["phi_over_pi"]): {int(k): v for k, v in row["columns"].items()}
+        for row in _tables()["arbitrary_rows"]
+    }
 
 
 def names() -> list[str]:
@@ -162,17 +134,14 @@ def get(name: str) -> CatalogEntry:
 
 
 def arbitrary_rows() -> list[ArbitraryPhaseRow]:
-    return [
-        ArbitraryPhaseRow(Fraction(k), dict(v)) for k, v in _TABLE_ARBITRARY.items()
-    ]
+    return [ArbitraryPhaseRow(phi, dict(columns)) for phi, columns in _rows().items()]
 
 
 def get_arbitrary_row(phi_over_pi) -> ArbitraryPhaseRow:
     key = Fraction(phi_over_pi)
-    for k, v in _TABLE_ARBITRARY.items():
-        if Fraction(k) == key:
-            return ArbitraryPhaseRow(key, dict(v))
-    raise CatalogError(f"no arbitrary-phase row for phi = {phi_over_pi} pi")
+    if key not in _rows():
+        raise CatalogError(f"no arbitrary-phase row for phi = {phi_over_pi} pi")
+    return ArbitraryPhaseRow(key, dict(_rows()[key]))
 
 
 def _is_exact(s: str) -> bool:
@@ -186,10 +155,11 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bo
     root, its leading zeros held, or takes the stored polish of the same
     inputs (``_stored_polishes``); raises CatalogError if one of its exact
     phases is not a leading zero, since the polish would move it.  Exact
-    angles reach ``precise`` as Fractions of pi, and its mpf phases let
-    downstream extended-precision checks see the actual root, while float
-    consumers simply cast.  Returns the train and the polish's t of its
-    half, or None where nothing was polished.
+    angles reach ``precise`` as Fractions of pi, and the train's
+    ``su2.Phase``s, exact at 169 bits, let downstream extended-precision
+    checks see the actual root, while float consumers simply cast.
+    Returns the train and the polish's t of its half, or None where
+    nothing was polished.
     """
     exact = [_is_exact(s) for s in rel_strings]
     rel, t = [Fraction(s) for s in rel_strings], None

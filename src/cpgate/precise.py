@@ -16,10 +16,23 @@ integer floor(x * 2^``PREC``), ``PREC`` = ``WP`` + ``GUARD_BITS`` =
 Both are constants: no helper takes a precision, and no call but the
 one that builds the slope grid reads mpmath's context, so every result
 is the same whatever precision the caller runs at.  An input (a
-Fraction in units of pi, an mpf or a float) is rounded to nearest at
-``WP`` bits once (``_raw``), and the returned phases, the catalog's
-trains (``structured_train``) and the fit's values are rounded at an
-explicit precision: no other module names the format.  A product
+Fraction in units of pi, a ``Phase``, an mpf or a float) is rounded to
+nearest at ``WP`` bits once (``_raw``), and the returned phases, the
+catalog's trains (``structured_train``) and the fit's values are rounded
+at an explicit precision: no other module names the format.
+
+That rounding runs on Python integers, with no mpmath: ``_round`` rounds
+man 2^exp / den to nearest at ``WP`` bits, ties to even, and returns
+mpmath's normalized raw tuple (sign, man, exp, bc), bit for bit what
+mpmath's correctly rounded ``from_man_exp``, ``mpf_div`` and ``mpf_add``
+give.  pi at ``WP`` bits is one constant (``_PI``).  A Fraction p/q of
+pi is pi p rounded, then divided by q and rounded; the second half's
+shift pi - phi/2 and each of its sums are exact sums, rounded once.  The
+phases and angle of a train built here are ``su2.Phase``s holding those
+tuples, so building the catalog's trains from stored or exact phases
+loads no mpmath; only the trig (``_cos_sin_fixed``, ``mpf_cos_sin``, for
+rotors and the gate's angle) and the slope grid's logs and exps
+(``_slope_grid``) load it, on first use.  A product
 is one integer multiply and one shift, with none of the renormalization
 that dominates mpf object arithmetic.  Fixed point fits because the
 values are bounded: on real s in [-1, 1], |a| <= 1 and |B| <= N (Schur's
@@ -124,10 +137,11 @@ step's right-hand side becomes doubles, and the stop test at
 10^-_POLISH_DIGITS = 1e-45 is an integer comparison.  That bound holds
 the full-train derivative conditions of every polished table row and
 named train below 1e-40 at 90 digits.  ``polish_fixed`` returns the
-phases as those integers, and ``polish_result`` makes them mpf at ``WP``
-bits, once, for a polish and for a stored record alike.  Leading phases
-of exactly 0 are alike in every train, so their polynomials are composed
-once per count (``_mp_zero_prefix``), bitwise as pulse by pulse.
+phases as those integers, and ``polish_result`` rounds them to
+``Phase``s at ``WP`` bits, once, for a polish and for a stored record
+alike.  Leading phases of exactly 0 are alike in every train, so their
+polynomials are composed once per count (``_mp_zero_prefix``), bitwise
+as pulse by pulse.
 
 The polish's last residual evaluation composes the half at the returned
 phases, from the turned rotors (at most 8 units of 2^-PREC from fresh
@@ -144,30 +158,12 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
-from mpmath.libmp import (
-    from_float,
-    from_int,
-    from_man_exp,
-    fzero,
-    mpf_add,
-    mpf_cos_sin,
-    mpf_div,
-    mpf_mul_int,
-    mpf_pi,
-    mpf_pos,
-    mpf_shift,
-    mpf_sub,
-    round_nearest,
-    to_fixed,
-    to_float,
-)
-
-from .su2 import CompositeSequence, SolverError
+from .su2 import CompositeSequence, Phase, SolverError
 
 _log = logging.getLogger("cpgate.precise")
 
@@ -201,36 +197,118 @@ _POLISH_DIGITS = WORKING_DPS - 5
 _LIMIT = -(-(1 << 2 * PREC) // 10**_POLISH_DIGITS)
 
 
+# pi rounded to nearest at WP bits, mpf_pi(WP, round_nearest): man 2^exp.
+_PI = (0, 587704679302172021937255065567143824442131843125525, -167, 169)
+_ZERO = (0, 0, 0, 0)
+
+
+def _exact(man, exp=0):
+    """mpmath's normalized raw tuple (sign, man, exp, bc) of the integer
+    ``man`` times 2^exp, exactly: an odd mantissa of bc bits, or all zeros
+    for 0."""
+    if not man:
+        return _ZERO
+    sign = int(man < 0)
+    man = abs(man)
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
+
+
+def _round(man, exp=0, den=1):
+    """``_exact`` of man 2^exp / den, integers ``man`` and ``den`` > 0,
+    rounded to nearest at ``WP`` bits, ties to even: mpmath's
+    ``from_man_exp(man, exp, WP, round_nearest)`` for ``den`` = 1, and its
+    correctly rounded quotient otherwise."""
+    sign, man = man < 0, abs(man)
+    if den != 1:
+        # At least WP + 1 bits of the quotient and, below them, one sticky
+        # bit for a nonzero remainder: enough to round the quotient exactly.
+        shift = WP + 1 + den.bit_length() - man.bit_length()
+        if shift >= 0:
+            quo, rem = divmod(man << shift, den)
+        else:
+            quo, rem = divmod(man, den << -shift)
+        man, exp = quo << 1 | (rem != 0), exp - shift - 1
+    extra = man.bit_length() - WP
+    if extra > 0:
+        half = 1 << (extra - 1)
+        low = man & ((half << 1) - 1)
+        man >>= extra
+        exp += extra
+        if low > half or (low == half and man & 1):
+            man += 1
+    return _exact(-man if sign else man, exp)
+
+
+def _man_exp(raw):
+    """(signed mantissa, exponent) of the raw tuple ``raw``."""
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
+
+
+def _add(x, y):
+    """The sum of the raw tuples ``x`` and ``y``, rounded by ``_round``."""
+    (xm, xe), (ym, ye) = _man_exp(x), _man_exp(y)
+    exp = min(xe, ye)
+    return _round((xm << (xe - exp)) + (ym << (ye - exp)), exp)
+
+
 def _raw(x):
-    """The raw mpf of ``x`` rounded to nearest at ``WP`` bits: a Fraction
-    p/q in units of pi (pi p / q, each step rounded), an mpf, a float or
-    an int.  Anything else raises TypeError: an mpmath constant such as
-    ``mp.pi`` would lose its digits through a float."""
+    """The raw tuple of ``x`` rounded to nearest at ``WP`` bits: a Fraction
+    p/q in units of pi (pi p / q, each step rounded), a ``Phase``, an mpf,
+    a float or an int (through a float).  Anything else raises TypeError:
+    an mpmath constant such as ``mp.pi`` would lose its digits through a
+    float.  An infinity or a nan raises ValueError."""
     if isinstance(x, Fraction):
-        turn = mpf_mul_int(mpf_pi(WP, round_nearest), x.numerator, WP, round_nearest)
-        return mpf_div(turn, from_int(x.denominator), WP, round_nearest)
-    if isinstance(x, mp.mpf):
-        return mpf_pos(x._mpf_, WP, round_nearest)
+        turn = _round(x.numerator * _PI[1], _PI[2])
+        return _round(*_man_exp(turn), x.denominator)
+    # An mpf exists only once mpmath is loaded, so this imports nothing.
+    mpmath = sys.modules.get("mpmath")
+    if isinstance(x, Phase) or (mpmath is not None and isinstance(x, mpmath.mpf)):
+        raw = x._mpf_
+        # An mpf is normalized; an infinity or a nan has a negative bc.
+        if raw[3] < 0:
+            raise ValueError(f"an angle must be finite, not {x!r}")
+        return raw if raw[3] <= WP else _round(*_man_exp(raw))
     if isinstance(x, (float, int)):
-        return from_float(float(x), WP, round_nearest)
-    raise TypeError(f"an angle must be a Fraction of pi, an mpf or a float, not {x!r}")
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"an angle must be finite, not {x!r}")
+        num, den = x.as_integer_ratio()
+        return _exact(num, 1 - den.bit_length())
+    raise TypeError(
+        f"an angle must be a Fraction of pi, a Phase, an mpf or a float, not {x!r}"
+    )
+
+
+@lru_cache(maxsize=None)
+def _libmp():
+    """mpmath's raw-number module, loaded on the first trig: building a
+    train from stored or exact phases needs none."""
+    from mpmath import libmp
+
+    return libmp
 
 
 def _cos_sin_fixed(x):
-    """cos and sin of the raw mpf ``x`` as fixed-point integers at 2^PREC."""
-    c, s = mpf_cos_sin(x, PREC)
-    return to_fixed(c, PREC), to_fixed(s, PREC)
+    """cos and sin of the raw tuple ``x`` as fixed-point integers at
+    2^PREC."""
+    libmp = _libmp()
+    c, s = libmp.mpf_cos_sin(x, PREC)
+    return libmp.to_fixed(c, PREC), libmp.to_fixed(s, PREC)
 
 
 def _angle_trig(phi, halvings):
     """cos and sin of ``phi`` / 2^halvings, ``phi`` rounded by ``_raw``, as
     fixed-point integers at 2^PREC."""
-    return _cos_sin_fixed(mpf_shift(_raw(phi), -halvings))
+    sign, man, exp, bc = _raw(phi)
+    return _cos_sin_fixed((sign, man, exp - halvings, bc) if man else _ZERO)
 
 
 def _rotor(x):
-    """-i e^{i x} = sin(x) - i cos(x) of the raw mpf ``x``, fixed point at
-    2^PREC."""
+    """-i e^{i x} = sin(x) - i cos(x) of the raw tuple ``x``, fixed point
+    at 2^PREC."""
     c, s = _cos_sin_fixed(x)
     return s, -c
 
@@ -249,6 +327,8 @@ def _slope_grid():
     log-spaced epsilons of the window at ``WP`` bits, (s, u, c) at each,
     s and c the sin and cos of pi eps / 2 and u = s^2, as fixed-point
     integers at 2^PREC, and the float log of each."""
+    import mpmath as mp
+
     with mp.workprec(WP):
         lo, hi = mp.log(mp.mpf(_SLOPE_EPS_LO)), mp.log(mp.mpf(_SLOPE_EPS_HI))
         grid = tuple(
@@ -437,11 +517,11 @@ def polish_structured(rel_phases, phi):
     """Newton-polish structured relative phases to ``WORKING_DPS`` digits.
 
     The leading phases that are exactly 0 are held there, and the rest
-    move.  ``phi`` is a Fraction in units of pi (an exact angle), an mpf or
-    a float (see ``_raw``); the inverse of the float Jacobian at the float
-    root serves every 50-digit step, which is enough for fast linear
-    convergence near the root.
-    Returns (phases, t): the mpf phases at ``WP`` bits, with residual
+    move.  ``phi`` is a Fraction in units of pi (an exact angle), a
+    ``Phase``, an mpf or a float (see ``_raw``); the inverse of the float
+    Jacobian at the float root serves every 50-digit step, which is
+    enough for fast linear convergence near the root.
+    Returns (phases, t): the ``Phase``s at ``WP`` bits, with residual
     max-norm below 10^-_POLISH_DIGITS, and the u-coefficients of the
     half's t, Im(e^{i phi/4} a_h) = s^{(n+1) mod 2} t(u), at those phases,
     fixed point at 2^PREC, from the a_h of the last residual evaluation
@@ -453,10 +533,9 @@ def polish_structured(rel_phases, phi):
 
 def polish_result(phases, t):
     """``polish_structured``'s (phases, t) from the integers of
-    ``polish_fixed``: the phases at 2^PREC rounded to mpf at ``WP`` bits,
-    and t's coefficients as a tuple."""
-    mpfs = [mp.make_mpf(from_man_exp(v, -PREC, WP, round_nearest)) for v in phases]
-    return mpfs, tuple(t)
+    ``polish_fixed``: the phases at 2^PREC rounded to ``Phase``s at ``WP``
+    bits, and t's coefficients as a tuple."""
+    return [Phase(_round(v, -PREC)) for v in phases], tuple(t)
 
 
 def polish_fixed(rel_phases, phi):
@@ -473,7 +552,7 @@ def polish_fixed(rel_phases, phi):
     from . import solver
 
     start = time.perf_counter()
-    phi_float = to_float(_raw(phi), rnd=round_nearest)
+    phi_float = float(Phase(_raw(phi)))
     x_float = [float(v) for v in rel_phases]
     n = len(x_float)
     pinned = _leading_zeros(x_float)
@@ -508,14 +587,17 @@ def polish_fixed(rel_phases, phi):
 def structured_train(rel_phases, phi) -> CompositeSequence:
     """``sequences.structured_sequence`` at ``WP`` bits: the half 0.0,
     ``rel_phases``, then each of its phases plus pi - ``phi``/2, every
-    input rounded by ``_raw`` and every sum to nearest, the rest mpf."""
+    input rounded by ``_raw`` and every sum to nearest, the rest and the
+    angle ``Phase``s."""
     phi = _raw(phi)
-    shift = mpf_sub(mpf_pi(WP, round_nearest), mpf_shift(phi, -1), WP, round_nearest)
-    half = [fzero] + [_raw(p) for p in rel_phases]
-    phases = [0.0] + [mp.make_mpf(p) for p in half[1:]]
-    phases += [mp.make_mpf(mpf_add(p, shift, WP, round_nearest)) for p in half]
+    sign, man, exp, bc = phi
+    # -phi/2, exactly.
+    shift = _add(_PI, (1 - sign, man, exp - 1, bc) if man else phi)
+    half = [_ZERO] + [_raw(p) for p in rel_phases]
+    phases = [0.0] + [Phase(p) for p in half[1:]]
+    phases += [Phase(_add(p, shift)) for p in half]
     return CompositeSequence(
-        tuple(phases), mp.make_mpf(phi), label=f"struct(n={len(rel_phases)})"
+        tuple(phases), Phase(phi), label=f"struct(n={len(rel_phases)})"
     )
 
 
@@ -570,7 +652,7 @@ def _fixed_newton(x_float, pinned, jac_inv, gate):
 
     x = [_fixed(v) for v in x_float]
     # The held zeros never move: the cached zero prefix serves them.
-    rotors = [_rotor(from_man_exp(v, -PREC)) for v in x[pinned:]]
+    rotors = [_rotor(_exact(v, -PREC)) for v in x[pinned:]]
     for evals in range(1, WORKING_DPS + 1):
         r, a_h = _mp_residual(pinned, rotors, gate)
         rmax = max(abs(v) for v in r)
@@ -628,7 +710,7 @@ def _mp_zero_prefix(count: int):
     of a polish in every residual evaluation, so they are composed once
     per count."""
     poly = ((1 << PREC,), (0,), (), ())
-    rotor = _rotor(fzero)
+    rotor = _rotor(_ZERO)
     for _ in range(count):
         poly = _mp_jet_pulse(poly, rotor)
     return tuple(tuple(part) for part in poly)

@@ -38,8 +38,9 @@ def structured_sequence(rel_phases, phi, nu: float = 0.0) -> CompositeSequence:
     (its leading phase is ``nu``), second half shifted by pi - phi/2.
 
     It works in doubles: ``phi``, ``nu`` and the phases are cast with
-    ``float``, so an mpf input gives a float train.  The 50-digit train of
-    an exact root is ``precise.structured_train``'s.
+    ``float``, so a ``Phase`` or an mpf input gives a float train.  The
+    50-digit train of an exact root, of ``Phase``s, is
+    ``precise.structured_train``'s.
     """
     phi, nu = float(phi), float(nu)
     half = [nu] + [nu + float(p) for p in rel_phases]

@@ -15,7 +15,10 @@ It records, for the program in ``src``:
   non-monotonic flag that the command prints rounded, at full precision;
 - the first-half phases (radians, as doubles) of ``catalog.to_sequence``
   on the 27 names and of ``catalog.arbitrary_row`` on the 84 table rows:
-  where the polish leaves each root on its manifold.
+  where the polish leaves each root on its manifold;
+- the exit code, stdout and stderr of commands on two odd catalog files
+  (``odd``): a record whose second half is not its first shifted by
+  pi - phi/2, and Z18's record at a path that holds the '=' of a spec.
 
 Regenerate it only where an output is meant to change, and say which and
 why in the change that does.
@@ -64,6 +67,17 @@ SOLVES = (
     ("solve", "--order", "4", "--phi", "0.5", "--seeds", "16", "--rng-seed", "1"),
     ("solve", "--order", "6", "--phi", "0.25", "--seeds", "16", "--rng-seed", "1"),
     ("solve", "--order", "8", "--phi", "1", "--seeds", "16", "--rng-seed", "1"),
+)
+
+# The odd catalog files by name (see ``odd_records``) and the commands run
+# on each, the file named relative to the directory that holds it.
+MISMATCHED = "mismatched.json"
+Z18_FILE = "z18-phi=1.json"
+ODD_RUNS = (
+    ("verify", "--json", "--gate", MISMATCHED),
+    ("range", "--gate", MISMATCHED),
+    ("sweep", "--gate", MISMATCHED),
+    ("verify", "--json", "--gate", Z18_FILE),
 )
 
 
@@ -214,6 +228,23 @@ def first_entry(path):
     return one
 
 
+def odd_records(workdir):
+    """For each of ``ODD_RUNS``: its argv, and the exit code, stdout and
+    stderr of the run, on the odd catalog files written into ``workdir``:
+    a one-entry file whose second half is not its first shifted by
+    pi - phi/2 (read from its first half alone it would be Z4), and Z18's
+    record alone."""
+    mismatched = {"name": "x", "phi_over_pi": "1", "order": 1,
+                  "phases_over_pi": ["0", "1.75", "0.9", "0.1"]}
+    (Path(workdir) / MISMATCHED).write_text(json.dumps([mismatched]) + "\n")
+    catalog.save_catalog([catalog.get("Z18")], Path(workdir) / Z18_FILE)
+    records = []
+    for *argv, name in ODD_RUNS:
+        code, out, err = run_cli((*argv, str(Path(workdir) / name)))
+        records.append({"argv": [*argv, name], "code": code, "out": out, "err": err})
+    return records
+
+
 def solve_records(workdir):
     """For each of ``SOLVES``: its argv, the text of the file it writes,
     and ``verify_record`` of its first entry."""
@@ -235,6 +266,8 @@ def build():
     gates = [*catalog.names(), *row_specs(), *CI_SPECS, *inline_specs()]
     with tempfile.TemporaryDirectory() as workdir:
         solves = solve_records(workdir)
+    with tempfile.TemporaryDirectory() as workdir:
+        odd = odd_records(workdir)
     return {
         "verify": [{"gate": gate, **verify_record(gate)} for gate in gates],
         "solve": solves,
@@ -243,6 +276,7 @@ def build():
             for name in catalog.names() for t in RANGE_THRESHOLDS
         ],
         "halves": half_records(),
+        "odd": odd,
     }
 
 

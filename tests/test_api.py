@@ -53,26 +53,29 @@ import contextlib, io, json, sys
 from cpgate import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run({argv!r})
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, "numpy" in sys.modules, "mpmath" in sys.modules]))
 """
 _SPEC = "phi=0.5;phases=0,0,0,1.0477,1.5126,0.3399,0.75,0.75,0.75,1.7977,2.2626,1.0899"
 
 
-@pytest.mark.parametrize("argv, numpy", [
-    (["list"], False),
-    (["tables", "--which", "Z"], False),
-    (["tables", "--which", "IV"], False),
-    (["show", "Z18"], False),
-    *((["build", "--phi", "0.5", "--pulses", str(p)], False) for p in (2, 4, 6, 8)),
-    (["verify", "--gate", "Z18"], False),
-    (["verify", "--json", "--gate", "T10"], False),
-    (["verify", "--gate", _SPEC], True),
-    (["range", "--gate", "Z8"], True),
-    (["sweep", "--gate", "Z8", "--steps", "5"], True),
-    (["solve", "--order", "2", "--phi", "0.5", "--seeds", "2"], True),
+@pytest.mark.parametrize("argv, numpy, mpmath", [
+    (["list"], False, False),
+    (["tables", "--which", "Z"], False, False),
+    (["tables", "--which", "IV"], False, False),
+    (["show", "Z18"], False, False),
+    *((["build", "--phi", "0.5", "--pulses", str(p)], False, False)
+      for p in (2, 4, 6, 8)),
+    (["verify", "--gate", "Z18"], False, True),
+    (["verify", "--json", "--gate", "T10"], False, True),
+    (["verify", "--gate", _SPEC], True, True),
+    (["range", "--gate", "Z8"], True, False),
+    (["sweep", "--gate", "Z8", "--steps", "5"], True, False),
+    (["solve", "--order", "2", "--phi", "0.5", "--seeds", "2"], True, False),
 ])
-def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy):
-    assert _fresh(_CLI.format(argv=argv)) == [0, numpy]
+def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, mpmath):
+    # numpy serves array code; mpmath the trig of verify's slope grid and
+    # rotors, and no build of a named train.
+    assert _fresh(_CLI.format(argv=argv)) == [0, numpy, mpmath]
 
 
 def test_building_the_named_trains_runs_no_newton_and_loads_no_numpy():
@@ -81,9 +84,15 @@ import json, sys
 from cpgate import catalog
 for name in catalog.names():
     catalog.to_sequence(catalog.get(name))
+built = "mpmath" in sys.modules
+for name in catalog.names():
     catalog.half_polynomial(catalog.get(name))
-print(json.dumps(sorted(sys.modules)))
+print(json.dumps([built, sorted(sys.modules)]))
 """)
+    # The 6 exact entries compose their t with trig, so mpmath is checked
+    # before half_polynomial runs.
+    mpmath, loaded = loaded
+    assert not mpmath
     for module in ("numpy", "cpgate.solver", "cpgate.jets", "cpgate.analysis"):
         assert module not in loaded
     assert [m for m in loaded if m.startswith("cpgate")] == [
@@ -123,6 +132,24 @@ def test_only_precise_knows_the_50_digit_format(module):
     # Exact angles reach precise as Fractions of pi, and the 50-digit train
     # is built there: these modules import nothing from mpmath.
     assert not [name for name in _imports(module) if name.split(".")[0] == "mpmath"]
+
+
+def _module_level_imports(node):
+    # The import statements of ``node`` outside any function body.
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _module_level_imports(child)
+
+
+def test_precise_imports_mpmath_only_inside_its_trig_and_logs():
+    # Building a train rounds in integers: importing precise loads no mpmath.
+    tree = ast.parse((Path(cpgate.__file__).parent / "precise.py").read_text())
+    names = [name for node in _module_level_imports(tree)
+             for name in (getattr(node, "module", None) or "", *(a.name for a in node.names))]
+    assert "logging" in names
+    assert not [name for name in names if name.split(".")[0] == "mpmath"]
 
 
 @pytest.mark.parametrize("module, banned", [("su2", "numpy"), ("analysis", "cpgate.precise")])

@@ -6,8 +6,10 @@ from pathlib import Path
 
 from make_corpus import (
     CORPUS,
+    ODD_RUNS,
     first_entry,
     half_records,
+    odd_records,
     range_record,
     run_cli,
     verify_record,
@@ -74,3 +76,9 @@ def test_polished_halves_match_the_committed_corpus():
            if _half_mismatch(got, want)]
     assert not bad, bad[:5]
     assert len(corpus["halves"]) == 27 + 84
+
+
+def test_odd_catalog_files_match_the_committed_corpus(tmp_path):
+    corpus = json.loads(CORPUS.read_text())
+    assert odd_records(tmp_path) == corpus["odd"]
+    assert len(corpus["odd"]) == len(ODD_RUNS)

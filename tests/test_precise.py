@@ -13,12 +13,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_add,
+    mpf_div,
+    mpf_pi,
+    round_nearest,
+)
 
 from cpgate import catalog, cli, precise, solver, su2
 from cpgate.jets import half_jets, structured_jets
 from cpgate.sequences import first_half, six_pulse
-from cpgate.su2 import CompositeSequence
+from cpgate.su2 import CompositeSequence, Phase
 
 import make_polished
 from make_corpus import run_cli
@@ -102,7 +109,7 @@ def _dense_half_jets(rel_phases, order):
     base_sin = [half_pi**m * mp.sin(half_pi + m * half_pi) / mp.factorial(m)
                 for m in range(order + 1)]
     a = b = None
-    for phase in [mp.mpf(0)] + list(rel_phases):
+    for phase in [mp.mpf(0)] + [mp.mpf(p) for p in rel_phases]:
         rot = -1j * mp.exp(1j * phase)
         pa = [mp.mpc(c) for c in base_cos]
         pb = [rot * s for s in base_sin]
@@ -114,7 +121,7 @@ def _dense_residual(rel_phases, phi_mp, n):
     # The full-system conditions of the two-half train, the oracle for a
     # root: m! (Re, Im) of a_m for even m and of b_m for odd m, m = 1..n.
     a, b = _dense_half_jets(rel_phases, n)
-    rot = mp.exp(1j * (mp.pi - phi_mp / 2))
+    rot = mp.exp(1j * (mp.pi - mp.mpf(phi_mp) / 2))
     a, b = _mp_jet_mul(a, [rot * c for c in b], a, b)
     out = []
     for m in range(1, n + 1):
@@ -447,9 +454,9 @@ def test_the_fit_uses_neither_mpmath_logs_nor_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     for name in ("mpf_log", "mpf_sqrt", "from_man_exp", "to_float"):
         monkeypatch.setattr(mp.libmp, name, refuse)
-    for name in ("from_man_exp", "to_float"):
-        monkeypatch.setattr(precise, name, refuse)
-    assert not hasattr(precise, "mpf_log") and not hasattr(precise, "mpf_sqrt")
+    # precise binds none of them: it reaches mpmath through the module.
+    assert not [name for name in ("mpf_log", "mpf_sqrt", "from_man_exp", "to_float")
+                if hasattr(precise, name)]
     precise._log_table.cache_clear()
     precise._slope_weights.cache_clear()
     got = [precise.slope_fit(seq), precise.half_slope_fit(t, len(seq)), precise.slope_fit(builder)]
@@ -653,7 +660,7 @@ def _newton_both_ways(rel, phi):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_newton_square", lambda *args: None)
             want, _ = precise.polish_structured(rel, phi)
-        assert max(abs(g - w) for g, w in zip(got, want)) <= bound
+        assert max(abs(mp.mpf(g) - w) for g, w in zip(got, want)) <= bound
     assert [float(g) for g in got] == [float(w) for w in want]
 
 
@@ -721,7 +728,7 @@ def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "half_jets", degenerate)
         _, da = degenerate(rel, pinned)
-        rot = complex(mp.exp(0.25j * phi))
+        rot = complex(mp.exp(0.25j * mp.mpf(phi)))
         jac = [[(rot * d[m]).imag for d in da] for m in range((len(rel) + 1) // 2)]
         sigma = np.linalg.svd(np.array(jac), compute_uv=False)
         assert sigma[-1] < solver._RCOND * sigma[0]
@@ -929,14 +936,14 @@ _ORACLE_EPS = ("0", "1e-3", "-1e-3", "1e-2", "-1e-2", "0.3", "-0.3")
 
 def _oracle_propagator(phases, eps):
     # The pulse loop in plain mpc object arithmetic at 90 digits, on the
-    # same mpf phases the kernel under test sees.
+    # same phases the kernel under test sees, each read exactly as an mpf.
     with mp.workdps(_ORACLE_DPS):
         a = mp.mpc(1)
         b = mp.mpc(0)
         for phase in phases:
             half = mp.pi * (1 + eps) / 2
             pa = mp.cos(half)
-            pb = -1j * mp.exp(1j * phase) * mp.sin(half)
+            pb = -1j * mp.exp(1j * mp.mpf(phase)) * mp.sin(half)
             a, b = pa * a - pb * mp.conj(b), pa * b + pb * mp.conj(a)
         return a, b
 
@@ -1034,6 +1041,79 @@ def test_raw_of_a_fraction_is_pi_times_it_at_50_digits():
             assert precise._raw(f) == (mp.pi * f.numerator / f.denominator)._mpf_, f
 
 
+def test_pi_is_mpmaths_pi_at_wp_bits():
+    assert precise._PI == mpf_pi(precise.WP, round_nearest)
+
+
+@st.composite
+def _dyadic(draw):
+    # (man, exp) with a mantissa of up to WP + 80 bits: any, or a WP-bit
+    # head over an exact half (a tie, to either parity), or a head of all
+    # ones over at least a half (a carry into a new bit).
+    wp = precise.WP
+    kind = draw(st.sampled_from(["any", "tie", "carry"]))
+    extra = draw(st.integers(1, 80))
+    if kind == "any":
+        man = draw(st.integers(0, 1 << (wp + 80)))
+    elif kind == "tie":
+        man = draw(st.integers(1 << (wp - 1), (1 << wp) - 1)) << extra | 1 << (extra - 1)
+    else:
+        tail = draw(st.integers(1 << (extra - 1), (1 << extra) - 1))
+        man = ((1 << wp) - 1) << extra | tail
+    man = -man if draw(st.booleans()) else man
+    return man, draw(st.integers(-1200, 1200))
+
+
+@given(value=_dyadic())
+@settings(max_examples=300, deadline=None)
+def test_rounding_is_mpmaths_from_man_exp(value):
+    man, exp = value
+    assert precise._round(man, exp) == from_man_exp(man, exp, precise.WP, round_nearest)
+
+
+@given(value=_dyadic(), den=st.integers(1, 1 << 80), exact=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_rounding_a_quotient_is_mpmaths_division(value, den, exact):
+    # With ``exact`` the quotient is the dyadic itself, ties and carries
+    # included.
+    man, exp = value
+    if exact:
+        man *= den
+    want = mpf_div(from_man_exp(man, exp), from_int(den), precise.WP, round_nearest)
+    assert precise._round(man, exp, den) == want
+
+
+@given(x=_dyadic(), y=_dyadic())
+@settings(max_examples=300, deadline=None)
+def test_a_sum_is_mpmaths_sum(x, y):
+    x, y = (precise._round(*v) for v in (x, y))
+    assert precise._add(x, y) == mpf_add(x, y, precise.WP, round_nearest)
+
+
+def _catalog_phases():
+    # Every Phase of the 27 named trains and the 84 polished table rows,
+    # their angles included.
+    seqs = [catalog.to_sequence(e) for e in catalog.entries()] + [
+        catalog.arbitrary_row(row.phi_over_pi, pulses)
+        for row in catalog.arbitrary_rows()
+        for pulses in (4, 6, 8, 10, 12, 14)
+    ]
+    assert len(seqs) == 27 + 84
+    return [p for seq in seqs for p in (*seq.phases[1:], seq.target_phi)]
+
+
+def test_every_catalog_phase_is_an_exact_mpf_at_wp_bits_and_no_float():
+    phases = _catalog_phases()
+    assert {type(p) for p in phases} == {Phase}
+    with mp.workprec(precise.WP):
+        for p in phases:
+            value = mp.mpf(p)
+            assert value._mpf_ == p._mpf_ and value == p
+            # The float the train's mpf gave.
+            assert float(p) == float(value)
+    assert not any(isinstance(p, float) for p in phases)
+
+
 def _mpf_third(x):
     # An mpf with 50-digit bits, as the polish returns.
     with mp.workdps(precise.WORKING_DPS):
@@ -1051,7 +1131,8 @@ _TRAIN_ANGLES = st.one_of(
 @settings(max_examples=60, deadline=None)
 def test_structured_train_is_the_mpf_build(rel, phi):
     # The train the catalog built in a 50-digit context, a Fraction f as
-    # mp.pi * f: the same types, bits, angle and label.
+    # mp.pi * f: the same bits, angle and label, a Phase where it held an
+    # mpf.
     def mpf(x):
         if isinstance(x, Fraction):
             return mp.pi * x.numerator / x.denominator
@@ -1060,13 +1141,29 @@ def test_structured_train_is_the_mpf_build(rel, phi):
     got = precise.structured_train(rel, phi)
     with mp.workdps(precise.WORKING_DPS):
         want = mp_structured_train([mpf(p) for p in rel], mpf(phi))
-    assert [type(p) for p in got.phases] == [type(p) for p in want.phases]
+    assert [type(p) for p in got.phases] == [
+        Phase if isinstance(p, mp.mpf) else type(p) for p in want.phases
+    ]
     assert [getattr(p, "_mpf_", p) for p in got.phases] == [
         getattr(p, "_mpf_", p) for p in want.phases
     ]
-    assert type(got.target_phi) is type(want.target_phi)
+    assert type(got.target_phi) is Phase and type(want.target_phi) is mp.mpf
     assert got.target_phi._mpf_ == want.target_phi._mpf_
     assert got.label == want.label
+
+
+@pytest.mark.parametrize(
+    "angle", [math.inf, -math.inf, math.nan, mp.mpf("inf"), mp.mpf("nan")]
+)
+def test_raw_refuses_an_angle_that_is_not_finite(angle):
+    # Rounded, an infinity would build a train of infinite phases and fit
+    # a slope from it.
+    with pytest.raises(ValueError, match="finite"):
+        precise._raw(angle)
+    with pytest.raises(ValueError, match="finite"):
+        precise.structured_train([angle], 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        precise.slope_fit(CompositeSequence((angle, 0.0), 1.0))
 
 
 @pytest.mark.parametrize("angle", [mp.pi, mp.e, "0.5", 0.5j, None])

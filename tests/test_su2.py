@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from cpgate import catalog, precise
 from cpgate.sequences import four_pulse
 from cpgate.analysis import compose, frobenius_fidelity, trace_fidelity
-from cpgate.su2 import CompositeSequence, Su2, target_gate
+from cpgate.su2 import CompositeSequence, Phase, Su2, target_gate
 
 from mp_oracle import mp_propagator
 
@@ -161,3 +162,16 @@ def test_array_compose_matches_mpmath_propagator(name):
             a, b = mp_propagator(phases, mp.mpf(float(e)))
             assert abs(u.a[k] - complex(a)) <= 1e-14
             assert abs(u.b[k] - complex(b)) <= 1e-14
+
+
+def test_a_phase_compares_and_hashes_as_its_number():
+    half, third = (Phase(precise._raw(x)) for x in (0.5, Fraction(1, 3)))
+    zero = Phase(precise._raw(0.0))
+    assert half == 0.5 and hash(half) == hash(0.5) and half != 0.25
+    assert zero == 0 and hash(zero) == hash(0) and not zero and half
+    assert third == Phase(precise._raw(Fraction(1, 3))) and third != float(third)
+    with mp.workprec(precise.WP):
+        assert mp.mpf(third) == third and hash(mp.mpf(third)) == hash(third)
+    assert {third: 1}[Phase(third._mpf_)] == 1
+    assert float(Phase(precise._raw(-0.75))) == -0.75
+    assert not isinstance(third, float)
