@@ -11,13 +11,31 @@ the trace measure's range at threshold t is ``high_fidelity_range`` at
 sqrt(t).  An order-n train has the Frobenius infidelity
 sqrt(2) |sin^(n+1)(pi*eps/2)| |sin(phi/4)| (the profile law).
 
-The range search reads any train, root or not, through its exact
-propagator polynomial: the N+1 coefficients of (a, b) in z = e^{i theta},
-theta = pi(1+eps)/2, composed pulse by pulse on Python complex scalars
-(``_propagator_polynomial``).  A pulse of phase p, doubled, is
-(z + 1/z, -h (z - 1/z)), h = e^{ip}.  With index j for exponent 2j - N,
-n the old length, and conj(b) on |z| = 1 being b's coefficients reversed
-and conjugated,
+The range search reads one of two polynomials.  A train that is two
+halves to round-off, its second half its first shifted by pi - phi/2
+within 1e-12 rad (``sequences.first_half`` at that tolerance), has the
+Frobenius infidelity sqrt(2) |s^p t(u)|, s = sin(pi eps/2), u = s^2 (see
+``solver``): t is real, of degree (n + 1) // 2 in u for a half of n + 1
+pulses, p the parity of that length, and t_k = Im(e^{i phi/4} A_k) with
+A the half's major-diagonal polynomial from ``jets.half_jets``.  The
+grid and the Newton iterates evaluate it by one real Horner in u per
+point on Python floats, with no cancellation.  Every printed ``range``
+line equalled the Laurent search's on the 27 names and the 168 table
+rows (polished and 4-decimal) at seven thresholds 0.45..1e-8 and on
+6730 range operations of the profile benchmark (seeds 1-3); eps0 moved
+by at most 4.6e-12 relative at thresholds >= 1e-4.  A search took 30-60
+against 69-141 us on the 4- to 18-pulse names.  A train off the
+structure by more than round-off keeps the answer for the train as
+given, not for the exact train on its first half.
+
+Every other train (an odd length, phases too large to resolve the
+round-off, a second half off by more than 1e-12 rad) is read, root or
+not, through its exact propagator polynomial: the N+1 coefficients of
+(a, b) in z = e^{i theta}, theta = pi(1+eps)/2, composed pulse by pulse
+on Python complex scalars (``_propagator_polynomial``).  A pulse of
+phase p, doubled, is (z + 1/z, -h (z - 1/z)), h = e^{ip}.  With index j
+for exponent 2j - N, n the old length, and conj(b) on |z| = 1 being b's
+coefficients reversed and conjugated,
     a'[j] = a[j-1] + a[j] + h (conj b[n-j] - conj b[n-1-j])
     b'[j] = b[j-1] + b[j] - h (conj a[n-j] - conj a[n-1-j]);
 the scaling by 2^-N is exact.  The basis is e^{i theta}, not the s of
@@ -28,12 +46,16 @@ loop is O(N^2) Python operations: against ``compose`` at 2N+2 points and
 an FFT it took 7 against 39 us at 2 pulses, 84 against 115 us at 18,
 about even near 40, and 18.7 against 6.5 ms at 400
 (BENCH_range_laurent.json).  No catalog train or workload has more than
-18 pulses, so there is one path.  A 64-cell grid on [0, 0.9] is one
-matmul with the grid's exp(i theta k) basis, built once per pulse count
-and cached; it finds the first cell where the Frobenius infidelity
-reaches the threshold.  Safeguarded Newton refines the crossing there,
-evaluating the polynomial and its derivative at each iterate by Horner
-in w = e^{2 i theta} on Python scalars.
+18 pulses, so this path has no length switch.  Its grid is one matmul
+with the grid's exp(i theta k) basis, built once per pulse count and
+cached, and each Newton iterate evaluates the polynomial and its
+derivative by Horner in w = e^{2 i theta} on Python scalars.
+
+Both paths share the search: a 64-cell grid on [0, 0.9] finds the first
+cell where the Frobenius infidelity reaches the threshold, and
+safeguarded Newton refines the crossing there.  Each search logs one
+DEBUG record under ``cpgate.analysis`` with the path it took
+(``path=half`` or ``path=laurent``).
 
 A sweep's CSV (``csv_bytes``, behind ``write_csv`` and the CLI's stdout)
 holds the bytes of "%.17g" of every value, encoded a block of rows at a
@@ -52,10 +74,12 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from .jets import half_jets
+from .sequences import first_half
 from .su2 import AnalysisError, CompositeSequence, Su2, target_gate
 
 _log = logging.getLogger("cpgate.analysis")
@@ -306,6 +330,19 @@ _MONOTONE_SLACK = 1e-12
 _NEWTON_STEPS = 64
 # Relative step after which one more Newton step would be at rounding level.
 _NEWTON_DONE = math.sqrt(np.finfo(float).eps)
+# The first grid of the range search, _CELLS + 1 points on [0, _EPS_MAX]
+# (np.linspace's), and s = sin(pi eps/2) and u = s^2 there, for the half
+# polynomial.
+_GRID_EPS = tuple(k * (_EPS_MAX / _CELLS) for k in range(_CELLS)) + (_EPS_MAX,)
+_GRID_S = tuple(math.sin(0.5 * math.pi * e) for e in _GRID_EPS)
+_GRID_U = tuple(s * s for s in _GRID_S)
+# How far (rad, mod 2 pi) a train's second half may be from its first
+# shifted by pi - phi/2 for the range to read the half polynomial: the
+# rounding of doubles.  The catalog trains and every train the builders
+# make deviate by at most 1.8e-15 rad; a train off by more keeps the
+# Laurent path, which measures the train as given.
+_ROUND_OFF = 1e-12
+_SQRT2 = math.sqrt(2.0)
 
 
 # Pulses between two rescalings of the doubled coefficients in
@@ -370,16 +407,13 @@ def _propagator_polynomial(seq: CompositeSequence) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _grid_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # The first grid of the range search, _CELLS + 1 points on
-    # [0, _EPS_MAX], and its basis exp(i theta k), shape (_CELLS + 1, n + 1),
+def _grid_basis(n: int) -> np.ndarray:
+    # The basis exp(i theta k) on the first grid, shape (_CELLS + 1, n + 1),
     # for the exponents of ``_propagator_polynomial`` of an n-pulse train.
-    eps = np.linspace(0.0, _EPS_MAX, _CELLS + 1)
     ik = 0.5j * math.pi * np.arange(-n, n + 1, 2)
-    basis = np.exp(np.multiply.outer(1.0 + eps, ik))
-    eps.flags.writeable = False
+    basis = np.exp(np.multiply.outer(1.0 + np.array(_GRID_EPS), ik))
     basis.flags.writeable = False
-    return eps, basis
+    return basis
 
 
 def _propagator_at(coeffs, eps: float):
@@ -407,53 +441,128 @@ def _propagator_at(coeffs, eps: float):
     return a, b, da, db
 
 
+def _half_polynomial(seq: CompositeSequence):
+    """(t, p) of a train that is two halves to round-off, else None.
+
+    The second half must be the first shifted by pi - phi/2 within
+    _ROUND_OFF.  Then (``solver``) the Frobenius infidelity is exactly
+    sqrt(2) |s^p t(u)|, s = sin(pi eps/2) and u = s^2, with t the real
+    u-coefficients Im(e^{i phi/4} A_k) of the major-diagonal element
+    a_h = s^p A(u) of the first half, p the parity of its length.  A is
+    composed by ``jets.half_jets`` from the relative phases; a common
+    phase of the half leaves a_h as it is.
+    """
+    half = first_half(seq, _ROUND_OFF)
+    if half is None:
+        return None
+    lead = float(half[0])
+    a = half_jets([float(p) - lead for p in half[1:]])[0]
+    rot = cmath.exp(0.25j * float(seq.target_phi))
+    return [(rot * c).imag for c in a], len(half) % 2
+
+
+def _half_grid(t, p) -> list[float]:
+    # sqrt(2) |s^p t(u)| on the first grid, one Horner in u per point.
+    top, *rest = reversed(t)
+    vals = []
+    for s, u in zip(_GRID_S, _GRID_U):
+        q = top
+        for c in rest:
+            q = q * u + c
+        vals.append(_SQRT2 * abs(s * q if p else q))
+    return vals
+
+
+def _half_at(t, p, eps: float):
+    """(infidelity, d infidelity/deps) of ``_half_polynomial``'s (t, p) at
+    one float ``eps``: sqrt(2) |q| with q = s^p t(s^2), and its derivative
+    sqrt(2) sign(q) (pi/2) cos(pi eps/2) dq/ds, where
+    dq/ds = p s^(p-1) t(u) + 2 s^(p+1) t'(u).  Horner gives t and t'
+    together.
+    """
+    angle = 0.5 * math.pi * eps
+    s = math.sin(angle)
+    u = s * s
+    q = dq = 0.0
+    for c in reversed(t):
+        dq = dq * u + q
+        q = q * u + c
+    if p:
+        q, dq = s * q, q + 2.0 * u * dq
+    else:
+        dq = 2.0 * s * dq
+    if q == 0.0:
+        return 0.0, 0.0
+    slope = _SQRT2 * 0.5 * math.pi * math.cos(angle) * dq
+    return _SQRT2 * abs(q), slope if q > 0.0 else -slope
+
+
+def _laurent_at(rows, fa, eps: float):
+    # (infidelity, d infidelity/deps) from the Laurent pair at one float
+    # eps, the distance in the product form (|a - fa|^2 + |b|^2) / 2: no
+    # cancellation.
+    a, b, da, db = _propagator_at(rows, eps)
+    diff = a - fa
+    dist = math.sqrt(0.5 * (abs(diff) ** 2 + abs(b) ** 2))
+    d = 0.0 if dist == 0.0 else 0.5 * (
+        (diff.conjugate() * da).real + (b.conjugate() * db).real
+    ) / dist
+    return dist, d
+
+
 def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> ErrorRange:
     """Error half-width keeping the Frobenius infidelity below ``threshold``:
     its crossing of ``threshold`` in the first cell of a grid on
     [0, _EPS_MAX] that reaches it.
 
-    The infidelity reads the train's exact polynomial
-    (``_propagator_polynomial``), built once per call: on the grid
-    through the cached basis of ``_grid_basis``, at the Newton iterates
+    A train that is two halves to round-off, its second half its first
+    shifted by pi - phi/2 within _ROUND_OFF = 1e-12 rad, reads the real
+    polynomial t of its half (``_half_polynomial``): on the grid through
+    ``_half_grid``, at the Newton iterates through ``_half_at``, on Python
+    floats.  Any other train (an odd length, a phase too large for
+    ``first_half`` to resolve the round-off, a second half off by more)
+    reads its exact Laurent pair (``_propagator_polynomial``): on the
+    grid through the cached basis of ``_grid_basis``, at the iterates
     through ``_propagator_at``.  A grid of _CELLS cells finds the first
     cell whose right end reaches the threshold; safeguarded Newton on
     (infidelity - threshold) refines the crossing in that cell, bisecting
     whenever a step would leave the bracket.  Flagged when the grid is
     not nondecreasing within _MONOTONE_SLACK.  Logs one DEBUG record
-    under ``cpgate.analysis``.
+    under ``cpgate.analysis``, with the path taken (half or laurent).
     """
     if not 0.0 < threshold < 0.5:
         raise ValueError("threshold must be in (0, 0.5)")
-    target = target_gate(seq.target_phi)
-    coeffs = _propagator_polynomial(seq)
-    eps, basis = _grid_basis(len(seq))
-    a, b = (basis @ coeffs.T).T
-    vals = 1.0 - frobenius_fidelity(Su2(a, b), target)
+    if not seq.phases:
+        raise ValueError("empty sequence")
+    half = _half_polynomial(seq)
+    if half is not None:
+        path = "half"
+        vals = _half_grid(*half)
+        at = partial(_half_at, *half)
+    else:
+        path = "laurent"
+        target = target_gate(seq.target_phi)
+        coeffs = _propagator_polynomial(seq)
+        a, b = (_grid_basis(len(seq)) @ coeffs.T).T
+        vals = (1.0 - frobenius_fidelity(Su2(a, b), target)).tolist()
+        at = partial(_laurent_at, coeffs.tolist(), target.a)
     if vals[0] >= threshold:
         raise AnalysisError(f"infidelity {vals[0]:.3g} at eps = 0 is not below threshold")
-    if not np.any(vals >= threshold):
+    k = next((k for k, v in enumerate(vals) if v >= threshold), None)
+    if k is None:
         raise AnalysisError(f"infidelity stays below threshold up to eps = {_EPS_MAX}")
-    flagged = bool(np.any(np.diff(vals) < -_MONOTONE_SLACK))
-    k = int(np.argmax(vals >= threshold))
-    lo, hi = float(eps[k - 1]), float(eps[k])
+    flagged = any(w - v < -_MONOTONE_SLACK for v, w in zip(vals, vals[1:]))
+    lo, hi = _GRID_EPS[k - 1], _GRID_EPS[k]
     # The bracket keeps infidelity(lo) < threshold <= infidelity(hi); the
     # first iterate is the chord's crossing.
-    x = lo + (hi - lo) * float((threshold - vals[k - 1]) / (vals[k] - vals[k - 1]))
-    rows = coeffs.tolist()
-    fa = target.a
+    x = lo + (hi - lo) * ((threshold - vals[k - 1]) / (vals[k] - vals[k - 1]))
     for evals in range(1, _NEWTON_STEPS + 1):
-        a, b, da, db = _propagator_at(rows, x)
-        # The product form dist^2 = (|a - fa|^2 + |b|^2) / 2: no cancellation.
-        diff = a - fa
-        dist = math.sqrt(0.5 * (abs(diff) ** 2 + abs(b) ** 2))
+        dist, d = at(x)
         excess = dist - threshold
         if excess < 0.0:
             lo = x
         else:
             hi = x
-        d = 0.0 if dist == 0.0 else 0.5 * (
-            (diff.conjugate() * da).real + (b.conjugate() * db).real
-        ) / dist
         step = excess / d if d else math.inf
         if not lo <= x - step <= hi:
             x = 0.5 * (lo + hi)
@@ -464,7 +573,7 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
             # of order step^2, below the rounding of the infidelity.
             break
     _log.debug(
-        "range threshold=%.3g cell=%d evals=%d step=%.3g flagged=%s",
-        threshold, k, evals, step, flagged,
+        "range path=%s threshold=%.3g cell=%d evals=%d step=%.3g flagged=%s",
+        path, threshold, k, evals, step, flagged,
     )
     return ErrorRange(x, threshold, 1.0 - x, 1.0 + x, flagged)

@@ -6,9 +6,10 @@ abbreviations), the item after an option is always its value (so
 ``--eps-min -0.4``), a repeated option keeps its last value, and ``-h`` or
 ``--help`` prints the program's or a command's help.  All user-facing angles
 are in units of pi (``--phi 0.5`` means pi/2); radians never cross the CLI
-boundary.  Exit codes: 0 success, 2 validation error (an argument error, or
-an allocation too large for memory), with one ``error: ...`` line on stderr,
-3 numerical failure.
+boundary.  Exit codes: 0 success, 1 output closed by its reader
+(``cpgate sweep | head -1``), quietly, 2 validation error (an argument
+error, or an allocation too large for memory), with one ``error: ...``
+line on stderr, 3 numerical failure.
 
 A command imports the modules it runs, inside it: ``list``, ``tables``,
 ``show``, ``build --pulses 2/4/6/8`` and ``verify`` on a catalog name or
@@ -30,6 +31,7 @@ from types import SimpleNamespace
 from . import catalog, precise, sequences
 from .su2 import AnalysisError, CompositeSequence, SolverError, order_from_slope
 
+EXIT_CLOSED_OUTPUT = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
@@ -432,7 +434,17 @@ def _parse(argv):
 def run(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        return 0 if args is None else args.func(args)
+        code = 0 if args is None else args.func(args)
+        # Written out here, so that a closed stdout raises below and not in
+        # the interpreter's flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away: no invalid input, and nothing to report.
+        # stdout goes to devnull, so the flush at exit writes nowhere (the
+        # recipe of the Python documentation on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
     except (CliError, catalog.CatalogError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -49,23 +49,25 @@ def structured_sequence(rel_phases, phi, nu: float = 0.0) -> CompositeSequence:
     return CompositeSequence(phases, phi, label=f"struct(n={len(rel_phases)})")
 
 
-def first_half(seq: CompositeSequence):
+def first_half(seq: CompositeSequence, tol: float = _HALF_TOL):
     """The first half of ``seq`` if its second half is the first shifted by
-    pi - phi/2 within ``_HALF_TOL`` = 1e-3 rad (modulo 2 pi), the way
+    pi - phi/2 within ``tol`` rad (modulo 2 pi), the way
     ``structured_sequence`` builds it, else None (an odd-length train
-    included).  The check runs in doubles.  A train with a phase too large
-    for a double to resolve the shift to the tolerance is never accepted:
-    there p + shift rounds to within it of p whatever the shift.
+    included).  The default, ``_HALF_TOL`` = 1e-3, admits rounded input;
+    ``analysis.high_fidelity_range`` asks for round-off alone.  The check
+    runs in doubles.  A train with a phase too large for a double to
+    resolve the shift to ``tol`` is never accepted: there p + shift
+    rounds to within it of p whatever the shift.
     """
     half, odd = divmod(len(seq), 2)
     if odd:
         return None
     phases = [float(p) for p in seq.phases]
-    if math.ldexp(max(map(abs, phases), default=0.0), -53) > _HALF_TOL:
+    if math.ldexp(max(map(abs, phases), default=0.0), -53) > tol:
         return None
     shift = PI - float(seq.target_phi) / 2
     for p, q in zip(phases, phases[half:]):
-        if abs(math.remainder(q - (p + shift), 2 * PI)) > _HALF_TOL:
+        if abs(math.remainder(q - (p + shift), 2 * PI)) > tol:
             return None
     return seq.phases[:half]
 

@@ -26,6 +26,7 @@ from cpgate.analysis import (
 )
 from cpgate.sequences import (
     eight_pulse,
+    first_half,
     four_pulse,
     six_pulse,
     structured_sequence,
@@ -529,18 +530,19 @@ def test_polynomial_of_a_train_past_a_thousand_pulses_stays_exact():
 
 
 def test_grid_basis_is_the_direct_exp_product_cached_per_pulse_count():
+    eps = np.linspace(0.0, 0.9, 65)
+    assert analysis._GRID_EPS == tuple(eps.tolist())
     for n in (1, 2, 7, 18):
-        eps, basis = analysis._grid_basis(n)
-        assert np.array_equal(eps, np.linspace(0.0, 0.9, 65))
+        basis = analysis._grid_basis(n)
         ik = 0.5j * math.pi * np.arange(-n, n + 1, 2)
         direct = np.exp(np.multiply.outer(1.0 + eps, ik))
         assert basis.shape == (65, n + 1)
         assert np.array_equal(basis.view(float), direct.view(float))
-        assert not eps.flags.writeable and not basis.flags.writeable
+        assert not basis.flags.writeable
         with pytest.raises(ValueError):
             basis[0, 0] = 0.0
         assert analysis._grid_basis(n) is analysis._grid_basis(n)
-    assert analysis._grid_basis(4)[1].shape != analysis._grid_basis(6)[1].shape
+    assert analysis._grid_basis(4).shape != analysis._grid_basis(6).shape
 
 
 def _reference_error_range(seq, infidelity, threshold):
@@ -614,12 +616,14 @@ def test_range_newton_takes_few_evaluations(caplog):
     for seq in _verify_trains():
         for threshold in (1e-4, 1e-2):
             fields = _range_record(caplog, seq, threshold)
+            assert fields["path"] == "half", seq.label
             assert 1 <= int(fields["evals"]) <= 10, (seq.label, threshold)
 
 
 def test_range_logs_its_search(caplog, capsys):
     seq = spec_parse("phi=1.67;phases=0.0,0.49,0.65,0.165,0.655,0.815")
     fields = _range_record(caplog, seq, 0.2)
+    assert fields["path"] == "half"
     assert float(fields["threshold"]) == 0.2
     assert 1 <= int(fields["cell"]) <= 64
     assert abs(float(fields["step"])) < 1e-6
@@ -630,3 +634,84 @@ def test_range_logs_its_search(caplog, capsys):
     assert run(["range", "--gate", "Z10"]) == 0
     out, err = capsys.readouterr()
     assert out.startswith("epsilon0 = ") and err == ""
+
+
+def test_half_path_range_matches_a_90_digit_root_on_the_named_trains(caplog):
+    # Each name's range reads the half polynomial.  The reference is the
+    # first crossing's root at 96 digits for the exact two-half train on
+    # the float half (the second half its phases plus the mp shift), the
+    # distance sqrt(1 - Re(a e^{i phi/2})) read off its full propagator,
+    # which is sqrt(2) |s^p t(u)| for such a train.  The bound: t's low
+    # coefficients carry the rounding of their composition in doubles, a
+    # few 1e-16 absolute, so the infidelity is off by that much and eps0
+    # by at most that over the threshold, relative; 5e-14 covers the
+    # Newton stop at the large thresholds.  Measured: 1.5e-14, 4.6e-13,
+    # 2.8e-11 and 2.6e-9 at 1e-2..1e-8 (the Laurent path read 3.0e-14,
+    # 1.8e-12, 2.8e-10 and 1.6e-8).
+    with mp.workdps(96):
+        for name in catalog.names():
+            seq = _cat(name)
+            half = [float(p) for p in first_half(seq)]
+            phi = float(seq.target_phi)
+            shift = mp.pi - mp.mpf(phi) / 2
+            phases = half + [p + shift for p in half]
+            rot = mp.expj(mp.mpf(phi) / 2)
+
+            def excess(eps, threshold):
+                a, _ = mp_propagator(phases, eps)
+                return mp.sqrt(1 - mp.re(a * rot)) - threshold
+
+            for threshold in (1e-2, 1e-4, 1e-6, 1e-8):
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="cpgate.analysis"):
+                    x = high_fidelity_range(seq, threshold).epsilon0
+                assert "path=half " in caplog.records[0].getMessage(), name
+                bracket = (mp.mpf(x) * (1 - mp.mpf(1e-6)), mp.mpf(x) * (1 + mp.mpf(1e-6)))
+                f = functools.partial(excess, threshold=mp.mpf(threshold))
+                assert f(bracket[0]) < 0 < f(bracket[1]), (name, threshold)
+                root = mp.findroot(f, bracket, solver="anderson")
+                bound = 5e-14 + 2e-16 / threshold
+                assert abs(x - root) <= bound * root, (name, threshold)
+
+
+# A rounded 14-pulse row (phi = pi/2) as a spec: two halves to round-off.
+_ROW_SPEC = ("phi=0.5;phases=0,0,0,0,0.9961,0.9684,0.8855,"
+             "0.75,0.75,0.75,0.75,1.7461,1.7184,1.6355")
+
+
+def test_range_routes_on_the_round_off_of_the_two_half_structure(caplog, capsys):
+    # The exact spec takes the half polynomial.  With its last phase moved
+    # by 1e-6 rad (1e-6/pi in the spec's units of pi) it is no longer two
+    # halves to round-off: it keeps the Laurent path and prints the range
+    # of the train as given (the line the Laurent search printed before
+    # the half path), not that of the exact train on its first half.
+    moved = _ROW_SPEC[:-len("1.6355")] + format(1.6355 + 1e-6 / math.pi, ".17g")
+    assert moved.endswith(",1.6355003183098862")
+    for gate, path, line in (
+        (_ROW_SPEC, "half", "epsilon0 = 0.05560, interval [0.94440pi, 1.05560pi]"),
+        (moved, "laurent", "epsilon0 = 0.05553, interval [0.94447pi, 1.05553pi]"),
+    ):
+        assert _range_record(caplog, spec_parse(gate))["path"] == path
+        assert run(["range", "--gate", gate]) == 0
+        assert capsys.readouterr() == (line + "\n", "")
+
+
+def test_odd_length_train_keeps_the_laurent_path(monkeypatch):
+    # No odd train is two halves: the range composes its Laurent pair, and
+    # an odd count of pi pulses is off-diagonal at eps = 0 (infidelity 1).
+    composed = []
+    laurent = analysis._propagator_polynomial
+
+    def spy(seq):
+        composed.append(seq)
+        return laurent(seq)
+
+    monkeypatch.setattr(analysis, "_propagator_polynomial", spy)
+    seq = CompositeSequence((0.0, 1.0, 2.0), 1.0)
+    assert first_half(seq, 1e-12) is None
+    with pytest.raises(AnalysisError, match=r"^infidelity 1 at eps = 0 is not below threshold$"):
+        high_fidelity_range(seq, 0.2)
+    assert composed == [seq]
+    # A two-half train composes none.
+    high_fidelity_range(_cat("Z8"))
+    assert composed == [seq]

@@ -957,3 +957,34 @@ def test_cli_imports_no_argparse():
         env={**os.environ, "PYTHONPATH": src}, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", "Z18"],
+    ["sweep", "--gate", "Z8", "--steps", "2000"],
+])
+def test_a_closed_stdout_exits_1_quietly(argv, tmp_path):
+    # stdout is a pipe whose read end is closed before the command starts,
+    # so its first write fails with EPIPE: the reader went away, which is
+    # no invalid input (exit 2).  Nothing reaches stderr, not even from
+    # the interpreter's flush at exit.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cpgate.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    # An unwritable --out is still invalid input.
+    out = tmp_path / "missing" / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpgate.cli", "sweep", "--gate", "Z8", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
