@@ -528,12 +528,18 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
     (infidelity - threshold) refines the crossing in that cell, bisecting
     whenever a step would leave the bracket.  Flagged when the grid is
     not nondecreasing within _MONOTONE_SLACK.  Logs one DEBUG record
-    under ``cpgate.analysis``, with the path taken (half or laurent).
+    under ``cpgate.analysis``, with the path taken (half or laurent), also
+    when the search fails: then with the infidelity that failed it, at
+    eps = 0 or the largest on the grid.  Raises ValueError for an empty
+    train or a non-finite phase or angle.
     """
     if not 0.0 < threshold < 0.5:
         raise ValueError("threshold must be in (0, 0.5)")
     if not seq.phases:
         raise ValueError("empty sequence")
+    # NaN compares false with the threshold on every grid point.
+    if not all(map(math.isfinite, (seq.target_phi, *seq.phases))):
+        raise ValueError("non-finite phase or angle")
     half = _half_polynomial(seq)
     if half is not None:
         path = "half"
@@ -547,9 +553,13 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
         vals = (1.0 - frobenius_fidelity(Su2(a, b), target)).tolist()
         at = partial(_laurent_at, coeffs.tolist(), target.a)
     if vals[0] >= threshold:
+        _log.debug("range path=%s threshold=%.3g failed: infidelity=%.3g at eps=0",
+                   path, threshold, vals[0])
         raise AnalysisError(f"infidelity {vals[0]:.3g} at eps = 0 is not below threshold")
     k = next((k for k, v in enumerate(vals) if v >= threshold), None)
     if k is None:
+        _log.debug("range path=%s threshold=%.3g failed: max infidelity=%.3g "
+                   "up to eps=%g", path, threshold, max(vals), _EPS_MAX)
         raise AnalysisError(f"infidelity stays below threshold up to eps = {_EPS_MAX}")
     flagged = any(w - v < -_MONOTONE_SLACK for v, w in zip(vals, vals[1:]))
     lo, hi = _GRID_EPS[k - 1], _GRID_EPS[k]

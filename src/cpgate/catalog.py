@@ -344,7 +344,10 @@ def solution_to_entry(phases, phi_over_pi, order: int, name: str) -> CatalogEntr
         name=name,
         phi_over_pi=Fraction(phi_over_pi),
         order=order,
-        phases_over_pi=tuple(Fraction(s) for s in strings),
+        # Fraction(s) from the integer digits of each 10-decimal string.
+        phases_over_pi=tuple(
+            Fraction(int(s.replace(".", "")), 10**10) for s in strings
+        ),
         phase_strings=strings,
         quoted_range_over_pi=(math.nan, math.nan),
         source="solver",

@@ -107,13 +107,14 @@ def residual(phases, phi: float) -> np.ndarray:
     return _residuals(np.asarray(phases, dtype=float)[None, :], phi)[0]
 
 
-# Backtracking step lengths 2^-k, k = 1..29, after a failed full step,
-# tried in two groups: on the benchmark's solve workload 82 % of such
-# rows improve within the first three (75-88 % per op list, seeds
+# Backtracking step lengths 2^-k, k = 0..29, tried in two groups: the
+# full step and the first three halvings, then the other 26.  On the
+# benchmark's solve workload 82 % of the rows whose full step fails
+# succeed within the first three halvings (75-88 % per op list, seeds
 # 7001-7010), so most skip the other 26.
-_HALVINGS = (0.5 ** np.arange(1, 4), 0.5 ** np.arange(4, 30))
-# The same step lengths as Python floats, for ``_newton_square``.
-_HALVING_STEPS = tuple(np.concatenate(_HALVINGS).tolist())
+_STEPS = (0.5 ** np.arange(0, 4), 0.5 ** np.arange(4, 30))
+# The halvings 2^-1..2^-29 as Python floats, for ``_newton_square``.
+_HALVING_STEPS = tuple(np.concatenate(_STEPS)[1:].tolist())
 
 
 def _newton_batch(
@@ -122,6 +123,7 @@ def _newton_batch(
     tol: float,
     max_iter: int,
     pinned: int = 0,
+    stats: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped least-squares Newton on each row of ``x0`` (B, n) at once,
     the leading ``pinned`` phases of each row held fixed.
@@ -133,69 +135,93 @@ def _newton_batch(
     batch, the rest go on.  The pseudo-inverse cutoff keeps steps out of
     the root manifold's tangent directions, so near-roots are polished in
     place instead of drifting along the manifold.
+
+    A row takes the longest step length 2^-k, k = 0..29, that makes its
+    residual 2-norm smaller, and each iteration evaluates a trial point at
+    most once: the full step and the halvings 2^-1..2^-3 of every row in
+    one evaluation, with their Jacobians; the halvings 2^-4..2^-29 of the
+    rows none of those improves in a second, on residuals alone.  The
+    point a row moves to keeps the residual and Jacobian it was evaluated
+    with for the next iteration; only a step length of the second group
+    is evaluated again, with its Jacobian.  If ``stats`` is a dict, it
+    receives the iterations of the batch (``iterations``), the rows still
+    live after ``max_iter`` of them (``capped``) and the rows
+    ``structured_jets`` evaluated (``evaluations``).
     """
     x = np.array(x0, dtype=float)
     batch, n = x.shape
     jac_out = np.empty((batch, (n + 1) // 2, n - pinned))
+    evaluations = 0
+
+    def evaluate(points, tangents=True):
+        nonlocal evaluations
+        evaluations += len(points)
+        return _residuals(points, phi, pinned if tangents else None)
+
     if pinned == n:
-        rmax = np.max(np.abs(_residuals(x, phi)), axis=1, initial=0.0)
-        return x, rmax, rmax < tol, jac_out
-    rmax = np.full(batch, math.inf)
-    ok = np.zeros(batch, dtype=bool)
-    live = np.arange(batch)
-    # Residual rows and Jacobians (in the free phases) at x[live].
-    r, jac = _residuals(x, phi, pinned)
-    for _ in range(max_iter):
-        rmax[live] = np.abs(r).max(axis=1)
-        done = rmax[live] < tol
+        rmax = np.max(np.abs(evaluate(x, False)), axis=1, initial=0.0)
+        live, ok = (), rmax < tol
+    else:
+        rmax = np.full(batch, math.inf)
+        ok = np.zeros(batch, dtype=bool)
+        live = np.arange(batch)
+        # Residual rows and Jacobians (in the free phases) at x[live].
+        r, jac = evaluate(x)
+
+    def backtrack(rows, group):
+        # Tries the step lengths _STEPS[group] of this iteration's ``step``
+        # on the live rows ``rows``, with Jacobians in the first group, and
+        # moves each row to the first that brings its residual 2-norm below
+        # ``norm0``.  Returns whether one did for each row, the index of
+        # the point taken (or of the first) among all trial points, and the
+        # evaluation of every trial point.
+        lengths = _STEPS[group]
+        trial = np.repeat(x[live[rows], None, :], len(lengths), axis=1)
+        trial[:, :, pinned:] += lengths[:, None] * step[rows, None, :]
+        found = evaluate(trial.reshape(-1, n), group == 0)
+        r_trial = found[0] if group == 0 else found
+        norms = np.linalg.norm(r_trial, axis=1).reshape(len(rows), len(lengths))
+        better = norms < norm0[rows, None]
+        hit = better.any(axis=1)
+        first = better.argmax(axis=1)
+        x[live[rows[hit]]] = trial[hit, first[hit]]
+        return hit, np.arange(len(rows)) * len(lengths) + first, found
+
+    iterations = 0
+    while len(live):
+        rmax[live] = largest = np.abs(r).max(axis=1)
+        done = largest < tol
         if done.any():
             ok[live[done]] = True
             jac_out[live[done]] = jac[done]
             live, r, jac = live[~done], r[~done], jac[~done]
             if not live.size:
-                return x, rmax, ok, jac_out
+                break
+        if iterations == max_iter:
+            jac_out[live] = jac
+            break
+        iterations += 1
         step = -(np.linalg.pinv(jac, rcond=_RCOND) @ r[:, :, None])[:, :, 0]
         # Backtracking on the residual norm; arcsin-flavored roots
         # have steep basins, so halve up to 29 times before giving up.
-        # The full step goes first, evaluated with its Jacobian so a row
-        # that takes it needs no new evaluation next iteration; a row it
-        # does not improve tries the halvings and takes the longest that
-        # does.
         norm0 = np.linalg.norm(r, axis=1)
-        trial = x[live]
-        trial[:, pinned:] += step
         jac_at_x = jac
-        r, jac = _residuals(trial, phi, pinned)
-        full = np.linalg.norm(r, axis=1) < norm0
-        x[live[full]] = trial[full]
-        if full.all():
+        moved, rows, (r, jac) = backtrack(np.arange(len(live)), 0)
+        # The residual and Jacobian at the step each row took.
+        r, jac = r[rows], jac[rows]
+        if moved.all():
             continue
-        moved = full.copy()
-        todo = np.flatnonzero(~full)
-        for t in _HALVINGS:
-            if not todo.size:
-                break
-            trial = np.repeat(x[live[todo], None, :], len(t), axis=1)
-            trial[:, :, pinned:] += t[:, None] * step[todo, None, :]
-            r_trial = _residuals(trial.reshape(-1, n), phi)
-            norms = np.linalg.norm(r_trial, axis=1).reshape(len(todo), len(t))
-            better = norms < norm0[todo, None]
-            hit = better.any(axis=1)
-            first = better.argmax(axis=1)
-            x[live[todo[hit]]] = trial[hit, first[hit]]
-            moved[todo[hit]] = True
-            todo = todo[~hit]
-        halved = np.flatnonzero(moved & ~full)
-        if halved.size:
-            r[halved], jac[halved] = _residuals(x[live[halved]], phi, pinned)
-        # A row whose every halving failed stops where it is.
+        todo = np.flatnonzero(~moved)
+        hit, _, _ = backtrack(todo, 1)
+        taken = todo[hit]
+        moved[taken] = True
+        if taken.size:
+            r[taken], jac[taken] = evaluate(x[live[taken]])
+        # A row that no step length improves stops where it is.
         jac_out[live[~moved]] = jac_at_x[~moved]
         live, r, jac = live[moved], r[moved], jac[moved]
-        if not live.size:
-            return x, rmax, ok, jac_out
-    rmax[live] = np.abs(r).max(axis=1)
-    ok[live] = rmax[live] < tol
-    jac_out[live] = jac
+    if stats is not None:
+        stats.update(iterations=iterations, capped=len(live), evaluations=evaluations)
     return x, rmax, ok, jac_out
 
 
@@ -288,11 +314,6 @@ def pinned_zero_count(n: int) -> int:
     return n // 2
 
 
-def _circular_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    d = np.abs((x - y + math.pi) % TWO_PI - math.pi)
-    return bool(np.max(d) <= tol)
-
-
 def solve(config: SolverConfig) -> list[Solution]:
     """Multi-start Newton in the leading-zeros chart.
 
@@ -309,20 +330,29 @@ def solve(config: SolverConfig) -> list[Solution]:
     pinned = pinned_zero_count(config.n)
     seeds[:, :pinned] = 0.0
     start = time.perf_counter()
-    x, rmax, converged, _ = _newton_batch(seeds, config.phi, _TOL, _MAX_ITER, pinned)
+    stats = {}
+    x, rmax, converged, _ = _newton_batch(
+        seeds, config.phi, _TOL, _MAX_ITER, pinned, stats
+    )
     newton_s = time.perf_counter() - start
     roots = x % TWO_PI
-    classes: list[tuple[np.ndarray, float, list[np.ndarray]]] = []
-    for k in np.flatnonzero(converged):
-        for existing, _, members in classes:
-            if _circular_close(existing, roots[k], _DEDUPE_TOL):
-                members.append(roots[k])
-                break
-        else:
-            classes.append((roots[k], float(rmax[k]), [roots[k]]))
+    # Each converged root joins the first class, in order of creation, whose
+    # first root lies within _DEDUPE_TOL of it in every phase (mod 2 pi):
+    # a class takes every root not yet in one that is close to its first,
+    # and the next class starts at the first root left.
+    classes: list[tuple[np.ndarray, float, np.ndarray]] = []
+    rest = np.flatnonzero(converged)
+    while rest.size:
+        head = roots[rest[0]]
+        gap = np.abs((head - roots[rest] + math.pi) % TWO_PI - math.pi)
+        close = gap.max(axis=1) <= _DEDUPE_TOL
+        classes.append((head, float(rmax[rest[0]]), roots[rest[close]]))
+        rest = rest[~close]
     _log.debug(
-        "solve n=%d phi=%.6g: restarts=%d converged=%d classes=%d newton_s=%.3f",
-        config.n, config.phi, config.seeds, converged.sum(), len(classes), newton_s,
+        "solve n=%d phi=%.6g: restarts=%d converged=%d classes=%d "
+        "iterations=%d capped=%d evaluations=%d newton_s=%.3f",
+        config.n, config.phi, config.seeds, converged.sum(), len(classes),
+        stats["iterations"], stats["capped"], stats["evaluations"], newton_s,
     )
     if not classes:
         raise SolverError(

@@ -8,8 +8,8 @@ It records, for the program in ``src``:
 - ``verify --json`` on the 27 catalog names, on the 84 rounded
   arbitrary-angle rows as the 17-digit inline specs the verify benchmark
   passes, on the inline specs of the CI verify steps, on the first entry
-  of the files four ``solve --out`` runs write (with the text of those
-  files; ``first_entry``), and on 100 seeded inline specs
+  of the files seven ``solve --out`` runs write, at orders 2-8 (with the
+  text of those files; ``first_entry``), and on 100 seeded inline specs
   (``inline_specs``);
 - ``range`` at five thresholds on the 27 names, with the epsilon0 and the
   non-monotonic flag that the command prints rounded, at full precision;
@@ -67,6 +67,9 @@ SOLVES = (
     ("solve", "--order", "4", "--phi", "0.5", "--seeds", "16", "--rng-seed", "1"),
     ("solve", "--order", "6", "--phi", "0.25", "--seeds", "16", "--rng-seed", "1"),
     ("solve", "--order", "8", "--phi", "1", "--seeds", "16", "--rng-seed", "1"),
+    ("solve", "--order", "3", "--phi", "0.25", "--seeds", "16", "--rng-seed", "1"),
+    ("solve", "--order", "5", "--phi", "1", "--seeds", "16", "--rng-seed", "1"),
+    ("solve", "--order", "7", "--phi", "0.5", "--seeds", "16", "--rng-seed", "1"),
 )
 
 # The odd catalog files by name (see ``odd_records``) and the commands run

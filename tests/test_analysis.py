@@ -696,6 +696,62 @@ def test_range_routes_on_the_round_off_of_the_two_half_structure(caplog, capsys)
         assert capsys.readouterr() == (line + "\n", "")
 
 
+def _failed_range_record(caplog, seq, threshold):
+    # The one DEBUG record of a range search that raises AnalysisError, as
+    # a dict of its fields, and the error's message.
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cpgate.analysis"):
+        with pytest.raises(AnalysisError) as raised:
+            high_fidelity_range(seq, threshold)
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG and record.name == "cpgate.analysis"
+    return dict(re.findall(r"(\w+)=(\S+)", record.getMessage())), str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "seq, path",
+    [
+        # An odd count of pi pulses is off-diagonal at eps = 0.
+        (CompositeSequence((0.0, 1.0, 2.0), 1.0), "laurent"),
+        # A two-half train that misses its gate at zero error.
+        (spec_parse("phi=1.46;phases=0.0,0.56,0.27,0.83"), "half"),
+    ],
+)
+def test_a_range_search_failing_at_zero_error_logs_its_record(caplog, seq, path):
+    fields, message = _failed_range_record(caplog, seq, 0.2)
+    assert fields["path"] == path
+    assert float(fields["threshold"]) == 0.2
+    assert fields["eps"] == "0"
+    assert float(fields["infidelity"]) >= 0.2
+    assert message == f"infidelity {fields['infidelity']} at eps = 0 is not below threshold"
+
+
+def test_a_range_search_staying_below_threshold_logs_its_peak(caplog):
+    # A T gate's infidelity peaks below 0.45 (sqrt(2) sin(pi/16) < 0.3).
+    fields, message = _failed_range_record(caplog, _cat("T10"), 0.45)
+    assert fields["path"] == "half"
+    assert float(fields["threshold"]) == 0.45
+    assert float(fields["eps"]) == analysis._EPS_MAX
+    assert 0.0 < float(fields["infidelity"]) < 0.45
+    assert message == f"infidelity stays below threshold up to eps = {analysis._EPS_MAX}"
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        CompositeSequence((math.nan, 0.0, 1.0, 2.0), 1.0),
+        CompositeSequence((0.0, 1.0, 2.0, math.inf), 1.0),
+        CompositeSequence((0.0, 1.0, -math.inf), 1.0),
+        CompositeSequence((0.0, 1.0), math.nan),
+    ],
+)
+def test_range_of_a_non_finite_train_is_a_value_error(seq):
+    # NaN compares false with the threshold everywhere, which read as a
+    # train whose infidelity stays below it.
+    with pytest.raises(ValueError, match="^non-finite phase or angle$"):
+        high_fidelity_range(seq)
+
+
 def test_odd_length_train_keeps_the_laurent_path(monkeypatch):
     # No odd train is two halves: the range composes its Laurent pair, and
     # an odd count of pi pulses is off-diagonal at eps = 0 (infidelity 1).

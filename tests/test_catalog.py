@@ -237,6 +237,22 @@ def test_solution_to_entry_round_trips_through_json():
         to_sequence(other, refine=False)
 
 
+def test_solution_to_entry_phases_are_the_fractions_of_their_strings():
+    # Each phase is read from the integer digits of its 10-decimal string,
+    # and must equal Fraction(string) exactly: at 0, at the largest string
+    # below 2, at a rounding up to "2.0000000000", at a negative zero, and
+    # at one unit of the last decimal.
+    phases = [0.0, 1.9999999999 * math.pi, math.nextafter(2 * math.pi, 0.0),
+              -0.0, 1e-10 * math.pi, 0.7, 4.25, -1.5]
+    entry = solution_to_entry(phases, Fraction(1, 2), 3, "digits")
+    assert entry.phase_strings[:5] == (
+        "0.0000000000", "1.9999999999", "2.0000000000", "-0.0000000000", "0.0000000001"
+    )
+    assert entry.phases_over_pi == tuple(Fraction(s) for s in entry.phase_strings)
+    assert all(type(p) is Fraction for p in entry.phases_over_pi)
+    assert entry.phases_over_pi[1] == Fraction(19999999999, 10**10)
+
+
 def test_a_polish_at_fraction_one_is_the_exact_pi_train():
     # Fraction(1) is the exact angle pi.  Polished and built on it, Z16 must
     # be the two-half train that the 50-digit mp.mpf(mp.pi) gives, slope 8

@@ -565,3 +565,194 @@ def test_newton_full_steps_make_one_jets_call_per_iteration(monkeypatch):
     # one Jacobian call at the converged point.
     assert all(new) and len(calls) % 2 == 1
     assert len(new) == (len(calls) + 1) // 2
+
+
+def _step_lengths(x0, phi, pinned, iterations):
+    # The step length 2^-k each row of ``x0`` takes in each of the first
+    # ``iterations`` Newton iterations, as k (None where the row does not
+    # move), and the point it moves to.  Rows are independent, so each
+    # iteration is one call of ``_newton_batch`` from the last points, and
+    # k is the one whose trial point, formed from the Newton step at the
+    # last point as the solver forms it, is the point reached.
+    x = np.array(x0, dtype=float)
+    taken = []
+    for _ in range(iterations):
+        r, jac = solver._residuals(x, phi, pinned)
+        step = -(np.linalg.pinv(jac, rcond=solver._RCOND) @ r[:, :, None])[:, :, 0]
+        y = solver._newton_batch(x, phi, 1e-12, 1, pinned)[0]
+        for a, b, d in zip(x, y, step):
+            if np.array_equal(a, b):
+                taken.append((None, b))
+                continue
+            trials = np.repeat(a[None, :], 30, axis=0)
+            trials[:, pinned:] += 0.5 ** np.arange(30)[:, None] * d
+            [k] = [k for k, trial in enumerate(trials) if np.array_equal(trial, b)]
+            taken.append((k, b))
+        x = y
+    return taken
+
+
+@pytest.mark.parametrize("n, rng_seed", [(4, 1), (4, 2), (6, 0)])
+def test_newton_evaluates_each_trial_point_once(monkeypatch, n, rng_seed):
+    # From far starts rows take halvings.  The full step and the halvings
+    # 2^-1..2^-3 are evaluated with their Jacobians, so a row that takes
+    # one of them is never evaluated again there; only a step of 2^-4 or
+    # shorter, tried on residuals alone, is evaluated a second time, once,
+    # with its Jacobian.
+    pinned = n // 2
+    phi = math.pi / 4
+    seeds = np.random.default_rng(rng_seed).uniform(0.0, TWO_PI, size=(8, n))
+    seeds[:, :pinned] = 0.0
+    iterations = 30
+    taken = _step_lengths(seeds, phi, pinned, iterations)
+    lengths = [k for k, _ in taken if k is not None]
+    assert any(1 <= k <= 3 for k in lengths)
+    again = {point.tobytes() for k, point in taken if k is not None and k >= 4}
+    assert (n, rng_seed) == (4, 1) or again
+    seen = {}
+
+    def counted(x, pinned=None):
+        for row in np.asarray(x):
+            seen[row.tobytes()] = seen.get(row.tobytes(), 0) + 1
+        return structured_jets(x, pinned)
+
+    monkeypatch.setattr(solver, "structured_jets", counted)
+    solver._newton_batch(seeds, phi, 1e-12, iterations, pinned)
+    assert max(seen.values()) <= 2
+    assert {point for point, count in seen.items() if count == 2} == again
+
+
+def _pairwise_classes(roots, converged, tol):
+    # The dedupe rule of ``solve`` as a loop over pairs: each converged
+    # root joins the first class, in order of creation, whose first root is
+    # within ``tol`` of it in every phase (mod 2 pi).
+    classes = []
+    for root, ok in zip(roots, converged):
+        if not ok:
+            continue
+        for first, members in classes:
+            if _circ_close(first, root, tol):
+                members.append(tuple(root))
+                break
+        else:
+            classes.append((root, [tuple(root)]))
+    classes.sort(key=lambda item: tuple(item[0]))
+    return [(tuple(first), tuple(members)) for first, members in classes]
+
+
+def _gap(x, y):
+    # The circular distance ``solve`` compares with _DEDUPE_TOL.
+    return float(np.max(np.abs((np.asarray(x) - np.asarray(y) + math.pi) % TWO_PI - math.pi)))
+
+
+def _last_within(x, j):
+    # x with phase j moved up to the last double whose gap from x is still
+    # within _DEDUPE_TOL, and to the first beyond it, by bisection: the gap
+    # does not fall as the phase grows.  It is rounded at the scale of pi,
+    # so no double sits at exactly 1e-6.
+    def moved(v):
+        y = np.array(x)
+        y[j] = v
+        return y
+
+    lo, hi = x[j], x[j] + 2 * solver._DEDUPE_TOL
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return moved(lo), moved(hi)
+        if _gap(x, moved(mid)) <= solver._DEDUPE_TOL:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_solve_groups_roots_as_the_pairwise_rule(monkeypatch):
+    # Roots handed to ``solve`` as if Newton had found them: clusters that
+    # straddle the 0/2 pi wrap, roots 1e-6 from a class's first root in one
+    # phase, the last double within _DEDUPE_TOL and the first beyond it, a
+    # root close to two classes (it joins the older), chains whose last
+    # link is far from the first root, and a row that did not converge.
+    tol = solver._DEDUPE_TOL
+    wrap = np.array([0.0, 3e-7, TWO_PI - 4e-7])
+    edge, beyond = _last_within(wrap, 1)
+    assert _gap(wrap, edge) <= tol < _gap(wrap, beyond)
+    mid = np.array([0.0, 1.0, 2.0])
+    far = mid + [0.0, 1.5e-6, 0.0]
+    between = mid + [0.0, 0.75e-6, 0.0]
+    rng = np.random.default_rng(7)
+    centers = np.array([wrap, mid, [0.0, TWO_PI - 2e-7, 1e-7], [0.0, 5.0, 6.2]])
+    noisy = centers[rng.integers(0, 4, 120)] + rng.uniform(-1.2e-6, 1.2e-6, (120, 3))
+    noisy[:, 0] = 0.0
+    roots = np.vstack([wrap, edge, beyond, mid, far, between, mid + [0, 0, 0.9e-6],
+                       mid + [0, 0, 1.8e-6], mid + [0, tol, 0], mid - [0, 0, tol],
+                       noisy % TWO_PI, [0.0, 3.0, 3.0]])
+    converged = np.ones(len(roots), dtype=bool)
+    converged[-1] = False
+    rmax = np.linspace(1e-14, 9e-13, len(roots))
+
+    def found(x0, phi, tol, max_iter, pinned=0, stats=None):
+        if stats is not None:
+            stats.update(iterations=1, capped=0, evaluations=len(x0))
+        return roots.copy(), rmax, converged, None
+
+    monkeypatch.setattr(solver, "_newton_batch", found)
+    sols = solve(SolverConfig(n=3, phi=math.pi, seeds=len(roots)))
+    want = _pairwise_classes(roots, converged, tol)
+    assert [(s.phases, s.members) for s in sols] == want
+    # The last double within the tolerance joins, the next one does not,
+    # and the root between two classes joins the older.
+    by_first = {s.phases: s.members for s in sols}
+    assert tuple(edge) in by_first[tuple(wrap)]
+    assert tuple(beyond) not in by_first[tuple(wrap)]
+    assert tuple(between) in by_first[tuple(mid)]
+    assert tuple(mid + [0, 0, 1.8e-6]) in by_first
+    assert sum(len(s.members) for s in sols) == converged.sum()
+    assert max(len(s.members) for s in sols) >= 10
+    for s in sols:
+        k = next(i for i, r in enumerate(roots) if tuple(r) == s.phases)
+        assert s.residual_norm == rmax[k]
+
+
+def test_solve_logs_its_newton_work_at_debug(caplog, monkeypatch):
+    # iterations is the count of Newton steps (one pinv stack each),
+    # evaluations the rows structured_jets evaluated, and capped the rows
+    # still live after _MAX_ITER iterations: those that one more iteration
+    # would step.
+    rows, stacks = [], []
+    pinv = np.linalg.pinv
+
+    def counted_jets(x, pinned=None):
+        rows.append(len(x))
+        return structured_jets(x, pinned)
+
+    def counted_pinv(a, rcond):
+        stacks.append(len(a))
+        return pinv(a, rcond=rcond)
+
+    monkeypatch.setattr(solver, "structured_jets", counted_jets)
+    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+    config = SolverConfig(n=6, phi=math.pi / 4, seeds=16, rng_seed=0)
+
+    def logged(max_iter):
+        monkeypatch.setattr(solver, "_MAX_ITER", max_iter)
+        rows.clear()
+        stacks.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cpgate.solver"):
+            try:
+                solve(config)
+            except SolverError:
+                pass
+        [record] = caplog.records
+        counts = dict(re.findall(r"(\w+)=([\d.]+)", record.getMessage()))
+        return {key: int(counts[key]) for key in ("iterations", "capped", "evaluations")}
+
+    whole = logged(200)
+    assert whole["iterations"] == len(stacks) < 200
+    assert whole["capped"] == 0
+    assert whole["evaluations"] == sum(rows)
+    short = logged(3)
+    assert short["iterations"] == len(stacks) == 3
+    assert short["evaluations"] == sum(rows)
+    logged(4)
+    assert short["capped"] == stacks[3] > 0
