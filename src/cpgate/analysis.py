@@ -17,9 +17,10 @@ within 1e-12 rad (``sequences.first_half`` at that tolerance), has the
 Frobenius infidelity sqrt(2) |s^p t(u)|, s = sin(pi eps/2), u = s^2 (see
 ``solver``): t is real, of degree (n + 1) // 2 in u for a half of n + 1
 pulses, p the parity of that length, and t_k = Im(e^{i phi/4} A_k) with
-A the half's major-diagonal polynomial from ``jets.half_jets``.  The
-grid and the Newton iterates evaluate it by one real Horner in u per
-point on Python floats, with no cancellation.  Every printed ``range``
+A the half's major-diagonal polynomial from ``sequences.half_jets``.
+The grid and the Newton iterates evaluate it by one real Horner in u per
+point on Python floats, with no cancellation and no numpy: ``range`` on
+a two-half train does not load it.  Every printed ``range``
 line equalled the Laurent search's on the 27 names and the 168 table
 rows (polished and 4-decimal) at seven thresholds 0.45..1e-8 and on
 6730 range operations of the profile benchmark (seeds 1-3); eps0 moved
@@ -49,7 +50,9 @@ about even near 40, and 18.7 against 6.5 ms at 400
 18 pulses, so this path has no length switch.  Its grid is one matmul
 with the grid's exp(i theta k) basis, built once per pulse count and
 cached, and each Newton iterate evaluates the polynomial and its
-derivative by Horner in w = e^{2 i theta} on Python scalars.
+derivative by Horner in w = e^{2 i theta} on Python scalars.  numpy is
+imported where it runs: in this branch, ``compose``, the fidelities,
+``sweep`` and the CSV encoder.
 
 Both paths share the search: a 64-cell grid on [0, 0.9] finds the first
 cell where the Frobenius infidelity reaches the threshold, and
@@ -72,14 +75,12 @@ from __future__ import annotations
 import cmath
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-import numpy as np
-
-from .jets import half_jets
-from .sequences import first_half
+from .sequences import first_half, half_jets
 from .su2 import AnalysisError, CompositeSequence, Su2, target_gate
 
 _log = logging.getLogger("cpgate.analysis")
@@ -116,6 +117,8 @@ def compose(seq: CompositeSequence, epsilon) -> Su2:
     half area are evaluated once over the whole ``epsilon`` array, and one
     pass over the pulses composes it.
     """
+    import numpy as np
+
     if not seq.phases:
         raise ValueError("empty sequence")
     eps = np.asarray(epsilon, dtype=float)
@@ -138,6 +141,8 @@ def frobenius_fidelity(u: Su2, f: Su2):
 
     The stringent gate measure: sensitive to both populations and phases.
     """
+    import numpy as np
+
     dist2 = 0.5 * (np.abs(u.a - f.a) ** 2 + np.abs(u.b - f.b) ** 2)
     return 1.0 - np.sqrt(dist2)
 
@@ -154,6 +159,8 @@ def trace_fidelity(u: Su2, f: Su2):
 def sweep(seq: CompositeSequence, eps_min: float, eps_max: float,
           steps: int) -> FidelityProfile:
     """Both gate fidelities of ``seq`` on a uniform error grid."""
+    import numpy as np
+
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if not (math.isfinite(eps_min) and math.isfinite(eps_max)):
@@ -173,6 +180,8 @@ def sweep(seq: CompositeSequence, eps_min: float, eps_max: float,
 def csv_bytes(profile: FidelityProfile) -> bytes:
     """The sweep CSV: a header, then the bytes of
     f"{e:.17g},{f:.17g},{t:.17g}\n" for each grid point."""
+    import numpy as np
+
     columns = (profile.epsilons, profile.frobenius, profile.trace)
     # Every column as doubles: the encoder's arithmetic is float64.
     table = np.column_stack(columns).astype(np.float64, copy=False)
@@ -222,6 +231,8 @@ def _csv_tables():
       source bytes of a field with m significant digits, NUL-padded.
     - ``pow10``: 10^k and its Dekker halves, k = 0..20, rows 0-2.
     """
+    import numpy as np
+
     lows = []
     for x in range(_FIXED_MIN, _FIXED_MAX + 2):
         bound = Fraction(10) ** x * (1 - Fraction(5, 10**17))
@@ -276,6 +287,8 @@ def _encode_block(table: np.ndarray) -> bytes:
     belong.  Any other value (0, -0, |x| < 1e-4, |x| >= 1e16, nan, inf)
     is formatted with "%.17g" on its own.
     """
+    import numpy as np
+
     lows, digits, word1, sig_len, gather, pow10 = _csv_tables()
     cols = table.shape[1]
     vals = table.ravel()
@@ -329,7 +342,7 @@ _MONOTONE_SLACK = 1e-12
 # cell (0.9/64 wide) to adjacent floats in fewer.
 _NEWTON_STEPS = 64
 # Relative step after which one more Newton step would be at rounding level.
-_NEWTON_DONE = math.sqrt(np.finfo(float).eps)
+_NEWTON_DONE = math.sqrt(sys.float_info.epsilon)
 # The first grid of the range search, _CELLS + 1 points on [0, _EPS_MAX]
 # (np.linspace's), and s = sin(pi eps/2) and u = s^2 there, for the half
 # polynomial.
@@ -376,6 +389,8 @@ def _propagator_polynomial(seq: CompositeSequence) -> np.ndarray:
     scaling by 2^-N is applied at the end, and by 2^-512 every
     _RESCALE_PULSES pulses on the way.
     """
+    import numpy as np
+
     if not seq.phases:
         raise ValueError("empty sequence")
     phases = [float(p) for p in seq.phases]
@@ -410,6 +425,8 @@ def _propagator_polynomial(seq: CompositeSequence) -> np.ndarray:
 def _grid_basis(n: int) -> np.ndarray:
     # The basis exp(i theta k) on the first grid, shape (_CELLS + 1, n + 1),
     # for the exponents of ``_propagator_polynomial`` of an n-pulse train.
+    import numpy as np
+
     ik = 0.5j * math.pi * np.arange(-n, n + 1, 2)
     basis = np.exp(np.multiply.outer(1.0 + np.array(_GRID_EPS), ik))
     basis.flags.writeable = False
@@ -449,7 +466,7 @@ def _half_polynomial(seq: CompositeSequence):
     sqrt(2) |s^p t(u)|, s = sin(pi eps/2) and u = s^2, with t the real
     u-coefficients Im(e^{i phi/4} A_k) of the major-diagonal element
     a_h = s^p A(u) of the first half, p the parity of its length.  A is
-    composed by ``jets.half_jets`` from the relative phases; a common
+    composed by ``sequences.half_jets`` from the relative phases; a common
     phase of the half leaves a_h as it is.
     """
     half = first_half(seq, _ROUND_OFF)
@@ -519,7 +536,7 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
     shifted by pi - phi/2 within _ROUND_OFF = 1e-12 rad, reads the real
     polynomial t of its half (``_half_polynomial``): on the grid through
     ``_half_grid``, at the Newton iterates through ``_half_at``, on Python
-    floats.  Any other train (an odd length, a phase too large for
+    floats, with no numpy.  Any other train (an odd length, a phase too large for
     ``first_half`` to resolve the round-off, a second half off by more)
     reads its exact Laurent pair (``_propagator_polynomial``): on the
     grid through the cached basis of ``_grid_basis``, at the iterates

@@ -23,8 +23,12 @@ holds the integers ``precise.polish_fixed`` ends on for each of them,
 keyed by the polish's inputs, not by a name (``tests/make_polished.py``
 writes it).  A half whose angle and phase strings are a record's key
 takes that record, bit for bit the polish it stands for, and any other
-half is polished.  So building the named trains runs no Newton step and
-loads neither numpy nor ``solver``.
+half is polished.  So building the named trains runs no Newton step:
+it rounds stored integers and exact phases to ``su2.Phase``s
+(``su2.polish_result``, ``sequences.structured_train``) and loads neither
+numpy, ``solver`` nor ``precise``.  ``precise`` is imported only where it
+runs: the polish of a half that is not stored, and the t of an exact
+entry (``half_polynomial``), which only ``verify`` asks for.
 """
 
 from __future__ import annotations
@@ -36,9 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from . import precise
-from .sequences import first_half
-from .su2 import CompositeSequence
+from .sequences import _leading_zeros, first_half, structured_train
+from .su2 import CompositeSequence, polish_result
 
 class CatalogError(KeyError):
     # The message alone, without the quotes KeyError puts around it.
@@ -155,7 +158,8 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bo
     root, its leading zeros held, or takes the stored polish of the same
     inputs (``_stored_polishes``); raises CatalogError if one of its exact
     phases is not a leading zero, since the polish would move it.  Exact
-    angles reach ``precise`` as Fractions of pi, and the train's
+    angles reach ``sequences.structured_train`` as Fractions of pi, and
+    the train's
     ``su2.Phase``s, exact at 169 bits, let downstream extended-precision
     checks see the actual root, while float consumers simply cast.
     Returns the train and the polish's t of its half, or None where
@@ -165,17 +169,19 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bo
     rel, t = [Fraction(s) for s in rel_strings], None
     if refine and not all(exact):
         rel = [float(f) * math.pi for f in rel]
-        if any(exact[precise._leading_zeros(rel):]):
+        if any(exact[_leading_zeros(rel):]):
             raise CatalogError(
                 f"{label}: an exact phase after the leading zeros of a half "
                 "with decimal phases would be polished"
             )
         stored = _stored_polishes().get((str(phi_over_pi), tuple(rel_strings)))
         if stored is None:
+            from . import precise
+
             rel, t = precise.polish_structured(rel, phi_over_pi)
         else:
-            rel, t = precise.polish_result(*stored)
-    return replace(precise.structured_train(rel, phi_over_pi), label=label), t
+            rel, t = polish_result(*stored)
+    return replace(structured_train(rel, phi_over_pi), label=label), t
 
 
 @lru_cache
@@ -218,6 +224,8 @@ def half_polynomial(entry: CatalogEntry):
     as ``to_sequence`` does."""
     seq, t = _entry_train(entry, True)
     if t is None:
+        from . import precise
+
         t = precise.t_polynomial(seq.phases[: entry.order + 1], seq.target_phi)
     return t
 

@@ -12,23 +12,26 @@ error, or an allocation too large for memory), with one ``error: ...``
 line on stderr, 3 numerical failure.
 
 A command imports the modules it runs, inside it: ``list``, ``tables``,
-``show``, ``build --pulses 2/4/6/8`` and ``verify`` on a catalog name or
-file load no numpy; ``sweep``, ``range`` and ``solve`` load ``analysis``
-or ``solver``, and ``verify`` on an inline spec the polish's numpy and
-``solver``.
+``show`` and ``build --pulses 2/4/6/8`` load neither numpy, ``precise``
+nor ``logging``.  ``verify`` loads ``precise``, and on a catalog name or
+file no numpy; ``range`` on a two-half train loads ``analysis`` and no
+numpy; ``sweep``, ``solve`` and any other ``range`` load numpy.  A
+polish (``verify`` on an inline spec, ``build --pulses 10/12/14``, a
+catalog file whose decimal phases are not stored) loads ``precise``,
+numpy and ``solver``.  ``main`` runs BLAS on one thread unless the
+environment says otherwise.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from . import catalog, precise, sequences
+from . import catalog, sequences
 from .su2 import AnalysisError, CompositeSequence, SolverError, order_from_slope
 
 EXIT_CLOSED_OUTPUT = 1
@@ -36,8 +39,10 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 PI = math.pi
-
-_log = logging.getLogger("cpgate.cli")
+# OpenBLAS, OpenMP and MKL thread counts ``main`` sets to 1 where unset:
+# the solver's batched pinv and matmul stacks are small, and threads
+# waiting on a shared machine slow them down.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class CliError(Exception):
@@ -70,17 +75,16 @@ def spec_parse(text: str) -> CompositeSequence:
 
 
 def _resolve_gate(text: str):
-    """(train, t, inline) of a ``--gate`` value: a catalog name, else an
-    inline spec, else the one entry of an existing catalog JSON file (so
-    a file named like a valid spec is read as the spec); a file of no entry
-    or of several is a CliError, the latter naming them.  t is a catalog
-    train's ``catalog.half_polynomial``, None for an inline spec;
-    ``inline`` says which it was."""
+    """(train, entry) of a ``--gate`` value: a catalog name, else an inline
+    spec, else the one entry of an existing catalog JSON file (so a file
+    named like a valid spec is read as the spec); a file of no entry or of
+    several is a CliError, the latter naming them.  ``entry`` is the
+    catalog entry of the train, None for an inline spec."""
     try:
         entry = catalog.get(text)
     except catalog.CatalogError:
         try:
-            return spec_parse(text), None, True
+            return spec_parse(text), None
         except CliError as exc:
             if not os.path.exists(text):
                 raise CliError(
@@ -96,7 +100,7 @@ def _resolve_gate(text: str):
                 + ", ".join(e.name for e in entries)
             )
         [entry] = entries
-    return catalog.to_sequence(entry), catalog.half_polynomial(entry), False
+    return catalog.to_sequence(entry), entry
 
 
 def _pi_fraction(phi: float) -> Fraction | None:
@@ -111,7 +115,12 @@ def _polished_half(seq: CompositeSequence):
     root before order/slope measurement.  Returns the coefficients of the
     polished half's t (``precise.half_slope_fit``), or None where the
     input is measured as it is: not two halves, a polish that failed or
-    one that drifted."""
+    one that drifted, each logged at DEBUG under ``cpgate.cli``."""
+    import logging
+
+    from . import precise
+
+    log = logging.getLogger("cpgate.cli")
     half = sequences.first_half(seq)
     if half is None or len(half) < 2:
         return None
@@ -127,13 +136,13 @@ def _polished_half(seq: CompositeSequence):
     try:
         polished, t = precise.polish_structured(rel, phi if frac is None else frac)
     except SolverError as exc:
-        _log.debug("measuring the unpolished input: polish failed: %s", exc)
+        log.debug("measuring the unpolished input: polish failed: %s", exc)
         return None
     # Only accept the polish if it stayed on the same root (the input was
     # a rounded table row, not some arbitrary far-from-root train).
     drift = max(abs(math.remainder(float(p) - r, 2 * PI)) for p, r in zip(polished, rel))
     if drift > 1e-2:
-        _log.debug(
+        log.debug(
             "measuring the unpolished input: the polish moved a phase by "
             "%.3g rad, more than 1e-2 from the input", drift
         )
@@ -240,12 +249,16 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seq, t, inline = _resolve_gate(args.gate)
-    if inline:
+    from . import precise
+
+    seq, entry = _resolve_gate(args.gate)
+    if entry is None:
         # Only an inline spec can carry rounded phases: catalog names and
         # files come from catalog.to_sequence, already polished at the
         # exact angle, with the t of their half.
         t = _polished_half(seq)
+    else:
+        t = catalog.half_polynomial(entry)
     if t is None:
         slope, peak = precise.slope_fit(seq)
     else:
@@ -458,6 +471,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # Before any command imports numpy, which reads them once.
+    for name in _BLAS_THREADS:
+        os.environ.setdefault(name, "1")
     raise SystemExit(run())
 
 

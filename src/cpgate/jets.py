@@ -25,18 +25,21 @@ in the phases.  Which phases are differentiated is one count: the leading
 ``pinned`` phases are held fixed and the tangents run along the rest, in
 order, the way the solver's chart holds its leading zeros.  The half
 alone decides the order of the two-half train built on it (see
-``solver``), so the kernel never forms the second half.  ``half_jets``
-runs the same recurrence for one half on Python scalars, for the square
-systems of ``precise``'s polish, where numpy's per-call overhead would
-dominate; ``precise`` runs it in fixed point.
+``solver``), so the kernel never forms the second half.
+``sequences.half_jets`` runs the same recurrence for one half on Python
+scalars, outside this numpy module, for the square systems of
+``precise``'s polish and for ``range``, where numpy's per-call overhead
+would dominate and its import outweighs the search; ``precise`` runs it in
+fixed point.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
+
+from .sequences import _held
 
 
 def _pulse(w: np.ndarray, rotor, odd: int, tangent=None) -> np.ndarray:
@@ -80,15 +83,6 @@ def _zero_prefix(length: int, count: int) -> np.ndarray:
     return w
 
 
-def _held(pinned, n: int) -> int:
-    # Phases held fixed: all n where no tangent is asked for.
-    if pinned is None:
-        return n
-    if not 0 <= pinned <= n:
-        raise ValueError(f"cannot hold {pinned} of {n} phases")
-    return pinned
-
-
 def structured_jets(rel_phases, pinned=None):
     """Polynomials in u = s^2 of the major-diagonal element a_h of a batch
     of half trains.
@@ -125,57 +119,3 @@ def structured_jets(rel_phases, pinned=None):
     if pinned is None:
         return w[0, :, 0].T
     return w[0, :, 0].T, w[0, :, 1:].transpose(2, 1, 0)
-
-
-@lru_cache(maxsize=64)
-def _zero_prefix_scalars(length: int, count: int):
-    # ``_zero_prefix`` as Python complex lists (A, B~) for ``half_jets``.
-    w = _zero_prefix(length, count)
-    return w[0].tolist(), w[1].tolist()
-
-
-def half_jets(rel_phases, pinned=None):
-    """``structured_jets`` of one half on Python scalars.
-
-    ``rel_phases`` holds the n relative phases p1..pn of the half
-    pi_0 pi_p1 ... pi_pn.  Returns the (n + 1) // 2 + 1 u-coefficients of
-    A (a list of complex) and, unless ``pinned`` is None, for each phase
-    after the first ``pinned``, in order, the list of their exact
-    derivatives in it.  Held leading phases that are exactly 0 come from
-    the cached zero prefix.
-    """
-    n = len(rel_phases)
-    held = _held(pinned, n)
-    head = 0
-    while head < held and rel_phases[head] == 0:
-        head += 1
-    a, b = _zero_prefix_scalars((n + 1) // 2 + 1, head)
-    # Tangents (dA, dB~) of the free phases already applied.
-    tangents = []
-    for j in range(head, n):
-        # The pulse of ``_pulse``, one coefficient at a time, with the
-        # previous coefficients of A and B~ (0 below u^0) for the products
-        # by u; phase j's pulse comes after j + 1 others.
-        p = rel_phases[j]
-        r = complex(-math.sin(p), math.cos(p))
-        odd = (j + 1) % 2
-        if j >= held:
-            # d/dp of the rotated terms, the only ones that hold p.
-            ir = 1j * r
-            da, db, low_b = [], [], 0j
-            for x, v in zip(a, b):
-                da.append(ir * (v - low_b).conjugate())
-                db.append(-ir * x.conjugate())
-                low_b = v
-        moved = []
-        for ta, tb in tangents + [(a, b)]:
-            na, nb, low_a, low_b = [], [], 0j, 0j
-            for x, v in zip(ta, tb):
-                na.append(r * (v - low_b).conjugate() - (low_a if odd else x))
-                nb.append(-(v if odd else low_b) - r * x.conjugate())
-                low_a, low_b = x, v
-            moved.append((na, nb))
-        *tangents, (a, b) = moved
-        if j >= held:
-            tangents.append((da, db))
-    return list(a), [ta for ta, _ in tangents]

@@ -19,30 +19,26 @@ is the same whatever precision the caller runs at.  An input (a
 Fraction in units of pi, a ``Phase``, an mpf or a float) is rounded to
 nearest at ``WP`` bits once (``_raw``), and the returned phases, the
 catalog's trains (``structured_train``) and the fit's values are rounded
-at an explicit precision: no other module names the format.
+at an explicit precision.  A product is one integer multiply and one
+shift, with none of the renormalization that dominates mpf object
+arithmetic.  Fixed point fits because the values are bounded: on real s
+in [-1, 1], |a| <= 1 and |B| <= N (Schur's inequality), so by
+V. A. Markov's coefficient bound no coefficient of a exceeds the largest
+of the Chebyshev polynomial T_N, nor one of B N times that of T_{N-1}:
+576 and 2304 for the largest half the polish composes (N = 9).  The
+inputs (rotor cos/sin, the gate's cos/sin, s and cos(pi eps/2) on the
+slope window) are converted once with ``mpmath.libmp.to_fixed``.  Each
+shift truncates by less than one unit of 2^-PREC, and the 16 guard bits
+absorb that.
 
-That rounding runs on Python integers, with no mpmath: ``_round`` rounds
-man 2^exp / den to nearest at ``WP`` bits, ties to even, and returns
-mpmath's normalized raw tuple (sign, man, exp, bc), bit for bit what
-mpmath's correctly rounded ``from_man_exp``, ``mpf_div`` and ``mpf_add``
-give.  pi at ``WP`` bits is one constant (``_PI``).  A Fraction p/q of
-pi is pi p rounded, then divided by q and rounded; the second half's
-shift pi - phi/2 and each of its sums are exact sums, rounded once.  The
-phases and angle of a train built here are ``su2.Phase``s holding those
-tuples, so building the catalog's trains from stored or exact phases
-loads no mpmath; only the trig (``_cos_sin_fixed``, ``mpf_cos_sin``, for
-rotors and the gate's angle) and the slope grid's logs and exps
-(``_slope_grid``) load it, on first use.  A product
-is one integer multiply and one shift, with none of the renormalization
-that dominates mpf object arithmetic.  Fixed point fits because the
-values are bounded: on real s in [-1, 1], |a| <= 1 and |B| <= N (Schur's
-inequality), so by V. A. Markov's coefficient bound no coefficient of a
-exceeds the largest of the Chebyshev polynomial T_N, nor one of B N times
-that of T_{N-1}: 576 and 2304 for the largest half the polish composes
-(N = 9).  The inputs (rotor cos/sin, the gate's cos/sin, s and
-cos(pi eps/2) on the slope window) are converted once with
-``mpmath.libmp.to_fixed``.  Each shift truncates by less than one unit of
-2^-PREC, and the 16 guard bits absorb that.
+That rounding, the constants and the build of a train from its half
+(``_raw``, ``_round``, ``_add``, ``_PI``, ``polish_result``,
+``structured_train``) are ``su2``'s and ``sequences``', imported here:
+they run on Python integers, with no mpmath, and building the catalog's
+trains from stored or exact phases runs them and nothing of this module,
+which it does not load.  Only the trig (``_cos_sin_fixed``,
+``mpf_cos_sin``, for rotors and the gate's angle) and the slope grid's
+logs and exps (``_slope_grid``) load mpmath, on first use.
 
 ``slope_fit`` evaluates the composed polynomials by Horner's rule in u
 (``_horner``) at the 20 log-spaced errors from 1e-3 to 1e-2, whose
@@ -110,7 +106,7 @@ phases, and moves the rest; the system is square, as many free phases
 as the ceil(n/2) residual entries, exactly when that count is
 ``solver.pinned_zero_count(n)``, the zeros the solver's chart holds
 (every table row).  A square system runs on Python scalars
-(``solver._newton_square`` on ``jets.half_jets``), where numpy's
+(``solver._newton_square`` on ``sequences.half_jets``), where numpy's
 per-call overhead and an SVD would dominate systems of at most a few
 rows.  Its root is isolated, so the scalar arithmetic moves the 50-digit
 phases only within the polish's own accuracy.  Its step is a pivoted
@@ -122,8 +118,10 @@ system (the named trains of order >= 4) runs ``solver._newton_batch`` on
 one row and ``np.linalg.pinv``: there the float root's last bits choose
 the point on the root manifold, and those bits must stay the ones the
 named trains' chart classes were measured with.  Only the polish
-imports numpy and ``solver``, on its first call: the packaged named trains
-read their polishes from data (see ``catalog``).  The 50-digit stage
+imports numpy and ``solver``, on its first call, and only ``verify``, a
+polish of a half that is not stored and the t of an exact catalog entry
+load this module: the packaged named trains read their polishes from data
+(see ``catalog``).  The 50-digit stage
 (``_fixed_newton``) runs in fixed point end to end.  The float root is
 converted once to integers at 2^PREC, exactly (``_fixed``), and each
 phase after the held zeros takes one ``mpf_cos_sin`` per polish.  A step
@@ -158,12 +156,18 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
 
-from .su2 import CompositeSequence, Phase, SolverError
+# The format and the build arithmetic live where building a named train
+# runs them (see ``su2``); they are named here as well, with the kernels
+# that compute in them.
+from .sequences import _leading_zeros, structured_train
+from .su2 import (
+    _PI, _ZERO, PREC, WP, CompositeSequence, Phase, SolverError,
+    _add, _exact, _raw, _round, polish_result,
+)
 
 _log = logging.getLogger("cpgate.precise")
 
@@ -173,12 +177,6 @@ WORKING_DPS = 50
 _SLOPE_EPS_LO = 1e-3
 _SLOPE_EPS_HI = 1e-2
 _SLOPE_POINTS = 20
-# The fixed-point format (see the module docstring): inputs and results
-# at WP bits, the WORKING_DPS digits, and integers at 2^PREC, GUARD_BITS
-# fractional bits beyond them.
-WP = 169
-GUARD_BITS = 16
-PREC = WP + GUARD_BITS
 # The fit's logs (``_ln``): ln of each square at 2^-_LOG_Q, summed at
 # 2^-_LOG_W, _LOG_GUARD bits finer, from a table of 2^_LOG_TABLE_BITS
 # steps and _LOG_TERMS terms of an atanh series.
@@ -195,91 +193,6 @@ _FLOAT_TOL = 1e-11
 _POLISH_DIGITS = WORKING_DPS - 5
 # |r| 2^-2PREC < 10^-_POLISH_DIGITS, for an integer r, is |r| < _LIMIT.
 _LIMIT = -(-(1 << 2 * PREC) // 10**_POLISH_DIGITS)
-
-
-# pi rounded to nearest at WP bits, mpf_pi(WP, round_nearest): man 2^exp.
-_PI = (0, 587704679302172021937255065567143824442131843125525, -167, 169)
-_ZERO = (0, 0, 0, 0)
-
-
-def _exact(man, exp=0):
-    """mpmath's normalized raw tuple (sign, man, exp, bc) of the integer
-    ``man`` times 2^exp, exactly: an odd mantissa of bc bits, or all zeros
-    for 0."""
-    if not man:
-        return _ZERO
-    sign = int(man < 0)
-    man = abs(man)
-    zeros = (man & -man).bit_length() - 1
-    man >>= zeros
-    return sign, man, exp + zeros, man.bit_length()
-
-
-def _round(man, exp=0, den=1):
-    """``_exact`` of man 2^exp / den, integers ``man`` and ``den`` > 0,
-    rounded to nearest at ``WP`` bits, ties to even: mpmath's
-    ``from_man_exp(man, exp, WP, round_nearest)`` for ``den`` = 1, and its
-    correctly rounded quotient otherwise."""
-    sign, man = man < 0, abs(man)
-    if den != 1:
-        # At least WP + 1 bits of the quotient and, below them, one sticky
-        # bit for a nonzero remainder: enough to round the quotient exactly.
-        shift = WP + 1 + den.bit_length() - man.bit_length()
-        if shift >= 0:
-            quo, rem = divmod(man << shift, den)
-        else:
-            quo, rem = divmod(man, den << -shift)
-        man, exp = quo << 1 | (rem != 0), exp - shift - 1
-    extra = man.bit_length() - WP
-    if extra > 0:
-        half = 1 << (extra - 1)
-        low = man & ((half << 1) - 1)
-        man >>= extra
-        exp += extra
-        if low > half or (low == half and man & 1):
-            man += 1
-    return _exact(-man if sign else man, exp)
-
-
-def _man_exp(raw):
-    """(signed mantissa, exponent) of the raw tuple ``raw``."""
-    sign, man, exp, _ = raw
-    return (-man if sign else man), exp
-
-
-def _add(x, y):
-    """The sum of the raw tuples ``x`` and ``y``, rounded by ``_round``."""
-    (xm, xe), (ym, ye) = _man_exp(x), _man_exp(y)
-    exp = min(xe, ye)
-    return _round((xm << (xe - exp)) + (ym << (ye - exp)), exp)
-
-
-def _raw(x):
-    """The raw tuple of ``x`` rounded to nearest at ``WP`` bits: a Fraction
-    p/q in units of pi (pi p / q, each step rounded), a ``Phase``, an mpf,
-    a float or an int (through a float).  Anything else raises TypeError:
-    an mpmath constant such as ``mp.pi`` would lose its digits through a
-    float.  An infinity or a nan raises ValueError."""
-    if isinstance(x, Fraction):
-        turn = _round(x.numerator * _PI[1], _PI[2])
-        return _round(*_man_exp(turn), x.denominator)
-    # An mpf exists only once mpmath is loaded, so this imports nothing.
-    mpmath = sys.modules.get("mpmath")
-    if isinstance(x, Phase) or (mpmath is not None and isinstance(x, mpmath.mpf)):
-        raw = x._mpf_
-        # An mpf is normalized; an infinity or a nan has a negative bc.
-        if raw[3] < 0:
-            raise ValueError(f"an angle must be finite, not {x!r}")
-        return raw if raw[3] <= WP else _round(*_man_exp(raw))
-    if isinstance(x, (float, int)):
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError(f"an angle must be finite, not {x!r}")
-        num, den = x.as_integer_ratio()
-        return _exact(num, 1 - den.bit_length())
-    raise TypeError(
-        f"an angle must be a Fraction of pi, a Phase, an mpf or a float, not {x!r}"
-    )
 
 
 @lru_cache(maxsize=None)
@@ -311,14 +224,6 @@ def _rotor(x):
     at 2^PREC."""
     c, s = _cos_sin_fixed(x)
     return s, -c
-
-
-def _leading_zeros(phases):
-    """Number of leading phases that are exactly 0."""
-    count = 0
-    while count < len(phases) and phases[count] == 0:
-        count += 1
-    return count
 
 
 @lru_cache(maxsize=None)
@@ -531,13 +436,6 @@ def polish_structured(rel_phases, phi):
     return polish_result(*polish_fixed(rel_phases, phi))
 
 
-def polish_result(phases, t):
-    """``polish_structured``'s (phases, t) from the integers of
-    ``polish_fixed``: the phases at 2^PREC rounded to ``Phase``s at ``WP``
-    bits, and t's coefficients as a tuple."""
-    return [Phase(_round(v, -PREC)) for v in phases], tuple(t)
-
-
 def polish_fixed(rel_phases, phi):
     """The polish of ``polish_structured`` in its fixed-point format:
     (phases, t), the phases as the integers at 2^PREC the 50-digit stage
@@ -582,23 +480,6 @@ def polish_fixed(rel_phases, phi):
         time.perf_counter() - start,
     )
     return x, _half_t(*a_h, gate)
-
-
-def structured_train(rel_phases, phi) -> CompositeSequence:
-    """``sequences.structured_sequence`` at ``WP`` bits: the half 0.0,
-    ``rel_phases``, then each of its phases plus pi - ``phi``/2, every
-    input rounded by ``_raw`` and every sum to nearest, the rest and the
-    angle ``Phase``s."""
-    phi = _raw(phi)
-    sign, man, exp, bc = phi
-    # -phi/2, exactly.
-    shift = _add(_PI, (1 - sign, man, exp - 1, bc) if man else phi)
-    half = [_ZERO] + [_raw(p) for p in rel_phases]
-    phases = [0.0] + [Phase(p) for p in half[1:]]
-    phases += [Phase(_add(p, shift)) for p in half]
-    return CompositeSequence(
-        tuple(phases), Phase(phi), label=f"struct(n={len(rel_phases)})"
-    )
 
 
 def _fixed(value):

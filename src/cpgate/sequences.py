@@ -14,18 +14,28 @@ to the target gate only for even n; for odd n the zero-error diagonal
 element is exp(2i sum_k (-1)^(k+1) p_k) (p_0 = 0), which equals
 exp(-i phi/2) only on some roots of the derivative conditions.
 
-``structured_sequence`` builds that structure in doubles
-(``precise.structured_train`` builds it at 50 digits); ``first_half``
-recognizes it within a tolerance, in doubles, where a train enters as
-input: a catalog record, or an inline train the CLI polishes.
+``structured_sequence`` builds that structure in doubles, and
+``structured_train`` at 50 digits, in the integer rounding of ``su2``,
+for the catalog's trains; ``first_half`` recognizes it within a
+tolerance, in doubles, where a train enters as input: a catalog record,
+or an inline train the CLI polishes or ``range`` reads.
+
+``half_jets`` is the half's polynomial on Python scalars: the
+u-coefficients of the major-diagonal element a_h of pi_0 pi_p1 ... pi_pn,
+with exact tangents in the phases on request, by the recurrence of
+``jets``.  It serves the square systems of ``precise``'s polish
+(``solver._newton_square``), where numpy's per-call overhead would
+dominate, and ``analysis``'s range search on a two-half train, so that
+neither loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 
-from .su2 import CompositeSequence
+from .su2 import _PI, _ZERO, CompositeSequence, Phase, _add, _raw
 
 PI = math.pi
 # Tolerance (radians, mod 2 pi) of ``first_half``: it admits the 4-decimal
@@ -40,13 +50,38 @@ def structured_sequence(rel_phases, phi, nu: float = 0.0) -> CompositeSequence:
     It works in doubles: ``phi``, ``nu`` and the phases are cast with
     ``float``, so a ``Phase`` or an mpf input gives a float train.  The
     50-digit train of an exact root, of ``Phase``s, is
-    ``precise.structured_train``'s.
+    ``structured_train``'s.
     """
     phi, nu = float(phi), float(nu)
     half = [nu] + [nu + float(p) for p in rel_phases]
     shift = PI - phi / 2
     phases = tuple(half + [p + shift for p in half])
     return CompositeSequence(phases, phi, label=f"struct(n={len(rel_phases)})")
+
+
+def structured_train(rel_phases, phi) -> CompositeSequence:
+    """``structured_sequence`` at ``su2.WP`` bits: the half 0.0,
+    ``rel_phases``, then each of its phases plus pi - ``phi``/2, every
+    input rounded by ``su2._raw`` and every sum to nearest, the rest and
+    the angle ``Phase``s."""
+    phi = _raw(phi)
+    sign, man, exp, bc = phi
+    # -phi/2, exactly.
+    shift = _add(_PI, (1 - sign, man, exp - 1, bc) if man else phi)
+    half = [_ZERO] + [_raw(p) for p in rel_phases]
+    phases = [0.0] + [Phase(p) for p in half[1:]]
+    phases += [Phase(_add(p, shift)) for p in half]
+    return CompositeSequence(
+        tuple(phases), Phase(phi), label=f"struct(n={len(rel_phases)})"
+    )
+
+
+def _leading_zeros(phases):
+    """Number of leading phases that are exactly 0."""
+    count = 0
+    while count < len(phases) and phases[count] == 0:
+        count += 1
+    return count
 
 
 def first_half(seq: CompositeSequence, tol: float = _HALF_TOL):
@@ -140,3 +175,72 @@ def eight_pulse(phi: float, variant: int = 1) -> CompositeSequence:
         6: [PI + phi / 2 - c, PI + phi / 4 - c, 0.0, 0.0, -c, -c - phi / 4, s, s],
     }
     return CompositeSequence(tuple(variants[variant]), phi, label=f"eight-v{variant}")
+
+
+def _held(pinned, n: int) -> int:
+    # Phases held fixed: all n where no tangent is asked for.
+    if pinned is None:
+        return n
+    if not 0 <= pinned <= n:
+        raise ValueError(f"cannot hold {pinned} of {n} phases")
+    return pinned
+
+
+def _pulse(a, b, r, odd):
+    # (A, B~) after one more pi pulse of rotor r = i e^{ip}, one coefficient
+    # at a time, with the previous coefficients of A and B~ (0 below u^0)
+    # for the products by u: the pulse of ``jets._pulse``, ``odd`` the
+    # parity of the pulses already applied.
+    na, nb, low_a, low_b = [], [], 0j, 0j
+    for x, v in zip(a, b):
+        na.append(r * (v - low_b).conjugate() - (low_a if odd else x))
+        nb.append(-(v if odd else low_b) - r * x.conjugate())
+        low_a, low_b = x, v
+    return na, nb
+
+
+@lru_cache(maxsize=64)
+def _zero_prefix(length: int, count: int):
+    # (A, B~), ``length`` coefficients each, after pi_0 and ``count`` more
+    # pi_0 pulses: held relative phases of exactly 0 are alike in every
+    # half, so they are composed once.
+    a, b = [1 + 0j] + [0j] * (length - 1), [0j] * length
+    for k in range(count + 1):
+        a, b = _pulse(a, b, 1j, k % 2)
+    return a, b
+
+
+def half_jets(rel_phases, pinned=None):
+    """``jets.structured_jets`` of one half on Python scalars.
+
+    ``rel_phases`` holds the n relative phases p1..pn of the half
+    pi_0 pi_p1 ... pi_pn.  Returns the (n + 1) // 2 + 1 u-coefficients of
+    A (a list of complex) and, unless ``pinned`` is None, for each phase
+    after the first ``pinned``, in order, the list of their exact
+    derivatives in it.  Held leading phases that are exactly 0 come from
+    the cached zero prefix.
+    """
+    n = len(rel_phases)
+    held = _held(pinned, n)
+    head = min(held, _leading_zeros(rel_phases))
+    a, b = _zero_prefix((n + 1) // 2 + 1, head)
+    # Tangents (dA, dB~) of the free phases already applied.
+    tangents = []
+    for j in range(head, n):
+        p = rel_phases[j]
+        r = complex(-math.sin(p), math.cos(p))
+        if j >= held:
+            # d/dp of the rotated terms, the only ones that hold p.
+            ir = 1j * r
+            da, db, low_b = [], [], 0j
+            for x, v in zip(a, b):
+                da.append(ir * (v - low_b).conjugate())
+                db.append(-ir * x.conjugate())
+                low_b = v
+        # Phase j's pulse comes after j + 1 others.
+        *tangents, (a, b) = [
+            _pulse(ta, tb, r, (j + 1) % 2) for ta, tb in tangents + [(a, b)]
+        ]
+        if j >= held:
+            tangents.append((da, db))
+    return list(a), [ta for ta, _ in tangents]

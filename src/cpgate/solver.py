@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import half_jets, structured_jets
+from .jets import structured_jets
+from .sequences import half_jets
 from .su2 import SolverError
 
 TWO_PI = 2.0 * math.pi

@@ -56,6 +56,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, "numpy" in sys.modules, "mpmath" in sys.modules]))
 """
 _SPEC = "phi=0.5;phases=0,0,0,1.0477,1.5126,0.3399,0.75,0.75,0.75,1.7977,2.2626,1.0899"
+# A rounded 14-pulse row, two halves to round-off, and the same row with its
+# last phase moved by 1e-6 rad: off the structure, so range reads it whole.
+_ROW = "phi=0.5;phases=0,0,0,0,0.9961,0.9684,0.8855,0.75,0.75,0.75,0.75,1.7461,1.7184"
+_TWO_HALVES, _OFF_HALVES = f"{_ROW},1.6355", f"{_ROW},1.6355003183098862"
 
 
 @pytest.mark.parametrize("argv, numpy, mpmath", [
@@ -68,8 +72,12 @@ _SPEC = "phi=0.5;phases=0,0,0,1.0477,1.5126,0.3399,0.75,0.75,0.75,1.7977,2.2626,
     (["verify", "--gate", "Z18"], False, True),
     (["verify", "--json", "--gate", "T10"], False, True),
     (["verify", "--gate", _SPEC], True, True),
-    (["range", "--gate", "Z8"], True, False),
+    (["range", "--gate", "Z8"], False, False),
+    (["range", "--gate", "Z2"], False, False),
+    (["range", "--gate", _TWO_HALVES], False, False),
+    (["range", "--gate", _OFF_HALVES], True, False),
     (["sweep", "--gate", "Z8", "--steps", "5"], True, False),
+    (["sweep", "--gate", "Z2", "--steps", "5"], True, False),
     (["solve", "--order", "2", "--phi", "0.5", "--seeds", "2"], True, False),
 ])
 def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, mpmath):
@@ -78,25 +86,46 @@ def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, mpmath
     assert _fresh(_CLI.format(argv=argv)) == [0, numpy, mpmath]
 
 
+_LIGHT = """
+import contextlib, io, json, sys
+from cpgate import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run({argv!r})
+print(json.dumps([code, "cpgate.precise" in sys.modules, "logging" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["list"],
+    ["tables", "--which", "Z"],
+    ["tables", "--which", "IV"],
+    ["show", "Z18"],
+    *(["build", "--phi", "0.5", "--pulses", str(p)] for p in (2, 4, 6, 8)),
+])
+def test_a_command_that_measures_nothing_loads_neither_precise_nor_logging(argv):
+    # The named trains round stored integers to phases in su2, and only
+    # a polish or verify logs.
+    assert _fresh(_LIGHT.format(argv=argv)) == [0, False, False]
+
+
 def test_building_the_named_trains_runs_no_newton_and_loads_no_numpy():
-    loaded = _fresh("""
+    built, loaded = _fresh("""
 import json, sys
 from cpgate import catalog
 for name in catalog.names():
     catalog.to_sequence(catalog.get(name))
-built = "mpmath" in sys.modules
+built = sorted(sys.modules)
 for name in catalog.names():
     catalog.half_polynomial(catalog.get(name))
 print(json.dumps([built, sorted(sys.modules)]))
 """)
-    # The 6 exact entries compose their t with trig, so mpmath is checked
-    # before half_polynomial runs.
-    mpmath, loaded = loaded
-    assert not mpmath
+    # The 6 exact entries compose their t with trig in precise, so the
+    # modules of the build are taken before half_polynomial runs.
+    assert "mpmath" not in built and "logging" not in built
     for module in ("numpy", "cpgate.solver", "cpgate.jets", "cpgate.analysis"):
         assert module not in loaded
-    assert [m for m in loaded if m.startswith("cpgate")] == [
-        "cpgate", "cpgate.catalog", "cpgate.precise", "cpgate.sequences", "cpgate.su2"
+    assert [m for m in built if m.startswith("cpgate")] == [
+        "cpgate", "cpgate.catalog", "cpgate.sequences", "cpgate.su2"
     ]
 
 

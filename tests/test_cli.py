@@ -201,7 +201,8 @@ def test_verify_json_reports_the_fit(gate, capsys):
     report = json.loads(capsys.readouterr().out)
     assert set(report) == {"order", "slope", "peak"}
     assert plain == f"order = {report['order']}\n"
-    seq, _, inline = cli._resolve_gate(gate)
+    seq, entry = cli._resolve_gate(gate)
+    inline = entry is None
     assert inline == ("=" in gate)
     if inline:
         seq = _measured_train(seq)
@@ -471,8 +472,8 @@ def test_catalog_file_with_an_equals_sign_in_its_path(tmp_path, capsys):
     capsys.readouterr()
     path = tmp_path / "run-phi=0.5.json"
     catalog.save_catalog(catalog.load_catalog(solved)[:1], path)
-    seq, t, inline = cli._resolve_gate(str(path))
-    assert not inline and t is not None
+    seq, entry = cli._resolve_gate(str(path))
+    assert entry is not None and catalog.half_polynomial(entry) is not None
     assert run(["verify", "--json", "--gate", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == 2
     assert run(["range", "--gate", str(path)]) == 0
@@ -957,6 +958,32 @@ def test_cli_imports_no_argparse():
         env={**os.environ, "PYTHONPATH": src}, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+_MAIN = """
+import contextlib, io, json, os, sys
+from cpgate import cli
+sys.argv = ["cpgate", "sweep", "--gate", "Z2", "--steps", "2"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    cli.main()
+print(json.dumps(["numpy" in sys.modules, [os.environ.get(v) for v in cli._BLAS_THREADS]]))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_main_runs_blas_on_one_thread_unless_the_environment_says(preset):
+    # main sets each unset thread variable to 1 before the command loads
+    # numpy; a value the user set wins.  cli.run sets nothing.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREADS}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run(
+        [sys.executable, "-c", _MAIN], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    ).stdout
+    assert json.loads(out) == [True, [preset or "1", "1", "1"]]
 
 
 @pytest.mark.parametrize("argv", [

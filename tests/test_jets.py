@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpgate.jets import half_jets, structured_jets
+from cpgate import jets, sequences
+from cpgate.jets import structured_jets
 from cpgate.analysis import compose
+from cpgate.sequences import half_jets
 from cpgate.su2 import CompositeSequence
 
 from jet_oracle import jet_compose, pi_series
@@ -198,6 +200,16 @@ def test_half_jets_match_structured_jets(n):
                     _, want_da = structured_jets(row[None, :], pinned)
                     scale = max(1.0, np.max(np.abs(want_da)))
                     assert np.max(np.abs(np.array(da) - want_da[0])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("length", range(2, 7))
+def test_scalar_zero_prefix_is_the_batched_one(length):
+    # half_jets composes its held zeros on Python scalars: the doubles of
+    # the numpy kernel's prefix (coefficients of 0 and +-1, exact).
+    for count in range(8):
+        want = jets._zero_prefix(length, count)
+        got = sequences._zero_prefix(length, count)
+        assert [row.tolist() for row in want] == [list(values) for values in got]
 
 
 @pytest.mark.parametrize("pinned", [-1, 4])

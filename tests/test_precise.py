@@ -23,8 +23,8 @@ from mpmath.libmp import (
 )
 
 from cpgate import catalog, cli, precise, solver, su2
-from cpgate.jets import half_jets, structured_jets
-from cpgate.sequences import first_half, six_pulse
+from cpgate.jets import structured_jets
+from cpgate.sequences import first_half, half_jets, six_pulse
 from cpgate.su2 import CompositeSequence, Phase
 
 import make_polished
