@@ -11,54 +11,33 @@ the trace measure's range at threshold t is ``high_fidelity_range`` at
 sqrt(t).  An order-n train has the Frobenius infidelity
 sqrt(2) |sin^(n+1)(pi*eps/2)| |sin(phi/4)| (the profile law).
 
-The range search reads one of two polynomials.  A train that is two
-halves to round-off, its second half its first shifted by pi - phi/2
-within 1e-12 rad (``sequences.first_half`` at that tolerance), has the
-Frobenius infidelity sqrt(2) |s^p t(u)|, s = sin(pi eps/2), u = s^2 (see
+The range search takes one of two paths.  A train that is two halves to
+round-off, its second half its first shifted by pi - phi/2 within 1e-12
+rad (``sequences.first_half`` at that tolerance), has the Frobenius
+infidelity sqrt(2) |s^p t(u)|, s = sin(pi eps/2), u = s^2 (see
 ``solver``): t is real, of degree (n + 1) // 2 in u for a half of n + 1
 pulses, p the parity of that length, and t_k = Im(e^{i phi/4} A_k) with
 A the half's major-diagonal polynomial from ``sequences.half_jets``.
 The grid and the Newton iterates evaluate it by one real Horner in u per
 point on Python floats, with no cancellation and no numpy: ``range`` on
-a two-half train does not load it.  Every printed ``range``
-line equalled the Laurent search's on the 27 names and the 168 table
-rows (polished and 4-decimal) at seven thresholds 0.45..1e-8 and on
-6730 range operations of the profile benchmark (seeds 1-3); eps0 moved
-by at most 4.6e-12 relative at thresholds >= 1e-4.  A search took 30-60
-against 69-141 us on the 4- to 18-pulse names.  A train off the
-structure by more than round-off keeps the answer for the train as
-given, not for the exact train on its first half.
+a two-half train does not load it.  A train off the structure by more
+than round-off is measured as given, below, not as the exact train on
+its first half.
 
 Every other train (an odd length, phases too large to resolve the
-round-off, a second half off by more than 1e-12 rad) is read, root or
-not, through its exact propagator polynomial: the N+1 coefficients of
-(a, b) in z = e^{i theta}, theta = pi(1+eps)/2, composed pulse by pulse
-on Python complex scalars (``_propagator_polynomial``).  A pulse of
-phase p, doubled, is (z + 1/z, -h (z - 1/z)), h = e^{ip}.  With index j
-for exponent 2j - N, n the old length, and conj(b) on |z| = 1 being b's
-coefficients reversed and conjugated,
-    a'[j] = a[j-1] + a[j] + h (conj b[n-j] - conj b[n-1-j])
-    b'[j] = b[j-1] + b[j] - h (conj a[n-j] - conj a[n-1-j]);
-the scaling by 2^-N is exact.  The basis is e^{i theta}, not the s of
-``jets``, because it is well conditioned: |a|^2 + |b|^2 = 1 on |z| = 1,
-so the squared coefficients sum to 1, where the s-coefficients of 18
-pulses reach 1.1e6 (those of T_18, for 18 pulses of one phase).  The
-loop is O(N^2) Python operations: against ``compose`` at 2N+2 points and
-an FFT it took 7 against 39 us at 2 pulses, 84 against 115 us at 18,
-about even near 40, and 18.7 against 6.5 ms at 400
-(BENCH_range_laurent.json).  No catalog train or workload has more than
-18 pulses, so this path has no length switch.  Its grid is one matmul
-with the grid's exp(i theta k) basis, built once per pulse count and
-cached, and each Newton iterate evaluates the polynomial and its
-derivative by Horner in w = e^{2 i theta} on Python scalars.  numpy is
-imported where it runs: in this branch, ``compose``, the fidelities,
-``sweep`` and the CSV encoder.
+round-off, a second half off by more than 1e-12 rad) is read as given
+(``path=train``): its grid is ``compose`` over the grid's errors, the
+sweep's kernel, and each Newton iterate composes the pair (a, b) and its
+eps-derivative pulse by pulse on Python complex numbers (``_train_at``).
+Both read the distance sqrt((|a - fa|^2 + |b|^2) / 2), which does not
+cancel at small infidelity.  numpy is imported where it runs: in this
+branch, ``compose``, the fidelities, ``sweep`` and the CSV encoder.
 
 Both paths share the search: a 64-cell grid on [0, 0.9] finds the first
 cell where the Frobenius infidelity reaches the threshold, and
 safeguarded Newton refines the crossing there.  Each search logs one
 DEBUG record under ``cpgate.analysis`` with the path it took
-(``path=half`` or ``path=laurent``).
+(``path=half`` or ``path=train``).
 
 A sweep's CSV (``csv_bytes``, behind ``write_csv`` and the CLI's stdout)
 holds the bytes of "%.17g" of every value, encoded a block of rows at a
@@ -352,110 +331,10 @@ _GRID_U = tuple(s * s for s in _GRID_S)
 # How far (rad, mod 2 pi) a train's second half may be from its first
 # shifted by pi - phi/2 for the range to read the half polynomial: the
 # rounding of doubles.  The catalog trains and every train the builders
-# make deviate by at most 1.8e-15 rad; a train off by more keeps the
-# Laurent path, which measures the train as given.
+# make deviate by at most 1.8e-15 rad; a train off by more takes the
+# train path, which measures the train as given.
 _ROUND_OFF = 1e-12
 _SQRT2 = math.sqrt(2.0)
-
-
-# Pulses between two rescalings of the doubled coefficients in
-# ``_propagator_polynomial``: those of k pulses are at most 2^k, finite
-# for k < 1024.
-_RESCALE_PULSES = 512
-_RESCALE = 2.0 ** -_RESCALE_PULSES
-
-
-def _propagator_polynomial(seq: CompositeSequence) -> np.ndarray:
-    """Coefficients, shape (2, N+1), of the train's exact pair (a, b).
-
-    With z = e^{i theta}, theta = pi(1+eps)/2, a pi pulse of phase p is
-    ((z + 1/z)/2, -e^{ip} (z - 1/z)/2), so the pair (a, b) of any N-pulse
-    train is a Laurent polynomial in z with exponents k = -N, -N+2, ..., N:
-    row 0 holds a's N+1 coefficients and row 1 b's, in increasing k.
-
-    The pulses are composed one at a time on Python complex scalars, the
-    e^{i theta} twin of ``precise._mp_jet_pulse``, by the doubled
-    recurrence of the module docstring.  Each pulse has
-    U(-eps) = -Z U(eps) Z, Z = diag(1, -1), and -eps is z -> -1/z, so a's
-    coefficients are a palindrome and b's an antipalindrome (c_{-k} = c_k
-    and -c_k).  Then conj a[n-j] = conj a[j-1] and conj b[n-j] =
-    -conj b[j-1], and the loop composes only the first ceil((N+1)/2)
-    coefficients of each row,
-        a'[j] = a[j-1] + a[j] + h (conj b[j] - conj b[j-1])
-        b'[j] = b[j-1] + b[j] + h (conj a[j] - conj a[j-1]),
-    mirroring them once at the end.  The full recurrence's sums and
-    negations keep the palindromes exact, so its results are equal.
-    Doubling keeps the pulse's factor 1/2 out of the loop; the exact
-    scaling by 2^-N is applied at the end, and by 2^-512 every
-    _RESCALE_PULSES pulses on the way.
-    """
-    import numpy as np
-
-    if not seq.phases:
-        raise ValueError("empty sequence")
-    phases = [float(p) for p in seq.phases]
-    conj = complex.conjugate
-    # The first halves of the doubled first pulse, a = [1, 1], b = [e, -e].
-    a, b = [1 + 0j], [cmath.exp(1j * phases[0])]
-    for count, p in enumerate(phases[1:], 2):
-        if count % 2 == 0:
-            # The old pair has an even length and the new half one more
-            # coefficient: the mirror of the last.
-            a.append(a[-1])
-            b.append(-b[-1])
-        h = cmath.exp(1j * p)
-        # pa[j] = a[j-1], ca[j] = conj a[j-1], with zeros at j = 0.
-        pa, pb = [0j, *a], [0j, *b]
-        ca, cb = [0j, *map(conj, a)], [0j, *map(conj, b)]
-        half = range(len(a))
-        a, b = (
-            [pa[j] + pa[j + 1] + h * (cb[j + 1] - cb[j]) for j in half],
-            [pb[j] + pb[j + 1] + h * (ca[j + 1] - ca[j]) for j in half],
-        )
-        if count % _RESCALE_PULSES == 0:
-            a = [x * _RESCALE for x in a]
-            b = [x * _RESCALE for x in b]
-    # The first (N+1) // 2 coefficients reversed, negated for b, are the rest.
-    tail = (len(phases) + 1) // 2
-    mirrored = (a + a[tail - 1::-1], b + [-x for x in b[tail - 1::-1]])
-    return np.array(mirrored) * 2.0 ** -(len(phases) % _RESCALE_PULSES)
-
-
-@lru_cache(maxsize=64)
-def _grid_basis(n: int) -> np.ndarray:
-    # The basis exp(i theta k) on the first grid, shape (_CELLS + 1, n + 1),
-    # for the exponents of ``_propagator_polynomial`` of an n-pulse train.
-    import numpy as np
-
-    ik = 0.5j * math.pi * np.arange(-n, n + 1, 2)
-    basis = np.exp(np.multiply.outer(1.0 + np.array(_GRID_EPS), ik))
-    basis.flags.writeable = False
-    return basis
-
-
-def _propagator_at(coeffs, eps: float):
-    """(a, b, da/deps, db/deps) of the train at one float ``eps``, from
-    the coefficient rows of ``_propagator_polynomial`` as Python lists.
-
-    A row is e^{-iN theta} p(w), p(w) = sum_j c_j w^j and w = e^{2 i theta},
-    so its eps-derivative is (pi/2) i e^{-iN theta} (2 w p'(w) - N p(w)).
-    Horner gives p and p' together in Python complex arithmetic, and the
-    lead factor is applied once.
-    """
-    n = len(coeffs[0]) - 1
-    theta = 0.5 * math.pi * (1.0 + eps)
-    w = cmath.exp(2j * theta)
-    lead = cmath.exp(-1j * n * theta)
-    dlead = 0.5j * math.pi * lead
-    out = []
-    for row in coeffs:
-        p = dp = 0j
-        for c in reversed(row):
-            dp = dp * w + p
-            p = p * w + c
-        out.append((lead * p, dlead * (2.0 * w * dp - n * p)))
-    (a, da), (b, db) = out
-    return a, b, da, db
 
 
 def _half_polynomial(seq: CompositeSequence):
@@ -514,11 +393,30 @@ def _half_at(t, p, eps: float):
     return _SQRT2 * abs(q), slope if q > 0.0 else -slope
 
 
-def _laurent_at(rows, fa, eps: float):
-    # (infidelity, d infidelity/deps) from the Laurent pair at one float
-    # eps, the distance in the product form (|a - fa|^2 + |b|^2) / 2: no
-    # cancellation.
-    a, b, da, db = _propagator_at(rows, eps)
+def _train_at(pulses, fa, eps: float):
+    """(infidelity, d infidelity/deps) of the train as given at one float
+    ``eps``, from its pulse factors -i e^{ip} as Python complex numbers.
+
+    A pulse is (c, -i e^{ip} s), c = cos(theta) and s = sin(theta) with
+    theta = pi(1+eps)/2, composed from the left as in ``compose``, and the
+    eps-derivatives (da, db) are composed alongside by the product rule.
+    The distance is the product form sqrt((|a - fa|^2 + |b|^2) / 2): no
+    cancellation.
+    """
+    theta = 0.5 * math.pi * (1.0 + eps)
+    c, s = math.cos(theta), math.sin(theta)
+    dc, ds = -0.5 * math.pi * s, 0.5 * math.pi * c
+    first, *rest = pulses
+    a, b, da, db = complex(c), first * s, complex(dc), first * ds
+    for h in rest:
+        pb, dpb = h * s, h * ds
+        ac, bc = a.conjugate(), b.conjugate()
+        a, b, da, db = (
+            c * a - pb * bc,
+            c * b + pb * ac,
+            dc * a + c * da - dpb * bc - pb * db.conjugate(),
+            dc * b + c * db + dpb * ac + pb * da.conjugate(),
+        )
     diff = a - fa
     dist = math.sqrt(0.5 * (abs(diff) ** 2 + abs(b) ** 2))
     d = 0.0 if dist == 0.0 else 0.5 * (
@@ -536,16 +434,15 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
     shifted by pi - phi/2 within _ROUND_OFF = 1e-12 rad, reads the real
     polynomial t of its half (``_half_polynomial``): on the grid through
     ``_half_grid``, at the Newton iterates through ``_half_at``, on Python
-    floats, with no numpy.  Any other train (an odd length, a phase too large for
-    ``first_half`` to resolve the round-off, a second half off by more)
-    reads its exact Laurent pair (``_propagator_polynomial``): on the
-    grid through the cached basis of ``_grid_basis``, at the iterates
-    through ``_propagator_at``.  A grid of _CELLS cells finds the first
+    floats, with no numpy.  Any other train (an odd length, a phase too
+    large for ``first_half`` to resolve the round-off, a second half off by
+    more) is read as given: on the grid through ``compose``, at the
+    iterates through ``_train_at``.  A grid of _CELLS cells finds the first
     cell whose right end reaches the threshold; safeguarded Newton on
     (infidelity - threshold) refines the crossing in that cell, bisecting
     whenever a step would leave the bracket.  Flagged when the grid is
     not nondecreasing within _MONOTONE_SLACK.  Logs one DEBUG record
-    under ``cpgate.analysis``, with the path taken (half or laurent), also
+    under ``cpgate.analysis``, with the path taken (half or train), also
     when the search fails: then with the infidelity that failed it, at
     eps = 0 or the largest on the grid.  Raises ValueError for an empty
     train or a non-finite phase or angle.
@@ -563,12 +460,11 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
         vals = _half_grid(*half)
         at = partial(_half_at, *half)
     else:
-        path = "laurent"
+        path = "train"
         target = target_gate(seq.target_phi)
-        coeffs = _propagator_polynomial(seq)
-        a, b = (_grid_basis(len(seq)) @ coeffs.T).T
-        vals = (1.0 - frobenius_fidelity(Su2(a, b), target)).tolist()
-        at = partial(_laurent_at, coeffs.tolist(), target.a)
+        vals = (1.0 - frobenius_fidelity(compose(seq, _GRID_EPS), target)).tolist()
+        pulses = [-1j * cmath.exp(1j * float(p)) for p in seq.phases]
+        at = partial(_train_at, pulses, target.a)
     if vals[0] >= threshold:
         _log.debug("range path=%s threshold=%.3g failed: infidelity=%.3g at eps=0",
                    path, threshold, vals[0])

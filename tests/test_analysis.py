@@ -4,6 +4,7 @@ import logging
 import math
 import re
 import struct
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -434,54 +435,28 @@ def test_range_of_a_train_missing_its_gate_raises():
         high_fidelity_range(seq, threshold=0.2)
 
 
-def _interpolant(seq, eps):
-    # (a, b) of the coefficients of ``_propagator_polynomial`` at an eps
-    # array, summed directly: c_k e^{i k theta}, theta = pi(1+eps)/2.
-    coeffs = analysis._propagator_polynomial(seq)
-    n = len(seq)
-    assert coeffs.shape == (2, n + 1)
-    ik = 0.5j * math.pi * np.arange(-n, n + 1, 2)
-    return (np.exp(np.multiply.outer(1.0 + eps, ik)) @ coeffs.T).T
-
-
-def _interpolant_error(seq, eps):
-    # Largest deviation of the exact-polynomial (a, b) from compose's.
-    a, b = _interpolant(seq, eps)
-    u = compose(seq, eps)
-    return max(np.max(np.abs(a - u.a)), np.max(np.abs(b - u.b)))
-
-
-def _reference_polynomial(phases):
-    # The coefficients of ``_propagator_polynomial`` by the full doubled
-    # recurrence, every coefficient composed and no symmetry used:
-    # a'[j] = a[j-1] + a[j] + h (conj b[n-j] - conj b[n-1-j]),
-    # b'[j] = b[j-1] + b[j] - h (conj a[n-j] - conj a[n-1-j]).
-    e = cmath.exp(1j * phases[0])
-    a, b = [1 + 0j, 1 + 0j], [e, -e]
-    for p in phases[1:]:
-        h = cmath.exp(1j * p)
-        ca = [x.conjugate() for x in reversed(a)]
-        cb = [x.conjugate() for x in reversed(b)]
-        a, b = (
-            [x + y + h * (u - v) for x, y, u, v in zip([0j, *a], [*a, 0j], [0j, *cb], [*cb, 0j])],
-            [x + y - h * (u - v) for x, y, u, v in zip([0j, *b], [*b, 0j], [0j, *ca], [*ca, 0j])],
-        )
-    return np.array((a, b)) * 2.0 ** -len(phases)
-
-
 def _scalar_errors(seq, eps):
-    # Largest deviations of ``_propagator_at`` from compose (values) and
-    # from a central difference of compose (eps-derivatives).
-    rows = analysis._propagator_polynomial(seq).tolist()
+    # Largest deviations of ``_train_at`` from compose: of the distance
+    # (values), and of the distance times its eps-derivative from a
+    # central difference of half the squared distance of compose
+    # (derivatives).  Half the squared distance is smooth also where the
+    # distance touches 0, where a central difference of the distance reads
+    # a kink.
+    fa = target_gate(seq.target_phi).a
+    pulses = [-1j * cmath.exp(1j * float(p)) for p in seq.phases]
+
+    def distance(e):
+        u = compose(seq, e)
+        return math.sqrt(0.5 * (abs(u.a - fa) ** 2 + abs(u.b) ** 2))
+
     h = 1e-6
     value = slope = 0.0
     for e in eps:
-        a, b, da, db = analysis._propagator_at(rows, e)
-        assert all(type(v) is complex for v in (a, b, da, db))
-        u, up, down = compose(seq, e), compose(seq, e + h), compose(seq, e - h)
-        value = max(value, abs(a - u.a), abs(b - u.b))
-        slope = max(slope, abs(da - (up.a - down.a) / (2 * h)),
-                    abs(db - (up.b - down.b) / (2 * h)))
+        dist, d = analysis._train_at(pulses, fa, float(e))
+        assert type(dist) is float and type(d) is float
+        half_square = (distance(e + h) ** 2 - distance(e - h) ** 2) / (4 * h)
+        value = max(value, abs(dist - distance(e)))
+        slope = max(slope, abs(dist * d - half_square))
     return value, slope
 
 
@@ -491,58 +466,39 @@ def _scalar_errors(seq, eps):
     eps=st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=8),
 )
 @settings(max_examples=60, deadline=None)
-def test_interpolant_is_compose_on_arbitrary_trains(phases, phi, eps):
-    # Any train, root or not, odd lengths and unreduced phases included,
-    # is a trigonometric polynomial of degree N in the pulse area.
-    seq = CompositeSequence(tuple(phases), phi)
-    assert _interpolant_error(seq, np.array(eps)) <= 1e-14
-    # |a|^2 + |b|^2 = 1 on the unit circle, so by Parseval the squared
-    # coefficients sum to 1.
-    coeffs = analysis._propagator_polynomial(seq)
-    assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= 1e-14
-    # The half-row loop is the full recurrence, whose sums and negations
-    # keep the palindromes exact: equal results.
-    assert np.array_equal(coeffs, _reference_polynomial(seq.phases))
-    # The scalar Horner evaluator against compose, and its derivative
-    # against a central difference of compose.
-    value, slope = _scalar_errors(seq, eps)
+def test_train_evaluator_is_compose_on_arbitrary_trains(phases, phi, eps):
+    # Any train, root or not, odd lengths and unreduced phases included:
+    # the scalar evaluator against compose, and its derivative against a
+    # central difference of compose.
+    value, slope = _scalar_errors(CompositeSequence(tuple(phases), phi), eps)
     assert value <= 1e-14
     assert slope <= 1e-7
 
 
-def test_interpolant_is_compose_on_every_verify_train():
-    eps = np.linspace(-0.9, 0.9, 801)
+def test_train_evaluator_is_compose_on_every_verify_train():
+    eps = np.linspace(-0.9, 0.9, 801)[::40]
     for seq in _verify_trains():
-        assert _interpolant_error(seq, eps) <= 1e-14, seq.label
-        value, slope = _scalar_errors(seq, eps[::40])
+        value, slope = _scalar_errors(seq, eps)
         assert value <= 1e-14 and slope <= 1e-7, seq.label
 
 
-def test_polynomial_of_a_train_past_a_thousand_pulses_stays_exact():
-    # The doubled coefficients of 1100 pulses would reach 2^1100, beyond
-    # the double range, and 2^-1100 underflows: the rescaling every
-    # 512 pulses keeps them finite and exact.
+def test_first_grid_is_linspace():
+    assert analysis._GRID_EPS == tuple(np.linspace(0.0, 0.9, 65).tolist())
+
+
+def test_range_of_a_train_past_a_thousand_pulses_raises_no_warning():
+    # 1100 pulses: compose and the scalar evaluator stay finite, and the
+    # search returns or fails as a numerical failure, with no warning.
     rng = np.random.default_rng(11)
     seq = CompositeSequence(tuple(rng.uniform(0.0, 2 * math.pi, 1100)), math.pi)
-    coeffs = analysis._propagator_polynomial(seq)
-    assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= 1e-14
-    assert _interpolant_error(seq, np.linspace(-0.9, 0.9, 7)) <= 1e-12
-
-
-def test_grid_basis_is_the_direct_exp_product_cached_per_pulse_count():
-    eps = np.linspace(0.0, 0.9, 65)
-    assert analysis._GRID_EPS == tuple(eps.tolist())
-    for n in (1, 2, 7, 18):
-        basis = analysis._grid_basis(n)
-        ik = 0.5j * math.pi * np.arange(-n, n + 1, 2)
-        direct = np.exp(np.multiply.outer(1.0 + eps, ik))
-        assert basis.shape == (65, n + 1)
-        assert np.array_equal(basis.view(float), direct.view(float))
-        assert not basis.flags.writeable
-        with pytest.raises(ValueError):
-            basis[0, 0] = 0.0
-        assert analysis._grid_basis(n) is analysis._grid_basis(n)
-    assert analysis._grid_basis(4).shape != analysis._grid_basis(6).shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            high_fidelity_range(seq, 0.45)
+        except AnalysisError:
+            pass
+        value, _ = _scalar_errors(seq, np.linspace(-0.9, 0.9, 7))
+    assert value <= 1e-12
 
 
 def _reference_error_range(seq, infidelity, threshold):
@@ -646,8 +602,7 @@ def test_half_path_range_matches_a_90_digit_root_on_the_named_trains(caplog):
     # few 1e-16 absolute, so the infidelity is off by that much and eps0
     # by at most that over the threshold, relative; 5e-14 covers the
     # Newton stop at the large thresholds.  Measured: 1.5e-14, 4.6e-13,
-    # 2.8e-11 and 2.6e-9 at 1e-2..1e-8 (the Laurent path read 3.0e-14,
-    # 1.8e-12, 2.8e-10 and 1.6e-8).
+    # 2.8e-11 and 2.6e-9 at 1e-2..1e-8.
     with mp.workdps(96):
         for name in catalog.names():
             seq = _cat(name)
@@ -674,26 +629,86 @@ def test_half_path_range_matches_a_90_digit_root_on_the_named_trains(caplog):
                 assert abs(x - root) <= bound * root, (name, threshold)
 
 
-# A rounded 14-pulse row (phi = pi/2) as a spec: two halves to round-off.
+# A rounded 14-pulse row (phi = pi/2) as a spec: two halves to round-off;
+# and the row with its last phase moved by 1e-6 rad (1e-6/pi in the spec's
+# units of pi), which is not.
 _ROW_SPEC = ("phi=0.5;phases=0,0,0,0,0.9961,0.9684,0.8855,"
              "0.75,0.75,0.75,0.75,1.7461,1.7184,1.6355")
+_MOVED_ROW_SPEC = _ROW_SPEC[:-len("1.6355")] + format(1.6355 + 1e-6 / math.pi, ".17g")
 
 
 def test_range_routes_on_the_round_off_of_the_two_half_structure(caplog, capsys):
     # The exact spec takes the half polynomial.  With its last phase moved
     # by 1e-6 rad (1e-6/pi in the spec's units of pi) it is no longer two
-    # halves to round-off: it keeps the Laurent path and prints the range
-    # of the train as given (the line the Laurent search printed before
-    # the half path), not that of the exact train on its first half.
-    moved = _ROW_SPEC[:-len("1.6355")] + format(1.6355 + 1e-6 / math.pi, ".17g")
-    assert moved.endswith(",1.6355003183098862")
+    # halves to round-off: it takes the train path and prints the range of
+    # the train as given, not that of the exact train on its first half.
+    assert _MOVED_ROW_SPEC.endswith(",1.6355003183098862")
     for gate, path, line in (
         (_ROW_SPEC, "half", "epsilon0 = 0.05560, interval [0.94440pi, 1.05560pi]"),
-        (moved, "laurent", "epsilon0 = 0.05553, interval [0.94447pi, 1.05553pi]"),
+        (_MOVED_ROW_SPEC, "train", "epsilon0 = 0.05553, interval [0.94447pi, 1.05553pi]"),
     ):
         assert _range_record(caplog, spec_parse(gate))["path"] == path
         assert run(["range", "--gate", gate]) == 0
         assert capsys.readouterr() == (line + "\n", "")
+
+
+def _off_structure_trains():
+    # A seeded set of trains that are not two halves, each with the
+    # thresholds at which it has a range: the moved row (infidelity 7.1e-7
+    # at eps = 0), the names with one phase moved by 1e-11 to 1e-9 rad,
+    # and random trains of 4 to 40 pulses at the gate they make at eps = 0
+    # (an even train of pi pulses is diagonal there).
+    rng = np.random.default_rng(44)
+    cases = [(spec_parse(_MOVED_ROW_SPEC), (1e-4, 1e-6))]
+    for name in catalog.names():
+        seq = _cat(name)
+        phases = [float(p) for p in seq.phases]
+        k = int(rng.integers(len(phases)))
+        phases[k] += float(rng.choice((-1.0, 1.0))) * 10 ** rng.uniform(-11, -9)
+        cases.append((CompositeSequence(tuple(phases), seq.target_phi, label=name),
+                      (1e-4, 1e-6, 1e-8)))
+    for _ in range(27):
+        phases = tuple(rng.uniform(0.0, 2 * math.pi, 2 * int(rng.integers(2, 21))).tolist())
+        a0 = complex(compose(CompositeSequence(phases, 1.0), 0.0).a)
+        cases.append((CompositeSequence(phases, -2 * cmath.phase(a0), label=f"random {len(phases)}"),
+                      (1e-4, 1e-6, 1e-8)))
+    return cases
+
+
+def _excess(phases, fa, threshold, eps):
+    # The distance of the train as given at the working precision, less
+    # the threshold.
+    a, b = mp_propagator(phases, eps)
+    return mp.sqrt((abs(a - fa) ** 2 + abs(b) ** 2) / 2) - threshold
+
+
+def test_train_path_range_matches_a_60_digit_root_off_the_structure(caplog):
+    # The reference is the first crossing's root at 60 digits of the
+    # distance sqrt((|a - fa|^2 + |b|^2) / 2) of the train as given, read
+    # off its propagator from ``mp_oracle``.  The bound: the float pair
+    # (a, b) carries about one rounding of 1.1e-16 per pulse, so the
+    # distance is off by some N 1e-16 and eps0 by that over the distance's
+    # slope at the root; 4e-16 per pulse leaves 3x room over the 1.3e-16
+    # seen on 300 such trains, and 5e-14 relative covers the Newton stop.
+    # Measured on this set: at most 6.4e-17 per pulse; relative, 1.3e-11,
+    # 1.2e-9 and 1.1e-7 at 1e-4, 1e-6 and 1e-8, the largest on random
+    # trains of order 0, which cross at an eps near the threshold.
+    with mp.workdps(60):
+        for seq, thresholds in _off_structure_trains():
+            assert first_half(seq, 1e-12) is None, seq.label
+            fa = mp.expj(-mp.mpf(seq.target_phi) / 2)
+            for threshold in thresholds:
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="cpgate.analysis"):
+                    x = high_fidelity_range(seq, threshold).epsilon0
+                assert "path=train " in caplog.records[0].getMessage(), seq.label
+                f = functools.partial(_excess, seq.phases, fa, mp.mpf(threshold))
+                bracket = (mp.mpf(x) * (1 - mp.mpf(1e-6)), mp.mpf(x) * (1 + mp.mpf(1e-6)))
+                assert f(bracket[0]) < 0 < f(bracket[1]), (seq.label, threshold)
+                root = mp.findroot(f, bracket, solver="anderson")
+                slope = mp.diff(f, root)
+                bound = 5e-14 * root + 4e-16 * len(seq) / slope
+                assert abs(x - root) <= bound, (seq.label, threshold)
 
 
 def _failed_range_record(caplog, seq, threshold):
@@ -712,7 +727,7 @@ def _failed_range_record(caplog, seq, threshold):
     "seq, path",
     [
         # An odd count of pi pulses is off-diagonal at eps = 0.
-        (CompositeSequence((0.0, 1.0, 2.0), 1.0), "laurent"),
+        (CompositeSequence((0.0, 1.0, 2.0), 1.0), "train"),
         # A two-half train that misses its gate at zero error.
         (spec_parse("phi=1.46;phases=0.0,0.56,0.27,0.83"), "half"),
     ],
@@ -752,17 +767,18 @@ def test_range_of_a_non_finite_train_is_a_value_error(seq):
         high_fidelity_range(seq)
 
 
-def test_odd_length_train_keeps_the_laurent_path(monkeypatch):
-    # No odd train is two halves: the range composes its Laurent pair, and
-    # an odd count of pi pulses is off-diagonal at eps = 0 (infidelity 1).
+def test_odd_length_train_takes_the_train_path(monkeypatch):
+    # No odd train is two halves: the range composes the train as given,
+    # and an odd count of pi pulses is off-diagonal at eps = 0
+    # (infidelity 1).
     composed = []
-    laurent = analysis._propagator_polynomial
+    train = analysis.compose
 
-    def spy(seq):
+    def spy(seq, epsilon):
         composed.append(seq)
-        return laurent(seq)
+        return train(seq, epsilon)
 
-    monkeypatch.setattr(analysis, "_propagator_polynomial", spy)
+    monkeypatch.setattr(analysis, "compose", spy)
     seq = CompositeSequence((0.0, 1.0, 2.0), 1.0)
     assert first_half(seq, 1e-12) is None
     with pytest.raises(AnalysisError, match=r"^infidelity 1 at eps = 0 is not below threshold$"):
