@@ -11,33 +11,42 @@ the trace measure's range at threshold t is ``high_fidelity_range`` at
 sqrt(t).  An order-n train has the Frobenius infidelity
 sqrt(2) |sin^(n+1)(pi*eps/2)| |sin(phi/4)| (the profile law).
 
-The range search takes one of two paths.  A train that is two halves to
-round-off, its second half its first shifted by pi - phi/2 within 1e-12
-rad (``sequences.first_half`` at that tolerance), has the Frobenius
-infidelity sqrt(2) |s^p t(u)|, s = sin(pi eps/2), u = s^2 (see
-``solver``): t is real, of degree (n + 1) // 2 in u for a half of n + 1
-pulses, p the parity of that length, and t_k = Im(e^{i phi/4} A_k) with
-A the half's major-diagonal polynomial from ``sequences.half_jets``.
-The grid and the Newton iterates evaluate it by one real Horner in u per
-point on Python floats, with no cancellation and no numpy: ``range`` on
-a two-half train does not load it.  A train off the structure by more
-than round-off is measured as given, below, not as the exact train on
-its first half.
+``sweep`` and the range search read a train one of two ways.  A train
+that is two halves to round-off, its second half its first shifted by
+pi - phi/2 within 1e-12 rad (``sequences.first_half`` at that
+tolerance), has the Frobenius infidelity sqrt(2) |s^p t(u)|,
+s = sin(pi eps/2), u = s^2 (see ``solver``): t is real, of degree
+(n + 1) // 2 in u for a half of n + 1 pulses, p the parity of that
+length, and t_k = Im(e^{i phi/4} A_k) with A the half's major-diagonal
+polynomial (``path=half``).  The range search composes A in doubles
+(``sequences.half_jets``), and its grid and Newton iterates evaluate t
+per point on Python floats, with no numpy: ``range`` on a two-half train
+does not load it.  A sweep composes A in fixed point on Python ints, so
+that each t_k is rounded once, and evaluates t by one real Horner in u
+over its numpy grid, with the trace infidelity 2 (s^p t(u))^2; it does
+so for a half of at most 9 pulses whose Horner terms |t_k| u^k |s|^p sum
+to at most 1 on the grid, and composes any other train.  Neither
+cancels near fidelity 1.  A train off the structure by more than
+round-off is measured as given, below, not as the exact train on its
+first half.
 
-Every other train (an odd length, phases too large to resolve the
-round-off, a second half off by more than 1e-12 rad) is read as given
-(``path=train``): its grid is ``compose`` over the grid's errors, the
-sweep's kernel, and each Newton iterate composes the pair (a, b) and its
-eps-derivative pulse by pulse on Python complex numbers (``_train_at``).
-Both read the distance sqrt((|a - fa|^2 + |b|^2) / 2), which does not
-cancel at small infidelity.  numpy is imported where it runs: in this
-branch, ``compose``, the fidelities, ``sweep`` and the CSV encoder.
+Every other train (an odd length, a non-finite phase or angle, phases
+too large to resolve the round-off, a second half off by more than
+1e-12 rad; for a sweep also the long or large halves above) is read as
+given (``path=train``): a sweep is ``compose``
+over its grid, with ``frobenius_fidelity`` and ``trace_fidelity``; the
+range search's grid is ``compose`` over the grid's errors, and each
+Newton iterate composes the pair (a, b) and its eps-derivative pulse by
+pulse on Python complex numbers (``_train_at``).  The range reads the
+distance sqrt((|a - fa|^2 + |b|^2) / 2), which does not cancel at small
+infidelity.  numpy is imported where it runs: in this branch, ``compose``,
+the fidelities, ``sweep`` and the CSV encoder.
 
-Both paths share the search: a 64-cell grid on [0, 0.9] finds the first
-cell where the Frobenius infidelity reaches the threshold, and
-safeguarded Newton refines the crossing there.  Each search logs one
-DEBUG record under ``cpgate.analysis`` with the path it took
-(``path=half`` or ``path=train``).
+Both paths share the range search: a 64-cell grid on [0, 0.9] finds the
+first cell where the Frobenius infidelity reaches the threshold, and
+safeguarded Newton refines the crossing there.  Each sweep and each
+search logs one DEBUG record under ``cpgate.analysis`` with the path it
+took (``path=half`` or ``path=train``).
 
 A sweep's CSV (``csv_bytes``, behind ``write_csv`` and the CLI's stdout)
 holds the bytes of "%.17g" of every value, encoded a block of rows at a
@@ -58,20 +67,36 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import TYPE_CHECKING, Any
 
-from .sequences import first_half, half_jets
-from .su2 import AnalysisError, CompositeSequence, Su2, target_gate
+from .sequences import (
+    _half_t, _leading_zeros, _mp_jet_rotors, first_half, half_jets,
+)
+from .su2 import PREC, AnalysisError, CompositeSequence, Su2, target_gate
 
 _log = logging.getLogger("cpgate.analysis")
+
+# A float64 numpy array.  numpy is imported only where it runs, so at run
+# time the annotations resolve it as Any (``typing.get_type_hints``).
+if TYPE_CHECKING:
+    from numpy import ndarray as FloatArray
+else:
+    FloatArray = Any
 
 
 @dataclass(frozen=True)
 class FidelityProfile:
-    """Frobenius and trace fidelities sampled on an error grid."""
+    """Frobenius and trace fidelities sampled on an error grid.
 
-    epsilons: np.ndarray
-    frobenius: np.ndarray
-    trace: np.ndarray
+    From ``sweep`` they are 1 - d and 1 - d^2, d the normalized Frobenius
+    distance from the target gate: sqrt(2) |s^p t(u)| of the half
+    polynomial on the half path, else the distance of the pair that
+    ``compose`` gives.
+    """
+
+    epsilons: FloatArray
+    frobenius: FloatArray
+    trace: FloatArray
     sequence_label: str = ""
 
 
@@ -137,7 +162,16 @@ def trace_fidelity(u: Su2, f: Su2):
 
 def sweep(seq: CompositeSequence, eps_min: float, eps_max: float,
           steps: int) -> FidelityProfile:
-    """Both gate fidelities of ``seq`` on a uniform error grid."""
+    """Both gate fidelities of ``seq`` on a uniform error grid.
+
+    A train that is two halves to round-off, with a half of at most
+    _SWEEP_HALF pulses (``_sweep_polynomial``), reads its half
+    polynomial where Horner's terms |t_k| u^k |s|^p sum to at most 1 at
+    the grid's largest |s|: q = s^p t(u) by Horner over the grid, the
+    Frobenius fidelity 1 - sqrt(2) |q| and the trace fidelity 1 - 2 q^2.
+    Any other train is ``compose``d over the grid.  Logs one DEBUG record
+    under ``cpgate.analysis`` with the path taken (half or train).
+    """
     import numpy as np
 
     if steps < 2:
@@ -148,12 +182,32 @@ def sweep(seq: CompositeSequence, eps_min: float, eps_max: float,
         raise ValueError("eps_min must be below eps_max")
     if not math.isfinite(eps_max - eps_min):
         raise ValueError("eps_max - eps_min must be finite")
-    target = target_gate(seq.target_phi)
     eps = np.linspace(eps_min, eps_max, steps)
-    u = compose(seq, eps)
-    return FidelityProfile(
-        eps, frobenius_fidelity(u, target), trace_fidelity(u, target), seq.label
-    )
+    half = _sweep_polynomial(seq)
+    if half is not None:
+        t, p = half
+        s = np.sin(0.5 * math.pi * eps)
+        top = float(np.max(np.abs(s)))
+        # Horner's terms |t_k| u^k |s|^p at the grid's largest |s|: within
+        # 1, the bound of |s^p t(u)| itself, their rounding stays at that
+        # of a fidelity next to 1; past it Horner cancels what compose
+        # keeps.
+        terms = top ** p * math.fsum(abs(c) * top ** (2 * k) for k, c in enumerate(t))
+        if terms > 1.0:
+            half = None
+    if half is None:
+        path = "train"
+        target = target_gate(seq.target_phi)
+        u = compose(seq, eps)
+        frobenius, trace = frobenius_fidelity(u, target), trace_fidelity(u, target)
+    else:
+        path = "half"
+        q = np.polyval(t[::-1], s * s)
+        if p:
+            q *= s
+        frobenius, trace = 1.0 - _SQRT2 * np.abs(q), 1.0 - 2.0 * (q * q)
+    _log.debug("sweep path=%s steps=%d", path, steps)
+    return FidelityProfile(eps, frobenius, trace, seq.label)
 
 
 def csv_bytes(profile: FidelityProfile) -> bytes:
@@ -252,7 +306,7 @@ def _csv_tables():
     return tables
 
 
-def _encode_block(table: np.ndarray) -> bytes:
+def _encode_block(table: FloatArray) -> bytes:
     """The bytes of "%.17g" of every value of ``table`` (rows, cols), each
     followed by a comma, or by a newline at the end of a row.
 
@@ -329,10 +383,10 @@ _GRID_EPS = tuple(k * (_EPS_MAX / _CELLS) for k in range(_CELLS)) + (_EPS_MAX,)
 _GRID_S = tuple(math.sin(0.5 * math.pi * e) for e in _GRID_EPS)
 _GRID_U = tuple(s * s for s in _GRID_S)
 # How far (rad, mod 2 pi) a train's second half may be from its first
-# shifted by pi - phi/2 for the range to read the half polynomial: the
-# rounding of doubles.  The catalog trains and every train the builders
-# make deviate by at most 1.8e-15 rad; a train off by more takes the
-# train path, which measures the train as given.
+# shifted by pi - phi/2 for a sweep or a range to read the half
+# polynomial: the rounding of doubles.  The catalog trains and every
+# train the builders make deviate by at most 1.8e-15 rad; a train off by
+# more takes the train path, which measures the train as given.
 _ROUND_OFF = 1e-12
 _SQRT2 = math.sqrt(2.0)
 
@@ -355,6 +409,47 @@ def _half_polynomial(seq: CompositeSequence):
     a = half_jets([float(p) - lead for p in half[1:]])[0]
     rot = cmath.exp(0.25j * float(seq.target_phi))
     return [(rot * c).imag for c in a], len(half) % 2
+
+
+# The longest half a sweep reads through t: the halves of the catalog
+# trains, the table rows and the builders (at most 18 pulses).  Its
+# composition takes O(n^2) steps on Python ints and reaches compose's
+# cost on 801 points at 30- to 40-pulse halves, and a longer random half
+# has Horner terms above 1 (1.6 to 1.7e4 at 30 to 120 pulses), where
+# the sweep composes it anyway.
+_SWEEP_HALF = 9
+_UNIT = 1 << PREC
+
+
+def _sweep_polynomial(seq: CompositeSequence):
+    """(t, p) of ``_half_polynomial`` for a sweep, each t_k rounded once,
+    or None for a train that is not two halves to round-off or whose half
+    is longer than _SWEEP_HALF.
+
+    A is composed over the half's phases as given (a common phase leaves
+    it as it is) on the fixed-point kernel of ``precise``
+    (``sequences._mp_jet_rotors``, units of 2^-PREC), from the doubles'
+    cos and sin of each rotor -i e^{ip} and of phi/4, so each t_k is
+    exact for those doubles to about 1e-54 before its one rounding.  In
+    doubles every product rounds, and the low t_k, near 0, keep up to
+    5e-15 of it (T16), which the 50-digit propagator sees in a sweep.
+    """
+    half = first_half(seq, _ROUND_OFF)
+    if half is None or len(half) > _SWEEP_HALF:
+        return None
+    phases = [float(p) for p in half]
+    zeros = _leading_zeros(phases)
+    rotors = [(_fixed(math.sin(p)), -_fixed(math.cos(p))) for p in phases[zeros:]]
+    ar, ai, _, _ = _mp_jet_rotors(zeros, rotors)
+    quarter = 0.25 * float(seq.target_phi)
+    t = _half_t(ar, ai, (_fixed(math.cos(quarter)), _fixed(math.sin(quarter))))
+    # Each int quotient is rounded once to a double.
+    return [c / _UNIT for c in t], len(half) % 2
+
+
+def _fixed(x: float) -> int:
+    # A double in the fixed point at 2^PREC: exact down to 2^-PREC.
+    return int(math.ldexp(x, PREC))
 
 
 def _half_grid(t, p) -> list[float]:

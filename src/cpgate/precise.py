@@ -9,6 +9,8 @@ digits, on one kernel: ``_mp_jet_compose`` composes a train of N nominal
 pi pulses as (a, sqrt(1 - s^2) B), with a and B polynomials in
 s = sin(pi eps/2) kept as the u-coefficients, u = s^2, of A and B~ (see
 ``jets``), one ``_mp_jet_pulse`` per pulse, O(N) shifts and products each.
+The pulse, its cached zero prefix and ``_half_t`` live in ``sequences``,
+where ``analysis.sweep`` composes a float half on them too.
 
 The kernel runs in one fixed-point format: a real x is the Python
 integer floor(x * 2^``PREC``), ``PREC`` = ``WP`` + ``GUARD_BITS`` =
@@ -163,7 +165,10 @@ from functools import lru_cache
 # The format and the build arithmetic live where building a named train
 # runs them (see ``su2``); they are named here as well, with the kernels
 # that compute in them.
-from .sequences import _leading_zeros, structured_train
+from .sequences import (
+    _half_t, _leading_zeros, _mp_jet_pulse, _mp_jet_rotors, _mp_zero_prefix,
+    structured_train,
+)
 from .su2 import (
     _PI, _ZERO, PREC, WP, CompositeSequence, Phase, SolverError,
     _add, _exact, _raw, _round, polish_result,
@@ -308,13 +313,6 @@ def t_polynomial(half, phi):
     the train of pi pulses with phases ``half`` (see ``half_slope_fit``)."""
     ar, ai, _, _ = _mp_jet_compose(half)
     return _half_t(ar, ai, _angle_trig(phi, 2))
-
-
-def _half_t(ar, ai, gate):
-    """The coefficients of sin(phi/4) Re A + cos(phi/4) Im A at 2^PREC
-    from those of A, ``gate`` being the cos and sin of phi/4."""
-    c, s = gate
-    return tuple((s * r + c * i) >> PREC for r, i in zip(ar, ai))
 
 
 def _line_fit(totals, shift):
@@ -557,53 +555,6 @@ def _mp_residual(zeros, rotors, gate):
     ar, ai, _, _ = _mp_jet_rotors(zeros + 1, rotors)
     c, s = gate
     return [s * r + c * i for r, i in zip(ar[:-1], ai[:-1])], (ar, ai)
-
-
-def _mp_jet_pulse(poly, rotor):
-    """Fixed-point u-polynomials (A, B~) of the pi pulse with rotor
-    ``rotor`` applied after the train whose polynomials are ``poly``."""
-    # A' = -u^odd A - rot (1 - u) conj(B~), B~' = -u^(1-odd) B~ + rot conj(A)
-    # (see ``jets``), odd the parity of the k pulses so far: A holds
-    # k // 2 + 1 coefficients and B~ (k + 1) // 2, as many exactly when k is
-    # odd.  Each coefficient takes the one a power of u below (0 below u^0)
-    # for the products by u; B~' has as many coefficients as A.
-    ar, ai, br, bi = poly
-    rot_r, rot_i = rotor
-    odd = len(ar) == len(br)
-    nar, nai, nbr, nbi = [], [], [], []
-    low_ar = low_ai = low_br = low_bi = 0
-    for xr, xi, vr, vi in zip((*ar, 0), (*ai, 0), (*br, 0), (*bi, 0)):
-        # (1 - u) conj(B~).
-        qr, qi = vr - low_br, low_bi - vi
-        dar, dai, dbr, dbi = (low_ar, low_ai, vr, vi) if odd else (xr, xi, low_br, low_bi)
-        nar.append(-dar - ((rot_r * qr - rot_i * qi) >> PREC))
-        nai.append(-dai - ((rot_r * qi + rot_i * qr) >> PREC))
-        nbr.append(-dbr + ((rot_r * xr + rot_i * xi) >> PREC))
-        nbi.append(-dbi + ((rot_i * xr - rot_r * xi) >> PREC))
-        low_ar, low_ai, low_br, low_bi = xr, xi, vr, vi
-    return nar, nai, nbr[: len(ar)], nbi[: len(ar)]
-
-
-@lru_cache(maxsize=64)
-def _mp_zero_prefix(count: int):
-    """The polynomials after ``count`` pi pulses of phase exactly 0, from
-    the identity: leading zeros are alike in every train and the held ones
-    of a polish in every residual evaluation, so they are composed once
-    per count."""
-    poly = ((1 << PREC,), (0,), (), ())
-    rotor = _rotor(_ZERO)
-    for _ in range(count):
-        poly = _mp_jet_pulse(poly, rotor)
-    return tuple(tuple(part) for part in poly)
-
-
-def _mp_jet_rotors(zeros, rotors):
-    """Fixed-point u-polynomials of ``zeros`` pi pulses of phase exactly 0
-    followed by the pulses with ``rotors``."""
-    poly = _mp_zero_prefix(zeros)
-    for rotor in rotors:
-        poly = _mp_jet_pulse(poly, rotor)
-    return poly
 
 
 def _mp_jet_compose(phases):

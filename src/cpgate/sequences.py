@@ -26,7 +26,10 @@ with exact tangents in the phases on request, by the recurrence of
 ``jets``.  It serves the square systems of ``precise``'s polish
 (``solver._newton_square``), where numpy's per-call overhead would
 dominate, and ``analysis``'s range search on a two-half train, so that
-neither loads numpy.
+neither loads numpy.  ``_mp_jet_pulse`` is the same pulse on integers in
+the fixed point of ``su2``: ``precise`` composes its 50-digit trains on
+it, and ``analysis.sweep`` a float half, so that each coefficient of its
+t is rounded once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 from dataclasses import replace
 from functools import lru_cache
 
-from .su2 import _PI, _ZERO, CompositeSequence, Phase, _add, _raw
+from .su2 import _PI, _ZERO, PREC, CompositeSequence, Phase, _add, _raw
 
 PI = math.pi
 # Tolerance (radians, mod 2 pi) of ``first_half``: it admits the 4-decimal
@@ -92,15 +95,20 @@ def first_half(seq: CompositeSequence, tol: float = _HALF_TOL):
     ``analysis.high_fidelity_range`` asks for round-off alone.  The check
     runs in doubles.  A train with a phase too large for a double to
     resolve the shift to ``tol`` is never accepted: there p + shift
-    rounds to within it of p whatever the shift.
+    rounds to within it of p whatever the shift.  Nor is a train with a
+    non-finite phase or angle, which NaN would otherwise pass: it compares
+    false with ``tol``.
     """
     half, odd = divmod(len(seq), 2)
     if odd:
         return None
+    phi = float(seq.target_phi)
     phases = [float(p) for p in seq.phases]
+    if not all(map(math.isfinite, (phi, *phases))):
+        return None
     if math.ldexp(max(map(abs, phases), default=0.0), -53) > tol:
         return None
-    shift = PI - float(seq.target_phi) / 2
+    shift = PI - phi / 2
     for p, q in zip(phases, phases[half:]):
         if abs(math.remainder(q - (p + shift), 2 * PI)) > tol:
             return None
@@ -244,3 +252,64 @@ def half_jets(rel_phases, pinned=None):
         if j >= held:
             tangents.append((da, db))
     return list(a), [ta for ta, _ in tangents]
+
+
+# --- The same pulse in fixed point -----------------------------------------
+# A real x is the integer floor(x * 2^PREC) (see ``su2``).  ``precise``
+# feeds it rotors of phases rounded at WP bits, ``analysis.sweep`` the
+# doubles' rotors of a float half.
+
+
+def _mp_jet_pulse(poly, rotor):
+    """Fixed-point u-polynomials (A, B~) of the pi pulse with rotor
+    ``rotor`` applied after the train whose polynomials are ``poly``."""
+    # A' = -u^odd A - rot (1 - u) conj(B~), B~' = -u^(1-odd) B~ + rot conj(A)
+    # (see ``jets``), odd the parity of the k pulses so far: A holds
+    # k // 2 + 1 coefficients and B~ (k + 1) // 2, as many exactly when k is
+    # odd.  Each coefficient takes the one a power of u below (0 below u^0)
+    # for the products by u; B~' has as many coefficients as A.
+    ar, ai, br, bi = poly
+    rot_r, rot_i = rotor
+    odd = len(ar) == len(br)
+    nar, nai, nbr, nbi = [], [], [], []
+    low_ar = low_ai = low_br = low_bi = 0
+    for xr, xi, vr, vi in zip((*ar, 0), (*ai, 0), (*br, 0), (*bi, 0)):
+        # (1 - u) conj(B~).
+        qr, qi = vr - low_br, low_bi - vi
+        dar, dai, dbr, dbi = (low_ar, low_ai, vr, vi) if odd else (xr, xi, low_br, low_bi)
+        nar.append(-dar - ((rot_r * qr - rot_i * qi) >> PREC))
+        nai.append(-dai - ((rot_r * qi + rot_i * qr) >> PREC))
+        nbr.append(-dbr + ((rot_r * xr + rot_i * xi) >> PREC))
+        nbi.append(-dbi + ((rot_i * xr - rot_r * xi) >> PREC))
+        low_ar, low_ai, low_br, low_bi = xr, xi, vr, vi
+    return nar, nai, nbr[: len(ar)], nbi[: len(ar)]
+
+
+@lru_cache(maxsize=64)
+def _mp_zero_prefix(count: int):
+    """The polynomials after ``count`` pi pulses of phase exactly 0, from
+    the identity: leading zeros are alike in every train and the held ones
+    of a polish in every residual evaluation, so they are composed once
+    per count."""
+    poly = ((1 << PREC,), (0,), (), ())
+    # -i e^{i 0}, exactly: no trig.
+    rotor = (0, -(1 << PREC))
+    for _ in range(count):
+        poly = _mp_jet_pulse(poly, rotor)
+    return tuple(tuple(part) for part in poly)
+
+
+def _mp_jet_rotors(zeros, rotors):
+    """Fixed-point u-polynomials of ``zeros`` pi pulses of phase exactly 0
+    followed by the pulses with ``rotors``."""
+    poly = _mp_zero_prefix(zeros)
+    for rotor in rotors:
+        poly = _mp_jet_pulse(poly, rotor)
+    return poly
+
+
+def _half_t(ar, ai, gate):
+    """The coefficients of sin(phi/4) Re A + cos(phi/4) Im A at 2^PREC
+    from those of A, ``gate`` being the cos and sin of phi/4."""
+    c, s = gate
+    return tuple((s * r + c * i) >> PREC for r, i in zip(ar, ai))

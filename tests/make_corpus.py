@@ -13,6 +13,9 @@ It records, for the program in ``src``:
   (``inline_specs``);
 - ``range`` at five thresholds on the 27 names, with the epsilon0 and the
   non-monotonic flag that the command prints rounded, at full precision;
+- ``sweep`` on the 27 names on two small grids (``SWEEP_GRIDS``), as the
+  fidelities its CSV holds, read back as floats: values, not bytes, since
+  numpy's SIMD sin and cos may differ in the last bits between CPUs;
 - the first-half phases (radians, as doubles) of ``catalog.to_sequence``
   on the 27 names and of ``catalog.arbitrary_row`` on the 84 table rows:
   where the polish leaves each root on its manifold;
@@ -40,6 +43,9 @@ from cpgate import analysis, catalog, cli, sequences
 CORPUS = Path(__file__).parent / "data" / "corpus.json"
 ROW_PULSES = (4, 6, 8, 10, 12, 14)
 RANGE_THRESHOLDS = ("1e-4", "1e-3", "1e-2", "0.2", "0.45")
+# (eps-min, eps-max, steps) of the recorded sweeps: the CLI's interval,
+# and small errors, where every fidelity is next to 1.
+SWEEP_GRIDS = (("-0.4", "0.4", "9"), ("1e-3", "0.05", "5"))
 _S10 = ("0,0.8225606328124041,0.82256551733751782,1.9152390433822561,"
         "0.44160567403125545,0.75,1.5725606328124042,1.5725655173375179,"
         "2.6652390433822566,1.1916056740312555")
@@ -120,6 +126,19 @@ def range_record(gate, threshold):
     if code:
         return {"code": code, "err": err}
     return {"code": code, "epsilon0": found[0].epsilon0, "flagged": found[0].flagged}
+
+
+def sweep_record(gate, grid):
+    """Exit code of ``sweep --gate gate`` on ``grid`` and the Frobenius and
+    trace fidelities of its CSV, or its stderr where it fails."""
+    eps_min, eps_max, steps = grid
+    code, out, err = run_cli(("sweep", "--gate", gate, "--eps-min", eps_min,
+                              "--eps-max", eps_max, "--steps", steps))
+    if code:
+        return {"code": code, "err": err}
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    return {"code": code, "frobenius": [r[1] for r in rows],
+            "trace": [r[2] for r in rows]}
 
 
 def row_specs():
@@ -277,6 +296,10 @@ def build():
         "range": [
             {"gate": name, "threshold": t, **range_record(name, t)}
             for name in catalog.names() for t in RANGE_THRESHOLDS
+        ],
+        "sweep": [
+            {"gate": name, "grid": list(grid), **sweep_record(name, grid)}
+            for name in catalog.names() for grid in SWEEP_GRIDS
         ],
         "halves": half_records(),
         "odd": odd,

@@ -787,3 +787,159 @@ def test_odd_length_train_takes_the_train_path(monkeypatch):
     # A two-half train composes none.
     high_fidelity_range(_cat("Z8"))
     assert composed == [seq]
+
+
+def _builder_trains():
+    # Seeded 2-, 4-, 6- and 8-pulse builder trains at angles off the tables.
+    rng = np.random.default_rng(45)
+    seqs = []
+    for _ in range(5):
+        phi = rng.uniform(0.05, 1.95) * math.pi
+        seqs.append(two_pulse(phi))
+        for build, variants in ((four_pulse, 4), (six_pulse, 4), (eight_pulse, 6)):
+            seqs.append(build(phi, int(rng.integers(1, variants + 1))))
+    return seqs
+
+
+def _composed_profile(seq, eps):
+    # Both fidelities of the train as ``compose`` multiplies it out.
+    target = target_gate(seq.target_phi)
+    u = compose(seq, eps)
+    return frobenius_fidelity(u, target), trace_fidelity(u, target)
+
+
+def _sweep_path(caplog, seq, *grid):
+    # The profile of a sweep and the path its one DEBUG record names.
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cpgate.analysis"):
+        profile = sweep(seq, *grid)
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG and record.name == "cpgate.analysis"
+    return profile, dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))["path"]
+
+
+def test_sweep_of_a_two_half_train_reads_its_half_polynomial(monkeypatch, caplog):
+    # The names, the polished rows and the builders compose nothing.  The
+    # bound: on the names compose is within 1.4e-15 of the 50-digit
+    # fidelities and t within 2.5e-16 (test below), so the two differ by
+    # at most their sum.  Measured: 1.3e-15 (Frobenius) and 1.7e-15
+    # (trace).
+    def no_compose(seq, epsilon):
+        raise AssertionError(f"compose called on {seq.label}")
+
+    monkeypatch.setattr(analysis, "compose", no_compose)
+    for seq in _verify_trains() + _builder_trains():
+        profile, path = _sweep_path(caplog, seq, -0.4, 0.4, 801)
+        assert path == "half", seq.label
+        frobenius, trace = _composed_profile(seq, profile.epsilons)
+        assert np.max(np.abs(profile.frobenius - frobenius)) <= 3e-15, seq.label
+        assert np.max(np.abs(profile.trace - trace)) <= 3e-15, seq.label
+
+
+@pytest.mark.parametrize("seq", [
+    # No odd train is two halves.
+    CompositeSequence((0.0, 1.0, 2.0), 1.0),
+    # A name with one phase moved by 1e-6 rad is off the structure.
+    CompositeSequence(
+        tuple(float(p) + (1e-6 if k == 3 else 0.0) for k, p in enumerate(_cat("Z8").phases)),
+        _cat("Z8").target_phi, label="Z8 moved",
+    ),
+])
+def test_sweep_of_any_other_train_composes_it(monkeypatch, caplog, seq):
+    # The train as given, bit for bit the fidelities of compose.
+    composed = []
+    train = analysis.compose
+
+    def spy(seq, epsilon):
+        composed.append(seq)
+        return train(seq, epsilon)
+
+    monkeypatch.setattr(analysis, "compose", spy)
+    assert first_half(seq, 1e-12) is None
+    profile, path = _sweep_path(caplog, seq, -0.4, 0.4, 81)
+    assert path == "train" and composed == [seq]
+    frobenius, trace = _composed_profile(seq, profile.epsilons)
+    assert np.array_equal(profile.frobenius, frobenius)
+    assert np.array_equal(profile.trace, trace)
+
+
+@pytest.mark.parametrize("name", ["Z4", "S10", "T18"])
+def test_sweep_and_range_read_one_curve(name):
+    # At range's eps0 the sweep's infidelity is the threshold: both read
+    # the half polynomial, and the Newton stop leaves the infidelity at
+    # its rounding.
+    seq = _cat(name)
+    for threshold in (1e-2, 1e-4, 1e-6, 1e-8):
+        x = high_fidelity_range(seq, threshold).epsilon0
+        profile = sweep(seq, x, x + 0.1, 2)
+        assert profile.epsilons[0] == x
+        assert abs(1.0 - profile.frobenius[0] - threshold) <= 1e-15, (name, threshold)
+
+
+def _oracle_errors(seq, profile):
+    # Largest |error| of a sweep's Frobenius and trace fidelities against
+    # the exact two-half train on the float half (the second half its
+    # phases plus the mp shift), multiplied out at 50 digits.
+    with mp.workdps(50):
+        half = [float(p) for p in first_half(seq)]
+        phi = mp.mpf(float(seq.target_phi))
+        phases = half + [p + mp.pi - phi / 2 for p in half]
+        fa = mp.expj(-phi / 2)
+        errors = [0, 0]
+        for (a, b), f, t in zip(mp_propagator(phases, profile.epsilons.tolist()),
+                                profile.frobenius.tolist(), profile.trace.tolist()):
+            d2 = (abs(a - fa) ** 2 + abs(b) ** 2) / 2
+            errors = [max(errors[0], abs(f - (1 - mp.sqrt(d2)))),
+                      max(errors[1], abs(t - (1 - d2)))]
+        return [float(e) for e in errors]
+
+
+def test_half_path_sweep_is_no_less_accurate_than_compose_on_every_name():
+    # t is composed in fixed point and rounded once, so what is left is
+    # the rounding of sin, Horner and 1 - d: measured at most 1.4e-16
+    # (Frobenius, T16) and 2.3e-16 (trace, Z2), against compose's 1.2e-16
+    # to 1.0e-15 and 2.0e-16 to 1.4e-15 per name.
+    for name in catalog.names():
+        seq = _cat(name)
+        profile = sweep(seq, -0.4, 0.4, 33)
+        frobenius, trace = _composed_profile(seq, profile.epsilons)
+        half = _oracle_errors(seq, profile)
+        train = _oracle_errors(seq, FidelityProfile(profile.epsilons, frobenius, trace))
+        assert half[0] <= min(train[0], 2.5e-16), (name, half, train)
+        assert half[1] <= min(train[1], 3.5e-16), (name, half, train)
+
+
+def _random_two_half_train(pulses, seed):
+    rng = np.random.default_rng(seed)
+    rel = rng.uniform(-math.pi, math.pi, pulses // 2 - 1).tolist()
+    return structured_sequence(rel, rng.uniform(0.1, 1.9) * math.pi)
+
+
+def test_sweep_composes_a_two_half_train_whose_horner_terms_exceed_one(monkeypatch, caplog):
+    # A random 18-pulse half: |t_k| u^k |s|^p sums to 9.8 at |eps| = 0.4,
+    # where Horner on t would cancel more than compose loses.  On a grid
+    # of small errors the same train reads t.
+    seq = _random_two_half_train(18, 45)
+    t, p = analysis._sweep_polynomial(seq)
+    top = math.sin(0.2 * math.pi)
+    assert top ** p * sum(abs(c) * top ** (2 * k) for k, c in enumerate(t)) > 1
+    profile, path = _sweep_path(caplog, seq, -0.4, 0.4, 81)
+    assert path == "train"
+    frobenius, trace = _composed_profile(seq, profile.epsilons)
+    assert np.array_equal(profile.frobenius, frobenius)
+    assert np.array_equal(profile.trace, trace)
+    assert _sweep_path(caplog, seq, -0.05, 0.05, 81)[1] == "half"
+
+
+def test_sweep_of_a_long_two_half_train_keeps_compose_accuracy(caplog):
+    # A 120-pulse two-half train is longer than any half the sweep reads
+    # through t, whose Horner terms reach 1e4 there and lose up to 8e-13.
+    # Composed, it is within a rounding per pulse (N 2^-53) of the
+    # 50-digit train; measured 3.3e-15 (Frobenius) and 6.1e-15 (trace).
+    seq = _random_two_half_train(120, 120)
+    assert first_half(seq, 1e-12) is not None
+    assert analysis._sweep_polynomial(seq) is None
+    profile, path = _sweep_path(caplog, seq, -0.4, 0.4, 17)
+    assert path == "train"
+    bound = len(seq) * 2.0 ** -53
+    assert max(_oracle_errors(seq, profile)) <= bound

@@ -129,6 +129,21 @@ print(json.dumps([built, sorted(sys.modules)]))
     ]
 
 
+def test_analysis_type_hints_resolve_without_numpy():
+    # analysis imports numpy only where it runs, so its annotations must
+    # not name numpy at run time.
+    hints, loaded = _fresh("""
+import json, sys, typing
+from cpgate import analysis
+hints = [typing.get_type_hints(analysis.FidelityProfile),
+         typing.get_type_hints(analysis._encode_block)]
+print(json.dumps([[sorted(h) for h in hints], "numpy" in sys.modules]))
+""")
+    assert hints == [["epsilons", "frobenius", "sequence_label", "trace"],
+                     ["return", "table"]]
+    assert not loaded
+
+
 def test_every_packaged_data_file_is_listed_as_package_data():
     # A file under src/cpgate/data that pyproject.toml does not list is
     # left out of a built wheel.

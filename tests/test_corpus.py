@@ -12,11 +12,17 @@ from make_corpus import (
     odd_records,
     range_record,
     run_cli,
+    sweep_record,
     verify_record,
 )
 
 # epsilon0 comes from a float Newton search on numpy arithmetic.
 _EPSILON0_TOL = 1e-12
+# Absolute, on a fidelity.  numpy's SIMD sin and cos may differ in the
+# last bit between CPUs: that moves s^p t(u) of an 18-pulse name by some
+# 1e-16 relative, and compose's pair (a, b) by a rounding per pulse, about
+# 2e-15 at 18 pulses.
+_SWEEP_TOL = 5e-15
 # Radians.  The polish of an underdetermined half starts from a float root
 # whose last bits differ between machines (a few 1e-15 rad), while a root
 # that slides along its manifold moves by ~1e-10 rad.
@@ -68,6 +74,31 @@ def test_cli_outputs_match_the_committed_corpus(tmp_path):
     assert not bad, bad[:5]
     assert len(corpus["verify"]) == 27 + 84 + 10 + 100
     assert len(corpus["range"]) == 27 * 5
+
+
+def _sweep_mismatch(got, want):
+    if set(got) != set(want):
+        return True
+    if got["code"] or want["code"]:
+        return got != want
+    return any(
+        len(got[col]) != len(want[col])
+        or not all(abs(g - w) <= _SWEEP_TOL for g, w in zip(got[col], want[col]))
+        for col in ("frobenius", "trace")
+    )
+
+
+def test_sweep_values_match_the_committed_corpus():
+    corpus = json.loads(CORPUS.read_text())
+    bad = []
+    for want in corpus["sweep"]:
+        want = dict(want)
+        gate, grid = want.pop("gate"), want.pop("grid")
+        got = sweep_record(gate, grid)
+        if _sweep_mismatch(got, want):
+            bad.append((gate, grid, got, want))
+    assert not bad, bad[:5]
+    assert len(corpus["sweep"]) == 27 * 2
 
 
 def test_polished_halves_match_the_committed_corpus():

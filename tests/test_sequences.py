@@ -105,6 +105,21 @@ def test_structured_sequence_shape_and_shift():
     assert first_half(replace(seq, phases=())) == ()
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [
+        # NaN compares false with the tolerance: these read as two halves.
+        CompositeSequence((math.nan, 0.0, math.nan, PI - 0.5), 1.0),
+        CompositeSequence((0.0, 0.0, 1.0, 1.0), math.nan),
+        CompositeSequence((0.0, 1.0, math.inf, 1.0 + PI - 0.5), 1.0),
+        CompositeSequence((0.0, 0.0, 1.0, 1.0), math.inf),
+    ],
+)
+def test_first_half_of_a_non_finite_train_is_none(seq):
+    assert first_half(seq) is None
+    assert first_half(seq, 1e-12) is None
+
+
 def _mp_first_half(seq, tol):
     # The check first_half ran in mpmath before it ran in doubles: the
     # shift taken once at the working precision (53 bits here), a train
