@@ -21,14 +21,14 @@ length, and t_k = Im(e^{i phi/4} A_k) with A the half's major-diagonal
 polynomial (``path=half``).  The range search composes A in doubles
 (``sequences.half_jets``), and its grid and Newton iterates evaluate t
 per point on Python floats, with no numpy: ``range`` on a two-half train
-does not load it.  A sweep composes A in fixed point on Python ints, so
-that each t_k is rounded once, and evaluates t by one real Horner in u
-over its numpy grid, with the trace infidelity 2 (s^p t(u))^2; it does
-so for a half of at most 9 pulses whose Horner terms |t_k| u^k |s|^p sum
-to at most 1 on the grid, and composes any other train.  Neither
-cancels near fidelity 1.  A train off the structure by more than
-round-off is measured as given, below, not as the exact train on its
-first half.
+does not load it.  A sweep takes t composed in fixed point, each t_k
+rounded once (``sequences._float_half_t``), and evaluates t by one real
+Horner in u over its numpy grid, with the trace infidelity
+2 (s^p t(u))^2; it does so for a half of at most 9 pulses whose Horner
+terms |t_k| u^k |s|^p sum to at most 1 on the grid, and composes any
+other train.  Neither cancels near fidelity 1.  A train off the
+structure by more than round-off is measured as given, below, not as
+the exact train on its first half.
 
 Every other train (an odd length, a non-finite phase or angle, phases
 too large to resolve the round-off, a second half off by more than
@@ -69,10 +69,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Any
 
-from .sequences import (
-    _half_t, _leading_zeros, _mp_jet_rotors, first_half, half_jets,
-)
-from .su2 import PREC, AnalysisError, CompositeSequence, Su2, target_gate
+from .sequences import _float_half_t, first_half, half_jets
+from .su2 import AnalysisError, CompositeSequence, Su2, target_gate
 
 _log = logging.getLogger("cpgate.analysis")
 
@@ -418,38 +416,16 @@ def _half_polynomial(seq: CompositeSequence):
 # has Horner terms above 1 (1.6 to 1.7e4 at 30 to 120 pulses), where
 # the sweep composes it anyway.
 _SWEEP_HALF = 9
-_UNIT = 1 << PREC
 
 
 def _sweep_polynomial(seq: CompositeSequence):
-    """(t, p) of ``_half_polynomial`` for a sweep, each t_k rounded once,
-    or None for a train that is not two halves to round-off or whose half
-    is longer than _SWEEP_HALF.
-
-    A is composed over the half's phases as given (a common phase leaves
-    it as it is) on the fixed-point kernel of ``precise``
-    (``sequences._mp_jet_rotors``, units of 2^-PREC), from the doubles'
-    cos and sin of each rotor -i e^{ip} and of phi/4, so each t_k is
-    exact for those doubles to about 1e-54 before its one rounding.  In
-    doubles every product rounds, and the low t_k, near 0, keep up to
-    5e-15 of it (T16), which the 50-digit propagator sees in a sweep.
-    """
+    """(t, p) of ``_half_polynomial`` for a sweep, each t_k rounded once
+    (``sequences._float_half_t``), or None for a train that is not two
+    halves to round-off or whose half is longer than _SWEEP_HALF."""
     half = first_half(seq, _ROUND_OFF)
     if half is None or len(half) > _SWEEP_HALF:
         return None
-    phases = [float(p) for p in half]
-    zeros = _leading_zeros(phases)
-    rotors = [(_fixed(math.sin(p)), -_fixed(math.cos(p))) for p in phases[zeros:]]
-    ar, ai, _, _ = _mp_jet_rotors(zeros, rotors)
-    quarter = 0.25 * float(seq.target_phi)
-    t = _half_t(ar, ai, (_fixed(math.cos(quarter)), _fixed(math.sin(quarter))))
-    # Each int quotient is rounded once to a double.
-    return [c / _UNIT for c in t], len(half) % 2
-
-
-def _fixed(x: float) -> int:
-    # A double in the fixed point at 2^PREC: exact down to 2^-PREC.
-    return int(math.ldexp(x, PREC))
+    return _float_half_t([float(p) for p in half], float(seq.target_phi)), len(half) % 2
 
 
 def _half_grid(t, p) -> list[float]:

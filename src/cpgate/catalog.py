@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .sequences import _leading_zeros, first_half, structured_train
+from .sequences import _leading_zeros, first_half, pinned_zero_count, structured_train
 from .su2 import CompositeSequence, polish_result
 
 class CatalogError(KeyError):
@@ -237,8 +237,7 @@ def arbitrary_row(phi_over_pi, pulses: int, refine: bool = True) -> CompositeSeq
     row = get_arbitrary_row(phi_over_pi)
     if pulses not in row.columns:
         raise CatalogError(f"no {pulses}-pulse column")
-    # The solver's chart pins floor(n/2) of the n relative phases.
-    zeros = (pulses // 2 - 1) // 2
+    zeros = pinned_zero_count(pulses // 2 - 1)
     rel = ["0"] * zeros + list(row.columns[pulses])
     label = f"phi={phi_over_pi}pi-{pulses}p"
     return _build_structured(rel, row.phi_over_pi, label, refine)[0]
@@ -267,8 +266,9 @@ def entry_from_dict(d: dict) -> CatalogEntry:
     """Entry of one JSON record; raises CatalogError if the record is not
     an object with the required keys, its name or source is not a string,
     its order is not an integer, its phases are not a list of 2(order + 1)
-    values, its angle or a phase times pi is not a finite double, or its
-    optional range is not a pair."""
+    values, its angle or a phase is no number (a zero denominator
+    included) or times pi not a finite double, or its optional range is
+    not a pair."""
     if not isinstance(d, dict):
         raise CatalogError(f"catalog record is not an object: {d!r}")
     missing = [k for k in _REQUIRED_KEYS if k not in d]
@@ -299,7 +299,7 @@ def entry_from_dict(d: dict) -> CatalogEntry:
             quoted_range_over_pi=(float(rng[0]), float(rng[1])),
             source=d.get("source", "paper-table"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise CatalogError(f"{d['name']}: malformed catalog record: {exc}") from exc
     if entry.order < 0 or entry.pulse_count != 2 * (entry.order + 1):
         raise CatalogError(
@@ -331,7 +331,10 @@ def save_catalog(entry_list, path) -> None:
 
 
 def _parse(text: str) -> list[CatalogEntry]:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise CatalogError("catalog JSON is nested too deeply") from None
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

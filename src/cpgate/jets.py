@@ -30,7 +30,7 @@ alone decides the order of the two-half train built on it (see
 scalars, outside this numpy module, for the square systems of
 ``precise``'s polish and for ``range``, where numpy's per-call overhead
 would dominate and its import outweighs the search; ``precise`` runs it in
-fixed point.
+fixed point.  All three read held zeros from ``sequences._zero_prefix``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sequences import _held
+from . import sequences
 
 
 def _pulse(w: np.ndarray, rotor, odd: int, tangent=None) -> np.ndarray:
@@ -70,15 +70,10 @@ def _pulse(w: np.ndarray, rotor, odd: int, tangent=None) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _zero_prefix(length: int, count: int) -> np.ndarray:
-    # Half-train state (2, length) after pi_0 and ``count`` more pi_0
-    # pulses: held relative phases of exactly 0 are the same in every
-    # row, so they are composed once and broadcast.
-    w = np.zeros((2, length, 1, 1), dtype=complex)
-    w[0, 0] = 1.0
-    for k in range(count + 1):
-        w = _pulse(w, 1j, k % 2)
-    w = w[:, :, 0, 0]
+def _zero_prefix(length: int, pulses: int) -> np.ndarray:
+    # ``sequences._zero_prefix`` as a read-only half-train state (2, length),
+    # broadcast over every row that holds the zeros.
+    w = np.array(sequences._float_zero_prefix(length, pulses))
     w.flags.writeable = False
     return w
 
@@ -104,13 +99,13 @@ def structured_jets(rel_phases, pinned=None):
     if x.ndim != 2:
         raise ValueError("relative phases must have shape (batch, n)")
     batch, n = x.shape
-    held = _held(pinned, n)
+    held = sequences._held(pinned, n)
     head = 0
     while head < held and not x[:, head].any():
         head += 1
     length = (n + 1) // 2 + 1
     w = np.zeros((2, length, 1 + n - held, batch), dtype=complex)
-    w[:, :, 0] = _zero_prefix(length, head)[:, :, None]
+    w[:, :, 0] = _zero_prefix(length, head + 1)[:, :, None]  # pi_0, held zeros
     # i e^{ip} of each later pulse, broadcast over (value/tangents, batch).
     rotors = np.exp(1j * x[:, head:].T)[:, None, :] * 1j
     # Phase j's pulse comes after j + 1 others.

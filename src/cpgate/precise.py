@@ -9,8 +9,8 @@ digits, on one kernel: ``_mp_jet_compose`` composes a train of N nominal
 pi pulses as (a, sqrt(1 - s^2) B), with a and B polynomials in
 s = sin(pi eps/2) kept as the u-coefficients, u = s^2, of A and B~ (see
 ``jets``), one ``_mp_jet_pulse`` per pulse, O(N) shifts and products each.
-The pulse, its cached zero prefix and ``_half_t`` live in ``sequences``,
-where ``analysis.sweep`` composes a float half on them too.
+The pulse, its zero prefix, ``_half_t`` and ``_fixed`` live in
+``sequences``, where ``analysis.sweep`` composes a float half on them too.
 
 The kernel runs in one fixed-point format: a real x is the Python
 integer floor(x * 2^``PREC``), ``PREC`` = ``WP`` + ``GUARD_BITS`` =
@@ -106,7 +106,7 @@ same u-coefficients.  The polish holds the leading
 phases of its input that are exactly 0, a count it reads from the
 phases, and moves the rest; the system is square, as many free phases
 as the ceil(n/2) residual entries, exactly when that count is
-``solver.pinned_zero_count(n)``, the zeros the solver's chart holds
+``sequences.pinned_zero_count(n)``, the zeros the solver's chart holds
 (every table row).  A square system runs on Python scalars
 (``solver._newton_square`` on ``sequences.half_jets``), where numpy's
 per-call overhead and an SVD would dominate systems of at most a few
@@ -125,13 +125,13 @@ polish of a half that is not stored and the t of an exact catalog entry
 load this module: the packaged named trains read their polishes from data
 (see ``catalog``).  The 50-digit stage
 (``_fixed_newton``) runs in fixed point end to end.  The float root is
-converted once to integers at 2^PREC, exactly (``_fixed``), and each
-phase after the held zeros takes one ``mpf_cos_sin`` per polish.  A step
-adds each double to its phase exactly, as an integer, and turns the
-phase's rotor by e^{i step}, its cos and sin summed by Taylor series in
-fixed point (``_small_cos_sin``; steps are ~1e-9 and below, so three or
-four terms): a few units of 2^-PREC from a fresh cos/sin of the phase
-after three turns.  The residual stays the integer sin(phi/4) Re a_h +
+converted once to integers at 2^PREC, exactly (``sequences._fixed``),
+and each phase after the held zeros takes one ``mpf_cos_sin`` per
+polish.  A step adds each double to its phase exactly, as an integer,
+and turns the phase's rotor by e^{i step}, its cos and sin summed by
+Taylor series in fixed point (``_small_cos_sin``; steps are ~1e-9 and
+below, so three or four terms): a few units of 2^-PREC from a fresh
+cos/sin of the phase after three turns.  The residual stays the integer sin(phi/4) Re a_h +
 cos(phi/4) Im a_h at 2^-2PREC, only the
 step's right-hand side becomes doubles, and the stop test at
 10^-_POLISH_DIGITS = 1e-45 is an integer comparison.  That bound holds
@@ -140,8 +140,8 @@ named train below 1e-40 at 90 digits.  ``polish_fixed`` returns the
 phases as those integers, and ``polish_result`` rounds them to
 ``Phase``s at ``WP`` bits, once, for a polish and for a stored record
 alike.  Leading phases of exactly 0 are alike in every train, so their
-polynomials are composed once per count (``_mp_zero_prefix``), bitwise
-as pulse by pulse.
+polynomials are read once per count (``_mp_zero_prefix``), bitwise as
+pulse by pulse.
 
 The polish's last residual evaluation composes the half at the returned
 phases, from the turned rotors (at most 8 units of 2^-PREC from fresh
@@ -166,8 +166,8 @@ from functools import lru_cache
 # runs them (see ``su2``); they are named here as well, with the kernels
 # that compute in them.
 from .sequences import (
-    _half_t, _leading_zeros, _mp_jet_pulse, _mp_jet_rotors, _mp_zero_prefix,
-    structured_train,
+    _fixed, _half_t, _leading_zeros, _mp_jet_pulse, _mp_jet_rotors,
+    _mp_zero_prefix, pinned_zero_count, structured_train,
 )
 from .su2 import (
     _PI, _ZERO, PREC, WP, CompositeSequence, Phase, SolverError,
@@ -455,7 +455,7 @@ def polish_fixed(rel_phases, phi):
     # A square system runs its float stage on scalars (see the module
     # docstring), an underdetermined one through the batched solver.
     square = None
-    if n and pinned == solver.pinned_zero_count(n):
+    if n and pinned == pinned_zero_count(n):
         square = solver._newton_square(x_float, phi_float, _FLOAT_TOL, 60, pinned)
     if square is not None:
         x_float, float_rmax, ok, jac_inv = square
@@ -478,14 +478,6 @@ def polish_fixed(rel_phases, phi):
         time.perf_counter() - start,
     )
     return x, _half_t(*a_h, gate)
-
-
-def _fixed(value):
-    """The double ``value`` as a fixed-point integer at 2^PREC: exact when
-    ``value`` is a multiple of 2^-PREC (every double of magnitude at least
-    2^(52 - PREC)), else rounded down; finite doubles never raise."""
-    num, den = float(value).as_integer_ratio()
-    return (num << PREC) // den
 
 
 def _small_cos_sin(d):

@@ -28,8 +28,10 @@ with exact tangents in the phases on request, by the recurrence of
 dominate, and ``analysis``'s range search on a two-half train, so that
 neither loads numpy.  ``_mp_jet_pulse`` is the same pulse on integers in
 the fixed point of ``su2``: ``precise`` composes its 50-digit trains on
-it, and ``analysis.sweep`` a float half, so that each coefficient of its
-t is rounded once.
+it, and ``_float_half_t`` a float half's t for ``analysis.sweep``.  The
+three kernels share one integer zero prefix (``_zero_prefix``), one
+conversion of doubles to the fixed point (``_fixed``) and one held-zero
+count (``pinned_zero_count``).
 """
 
 from __future__ import annotations
@@ -194,12 +196,17 @@ def _held(pinned, n: int) -> int:
     return pinned
 
 
+def pinned_zero_count(n: int) -> int:
+    """Leading zeros of the solver's chart at order n: its manifold's dimension."""
+    return n // 2
+
+
 def _pulse(a, b, r, odd):
     # (A, B~) after one more pi pulse of rotor r = i e^{ip}, one coefficient
     # at a time, with the previous coefficients of A and B~ (0 below u^0)
     # for the products by u: the pulse of ``jets._pulse``, ``odd`` the
     # parity of the pulses already applied.
-    na, nb, low_a, low_b = [], [], 0j, 0j
+    na, nb, low_a, low_b = [], [], 0, 0
     for x, v in zip(a, b):
         na.append(r * (v - low_b).conjugate() - (low_a if odd else x))
         nb.append(-(v if odd else low_b) - r * x.conjugate())
@@ -208,14 +215,28 @@ def _pulse(a, b, r, odd):
 
 
 @lru_cache(maxsize=64)
-def _zero_prefix(length: int, count: int):
-    # (A, B~), ``length`` coefficients each, after pi_0 and ``count`` more
-    # pi_0 pulses: held relative phases of exactly 0 are alike in every
-    # half, so they are composed once.
-    a, b = [1 + 0j] + [0j] * (length - 1), [0j] * length
-    for k in range(count + 1):
-        a, b = _pulse(a, b, 1j, k % 2)
-    return a, b
+def _zero_prefix(length: int, pulses: int):
+    # (A, B~ / i), ``length`` coefficients each, after ``pulses`` pi pulses
+    # of phase exactly 0: alike in every half, so composed once, and read
+    # by all three kernels.  With r = i, A stays real and B~ imaginary, so
+    # ``_pulse`` with r = 1 composes them exactly, on Python ints.
+    a, b = [1] + [0] * (length - 1), [0] * length
+    for k in range(pulses):
+        a, b = _pulse(a, b, 1, k % 2)
+    return tuple(a), tuple(b)
+
+
+@lru_cache(maxsize=64)
+def _float_zero_prefix(length: int, pulses: int):
+    # ``_zero_prefix`` as the doubles (A, B~) of ``half_jets`` and ``jets``;
+    # from 2^1023 on (some 800 pulses) a coefficient is infinite, as the
+    # float recurrence left it.
+    a, b = (
+        [float(x) if x.bit_length() < 1024 else math.inf * (1 if x > 0 else -1)
+         for x in part]
+        for part in _zero_prefix(length, pulses)
+    )
+    return tuple(map(complex, a)), tuple(complex(0, y) for y in b)
 
 
 def half_jets(rel_phases, pinned=None):
@@ -231,7 +252,7 @@ def half_jets(rel_phases, pinned=None):
     n = len(rel_phases)
     held = _held(pinned, n)
     head = min(held, _leading_zeros(rel_phases))
-    a, b = _zero_prefix((n + 1) // 2 + 1, head)
+    a, b = _float_zero_prefix((n + 1) // 2 + 1, head + 1)  # pi_0, held zeros
     # Tangents (dA, dB~) of the free phases already applied.
     tangents = []
     for j in range(head, n):
@@ -257,7 +278,15 @@ def half_jets(rel_phases, pinned=None):
 # --- The same pulse in fixed point -----------------------------------------
 # A real x is the integer floor(x * 2^PREC) (see ``su2``).  ``precise``
 # feeds it rotors of phases rounded at WP bits, ``analysis.sweep`` the
-# doubles' rotors of a float half.
+# doubles' rotors of a float half (``_float_half_t``).
+
+
+def _fixed(value):
+    """The double ``value`` as a fixed-point integer at 2^PREC: exact when
+    ``value`` is a multiple of 2^-PREC (every double of magnitude at least
+    2^(52 - PREC)), else rounded down; finite doubles never raise."""
+    num, den = float(value).as_integer_ratio()
+    return (num << PREC) // den
 
 
 def _mp_jet_pulse(poly, rotor):
@@ -287,16 +316,11 @@ def _mp_jet_pulse(poly, rotor):
 
 @lru_cache(maxsize=64)
 def _mp_zero_prefix(count: int):
-    """The polynomials after ``count`` pi pulses of phase exactly 0, from
-    the identity: leading zeros are alike in every train and the held ones
-    of a polish in every residual evaluation, so they are composed once
-    per count."""
-    poly = ((1 << PREC,), (0,), (), ())
-    # -i e^{i 0}, exactly: no trig.
-    rotor = (0, -(1 << PREC))
-    for _ in range(count):
-        poly = _mp_jet_pulse(poly, rotor)
-    return tuple(tuple(part) for part in poly)
+    """The polynomials after ``count`` pi pulses of phase exactly 0:
+    ``_zero_prefix`` at 2^PREC, B~ trimmed to (count + 1) // 2 terms."""
+    a, b = _zero_prefix(count // 2 + 1, count)
+    a, b = [x << PREC for x in a], [y << PREC for y in b[: (count + 1) // 2]]
+    return tuple(a), (0,) * len(a), (0,) * len(b), tuple(b)
 
 
 def _mp_jet_rotors(zeros, rotors):
@@ -313,3 +337,16 @@ def _half_t(ar, ai, gate):
     from those of A, ``gate`` being the cos and sin of phi/4."""
     c, s = gate
     return tuple((s * r + c * i) >> PREC for r, i in zip(ar, ai))
+
+
+def _float_half_t(phases, phi):
+    """The u-coefficients of t, Im(e^{i phi/4} a_h), of the pi pulses with
+    the double ``phases``, as doubles: composed in fixed point from the
+    doubles' cos and sin, each rounded once.  In doubles every product
+    rounds, and the low t_k, near 0, keep up to 5e-15 of it (T16)."""
+    zeros = _leading_zeros(phases)
+    rotors = [(_fixed(math.sin(p)), -_fixed(math.cos(p))) for p in phases[zeros:]]
+    ar, ai, _, _ = _mp_jet_rotors(zeros, rotors)
+    quarter = 0.25 * phi
+    t = _half_t(ar, ai, (_fixed(math.cos(quarter)), _fixed(math.sin(quarter))))
+    return [math.ldexp(c, -PREC) for c in t]

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import structured_jets
-from .sequences import half_jets
+from .sequences import half_jets, pinned_zero_count
 from .su2 import SolverError
 
 TWO_PI = 2.0 * math.pi
@@ -308,11 +308,6 @@ def _newton_square(phases, phi: float, tol: float, max_iter: int, pinned: int):
             return x, rmax, False, inv
         x = trial
         r, jac = evaluate(x, True)
-
-
-def pinned_zero_count(n: int) -> int:
-    """Dimension of the solution manifold at order n."""
-    return n // 2
 
 
 def solve(config: SolverConfig) -> list[Solution]:

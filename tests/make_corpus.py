@@ -11,9 +11,14 @@ It records, for the program in ``src``:
   of the files seven ``solve --out`` runs write, at orders 2-8 (with the
   text of those files; ``first_entry``), and on 100 seeded inline specs
   (``inline_specs``);
-- ``range`` at five thresholds on the 27 names, with the epsilon0 and the
-  non-monotonic flag that the command prints rounded, at full precision;
-- ``sweep`` on the 27 names on two small grids (``SWEEP_GRIDS``), as the
+- ``range`` at five thresholds on the 27 names, on three polished table
+  rows (``polished_row_specs``) and on a two-half train whose half is
+  longer than a sweep reads through t (``long_half_spec``), with the
+  epsilon0 and the non-monotonic flag that the command prints rounded, at
+  full precision;
+- ``sweep`` on the 27 names, on a train that is not two halves
+  (``OFF_STRUCTURE``) and on that long two-half train, the last two
+  composed as given, on two small grids (``SWEEP_GRIDS``), as the
   fidelities its CSV holds, read back as floats: values, not bytes, since
   numpy's SIMD sin and cos may differ in the last bits between CPUs;
 - the first-half phases (radians, as doubles) of ``catalog.to_sequence``
@@ -68,6 +73,9 @@ CI_SPECS = (
     "phi=1;phases=1e300,1e300",
 )
 INLINE_SEED = 34
+# A train that is not two halves, and the seed of ``long_half_spec``.
+OFF_STRUCTURE = "phi=1;phases=0,0.3,0.3,0.3,0.3,0.5"
+LONG_HALF_SEED = 11
 SOLVES = (
     ("solve", "--order", "2", "--phi", "0.5", "--seeds", "16", "--rng-seed", "1"),
     ("solve", "--order", "4", "--phi", "0.5", "--seeds", "16", "--rng-seed", "1"),
@@ -158,6 +166,27 @@ def row_specs():
 def _spec(phi, phases, fmt):
     """Inline spec of the angle ``phi`` and ``phases`` (units of pi)."""
     return f"phi={phi:.17g};phases=" + ",".join(format(p, fmt) for p in phases)
+
+
+def polished_row_specs():
+    """Three polished table rows, of 10, 12 and 14 pulses, as the 17-digit
+    inline specs of the range benchmark."""
+    rows = catalog.arbitrary_rows()[::5]
+    return [
+        _spec(float(row.phi_over_pi),
+              [float(p) / math.pi
+               for p in catalog.arbitrary_row(row.phi_over_pi, pulses).phases],
+              ".17g")
+        for row, pulses in zip(rows, (10, 12, 14))
+    ]
+
+
+def long_half_spec():
+    """A seeded two-half train at pi/2 whose half has 11 pulses: its sweep
+    composes the train, its range reads the half polynomial."""
+    rng = random.Random(LONG_HALF_SEED)
+    half = [0.0] + [rng.uniform(0, 2) for _ in range(10)]
+    return _spec(0.5, half + [p + 0.75 for p in half], ".17g")
 
 
 def inline_specs():
@@ -294,12 +323,14 @@ def build():
         "verify": [{"gate": gate, **verify_record(gate)} for gate in gates],
         "solve": solves,
         "range": [
-            {"gate": name, "threshold": t, **range_record(name, t)}
-            for name in catalog.names() for t in RANGE_THRESHOLDS
+            {"gate": gate, "threshold": t, **range_record(gate, t)}
+            for gate in [*catalog.names(), *polished_row_specs(), long_half_spec()]
+            for t in RANGE_THRESHOLDS
         ],
         "sweep": [
-            {"gate": name, "grid": list(grid), **sweep_record(name, grid)}
-            for name in catalog.names() for grid in SWEEP_GRIDS
+            {"gate": gate, "grid": list(grid), **sweep_record(gate, grid)}
+            for gate in [*catalog.names(), OFF_STRUCTURE, long_half_spec()]
+            for grid in SWEEP_GRIDS
         ],
         "halves": half_records(),
         "odd": odd,

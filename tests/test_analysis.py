@@ -486,6 +486,15 @@ def test_first_grid_is_linspace():
     assert analysis._GRID_EPS == tuple(np.linspace(0.0, 0.9, 65).tolist())
 
 
+def test_range_of_a_half_past_the_doubles_is_a_numerical_failure():
+    # 900 held zeros: the zero prefix's integer coefficients pass the range
+    # of doubles, which read them as infinite.  The search fails as a
+    # numerical failure, with no OverflowError.
+    seq = structured_sequence([0.0] * 899 + [0.3, 1.1, 0.7], 0.5 * math.pi)
+    with pytest.raises(AnalysisError):
+        high_fidelity_range(seq, 0.2)
+
+
 def test_range_of_a_train_past_a_thousand_pulses_raises_no_warning():
     # 1100 pulses: compose and the scalar evaluator stay finite, and the
     # search returns or fails as a numerical failure, with no warning.

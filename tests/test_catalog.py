@@ -125,13 +125,16 @@ def test_an_exact_phase_after_the_leading_zeros_of_a_decimal_half_is_rejected(ha
      ("order", '"1"', "order '1' is not an integer"),
      ("name", '["X"]', "name ['X'] is not a string"),
      ("name", "7", "name 7 is not a string"),
-     ("source", '["a"]', "source ['a'] is not a string")],
+     ("source", '["a"]', "source ['a'] is not a string"),
+     ("phi_over_pi", '"1/0"', "X: malformed catalog record: Fraction(1, 0)"),
+     ("phases_over_pi", '["0", "1/0", "0", "1.75"]', "X: malformed catalog record")],
 )
 def test_a_record_with_a_malformed_order_name_or_source_is_rejected(field, text, message,
                                                                     tmp_path, capsys):
     # Read as JSON, 1e400 is infinite and int() of it overflows; int(1.9)
-    # would drop the fraction, and a list name or source is unhashable
-    # for the train cache.  Each is invalid input: exit 2 with one error line.
+    # would drop the fraction, a list name or source is unhashable for the
+    # train cache, and Fraction("1/0") raises ZeroDivisionError.  Each is
+    # invalid input: exit 2 with one error line.
     fields = {"name": '"X"', "phi_over_pi": '"1"', "order": "1",
               "phases_over_pi": '["0", "1.75", "0", "1.75"]', field: text}
     path = tmp_path / "bad.json"
@@ -142,6 +145,20 @@ def test_a_record_with_a_malformed_order_name_or_source_is_rejected(field, text,
         assert cli.run([command, "--gate", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and message in err
+
+
+def test_a_catalog_file_nested_too_deeply_is_rejected(tmp_path, capsys):
+    # json.loads recurses once per level: 2000 levels of "[" pass
+    # Python's recursion limit.  Invalid input all the same: exit 2 with
+    # one error line.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 2000)
+    with pytest.raises(CatalogError, match="nested too deeply"):
+        load_catalog(path)
+    for command in ("sweep", "range", "verify"):
+        assert cli.run([command, "--gate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_an_integral_float_order_is_read_as_an_integer():

@@ -73,7 +73,7 @@ def test_cli_outputs_match_the_committed_corpus(tmp_path):
             bad.append(("range", gate, threshold, got, want))
     assert not bad, bad[:5]
     assert len(corpus["verify"]) == 27 + 84 + 10 + 100
-    assert len(corpus["range"]) == 27 * 5
+    assert len(corpus["range"]) == (27 + 3 + 1) * 5
 
 
 def _sweep_mismatch(got, want):
@@ -98,7 +98,7 @@ def test_sweep_values_match_the_committed_corpus():
         if _sweep_mismatch(got, want):
             bad.append((gate, grid, got, want))
     assert not bad, bad[:5]
-    assert len(corpus["sweep"]) == 27 * 2
+    assert len(corpus["sweep"]) == (27 + 2) * 2
 
 
 def test_polished_halves_match_the_committed_corpus():

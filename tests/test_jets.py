@@ -204,12 +204,21 @@ def test_half_jets_match_structured_jets(n):
 
 @pytest.mark.parametrize("length", range(2, 7))
 def test_scalar_zero_prefix_is_the_batched_one(length):
-    # half_jets composes its held zeros on Python scalars: the doubles of
-    # the numpy kernel's prefix (coefficients of 0 and +-1, exact).
-    for count in range(8):
-        want = jets._zero_prefix(length, count)
-        got = sequences._zero_prefix(length, count)
-        assert [row.tolist() for row in want] == [list(values) for values in got]
+    # half_jets and the numpy kernel read their held zeros from one integer
+    # prefix, each as doubles.  Its coefficients are Chebyshev-size integers
+    # (6912 after 12 pulses), exact in doubles, so each view is the
+    # pulse-by-pulse composition of its own kernel.
+    for pulses in range(14):
+        a, b = sequences._zero_prefix(length, pulses)
+        want = jets._zero_prefix(length, pulses)
+        assert want.tolist() == [list(a), [1j * y for y in b]]
+        w = np.zeros((2, length, 1, 1), dtype=complex)
+        w[0, 0] = 1.0
+        sa, sb = [1 + 0j] + [0j] * (length - 1), [0j] * length
+        for k in range(pulses):
+            w = jets._pulse(w, 1j, k % 2)
+            sa, sb = sequences._pulse(sa, sb, 1j, k % 2)
+        assert w[:, :, 0, 0].tolist() == want.tolist() == [sa, sb]
 
 
 @pytest.mark.parametrize("pinned", [-1, 4])
