@@ -18,23 +18,22 @@ tolerance), has the Frobenius infidelity sqrt(2) |s^p t(u)|,
 s = sin(pi eps/2), u = s^2 (see ``solver``): t is real, of degree
 (n + 1) // 2 in u for a half of n + 1 pulses, p the parity of that
 length, and t_k = Im(e^{i phi/4} A_k) with A the half's major-diagonal
-polynomial (``path=half``).  The range search composes A in doubles
-(``sequences.half_jets``), and its grid and Newton iterates evaluate t
-per point on Python floats, with no numpy: ``range`` on a two-half train
-does not load it.  A sweep takes t composed in fixed point, each t_k
-rounded once (``sequences._float_half_t``), and evaluates t by one real
-Horner in u over its numpy grid, with the trace infidelity
-2 (s^p t(u))^2; it does so for a half of at most 9 pulses whose Horner
-terms |t_k| u^k |s|^p sum to at most 1 on the grid, and composes any
-other train.  Neither cancels near fidelity 1.  A train off the
-structure by more than round-off is measured as given, below, not as
-the exact train on its first half.
+polynomial (``path=half``).  For a half of at most 12 pulses the range
+search composes A in doubles (``sequences.half_jets``) and evaluates t
+per point on Python floats, with no numpy.  A sweep takes t composed
+in fixed point, each t_k rounded once (``sequences._float_half_t``),
+and evaluates t by one real Horner in u over its numpy grid, with the
+trace infidelity 2 (s^p t(u))^2; it does so for a half of at most 9
+pulses whose Horner terms |t_k| u^k |s|^p sum to at most 1 on the grid,
+and composes any other train.  Neither cancels near fidelity 1.  A
+train off the structure by more than round-off is measured as given,
+below, not as the exact train on its first half.
 
 Every other train (an odd length, a non-finite phase or angle, phases
 too large to resolve the round-off, a second half off by more than
-1e-12 rad; for a sweep also the long or large halves above) is read as
-given (``path=train``): a sweep is ``compose``
-over its grid, with ``frobenius_fidelity`` and ``trace_fidelity``; the
+1e-12 rad; also the long halves above, and for a sweep the large ones)
+is read as given (``path=train``): a sweep is ``compose`` over its
+grid, with ``frobenius_fidelity`` and ``trace_fidelity``; the
 range search's grid is ``compose`` over the grid's errors, and each
 Newton iterate composes the pair (a, b) and its eps-derivative pulse by
 pulse on Python complex numbers (``_train_at``).  The range reads the
@@ -54,8 +53,9 @@ time in numpy.  A value whose "%.17g" is in fixed notation, decimal
 exponent X in [-4, 15], has the 17 digits N = round-half-even(|x|
 10^(16-X)), found exactly with Dekker's error-free product; X comes from
 a table of the smallest double at each exponent, and the digits from a
-4-digit lookup table.  One gather per field lays them out.  Other values
-(0, -0, tiny, huge, nan, inf) are formatted one by one.
+4-digit lookup table.  Each value fills fixed NUL-padded slots, and one
+``bytes.translate`` deletes the padding.  Other values (0, -0, tiny,
+huge, nan, inf, a point inside the digits) are formatted one by one.
 """
 
 from __future__ import annotations
@@ -230,19 +230,14 @@ def write_csv(profile: FidelityProfile, path) -> None:
 
 
 _CSV_HEADER = b"epsilon,frobenius_fidelity,trace_fidelity\n"
-# Rows encoded per numpy pass.  It bounds the temporaries, about 0.5 kB
+# Rows encoded per numpy pass.  It bounds the temporaries, about 0.25 kB
 # a value, whatever the step count, and keeps them in cache: 512-row
 # blocks encoded 801 and 4001 rows faster than 256 or 1024.
 _CSV_BLOCK_ROWS = 512
 # Decimal exponents X encoded in numpy.  "%.17g" is in fixed notation
 # for X in [-4, 16]; X = 16 and every X outside is formatted on its own.
 _FIXED_MIN, _FIXED_MAX = -4, 15
-_FIELD = 24  # widest field: "-0.000", 17 digits, separator
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into halves
-# Byte offsets in a value's 32-byte source row: "-0.0" (word 0), "00",
-# the separator and the first digit (word 1), four groups of four digits
-# (words 2-5), NUL (words 6-7).  The point at 2 also serves X >= 0.
-_MINUS, _ZERO, _POINT, _LEAD, _SEP, _DIGIT0, _NUL = 0, 1, 2, 3, 6, 7, 24
 
 
 @lru_cache(maxsize=None)
@@ -253,13 +248,15 @@ def _csv_tables():
       rounding is at least 10^X; the decimal exponent of |x| is the
       number of them at or below |x|, less 5.
     - ``digits``: the four ASCII digits of 0..9999 as one uint32 each.
-    - ``word1``: source word 1 for first digit d, index d (comma) or
-      d + 10 (newline).
     - ``sig_len``: at [j, g], the count of N's leading digits through
       the last nonzero digit of group j of N when that group is g (1
       when g is 0).  The maximum over j is N's significant digits m.
-    - ``gather``: row ((X + 4) 2 + negative) 17 + m - 1 lists the
-      source bytes of a field with m significant digits, NUL-padded.
+    - ``heads``, ``head_len``: at key (X + 4) 2 + negative, a field's
+      first 8 bytes as one uint64, its sign and "0.000" lead right-aligned
+      in bytes 0-6 and NUL elsewhere, and that lead's length; ``firsts``:
+      digit d in byte 7, index d.
+    - ``keep``: at [j, k], the byte mask of digit word j (digits 2-17)
+      that keeps the first k digits of N.  ``seps``: "," and "\\n" words.
     - ``pow10``: 10^k and its Dekker halves, k = 0..20, rows 0-2.
     """
     import numpy as np
@@ -274,30 +271,20 @@ def _csv_tables():
     g = np.arange(10000, dtype=np.int16)
     places = g[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
     digits = (places + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-    word1 = np.frombuffer(
-        bytes(c for sep in b",\n" for d in b"0123456789" for c in b"00" + bytes((sep, d))),
-        np.uint32,
-    )
     last = (4 - np.argmax(places[:, ::-1] != 0, axis=1)).astype(np.uint8)
     sig_len = np.where(g != 0, last + np.arange(1, 17, 4, dtype=np.uint8)[:, None], 1)
-    d = list(range(_DIGIT0, _DIGIT0 + 17))
-    rows = []
-    for x in range(_FIXED_MIN, _FIXED_MAX + 1):
-        for negative in (False, True):
-            for m in range(1, 18):
-                row = [_MINUS] if negative else []
-                if x < 0:
-                    row += [_ZERO, _POINT] + [_LEAD] * (-x - 1) + d[:m]
-                else:
-                    row += d[: x + 1]
-                    if m > x + 1:
-                        row += [_POINT] + d[x + 1 : m]
-                row.append(_SEP)
-                rows.append(row + [_NUL] * (_FIELD - len(row)))
+    leads = [b"-" * negative + (b"0." + b"0" * (-x - 1) if x < 0 else b"")
+             for x in range(_FIXED_MIN, _FIXED_MAX + 1) for negative in (0, 1)]
+    heads = np.frombuffer(b"".join(lead.rjust(7, b"\0") + b"\0" for lead in leads), np.uint64)
+    firsts = np.frombuffer(b"".join(b"\0" * 7 + bytes((d,)) for d in b"0123456789"), np.uint64)
+    keep = np.frombuffer(
+        b"".join((b"\xff" * (k - 1)).ljust(16, b"\0") for k in range(18)), np.uint32
+    ).reshape(18, 4).T.copy()
     pow10 = np.array([float(10**k) for k in range(17 - _FIXED_MIN)])
     big = pow10 * _SPLIT
     high = big - (big - pow10)
-    tables = (np.array(lows), digits, word1, sig_len, np.array(rows, dtype=np.intp),
+    tables = (np.array(lows), digits, sig_len, heads, firsts, np.array(list(map(len, leads))),
+              keep, np.frombuffer(b",\0\0\0\n\0\0\0", np.uint32),
               np.stack((pow10, high, pow10 - high)))
     for table in tables:
         table.flags.writeable = False
@@ -308,31 +295,30 @@ def _encode_block(table: FloatArray) -> bytes:
     """The bytes of "%.17g" of every value of ``table`` (rows, cols), each
     followed by a comma, or by a newline at the end of a row.
 
-    A value whose decimal exponent X is in [-4, 15] is encoded in numpy:
-    its 17 digits are N = round-half-even(|x| 10^k), k = 16 - X <= 20,
-    found exactly.  10^k is a double, and Dekker's product gives p + e =
-    |x| 10^k with p = fl(|x| 10^k) >= 2^53 an even integer, so N is p
-    plus e rounded half to even.  Each field is one gather of its 32-byte
-    source row into a NUL-padded 24-byte row, which drops the sign, the
-    "0.000" lead, trailing zeros and a bare point where they do not
-    belong.  Any other value (0, -0, |x| < 1e-4, |x| >= 1e16, nan, inf)
-    is formatted with "%.17g" on its own.
+    A value of decimal exponent X in [-4, 15], X < 0 or an integer, is
+    encoded in numpy: its 17 digits are N = round-half-even(|x| 10^k),
+    k = 16 - X <= 20, found exactly.  10^k is a double, and Dekker's
+    product gives p + e = |x| 10^k with p = fl(|x| 10^k) >= 2^53 an even
+    integer, so N is p plus e rounded half to even.  It fills seven uint32
+    words: the sign and "0.000" lead right-aligned in bytes 0-6 and the
+    first digit in byte 7; the other 16 digits, NUL past the m significant
+    (X + 1 for an integer); the separator.  One ``bytes.translate`` drops
+    the NULs.  Any other value (0, -0, |x| < 1e-4, |x| >= 1e16, nan, inf,
+    a point inside the digits) is formatted with "%.17g" and spliced in.
     """
     import numpy as np
 
-    lows, digits, word1, sig_len, gather, pow10 = _csv_tables()
+    lows, digits, sig_len, heads, firsts, head_len, keep, seps, pow10 = _csv_tables()
     cols = table.shape[1]
     vals = table.ravel()
-    count = len(vals)
-    newline = np.tile(np.arange(cols) == cols - 1, count // cols)
     a = np.abs(vals)
     x = np.searchsorted(lows, a, side="right") + (_FIXED_MIN - 1)
-    slow = np.flatnonzero((x < _FIXED_MIN) | (x > _FIXED_MAX))
+    unfixed = (x < _FIXED_MIN) | (x > _FIXED_MAX)
     # 1.0 stands in for these, so the arithmetic raises no warning; the
     # fallback below replaces their fields.
-    a[slow] = 1.0
-    x[slow] = 0
-    b, bh, bl = pow10[:, 16 - x]
+    a[unfixed] = 1.0
+    x[unfixed] = 0
+    b, bh, bl = pow10.take(16 - x, axis=1)
     p = a * b
     big = a * _SPLIT
     ah = big - (big - a)
@@ -347,22 +333,28 @@ def _encode_block(table: FloatArray) -> bytes:
     g1 = r - q * 10000
     d0 = q // 10000
     g0 = q - d0 * 10000
-    src = np.zeros((count, 8), np.uint32)
-    src[:, 0] = np.frombuffer(b"-0.0", np.uint32)[0]
-    src[:, 1] = word1[d0 + 10 * newline]
-    src[:, 2] = digits[g0]
-    src[:, 3] = digits[g1]
-    src[:, 4] = digits[g2]
-    src[:, 5] = digits[g3]
-    m = np.maximum(np.maximum(sig_len[0, g0], sig_len[1, g1]),
-                   np.maximum(sig_len[2, g2], sig_len[3, g3]))
-    key = ((x - _FIXED_MIN) * 2 + (vals < 0)) * 17 + (m - 1)
-    idx = gather.take(key, axis=0)
-    idx += np.arange(0, 32 * count, 32)[:, None]
-    fields = src.view(np.uint8).ravel().take(idx)
-    parts = fields.view(f"S{_FIELD}").ravel().tolist()
-    for i, v in zip(slow.tolist(), vals[slow].tolist()):
-        parts[i] = b"%.17g%s" % (v, b"\n" if newline[i] else b",")
+    m = np.maximum(np.maximum(sig_len[0].take(g0), sig_len[1].take(g1)),
+                   np.maximum(sig_len[2].take(g2), sig_len[3].take(g3)))
+    shown = np.where(x < 0, m, x + 1)
+    slow = np.flatnonzero(unfixed | (m > shown))
+    key = (x - _FIXED_MIN) * 2 + (vals < 0)
+    src = np.empty((len(vals), 7), np.uint32)
+    src[:, :2].view(np.uint64)[:, 0] = heads.take(key) | firsts.take(d0)
+    for j, group in enumerate((g0, g1, g2, g3)):
+        np.bitwise_and(digits.take(group), keep[j].take(shown), out=src[:, 2 + j])
+    src[:, 6] = seps[0]
+    src[cols - 1::cols, 6] = seps[1]
+    src[slow] = 0
+    data = src.tobytes().translate(None, b"\0")
+    if not len(slow):
+        return data
+    width = head_len.take(key) + shown + 1
+    width[slow] = 0
+    parts, end = [], 0
+    for i, start, v in zip(slow.tolist(), np.cumsum(width)[slow].tolist(), vals[slow].tolist()):
+        parts += (data[end:start], b"%.17g%s" % (v, b"\n" if i % cols == cols - 1 else b","))
+        end = start
+    parts.append(data[end:])
     return b"".join(parts)
 
 
@@ -387,10 +379,17 @@ _GRID_U = tuple(s * s for s in _GRID_S)
 # more takes the train path, which measures the train as given.
 _ROUND_OFF = 1e-12
 _SQRT2 = math.sqrt(2.0)
+# The longest half the range search reads through t: along held zeros t's
+# coefficients grow like Chebyshev's and cancel in doubles.  Against the
+# 60-digit crossing at thresholds 0.2 to 1e-8, eps0's half-path error was
+# within 0.07 of the train path's error bound up to 12 pulses, 0.16 at 13,
+# 0.93 at 15 and 7.4 at 18 (README, Range).  Catalog halves have at most 9.
+_RANGE_HALF = 12
 
 
 def _half_polynomial(seq: CompositeSequence):
-    """(t, p) of a train that is two halves to round-off, else None.
+    """(t, p) of a train that is two halves to round-off, else None; also
+    None for a half longer than _RANGE_HALF.
 
     The second half must be the first shifted by pi - phi/2 within
     _ROUND_OFF.  Then (``solver``) the Frobenius infidelity is exactly
@@ -401,7 +400,7 @@ def _half_polynomial(seq: CompositeSequence):
     phase of the half leaves a_h as it is.
     """
     half = first_half(seq, _ROUND_OFF)
-    if half is None:
+    if half is None or len(half) > _RANGE_HALF:
         return None
     lead = float(half[0])
     a = half_jets([float(p) - lead for p in half[1:]])[0]
@@ -502,13 +501,14 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
     [0, _EPS_MAX] that reaches it.
 
     A train that is two halves to round-off, its second half its first
-    shifted by pi - phi/2 within _ROUND_OFF = 1e-12 rad, reads the real
-    polynomial t of its half (``_half_polynomial``): on the grid through
-    ``_half_grid``, at the Newton iterates through ``_half_at``, on Python
-    floats, with no numpy.  Any other train (an odd length, a phase too
-    large for ``first_half`` to resolve the round-off, a second half off by
-    more) is read as given: on the grid through ``compose``, at the
-    iterates through ``_train_at``.  A grid of _CELLS cells finds the first
+    shifted by pi - phi/2 within _ROUND_OFF = 1e-12 rad, with a half of
+    at most _RANGE_HALF pulses, reads the real polynomial t of its half
+    (``_half_polynomial``): on the grid through ``_half_grid``, at the
+    Newton iterates through ``_half_at``, on Python floats, with no numpy.
+    Any other train (an odd length, a phase too large for ``first_half``
+    to resolve the round-off, a second half off by more, a longer half) is
+    read as given: on the grid through ``compose``, at the iterates
+    through ``_train_at``.  A grid of _CELLS cells finds the first
     cell whose right end reaches the threshold; safeguarded Newton on
     (infidelity - threshold) refines the crossing in that cell, bisecting
     whenever a step would leave the bracket.  Flagged when the grid is

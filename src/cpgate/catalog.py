@@ -43,9 +43,20 @@ from importlib import resources
 from .sequences import _leading_zeros, first_half, pinned_zero_count, structured_train
 from .su2 import CompositeSequence, polish_result
 
+# The longest CatalogError message: a rejected record or value that it
+# quotes, nested or sized at will, still leaves one short error line.
+_MESSAGE_MAX = 160
+
+
 class CatalogError(KeyError):
-    # The message alone, without the quotes KeyError puts around it.
+    # The message alone, without the quotes KeyError puts around it, cut
+    # to _MESSAGE_MAX characters.
     __str__ = Exception.__str__
+
+    def __init__(self, message: str):
+        if len(message) > _MESSAGE_MAX:
+            message = message[: _MESSAGE_MAX - 3] + "..."
+        super().__init__(message)
 
 
 @dataclass(frozen=True)

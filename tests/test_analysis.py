@@ -35,6 +35,7 @@ from cpgate.sequences import (
 )
 from cpgate.su2 import AnalysisError, CompositeSequence, order_from_slope, target_gate
 
+from make_corpus import long_half_spec
 from mp_oracle import mp_propagator
 from order_oracle import closed_form_epsilon0, closed_form_fidelity
 
@@ -199,6 +200,41 @@ def test_csv_bytes_across_blocks_of_rows():
     rows = 2 * analysis._CSV_BLOCK_ROWS + 7
     bits = rng.integers(0, 2**64, size=3 * rows, dtype=np.uint64)
     table = bits.view(np.float64).reshape(rows, 3)
+    assert _csv_bytes_of(table) == _csv_row_by_row(table.tolist())
+
+
+def test_csv_bytes_of_integers_in_fixed_notation_keep_their_zeros():
+    # An integer shows X + 1 digits, its trailing zeros included.
+    values = []
+    for v in (10.0, 100.0, 120.0, 1e6, 1e15, 1.0, 7.0, 2**53 / 16):
+        values += _neighbours(v, 2)
+    values += [-v for v in values]
+    values += [0.0] * (-len(values) % 3)
+    rows = np.reshape(values, (-1, 3)).tolist()
+    assert _csv_bytes_of(rows) == _csv_row_by_row(rows)
+
+
+def test_csv_bytes_with_the_point_inside_the_digits():
+    # "%.17g" of these puts the point after digit X + 1 for X = 0..15: each
+    # value is formatted on its own and spliced between encoded ones.
+    digits = "12345678901234567"
+    inside = [float(digits[:x + 1] + "." + digits[x + 1:]) for x in range(16)]
+    inside += [float(f"{10**x}.5") for x in range(16)]
+    values = [v for x in inside for v in (x, 0.25, -x, 1e-3)]
+    values += [0.0] * (-len(values) % 3)
+    rows = np.reshape(values, (-1, 3)).tolist()
+    assert _csv_bytes_of(rows) == _csv_row_by_row(rows)
+
+
+@pytest.mark.parametrize("rows", [1, analysis._CSV_BLOCK_ROWS, analysis._CSV_BLOCK_ROWS + 1])
+def test_csv_bytes_of_one_row_and_of_a_block_boundary(rows):
+    # Values of either sign from 1e-5 to 1e17, a fifth of them integers:
+    # every lead, encoded fields and fallbacks, over a single row, a whole
+    # block and one row past it.
+    rng = np.random.default_rng(rows)
+    table = rng.choice((-1.0, 1.0), (rows, 3)) * 10.0 ** rng.uniform(-5, 17, (rows, 3))
+    integers = rng.random((rows, 3)) < 0.2
+    table[integers] = np.round(table[integers])
     assert _csv_bytes_of(table) == _csv_row_by_row(table.tolist())
 
 
@@ -486,13 +522,16 @@ def test_first_grid_is_linspace():
     assert analysis._GRID_EPS == tuple(np.linspace(0.0, 0.9, 65).tolist())
 
 
-def test_range_of_a_half_past_the_doubles_is_a_numerical_failure():
+def test_range_of_a_half_past_the_doubles_reads_the_train(caplog):
     # 900 held zeros: the zero prefix's integer coefficients pass the range
-    # of doubles, which read them as infinite.  The search fails as a
-    # numerical failure, with no OverflowError.
+    # of doubles, which read them as infinite.  The half is longer than
+    # _RANGE_HALF, so the search reads the train as given and finds its
+    # range, with no OverflowError and no warning.
     seq = structured_sequence([0.0] * 899 + [0.3, 1.1, 0.7], 0.5 * math.pi)
-    with pytest.raises(AnalysisError):
-        high_fidelity_range(seq, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _range_record(caplog, seq, 0.2)["path"] == "train"
+        assert 0.0 < high_fidelity_range(seq, 0.2).epsilon0 < analysis._EPS_MAX
 
 
 def test_range_of_a_train_past_a_thousand_pulses_raises_no_warning():
@@ -718,6 +757,42 @@ def test_train_path_range_matches_a_60_digit_root_off_the_structure(caplog):
                 slope = mp.diff(f, root)
                 bound = 5e-14 * root + 4e-16 * len(seq) / slope
                 assert abs(x - root) <= bound, (seq.label, threshold)
+
+
+def test_range_reads_the_half_polynomial_up_to_the_longest_half(caplog):
+    # The corpus's seeded 11-pulse half and a half of _RANGE_HALF pulses
+    # read t; one pulse more takes the train path.
+    assert _range_record(caplog, spec_parse(long_half_spec()), 0.2)["path"] == "half"
+    for pulses, path in ((analysis._RANGE_HALF, "half"), (analysis._RANGE_HALF + 1, "train")):
+        rel = [0.0] * (pulses - 4) + [0.3 * math.pi, 1.1 * math.pi, 0.7 * math.pi]
+        seq = structured_sequence(rel, 0.5 * math.pi)
+        assert len(first_half(seq, 1e-12)) == pulses
+        assert _range_record(caplog, seq, 0.2)["path"] == path
+
+
+@pytest.mark.parametrize("zeros", [90, 130, 200])
+def test_range_of_a_long_half_matches_the_60_digit_crossing(zeros, caplog, capsys):
+    # A half of held zeros then 0.3, 1.1, 0.7 (units of pi): along the
+    # zeros its u-coefficients grow like Chebyshev's, and t composed in
+    # doubles cancelled (eps0 = 0.26042 at 90 zeros against 0.3025).  A
+    # half longer than _RANGE_HALF takes the train path.  The reference is
+    # the first crossing at 60 digits on the search's grid.
+    half = [0.0] * zeros + [0.3, 1.1, 0.7]
+    spec = "phi=0.5;phases=" + ",".join(
+        format(p, ".17g") for p in half + [p + 0.75 for p in half])
+    seq = spec_parse(spec)
+    assert len(first_half(seq, 1e-12)) > analysis._RANGE_HALF
+    assert _range_record(caplog, seq, 0.2)["path"] == "train"
+    threshold = mp.mpf(0.2)
+    with mp.workdps(60):
+        fa = mp.expj(-mp.mpf(seq.target_phi) / 2)
+        grid = [mp.sqrt((abs(a - fa) ** 2 + abs(b) ** 2) / 2)
+                for a, b in mp_propagator(seq.phases, analysis._GRID_EPS)]
+        k = next(k for k, v in enumerate(grid) if v >= threshold)
+        f = functools.partial(_excess, seq.phases, fa, threshold)
+        root = mp.findroot(f, analysis._GRID_EPS[k - 1:k + 1], solver="anderson")
+    assert run(["range", "--gate", spec, "--threshold", "0.2"]) == 0
+    assert capsys.readouterr().out.startswith(f"epsilon0 = {float(root):.5f}, ")
 
 
 def _failed_range_record(caplog, seq, threshold):

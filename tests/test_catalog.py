@@ -161,6 +161,35 @@ def test_a_catalog_file_nested_too_deeply_is_rejected(tmp_path, capsys):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def _record(**fields):
+    return json.dumps([{"name": "X", "phi_over_pi": "1", "order": 1,
+                        "phases_over_pi": ["0", "1.75", "0", "1.75"], **fields}])
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["[" * 900 + "]" * 900,
+     _record(name=list(range(5000))),
+     _record(order="1" * 5000),
+     _record(name="N" * 5000, phases_over_pi=["0", "1.75", "0"]),
+     _record(phases_over_pi=["0", "1.75", "0", "9" * 1000]),
+     _record(phases_over_pi=["0", "1.75", "0", "x" * 5000])],
+    ids=["nested-900-deep", "long-list-name", "long-string-order", "long-name",
+         "long-phase", "long-bad-phase"],
+)
+def test_a_rejected_record_of_any_size_leaves_one_short_error_line(content, tmp_path, capsys):
+    # The message is cut to 160 characters, whatever of the record it
+    # quotes: a list nested 900 deep, which json.loads still parses, once
+    # printed 1.8 kB of brackets.
+    path = tmp_path / "big.json"
+    path.write_text(content)
+    for command in ("sweep", "range", "verify"):
+        assert cli.run([command, "--gate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+
 def test_an_integral_float_order_is_read_as_an_integer():
     record = entry_to_dict(get("Z4"))
     assert entry_from_dict({**record, "order": 1.0}) == entry_from_dict(record)
