@@ -35,17 +35,17 @@ too large to resolve the round-off, a second half off by more than
 is read as given (``path=train``): a sweep is ``compose`` over its
 grid, with ``frobenius_fidelity`` and ``trace_fidelity``; the
 range search's grid is ``compose`` over the grid's errors, and each
-Newton iterate composes the pair (a, b) and its eps-derivative pulse by
-pulse on Python complex numbers (``_train_at``).  The range reads the
-distance sqrt((|a - fa|^2 + |b|^2) / 2), which does not cancel at small
+secant iterate composes the pair (a, b) pulse by pulse on Python complex
+numbers (``_train_at``).  The range reads the distance
+sqrt((|a - fa|^2 + |b|^2) / 2), which does not cancel at small
 infidelity.  numpy is imported where it runs: in this branch, ``compose``,
 the fidelities, ``sweep`` and the CSV encoder.
 
 Both paths share the range search: a 64-cell grid on [0, 0.9] finds the
-first cell where the Frobenius infidelity reaches the threshold, and
-safeguarded Newton refines the crossing there.  Each sweep and each
-search logs one DEBUG record under ``cpgate.analysis`` with the path it
-took (``path=half`` or ``path=train``).
+first cell where the Frobenius infidelity reaches the threshold, and a
+safeguarded secant, on values alone, refines the crossing there.  Each
+sweep and each search logs one DEBUG record under ``cpgate.analysis``
+with the path it took (``path=half`` or ``path=train``).
 
 A sweep's CSV (``csv_bytes``, behind ``write_csv`` and the CLI's stdout)
 holds the bytes of "%.17g" of every value, encoded a block of rows at a
@@ -361,11 +361,11 @@ def _encode_block(table: FloatArray) -> bytes:
 _CELLS = 64
 _EPS_MAX = 0.9
 _MONOTONE_SLACK = 1e-12
-# Cap on the Newton evaluations: bisection alone shrinks a first-grid
+# Cap on the secant evaluations: bisection alone shrinks a first-grid
 # cell (0.9/64 wide) to adjacent floats in fewer.
-_NEWTON_STEPS = 64
-# Relative step after which one more Newton step would be at rounding level.
-_NEWTON_DONE = math.sqrt(sys.float_info.epsilon)
+_SECANT_STEPS = 64
+# Relative step at which the secant stops: a few units in the last place.
+_SECANT_DONE = 4.0 * sys.float_info.epsilon
 # The first grid of the range search, _CELLS + 1 points on [0, _EPS_MAX]
 # (np.linspace's), and s = sin(pi eps/2) and u = s^2 there, for the half
 # polynomial.
@@ -439,60 +439,34 @@ def _half_grid(t, p) -> list[float]:
     return vals
 
 
-def _half_at(t, p, eps: float):
-    """(infidelity, d infidelity/deps) of ``_half_polynomial``'s (t, p) at
-    one float ``eps``: sqrt(2) |q| with q = s^p t(s^2), and its derivative
-    sqrt(2) sign(q) (pi/2) cos(pi eps/2) dq/ds, where
-    dq/ds = p s^(p-1) t(u) + 2 s^(p+1) t'(u).  Horner gives t and t'
-    together.
-    """
-    angle = 0.5 * math.pi * eps
-    s = math.sin(angle)
+def _half_at(t, p, eps: float) -> float:
+    """sqrt(2) |s^p t(u)| of ``_half_polynomial``'s (t, p) at one float
+    ``eps``, s = sin(pi eps/2) and u = s^2: one Horner in u."""
+    s = math.sin(0.5 * math.pi * eps)
     u = s * s
-    q = dq = 0.0
+    q = 0.0
     for c in reversed(t):
-        dq = dq * u + q
         q = q * u + c
-    if p:
-        q, dq = s * q, q + 2.0 * u * dq
-    else:
-        dq = 2.0 * s * dq
-    if q == 0.0:
-        return 0.0, 0.0
-    slope = _SQRT2 * 0.5 * math.pi * math.cos(angle) * dq
-    return _SQRT2 * abs(q), slope if q > 0.0 else -slope
+    return _SQRT2 * abs(s * q if p else q)
 
 
-def _train_at(pulses, fa, eps: float):
-    """(infidelity, d infidelity/deps) of the train as given at one float
-    ``eps``, from its pulse factors -i e^{ip} as Python complex numbers.
+def _train_at(pulses, fa, eps: float) -> float:
+    """The Frobenius infidelity of the train as given at one float ``eps``,
+    from its pulse factors -i e^{ip} as Python complex numbers.
 
     A pulse is (c, -i e^{ip} s), c = cos(theta) and s = sin(theta) with
-    theta = pi(1+eps)/2, composed from the left as in ``compose``, and the
-    eps-derivatives (da, db) are composed alongside by the product rule.
-    The distance is the product form sqrt((|a - fa|^2 + |b|^2) / 2): no
+    theta = pi(1+eps)/2, composed from the left as in ``compose``.  The
+    distance is the product form sqrt((|a - fa|^2 + |b|^2) / 2): no
     cancellation.
     """
     theta = 0.5 * math.pi * (1.0 + eps)
     c, s = math.cos(theta), math.sin(theta)
-    dc, ds = -0.5 * math.pi * s, 0.5 * math.pi * c
     first, *rest = pulses
-    a, b, da, db = complex(c), first * s, complex(dc), first * ds
+    a, b = complex(c), first * s
     for h in rest:
-        pb, dpb = h * s, h * ds
-        ac, bc = a.conjugate(), b.conjugate()
-        a, b, da, db = (
-            c * a - pb * bc,
-            c * b + pb * ac,
-            dc * a + c * da - dpb * bc - pb * db.conjugate(),
-            dc * b + c * db + dpb * ac + pb * da.conjugate(),
-        )
-    diff = a - fa
-    dist = math.sqrt(0.5 * (abs(diff) ** 2 + abs(b) ** 2))
-    d = 0.0 if dist == 0.0 else 0.5 * (
-        (diff.conjugate() * da).real + (b.conjugate() * db).real
-    ) / dist
-    return dist, d
+        pb = h * s
+        a, b = c * a - pb * b.conjugate(), c * b + pb * a.conjugate()
+    return math.sqrt(0.5 * (abs(a - fa) ** 2 + abs(b) ** 2))
 
 
 def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> ErrorRange:
@@ -504,14 +478,17 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
     shifted by pi - phi/2 within _ROUND_OFF = 1e-12 rad, with a half of
     at most _RANGE_HALF pulses, reads the real polynomial t of its half
     (``_half_polynomial``): on the grid through ``_half_grid``, at the
-    Newton iterates through ``_half_at``, on Python floats, with no numpy.
+    secant iterates through ``_half_at``, on Python floats, with no numpy.
     Any other train (an odd length, a phase too large for ``first_half``
     to resolve the round-off, a second half off by more, a longer half) is
     read as given: on the grid through ``compose``, at the iterates
     through ``_train_at``.  A grid of _CELLS cells finds the first
-    cell whose right end reaches the threshold; safeguarded Newton on
-    (infidelity - threshold) refines the crossing in that cell, bisecting
-    whenever a step would leave the bracket.  Flagged when the grid is
+    cell whose right end reaches the threshold; a secant on
+    f = infidelity - threshold refines the crossing in that cell, from
+    the chord's crossing, taking the bracket's midpoint whenever a step
+    would leave it, and stops at a step of at most _SECANT_DONE times the
+    iterate: f = 0, or f equal at the last two points, proposes none.
+    Both evaluators return the infidelity alone.  Flagged when the grid is
     not nondecreasing within _MONOTONE_SLACK.  Logs one DEBUG record
     under ``cpgate.analysis``, with the path taken (half or train), also
     when the search fails: then with the infidelity that failed it, at
@@ -547,24 +524,26 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
         raise AnalysisError(f"infidelity stays below threshold up to eps = {_EPS_MAX}")
     flagged = any(w - v < -_MONOTONE_SLACK for v, w in zip(vals, vals[1:]))
     lo, hi = _GRID_EPS[k - 1], _GRID_EPS[k]
-    # The bracket keeps infidelity(lo) < threshold <= infidelity(hi); the
-    # first iterate is the chord's crossing.
+    # f = infidelity - threshold.  The bracket keeps f(lo) < 0 <= f(hi);
+    # the first iterate is the chord's crossing, each later one the secant
+    # through the last two points (the cell's right end before the first),
+    # or the bracket's midpoint where the secant leaves the bracket.
+    x0, f0 = hi, vals[k] - threshold
     x = lo + (hi - lo) * ((threshold - vals[k - 1]) / (vals[k] - vals[k - 1]))
-    for evals in range(1, _NEWTON_STEPS + 1):
-        dist, d = at(x)
-        excess = dist - threshold
-        if excess < 0.0:
+    for evals in range(1, _SECANT_STEPS + 1):
+        f = at(x) - threshold
+        if f < 0.0:
             lo = x
         else:
             hi = x
-        step = excess / d if d else math.inf
+        # Where f repeats its last value it reads its rounding: a flat
+        # secant moves x no further.
+        step = f * (x - x0) / (f - f0) if f != f0 else 0.0
+        x0, f0 = x, f
         if not lo <= x - step <= hi:
-            x = 0.5 * (lo + hi)
-            continue
+            step = x - 0.5 * (lo + hi)
         x -= step
-        if abs(step) <= _NEWTON_DONE * x:
-            # Newton converges quadratically: after this step the error is
-            # of order step^2, below the rounding of the infidelity.
+        if abs(step) <= _SECANT_DONE * x:
             break
     _log.debug(
         "range path=%s threshold=%.3g cell=%d evals=%d step=%.3g flagged=%s",

@@ -59,6 +59,13 @@ class CatalogError(KeyError):
         super().__init__(message)
 
 
+def shown_name(name: str) -> str:
+    """``name`` as a message writes it: as it is where it is printable,
+    else its repr, so that a newline or a terminal escape in a record's
+    name leaves one plain error line."""
+    return name if name.isprintable() else repr(name)
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """One published pulse train: phases in units of pi, plus its quoted
@@ -182,7 +189,7 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bo
         rel = [float(f) * math.pi for f in rel]
         if any(exact[_leading_zeros(rel):]):
             raise CatalogError(
-                f"{label}: an exact phase after the leading zeros of a half "
+                f"{shown_name(label)}: an exact phase after the leading zeros of a half "
                 "with decimal phases would be polished"
             )
         stored = _stored_polishes().get((str(phi_over_pi), tuple(rel_strings)))
@@ -205,11 +212,12 @@ def _entry_train(entry: CatalogEntry, refine: bool):
     )
     if first_half(train) is None:
         raise CatalogError(
-            f"{entry.name}: the second half is not the first shifted by pi - phi/2"
+            f"{shown_name(entry.name)}: the second half is not the first shifted by "
+            "pi - phi/2"
         )
     half = entry.phase_strings[: entry.order + 1]
     if Fraction(half[0]) != 0:
-        raise CatalogError(f"{entry.name}: first phase must be 0")
+        raise CatalogError(f"{shown_name(entry.name)}: first phase must be 0")
     return _build_structured(half[1:], entry.phi_over_pi, entry.name, refine)
 
 
@@ -289,16 +297,17 @@ def entry_from_dict(d: dict) -> CatalogEntry:
         # The entry is hashed (the train cache): a list here would not be.
         if not isinstance(d.get(key, ""), str):
             raise CatalogError(f"catalog record {key} {d[key]!r} is not a string")
+    name = shown_name(d["name"])
     order = d["order"]
     if type(order) is float and order.is_integer():
         order = int(order)
     if type(order) is not int:
-        raise CatalogError(f"{d['name']}: order {d['order']!r} is not an integer")
+        raise CatalogError(f"{name}: order {d['order']!r} is not an integer")
     if not isinstance(d["phases_over_pi"], list):
-        raise CatalogError(f"{d['name']}: phases_over_pi is not a list")
+        raise CatalogError(f"{name}: phases_over_pi is not a list")
     rng = d.get("quoted_range_over_pi") or [math.nan, math.nan]
     if not isinstance(rng, list) or len(rng) != 2:
-        raise CatalogError(f"{d['name']}: quoted_range_over_pi is not a pair")
+        raise CatalogError(f"{name}: quoted_range_over_pi is not a pair")
     phases = [str(s) for s in d["phases_over_pi"]]
     try:
         entry = CatalogEntry(
@@ -311,16 +320,16 @@ def entry_from_dict(d: dict) -> CatalogEntry:
             source=d.get("source", "paper-table"),
         )
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CatalogError(f"{d['name']}: malformed catalog record: {exc}") from exc
+        raise CatalogError(f"{name}: malformed catalog record: {exc}") from exc
     if entry.order < 0 or entry.pulse_count != 2 * (entry.order + 1):
         raise CatalogError(
-            f"{entry.name}: order {entry.order} needs 2(order + 1) phases, "
+            f"{name}: order {entry.order} needs 2(order + 1) phases, "
             f"not {entry.pulse_count}"
         )
     texts = (str(d["phi_over_pi"]), *phases)
     for text, value in zip(texts, (entry.phi_over_pi, *entry.phases_over_pi)):
         if not _finite_radians(value):
-            raise CatalogError(f"{entry.name}: angle {text} pi is not a finite double")
+            raise CatalogError(f"{name}: angle {text} pi is not a finite double")
     return entry
 
 
@@ -333,12 +342,18 @@ def _finite_radians(value: Fraction) -> bool:
         return False
 
 
+def catalog_json(entry_list) -> str:
+    """The JSON text of ``entry_list``, one record per entry, indented,
+    with no final newline: what ``save_catalog`` writes and ``solve``
+    prints."""
+    return json.dumps([entry_to_dict(e) for e in entry_list], indent=2, allow_nan=False)
+
+
 def save_catalog(entry_list, path) -> None:
     # One write: json.dump would stream the indented encoder's chunks
     # through one write call each.
-    text = json.dumps([entry_to_dict(e) for e in entry_list], indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(catalog_json(entry_list) + "\n")
 
 
 def _parse(text: str) -> list[CatalogEntry]:

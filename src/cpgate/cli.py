@@ -97,7 +97,7 @@ def _resolve_gate(text: str):
         if len(entries) > 1:
             raise CliError(
                 f"catalog file {text!r} holds {len(entries)} entries, not one: "
-                + ", ".join(e.name for e in entries)
+                + ", ".join(catalog.shown_name(e.name) for e in entries)
             )
         [entry] = entries
     return catalog.to_sequence(entry), entry
@@ -298,8 +298,7 @@ def _cmd_solve(args) -> int:
         catalog.save_catalog(entries, args.out)
         print(f"wrote {len(entries)} solution(s) to {args.out}")
     else:
-        print(json.dumps([catalog.entry_to_dict(e) for e in entries], indent=2,
-                         allow_nan=False))
+        print(catalog.catalog_json(entries))
     return 0
 
 

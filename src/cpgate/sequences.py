@@ -117,9 +117,9 @@ def first_half(seq: CompositeSequence, tol: float = _HALF_TOL):
     return seq.phases[:half]
 
 
-def two_pulse(phi: float, nu: float = 0.0) -> CompositeSequence:
-    """pi_nu pi_{nu+pi-phi/2}: the bare (uncompensated) phase gate."""
-    return replace(structured_sequence((), phi, nu), label="two")
+def two_pulse(phi: float) -> CompositeSequence:
+    """pi_0 pi_{pi-phi/2}: the bare (uncompensated) phase gate."""
+    return replace(structured_sequence((), phi), label="two")
 
 
 _FOUR_VARIANTS = 4

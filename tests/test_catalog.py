@@ -190,6 +190,34 @@ def test_a_rejected_record_of_any_size_leaves_one_short_error_line(content, tmp_
         assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("name", ["a\nb", "\x1b[31mX"], ids=["newline", "escape"])
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"order": 1.5}, "order 1.5 is not an integer"),
+     ({"phases_over_pi": ["0", "1.75", "0.9", "0.1"]},
+      "the second half is not the first shifted by pi - phi/2"),
+     ({"order": 2, "phases_over_pi": ["0", "0.25", "1", "0.5", "0.75", "1.5"]},
+      "an exact phase after the leading zeros of a half with decimal phases "
+      "would be polished")],
+    ids=["record", "halves", "polish"],
+)
+def test_a_name_that_is_not_printable_is_written_as_its_repr(
+        name, fields, message, tmp_path, capsys):
+    # Written raw, a newline in a record's name would split the one error
+    # line in two, and an escape sequence would reach the terminal.
+    path = tmp_path / "name.json"
+    path.write_text(_record(name=name, **fields))
+    for command in ("sweep", "range", "verify"):
+        assert cli.run([command, "--gate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {name!r}: {message}\n"
+    # A file of several entries lists their names in its error line.
+    path.write_text(json.dumps(json.loads(_record(name=name)) + json.loads(_record())))
+    assert cli.run(["range", "--gate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f": {name!r}, X\n") and err.count("\n") == 1
+
+
 def test_an_integral_float_order_is_read_as_an_integer():
     record = entry_to_dict(get("Z4"))
     assert entry_from_dict({**record, "order": 1.0}) == entry_from_dict(record)

@@ -405,6 +405,17 @@ def test_solve_stdout_is_strict_json(capsys):
     assert data and all(d["quoted_range_over_pi"] is None for d in data)
 
 
+def test_solve_stdout_is_the_bytes_of_its_out_file(tmp_path, capsys):
+    # One encoder writes both: the file is what stdout prints.
+    args = ["solve", "--order", "2", "--phi", "0.5", "--seeds", "4"]
+    assert run(args) == 0
+    printed = capsys.readouterr().out.encode()
+    path = tmp_path / "sol.json"
+    assert run(args + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == printed
+
+
 def test_solve_out_file_is_strict_json_and_still_loads(tmp_path, capsys):
     path = tmp_path / "sol.json"
     assert run(["solve", "--order", "2", "--phi", "1", "--seeds", "4",

@@ -16,7 +16,7 @@ from make_corpus import (
     verify_record,
 )
 
-# epsilon0 comes from a float Newton search on numpy arithmetic.
+# epsilon0 comes from a float secant search on numpy arithmetic.
 _EPSILON0_TOL = 1e-12
 # Absolute, on a fidelity.  numpy's SIMD sin and cos may differ in the
 # last bit between CPUs: that moves s^p t(u) of an 18-pulse name by some
