@@ -64,13 +64,12 @@ import cmath
 import logging
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Any
 
 from .sequences import _float_half_t, first_half, half_jets
-from .su2 import AnalysisError, CompositeSequence, Su2, target_gate
+from .su2 import AnalysisError, CompositeSequence, Record, Su2, target_gate
 
 _log = logging.getLogger("cpgate.analysis")
 
@@ -82,8 +81,7 @@ else:
     FloatArray = Any
 
 
-@dataclass(frozen=True)
-class FidelityProfile:
+class FidelityProfile(Record):
     """Frobenius and trace fidelities sampled on an error grid.
 
     From ``sweep`` they are 1 - d and 1 - d^2, d the normalized Frobenius
@@ -98,8 +96,7 @@ class FidelityProfile:
     sequence_label: str = ""
 
 
-@dataclass(frozen=True)
-class ErrorRange:
+class ErrorRange(Record):
     """Half-width eps0 of the error interval keeping infidelity below
     ``threshold``, with the pulse-area interval in units of pi."""
 

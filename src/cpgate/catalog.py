@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import os
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
 from .sequences import _leading_zeros, first_half, pinned_zero_count, structured_train
-from .su2 import CompositeSequence, polish_result
+from .su2 import CompositeSequence, Record, polish_result
 
 # The longest CatalogError message: a rejected record or value that it
 # quotes, nested or sized at will, still leaves one short error line.
@@ -66,8 +65,7 @@ def shown_name(name: str) -> str:
     return name if name.isprintable() else repr(name)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """One published pulse train: phases in units of pi, plus its quoted
     high-fidelity pulse-area interval."""
 
@@ -89,8 +87,7 @@ class CatalogEntry:
         return (hi - lo) / 2
 
 
-@dataclass(frozen=True)
-class ArbitraryPhaseRow:
+class ArbitraryPhaseRow(Record):
     """Free phases of the 4..14-pulse forms for one gate angle."""
 
     phi_over_pi: Fraction
@@ -102,16 +99,23 @@ class ArbitraryPhaseRow:
         return tuple(Fraction(s) for s in self.columns[pulses])
 
 
+def _data(name: str) -> bytes:
+    """The packaged file ``data/<name>``, read through this module's
+    loader as ``pkgutil.get_data`` reads it, so that a zip install works
+    too, with neither ``importlib.resources`` nor ``pkgutil`` loaded."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return __spec__.loader.get_data(path)
+
+
 @lru_cache(maxsize=None)
 def _stored_polishes() -> dict:
     """The packaged polishes (``data/polished.json``): the integers of
     ``precise.polish_fixed`` (phases, t), keyed by the polish's inputs,
     the angle's Fraction string and the half's relative phase strings."""
-    text = resources.files("cpgate").joinpath("data/polished.json").read_text()
     return {
         (r["phi_over_pi"], tuple(r["rel_phases_over_pi"])):
             (tuple(r["phases"]), tuple(r["t"]))
-        for r in json.loads(text)["polishes"]
+        for r in json.loads(_data("polished.json"))["polishes"]
     }
 
 
@@ -119,8 +123,7 @@ def _stored_polishes() -> dict:
 def _tables() -> dict:
     """The packaged ``data/catalog.json``: its ``named`` records and its
     ``arbitrary_rows``."""
-    text = resources.files("cpgate").joinpath("data/catalog.json").read_text()
-    return json.loads(text)
+    return json.loads(_data("catalog.json"))
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +202,7 @@ def _build_structured(rel_strings, phi_over_pi: Fraction, label: str, refine: bo
             rel, t = precise.polish_structured(rel, phi_over_pi)
         else:
             rel, t = polish_result(*stored)
-    return replace(structured_train(rel, phi_over_pi), label=label), t
+    return structured_train(rel, phi_over_pi).replace(label=label), t
 
 
 @lru_cache

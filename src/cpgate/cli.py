@@ -18,8 +18,11 @@ file no numpy; ``range`` on a two-half train loads ``analysis`` and no
 numpy; ``sweep``, ``solve`` and any other ``range`` load numpy.  A
 polish (``verify`` on an inline spec, ``build --pulses 10/12/14``, a
 catalog file whose decimal phases are not stored) loads ``precise``,
-numpy and ``solver``.  ``main`` runs BLAS on one thread unless the
-environment says otherwise.
+numpy and ``solver``.  The records are ``su2.Record``s, so no command
+imports the standard dataclass module (nor, through it, ``inspect``), and
+``catalog`` reads its data files through its module's loader, so none
+imports ``importlib.resources``.  ``main`` runs BLAS on one thread unless
+the environment says otherwise.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ count (``pinned_zero_count``).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import lru_cache
 
 from .su2 import _PI, _ZERO, PREC, CompositeSequence, Phase, _add, _raw
@@ -119,7 +118,7 @@ def first_half(seq: CompositeSequence, tol: float = _HALF_TOL):
 
 def two_pulse(phi: float) -> CompositeSequence:
     """pi_0 pi_{pi-phi/2}: the bare (uncompensated) phase gate."""
-    return replace(structured_sequence((), phi), label="two")
+    return structured_sequence((), phi).replace(label="two")
 
 
 _FOUR_VARIANTS = 4

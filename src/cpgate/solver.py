@@ -37,13 +37,12 @@ import cmath
 import logging
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .jets import structured_jets
 from .sequences import half_jets, pinned_zero_count
-from .su2 import SolverError
+from .su2 import Record, SolverError
 
 TWO_PI = 2.0 * math.pi
 # Pseudo-inverse cutoff of the Newton step.
@@ -58,8 +57,7 @@ _MAX_ITER = 200
 _log = logging.getLogger("cpgate.solver")
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record):
     """Multi-start Newton settings for one (order, gate-angle) problem."""
 
     n: int
@@ -74,13 +72,12 @@ class SolverConfig:
             raise ValueError("need at least one restart seed")
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record):
     """One root class: its canonical phases plus every root found in it."""
 
     phases: tuple[float, ...]
     residual_norm: float
-    members: tuple[tuple[float, ...], ...] = field(default=())
+    members: tuple[tuple[float, ...], ...] = ()
 
 
 def _residuals(x: np.ndarray, phi: float, pinned=None):

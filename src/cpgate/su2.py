@@ -1,8 +1,11 @@
 """The data types of composite pulse trains: an SU(2) pair, a train of pi
 pulses and the phase gate it targets, and the exact phase of a 50-digit
 train with the integer rounding that makes it; the two numerical-failure
-errors; and the order read off a slope fit.  Every command loads this
-module, and it loads neither numpy nor mpmath.
+errors; the order read off a slope fit; and ``Record``, the immutable
+record that every cpgate record class (``Su2``, ``CompositeSequence``,
+``catalog.CatalogEntry``, ``analysis.ErrorRange``, ...) derives from.
+Every command loads this module, and it loads neither numpy, mpmath
+nor the standard dataclass module.
 
 An SU(2) matrix is stored as its Cayley-Klein pair (a, b), the full matrix
 being [[a, b], [-b*, a*]].  Every pulse is a nominal pi pulse: with a
@@ -31,8 +34,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+_set = object.__setattr__
 
 
 class SolverError(RuntimeError):
@@ -44,8 +48,86 @@ class AnalysisError(RuntimeError):
     ``analysis.high_fidelity_range``)."""
 
 
-@dataclass(frozen=True)
-class Su2:
+class Record:
+    """An immutable record whose fields are its class's annotations, in
+    order, the way a frozen dataclass's are, at a fraction of the import:
+    each subclass gets an ``__init__`` and an ``__eq__`` generated for its
+    fields, with the class attribute of a field as its default, the
+    fields named in the class keyword ``kw_only`` keyword-only, and a
+    ``__post_init__`` the class defines called last.  Records are equal
+    when their classes and field values are, they hash and print by
+    their field values, and a field cannot be assigned or deleted
+    (AttributeError).  ``replace(**changes)`` is a copy with the given
+    fields changed.  The hash is computed once, on first use; a field
+    that cannot be hashed (an array) leaves it raising.
+
+    It declares no annotations itself, so that ``typing.get_type_hints``
+    of a record reads its fields alone.
+    """
+
+    _hash = None
+
+    def __init_subclass__(cls, kw_only=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        # The generated code reads each default from its globals.
+        namespace, params, keyword = {"_set": _set}, [], []
+        for name in fields:
+            param = name
+            if name in cls.__dict__:
+                namespace[f"_default_{name}"] = cls.__dict__[name]
+                param = f"{name}=_default_{name}"
+            (keyword if name in kw_only else params).append(param)
+        if keyword:
+            params += ["*", *keyword]
+        lines = [f"def __init__(self, {', '.join(params)}):"]
+        lines += [f" _set(self, {name!r}, {name})" for name in fields] or [" pass"]
+        if hasattr(cls, "__post_init__"):
+            lines.append(" self.__post_init__()")
+        mine = "".join(f"self.{name}, " for name in fields)
+        lines += [
+            "def __eq__(self, other):",
+            " if other.__class__ is self.__class__:",
+            f"  return ({mine}) == ({mine.replace('self.', 'other.')})",
+            " return NotImplemented",
+        ]
+        exec("\n".join(lines), namespace)
+        for method in ("__init__", "__eq__"):
+            namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, namespace[method])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash(self._values())
+            _set(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        # The fields alone: a str hashes differently in another process.
+        return dict(zip(self._fields, self._values()))
+
+    def __repr__(self) -> str:
+        fields = self.__getstate__().items()
+        shown = ", ".join(f"{name}={value!r}" for name, value in fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy of this record with the fields ``changes`` names
+        changed, built (and checked) by the class's ``__init__``."""
+        return self.__class__(**{**self.__getstate__(), **changes})
+
+
+class Su2(Record):
     """Cayley-Klein pair (a, b) of a special-unitary 2x2 matrix."""
 
     a: complex
@@ -199,8 +281,7 @@ def polish_result(phases, t):
     return [Phase(_round(v, -PREC)) for v in phases], tuple(t)
 
 
-@dataclass(frozen=True)
-class CompositeSequence:
+class CompositeSequence(Record, kw_only=("label",)):
     """An ordered train of nominal pi pulses realizing a phase gate of
     angle ``target_phi``.
 
@@ -214,7 +295,7 @@ class CompositeSequence:
 
     phases: tuple
     target_phi: float
-    label: str = field(default="", kw_only=True)
+    label: str = ""
 
     def __len__(self) -> int:
         return len(self.phases)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,7 +61,7 @@ def unstored(entry):
     polish inputs under a key that the store does not hold, so building it
     runs the polish."""
     strings = tuple(s + "0" if "." in s else s for s in entry.phase_strings)
-    return replace(entry, phase_strings=strings)
+    return entry.replace(phase_strings=strings)
 
 
 def main():

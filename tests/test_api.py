@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -39,11 +40,12 @@ def test_every_submodule_is_an_attribute_of_the_package():
         )
 
 
-def _fresh(code):
-    # The JSON that ``code`` prints last, run in a fresh interpreter that
-    # imports cpgate from this checkout.
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+def _fresh(code, *flags, path=ROOT / "src"):
+    # The JSON that ``code`` prints last, run in a fresh interpreter, with
+    # the interpreter options ``flags``, that imports cpgate from ``path``,
+    # this checkout's by default.
+    env = {**os.environ, "PYTHONPATH": str(path)}
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -53,8 +55,9 @@ import contextlib, io, json, sys
 from cpgate import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run({argv!r})
-print(json.dumps([code, "numpy" in sys.modules, "mpmath" in sys.modules]))
+print(json.dumps([code, *(name in sys.modules for name in {modules!r})]))
 """
+_MODULES = ("numpy", "mpmath", "dataclasses", "inspect")
 _SPEC = "phi=0.5;phases=0,0,0,1.0477,1.5126,0.3399,0.75,0.75,0.75,1.7977,2.2626,1.0899"
 # A rounded 14-pulse row, two halves to round-off, and the same row with its
 # last phase moved by 1e-6 rad: off the structure, so range reads it whole.
@@ -82,8 +85,21 @@ _TWO_HALVES, _OFF_HALVES = f"{_ROW},1.6355", f"{_ROW},1.6355003183098862"
 ])
 def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, mpmath):
     # numpy serves array code; mpmath the trig of verify's slope grid and
-    # rotors, and no build of a named train.
-    assert _fresh(_CLI.format(argv=argv)) == [0, numpy, mpmath]
+    # rotors, and no build of a named train.  The records are su2.Record's,
+    # so no command loads dataclasses, and inspect comes in with numpy
+    # alone (numpy._core.overrides imports it).
+    loaded = _fresh(_CLI.format(argv=argv, modules=_MODULES))
+    assert loaded == [0, numpy, mpmath, False, numpy]
+
+
+@pytest.mark.parametrize("argv", [["list"], ["show", "Z18"], ["range", "--gate", "Z8"]])
+def test_a_command_reads_the_packaged_data_without_importlib_resources(argv):
+    # With site off, no .pth file of the environment (certifi's, say)
+    # loads importlib.resources first: catalog reads its data files through
+    # its loader, and loads neither it nor pkgutil.
+    modules = ("importlib.resources", "pkgutil", "dataclasses", "inspect")
+    loaded = _fresh(_CLI.format(argv=argv, modules=modules), "-S")
+    assert loaded == [0, False, False, False, False]
 
 
 _LIGHT = """
@@ -121,12 +137,32 @@ print(json.dumps([built, sorted(sys.modules)]))
 """)
     # The 6 exact entries compose their t with trig in precise, so the
     # modules of the build are taken before half_polynomial runs.
-    assert "mpmath" not in built and "logging" not in built
+    for module in ("mpmath", "logging", "dataclasses", "inspect"):
+        assert module not in built
     for module in ("numpy", "cpgate.solver", "cpgate.jets", "cpgate.analysis"):
         assert module not in loaded
     assert [m for m in built if m.startswith("cpgate")] == [
         "cpgate", "cpgate.catalog", "cpgate.sequences", "cpgate.su2"
     ]
+
+
+def test_the_packaged_data_is_read_from_a_zip_install(tmp_path):
+    # catalog reads its data files through its module's loader, which
+    # reads them out of the archive as it reads the modules.
+    archive = tmp_path / "cpgate.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted((ROOT / "src" / "cpgate").rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(ROOT / "src").as_posix())
+    origin, names, phase = _fresh("""
+import json
+from cpgate import catalog
+train = catalog.to_sequence(catalog.get("Z18"))
+print(json.dumps([catalog.__file__, catalog.names(), float(train.phases[5])]))
+""", path=archive)
+    assert origin.startswith(str(archive))
+    assert names == cpgate.catalog.names()
+    assert phase == float(cpgate.catalog.to_sequence(cpgate.catalog.get("Z18")).phases[5])
 
 
 def test_analysis_type_hints_resolve_without_numpy():

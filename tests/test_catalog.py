@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -407,7 +406,7 @@ def test_a_file_entry_takes_the_stored_polish_by_its_inputs(tmp_path, monkeypatc
     # train and t are Z10's, bit for bit.
     z10 = get("Z10")
     path = tmp_path / "mine.json"
-    save_catalog([replace(z10, name="mine")], path)
+    save_catalog([z10.replace(name="mine")], path)
     [entry] = load_catalog(path)
     calls = _counting_polish(monkeypatch)
     assert _mpf_bits(to_sequence(entry)) == _mpf_bits(to_sequence(z10))

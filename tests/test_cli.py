@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -713,7 +712,7 @@ def test_verify_rounded_row(phi, pulses, capsys):
 def test_catalog_file_entry_is_polished(tmp_path, capsys):
     # An entry outside the packaged catalog is polished like a named one.
     path = tmp_path / "user.json"
-    entry = replace(catalog.get("Z16"), name="myZ16", source="user")
+    entry = catalog.get("Z16").replace(name="myZ16", source="user")
     catalog.save_catalog([entry], path)
     assert run(["range", "--gate", str(path)]) == 0
     eps0 = float(capsys.readouterr().out.split()[2].rstrip(","))
@@ -887,7 +886,7 @@ def test_polished_half_logs_nothing_on_a_rounded_row(moved, polished, caplog):
     rounded = spec_parse(spec)
     phases = list(rounded.phases)
     phases[5] += moved
-    rounded = replace(rounded, phases=tuple(phases))
+    rounded = rounded.replace(phases=tuple(phases))
     with caplog.at_level(logging.DEBUG, logger="cpgate.cli"):
         t = cli._polished_half(rounded)
     assert (t is not None) == polished

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -101,8 +100,8 @@ def test_structured_sequence_shape_and_shift():
     assert float(seq.phases[0]) == pytest.approx(0.25)
     assert first_half(seq) == seq.phases[:4]
     # An odd-length train has no halves; an empty one is two empty halves.
-    assert first_half(replace(seq, phases=seq.phases[:-1])) is None
-    assert first_half(replace(seq, phases=())) == ()
+    assert first_half(seq.replace(phases=seq.phases[:-1])) is None
+    assert first_half(seq.replace(phases=())) == ()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
 import cmath
+import copy
+import inspect
 import math
+import pickle
+import typing
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpgate import catalog, precise
+from cpgate import analysis, catalog, precise, solver
 from cpgate.sequences import four_pulse
 from cpgate.analysis import compose, frobenius_fidelity, trace_fidelity
 from cpgate.su2 import CompositeSequence, Phase, Su2, target_gate
@@ -175,3 +179,80 @@ def test_a_phase_compares_and_hashes_as_its_number():
     assert {third: 1}[Phase(third._mpf_)] == 1
     assert float(Phase(precise._raw(-0.75))) == -0.75
     assert not isinstance(third, float)
+
+
+class _CountedHash:
+    # A field value that counts the calls of its hash.
+    calls = 0
+
+    def __hash__(self):
+        type(self).calls += 1
+        return 7
+
+
+def test_a_record_is_equal_hashed_and_printed_by_its_fields():
+    seq = CompositeSequence((0.0, 0.5), 1.0, label="x")
+    assert seq == CompositeSequence((0.0, 0.5), 1.0, label="x")
+    assert hash(seq) == hash(CompositeSequence((0.0, 0.5), 1.0, label="x"))
+    assert seq != seq.replace(label="y") and seq != Su2(1.0, 0j)
+    assert repr(seq) == "CompositeSequence(phases=(0.0, 0.5), target_phi=1.0, label='x')"
+    assert repr(Su2(1j, 0j)) == "Su2(a=1j, b=0j)"
+
+
+def test_a_record_hashes_its_fields_once():
+    pair = Su2(_CountedHash(), 0j)
+    assert hash(pair) == hash(pair) == hash(Su2(_CountedHash(), 0j))
+    assert _CountedHash.calls == 2
+    # A copy or a pickle carries the fields and not the hash, which a str
+    # field would change in another process.
+    seq = CompositeSequence((0.0,), 1.0, label="x")
+    hash(seq)
+    for twin in (copy.copy(seq), pickle.loads(pickle.dumps(seq))):
+        assert twin == seq and "_hash" not in vars(twin)
+    # A field that cannot be hashed leaves the hash raising.
+    pair = Su2(np.zeros(2), np.zeros(2))
+    for _ in range(2):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(pair)
+
+
+def test_a_record_field_cannot_be_assigned_or_deleted():
+    seq = CompositeSequence((0.0,), 1.0)
+    with pytest.raises(AttributeError, match="cannot assign to field 'label'"):
+        seq.label = "x"
+    with pytest.raises(AttributeError, match="cannot delete field 'phases'"):
+        del seq.phases
+    assert seq.label == ""
+
+
+def test_replace_builds_a_checked_copy():
+    seq = CompositeSequence((0.0, 0.5), 1.0, label="x")
+    assert seq.replace(phases=()) == CompositeSequence((), 1.0, label="x")
+    with pytest.raises(TypeError):
+        seq.replace(order=2)
+    config = solver.SolverConfig(2, 0.5)
+    assert config.replace(seeds=4) == solver.SolverConfig(2, 0.5, seeds=4, rng_seed=0)
+    with pytest.raises(ValueError, match="compensation order must be >= 1"):
+        config.replace(n=0)
+
+
+@pytest.mark.parametrize("record, params", [
+    (Su2, "a b"),
+    (CompositeSequence, "phases target_phi *label=''"),
+    (catalog.CatalogEntry, "name phi_over_pi order phases_over_pi phase_strings "
+                           "quoted_range_over_pi source='paper-table'"),
+    (catalog.ArbitraryPhaseRow, "phi_over_pi columns"),
+    (analysis.FidelityProfile, "epsilons frobenius trace sequence_label=''"),
+    (analysis.ErrorRange, "epsilon0 threshold lower upper flagged=False"),
+    (solver.SolverConfig, "n phi seeds=32 rng_seed=0"),
+    (solver.Solution, "phases residual_norm members=()"),
+])
+def test_a_record_takes_its_fields_in_order_with_their_defaults(record, params):
+    shown = []
+    for p in inspect.signature(record).parameters.values():
+        mark = "*" if p.kind is p.KEYWORD_ONLY else ""
+        default = "" if p.default is p.empty else f"={p.default!r}"
+        shown.append(f"{mark}{p.name}{default}")
+    assert shown == params.split()
+    assert list(typing.get_type_hints(record)) == [name.lstrip("*").partition("=")[0]
+                                                   for name in params.split()]
