@@ -8,7 +8,7 @@ a submodule named as an attribute: ``from cpgate import catalog`` loads
 no numpy, ``cpgate.solve`` loads the solver.
 """
 
-import importlib
+import sys
 
 __version__ = "1.0.0"
 
@@ -50,12 +50,14 @@ __all__ = list(_EXPORTS)
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
-        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
-    elif name in _SUBMODULES:
-        value = importlib.import_module(f".{name}", __name__)
-    else:
+    module = _EXPORTS.get(name, name)
+    if module not in _SUBMODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # An import statement, which -X importtime times (import_module is not).
+    __import__(f"{__name__}.{module}")
+    value = sys.modules[f"{__name__}.{module}"]
+    if name in _EXPORTS:
+        value = getattr(value, name)
     globals()[name] = value
     return value
 

@@ -61,24 +61,23 @@ huge, nan, inf, a point inside the digits) are formatted one by one.
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Any
 
 from .sequences import _float_half_t, first_half, half_jets
-from .su2 import AnalysisError, CompositeSequence, Record, Su2, target_gate
-
-_log = logging.getLogger("cpgate.analysis")
+from .su2 import AnalysisError, CompositeSequence, Record, Su2, _debug, target_gate
 
 # A float64 numpy array.  numpy is imported only where it runs, so at run
-# time the annotations resolve it as Any (``typing.get_type_hints``).
+# time the annotations resolve it as object (``typing.get_type_hints``);
+# a type checker reads the constant TYPE_CHECKING as true, and running
+# the module imports no ``typing`` for it.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from numpy import ndarray as FloatArray
 else:
-    FloatArray = Any
+    FloatArray = object
 
 
 class FidelityProfile(Record):
@@ -201,7 +200,7 @@ def sweep(seq: CompositeSequence, eps_min: float, eps_max: float,
         if p:
             q *= s
         frobenius, trace = 1.0 - _SQRT2 * np.abs(q), 1.0 - 2.0 * (q * q)
-    _log.debug("sweep path=%s steps=%d", path, steps)
+    _debug("cpgate.analysis", "sweep path=%s steps=%d", path, steps)
     return FidelityProfile(eps, frobenius, trace, seq.label)
 
 
@@ -511,13 +510,14 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
         pulses = [-1j * cmath.exp(1j * float(p)) for p in seq.phases]
         at = partial(_train_at, pulses, target.a)
     if vals[0] >= threshold:
-        _log.debug("range path=%s threshold=%.3g failed: infidelity=%.3g at eps=0",
-                   path, threshold, vals[0])
+        _debug("cpgate.analysis",
+               "range path=%s threshold=%.3g failed: infidelity=%.3g at eps=0",
+               path, threshold, vals[0])
         raise AnalysisError(f"infidelity {vals[0]:.3g} at eps = 0 is not below threshold")
     k = next((k for k, v in enumerate(vals) if v >= threshold), None)
     if k is None:
-        _log.debug("range path=%s threshold=%.3g failed: max infidelity=%.3g "
-                   "up to eps=%g", path, threshold, max(vals), _EPS_MAX)
+        _debug("cpgate.analysis", "range path=%s threshold=%.3g failed: max "
+               "infidelity=%.3g up to eps=%g", path, threshold, max(vals), _EPS_MAX)
         raise AnalysisError(f"infidelity stays below threshold up to eps = {_EPS_MAX}")
     flagged = any(w - v < -_MONOTONE_SLACK for v, w in zip(vals, vals[1:]))
     lo, hi = _GRID_EPS[k - 1], _GRID_EPS[k]
@@ -542,8 +542,8 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
         x -= step
         if abs(step) <= _SECANT_DONE * x:
             break
-    _log.debug(
-        "range path=%s threshold=%.3g cell=%d evals=%d step=%.3g flagged=%s",
+    _debug(
+        "cpgate.analysis", "range path=%s threshold=%.3g cell=%d evals=%d step=%.3g flagged=%s",
         path, threshold, k, evals, step, flagged,
     )
     return ErrorRange(x, threshold, 1.0 - x, 1.0 + x, flagged)

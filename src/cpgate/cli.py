@@ -12,13 +12,17 @@ error, or an allocation too large for memory), with one ``error: ...``
 line on stderr, 3 numerical failure.
 
 A command imports the modules it runs, inside it: ``list``, ``tables``,
-``show`` and ``build --pulses 2/4/6/8`` load neither numpy, ``precise``
-nor ``logging``.  ``verify`` loads ``precise``, and on a catalog name or
+``show`` and ``build --pulses 2/4/6/8`` load neither numpy nor
+``precise``.  ``verify`` loads ``precise``, and on a catalog name or
 file no numpy; ``range`` on a two-half train loads ``analysis`` and no
 numpy; ``sweep``, ``solve`` and any other ``range`` load numpy.  A
 polish (``verify`` on an inline spec, ``build --pulses 10/12/14``, a
-catalog file whose decimal phases are not stored) loads ``precise``,
-numpy and ``solver``.  The records are ``su2.Record``s, so no command
+catalog file whose decimal phases are not stored) loads ``precise`` and
+numpy; only one that is not square (a half with fewer leading zeros
+than the solver's chart, as no table row has) loads ``solver`` and
+``jets``, which otherwise serve ``solve`` alone.  No command loads
+``logging``: a DEBUG record is made only where something loaded it
+(``su2._debug``).  The records are ``su2.Record``s, so no command
 imports the standard dataclass module (nor, through it, ``inspect``), and
 ``catalog`` reads its data files through its module's loader, so none
 imports ``importlib.resources``.  ``main`` runs BLAS on one thread unless
@@ -35,7 +39,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import catalog, sequences
-from .su2 import AnalysisError, CompositeSequence, SolverError, order_from_slope
+from .su2 import (
+    AnalysisError, CompositeSequence, SolverError, _debug, order_from_slope,
+)
 
 EXIT_CLOSED_OUTPUT = 1
 EXIT_VALIDATION = 2
@@ -109,7 +115,18 @@ def _resolve_gate(text: str):
 def _pi_fraction(phi: float) -> Fraction | None:
     """The fraction p/q, q <= 64, whose multiple of pi is within 1e-12 of
     the angle ``phi`` (radians), or None if there is none."""
-    frac = Fraction(phi / PI).limit_denominator(64)
+    x = phi / PI
+    if abs(x) < 2**32:
+        # Such a p/q lies within 1e-12 of x (to a few ulps of x): two
+        # distinct fractions of q <= 64 lie at least 1/4032 apart, so it is
+        # the closest one, what limit_denominator(64) finds, and
+        # p = round(q x) at its q.
+        for q in range(1, 65):
+            p = round(q * x)
+            if abs(p / q * PI - phi) < 1e-12:
+                return Fraction(p, q)
+        return None
+    frac = Fraction(x).limit_denominator(64)
     return frac if abs(float(frac) * PI - phi) < 1e-12 else None
 
 
@@ -119,11 +136,8 @@ def _polished_half(seq: CompositeSequence):
     polished half's t (``precise.half_slope_fit``), or None where the
     input is measured as it is: not two halves, a polish that failed or
     one that drifted, each logged at DEBUG under ``cpgate.cli``."""
-    import logging
-
     from . import precise
 
-    log = logging.getLogger("cpgate.cli")
     half = sequences.first_half(seq)
     if half is None or len(half) < 2:
         return None
@@ -139,15 +153,15 @@ def _polished_half(seq: CompositeSequence):
     try:
         polished, t = precise.polish_structured(rel, phi if frac is None else frac)
     except SolverError as exc:
-        log.debug("measuring the unpolished input: polish failed: %s", exc)
+        _debug("cpgate.cli", "measuring the unpolished input: polish failed: %s", exc)
         return None
     # Only accept the polish if it stayed on the same root (the input was
     # a rounded table row, not some arbitrary far-from-root train).
     drift = max(abs(math.remainder(float(p) - r, 2 * PI)) for p, r in zip(polished, rel))
     if drift > 1e-2:
-        log.debug(
-            "measuring the unpolished input: the polish moved a phase by "
-            "%.3g rad, more than 1e-2 from the input", drift
+        _debug(
+            "cpgate.cli", "measuring the unpolished input: the polish moved a "
+            "phase by %.3g rad, more than 1e-2 from the input", drift
         )
         return None
     return t

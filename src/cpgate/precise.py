@@ -90,6 +90,24 @@ mean x)^2) over a common denominator, cached per set of nonzero squares
 leave NaN), and one correctly rounded integer division.  So the slope
 is the exact regression of the exact logs, correctly rounded, unless
 that lies within ~2^-68 units in the last place of a rounding boundary.
+
+``half_slope_fit`` mostly takes no log per point.  Its values are
+v_k = t(u_k) s_k^p, and where t's top coefficient t_m (m >= 1) sets
+them, v_k = t_m U_k (1 + rho_k) with U_k = s_k^p u_k^m, a constant of
+the grid, and |rho_k| < 2^-30: every polished or exact half, whose
+lower coefficients are below 1e-45.  The weights sum to exactly 0, so
+t_m, the factor 2 and 2^shift cancel from the slope's sum, which is
+2 sum W_k ln U_k + 2 sum W_k ln(1 + rho_k).  The first term is taken
+once per (m, p), from the 20 U_k at 2^PREC and their logs at
+2^-_LOG_W (``_grid_top``); each ln(1 + rho_k) is 2 atanh(z_k),
+z_k = rho_k / (2 + rho_k), from one integer division of v_k 2^PREC and
+t_m U_k and two terms of the series, which leave less than 2^-155.
+Each log of a U_k is within 2^-137 (the error of ln 2 times
+|log2 U_k| <= 90, at most) and each series within a few units of
+2^-150, against the unit of 2^-_LOG_Q = 2^-120 of each ``_ln``, so the
+claim above holds for this sum too.
+Any other t (a constant one, t_m = 0, a value of 0 or a rho_k of
+2^-30 or more) takes a log per point through ``_line_fit``.
 The tests check slope and peak bit for bit against plain mpc object
 arithmetic averaged over both signs of eps and an exact rational
 regression of its logs, on the 27 names, the 84 rounded rows, random
@@ -107,24 +125,27 @@ phases of its input that are exactly 0, a count it reads from the
 phases, and moves the rest; the system is square, as many free phases
 as the ceil(n/2) residual entries, exactly when that count is
 ``sequences.pinned_zero_count(n)``, the zeros the solver's chart holds
-(every table row).  A square system runs on Python scalars
-(``solver._newton_square`` on ``sequences.half_jets``), where numpy's
-per-call overhead and an SVD would dominate systems of at most a few
-rows.  Its root is isolated, so the scalar arithmetic moves the 50-digit
-phases only within the polish's own accuracy.  Its step is a pivoted
-solve whose inverse is certified by ||J||_F ||J^-1||_F <
-1/``solver._RCOND``, so that it is the step the pseudo-inverse would
-take; a zero pivot or a failed certificate sends the polish back to its
-input through ``solver._newton_batch`` on one row.  An underdetermined
-system (the named trains of order >= 4) runs ``solver._newton_batch`` on
-one row and ``np.linalg.pinv``: there the float root's last bits choose
-the point on the root manifold, and those bits must stay the ones the
-named trains' chart classes were measured with.  Only the polish
-imports numpy and ``solver``, on its first call, and only ``verify``, a
-polish of a half that is not stored and the t of an exact catalog entry
-load this module: the packaged named trains read their polishes from data
-(see ``catalog``).  The 50-digit stage
-(``_fixed_newton``) runs in fixed point end to end.  The float root is
+(every table row).  A square system runs on Python scalars, here
+(``_newton_square`` on ``sequences.half_jets``), where numpy's per-call
+overhead and an SVD would dominate systems of at most a few rows: the
+full step and halvings of ``solver._newton_batch``
+(``sequences._STEP_LENGTHS``), its acceptance on a smaller residual
+2-norm and its stopping rule.  Its root is isolated, so the scalar
+arithmetic moves the 50-digit phases only within the polish's own
+accuracy.  Its step is a pivoted solve whose inverse is certified by
+||J||_F ||J^-1||_F < 1/``sequences._RCOND`` (``_certified_inverse``), so
+that it is the step the pseudo-inverse would take; a zero pivot or a
+failed certificate sends the polish back to its input through
+``solver._newton_batch`` on one row.  An underdetermined system (the
+named trains of order >= 4) runs ``solver._newton_batch`` on one row and
+``np.linalg.pinv``: there the float root's last bits choose the point on
+the root manifold, and those bits must stay the ones the named trains'
+chart classes were measured with.  Only the polish imports numpy, on
+its first call, and only a polish that is not square ``solver`` (and
+through it ``jets``); only ``verify``, a polish of a half that is not
+stored and the t of an exact catalog entry load this module: the
+packaged named trains read their polishes from data (see ``catalog``).
+The 50-digit stage (``_fixed_newton``) runs in fixed point end to end.  The float root is
 converted once to integers at 2^PREC, exactly (``sequences._fixed``),
 and each phase after the held zeros takes one ``mpf_cos_sin`` per
 polish.  A step adds each double to its phase exactly, as an integer,
@@ -156,7 +177,7 @@ below the spacing of doubles; the tests check the two bit for bit on the
 
 from __future__ import annotations
 
-import logging
+import cmath
 import math
 import time
 from fractions import Fraction
@@ -166,15 +187,14 @@ from functools import lru_cache
 # runs them (see ``su2``); they are named here as well, with the kernels
 # that compute in them.
 from .sequences import (
-    _fixed, _half_t, _leading_zeros, _mp_jet_pulse, _mp_jet_rotors,
-    _mp_zero_prefix, pinned_zero_count, structured_train,
+    _RCOND, _STEP_LENGTHS, _fixed, _half_t, _leading_zeros, _mp_jet_pulse,
+    _mp_jet_rotors, _mp_zero_prefix, half_jets, pinned_zero_count,
+    structured_train,
 )
 from .su2 import (
     _PI, _ZERO, PREC, WP, CompositeSequence, Phase, SolverError,
-    _add, _exact, _raw, _round, polish_result,
+    _add, _debug, _exact, _raw, _round, polish_result,
 )
-
-_log = logging.getLogger("cpgate.precise")
 
 WORKING_DPS = 50
 # The slope window: _SLOPE_POINTS log-spaced errors from _SLOPE_EPS_LO to
@@ -297,14 +317,53 @@ def half_slope_fit(t, pulses) -> tuple[float, float]:
     fixed-point u-coefficients at 2^PREC (u^0 first), as
     ``polish_structured`` returns them and ``catalog.half_polynomial``
     keeps them.  The squared distance is 2 u^p t(u)^2; the fit reads the
-    polynomial as given, with no composition and no trig."""
-    totals = []
+    polynomial as given, with no composition and no trig.
+
+    Where t's top coefficient t_m (m >= 1) sets every value, each value
+    v_k is t_m U_k (1 + rho_k) with U_k = s_k^p u_k^m and |rho_k| < 2^-30,
+    and the slope takes the logs of the U_k, cached per (m, p)
+    (``_grid_top``), and one short series per point for ln(1 + rho_k);
+    any other t takes a log per point (``_line_fit``)."""
+    odd = pulses // 2 % 2
+    values = []
     for s, u, _ in _slope_grid()[1]:
         value = _horner(t, u)
-        if pulses // 2 % 2:
+        if odd:
             value = s * value >> PREC
-        totals.append(value * value)
-    return _line_fit(totals, 1 - 2 * PREC)
+        values.append(value)
+    shift = 1 - 2 * PREC
+    top = t[-1]
+    if len(t) > 1 and top:
+        tops, weights, dot, den = _grid_top(len(t) - 1, odd)
+        if top < 0:
+            values = [-v for v in values]
+            top = -top
+        for value, u_top, w in zip(values, tops, weights):
+            # 1 + rho = a / b, and ln(a / b) = 2 atanh(z), z = (a - b) / (a + b):
+            # |z| < 2^-31, so z + z^3 / 3 leaves less than 2^-155.
+            a, b = value << PREC, top * u_top
+            if abs(a - b) << 30 >= b:
+                break
+            z = ((a - b) << _LOG_W) // (a + b)
+            dot += w * (z + (z * (z * z >> _LOG_W) >> _LOG_W) // 3)
+        else:
+            return dot / den, _root(max(values) ** 2, shift)
+    return _line_fit([v * v for v in values], shift)
+
+
+@lru_cache(maxsize=None)
+def _grid_top(m, p):
+    """(tops, weights, dot, den) of ``half_slope_fit`` for a t of degree
+    ``m`` >= 1 and the parity ``p``: U_k = s_k^p u_k^m at each grid point,
+    fixed point at 2^PREC; four times the slope weights of all the points
+    (``_slope_weights``); the slope's numerator 2 sum_k W_k ln U_k at
+    2^-_LOG_W, to which each point adds 4 W_k atanh(z_k); and the
+    denominator that turns it into the slope.  The weights sum to 0, so
+    t_m, the factor 2 and 2^shift of each square drop out of the sum."""
+    weights, den = _slope_weights(tuple(range(_SLOPE_POINTS)))
+    tops = tuple(u**m * s**p >> PREC * (m + p - 1) for s, u, _ in _slope_grid()[1])
+    dot = 2 * sum(w * _ln_wide(top, -PREC) for w, top in zip(weights, tops))
+    return tops, tuple(4 * w for w in weights), dot, den << _LOG_GUARD
 
 
 def t_polynomial(half, phi):
@@ -397,6 +456,12 @@ def _atanh_series(num, den):
 def _ln(n, shift):
     """ln(n 2^shift), the integer ``n`` > 0, at 2^-_LOG_Q, rounded to
     nearest: within one unit of 2^-_LOG_Q."""
+    return (_ln_wide(n, shift) + (1 << (_LOG_GUARD - 1))) >> _LOG_GUARD
+
+
+def _ln_wide(n, shift):
+    """ln(n 2^shift), the integer ``n`` > 0, at 2^-_LOG_W: within a few
+    units of 2^-_LOG_W plus |log2(n 2^shift)| times the error of ln 2."""
     # n = 2^bits x with x in [1, 2), taken at 2^-_LOG_W; x = c_k y with
     # y = x r_k in [1, 1 + 2^-_LOG_TABLE_BITS) (to two units), so ln y is
     # 2 atanh(u), u = (y - 1) / (y + 1) below 2^-(_LOG_TABLE_BITS + 1),
@@ -412,8 +477,7 @@ def _ln(n, shift):
     acc = 0
     for coeff in odd:
         acc = (acc * u2 >> _LOG_W) + coeff
-    total = (bits + shift) * ln2 + log_c + (acc * u >> (_LOG_W - 1))
-    return (total + (1 << (_LOG_GUARD - 1))) >> _LOG_GUARD
+    return (bits + shift) * ln2 + log_c + (acc * u >> (_LOG_W - 1))
 
 
 def polish_structured(rel_phases, phi):
@@ -441,11 +505,10 @@ def polish_fixed(rel_phases, phi):
     Logs one DEBUG record under ``cpgate.precise``: the free-phase count,
     the residual max-norm after the float stage, the number of 50-digit
     residual evaluations, the final residual max-norm and the seconds
-    spent.  Only the polish loads numpy and ``solver``.
+    spent (``su2._debug``: where ``logging`` is loaded).  Only the polish
+    loads numpy, and only one that is not square ``solver``.
     """
     import numpy as np
-
-    from . import solver
 
     start = time.perf_counter()
     phi_float = float(Phase(_raw(phi)))
@@ -456,10 +519,12 @@ def polish_fixed(rel_phases, phi):
     # docstring), an underdetermined one through the batched solver.
     square = None
     if n and pinned == pinned_zero_count(n):
-        square = solver._newton_square(x_float, phi_float, _FLOAT_TOL, 60, pinned)
+        square = _newton_square(x_float, phi_float, _FLOAT_TOL, 60, pinned)
     if square is not None:
         x_float, float_rmax, ok, jac_inv = square
     else:
+        from . import solver
+
         roots, norms, converged, jacs = solver._newton_batch(
             np.array([x_float]), phi_float, _FLOAT_TOL, 60, pinned
         )
@@ -469,15 +534,100 @@ def polish_fixed(rel_phases, phi):
             f"float-precision polish failed; residual max-norm {float_rmax:.3e}"
         )
     if square is None:
-        jac_inv = np.linalg.pinv(jac, rcond=solver._RCOND)
+        jac_inv = np.linalg.pinv(jac, rcond=_RCOND)
     gate = _angle_trig(phi, 2)
     x, evals, rmax, a_h = _fixed_newton(x_float, pinned, np.asarray(jac_inv), gate)
-    _log.debug(
+    _debug(
+        "cpgate.precise",
         "polish free=%d float_rmax=%.3g evals=%d rmax=%.3g seconds=%.6f",
         n - pinned, float_rmax, evals, math.ldexp(rmax, -2 * PREC),
         time.perf_counter() - start,
     )
     return x, _half_t(*a_h, gate)
+
+
+def _certified_inverse(jac):
+    """Inverse of the square matrix ``jac`` (a list of rows) by Gauss-Jordan
+    elimination with partial pivoting, or None on a zero pivot or when
+    ||J||_F ||J^-1||_F >= 1/_RCOND.  That bound certifies
+    sigma_min > _RCOND sigma_max, so the pseudo-inverse at ``_RCOND`` drops
+    no singular value and is this inverse."""
+    size = len(jac)
+    rows = [
+        [*row, *(float(i == k) for k in range(size))] for i, row in enumerate(jac)
+    ]
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda i: abs(rows[i][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        if lead == 0:
+            return None
+        row = rows[col] = [v / lead for v in rows[col]]
+        for i in range(size):
+            factor = rows[i][col]
+            if i != col and factor:
+                rows[i] = [v - factor * w for v, w in zip(rows[i], row)]
+    inv = [row[size:] for row in rows]
+    bound = math.sqrt(sum(v * v for row in jac for v in row)) * math.sqrt(
+        sum(v * v for row in inv for v in row)
+    )
+    # A NaN bound fails the test too.
+    return inv if bound < 1.0 / _RCOND else None
+
+
+def _newton_square(phases, phi: float, tol: float, max_iter: int, pinned: int):
+    """``solver._newton_batch`` on one row, in Python scalars, for a square
+    system, as many phases after the leading ``pinned`` as residual
+    entries: the same full step, halvings, acceptance on a smaller residual
+    2-norm and stopping rule, with a pivoted solve in place of the
+    pseudo-inverse.
+
+    Returns (phases, residual max-norm, converged, inverse) with the
+    inverse of the Jacobian in the free phases at the returned phases, as
+    a list of rows, or None if any Jacobian it inverts is singular or fails
+    the certificate of ``_certified_inverse``.
+    """
+    x = [float(v) for v in phases]
+    rot = cmath.exp(0.25j * phi)
+
+    def evaluate(point, tangents):
+        a, da = half_jets(point, pinned if tangents else None)
+        r = [(rot * c).imag for c in a[:-1]]
+        return r, [[(rot * d[m]).imag for d in da] for m in range(len(r))]
+
+    def norm(r):
+        return math.sqrt(sum(v * v for v in r))
+
+    def moved(step, t):
+        trial = list(x)
+        for j, d in enumerate(step, start=pinned):
+            trial[j] += t * d
+        return trial
+
+    r, jac = evaluate(x, True)
+    for it in range(max_iter + 1):
+        rmax = max(abs(v) for v in r)
+        inv = _certified_inverse(jac)
+        if inv is None:
+            return None
+        if rmax < tol or it == max_iter:
+            return x, rmax, rmax < tol, inv
+        step = [-sum(w * v for w, v in zip(row, r)) for row in inv]
+        norm0 = norm(r)
+        trial = moved(step, 1.0)
+        r_trial, jac_trial = evaluate(trial, True)
+        if norm(r_trial) < norm0:
+            x, r, jac = trial, r_trial, jac_trial
+            continue
+        for t in _STEP_LENGTHS[1:]:
+            trial = moved(step, t)
+            if norm(evaluate(trial, False)[0]) < norm0:
+                break
+        else:
+            # Every halving failed: the iteration stops where it is.
+            return x, rmax, False, inv
+        x = trial
+        r, jac = evaluate(x, True)
 
 
 def _small_cos_sin(d):

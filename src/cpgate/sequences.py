@@ -24,10 +24,13 @@ or an inline train the CLI polishes or ``range`` reads.
 u-coefficients of the major-diagonal element a_h of pi_0 pi_p1 ... pi_pn,
 with exact tangents in the phases on request, by the recurrence of
 ``jets``.  It serves the square systems of ``precise``'s polish
-(``solver._newton_square``), where numpy's per-call overhead would
-dominate, and ``analysis``'s range search on a two-half train, so that
-neither loads numpy.  ``_mp_jet_pulse`` is the same pulse on integers in
-the fixed point of ``su2``: ``precise`` composes its 50-digit trains on
+(``precise._newton_square``), where numpy's per-call overhead would
+dominate, and ``analysis``'s range search on a two-half train: neither
+loads ``jets``, and the search no numpy.  Both Newton iterations,
+``solver``'s batch and that scalar one, take the pseudo-inverse cutoff
+``_RCOND`` and the backtracking step lengths ``_STEP_LENGTHS`` from
+here.  ``_mp_jet_pulse`` is the same pulse on integers in the fixed
+point of ``su2``: ``precise`` composes its 50-digit trains on
 it, and ``_float_half_t`` a float half's t for ``analysis.sweep``.  The
 three kernels share one integer zero prefix (``_zero_prefix``), one
 conversion of doubles to the fixed point (``_fixed``) and one held-zero
@@ -45,6 +48,10 @@ PI = math.pi
 # Tolerance (radians, mod 2 pi) of ``first_half``: it admits the 4-decimal
 # rounding of the tables and the mod-2 phases ``solve`` writes.
 _HALF_TOL = 1e-3
+# Pseudo-inverse cutoff of a Newton step, and its backtracking step
+# lengths 2^-k, k = 0..29: the full step, then each halving in turn.
+_RCOND = 1e-6
+_STEP_LENGTHS = tuple(0.5**k for k in range(30))
 
 
 def structured_sequence(rel_phases, phi, nu: float = 0.0) -> CompositeSequence:

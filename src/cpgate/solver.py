@@ -34,27 +34,22 @@ leading phases of its input that are exactly 0.
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 import time
 
 import numpy as np
 
 from .jets import structured_jets
-from .sequences import half_jets, pinned_zero_count
-from .su2 import Record, SolverError
+from .sequences import _RCOND, _STEP_LENGTHS, pinned_zero_count
+from .su2 import Record, SolverError, _debug
 
 TWO_PI = 2.0 * math.pi
-# Pseudo-inverse cutoff of the Newton step.
-_RCOND = 1e-6
 # Two roots closer than this in every phase (mod 2 pi) are one class.
 _DEDUPE_TOL = 1e-6
 # Residual max-norm a root must reach, and the Newton iteration limit of
 # a ``solve`` restart.
 _TOL = 1e-12
 _MAX_ITER = 200
-
-_log = logging.getLogger("cpgate.solver")
 
 
 class SolverConfig(Record):
@@ -110,9 +105,7 @@ def residual(phases, phi: float) -> np.ndarray:
 # benchmark's solve workload 82 % of the rows whose full step fails
 # succeed within the first three halvings (75-88 % per op list, seeds
 # 7001-7010), so most skip the other 26.
-_STEPS = (0.5 ** np.arange(0, 4), 0.5 ** np.arange(4, 30))
-# The halvings 2^-1..2^-29 as Python floats, for ``_newton_square``.
-_HALVING_STEPS = tuple(np.concatenate(_STEPS)[1:].tolist())
+_STEPS = (np.array(_STEP_LENGTHS[:4]), np.array(_STEP_LENGTHS[4:]))
 
 
 def _newton_batch(
@@ -223,90 +216,6 @@ def _newton_batch(
     return x, rmax, ok, jac_out
 
 
-def _certified_inverse(jac):
-    """Inverse of the square matrix ``jac`` (a list of rows) by Gauss-Jordan
-    elimination with partial pivoting, or None on a zero pivot or when
-    ||J||_F ||J^-1||_F >= 1/_RCOND.  That bound certifies
-    sigma_min > _RCOND sigma_max, so the pseudo-inverse at ``_RCOND`` drops
-    no singular value and is this inverse."""
-    size = len(jac)
-    rows = [
-        [*row, *(float(i == k) for k in range(size))] for i, row in enumerate(jac)
-    ]
-    for col in range(size):
-        pivot = max(range(col, size), key=lambda i: abs(rows[i][col]))
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        if lead == 0:
-            return None
-        row = rows[col] = [v / lead for v in rows[col]]
-        for i in range(size):
-            factor = rows[i][col]
-            if i != col and factor:
-                rows[i] = [v - factor * w for v, w in zip(rows[i], row)]
-    inv = [row[size:] for row in rows]
-    bound = math.sqrt(sum(v * v for row in jac for v in row)) * math.sqrt(
-        sum(v * v for row in inv for v in row)
-    )
-    # A NaN bound fails the test too.
-    return inv if bound < 1.0 / _RCOND else None
-
-
-def _newton_square(phases, phi: float, tol: float, max_iter: int, pinned: int):
-    """``_newton_batch`` on one row, in Python scalars, for a square
-    system, as many phases after the leading ``pinned`` as residual
-    entries: the same full step, halvings, acceptance on a smaller residual
-    2-norm and stopping rule, with a pivoted solve in place of the
-    pseudo-inverse.
-
-    Returns (phases, residual max-norm, converged, inverse) with the
-    inverse of the Jacobian in the free phases at the returned phases, as
-    a list of rows, or None if any Jacobian it inverts is singular or fails
-    the certificate of ``_certified_inverse``.
-    """
-    x = [float(v) for v in phases]
-    rot = cmath.exp(0.25j * phi)
-
-    def evaluate(point, tangents):
-        a, da = half_jets(point, pinned if tangents else None)
-        r = [(rot * c).imag for c in a[:-1]]
-        return r, [[(rot * d[m]).imag for d in da] for m in range(len(r))]
-
-    def norm(r):
-        return math.sqrt(sum(v * v for v in r))
-
-    def moved(step, t):
-        trial = list(x)
-        for j, d in enumerate(step, start=pinned):
-            trial[j] += t * d
-        return trial
-
-    r, jac = evaluate(x, True)
-    for it in range(max_iter + 1):
-        rmax = max(abs(v) for v in r)
-        inv = _certified_inverse(jac)
-        if inv is None:
-            return None
-        if rmax < tol or it == max_iter:
-            return x, rmax, rmax < tol, inv
-        step = [-sum(w * v for w, v in zip(row, r)) for row in inv]
-        norm0 = norm(r)
-        trial = moved(step, 1.0)
-        r_trial, jac_trial = evaluate(trial, True)
-        if norm(r_trial) < norm0:
-            x, r, jac = trial, r_trial, jac_trial
-            continue
-        for t in _HALVING_STEPS:
-            trial = moved(step, t)
-            if norm(evaluate(trial, False)[0]) < norm0:
-                break
-        else:
-            # Every halving failed: the iteration stops where it is.
-            return x, rmax, False, inv
-        x = trial
-        r, jac = evaluate(x, True)
-
-
 def solve(config: SolverConfig) -> list[Solution]:
     """Multi-start Newton in the leading-zeros chart.
 
@@ -341,8 +250,8 @@ def solve(config: SolverConfig) -> list[Solution]:
         close = gap.max(axis=1) <= _DEDUPE_TOL
         classes.append((head, float(rmax[rest[0]]), roots[rest[close]]))
         rest = rest[~close]
-    _log.debug(
-        "solve n=%d phi=%.6g: restarts=%d converged=%d classes=%d "
+    _debug(
+        "cpgate.solver", "solve n=%d phi=%.6g: restarts=%d converged=%d classes=%d "
         "iterations=%d capped=%d evaluations=%d newton_s=%.3f",
         config.n, config.phi, config.seeds, converged.sum(), len(classes),
         stats["iterations"], stats["capped"], stats["evaluations"], newton_s,

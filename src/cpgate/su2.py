@@ -1,7 +1,8 @@
 """The data types of composite pulse trains: an SU(2) pair, a train of pi
 pulses and the phase gate it targets, and the exact phase of a 50-digit
 train with the integer rounding that makes it; the two numerical-failure
-errors; the order read off a slope fit; and ``Record``, the immutable
+errors; the order read off a slope fit; the DEBUG records of the
+numerical modules (``_debug``); and ``Record``, the immutable
 record that every cpgate record class (``Su2``, ``CompositeSequence``,
 ``catalog.CatalogEntry``, ``analysis.ErrorRange``, ...) derives from.
 Every command loads this module, and it loads neither numpy, mpmath
@@ -46,6 +47,16 @@ class SolverError(RuntimeError):
 class AnalysisError(RuntimeError):
     """A train has no order or range to report (``order_from_slope``,
     ``analysis.high_fidelity_range``)."""
+
+
+def _debug(logger: str, msg: str, *args) -> None:
+    """``logging.getLogger(logger).debug(msg, *args)`` where ``logging`` is
+    loaded, and nothing where it is not: no handler can hear a record
+    that nobody imported ``logging`` to configure, so no command loads
+    ``logging`` to drop its DEBUG records."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(logger).debug(msg, *args)
 
 
 class Record:

@@ -57,39 +57,49 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run({argv!r})
 print(json.dumps([code, *(name in sys.modules for name in {modules!r})]))
 """
-_MODULES = ("numpy", "mpmath", "dataclasses", "inspect")
+_MODULES = ("numpy", "mpmath", "cpgate.solver", "cpgate.jets", "logging",
+            "dataclasses", "inspect")
 _SPEC = "phi=0.5;phases=0,0,0,1.0477,1.5126,0.3399,0.75,0.75,0.75,1.7977,2.2626,1.0899"
+# A 6-pulse spec whose half holds no leading zero against the one of the
+# solver's chart: an underdetermined polish.
+_FREE_SPEC = "phi=1.67;phases=0.0,0.49,0.65,0.165,0.655,0.815"
 # A rounded 14-pulse row, two halves to round-off, and the same row with its
 # last phase moved by 1e-6 rad: off the structure, so range reads it whole.
 _ROW = "phi=0.5;phases=0,0,0,0,0.9961,0.9684,0.8855,0.75,0.75,0.75,0.75,1.7461,1.7184"
 _TWO_HALVES, _OFF_HALVES = f"{_ROW},1.6355", f"{_ROW},1.6355003183098862"
 
 
-@pytest.mark.parametrize("argv, numpy, mpmath", [
-    (["list"], False, False),
-    (["tables", "--which", "Z"], False, False),
-    (["tables", "--which", "IV"], False, False),
-    (["show", "Z18"], False, False),
-    *((["build", "--phi", "0.5", "--pulses", str(p)], False, False)
+@pytest.mark.parametrize("argv, numpy, mpmath, solver", [
+    (["list"], False, False, False),
+    (["tables", "--which", "Z"], False, False, False),
+    (["tables", "--which", "IV"], False, False, False),
+    (["show", "Z18"], False, False, False),
+    *((["build", "--phi", "0.5", "--pulses", str(p)], False, False, False)
       for p in (2, 4, 6, 8)),
-    (["verify", "--gate", "Z18"], False, True),
-    (["verify", "--json", "--gate", "T10"], False, True),
-    (["verify", "--gate", _SPEC], True, True),
-    (["range", "--gate", "Z8"], False, False),
-    (["range", "--gate", "Z2"], False, False),
-    (["range", "--gate", _TWO_HALVES], False, False),
-    (["range", "--gate", _OFF_HALVES], True, False),
-    (["sweep", "--gate", "Z8", "--steps", "5"], True, False),
-    (["sweep", "--gate", "Z2", "--steps", "5"], True, False),
-    (["solve", "--order", "2", "--phi", "0.5", "--seeds", "2"], True, False),
+    (["build", "--phi", "0.5", "--pulses", "14"], True, True, False),
+    (["verify", "--gate", "Z18"], False, True, False),
+    (["verify", "--json", "--gate", "T10"], False, True, False),
+    (["verify", "--gate", _SPEC], True, True, False),
+    (["verify", "--gate", _TWO_HALVES], True, True, False),
+    (["verify", "--gate", _FREE_SPEC], True, True, True),
+    (["range", "--gate", "Z8"], False, False, False),
+    (["range", "--gate", "Z2"], False, False, False),
+    (["range", "--gate", _TWO_HALVES], False, False, False),
+    (["range", "--gate", _OFF_HALVES], True, False, False),
+    (["sweep", "--gate", "Z8", "--steps", "5"], True, False, False),
+    (["sweep", "--gate", "Z2", "--steps", "5"], True, False, False),
+    (["solve", "--order", "2", "--phi", "0.5", "--seeds", "2"], True, False, True),
 ])
-def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, mpmath):
+def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, mpmath, solver):
     # numpy serves array code; mpmath the trig of verify's slope grid and
-    # rotors, and no build of a named train.  The records are su2.Record's,
-    # so no command loads dataclasses, and inspect comes in with numpy
-    # alone (numpy._core.overrides imports it).
+    # rotors, and no build of a named train.  solver and jets serve solve
+    # and an underdetermined polish alone: a square polish (a table row,
+    # inline or built) runs its float stage in precise.  No command loads
+    # logging, whose DEBUG records nobody could hear.  The records are
+    # su2.Record's, so no command loads dataclasses, and inspect comes in
+    # with numpy alone (numpy._core.overrides imports it).
     loaded = _fresh(_CLI.format(argv=argv, modules=_MODULES))
-    assert loaded == [0, numpy, mpmath, False, numpy]
+    assert loaded == [0, numpy, mpmath, solver, solver, False, False, numpy]
 
 
 @pytest.mark.parametrize("argv", [["list"], ["show", "Z18"], ["range", "--gate", "Z8"]])
@@ -139,7 +149,7 @@ print(json.dumps([built, sorted(sys.modules)]))
     # modules of the build are taken before half_polynomial runs.
     for module in ("mpmath", "logging", "dataclasses", "inspect"):
         assert module not in built
-    for module in ("numpy", "cpgate.solver", "cpgate.jets", "cpgate.analysis"):
+    for module in ("numpy", "cpgate.solver", "cpgate.jets", "cpgate.analysis", "logging"):
         assert module not in loaded
     assert [m for m in built if m.startswith("cpgate")] == [
         "cpgate", "cpgate.catalog", "cpgate.sequences", "cpgate.su2"
@@ -228,8 +238,31 @@ def test_precise_imports_mpmath_only_inside_its_trig_and_logs():
     tree = ast.parse((Path(cpgate.__file__).parent / "precise.py").read_text())
     names = [name for node in _module_level_imports(tree)
              for name in (getattr(node, "module", None) or "", *(a.name for a in node.names))]
-    assert "logging" in names
+    assert "math" in names
     assert not [name for name in names if name.split(".")[0] == "mpmath"]
+
+
+@pytest.mark.parametrize("module", sorted(cpgate._SUBMODULES))
+def test_no_module_imports_logging_or_typing_to_load(module):
+    # DEBUG records go through su2._debug, which logs only where logging
+    # is loaded, and no annotation needs typing at run time.
+    tree = ast.parse((Path(cpgate.__file__).parent / f"{module}.py").read_text())
+    names = [name for node in _module_level_imports(tree)
+             for name in (getattr(node, "module", None) or "", *(a.name for a in node.names))]
+    assert not {"logging", "typing"} & set(names)
+
+
+def test_importtime_shows_a_submodule_the_package_loads_on_first_use():
+    # cpgate.__getattr__ loads a submodule by an import statement, which
+    # -X importtime reports (importlib.import_module is not reported).
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "from cpgate import catalog"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    shown = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "cpgate.catalog" in shown
+    assert "cpgate" in shown
 
 
 @pytest.mark.parametrize("module, banned", [("su2", "numpy"), ("analysis", "cpgate.precise")])

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -1025,3 +1026,34 @@ def test_a_closed_stdout_exits_1_quietly(argv, tmp_path):
     )
     assert proc.returncode == EXIT_VALIDATION
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def _limit_denominator_fraction(phi):
+    # cli._pi_fraction as it was: the closest fraction of q <= 64 to phi/pi,
+    # if its multiple of pi is within 1e-12 of phi.
+    frac = Fraction(phi / math.pi).limit_denominator(64)
+    return frac if abs(float(frac) * math.pi - phi) < 1e-12 else None
+
+
+def test_pi_fraction_is_the_closest_fraction_of_limit_denominator():
+    angles = []
+    for frac in {Fraction(p, q) for q in range(1, 65) for p in range(-4 * q, 4 * q + 1)}:
+        phi = frac.numerator / frac.denominator * math.pi
+        angles += [phi, math.nextafter(phi, math.inf), math.nextafter(phi, -math.inf)]
+        # Just inside and just outside the 1e-12 of the check.
+        angles += [phi + 0.9e-12, phi - 0.9e-12, phi + 1.1e-12, phi - 1.1e-12]
+    rng = random.Random(50)
+    angles += [rng.uniform(-20.0, 20.0) for _ in range(2000)]
+    angles += [rng.uniform(-1e-9, 1e-9) for _ in range(100)]
+    # Beyond ~1e11 the check no longer pins phi/pi to 1e-12, and p/q may
+    # not be the closest fraction.
+    angles += [rng.choice((-1, 1)) * 10 ** rng.uniform(9, 17) for _ in range(1000)]
+    # Huge angles, up to where phi/pi times q overflows, and subnormals.
+    angles += [2.0**32 * math.pi, 2.0**32 * math.pi * (1 + 2**-52), 1e11, 1e15 * math.pi,
+               2.0**60, 1e300, 1e308, 1.7e308, -1.7e308, sys.float_info.max]
+    angles += [5e-324, -5e-324, 2.2e-308, 1e-320, 0.0, -0.0]
+    for phi in angles:
+        got, want = cli._pi_fraction(phi), _limit_denominator_fraction(phi)
+        assert got == want and type(got) is type(want), phi
+    assert cli._pi_fraction(0.5 * math.pi) == Fraction(1, 2)
+    assert cli._pi_fraction(-3 / 7 * math.pi) == Fraction(-3, 7)

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import os
@@ -459,6 +460,7 @@ def test_the_fit_uses_neither_mpmath_logs_nor_lapack(monkeypatch):
                 if hasattr(precise, name)]
     precise._log_table.cache_clear()
     precise._slope_weights.cache_clear()
+    precise._grid_top.cache_clear()
     got = [precise.slope_fit(seq), precise.half_slope_fit(t, len(seq)), precise.slope_fit(builder)]
     assert got == want
 
@@ -630,7 +632,7 @@ def test_polish_evaluates_the_float_jacobian_once_at_its_converged_point(
         return half_jets(x, pinned)
 
     monkeypatch.setattr(solver, "structured_jets", counted)
-    monkeypatch.setattr(solver, "half_jets", counted_scalar)
+    monkeypatch.setattr(precise, "half_jets", counted_scalar)
     precise.polish_structured(rel, phi)
     converged = points[-1]
     assert sum(np.array_equal(x, converged) for x in points) == 1
@@ -648,7 +650,7 @@ def _newton_both_ways(rel, phi):
     # exact root on the pi 2/3 12-pulse row.)
     pinned = precise._leading_zeros(rel)
     assert pinned == solver.pinned_zero_count(len(rel))  # square
-    square = solver._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, pinned)
+    square = precise._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, pinned)
     _, _, converged, _ = solver._newton_batch(
         np.array([rel]), float(phi), precise._FLOAT_TOL, 60, pinned
     )
@@ -659,10 +661,28 @@ def _newton_both_ways(rel, phi):
     with mp.workdps(precise.WORKING_DPS):
         got, _ = precise.polish_structured(rel, phi)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "_newton_square", lambda *args: None)
+            patch.setattr(precise, "_newton_square", lambda *args: None)
             want, _ = precise.polish_structured(rel, phi)
         assert max(abs(mp.mpf(g) - w) for g, w in zip(got, want)) <= bound
     assert [float(g) for g in got] == [float(w) for w in want]
+
+
+def test_certified_inverse_refuses_what_pinv_would_truncate():
+    # diag(1, r): pinv at _RCOND drops r once r <= 1e-6, and the
+    # certificate ||J||_F ||J^-1||_F < 1e6 refuses it first.
+    assert precise._certified_inverse([[1.0, 0.0], [0.0, 1e-7]]) is None
+    inv = precise._certified_inverse([[1.0, 0.0], [0.0, 1e-5]])
+    assert np.allclose(inv, np.diag([1.0, 1e5]), rtol=1e-15, atol=0)
+    # A zero pivot, and a NaN.
+    assert precise._certified_inverse([[1.0, 2.0], [2.0, 4.0]]) is None
+    assert precise._certified_inverse([[0.0]]) is None
+    assert precise._certified_inverse([[math.nan]]) is None
+    rng = np.random.default_rng(3)
+    for size in range(1, 6):
+        jac = rng.normal(size=(size, size)) + 3 * np.eye(size)
+        inv = precise._certified_inverse(jac.tolist())
+        want = np.linalg.pinv(jac, rcond=precise._RCOND)
+        assert np.max(np.abs(np.array(inv) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _rounded_rows():
@@ -727,16 +747,16 @@ def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
         return batched(x0, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "half_jets", degenerate)
+        patch.setattr(precise, "half_jets", degenerate)
         _, da = degenerate(rel, pinned)
         rot = complex(mp.exp(0.25j * mp.mpf(phi)))
         jac = [[(rot * d[m]).imag for d in da] for m in range((len(rel) + 1) // 2)]
         sigma = np.linalg.svd(np.array(jac), compute_uv=False)
-        assert sigma[-1] < solver._RCOND * sigma[0]
-        assert solver._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, pinned) is None
+        assert sigma[-1] < precise._RCOND * sigma[0]
+        assert precise._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, pinned) is None
         patch.setattr(solver, "_newton_batch", recorded)
         got = precise.polish_structured(rel, phi)
-        patch.setattr(solver, "_newton_square", lambda *args: None)
+        patch.setattr(precise, "_newton_square", lambda *args: None)
         want = precise.polish_structured(rel, phi)
     assert calls == [rel, rel]
     assert got == want
@@ -755,7 +775,7 @@ def test_named_trains_of_order_four_or_more_polish_through_the_batched_newton(na
         return batched(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_newton_square", lambda *args: calls.append("square"))
+        patch.setattr(precise, "_newton_square", lambda *args: calls.append("square"))
         patch.setattr(solver, "_newton_batch", recorded)
         precise.polish_structured(rel, phi)
     assert calls == ["batched"]
@@ -1177,3 +1197,118 @@ def test_raw_refuses_an_angle_it_would_round_through_a_float(angle):
         precise.structured_train((), angle)
     with pytest.raises(TypeError):
         precise.polish_structured([0.5], angle)
+
+
+def _values(t, pulses):
+    # The fixed-point s^p t(u) on the slope grid, as half_slope_fit takes it.
+    values = []
+    for s, u, _ in precise._slope_grid()[1]:
+        value = precise._horner(t, u)
+        values.append(s * value >> precise.PREC if pulses // 2 % 2 else value)
+    return values
+
+
+def _fit_both_ways(t, pulses):
+    # (half_slope_fit, whether it took the log per point, _line_fit of the
+    # same squares): the cached grid logs and the per-point logs.
+    calls, line_fit = [], precise._line_fit
+
+    def counted(*args):
+        calls.append(args)
+        return line_fit(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(precise, "_line_fit", counted)
+        got = precise.half_slope_fit(t, pulses)
+    want = line_fit([v * v for v in _values(t, pulses)], 1 - 2 * precise.PREC)
+    return got, bool(calls), want
+
+
+def _assert_cached_logs(t, pulses):
+    got, per_point, want = _fit_both_ways(t, pulses)
+    assert not per_point
+    assert got == want
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_the_fit_of_a_name_from_its_cached_grid_logs_is_the_fit_of_its_logs(name):
+    # Every name's t has a top coefficient that sets its values to 2^-30
+    # but the 2-pulse trains', whose t is a constant.
+    entry = catalog.get(name)
+    t, pulses = catalog.half_polynomial(entry), 2 * (entry.order + 1)
+    if len(t) == 1:
+        got, per_point, want = _fit_both_ways(t, pulses)
+        assert per_point and got == want
+    else:
+        _assert_cached_logs(t, pulses)
+
+
+@pytest.mark.parametrize("frac, pulses", _rounded_rows())
+def test_the_fit_of_a_polished_row_from_its_cached_grid_logs_is_the_fit_of_its_logs(
+    frac, pulses
+):
+    seq = catalog.arbitrary_row(frac, pulses, refine=False)
+    _, t = precise.polish_structured([float(p) for p in seq.phases[1 : pulses // 2]], frac)
+    _assert_cached_logs(t, pulses)
+
+
+def test_the_fit_of_each_polished_corpus_spec_is_the_fit_of_its_logs():
+    import make_corpus
+
+    corpus = json.loads(make_corpus.CORPUS.read_text())
+    fitted = 0
+    for record in corpus["verify"]:
+        if "=" not in record["gate"]:
+            continue
+        seq = cli.spec_parse(record["gate"])
+        t = cli._polished_half(seq)
+        if t is not None:
+            _assert_cached_logs(t, len(seq))
+            fitted += 1
+    assert fitted >= 140  # 144 of the 194 inline specs polish
+
+
+@given(
+    n=st.integers(1, 8),
+    phi=st.floats(0.05, 2 * math.pi - 0.05),
+    rng_seed=st.integers(0, 2**16),
+)
+@settings(max_examples=15, deadline=None)
+def test_the_fit_of_a_random_polished_train_is_the_fit_of_its_logs(n, phi, rng_seed):
+    # A chart root of a random problem, polished to 50 digits.
+    try:
+        sols = solver.solve(solver.SolverConfig(n=n, phi=phi, seeds=4, rng_seed=rng_seed))
+        _, t = precise.polish_structured(list(sols[0].phases), phi)
+    except solver.SolverError:
+        assume(False)
+    _assert_cached_logs(t, 2 * (n + 1))
+
+
+def _rho(t, pulses):
+    # max |v_k / (t_m U_k) - 1| over the grid, in floats.
+    m, p = len(t) - 1, pulses // 2 % 2
+    return max(
+        abs(v / (t[-1] * (u / 2**precise.PREC) ** m * (s / 2**precise.PREC) ** p) - 1)
+        for v, (s, u, _) in zip(_values(t, pulses), precise._slope_grid()[1])
+    )
+
+
+def test_a_half_off_the_cached_logs_takes_a_log_per_point():
+    one = 1 << precise.PREC
+    u3 = precise._slope_grid()[1][3][1]
+    # An exact half off every root: its low coefficients set its values.
+    off_root = precise.t_polynomial((0.0, 0.3, 1.1, 0.7), 0.5 * math.pi)
+    assert _rho(off_root, 8) > 2**-30
+    cases = [
+        ((one // 3,), 2),  # a constant t
+        ((one // 3,), 4),
+        ((one // 5, one // 7, 0), 8),  # a top coefficient of 0
+        # t(u_3) = 0 exactly: that square drops its point.
+        ((-(one * u3 >> precise.PREC), one), 4),
+        (off_root, 8),
+    ]
+    for t, pulses in cases:
+        got, per_point, want = _fit_both_ways(t, pulses)
+        assert per_point, t
+        assert got == want, t
+    assert 0 in _values(cases[3][0], 4)

@@ -452,24 +452,6 @@ def test_solve_logs_its_counts_at_debug(caplog):
     assert float(counts["newton_s"]) >= 0.0
 
 
-def test_certified_inverse_refuses_what_pinv_would_truncate():
-    # diag(1, r): pinv at _RCOND drops r once r <= 1e-6, and the
-    # certificate ||J||_F ||J^-1||_F < 1e6 refuses it first.
-    assert solver._certified_inverse([[1.0, 0.0], [0.0, 1e-7]]) is None
-    inv = solver._certified_inverse([[1.0, 0.0], [0.0, 1e-5]])
-    assert np.allclose(inv, np.diag([1.0, 1e5]), rtol=1e-15, atol=0)
-    # A zero pivot, and a NaN.
-    assert solver._certified_inverse([[1.0, 2.0], [2.0, 4.0]]) is None
-    assert solver._certified_inverse([[0.0]]) is None
-    assert solver._certified_inverse([[math.nan]]) is None
-    rng = np.random.default_rng(3)
-    for size in range(1, 6):
-        jac = rng.normal(size=(size, size)) + 3 * np.eye(size)
-        inv = solver._certified_inverse(jac.tolist())
-        want = np.linalg.pinv(jac, rcond=solver._RCOND)
-        assert np.max(np.abs(np.array(inv) - want)) <= 1e-12 * np.max(np.abs(want))
-
-
 def _reference_newton_batch(x0, phi, tol, max_iter, pinned=0, rcond=1e-6):
     # The Newton loop as it ran before the full step carried its Jacobian,
     # on the half-train residual: every iteration evaluates the Jacobian
