@@ -28,7 +28,9 @@ it rounds stored integers and exact phases to ``su2.Phase``s
 (``su2.polish_result``, ``sequences.structured_train``) and loads neither
 numpy, ``solver`` nor ``precise``.  ``precise`` is imported only where it
 runs: the polish of a half that is not stored, and the t of an exact
-entry (``half_polynomial``), which only ``verify`` asks for.
+entry (``half_polynomial``), which only ``verify`` asks for.  numpy and
+``solver`` come in only where that polish runs ``solver._newton_batch``:
+for a half that is not square, which no table row is (see ``precise``).
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ A command imports the modules it runs, inside it: ``list``, ``tables``,
 file no numpy; ``range`` on a two-half train loads ``analysis`` and no
 numpy; ``sweep``, ``solve`` and any other ``range`` load numpy.  A
 polish (``verify`` on an inline spec, ``build --pulses 10/12/14``, a
-catalog file whose decimal phases are not stored) loads ``precise`` and
-numpy; only one that is not square (a half with fewer leading zeros
-than the solver's chart, as no table row has) loads ``solver`` and
-``jets``, which otherwise serve ``solve`` alone.  No command loads
+catalog file whose decimal phases are not stored) loads ``precise``;
+numpy only where it runs ``solver._newton_batch``, which loads
+``solver`` and ``jets`` too: for a half that is not square (fewer
+leading zeros than the solver's chart, as no table row has) or whose
+certificate fails.  No command loads
 ``logging``: a DEBUG record is made only where something loaded it
 (``su2._debug``).  The records are ``su2.Record``s, so no command
 imports the standard dataclass module (nor, through it, ``inspect``), and
@@ -258,9 +259,12 @@ def _cmd_range(args) -> int:
     seq = _resolve_gate(args.gate)[0]
     rng = analysis.high_fidelity_range(seq, args.threshold)
     note = "  (non-monotonic profile; scanned)" if rng.flagged else ""
+    # Five decimals show four significant digits of epsilon0 from 0.01 up;
+    # below, the line takes as many decimals as four digits need.
+    places = max(5, 3 - int(f"{rng.epsilon0:.3e}".partition("e")[2]))
     print(
-        f"epsilon0 = {rng.epsilon0:.5f}, interval "
-        f"[{rng.lower:.5f}pi, {rng.upper:.5f}pi]{note}"
+        f"epsilon0 = {rng.epsilon0:.{places}f}, interval "
+        f"[{rng.lower:.{places}f}pi, {rng.upper:.{places}f}pi]{note}"
     )
     return 0
 

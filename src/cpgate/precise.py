@@ -140,22 +140,21 @@ failed certificate sends the polish back to its input through
 named trains of order >= 4) runs ``solver._newton_batch`` on one row and
 ``np.linalg.pinv``: there the float root's last bits choose the point on
 the root manifold, and those bits must stay the ones the named trains'
-chart classes were measured with.  Only the polish imports numpy, on
-its first call, and only a polish that is not square ``solver`` (and
-through it ``jets``); only ``verify``, a polish of a half that is not
-stored and the t of an exact catalog entry load this module: the
-packaged named trains read their polishes from data (see ``catalog``).
-The 50-digit stage (``_fixed_newton``) runs in fixed point end to end.  The float root is
-converted once to integers at 2^PREC, exactly (``sequences._fixed``),
-and each phase after the held zeros takes one ``mpf_cos_sin`` per
-polish.  A step adds each double to its phase exactly, as an integer,
-and turns the phase's rotor by e^{i step}, its cos and sin summed by
-Taylor series in fixed point (``_small_cos_sin``; steps are ~1e-9 and
-below, so three or four terms): a few units of 2^-PREC from a fresh
-cos/sin of the phase after three turns.  The residual stays the integer sin(phi/4) Re a_h +
-cos(phi/4) Im a_h at 2^-2PREC, only the
-step's right-hand side becomes doubles, and the stop test at
-10^-_POLISH_DIGITS = 1e-45 is an integer comparison.  That bound holds
+chart classes were measured with.  numpy, ``solver`` and (through it)
+``jets`` load only where ``solver._newton_batch`` runs; only ``verify``,
+a polish of a half that is not stored and the t of an exact catalog
+entry load this module: the packaged named trains read their polishes
+from data (see ``catalog``).  The 50-digit stage (``_fixed_newton``)
+runs in fixed point end to end: the float root and the float stage's
+inverse W (rows of doubles) are converted once to integers at 2^PREC
+(``sequences._fixed``), and each phase after the held zeros takes one
+``mpf_cos_sin`` per polish.  With the residual r the integer
+sin(phi/4) Re a_h + cos(phi/4) Im a_h at 2^-2PREC, a step moves phase k
+by -(sum_j W_kj r_j) >> 2 PREC and turns its rotor by e^{i step}, the
+cos and sin summed by Taylor series in fixed point (``_small_cos_sin``;
+steps are ~1e-9 and below, so three or four terms): a few units of
+2^-PREC from a fresh cos/sin of the phase after three turns.  The stop
+test at 10^-_POLISH_DIGITS = 1e-45 is an integer comparison, and holds
 the full-train derivative conditions of every polished table row and
 named train below 1e-40 at 90 digits.  ``polish_fixed`` returns the
 phases as those integers, and ``polish_result`` rounds them to
@@ -505,11 +504,9 @@ def polish_fixed(rel_phases, phi):
     Logs one DEBUG record under ``cpgate.precise``: the free-phase count,
     the residual max-norm after the float stage, the number of 50-digit
     residual evaluations, the final residual max-norm and the seconds
-    spent (``su2._debug``: where ``logging`` is loaded).  Only the polish
-    loads numpy, and only one that is not square ``solver``.
+    spent (``su2._debug``: where ``logging`` is loaded).  Only the branch
+    that runs ``solver._newton_batch`` loads numpy and ``solver``.
     """
-    import numpy as np
-
     start = time.perf_counter()
     phi_float = float(Phase(_raw(phi)))
     x_float = [float(v) for v in rel_phases]
@@ -523,20 +520,21 @@ def polish_fixed(rel_phases, phi):
     if square is not None:
         x_float, float_rmax, ok, jac_inv = square
     else:
+        import numpy as np
+
         from . import solver
 
         roots, norms, converged, jacs = solver._newton_batch(
             np.array([x_float]), phi_float, _FLOAT_TOL, 60, pinned
         )
         x_float, float_rmax, ok, jac = roots[0], norms[0], converged[0], jacs[0]
+        jac_inv = np.linalg.pinv(jac, rcond=_RCOND).tolist() if ok else None
     if not ok:
         raise SolverError(
             f"float-precision polish failed; residual max-norm {float_rmax:.3e}"
         )
-    if square is None:
-        jac_inv = np.linalg.pinv(jac, rcond=_RCOND)
     gate = _angle_trig(phi, 2)
-    x, evals, rmax, a_h = _fixed_newton(x_float, pinned, np.asarray(jac_inv), gate)
+    x, evals, rmax, a_h = _fixed_newton(x_float, pinned, jac_inv, gate)
     _debug(
         "cpgate.precise",
         "polish free=%d float_rmax=%.3g evals=%d rmax=%.3g seconds=%.6f",
@@ -659,19 +657,17 @@ def _fixed_newton(x_float, pinned, jac_inv, gate):
     """The 50-digit stage of ``polish_structured``, in fixed point at
     2^PREC from the float root ``x_float``, whose first ``pinned`` phases
     are exactly 0 and held there: Newton steps with the inverse or
-    pseudo-inverse ``jac_inv`` of the float Jacobian in the phases after
-    them, until the residual max-norm is below 10^-_POLISH_DIGITS.
-
-    Each phase is an integer, the double converted once; a step adds the
-    double step exactly, as an integer.  The rotors of the phases after
-    the held zeros are taken once, and a step turns the rotor of each
-    moved phase by e^{i step}.  Returns (phases, residual
-    evaluations, residual max-norm at 2^-2PREC, a_h), a_h being the
-    (ar, ai) of the half's A that the last residual evaluation composed.
+    pseudo-inverse ``jac_inv`` (rows of doubles) of the float Jacobian in
+    the phases after them, until the residual max-norm is below
+    10^-_POLISH_DIGITS.  The phases and the inverse become integers once,
+    and a step is the integer product of the inverse and the residual;
+    it turns the rotor of each moved phase, taken once, by e^{i step}.
+    Returns (phases, residual evaluations, residual max-norm at
+    2^-2PREC, a_h), a_h being the (ar, ai) of the half's A that the last
+    residual evaluation composed.
     """
-    import numpy as np
-
     x = [_fixed(v) for v in x_float]
+    inverse = [[_fixed(w) for w in row] for row in jac_inv]
     # The held zeros never move: the cached zero prefix serves them.
     rotors = [_rotor(_exact(v, -PREC)) for v in x[pinned:]]
     for evals in range(1, WORKING_DPS + 1):
@@ -679,9 +675,9 @@ def _fixed_newton(x_float, pinned, jac_inv, gate):
         rmax = max(abs(v) for v in r)
         if rmax < _LIMIT:
             return x, evals, rmax, a_h
-        step = -jac_inv @ np.array([math.ldexp(float(v), -2 * PREC) for v in r])
-        for k, dk in enumerate(step.tolist()):
-            d = _fixed(dk)
+        for k, row in enumerate(inverse):
+            # 2^PREC times 2^2PREC: the step at 2^PREC.
+            d = -sum(w * v for w, v in zip(row, r)) >> 2 * PREC
             x[pinned + k] += d
             rotors[k] = _turn(rotors[k], d)
     raise SolverError("extended-precision polish did not converge")

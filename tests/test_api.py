@@ -76,11 +76,11 @@ _TWO_HALVES, _OFF_HALVES = f"{_ROW},1.6355", f"{_ROW},1.6355003183098862"
     (["show", "Z18"], False, False, False),
     *((["build", "--phi", "0.5", "--pulses", str(p)], False, False, False)
       for p in (2, 4, 6, 8)),
-    (["build", "--phi", "0.5", "--pulses", "14"], True, True, False),
+    (["build", "--phi", "0.5", "--pulses", "14"], False, True, False),
     (["verify", "--gate", "Z18"], False, True, False),
     (["verify", "--json", "--gate", "T10"], False, True, False),
-    (["verify", "--gate", _SPEC], True, True, False),
-    (["verify", "--gate", _TWO_HALVES], True, True, False),
+    (["verify", "--gate", _SPEC], False, True, False),
+    (["verify", "--gate", _TWO_HALVES], False, True, False),
     (["verify", "--gate", _FREE_SPEC], True, True, True),
     (["range", "--gate", "Z8"], False, False, False),
     (["range", "--gate", "Z2"], False, False, False),
@@ -91,10 +91,12 @@ _TWO_HALVES, _OFF_HALVES = f"{_ROW},1.6355", f"{_ROW},1.6355003183098862"
     (["solve", "--order", "2", "--phi", "0.5", "--seeds", "2"], True, False, True),
 ])
 def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, mpmath, solver):
-    # numpy serves array code; mpmath the trig of verify's slope grid and
-    # rotors, and no build of a named train.  solver and jets serve solve
-    # and an underdetermined polish alone: a square polish (a table row,
-    # inline or built) runs its float stage in precise.  No command loads
+    # numpy serves array code: solve, sweep, range off the structure and
+    # the float stage of an underdetermined polish, the one place where
+    # solver._newton_batch runs, with solver and jets.  A square polish (a
+    # table row, inline or built) runs on Python scalars and integers in
+    # precise.  mpmath serves the trig of verify's slope grid and rotors,
+    # and no build of a named train.  No command loads
     # logging, whose DEBUG records nobody could hear.  The records are
     # su2.Record's, so no command loads dataclasses, and inspect comes in
     # with numpy alone (numpy._core.overrides imports it).
@@ -240,6 +242,17 @@ def test_precise_imports_mpmath_only_inside_its_trig_and_logs():
              for name in (getattr(node, "module", None) or "", *(a.name for a in node.names))]
     assert "math" in names
     assert not [name for name in names if name.split(".")[0] == "mpmath"]
+
+
+def test_precise_imports_numpy_only_where_the_batched_solver_runs():
+    # A square polish runs on scalars and integers: precise's one numpy
+    # import is in polish_fixed, for its branch through solver._newton_batch.
+    tree = ast.parse((Path(cpgate.__file__).parent / "precise.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+               and any(alias.name.split(".")[0] == "numpy" for alias in node.names)]
+    [polish] = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "polish_fixed"]
+    assert len(imports) == 1 and imports[0] in list(ast.walk(polish))
 
 
 @pytest.mark.parametrize("module", sorted(cpgate._SUBMODULES))

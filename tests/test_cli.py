@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from cpgate.cli import (
 )
 from cpgate.sequences import first_half
 
+import make_corpus
 import make_polished
 
 
@@ -110,9 +112,58 @@ def test_unknown_gate_is_validation_error(capsys):
 
 
 def test_range_output_format(capsys):
+    # Five decimals from epsilon0 = 0.01 up; below, four significant
+    # digits, and the interval with as many decimals.
     assert run(["range", "--gate", "Z4"]) == 0
     out = capsys.readouterr().out.strip()
-    assert out == "epsilon0 = 0.00637, interval [0.99363pi, 1.00637pi]"
+    assert out == "epsilon0 = 0.006366, interval [0.993634pi, 1.006366pi]"
+    assert run(["range", "--gate", "Z8", "--threshold", "1e-2"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == "epsilon0 = 0.20483, interval [0.79517pi, 1.20483pi]"
+    assert run(["range", "--gate", "Z2", "--threshold", "1e-8"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == "epsilon0 = 0.000000006366, interval [0.999999993634pi, 1.000000006366pi]"
+
+
+def test_range_prints_four_significant_digits_of_epsilon0(monkeypatch, capsys):
+    # The corpus's range records and the 27 names at small thresholds: the
+    # printed epsilon0 shows at least four significant digits and is the
+    # returned double to within half a unit of its last digit; the interval
+    # takes the same decimals, and a line with epsilon0 >= 0.01 keeps the
+    # five decimals it always had.  The shape is the one benchmark oracles
+    # parse, with no space inside a number.
+    found = []
+    measure = analysis.high_fidelity_range
+    monkeypatch.setattr(analysis, "high_fidelity_range",
+                        lambda *args: found.append(measure(*args)) or found[-1])
+    corpus = json.loads(make_corpus.CORPUS.read_text())["range"]
+    assert len(corpus) == 155
+    argvs = [["range", "--gate", r["gate"], "--threshold", r["threshold"]] for r in corpus]
+    argvs += [["range", "--gate", entry.name, "--threshold", threshold]
+              for entry in catalog.entries() for threshold in ("1e-4", "1e-6", "1e-8")]
+    line = re.compile(r"epsilon0 = (\S+), interval \[(\S+)pi, (\S+)pi\]")
+    printed, small = 0, 0
+    for argv in argvs:
+        found.clear()
+        code = run(argv)
+        out = capsys.readouterr().out.strip()
+        if code:
+            continue
+        printed += 1
+        [rng] = found
+        match = line.fullmatch(out.removesuffix("  (non-monotonic profile; scanned)"))
+        assert match, out
+        eps0, lower, upper = match.groups()
+        places = len(eps0.partition(".")[2])
+        assert len(eps0.replace(".", "").lstrip("0")) >= 4, out
+        assert abs(Fraction(eps0) - Fraction(rng.epsilon0)) <= Fraction(1, 2 * 10**places)
+        assert (lower, upper) == (f"{rng.lower:.{places}f}", f"{rng.upper:.{places}f}")
+        if rng.epsilon0 >= 0.01:
+            assert places == 5
+        else:
+            small += 1
+    assert printed == sum(r["code"] == 0 for r in corpus) + 27 * 3
+    assert small
 
 
 def test_cached_parser_survives_validation_errors(capsys):
@@ -121,7 +172,7 @@ def test_cached_parser_survives_validation_errors(capsys):
     capsys.readouterr()
     assert run(["range", "--gate", "Z4"]) == 0
     out = capsys.readouterr().out.strip()
-    assert out == "epsilon0 = 0.00637, interval [0.99363pi, 1.00637pi]"
+    assert out == "epsilon0 = 0.006366, interval [0.993634pi, 1.006366pi]"
 
 
 @pytest.mark.parametrize(
