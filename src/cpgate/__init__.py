@@ -21,7 +21,7 @@ _EXPORTS = {
     "FidelityProfile": "analysis",
     "Phase": "su2",
     "Solution": "solver",
-    "SolverConfig": "solver",
+    "SolverConfig": "su2",
     "Su2": "su2",
     "arbitrary_row": "catalog",
     "chi_eight": "sequences",

@@ -12,10 +12,12 @@ error, or an allocation too large for memory), with one ``error: ...``
 line on stderr, 3 numerical failure.
 
 A command imports the modules it runs, inside it: ``list``, ``tables``,
-``show`` and ``build --pulses 2/4/6/8`` load neither numpy nor
+``show``, ``build --pulses 2/4/6/8`` and ``solve --order 1/2/3`` (the
+closed form, ``sequences.chart_roots``) load neither numpy nor
 ``precise``.  ``verify`` loads ``precise``, and on a catalog name or
 file no numpy; ``range`` on a two-half train loads ``analysis`` and no
-numpy; ``sweep``, ``solve`` and any other ``range`` load numpy.  A
+numpy; ``sweep``, any other ``range`` and ``solve`` at a higher order
+(Newton, with ``solver`` and ``jets``) load numpy.  A
 polish (``verify`` on an inline spec, ``build --pulses 10/12/14``, a
 catalog file whose decimal phases are not stored) loads ``precise``;
 numpy only where it runs ``solver._newton_batch``, which loads
@@ -41,7 +43,8 @@ from types import SimpleNamespace
 
 from . import catalog, sequences
 from .su2 import (
-    AnalysisError, CompositeSequence, SolverError, _debug, order_from_slope,
+    AnalysisError, CompositeSequence, SolverConfig, SolverError, _debug,
+    order_from_slope,
 )
 
 EXIT_CLOSED_OUTPUT = 1
@@ -293,9 +296,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from . import solver
-
-    config = solver.SolverConfig(
+    config = SolverConfig(
         n=args.order, phi=_radians(args.phi), seeds=args.seeds, rng_seed=args.rng_seed
     )
     # Record a small fraction only if it is the requested angle; otherwise
@@ -303,10 +304,17 @@ def _cmd_solve(args) -> int:
     phi_fraction = _pi_fraction(config.phi)
     if phi_fraction is None:
         phi_fraction = Fraction(repr(args.phi))
-    solutions = solver.solve(config)
+    classes = sequences.chart_roots(config.n, config.phi)
+    if classes is None:
+        from . import solver
+
+        classes = [sol.phases for sol in solver.solve(config)]
+    else:
+        _debug("cpgate.solver", "solve n=%d phi=%.6g: path=closed classes=%d",
+               config.n, config.phi, len(classes))
     entries = []
-    for i, sol in enumerate(solutions):
-        seq = sequences.structured_sequence(sol.phases, config.phi)
+    for i, phases in enumerate(classes):
+        seq = sequences.structured_sequence(phases, config.phi)
         entries.append(
             catalog.solution_to_entry(
                 [p % (2 * PI) for p in seq.phases],
@@ -391,9 +399,10 @@ _COMMANDS = {
               {**_GATE, "--threshold": (float, 1e-4, "")}),
     "verify": (_cmd_verify, "measured compensation order", {**_GATE, "--json": (
         None, _FLAG, "print the order, fitted slope and peak infidelity as JSON")}),
-    "solve": (_cmd_solve, "derive phases numerically", {
-        "--order": (int, _REQUIRED, ""), "--phi": _PHI, "--seeds": (int, 32, ""),
-        "--rng-seed": (int, 0, ""), **_OUT}),
+    "solve": (_cmd_solve, "root classes: closed form to order 3, else Newton", {
+        "--order": (int, _REQUIRED, ""), "--phi": _PHI,
+        "--seeds": (int, 32, "Newton restarts (orders above 3)"),
+        "--rng-seed": (int, 0, "seed of their draws (orders above 3)"), **_OUT}),
     "tables": (_cmd_tables, "print one catalog table",
                {"--which": (_choice(str, "Z", "S", "T", "IV"), _REQUIRED, "")}),
 }

@@ -161,6 +161,33 @@ def chi_eight(phi: float) -> float:
     return x + math.asin(0.5 * math.sin(x))
 
 
+def chart_roots(n: int, phi: float):
+    """Every root class of order ``n`` = 1, 2 or 3 at the gate angle
+    ``phi``, in closed form, as ``solver.solve`` gives them: the n relative
+    phases of the half in its chart (the leading n // 2 of them 0), each
+    reduced mod 2 pi, sorted.  None at any other order, which only Newton
+    solves.
+
+    At n = 1 and 2 these are ``four_pulse`` variants 1 and 2 and
+    ``six_pulse`` variants 3 and 4; at n = 3 ``eight_pulse`` variants 4 and
+    3 and a mirror pair, whose derivation is in ``solver``.
+    """
+    if n == 1:
+        rows = [(-phi / 4,), (PI - phi / 4,)]
+    elif n == 2:
+        c = chi_six(phi)
+        rows = [(0.0, PI - phi / 2 + c), (0.0, -c)]
+    elif n == 3:
+        c = chi_eight(phi)
+        b = math.acos(-0.5 * math.cos(phi / 8))
+        # The half (0, 0, x, y): y = x - phi/4, or that plus pi.
+        rows = [(0.0, x, x - phi / 4) for x in (-c, PI - phi / 4 + c)]
+        rows += [(0.0, x, x - phi / 4 + PI) for x in (-phi / 8 - b, -phi / 8 + b)]
+    else:
+        return None
+    return sorted(tuple(p % (2 * PI) for p in row) for row in rows)
+
+
 def six_pulse(phi: float, variant: int = 1) -> CompositeSequence:
     """Six-pulse train with second-order error compensation."""
     if variant not in (1, 2, 3, 4):

@@ -29,6 +29,23 @@ is already the canonical representative of its class.  Every Newton
 iteration here holds a count ``pinned`` of leading phases fixed and steps
 along the rest: ``solve`` holds floor(n/2), and ``precise``'s polish the
 leading phases of its input that are exactly 0.
+
+Up to order 3 the classes have a closed form, ``sequences.chart_roots``,
+which the ``solve`` command writes in place of this Newton.  At n = 1
+the relative phase is x = -phi/4 or pi - phi/4, and at n = 2 the
+relative phases (0, x) have x = pi - phi/2 + chi_six(phi) or
+-chi_six(phi).  At n = 3 the half is (0, 0, x, y), and t has two low
+coefficients.  t_0 = sin(y - x + phi/4), so y = x - phi/4 or
+y = x - phi/4 + pi.  With y = x - phi/4,
+t_1 = -4 cos(phi/8) (sin(x + phi/8) + sin(phi/8)/2), so x = -phi/8 - a
+or pi - phi/8 + a with a = asin(sin(phi/8)/2): ``eight_pulse`` variants
+4 and 3.  With y = x - phi/4 + pi,
+t_1 = -4 sin(phi/8) (cos(x + phi/8) + cos(phi/8)/2), so x = -phi/8 +- b
+with b = acos(-cos(phi/8)/2): a mirror pair, whose x sum to -phi/4 and
+whose y sum to -3 phi/4 (mod 2 pi).  Where sin(phi/4) = 0 (phi = 0 mod
+4 pi) one branch's t_1 vanishes for every x, and its roots form a
+one-parameter family; the closed form gives the limits of its two
+classes there.
 """
 
 from __future__ import annotations
@@ -41,7 +58,7 @@ import numpy as np
 
 from .jets import structured_jets
 from .sequences import _RCOND, _STEP_LENGTHS, pinned_zero_count
-from .su2 import Record, SolverError, _debug
+from .su2 import Record, SolverConfig, SolverError, _debug
 
 TWO_PI = 2.0 * math.pi
 # Two roots closer than this in every phase (mod 2 pi) are one class.
@@ -50,21 +67,6 @@ _DEDUPE_TOL = 1e-6
 # a ``solve`` restart.
 _TOL = 1e-12
 _MAX_ITER = 200
-
-
-class SolverConfig(Record):
-    """Multi-start Newton settings for one (order, gate-angle) problem."""
-
-    n: int
-    phi: float
-    seeds: int = 32
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("compensation order must be >= 1")
-        if self.seeds < 1:
-            raise ValueError("need at least one restart seed")
 
 
 class Solution(Record):
@@ -251,8 +253,8 @@ def solve(config: SolverConfig) -> list[Solution]:
         classes.append((head, float(rmax[rest[0]]), roots[rest[close]]))
         rest = rest[~close]
     _debug(
-        "cpgate.solver", "solve n=%d phi=%.6g: restarts=%d converged=%d classes=%d "
-        "iterations=%d capped=%d evaluations=%d newton_s=%.3f",
+        "cpgate.solver", "solve n=%d phi=%.6g: path=newton restarts=%d converged=%d "
+        "classes=%d iterations=%d capped=%d evaluations=%d newton_s=%.3f",
         config.n, config.phi, config.seeds, converged.sum(), len(classes),
         stats["iterations"], stats["capped"], stats["evaluations"], newton_s,
     )

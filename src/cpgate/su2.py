@@ -2,8 +2,9 @@
 pulses and the phase gate it targets, and the exact phase of a 50-digit
 train with the integer rounding that makes it; the two numerical-failure
 errors; the order read off a slope fit; the DEBUG records of the
-numerical modules (``_debug``); and ``Record``, the immutable
-record that every cpgate record class (``Su2``, ``CompositeSequence``,
+numerical modules (``_debug``); the settings of a ``solve``
+(``SolverConfig``); and ``Record``, the immutable record that every
+cpgate record class (``Su2``, ``CompositeSequence``,
 ``catalog.CatalogEntry``, ``analysis.ErrorRange``, ...) derives from.
 Every command loads this module, and it loads neither numpy, mpmath
 nor the standard dataclass module.
@@ -136,6 +137,24 @@ class Record:
         """A copy of this record with the fields ``changes`` names
         changed, built (and checked) by the class's ``__init__``."""
         return self.__class__(**{**self.__getstate__(), **changes})
+
+
+class SolverConfig(Record):
+    """Settings of one ``solve``: the order n, the gate angle phi
+    (radians), and the restart count and seed of ``solver.solve``'s
+    multi-start Newton, which the CLI runs above order 3 only.  It lives
+    here so that the CLI validates them without loading ``solver``."""
+
+    n: int
+    phi: float
+    seeds: int = 32
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("compensation order must be >= 1")
+        if self.seeds < 1:
+            raise ValueError("need at least one restart seed")
 
 
 class Su2(Record):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cpgate import precise
 from cpgate.sequences import (
+    chart_roots,
     chi_eight,
     chi_six,
     eight_pulse,
@@ -200,6 +201,28 @@ def test_chi_identities():
     assert chi_eight(math.pi / 4) / math.pi == pytest.approx(
         0.04685616389914464, abs=1e-15
     )
+
+
+@pytest.mark.parametrize("phi", PHIS + [0.3, 5.9])
+def test_chart_roots_hold_the_builders_chart_variants(phi):
+    # Up to order 3 every class is a builder's chart-form variant (the
+    # half's leading n // 2 relative phases 0), but the mirror pair of n = 3.
+    def rel(builder, variant):
+        half = [float(p) for p in builder(phi, variant).phases]
+        half = half[: len(half) // 2]
+        return [_mod(p - half[0]) for p in half[1:]]
+
+    def near(root, want):
+        return max(abs(math.remainder(p - q, TWO_PI)) for p, q in zip(root, want)) < 1e-13
+
+    roots = {n: chart_roots(n, phi) for n in (1, 2, 3)}
+    for n, builder, variants in ((1, four_pulse, (1, 2)), (2, six_pulse, (3, 4)),
+                                 (3, eight_pulse, (3, 4))):
+        assert roots[n] == sorted(roots[n])
+        assert len(roots[n]) == (4 if n == 3 else 2)
+        for v in variants:
+            assert sum(near(root, rel(builder, v)) for root in roots[n]) == 1, (n, v)
+    assert chart_roots(0, phi) is chart_roots(4, phi) is None
 
 
 def test_four_pulse_special_case_of_known_phase_gate():
