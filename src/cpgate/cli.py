@@ -12,7 +12,7 @@ error, or an allocation too large for memory), with one ``error: ...``
 line on stderr, 3 numerical failure.
 
 A command imports the modules it runs, inside it: ``list``, ``tables``,
-``show``, ``build --pulses 2/4/6/8`` and ``solve --order 1/2/3`` (the
+``show``, ``build --pulses 2/4/6/8`` and ``solve --order 1/2/3/4`` (the
 closed form, ``sequences.chart_roots``) load neither numpy nor
 ``precise``.  ``verify`` loads ``precise``, and on a catalog name or
 file no numpy; ``range`` on a two-half train loads ``analysis`` and no
@@ -399,10 +399,10 @@ _COMMANDS = {
               {**_GATE, "--threshold": (float, 1e-4, "")}),
     "verify": (_cmd_verify, "measured compensation order", {**_GATE, "--json": (
         None, _FLAG, "print the order, fitted slope and peak infidelity as JSON")}),
-    "solve": (_cmd_solve, "root classes: closed form to order 3, else Newton", {
+    "solve": (_cmd_solve, "root classes: closed form to order 4, else Newton", {
         "--order": (int, _REQUIRED, ""), "--phi": _PHI,
-        "--seeds": (int, 32, "Newton restarts (orders above 3)"),
-        "--rng-seed": (int, 0, "seed of their draws (orders above 3)"), **_OUT}),
+        "--seeds": (int, 32, "Newton restarts (orders above 4)"),
+        "--rng-seed": (int, 0, "seed of their draws (orders above 4)"), **_OUT}),
     "tables": (_cmd_tables, "print one catalog table",
                {"--which": (_choice(str, "Z", "S", "T", "IV"), _REQUIRED, "")}),
 }

@@ -162,15 +162,15 @@ def chi_eight(phi: float) -> float:
 
 
 def chart_roots(n: int, phi: float):
-    """Every root class of order ``n`` = 1, 2 or 3 at the gate angle
-    ``phi``, in closed form, as ``solver.solve`` gives them: the n relative
-    phases of the half in its chart (the leading n // 2 of them 0), each
-    reduced mod 2 pi, sorted.  None at any other order, which only Newton
-    solves.
+    """Every root class of order ``n`` = 1 to 4 at the gate angle ``phi``,
+    in closed form, as ``solver.solve`` gives them: the n relative phases
+    of the half in its chart (the leading n // 2 of them 0), each reduced
+    mod 2 pi, sorted.  None at any other order, which only Newton solves.
 
     At n = 1 and 2 these are ``four_pulse`` variants 1 and 2 and
     ``six_pulse`` variants 3 and 4; at n = 3 ``eight_pulse`` variants 4 and
-    3 and a mirror pair, whose derivation is in ``solver``.
+    3 and a mirror pair; at n = 4 two pairs, one per value of y - x.  Their
+    derivation is in ``solver``.
     """
     if n == 1:
         rows = [(-phi / 4,), (PI - phi / 4,)]
@@ -183,6 +183,22 @@ def chart_roots(n: int, phi: float):
         # The half (0, 0, x, y): y = x - phi/4, or that plus pi.
         rows = [(0.0, x, x - phi / 4) for x in (-c, PI - phi / 4 + c)]
         rows += [(0.0, x, x - phi / 4 + PI) for x in (-phi / 8 - b, -phi / 8 + b)]
+    elif n == 4:
+        # The half (0, 0, 0, x, y).  q is phi/4 reduced to (-pi, pi]
+        # through its sine and cosine, whose argument reduction is
+        # accurate: a large phi loses no digits to phi/4 minus a multiple
+        # of the float 2 pi.
+        q = math.atan2(math.sin(phi / 4), math.cos(phi / 4))
+        s = math.sin(q)
+        a = math.asin(0.375 * s)
+        ca, sa, cq, sq = math.cos(a / 2), math.sin(a / 2), math.cos(q / 2), math.sin(q / 2)
+        rows = []
+        # d = y - x, and cos(d / 2) as a sum whose terms share their sign
+        # where it vanishes (q = pi on the first branch, q = 0 on the
+        # second); 0 only at q = 0, where the ratio's limit is -9/11.
+        for d, c in ((a - q, ca * cq + sa * sq), (PI - a - q, sa * cq + ca * sq)):
+            w = math.asin(-9 * s / (16 * c) if c else -9 / 11)
+            rows += [(0.0, 0.0, x, x + d) for x in (w - q - d / 2, PI - w - q - d / 2)]
     else:
         return None
     return sorted(tuple(p % (2 * PI) for p in row) for row in rows)

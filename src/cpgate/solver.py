@@ -30,7 +30,7 @@ iteration here holds a count ``pinned`` of leading phases fixed and steps
 along the rest: ``solve`` holds floor(n/2), and ``precise``'s polish the
 leading phases of its input that are exactly 0.
 
-Up to order 3 the classes have a closed form, ``sequences.chart_roots``,
+Up to order 4 the classes have a closed form, ``sequences.chart_roots``,
 which the ``solve`` command writes in place of this Newton.  At n = 1
 the relative phase is x = -phi/4 or pi - phi/4, and at n = 2 the
 relative phases (0, x) have x = pi - phi/2 + chi_six(phi) or
@@ -46,6 +46,17 @@ whose y sum to -3 phi/4 (mod 2 pi).  Where sin(phi/4) = 0 (phi = 0 mod
 4 pi) one branch's t_1 vanishes for every x, and its roots form a
 one-parameter family; the closed form gives the limits of its two
 classes there.
+
+At n = 4 the half is (0, 0, 0, x, y).  With q = phi/4, S = sin q,
+A = sin(q + x), B = sin(q + y) and C = sin(q + y - x),
+t_0 = -(A + B + 3C), t_1 = 3S + 5A + 5B + 7C and the top coefficient is
+-4(S + A + B + C), which is -S at a root (the profile law).  So the
+roots have C = 3S/8 and A + B = -9S/8: d = y - x is a - q or
+pi - a - q with a = asin(3S/8), and on each branch
+sin(q + x + d/2) = -9S / (16 cos(d/2)) gives two x, four classes in
+all.  The ratio stays below 9/11 in magnitude.  Where S = 0 (phi = 0
+mod 4 pi) it is 0/0 on one branch, and the closed form takes its limit,
+-9/11, there.
 """
 
 from __future__ import annotations

@@ -142,7 +142,7 @@ class Record:
 class SolverConfig(Record):
     """Settings of one ``solve``: the order n, the gate angle phi
     (radians), and the restart count and seed of ``solver.solve``'s
-    multi-start Newton, which the CLI runs above order 3 only.  It lives
+    multi-start Newton, which the CLI runs above order 4 only.  It lives
     here so that the CLI validates them without loading ``solver``."""
 
     n: int

@@ -24,6 +24,11 @@ It records, for the program in ``src``:
 - the first-half phases (radians, as doubles) of ``catalog.to_sequence``
   on the 27 names and of ``catalog.arbitrary_row`` on the 84 table rows:
   where the polish leaves each root on its manifold;
+- the angle and the phase strings of the file ``solve --out`` writes at
+  orders 1-4, the closed form, at a table angle, two others and phi = 0,
+  where the classes of a 0/0 branch are its limits
+  (``closed_solve_records``; the rest of such a file is the format the
+  ``SOLVES`` files hold verbatim);
 - the exit code, stdout and stderr of commands on two odd catalog files
   (``odd``): a record whose second half is not its first shifted by
   pi - phi/2, and Z18's record at a path that holds the '=' of a spec.
@@ -85,6 +90,8 @@ SOLVES = (
     ("solve", "--order", "5", "--phi", "1", "--seeds", "16", "--rng-seed", "1"),
     ("solve", "--order", "7", "--phi", "0.5", "--seeds", "16", "--rng-seed", "1"),
 )
+# The angles (units of pi) of the closed-form solves, each at orders 1-4.
+CLOSED_SOLVE_ANGLES = ("0.25", "0.37", "1.997", "0")
 
 # The odd catalog files by name (see ``odd_records``) and the commands run
 # on each, the file named relative to the directory that holds it.
@@ -313,15 +320,38 @@ def solve_records(workdir):
     return records
 
 
+def closed_solve_records(workdir):
+    """For each order 1-4 at each of ``CLOSED_SOLVE_ANGLES``: the argv of
+    its ``solve``, and the ``phi_over_pi`` of the file it writes (one for
+    every entry) and the phase strings of each entry, joined by spaces."""
+    records = []
+    for phi in CLOSED_SOLVE_ANGLES:
+        for n in range(1, 5):
+            argv = ("solve", "--order", str(n), "--phi", phi)
+            path = Path(workdir) / f"closed-{phi}-{n}.json"
+            code, _, err = run_cli((*argv, "--out", str(path)))
+            if code:
+                raise SystemExit(f"{' '.join(argv)} failed: {err}")
+            entries = json.loads(path.read_text())
+            records.append({
+                "argv": list(argv),
+                "phi_over_pi": entries[0]["phi_over_pi"],
+                "phases_over_pi": [" ".join(e["phases_over_pi"]) for e in entries],
+            })
+    return records
+
+
 def build():
     gates = [*catalog.names(), *row_specs(), *CI_SPECS, *inline_specs()]
     with tempfile.TemporaryDirectory() as workdir:
         solves = solve_records(workdir)
+        closed = closed_solve_records(workdir)
     with tempfile.TemporaryDirectory() as workdir:
         odd = odd_records(workdir)
     return {
         "verify": [{"gate": gate, **verify_record(gate)} for gate in gates],
         "solve": solves,
+        "closed_solve": closed,
         "range": [
             {"gate": gate, "threshold": t, **range_record(gate, t)}
             for gate in [*catalog.names(), *polished_row_specs(), long_half_spec()]

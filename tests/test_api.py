@@ -89,10 +89,11 @@ _TWO_HALVES, _OFF_HALVES = f"{_ROW},1.6355", f"{_ROW},1.6355003183098862"
     (["sweep", "--gate", "Z8", "--steps", "5"], True, False, False),
     (["sweep", "--gate", "Z2", "--steps", "5"], True, False, False),
     (["solve", "--order", "2", "--phi", "0.5", "--seeds", "2"], False, False, False),
-    (["solve", "--order", "4", "--phi", "0.5", "--seeds", "2"], True, False, True),
+    (["solve", "--order", "5", "--phi", "0.5", "--seeds", "2"], True, False, True),
+    (["solve", "--order", "4", "--phi", "0.5", "--seeds", "2"], False, False, False),
 ])
 def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, mpmath, solver):
-    # numpy serves array code: solve above order 3 (below, solve writes
+    # numpy serves array code: solve above order 4 (up to it, solve writes
     # the closed form), sweep, range off the structure and the float stage
     # of an underdetermined polish, the one place where
     # solver._newton_batch runs, with solver and jets.  A square polish (a

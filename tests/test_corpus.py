@@ -7,6 +7,7 @@ from pathlib import Path
 from make_corpus import (
     CORPUS,
     ODD_RUNS,
+    closed_solve_records,
     first_entry,
     half_records,
     odd_records,
@@ -107,6 +108,12 @@ def test_polished_halves_match_the_committed_corpus():
            if _half_mismatch(got, want)]
     assert not bad, bad[:5]
     assert len(corpus["halves"]) == 27 + 84
+
+
+def test_closed_form_solve_files_match_the_committed_corpus(tmp_path):
+    corpus = json.loads(CORPUS.read_text())
+    assert closed_solve_records(tmp_path) == corpus["closed_solve"]
+    assert len(corpus["closed_solve"]) == 4 * 4
 
 
 def test_odd_catalog_files_match_the_committed_corpus(tmp_path):

@@ -215,14 +215,20 @@ def test_chart_roots_hold_the_builders_chart_variants(phi):
     def near(root, want):
         return max(abs(math.remainder(p - q, TWO_PI)) for p, q in zip(root, want)) < 1e-13
 
-    roots = {n: chart_roots(n, phi) for n in (1, 2, 3)}
+    roots = {n: chart_roots(n, phi) for n in (1, 2, 3, 4)}
     for n, builder, variants in ((1, four_pulse, (1, 2)), (2, six_pulse, (3, 4)),
                                  (3, eight_pulse, (3, 4))):
         assert roots[n] == sorted(roots[n])
         assert len(roots[n]) == (4 if n == 3 else 2)
         for v in variants:
             assert sum(near(root, rel(builder, v)) for root in roots[n]) == 1, (n, v)
-    assert chart_roots(0, phi) is chart_roots(4, phi) is None
+    # Order 4 has no builder: four classes (0, 0, x, y), two on each value
+    # of y - x.
+    assert roots[4] == sorted(roots[4]) and len(roots[4]) == 4
+    d = [y - x for _, _, x, y in roots[4]]
+    same = [sum(abs(math.remainder(e - f, TWO_PI)) < 1e-13 for f in d) for e in d]
+    assert same == [2] * 4
+    assert chart_roots(0, phi) is chart_roots(5, phi) is None
 
 
 def test_four_pulse_special_case_of_known_phase_gate():
