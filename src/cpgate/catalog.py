@@ -7,7 +7,10 @@ the named Z/S/T gates under ``named``, which ``names``, ``get`` and
 ``entries`` read, and the free phases of the arbitrary-angle rows per
 train length under ``arbitrary_rows``, which ``arbitrary_rows`` and
 ``get_arbitrary_row`` read.  Solver output is written in the JSON form of
-a named entry with ``source="solver"``.
+a named entry with ``source="solver"``, composed as text by
+``solutions_json`` with no entry built.  One formatter (``_record_json``)
+writes every record, byte for byte the text ``json.dumps(..., indent=2,
+allow_nan=False)`` gives it.
 
 Four printed decimals limit a phase to ~1e-4 pi, which is far too coarse
 for high-order derivative cancellation, so sequence construction polishes
@@ -40,6 +43,7 @@ import math
 import os
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .sequences import _leading_zeros, first_half, pinned_zero_count, structured_train
 from .su2 import CompositeSequence, Record, polish_result
@@ -269,18 +273,69 @@ def arbitrary_row(phi_over_pi, pulses: int, refine: bool = True) -> CompositeSeq
 
 # --- JSON interchange -------------------------------------------------------
 
+# The keys of a JSON record, in the order it writes them.
+_KEYS = ("name", "phi_over_pi", "order", "phases_over_pi", "quoted_range_over_pi", "source")
+# The text json.dumps(indent=2) gives a record in the top-level list, with
+# a field for each value.
+_RECORD = "{{\n" + ",\n".join(f'    "{key}": {{}}' for key in _KEYS) + "\n  }}"
+
+
+def _json_float(value: float) -> str:
+    """A range bound as ``json.dumps(..., allow_nan=False)`` writes it: by
+    its repr, and ValueError for a NaN or an infinity, as json raises it."""
+    if math.isfinite(value):
+        return repr(value)
+    raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+
+
+def _json_list(items, indent: int) -> str:
+    """The text json.dumps(indent=2) gives a list of the JSON texts
+    ``items`` that starts ``indent`` spaces in."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (indent + 2)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]"
+
+
+def _record_json(name, phi_over_pi, order, phase_strings, quoted_range, source) -> str:
+    """The text of one record, fields in ``_KEYS`` order, as
+    ``json.dumps(..., indent=2, allow_nan=False)`` writes it in a list:
+    strings through json's own escaping, the order by its repr and
+    ``quoted_range`` None as null."""
+    return _RECORD.format(
+        encode_basestring_ascii(name),
+        encode_basestring_ascii(phi_over_pi),
+        repr(order),
+        _json_list(list(map(encode_basestring_ascii, phase_strings)), 4),
+        "null" if quoted_range is None else _json_list(list(map(_json_float, quoted_range)), 4),
+        encode_basestring_ascii(source),
+    )
+
+
+def _phase_text(phase) -> str:
+    """How a solver phase (radians) is written: mod 2 pi, then in units
+    of pi to 10 decimals."""
+    return f"{phase % (2 * math.pi) / math.pi:.10f}"
+
+
+def _entry_fields(entry: CatalogEntry) -> tuple:
+    """The values of an entry's JSON record, in ``_KEYS`` order; an unknown
+    (NaN) range is None, since NaN is not JSON."""
+    rng = list(entry.quoted_range_over_pi)
+    return (
+        entry.name,
+        str(entry.phi_over_pi),
+        entry.order,
+        list(entry.phase_strings),
+        None if any(map(math.isnan, rng)) else rng,
+        entry.source,
+    )
+
+
 def entry_to_dict(entry: CatalogEntry) -> dict:
     """JSON record of one entry; an unknown (NaN) range is written as null,
     since NaN is not JSON."""
-    rng = list(entry.quoted_range_over_pi)
-    return {
-        "name": entry.name,
-        "phi_over_pi": str(entry.phi_over_pi),
-        "order": entry.order,
-        "phases_over_pi": list(entry.phase_strings),
-        "quoted_range_over_pi": None if any(map(math.isnan, rng)) else rng,
-        "source": entry.source,
-    }
+    return dict(zip(_KEYS, _entry_fields(entry)))
 
 
 _REQUIRED_KEYS = ("name", "phi_over_pi", "order", "phases_over_pi")
@@ -348,17 +403,39 @@ def _finite_radians(value: Fraction) -> bool:
 
 
 def catalog_json(entry_list) -> str:
-    """The JSON text of ``entry_list``, one record per entry, indented,
-    with no final newline: what ``save_catalog`` writes and ``solve``
-    prints."""
-    return json.dumps([entry_to_dict(e) for e in entry_list], indent=2, allow_nan=False)
+    """The JSON text of ``entry_list``, one record per entry, with no final
+    newline: byte for byte ``json.dumps([entry_to_dict(e) for e in
+    entry_list], indent=2, allow_nan=False)``, written field by field
+    (``_record_json``) without the indented encoder."""
+    return _json_list([_record_json(*_entry_fields(e)) for e in entry_list], 0)
+
+
+def solutions_json(trains, phi_over_pi, order: int) -> str:
+    """The text ``catalog_json`` gives the entries ``solution_to_entry``
+    makes of solver classes, named solve-n<order>-<i>: ``trains`` holds
+    each class's full train (phases in radians), ``phi_over_pi`` the angle
+    (its ``str`` is written).  It builds neither the entries nor a
+    Fraction."""
+    phi = str(phi_over_pi)
+    return _json_list([
+        _record_json(
+            f"solve-n{order}-{i}", phi, order, [_phase_text(p) for p in phases],
+            None, "solver",
+        )
+        for i, phases in enumerate(trains)
+    ], 0)
+
+
+def save_json(text: str, path) -> None:
+    """Write ``text`` and a final newline to ``path`` in one write, as
+    UTF-8 bytes: a text-mode file's layers cost more than the encoding."""
+    with open(path, "wb") as fh:
+        fh.write((text + "\n").encode("utf-8"))
 
 
 def save_catalog(entry_list, path) -> None:
-    # One write: json.dump would stream the indented encoder's chunks
-    # through one write call each.
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(catalog_json(entry_list) + "\n")
+    """Write ``catalog_json(entry_list)`` to ``path`` (``save_json``)."""
+    save_json(catalog_json(entry_list), path)
 
 
 def _parse(text: str) -> list[CatalogEntry]:
@@ -380,8 +457,9 @@ def load_catalog(path) -> list[CatalogEntry]:
 
 
 def solution_to_entry(phases, phi_over_pi, order: int, name: str) -> CatalogEntry:
-    """Package solver output (radians) in catalog form, source="solver"."""
-    strings = tuple(f"{p / math.pi:.10f}" for p in phases)
+    """Package solver output (radians) in catalog form, source="solver":
+    each phase written as ``solutions_json`` writes it (``_phase_text``)."""
+    strings = tuple(map(_phase_text, phases))
     return CatalogEntry(
         name=name,
         phi_over_pi=Fraction(phi_over_pi),

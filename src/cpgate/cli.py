@@ -312,22 +312,16 @@ def _cmd_solve(args) -> int:
     else:
         _debug("cpgate.solver", "solve n=%d phi=%.6g: path=closed classes=%d",
                config.n, config.phi, len(classes))
-    entries = []
-    for i, phases in enumerate(classes):
-        seq = sequences.structured_sequence(phases, config.phi)
-        entries.append(
-            catalog.solution_to_entry(
-                [p % (2 * PI) for p in seq.phases],
-                phi_fraction,
-                args.order,
-                f"solve-n{args.order}-{i}",
-            )
-        )
+    text = catalog.solutions_json(
+        [sequences.structured_sequence(phases, config.phi).phases for phases in classes],
+        phi_fraction,
+        args.order,
+    )
     if args.out:
-        catalog.save_catalog(entries, args.out)
-        print(f"wrote {len(entries)} solution(s) to {args.out}")
+        catalog.save_json(text, args.out)
+        print(f"wrote {len(classes)} solution(s) to {args.out}")
     else:
-        print(catalog.catalog_json(entries))
+        print(text)
     return 0
 
 

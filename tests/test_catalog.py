@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpgate import catalog, cli, precise, solver, su2
+from cpgate import catalog, cli, precise, sequences, solver, su2
 from cpgate.catalog import (
+    CatalogEntry,
     CatalogError,
     arbitrary_row,
     arbitrary_rows,
+    catalog_json,
     entries,
     entry_from_dict,
     entry_to_dict,
@@ -288,6 +292,92 @@ def test_json_round_trip(tmp_path):
     assert loaded == entries()
 
 
+def _dumps(entry_list):
+    # The standard library's text of the records: what catalog_json must
+    # write byte for byte.
+    return json.dumps([entry_to_dict(e) for e in entry_list], indent=2, allow_nan=False)
+
+
+def test_catalog_json_is_the_indented_json_of_the_records():
+    named = entries()
+    assert len(named) == 27
+    assert catalog_json(named) == _dumps(named)
+    for entry in named:
+        assert catalog_json([entry]) == _dumps([entry])
+    assert catalog_json([]) == _dumps([]) == "[]"
+    # Any iterable of entries, as json.dumps of a list of its records.
+    assert catalog_json(iter(named[:3])) == _dumps(named[:3])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_solve_files_are_the_indented_json_of_their_entries(n, tmp_path, capsys):
+    # At each table angle, the file solve writes is json's text of the
+    # records solution_to_entry makes of its classes, and of the entries
+    # read back from it; stdout holds the same text.
+    path = tmp_path / "solve.json"
+    for row in arbitrary_rows():
+        phi_over_pi = float(row.phi_over_pi)
+        phi = phi_over_pi * math.pi
+        args = ["solve", "--order", str(n), "--phi", repr(phi_over_pi)]
+        assert cli.run([*args, "--out", str(path)]) == 0
+        capsys.readouterr()
+        written = path.read_bytes().decode("ascii")
+        assert cli.run(args) == 0
+        assert capsys.readouterr().out == written
+        built = [
+            solution_to_entry(
+                sequences.structured_sequence(rel, phi).phases, row.phi_over_pi, n,
+                f"solve-n{n}-{i}",
+            )
+            for i, rel in enumerate(sequences.chart_roots(n, phi))
+        ]
+        assert written == _dumps(built) + "\n"
+        assert written == _dumps(load_catalog(path)) + "\n"
+        assert written == json.dumps(json.loads(written), indent=2) + "\n"
+
+
+# Text with the characters json escapes (quotes, backslashes, control
+# characters), non-ASCII text beyond the basic plane, and any other.
+_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\U0001f600a') | st.characters(),
+    max_size=8,
+)
+_ENTRY = st.builds(
+    CatalogEntry,
+    name=_TEXT,
+    phi_over_pi=st.fractions(),
+    order=st.integers(-(2**70), 2**70),
+    phases_over_pi=st.just(()),
+    phase_strings=st.lists(_TEXT, max_size=4).map(tuple),
+    quoted_range_over_pi=st.tuples(st.floats(), st.floats()),
+    source=_TEXT,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRY, max_size=3))
+def test_catalog_json_is_json_on_any_record(entry_list):
+    # A NaN in a range is written null; an infinity raises ValueError, as
+    # json's does (so the CLI would exit 2).
+    try:
+        want = _dumps(entry_list)
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            catalog_json(entry_list)
+    else:
+        assert catalog_json(entry_list) == want
+
+
+def test_an_infinite_range_is_no_json():
+    entry = get("Z4").replace(quoted_range_over_pi=(-0.1, math.inf))
+    for write in (catalog_json, _dumps):
+        with pytest.raises(ValueError, match="not JSON compliant: inf"):
+            write([entry])
+    nan = get("Z4").replace(quoted_range_over_pi=(-math.inf, math.nan))
+    assert catalog_json([nan]) == _dumps([nan])
+    assert entry_to_dict(nan)["quoted_range_over_pi"] is None
+
+
 def test_solution_to_entry_round_trips_through_json():
     # A two-half train at phi = pi/2: the second half is the first shifted
     # by 3 pi / 4, the last phase written mod 2 pi as solve writes it.
@@ -311,16 +401,18 @@ def test_solution_to_entry_round_trips_through_json():
 
 
 def test_solution_to_entry_phases_are_the_fractions_of_their_strings():
-    # Each phase is read from the integer digits of its 10-decimal string,
-    # and must equal Fraction(string) exactly: at 0, at the largest string
-    # below 2, at a rounding up to "2.0000000000", at a negative zero, and
-    # at one unit of the last decimal.
+    # Each phase is written mod 2 pi and read from the integer digits of
+    # its 10-decimal string, and must equal Fraction(string) exactly: at 0,
+    # at the largest string below 2, at a rounding up to "2.0000000000", at
+    # a negative zero (0 mod 2 pi), at one unit of the last decimal, and at
+    # a negative phase.
     phases = [0.0, 1.9999999999 * math.pi, math.nextafter(2 * math.pi, 0.0),
               -0.0, 1e-10 * math.pi, 0.7, 4.25, -1.5]
     entry = solution_to_entry(phases, Fraction(1, 2), 3, "digits")
     assert entry.phase_strings[:5] == (
-        "0.0000000000", "1.9999999999", "2.0000000000", "-0.0000000000", "0.0000000001"
+        "0.0000000000", "1.9999999999", "2.0000000000", "0.0000000000", "0.0000000001"
     )
+    assert entry.phase_strings[7] == f"{(2 * math.pi - 1.5) / math.pi:.10f}"
     assert entry.phases_over_pi == tuple(Fraction(s) for s in entry.phase_strings)
     assert all(type(p) is Fraction for p in entry.phases_over_pi)
     assert entry.phases_over_pi[1] == Fraction(19999999999, 10**10)

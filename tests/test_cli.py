@@ -576,6 +576,12 @@ _CLOSED_ANGLES = [float(row.phi_over_pi) for row in catalog.arbitrary_rows()] + 
 ]
 
 
+def _entries_file(entries):
+    # The bytes of a file of ``entries``, from the standard library's
+    # indented encoder, not from catalog's own writer.
+    return json.dumps([catalog.entry_to_dict(e) for e in entries], indent=2) + "\n"
+
+
 def _newton_file(n, phi_over_pi):
     # The bytes solve --out wrote from solver.solve at its default seeds and
     # rng-seed 0: its classes as catalog entries, phases mod 2 pi.
@@ -586,12 +592,11 @@ def _newton_file(n, phi_over_pi):
     sols = solver.solve(solver.SolverConfig(n=n, phi=phi))
     entries = [
         catalog.solution_to_entry(
-            [p % (2 * math.pi) for p in structured_sequence(sol.phases, phi).phases],
-            frac, n, f"solve-n{n}-{i}",
+            structured_sequence(sol.phases, phi).phases, frac, n, f"solve-n{n}-{i}"
         )
         for i, sol in enumerate(sols)
     ]
-    return catalog.catalog_json(entries) + "\n", entries
+    return _entries_file(entries), entries
 
 
 def _exact_strings(rel, phi):
@@ -629,7 +634,7 @@ def _rounded_as_closed(entries, closed, roots, phi):
         record = catalog.entry_to_dict(entry)
         record["phases_over_pi"] = list(match.phase_strings)
         fixed.append(catalog.entry_from_dict(record))
-    return catalog.catalog_json(fixed) + "\n", fixed
+    return _entries_file(fixed), fixed
 
 
 def test_solve_up_to_order_4_is_the_closed_form_newton_finds(tmp_path, capsys):
