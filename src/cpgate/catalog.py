@@ -31,7 +31,9 @@ it rounds stored integers and exact phases to ``su2.Phase``s
 (``su2.polish_result``, ``sequences.structured_train``) and loads neither
 numpy, ``solver`` nor ``precise``.  ``precise`` is imported only where it
 runs: the polish of a half that is not stored, and the t of an exact
-entry (``half_polynomial``), which only ``verify`` asks for.  numpy and
+entry (``half_polynomial``), which only ``verify`` asks for; its trig
+runs on integers, so neither loads mpmath.  The data files are read
+through ``su2._data``.  numpy and
 ``solver`` come in only where that polish runs ``solver._newton_batch``:
 for a half that is not square, which no table row is (see ``precise``).
 """
@@ -40,13 +42,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .sequences import _leading_zeros, first_half, pinned_zero_count, structured_train
-from .su2 import CompositeSequence, Record, polish_result
+from .su2 import CompositeSequence, Record, _data, polish_result
 
 # The longest CatalogError message: a rejected record or value that it
 # quotes, nested or sized at will, still leaves one short error line.
@@ -103,14 +104,6 @@ class ArbitraryPhaseRow(Record):
         if pulses not in self.columns:
             raise CatalogError(f"no {pulses}-pulse column")
         return tuple(Fraction(s) for s in self.columns[pulses])
-
-
-def _data(name: str) -> bytes:
-    """The packaged file ``data/<name>``, read through this module's
-    loader as ``pkgutil.get_data`` reads it, so that a zip install works
-    too, with neither ``importlib.resources`` nor ``pkgutil`` loaded."""
-    path = os.path.join(os.path.dirname(__file__), "data", name)
-    return __spec__.loader.get_data(path)
 
 
 @lru_cache(maxsize=None)

@@ -23,12 +23,13 @@ catalog file whose decimal phases are not stored) loads ``precise``;
 numpy only where it runs ``solver._newton_batch``, which loads
 ``solver`` and ``jets`` too: for a half that is not square (fewer
 leading zeros than the solver's chart, as no table row has) or whose
-certificate fails.  No command loads
+certificate fails.  No command loads mpmath: ``precise``'s trig
+runs on integers and its slope grid is data.  No command loads
 ``logging``: a DEBUG record is made only where something loaded it
 (``su2._debug``).  The records are ``su2.Record``s, so no command
 imports the standard dataclass module (nor, through it, ``inspect``), and
-``catalog`` reads its data files through its module's loader, so none
-imports ``importlib.resources``.  ``main`` runs BLAS on one thread unless
+``catalog`` and ``precise`` read their data files through ``su2``'s
+loader (``su2._data``), so none imports ``importlib.resources``.  ``main`` runs BLAS on one thread unless
 the environment says otherwise.
 """
 

@@ -15,9 +15,9 @@ The pulse, its zero prefix, ``_half_t`` and ``_fixed`` live in
 The kernel runs in one fixed-point format: a real x is the Python
 integer floor(x * 2^``PREC``), ``PREC`` = ``WP`` + ``GUARD_BITS`` =
 169 + 16 = 185 bits, ``WP`` being the bits of ``WORKING_DPS`` digits.
-Both are constants: no helper takes a precision, and no call but the
-one that builds the slope grid reads mpmath's context, so every result
-is the same whatever precision the caller runs at.  An input (a
+Both are constants, and no code here reads mpmath's context (nor loads
+mpmath), so every result is the same whatever precision a caller runs
+at.  An input (a
 Fraction in units of pi, a ``Phase``, an mpf or a float) is rounded to
 nearest at ``WP`` bits once (``_raw``), and the returned phases, the
 catalog's trains (``structured_train``) and the fit's values are rounded
@@ -29,23 +29,43 @@ V. A. Markov's coefficient bound no coefficient of a exceeds the largest
 of the Chebyshev polynomial T_N, nor one of B N times that of T_{N-1}:
 576 and 2304 for the largest half the polish composes (N = 9).  The
 inputs (rotor cos/sin, the gate's cos/sin, s and cos(pi eps/2) on the
-slope window) are converted once with ``mpmath.libmp.to_fixed``.  Each
+slope window) enter as integers at 2^PREC in the form of mpmath's
+``to_fixed(mpf_cos_sin(x, PREC), PREC)``.  Each
 shift truncates by less than one unit of 2^-PREC, and the 16 guard bits
 absorb that.
+
+The trig (``_cos_sin_fixed``, for rotors and the gate's angle) runs on
+integers.  It reduces the raw value by n pi/2 to |r| <= pi/4, with pi
+from Machin's formula at enough bits for the value's magnitude
+(``_pi_fixed``, cached per 64 bits), and again with more where r
+cancels deeper than it allowed for, so that r keeps ``_TRIG_GUARD`` = 40
+bits beyond PREC significant ones.  It splits |r| into j 2^-8 and
+d < 2^-8, sums the Taylor series of ``_small_cos_sin`` at d and takes
+one complex product with the cos and sin of j 2^-8, a table entry summed
+by the same series on first use (``_trig_step``).  The truncations of
+the reduction, the entry, the series and the product leave the value
+within 2^8 units of its last bit (5 at most on 3000 random angles), 32
+bits below the PREC-th, and
+``_truncated`` gives it mpmath's form: truncated toward zero at PREC
+significant bits, then floored at 2^-PREC.  mpmath works with 10 guard
+bits, so where the exact value lies that close to a truncation boundary
+the two may part by one unit; the tests check that they agree on every
+angle of the catalog's trains, polishes and slope grid.
 
 That rounding, the constants and the build of a train from its half
 (``_raw``, ``_round``, ``_add``, ``_PI``, ``polish_result``,
 ``structured_train``) are ``su2``'s and ``sequences``', imported here:
-they run on Python integers, with no mpmath, and building the catalog's
-trains from stored or exact phases runs them and nothing of this module,
-which it does not load.  Only the trig (``_cos_sin_fixed``,
-``mpf_cos_sin``, for rotors and the gate's angle) and the slope grid's
-logs and exps (``_slope_grid``) load mpmath, on first use.
+they run on Python integers, and building the catalog's trains from
+stored or exact phases runs them and nothing of this module, which it
+does not load.
 
 ``slope_fit`` evaluates the composed polynomials by Horner's rule in u
-(``_horner``) at the 20 log-spaced errors from 1e-3 to 1e-2, whose
-fixed-point s, u and cos(pi eps/2) are computed once (``_slope_grid``),
-and multiplies once by s where the parity is odd.  There |s| < 0.016, so
+(``_horner``) at the 20 log-spaced errors from 1e-3 to 1e-2, and
+multiplies once by s where the parity is odd.  The grid is data
+(``_slope_grid``): the fixed-point s and cos(pi eps/2) at each error and
+the double log of each, in ``data/slope_grid.json``, which
+``tests/make_polished.py`` computes with mpmath and a test recomputes;
+u = s^2 is taken on reading it.  There |s| < 0.016, so
 a pulse multiplies an error carried in by at most ~1 + |s| and the
 truncations of N pulses and of Horner's rule add up to a few N units of
 2^-PREC at each point, as in a pulse-by-pulse product.
@@ -148,11 +168,12 @@ from data (see ``catalog``).  The 50-digit stage (``_fixed_newton``)
 runs in fixed point end to end: the float root and the float stage's
 inverse W (rows of doubles) are converted once to integers at 2^PREC
 (``sequences._fixed``), and each phase after the held zeros takes one
-``mpf_cos_sin`` per polish.  With the residual r the integer
+``_cos_sin_fixed`` per polish.  With the residual r the integer
 sin(phi/4) Re a_h + cos(phi/4) Im a_h at 2^-2PREC, a step moves phase k
 by -(sum_j W_kj r_j) >> 2 PREC and turns its rotor by e^{i step}, the
-cos and sin summed by Taylor series in fixed point (``_small_cos_sin``;
-steps are ~1e-9 and below, so three or four terms): a few units of
+cos and sin summed by the trig's Taylor series at PREC
+(``_small_cos_sin``; steps are ~1e-9 and below, so three or four
+terms): a few units of
 2^-PREC from a fresh cos/sin of the phase after three turns.  The stop
 test at 10^-_POLISH_DIGITS = 1e-45 is an integer comparison, and holds
 the full-train derivative conditions of every polished table row and
@@ -177,6 +198,7 @@ below the spacing of doubles; the tests check the two bit for bit on the
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import time
 from fractions import Fraction
@@ -192,7 +214,7 @@ from .sequences import (
 )
 from .su2 import (
     _PI, _ZERO, PREC, WP, CompositeSequence, Phase, SolverError,
-    _add, _debug, _exact, _raw, _round, polish_result,
+    _add, _data, _debug, _exact, _raw, _round, polish_result,
 )
 
 WORKING_DPS = 50
@@ -217,23 +239,102 @@ _FLOAT_TOL = 1e-11
 _POLISH_DIGITS = WORKING_DPS - 5
 # |r| 2^-2PREC < 10^-_POLISH_DIGITS, for an integer r, is |r| < _LIMIT.
 _LIMIT = -(-(1 << 2 * PREC) // 10**_POLISH_DIGITS)
-
-
-@lru_cache(maxsize=None)
-def _libmp():
-    """mpmath's raw-number module, loaded on the first trig: building a
-    train from stored or exact phases needs none."""
-    from mpmath import libmp
-
-    return libmp
+# The trig (``_cos_sin_fixed``) keeps _TRIG_GUARD bits beyond PREC
+# significant ones, from a table of cos and sin at the multiples of
+# 2^-_TRIG_STEP, kept at 2^_TRIG_TOP.
+_TRIG_GUARD = 40
+_TRIG_STEP = 8
+_TRIG_TOP = PREC + _TRIG_GUARD + _TRIG_STEP
 
 
 def _cos_sin_fixed(x):
     """cos and sin of the raw tuple ``x`` as fixed-point integers at
-    2^PREC."""
-    libmp = _libmp()
-    c, s = libmp.mpf_cos_sin(x, PREC)
-    return libmp.to_fixed(c, PREC), libmp.to_fixed(s, PREC)
+    2^PREC, in the form ``to_fixed(mpf_cos_sin(x, PREC), PREC)`` gives
+    them (``_truncated``)."""
+    sign, man, exp, bc = x
+    if not man:
+        return 1 << PREC, 0
+    mag = bc + exp
+    # |x| = n pi/2 + r, |r| <= pi/4, at 2^bits: pi/2 is within two units,
+    # so r is within 2n + 1 < 2^(max(mag, 0) + 2) units, below one unit of
+    # 2^-w after the shift below.  ``lead`` bounds the leading zeros of r,
+    # so that r keeps _TRIG_GUARD bits beyond PREC significant ones; the
+    # first guess holds for every r of 2^-_TRIG_STEP or more, and a deeper
+    # cancellation takes the reduction again.
+    lead = max(0, -mag) + _TRIG_STEP
+    while True:
+        bits = PREC + _TRIG_GUARD + lead + max(mag, 0) + 2
+        shift = exp + bits
+        t = man << shift if shift >= 0 else man >> -shift
+        half_pi = _pi_fixed(bits - 1)
+        n, r = divmod(t + (half_pi >> 1), half_pi)
+        r -= half_pi >> 1
+        zeros = bits - r.bit_length()
+        if zeros <= lead:
+            break
+        lead = zeros + _TRIG_STEP
+    # |r| at 2^w, w so that r keeps PREC + _TRIG_GUARD significant bits;
+    # |r| = j 2^-_TRIG_STEP + d, and e^{i|r|} = e^{i j 2^-_TRIG_STEP} e^{id}.
+    w = PREC + _TRIG_GUARD + zeros
+    neg = r < 0
+    r = abs(r) >> (bits - w)
+    j = r >> (w - _TRIG_STEP)
+    c, s = _small_cos_sin(r - (j << (w - _TRIG_STEP)), w)
+    if j:
+        # j > 0 leaves r at least 2^-_TRIG_STEP: w <= _TRIG_TOP.
+        jc, js = (v >> (_TRIG_TOP - w) for v in _trig_step(j))
+        c, s = (c * jc - s * js) >> w, (s * jc + c * js) >> w
+    if neg:
+        s = -s
+    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[n & 3]
+    return _truncated(c, w), _truncated(-s if sign else s, w)
+
+
+@lru_cache(maxsize=None)
+def _trig_step(j):
+    """cos and sin of j 2^-_TRIG_STEP, 0 < j <= pi/4 2^_TRIG_STEP, at
+    2^_TRIG_TOP, from ``_small_cos_sin``: one table entry of
+    ``_cos_sin_fixed``, computed on first use."""
+    return _small_cos_sin(j << (_TRIG_TOP - _TRIG_STEP), _TRIG_TOP)
+
+
+def _truncated(v, w):
+    """The fixed-point cos or sin ``v`` at 2^w as ``mpf_cos_sin`` and
+    ``to_fixed`` return it at PREC: truncated toward zero at PREC
+    significant bits, then floored at 2^-PREC.  The cos and sin of a
+    nonzero angle are below 1 in magnitude, so ``v`` is held below 2^w."""
+    m = min(abs(v), (1 << w) - 1)
+    if v >= 0:
+        return m >> (w - PREC)
+    drop = m.bit_length() - PREC
+    if drop > 0:
+        m = m >> drop << drop
+    return -m >> (w - PREC)
+
+
+def _pi_fixed(bits):
+    """pi at 2^bits, within two units."""
+    words = -(-bits // 64)
+    return _machin_pi(words) >> (64 * words - bits)
+
+
+@lru_cache(maxsize=None)
+def _machin_pi(words):
+    """pi at 2^(64 words), within one unit, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) on integers, 16 bits finer."""
+    bits = 64 * words + 16
+
+    def atan_inv(q):
+        # atan(1/q) at 2^bits by its series, summed until a term is 0.
+        total = term = (1 << bits) // q
+        k = 1
+        while term:
+            term //= q * q
+            k += 2
+            total += -(term // k) if k % 4 == 3 else term // k
+        return total
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> 16
 
 
 def _angle_trig(phi, halvings):
@@ -252,25 +353,14 @@ def _rotor(x):
 
 @lru_cache(maxsize=None)
 def _slope_grid():
-    """(grid, points, logs) of ``slope_fit``: the ``_SLOPE_POINTS``
-    log-spaced epsilons of the window at ``WP`` bits, (s, u, c) at each,
-    s and c the sin and cos of pi eps / 2 and u = s^2, as fixed-point
-    integers at 2^PREC, and the float log of each."""
-    import mpmath as mp
-
-    with mp.workprec(WP):
-        lo, hi = mp.log(mp.mpf(_SLOPE_EPS_LO)), mp.log(mp.mpf(_SLOPE_EPS_HI))
-        grid = tuple(
-            mp.exp(lo + (hi - lo) * i / (_SLOPE_POINTS - 1))
-            for i in range(_SLOPE_POINTS)
-        )
-        logs = tuple(float(mp.log(eps)) for eps in grid)
-    with mp.workprec(PREC):
-        points = []
-        for eps in grid:
-            c, s = _cos_sin_fixed((mp.pi * eps / 2)._mpf_)
-            points.append((s, s * s >> PREC, c))
-    return grid, tuple(points), logs
+    """(points, logs) of ``slope_fit``, read from the packaged
+    ``data/slope_grid.json``: at each of the ``_SLOPE_POINTS`` log-spaced
+    epsilons of the window, (s, u, c), s and c the sin and cos of
+    pi eps / 2 as stored and u = s^2, fixed-point integers at 2^PREC, and
+    the double log of each epsilon."""
+    data = json.loads(_data("slope_grid.json"))
+    points = tuple((s, s * s >> PREC, c) for s, c in data["points"])
+    return points, tuple(data["logs"])
 
 
 def _horner(coeffs, x):
@@ -303,7 +393,7 @@ def slope_fit(seq: CompositeSequence) -> tuple[float, float]:
     # distance is each total times 2^shift.
     fc, fs = _angle_trig(seq.target_phi, 1)
     totals = []
-    for s, u, c in _slope_grid()[1]:
+    for s, u, c in _slope_grid()[0]:
         a_re, a_im = _horner(ar, u), _horner(ai, u)
         b_re, b_im = (c * (s * _horner(p, u) >> PREC) >> PREC for p in (br, bi))
         totals.append((a_re - fc) ** 2 + (a_im + fs) ** 2 + b_re**2 + b_im**2)
@@ -325,7 +415,7 @@ def half_slope_fit(t, pulses) -> tuple[float, float]:
     any other t takes a log per point (``_line_fit``)."""
     odd = pulses // 2 % 2
     values = []
-    for s, u, _ in _slope_grid()[1]:
+    for s, u, _ in _slope_grid()[0]:
         value = _horner(t, u)
         if odd:
             value = s * value >> PREC
@@ -360,7 +450,7 @@ def _grid_top(m, p):
     denominator that turns it into the slope.  The weights sum to 0, so
     t_m, the factor 2 and 2^shift of each square drop out of the sum."""
     weights, den = _slope_weights(tuple(range(_SLOPE_POINTS)))
-    tops = tuple(u**m * s**p >> PREC * (m + p - 1) for s, u, _ in _slope_grid()[1])
+    tops = tuple(u**m * s**p >> PREC * (m + p - 1) for s, u, _ in _slope_grid()[0])
     dot = 2 * sum(w * _ln_wide(top, -PREC) for w, top in zip(weights, tops))
     return tops, tuple(4 * w for w in weights), dot, den << _LOG_GUARD
 
@@ -397,7 +487,7 @@ def _slope_weights(points):
     the double logs x_k of the errors is sum(weights_k L_k) / den, the
     exact weights (x_k - mean x) / sum((x_j - mean x)^2) over one common
     integer denominator."""
-    logs = _slope_grid()[2]
+    logs = _slope_grid()[1]
     xs = [Fraction(logs[k]) for k in points]
     mean = sum(xs) / len(xs)
     ss = sum((x - mean) ** 2 for x in xs)
@@ -628,20 +718,22 @@ def _newton_square(phases, phi: float, tol: float, max_iter: int, pinned: int):
         r, jac = evaluate(x, True)
 
 
-def _small_cos_sin(d):
-    """cos and sin of the small fixed-point angle ``d`` (|d| << 2^PREC) at
-    2^PREC, by their Taylor series, summed until a term rounds to 0."""
-    d2 = d * d >> PREC
-    c = s = 0
-    term_c, term_s, k = 1 << PREC, abs(d), 0
+def _small_cos_sin(d, prec=PREC):
+    """cos and sin of the fixed-point angle ``d`` at 2^prec, |d| below 1,
+    by their Taylor series, summed two terms at a time until a term
+    rounds to 0: the one cos/sin series of this module."""
+    d2 = d * d >> prec
+    c = term_c = 1 << prec
+    s = term_s = abs(d)
+    k = 0
     while term_c or term_s:
-        if k % 2:
-            c, s = c - term_c, s - term_s
-        else:
-            c, s = c + term_c, s + term_s
-        k += 1
-        term_c = (term_c * d2 >> PREC) // ((2 * k - 1) * 2 * k)
-        term_s = (term_s * d2 >> PREC) // (2 * k * (2 * k + 1))
+        term_c = (term_c * d2 >> prec) // ((k + 1) * (k + 2))
+        term_s = (term_s * d2 >> prec) // ((k + 2) * (k + 3))
+        c, s = c - term_c, s - term_s
+        term_c = (term_c * d2 >> prec) // ((k + 3) * (k + 4))
+        term_s = (term_s * d2 >> prec) // ((k + 4) * (k + 5))
+        c, s = c + term_c, s + term_s
+        k += 4
     return c, (s if d >= 0 else -s)
 
 

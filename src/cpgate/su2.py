@@ -3,11 +3,14 @@ pulses and the phase gate it targets, and the exact phase of a 50-digit
 train with the integer rounding that makes it; the two numerical-failure
 errors; the order read off a slope fit; the DEBUG records of the
 numerical modules (``_debug``); the settings of a ``solve``
-(``SolverConfig``); and ``Record``, the immutable record that every
+(``SolverConfig``); ``Record``, the immutable record that every
 cpgate record class (``Su2``, ``CompositeSequence``,
-``catalog.CatalogEntry``, ``analysis.ErrorRange``, ...) derives from.
+``catalog.CatalogEntry``, ``analysis.ErrorRange``, ...) derives from;
+and ``_data``, which reads a packaged data file for ``catalog`` (the
+tables and the stored polishes) and ``precise`` (the slope grid).
 Every command loads this module, and it loads neither numpy, mpmath
-nor the standard dataclass module.
+nor the standard dataclass module; no cpgate module loads mpmath, which
+serves the tests as their oracle.
 
 An SU(2) matrix is stored as its Cayley-Klein pair (a, b), the full matrix
 being [[a, b], [-b*, a*]].  Every pulse is a nominal pi pulse: with a
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -58,6 +62,14 @@ def _debug(logger: str, msg: str, *args) -> None:
     logging = sys.modules.get("logging")
     if logging is not None:
         logging.getLogger(logger).debug(msg, *args)
+
+
+def _data(name: str) -> bytes:
+    """The packaged file ``data/<name>``, read through this module's
+    loader as ``pkgutil.get_data`` reads it, so that a zip install works
+    too, with neither ``importlib.resources`` nor ``pkgutil`` loaded."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return __spec__.loader.get_data(path)
 
 
 class Record:

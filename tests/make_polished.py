@@ -1,5 +1,8 @@
 """Regenerate ``src/cpgate/data/polished.json``, the polishes of the
-packaged catalog entries that ``catalog`` reads in place of running them.
+packaged catalog entries that ``catalog`` reads in place of running them,
+and ``src/cpgate/data/slope_grid.json``, the constants of
+``precise.slope_fit``'s grid, which ``precise`` reads in place of
+computing them with mpmath.
 
     PYTHONPATH=src python tests/make_polished.py
 
@@ -13,6 +16,11 @@ every record and fails on one that differs or that no entry produces.
 
 Regenerate it where the polish's output is meant to change, and say why
 in the change that does.
+
+The grid (``slope_grid``) holds, at each error eps of the slope window
+(``mp_oracle.slope_epsilons``), mpmath's sin and cos of pi eps / 2 at
+``precise.PREC`` bits as integers at 2^PREC, and the double log of eps.
+``test_precise.py`` recomputes it and fails where it differs.
 """
 
 from __future__ import annotations
@@ -23,9 +31,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from cpgate import catalog, precise
+import mpmath as mp
 
-POLISHED = Path(__file__).parents[1] / "src" / "cpgate" / "data" / "polished.json"
+from cpgate import catalog, precise
+from mp_oracle import cos_sin_fixed, slope_epsilons
+
+DATA = Path(__file__).parents[1] / "src" / "cpgate" / "data"
+POLISHED = DATA / "polished.json"
+GRID = DATA / "slope_grid.json"
 
 
 def polish_inputs():
@@ -56,6 +69,22 @@ def records():
     return out
 
 
+def slope_grid():
+    """The content of ``slope_grid.json``: the (s, c) of each error eps of
+    the slope window, mpmath's sin and cos of pi eps / 2 (pi at
+    ``precise.PREC`` bits) as integers at 2^PREC, and the double log of
+    each eps."""
+    grid = slope_epsilons()
+    with mp.workprec(precise.WP):
+        logs = [float(mp.log(eps)) for eps in grid]
+    points = []
+    with mp.workprec(precise.PREC):
+        for eps in grid:
+            c, s = cos_sin_fixed((mp.pi * eps / 2)._mpf_, precise.PREC)
+            points.append([s, c])
+    return {"prec": precise.PREC, "points": points, "logs": logs}
+
+
 def unstored(entry):
     """``entry`` with a trailing 0 on each decimal phase string: the same
     polish inputs under a key that the store does not hold, so building it
@@ -67,7 +96,8 @@ def unstored(entry):
 def main():
     data = {"prec": precise.PREC, "polishes": records()}
     POLISHED.write_text(json.dumps(data, indent=1) + "\n")
-    print(f"wrote {POLISHED}", file=sys.stderr)
+    GRID.write_text(json.dumps(slope_grid(), indent=1) + "\n")
+    print(f"wrote {POLISHED} and {GRID}", file=sys.stderr)
 
 
 if __name__ == "__main__":

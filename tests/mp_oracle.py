@@ -1,6 +1,9 @@
 """The tests' 50-digit propagator: the pi-pulse train multiplied out pulse
-by pulse at each error, in fixed point at the working precision; and the
-two-half train built in mpf object arithmetic (``mp_structured_train``).
+by pulse at each error, in fixed point at the working precision; the
+two-half train built in mpf object arithmetic (``mp_structured_train``);
+mpmath's fixed-point cos and sin (``cos_sin_fixed``), against which
+``cpgate.precise``'s own are checked; and the errors of its slope grid
+(``slope_epsilons``).
 
 It composes no polynomial in s, so it shares no code with the kernel of
 ``cpgate.precise``, and the profile law, the half-train identity and the
@@ -29,7 +32,8 @@ from mpmath.libmp import (
     to_fixed,
 )
 
-from cpgate.su2 import CompositeSequence
+from cpgate.precise import _SLOPE_EPS_HI, _SLOPE_EPS_LO, _SLOPE_POINTS
+from cpgate.su2 import WP, CompositeSequence
 
 # Fractional bits beyond the working precision.
 GUARD_BITS = 16
@@ -47,7 +51,20 @@ def mp_structured_train(rel_phases, phi, nu=0.0):
     return CompositeSequence(phases, phi, label=f"struct(n={len(rel_phases)})")
 
 
-def _cos_sin_fixed(x, prec):
+def slope_epsilons():
+    """The ``_SLOPE_POINTS`` log-spaced errors of ``precise``'s slope
+    window as mpfs at ``WP`` bits."""
+    with mp.workprec(WP):
+        lo, hi = mp.log(mp.mpf(_SLOPE_EPS_LO)), mp.log(mp.mpf(_SLOPE_EPS_HI))
+        return [
+            mp.exp(lo + (hi - lo) * i / (_SLOPE_POINTS - 1))
+            for i in range(_SLOPE_POINTS)
+        ]
+
+
+def cos_sin_fixed(x, prec):
+    """mpmath's cos and sin of the raw tuple ``x`` at ``prec`` bits, as
+    fixed-point integers at 2^prec."""
     c, s = mpf_cos_sin(x, prec)
     return to_fixed(c, prec), to_fixed(s, prec)
 
@@ -58,7 +75,7 @@ def _pi_trig(eps, wp):
     prec = wp + GUARD_BITS
     pi = mpf_pi(wp, round_nearest)
     half = mpf_shift(mpf_mul(pi, mpf_add(fone, eps, prec), prec), -1)
-    return _cos_sin_fixed(half, prec)
+    return cos_sin_fixed(half, prec)
 
 
 def _pulse_loop(rotors, c, s, prec):
@@ -102,7 +119,7 @@ def mp_propagator(phases, epsilon):
     prec = wp + GUARD_BITS
     rotors = []
     for phase in phases:
-        c, s = _cos_sin_fixed(mp.mpf(phase)._mpf_, prec)
+        c, s = cos_sin_fixed(mp.mpf(phase)._mpf_, prec)
         rotors.append((s, -c))  # -i e^{i phase}
     out = []
     for eps in [epsilon] if single else epsilon:

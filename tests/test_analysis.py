@@ -36,7 +36,7 @@ from cpgate.sequences import (
 from cpgate.su2 import AnalysisError, CompositeSequence, order_from_slope, target_gate
 
 from make_corpus import long_half_spec
-from mp_oracle import mp_propagator
+from mp_oracle import mp_propagator, slope_epsilons
 from order_oracle import closed_form_epsilon0, closed_form_fidelity
 
 
@@ -344,7 +344,7 @@ def test_profile_law_holds_at_50_digits_on_every_verify_train():
     # sqrt(2)|sin(phi/4)||sin(pi eps/2)|^(n+1).
     # The polish stops at a half-train residual of 1e-45, so the deviation
     # grows with the order, from ~3e-49 at n = 0 to ~2e-27 at n = 7.
-    grid, _, _ = precise._slope_grid()
+    grid = slope_epsilons()
     with mp.workdps(50):
         for seq in _verify_trains():
             phi = mp.mpf(seq.target_phi)

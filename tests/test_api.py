@@ -69,42 +69,42 @@ _ROW = "phi=0.5;phases=0,0,0,0,0.9961,0.9684,0.8855,0.75,0.75,0.75,0.75,1.7461,1
 _TWO_HALVES, _OFF_HALVES = f"{_ROW},1.6355", f"{_ROW},1.6355003183098862"
 
 
-@pytest.mark.parametrize("argv, numpy, mpmath, solver", [
-    (["list"], False, False, False),
-    (["tables", "--which", "Z"], False, False, False),
-    (["tables", "--which", "IV"], False, False, False),
-    (["show", "Z18"], False, False, False),
-    *((["build", "--phi", "0.5", "--pulses", str(p)], False, False, False)
+@pytest.mark.parametrize("argv, numpy, solver", [
+    (["list"], False, False),
+    (["tables", "--which", "Z"], False, False),
+    (["tables", "--which", "IV"], False, False),
+    (["show", "Z18"], False, False),
+    *((["build", "--phi", "0.5", "--pulses", str(p)], False, False)
       for p in (2, 4, 6, 8)),
-    (["build", "--phi", "0.5", "--pulses", "14"], False, True, False),
-    (["verify", "--gate", "Z18"], False, True, False),
-    (["verify", "--json", "--gate", "T10"], False, True, False),
-    (["verify", "--gate", _SPEC], False, True, False),
-    (["verify", "--gate", _TWO_HALVES], False, True, False),
-    (["verify", "--gate", _FREE_SPEC], True, True, True),
-    (["range", "--gate", "Z8"], False, False, False),
-    (["range", "--gate", "Z2"], False, False, False),
-    (["range", "--gate", _TWO_HALVES], False, False, False),
-    (["range", "--gate", _OFF_HALVES], True, False, False),
-    (["sweep", "--gate", "Z8", "--steps", "5"], True, False, False),
-    (["sweep", "--gate", "Z2", "--steps", "5"], True, False, False),
-    (["solve", "--order", "2", "--phi", "0.5", "--seeds", "2"], False, False, False),
-    (["solve", "--order", "5", "--phi", "0.5", "--seeds", "2"], True, False, True),
-    (["solve", "--order", "4", "--phi", "0.5", "--seeds", "2"], False, False, False),
+    (["build", "--phi", "0.5", "--pulses", "14"], False, False),
+    (["verify", "--gate", "Z18"], False, False),
+    (["verify", "--json", "--gate", "T10"], False, False),
+    (["verify", "--gate", _SPEC], False, False),
+    (["verify", "--gate", _TWO_HALVES], False, False),
+    (["verify", "--gate", _FREE_SPEC], True, True),
+    (["range", "--gate", "Z8"], False, False),
+    (["range", "--gate", "Z2"], False, False),
+    (["range", "--gate", _TWO_HALVES], False, False),
+    (["range", "--gate", _OFF_HALVES], True, False),
+    (["sweep", "--gate", "Z8", "--steps", "5"], True, False),
+    (["sweep", "--gate", "Z2", "--steps", "5"], True, False),
+    (["solve", "--order", "2", "--phi", "0.5", "--seeds", "2"], False, False),
+    (["solve", "--order", "5", "--phi", "0.5", "--seeds", "2"], True, True),
+    (["solve", "--order", "4", "--phi", "0.5", "--seeds", "2"], False, False),
 ])
-def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, mpmath, solver):
+def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, solver):
     # numpy serves array code: solve above order 4 (up to it, solve writes
     # the closed form), sweep, range off the structure and the float stage
     # of an underdetermined polish, the one place where
     # solver._newton_batch runs, with solver and jets.  A square polish (a
     # table row, inline or built) runs on Python scalars and integers in
-    # precise.  mpmath serves the trig of verify's slope grid and rotors,
-    # and no build of a named train.  No command loads
+    # precise.  No command loads mpmath: the trig is precise's own, on
+    # integers, and the slope grid is data.  No command loads
     # logging, whose DEBUG records nobody could hear.  The records are
     # su2.Record's, so no command loads dataclasses, and inspect comes in
     # with numpy alone (numpy._core.overrides imports it).
     loaded = _fresh(_CLI.format(argv=argv, modules=_MODULES))
-    assert loaded == [0, numpy, mpmath, solver, solver, False, False, numpy]
+    assert loaded == [0, numpy, False, solver, solver, False, False, numpy]
 
 
 @pytest.mark.parametrize("argv", [["list"], ["show", "Z18"], ["range", "--gate", "Z8"]])
@@ -152,9 +152,10 @@ print(json.dumps([built, sorted(sys.modules)]))
 """)
     # The 6 exact entries compose their t with trig in precise, so the
     # modules of the build are taken before half_polynomial runs.
-    for module in ("mpmath", "logging", "dataclasses", "inspect"):
+    for module in ("logging", "dataclasses", "inspect"):
         assert module not in built
-    for module in ("numpy", "cpgate.solver", "cpgate.jets", "cpgate.analysis", "logging"):
+    for module in ("numpy", "mpmath", "cpgate.solver", "cpgate.jets", "cpgate.analysis",
+                   "logging"):
         assert module not in loaded
     assert [m for m in built if m.startswith("cpgate")] == [
         "cpgate", "cpgate.catalog", "cpgate.sequences", "cpgate.su2"
@@ -162,22 +163,25 @@ print(json.dumps([built, sorted(sys.modules)]))
 
 
 def test_the_packaged_data_is_read_from_a_zip_install(tmp_path):
-    # catalog reads its data files through its module's loader, which
-    # reads them out of the archive as it reads the modules.
+    # catalog and precise read their data files through su2's loader,
+    # which reads them out of the archive as it reads the modules.
     archive = tmp_path / "cpgate.zip"
     with zipfile.ZipFile(archive, "w") as zf:
         for path in sorted((ROOT / "src" / "cpgate").rglob("*")):
             if path.is_file() and "__pycache__" not in path.parts:
                 zf.write(path, path.relative_to(ROOT / "src").as_posix())
-    origin, names, phase = _fresh("""
+    origin, names, phase, fit = _fresh("""
 import json
-from cpgate import catalog
+from cpgate import catalog, precise
 train = catalog.to_sequence(catalog.get("Z18"))
-print(json.dumps([catalog.__file__, catalog.names(), float(train.phases[5])]))
+fit = precise.half_slope_fit(catalog.half_polynomial(catalog.get("Z18")), 18)
+print(json.dumps([catalog.__file__, catalog.names(), float(train.phases[5]), fit]))
 """, path=archive)
     assert origin.startswith(str(archive))
     assert names == cpgate.catalog.names()
-    assert phase == float(cpgate.catalog.to_sequence(cpgate.catalog.get("Z18")).phases[5])
+    z18 = cpgate.catalog.get("Z18")
+    assert phase == float(cpgate.catalog.to_sequence(z18).phases[5])
+    assert fit == list(cpgate.precise.half_slope_fit(cpgate.catalog.half_polynomial(z18), 18))
 
 
 def test_analysis_type_hints_resolve_without_numpy():
@@ -222,10 +226,11 @@ def _imports(module):
     return names
 
 
-@pytest.mark.parametrize("module", ["analysis", "catalog", "cli", "sequences", "su2"])
-def test_only_precise_knows_the_50_digit_format(module):
-    # Exact angles reach precise as Fractions of pi, and the 50-digit train
-    # is built there: these modules import nothing from mpmath.
+@pytest.mark.parametrize("module", sorted(cpgate._SUBMODULES))
+def test_no_module_imports_mpmath(module):
+    # mpmath is the tests' oracle: precise's trig runs on integers and its
+    # slope grid is data, so no module imports it, in a function body or
+    # anywhere else.
     assert not [name for name in _imports(module) if name.split(".")[0] == "mpmath"]
 
 
@@ -236,15 +241,6 @@ def _module_level_imports(node):
             yield child
         elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             yield from _module_level_imports(child)
-
-
-def test_precise_imports_mpmath_only_inside_its_trig_and_logs():
-    # Building a train rounds in integers: importing precise loads no mpmath.
-    tree = ast.parse((Path(cpgate.__file__).parent / "precise.py").read_text())
-    names = [name for node in _module_level_imports(tree)
-             for name in (getattr(node, "module", None) or "", *(a.name for a in node.names))]
-    assert "math" in names
-    assert not [name for name in names if name.split(".")[0] == "mpmath"]
 
 
 def test_precise_imports_numpy_only_where_the_batched_solver_runs():

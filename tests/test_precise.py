@@ -30,7 +30,7 @@ from cpgate.su2 import CompositeSequence, Phase
 
 import make_polished
 from make_corpus import run_cli
-from mp_oracle import mp_propagator, mp_structured_train
+from mp_oracle import cos_sin_fixed, mp_propagator, mp_structured_train, slope_epsilons
 
 
 def _fraction(value):
@@ -366,7 +366,8 @@ def test_slope_fit_of_a_random_float_train_equals_the_per_epsilon_loop_bitwise(
 def test_slope_grid_holds_sin_and_cos_of_the_half_error_area():
     # Each point's fixed-point s = sin(pi eps/2), u = s^2 and cos(pi eps/2)
     # at 2^-PREC is within one unit of mpmath's at PREC bits.
-    grid, points, logs = precise._slope_grid()
+    grid = slope_epsilons()
+    points, logs = precise._slope_grid()
     assert len(grid) == len(points) == len(logs) == precise._SLOPE_POINTS
     unit = mp.mpf(2) ** -precise.PREC
     with mp.workprec(precise.PREC):
@@ -375,6 +376,74 @@ def test_slope_grid_holds_sin_and_cos_of_the_half_error_area():
             assert abs(s * unit - mp.sin(x)) <= unit
             assert abs(u * unit - mp.sin(x) ** 2) <= unit
             assert abs(c * unit - mp.cos(x)) <= unit
+
+
+def test_the_stored_slope_grid_is_the_one_mpmath_computes():
+    # data/slope_grid.json holds mpmath's constants, and slope_fit reads
+    # them as stored, with u = s^2.
+    stored = json.loads(make_polished.GRID.read_text())
+    assert stored == make_polished.slope_grid()
+    points, logs = precise._slope_grid()
+    assert [[s, c] for s, _, c in points] == stored["points"]
+    assert list(logs) == stored["logs"]
+
+
+def test_trig_equals_mpmaths_on_every_angle_of_the_catalog_and_the_grid(monkeypatch):
+    # Every raw angle whose cos and sin the 27 names' fits, the exact
+    # names' t, the 84 rows' polishes and fits (rounded and polished) and
+    # the slope grid take: the integer trig gives mpmath's bits.
+    angles = set()
+    trig = precise._cos_sin_fixed
+
+    def recorded(x):
+        angles.add(x)
+        return trig(x)
+
+    monkeypatch.setattr(precise, "_cos_sin_fixed", recorded)
+    for name in catalog.names():
+        entry = catalog.get(name)
+        precise.slope_fit(catalog.to_sequence(entry))
+        catalog.half_polynomial(entry)
+    for row in catalog.arbitrary_rows():
+        phi = row.phi_over_pi
+        for pulses, column in row.columns.items():
+            precise.slope_fit(catalog.arbitrary_row(phi, pulses, refine=False))
+            zeros = precise.pinned_zero_count(pulses // 2 - 1)
+            rel = [float(Fraction(s)) * math.pi for s in ["0"] * zeros + list(column)]
+            polished, _ = precise.polish_structured(rel, phi)
+            precise.slope_fit(precise.structured_train(polished, phi))
+    with mp.workprec(precise.PREC):
+        angles.update((mp.pi * eps / 2)._mpf_ for eps in slope_epsilons())
+    assert len(angles) > 1000
+    for x in angles:
+        assert trig(x) == cos_sin_fixed(x, precise.PREC), x
+
+
+@pytest.mark.parametrize("value", [
+    sign * v for v in (0.0, 5e-324, 1e-60, 1e6, 1e300, sys.float_info.max) for sign in (1, -1)
+])
+def test_trig_equals_mpmaths_at_the_edges(value):
+    # 0, the smallest double (whose cos is 1 - 2^-PREC in mpmath's form,
+    # not 1), tiny, large and the largest angles.
+    x = su2._raw(value)
+    assert precise._cos_sin_fixed(x) == cos_sin_fixed(x, precise.PREC)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.fractions(min_value=-64, max_value=64, max_denominator=64).map(su2._raw),
+    st.floats(min_value=-8, max_value=8).map(su2._raw),
+    # The raw tuples of 169-bit Phases from 2^-32 to 2^29.
+    st.builds(su2._round, st.integers(1 << 168, (1 << 169) - 1), st.integers(-200, -140)),
+))
+def test_trig_is_within_one_unit_of_mpmaths(x):
+    # p/q pi with q <= 64 (multiples of pi/2 among them), floats on [-8, 8]
+    # and 169-bit Phases.  mpmath works its cos and sin with 10 guard bits
+    # and truncates, so near a boundary of its truncation the two may part
+    # by one unit.
+    got = precise._cos_sin_fixed(x)
+    want = cos_sin_fixed(x, precise.PREC)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1, x
 
 
 def _edge_integers():
@@ -414,7 +483,7 @@ def test_a_zero_square_drops_its_point():
     # NaN slope; the peak is the root of the largest square left.  The half
     # has four pulses, so its t is a polynomial in u alone.
     t = catalog.half_polynomial(catalog.get("S8"))
-    _, points, logs = precise._slope_grid()
+    points, logs = precise._slope_grid()
     totals = [precise._horner(t, u) ** 2 for _, u, _ in points]
     assert all(totals)
     shift = 1 - 2 * precise.PREC
@@ -1202,7 +1271,7 @@ def test_raw_refuses_an_angle_it_would_round_through_a_float(angle):
 def _values(t, pulses):
     # The fixed-point s^p t(u) on the slope grid, as half_slope_fit takes it.
     values = []
-    for s, u, _ in precise._slope_grid()[1]:
+    for s, u, _ in precise._slope_grid()[0]:
         value = precise._horner(t, u)
         values.append(s * value >> precise.PREC if pulses // 2 % 2 else value)
     return values
@@ -1289,13 +1358,13 @@ def _rho(t, pulses):
     m, p = len(t) - 1, pulses // 2 % 2
     return max(
         abs(v / (t[-1] * (u / 2**precise.PREC) ** m * (s / 2**precise.PREC) ** p) - 1)
-        for v, (s, u, _) in zip(_values(t, pulses), precise._slope_grid()[1])
+        for v, (s, u, _) in zip(_values(t, pulses), precise._slope_grid()[0])
     )
 
 
 def test_a_half_off_the_cached_logs_takes_a_log_per_point():
     one = 1 << precise.PREC
-    u3 = precise._slope_grid()[1][3][1]
+    u3 = precise._slope_grid()[0][3][1]
     # An exact half off every root: its low coefficients set its values.
     off_root = precise.t_polynomial((0.0, 0.3, 1.1, 0.7), 0.5 * math.pi)
     assert _rho(off_root, 8) > 2**-30
