@@ -32,10 +32,10 @@ it rounds stored integers and exact phases to ``su2.Phase``s
 numpy, ``solver`` nor ``precise``.  ``precise`` is imported only where it
 runs: the polish of a half that is not stored, and the t of an exact
 entry (``half_polynomial``), which only ``verify`` asks for; its trig
-runs on integers, so neither loads mpmath.  The data files are read
-through ``su2._data``.  numpy and
-``solver`` come in only where that polish runs ``solver._newton_batch``:
-for a half that is not square, which no table row is (see ``precise``).
+runs on integers, so neither loads mpmath, and every polish runs on
+Python scalars and integers, so neither loads numpy, ``solver`` nor
+``jets`` (see ``precise``).  The data files are read through
+``su2._data``.
 """
 
 from __future__ import annotations

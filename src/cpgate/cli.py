@@ -19,11 +19,9 @@ file no numpy; ``range`` on a two-half train loads ``analysis`` and no
 numpy; ``sweep``, any other ``range`` and ``solve`` at a higher order
 (Newton, with ``solver`` and ``jets``) load numpy.  A
 polish (``verify`` on an inline spec, ``build --pulses 10/12/14``, a
-catalog file whose decimal phases are not stored) loads ``precise``;
-numpy only where it runs ``solver._newton_batch``, which loads
-``solver`` and ``jets`` too: for a half that is not square (fewer
-leading zeros than the solver's chart, as no table row has) or whose
-certificate fails.  No command loads mpmath: ``precise``'s trig
+catalog file whose decimal phases are not stored) loads ``precise`` and
+runs on Python scalars and integers, square or not: no numpy, ``solver``
+nor ``jets``.  No command loads mpmath: ``precise``'s trig
 runs on integers and its slope grid is data.  No command loads
 ``logging``: a DEBUG record is made only where something loaded it
 (``su2._debug``).  The records are ``su2.Record``s, so no command

@@ -27,11 +27,10 @@ order, the way the solver's chart holds its leading zeros.  The half
 alone decides the order of the two-half train built on it (see
 ``solver``), so the kernel never forms the second half.
 ``sequences.half_jets`` runs the same recurrence for one half on Python
-scalars, outside this numpy module, for the square systems of
-``precise``'s polish (``precise._newton_square``) and for ``range``,
-where numpy's per-call overhead would dominate and its import outweighs
-the search; ``precise`` runs it in
-fixed point.  All three read held zeros from ``sequences._zero_prefix``.
+scalars, outside this numpy module, for ``precise``'s polish
+(``precise._float_newton``) and for ``range``, where numpy's per-call
+overhead would dominate and its import outweighs the search;
+``precise`` runs it in fixed point.  All three read held zeros from ``sequences._zero_prefix``.
 """
 
 from __future__ import annotations

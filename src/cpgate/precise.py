@@ -137,36 +137,32 @@ The polish solves the solver's half-train conditions (see ``solver``):
 its residual (``_mp_residual``) reads every u-coefficient of t but the
 top one from the half composed from its pulses' rotors, with the cos/sin
 of phi/4 taken once per polish; at 50 digits it agrees with a 90-digit
-interpolation of the half to ~1e-50.  Its float stage runs Newton to
-``_FLOAT_TOL`` and keeps the inverse of the free-column Jacobian at the
-point it converged to for every 50-digit step: both residuals read the
-same u-coefficients.  The polish holds the leading
-phases of its input that are exactly 0, a count it reads from the
-phases, and moves the rest; the system is square, as many free phases
-as the ceil(n/2) residual entries, exactly when that count is
-``sequences.pinned_zero_count(n)``, the zeros the solver's chart holds
-(every table row).  A square system runs on Python scalars, here
-(``_newton_square`` on ``sequences.half_jets``), where numpy's per-call
-overhead and an SVD would dominate systems of at most a few rows: the
-full step and halvings of ``solver._newton_batch``
-(``sequences._STEP_LENGTHS``), its acceptance on a smaller residual
-2-norm and its stopping rule.  Its root is isolated, so the scalar
-arithmetic moves the 50-digit phases only within the polish's own
-accuracy.  Its step is a pivoted solve whose inverse is certified by
-||J||_F ||J^-1||_F < 1/``sequences._RCOND`` (``_certified_inverse``), so
-that it is the step the pseudo-inverse would take; a zero pivot or a
-failed certificate sends the polish back to its input through
-``solver._newton_batch`` on one row.  An underdetermined system (the
-named trains of order >= 4) runs ``solver._newton_batch`` on one row and
-``np.linalg.pinv``: there the float root's last bits choose the point on
-the root manifold, and those bits must stay the ones the named trains'
-chart classes were measured with.  numpy, ``solver`` and (through it)
-``jets`` load only where ``solver._newton_batch`` runs; only ``verify``,
+interpolation of the half to ~1e-50.  It holds the leading phases of
+its input that are exactly 0, a count it reads from the phases, and
+moves the rest.  Its float stage (``_float_newton`` on
+``sequences.half_jets``) runs on Python scalars, where numpy's per-call
+overhead would dominate systems of at most a few rows, on the schedule
+of ``solver._newton_batch``: the full step and halvings
+(``sequences._STEP_LENGTHS``), accepted on a smaller residual 2-norm,
+and its stopping rule, at ``_FLOAT_TOL``.  The step is the minimum-norm
+one, J+ r, and the J+ of the converged point serves every 50-digit step:
+both residuals read the same u-coefficients.  ``_pseudo_inverse``
+certifies J+ to be the pseudo-inverse at ``sequences._RCOND``.  A square
+system, as many free phases as the ceil(n/2) residual entries (the held
+count is ``sequences.pinned_zero_count(n)``, as in every table row),
+takes J^-1 by a pivoted solve with ||J||_F ||J^-1||_F < 1/_RCOND
+(``_certified_inverse``); its root is isolated, so the scalar arithmetic
+moves the 50-digit phases only within the polish's own accuracy.  An
+underdetermined one (the named trains of order >= 4) takes
+J^T (J J^T)^-1, the Gram matrix certified at _RCOND^2; there the float
+root's last bits choose the point on the root manifold.  A failed
+certificate raises SolverError, and ``cli`` then measures the input as
+it is.  No polish loads numpy, ``solver`` or ``jets``; only ``verify``,
 a polish of a half that is not stored and the t of an exact catalog
 entry load this module: the packaged named trains read their polishes
 from data (see ``catalog``).  The 50-digit stage (``_fixed_newton``)
 runs in fixed point end to end: the float root and the float stage's
-inverse W (rows of doubles) are converted once to integers at 2^PREC
+J+, W (rows of doubles), are converted once to integers at 2^PREC
 (``sequences._fixed``), and each phase after the held zeros takes one
 ``_cos_sin_fixed`` per polish.  With the residual r the integer
 sin(phi/4) Re a_h + cos(phi/4) Im a_h at 2^-2PREC, a step moves phase k
@@ -209,8 +205,7 @@ from functools import lru_cache
 # that compute in them.
 from .sequences import (
     _RCOND, _STEP_LENGTHS, _fixed, _half_t, _leading_zeros, _mp_jet_pulse,
-    _mp_jet_rotors, _mp_zero_prefix, half_jets, pinned_zero_count,
-    structured_train,
+    _mp_jet_rotors, _mp_zero_prefix, half_jets, structured_train,
 )
 from .su2 import (
     _PI, _ZERO, PREC, WP, CompositeSequence, Phase, SolverError,
@@ -574,8 +569,8 @@ def polish_structured(rel_phases, phi):
 
     The leading phases that are exactly 0 are held there, and the rest
     move.  ``phi`` is a Fraction in units of pi (an exact angle), a
-    ``Phase``, an mpf or a float (see ``_raw``); the inverse of the float
-    Jacobian at the float root serves every 50-digit step, which is
+    ``Phase``, an mpf or a float (see ``_raw``); the pseudo-inverse of the
+    float Jacobian at the float root serves every 50-digit step, which is
     enough for fast linear convergence near the root.
     Returns (phases, t): the ``Phase``s at ``WP`` bits, with residual
     max-norm below 10^-_POLISH_DIGITS, and the u-coefficients of the
@@ -594,31 +589,15 @@ def polish_fixed(rel_phases, phi):
     Logs one DEBUG record under ``cpgate.precise``: the free-phase count,
     the residual max-norm after the float stage, the number of 50-digit
     residual evaluations, the final residual max-norm and the seconds
-    spent (``su2._debug``: where ``logging`` is loaded).  Only the branch
-    that runs ``solver._newton_batch`` loads numpy and ``solver``.
+    spent (``su2._debug``: where ``logging`` is loaded).  Raises
+    SolverError where either stage fails.
     """
     start = time.perf_counter()
-    phi_float = float(Phase(_raw(phi)))
     x_float = [float(v) for v in rel_phases]
-    n = len(x_float)
     pinned = _leading_zeros(x_float)
-    # A square system runs its float stage on scalars (see the module
-    # docstring), an underdetermined one through the batched solver.
-    square = None
-    if n and pinned == pinned_zero_count(n):
-        square = _newton_square(x_float, phi_float, _FLOAT_TOL, 60, pinned)
-    if square is not None:
-        x_float, float_rmax, ok, jac_inv = square
-    else:
-        import numpy as np
-
-        from . import solver
-
-        roots, norms, converged, jacs = solver._newton_batch(
-            np.array([x_float]), phi_float, _FLOAT_TOL, 60, pinned
-        )
-        x_float, float_rmax, ok, jac = roots[0], norms[0], converged[0], jacs[0]
-        jac_inv = np.linalg.pinv(jac, rcond=_RCOND).tolist() if ok else None
+    x_float, float_rmax, ok, jac_inv = _float_newton(
+        x_float, float(Phase(_raw(phi))), _FLOAT_TOL, 60, pinned
+    )
     if not ok:
         raise SolverError(
             f"float-precision polish failed; residual max-norm {float_rmax:.3e}"
@@ -628,17 +607,17 @@ def polish_fixed(rel_phases, phi):
     _debug(
         "cpgate.precise",
         "polish free=%d float_rmax=%.3g evals=%d rmax=%.3g seconds=%.6f",
-        n - pinned, float_rmax, evals, math.ldexp(rmax, -2 * PREC),
+        len(x) - pinned, float_rmax, evals, math.ldexp(rmax, -2 * PREC),
         time.perf_counter() - start,
     )
     return x, _half_t(*a_h, gate)
 
 
-def _certified_inverse(jac):
+def _certified_inverse(jac, rcond=_RCOND):
     """Inverse of the square matrix ``jac`` (a list of rows) by Gauss-Jordan
     elimination with partial pivoting, or None on a zero pivot or when
-    ||J||_F ||J^-1||_F >= 1/_RCOND.  That bound certifies
-    sigma_min > _RCOND sigma_max, so the pseudo-inverse at ``_RCOND`` drops
+    ||J||_F ||J^-1||_F >= 1/``rcond``.  That bound certifies
+    sigma_min > rcond sigma_max, so the pseudo-inverse at ``rcond`` drops
     no singular value and is this inverse."""
     size = len(jac)
     rows = [
@@ -660,20 +639,41 @@ def _certified_inverse(jac):
         sum(v * v for row in inv for v in row)
     )
     # A NaN bound fails the test too.
-    return inv if bound < 1.0 / _RCOND else None
+    return inv if bound < 1.0 / rcond else None
 
 
-def _newton_square(phases, phi: float, tol: float, max_iter: int, pinned: int):
-    """``solver._newton_batch`` on one row, in Python scalars, for a square
-    system, as many phases after the leading ``pinned`` as residual
-    entries: the same full step, halvings, acceptance on a smaller residual
-    2-norm and stopping rule, with a pivoted solve in place of the
-    pseudo-inverse.
+def _pseudo_inverse(jac):
+    """The pseudo-inverse at ``_RCOND`` of the Jacobian ``jac`` (a list of
+    rows), or None where it is not certified to drop no singular value: a
+    square J's ``_certified_inverse``, a wide one's J^T G^-1 with
+    G = J J^T, a tall one's from its transpose.  G is certified at
+    _RCOND^2, as cond(G) = cond(J)^2."""
+    size = len(jac[0]) if jac else 0
+    if len(jac) == size:
+        return _certified_inverse(jac)
+    if len(jac) > size:
+        inv = _pseudo_inverse([list(col) for col in zip(*jac)])
+        return None if inv is None else [list(col) for col in zip(*inv)]
+    gram = [[sum(a * b for a, b in zip(p, q)) for q in jac] for p in jac]
+    inv = _certified_inverse(gram, _RCOND**2)
+    return None if inv is None else [
+        [sum(a * b for a, b in zip(col, g)) for g in zip(*inv)] for col in zip(*jac)
+    ]
+
+
+def _float_newton(phases, phi: float, tol: float, max_iter: int, pinned: int):
+    """Damped Newton on one half in Python scalars, the leading ``pinned``
+    phases held: each iteration takes the minimum-norm step
+    (``_pseudo_inverse``) at the longest length of the full step and its
+    halvings (``sequences._STEP_LENGTHS``) that makes the residual 2-norm
+    smaller, and the iteration stops at a residual max-norm below ``tol``,
+    after ``max_iter`` steps, where no length improves it or where no
+    phase is free.
 
     Returns (phases, residual max-norm, converged, inverse) with the
-    inverse of the Jacobian in the free phases at the returned phases, as
-    a list of rows, or None if any Jacobian it inverts is singular or fails
-    the certificate of ``_certified_inverse``.
+    pseudo-inverse of the Jacobian in the free phases at the returned
+    phases, as a list of rows.  Raises SolverError where a Jacobian it
+    inverts fails the certificate.
     """
     x = [float(v) for v in phases]
     rot = cmath.exp(0.25j * phi)
@@ -695,10 +695,11 @@ def _newton_square(phases, phi: float, tol: float, max_iter: int, pinned: int):
     r, jac = evaluate(x, True)
     for it in range(max_iter + 1):
         rmax = max(abs(v) for v in r)
-        inv = _certified_inverse(jac)
+        inv = _pseudo_inverse(jac)
         if inv is None:
-            return None
-        if rmax < tol or it == max_iter:
+            raise SolverError(f"ill-conditioned Jacobian; residual max-norm {rmax:.3e}")
+        # With no free phase there is no step to take.
+        if rmax < tol or it == max_iter or not inv:
             return x, rmax, rmax < tol, inv
         step = [-sum(w * v for w, v in zip(row, r)) for row in inv]
         norm0 = norm(r)

@@ -23,10 +23,10 @@ or an inline train the CLI polishes or ``range`` reads.
 ``half_jets`` is the half's polynomial on Python scalars: the
 u-coefficients of the major-diagonal element a_h of pi_0 pi_p1 ... pi_pn,
 with exact tangents in the phases on request, by the recurrence of
-``jets``.  It serves the square systems of ``precise``'s polish
-(``precise._newton_square``), where numpy's per-call overhead would
+``jets``.  It serves every system of ``precise``'s polish
+(``precise._float_newton``), where numpy's per-call overhead would
 dominate, and ``analysis``'s range search on a two-half train: neither
-loads ``jets``, and the search no numpy.  Both Newton iterations,
+loads ``jets`` or numpy.  Both Newton iterations,
 ``solver``'s batch and that scalar one, take the pseudo-inverse cutoff
 ``_RCOND`` and the backtracking step lengths ``_STEP_LENGTHS`` from
 here.  ``_mp_jet_pulse`` is the same pulse on integers in the fixed

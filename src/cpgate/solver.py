@@ -25,10 +25,11 @@ The roots form manifolds of dimension floor(n/2).  ``solve`` runs
 Newton in the canonical chart, with the leading floor(n/2) relative
 phases pinned to zero (the compact 3pi/4pi-block forms), where the
 system is square and the roots are isolated points; each root it finds
-is already the canonical representative of its class.  Every Newton
+is already the canonical representative of its class.  The Newton
 iteration here holds a count ``pinned`` of leading phases fixed and steps
-along the rest: ``solve`` holds floor(n/2), and ``precise``'s polish the
-leading phases of its input that are exactly 0.
+along the rest: ``solve`` holds floor(n/2).  ``precise``'s polish runs
+the same schedule on Python scalars, holding the leading phases of its
+input that are exactly 0.
 
 Up to order 4 the classes have a closed form, ``sequences.chart_roots``,
 which the ``solve`` command writes in place of this Newton.  At n = 1
@@ -128,17 +129,16 @@ def _newton_batch(
     max_iter: int,
     pinned: int = 0,
     stats: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped least-squares Newton on each row of ``x0`` (B, n) at once,
     the leading ``pinned`` phases of each row held fixed.
 
-    Returns the rows, their residual max-norms, whether each converged and
-    the Jacobian (B, ceil(n/2), n - pinned) of each row's residual in its
-    free phases at the returned row.  Every row follows its own iteration
-    exactly as if it were alone: rows that converge or fail leave the
-    batch, the rest go on.  The pseudo-inverse cutoff keeps steps out of
-    the root manifold's tangent directions, so near-roots are polished in
-    place instead of drifting along the manifold.
+    Returns the rows, their residual max-norms and whether each
+    converged.  Every row follows its own iteration exactly as if it were
+    alone: rows that converge or fail leave the batch, the rest go on.
+    The pseudo-inverse cutoff keeps steps out of the root manifold's
+    tangent directions, so near-roots are polished in place instead of
+    drifting along the manifold.
 
     A row takes the longest step length 2^-k, k = 0..29, that makes its
     residual 2-norm smaller, and each iteration evaluates a trial point at
@@ -154,7 +154,6 @@ def _newton_batch(
     """
     x = np.array(x0, dtype=float)
     batch, n = x.shape
-    jac_out = np.empty((batch, (n + 1) // 2, n - pinned))
     evaluations = 0
 
     def evaluate(points, tangents=True):
@@ -197,19 +196,16 @@ def _newton_batch(
         done = largest < tol
         if done.any():
             ok[live[done]] = True
-            jac_out[live[done]] = jac[done]
             live, r, jac = live[~done], r[~done], jac[~done]
             if not live.size:
                 break
         if iterations == max_iter:
-            jac_out[live] = jac
             break
         iterations += 1
         step = -(np.linalg.pinv(jac, rcond=_RCOND) @ r[:, :, None])[:, :, 0]
         # Backtracking on the residual norm; arcsin-flavored roots
         # have steep basins, so halve up to 29 times before giving up.
         norm0 = np.linalg.norm(r, axis=1)
-        jac_at_x = jac
         moved, rows, (r, jac) = backtrack(np.arange(len(live)), 0)
         # The residual and Jacobian at the step each row took.
         r, jac = r[rows], jac[rows]
@@ -222,11 +218,10 @@ def _newton_batch(
         if taken.size:
             r[taken], jac[taken] = evaluate(x[live[taken]])
         # A row that no step length improves stops where it is.
-        jac_out[live[~moved]] = jac_at_x[~moved]
         live, r, jac = live[moved], r[moved], jac[moved]
     if stats is not None:
         stats.update(iterations=iterations, capped=len(live), evaluations=evaluations)
-    return x, rmax, ok, jac_out
+    return x, rmax, ok
 
 
 def solve(config: SolverConfig) -> list[Solution]:
@@ -246,7 +241,7 @@ def solve(config: SolverConfig) -> list[Solution]:
     seeds[:, :pinned] = 0.0
     start = time.perf_counter()
     stats = {}
-    x, rmax, converged, _ = _newton_batch(
+    x, rmax, converged = _newton_batch(
         seeds, config.phi, _TOL, _MAX_ITER, pinned, stats
     )
     newton_s = time.perf_counter() - start

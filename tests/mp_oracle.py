@@ -1,9 +1,9 @@
 """The tests' 50-digit propagator: the pi-pulse train multiplied out pulse
 by pulse at each error, in fixed point at the working precision; the
 two-half train built in mpf object arithmetic (``mp_structured_train``);
-mpmath's fixed-point cos and sin (``cos_sin_fixed``), against which
-``cpgate.precise``'s own are checked; and the errors of its slope grid
-(``slope_epsilons``).
+the fixed-point cos and sin in mpmath's form (``cos_sin_fixed``),
+against which ``cpgate.precise``'s own are checked; and the errors of its
+slope grid (``slope_epsilons``).
 
 It composes no polynomial in s, so it shares no code with the kernel of
 ``cpgate.precise``, and the profile law, the half-train identity and the
@@ -27,7 +27,9 @@ from mpmath.libmp import (
     mpf_cos_sin,
     mpf_mul,
     mpf_pi,
+    mpf_pos,
     mpf_shift,
+    round_down,
     round_nearest,
     to_fixed,
 )
@@ -37,6 +39,8 @@ from cpgate.su2 import WP, CompositeSequence
 
 # Fractional bits beyond the working precision.
 GUARD_BITS = 16
+# Bits beyond the wanted ones at which ``cos_sin_fixed`` evaluates.
+_TRIG_EXTRA = 128
 
 
 def mp_structured_train(rel_phases, phi, nu=0.0):
@@ -63,10 +67,17 @@ def slope_epsilons():
 
 
 def cos_sin_fixed(x, prec):
-    """mpmath's cos and sin of the raw tuple ``x`` at ``prec`` bits, as
-    fixed-point integers at 2^prec."""
-    c, s = mpf_cos_sin(x, prec)
-    return to_fixed(c, prec), to_fixed(s, prec)
+    """The cos and sin of the raw tuple ``x`` truncated toward zero at
+    ``prec`` significant bits, then floored at 2^-prec, as fixed-point
+    integers at 2^prec: the form of ``to_fixed(mpf_cos_sin(x, prec),
+    prec)``, but taken from mpmath's values at ``prec`` + 128 bits
+    (``_TRIG_EXTRA``), so only an exact value within ~2^-128 units of a
+    truncation boundary could land on the other side.  mpmath's own at
+    ``prec`` works with 10 guard bits."""
+    return tuple(
+        to_fixed(mpf_pos(v, prec, round_down), prec)
+        for v in mpf_cos_sin(x, prec + _TRIG_EXTRA, round_down)
+    )
 
 
 def _pi_trig(eps, wp):

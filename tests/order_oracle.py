@@ -60,7 +60,7 @@ def transport(phases, phi: float, leading) -> np.ndarray:
         lam_next = min(1.0, lam + dlam)
         trial = x.copy()
         trial[:npin] = start + (leading - start) * lam_next
-        roots, norms, ok, _ = _newton_batch(trial[None, :], phi, _TOL, 40, npin)
+        roots, norms, ok = _newton_batch(trial[None, :], phi, _TOL, 40, npin)
         rmax = norms[0]
         if ok[0]:
             x, lam = roots[0], lam_next

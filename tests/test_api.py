@@ -61,8 +61,11 @@ _MODULES = ("numpy", "mpmath", "cpgate.solver", "cpgate.jets", "logging",
             "dataclasses", "inspect")
 _SPEC = "phi=0.5;phases=0,0,0,1.0477,1.5126,0.3399,0.75,0.75,0.75,1.7977,2.2626,1.0899"
 # A 6-pulse spec whose half holds no leading zero against the one of the
-# solver's chart: an underdetermined polish.
+# solver's chart, and Z12's published phases, one leading zero against
+# two: underdetermined polishes.
 _FREE_SPEC = "phi=1.67;phases=0.0,0.49,0.65,0.165,0.655,0.815"
+_Z12_SPEC = ("phi=1;phases=0,0,0.4492,0.4492,1.4099,1.1599,"
+             "0.5,0.5,0.9492,0.9492,1.9099,1.6599")
 # A rounded 14-pulse row, two halves to round-off, and the same row with its
 # last phase moved by 1e-6 rad: off the structure, so range reads it whole.
 _ROW = "phi=0.5;phases=0,0,0,0,0.9961,0.9684,0.8855,0.75,0.75,0.75,0.75,1.7461,1.7184"
@@ -81,7 +84,8 @@ _TWO_HALVES, _OFF_HALVES = f"{_ROW},1.6355", f"{_ROW},1.6355003183098862"
     (["verify", "--json", "--gate", "T10"], False, False),
     (["verify", "--gate", _SPEC], False, False),
     (["verify", "--gate", _TWO_HALVES], False, False),
-    (["verify", "--gate", _FREE_SPEC], True, True),
+    (["verify", "--gate", _FREE_SPEC], False, False),
+    (["verify", "--gate", _Z12_SPEC], False, False),
     (["range", "--gate", "Z8"], False, False),
     (["range", "--gate", "Z2"], False, False),
     (["range", "--gate", _TWO_HALVES], False, False),
@@ -94,11 +98,10 @@ _TWO_HALVES, _OFF_HALVES = f"{_ROW},1.6355", f"{_ROW},1.6355003183098862"
 ])
 def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, solver):
     # numpy serves array code: solve above order 4 (up to it, solve writes
-    # the closed form), sweep, range off the structure and the float stage
-    # of an underdetermined polish, the one place where
-    # solver._newton_batch runs, with solver and jets.  A square polish (a
-    # table row, inline or built) runs on Python scalars and integers in
-    # precise.  No command loads mpmath: the trig is precise's own, on
+    # the closed form), with solver and jets, sweep and range off the
+    # structure.  Every polish, square (a table row, inline or built) or
+    # underdetermined, runs on Python scalars and integers in precise.
+    # No command loads mpmath: the trig is precise's own, on
     # integers, and the slope grid is data.  No command loads
     # logging, whose DEBUG records nobody could hear.  The records are
     # su2.Record's, so no command loads dataclasses, and inspect comes in
@@ -243,15 +246,12 @@ def _module_level_imports(node):
             yield from _module_level_imports(child)
 
 
-def test_precise_imports_numpy_only_where_the_batched_solver_runs():
-    # A square polish runs on scalars and integers: precise's one numpy
-    # import is in polish_fixed, for its branch through solver._newton_batch.
-    tree = ast.parse((Path(cpgate.__file__).parent / "precise.py").read_text())
-    imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
-               and any(alias.name.split(".")[0] == "numpy" for alias in node.names)]
-    [polish] = [node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "polish_fixed"]
-    assert len(imports) == 1 and imports[0] in list(ast.walk(polish))
+def test_precise_imports_neither_numpy_nor_solver():
+    # Every polish runs on scalars and integers: precise imports neither
+    # numpy nor solver (nor, through it, jets), in a function body or
+    # anywhere else.
+    assert not [name for name in _imports("precise") if name.split(".")[0] == "numpy"
+                or name in ("cpgate.solver", "cpgate.jets")]
 
 
 @pytest.mark.parametrize("module", sorted(cpgate._SUBMODULES))

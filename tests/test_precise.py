@@ -23,7 +23,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from cpgate import catalog, cli, precise, solver, su2
+from cpgate import catalog, cli, precise, sequences, solver, su2
 from cpgate.jets import structured_jets
 from cpgate.sequences import first_half, half_jets, six_pulse
 from cpgate.su2 import CompositeSequence, Phase
@@ -391,7 +391,9 @@ def test_the_stored_slope_grid_is_the_one_mpmath_computes():
 def test_trig_equals_mpmaths_on_every_angle_of_the_catalog_and_the_grid(monkeypatch):
     # Every raw angle whose cos and sin the 27 names' fits, the exact
     # names' t, the 84 rows' polishes and fits (rounded and polished) and
-    # the slope grid take: the integer trig gives mpmath's bits.
+    # the slope grid take: the integer trig gives the bits of the exact
+    # cos and sin in mpmath's form, where mpmath's own, with 10 guard bits,
+    # may part from them by one unit.
     angles = set()
     trig = precise._cos_sin_fixed
 
@@ -408,7 +410,7 @@ def test_trig_equals_mpmaths_on_every_angle_of_the_catalog_and_the_grid(monkeypa
         phi = row.phi_over_pi
         for pulses, column in row.columns.items():
             precise.slope_fit(catalog.arbitrary_row(phi, pulses, refine=False))
-            zeros = precise.pinned_zero_count(pulses // 2 - 1)
+            zeros = solver.pinned_zero_count(pulses // 2 - 1)
             rel = [float(Fraction(s)) * math.pi for s in ["0"] * zeros + list(column)]
             polished, _ = precise.polish_structured(rel, phi)
             precise.slope_fit(precise.structured_train(polished, phi))
@@ -438,9 +440,9 @@ def test_trig_equals_mpmaths_at_the_edges(value):
 ))
 def test_trig_is_within_one_unit_of_mpmaths(x):
     # p/q pi with q <= 64 (multiples of pi/2 among them), floats on [-8, 8]
-    # and 169-bit Phases.  mpmath works its cos and sin with 10 guard bits
-    # and truncates, so near a boundary of its truncation the two may part
-    # by one unit.
+    # and 169-bit Phases.  The integer trig works with 40 guard bits and
+    # truncates, so within 2^-32 units of a boundary of the truncation it
+    # may part from the exact value by one unit.
     got = precise._cos_sin_fixed(x)
     want = cos_sin_fixed(x, precise.PREC)
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1, x
@@ -684,54 +686,64 @@ def _polish_inputs(case):
 def test_polish_evaluates_the_float_jacobian_once_at_its_converged_point(
     case, monkeypatch
 ):
-    # The float Newton returns the Jacobian (or its inverse) it evaluated
-    # at its last point, and the 50-digit stage reuses it: the scalar kernel
-    # serves the square row, the batched one the named train.
+    # The float Newton returns the pseudo-inverse of the Jacobian it
+    # evaluated at its last point, and the 50-digit stage reuses it: the
+    # square row and the underdetermined named train alike.
     rel, phi = _polish_inputs(case)
     points = []
 
     def counted(x, pinned=None):
         if pinned is not None:
-            points.extend(np.array(x, dtype=float))
-        return structured_jets(x, pinned)
-
-    def counted_scalar(x, pinned=None):
-        if pinned is not None:
             points.append(np.array(x, dtype=float))
         return half_jets(x, pinned)
 
-    monkeypatch.setattr(solver, "structured_jets", counted)
-    monkeypatch.setattr(precise, "half_jets", counted_scalar)
+    monkeypatch.setattr(precise, "half_jets", counted)
     precise.polish_structured(rel, phi)
     converged = points[-1]
     assert sum(np.array_equal(x, converged) for x in points) == 1
     assert len(points) > 1  # the rounded row took Newton steps
 
 
+def _batched_polish(rel, phi):
+    # The polish with its float stage through the batched solver:
+    # solver._newton_batch on one row, its leading zeros held, numpy's
+    # pinv of the Jacobian at the row it returns, and the 50-digit stage.
+    # Returns (phases, t) as polish_structured does.
+    phi_float = float(Phase(su2._raw(phi)))
+    pinned = precise._leading_zeros(rel)
+    roots, _, ok = solver._newton_batch(
+        np.array([rel]), phi_float, precise._FLOAT_TOL, 60, pinned
+    )
+    assert ok[0]
+    _, jac = solver._residuals(roots, phi_float, pinned)
+    inverse = np.linalg.pinv(jac[0], rcond=precise._RCOND).tolist()
+    gate = precise._angle_trig(phi, 2)
+    x, _, _, a_h = precise._fixed_newton(roots[0].tolist(), pinned, inverse, gate)
+    return su2.polish_result(x, precise._half_t(*a_h, gate))
+
+
 def _newton_both_ways(rel, phi):
     # The float stage on scalars and through the batched solver on one
     # square system, its leading zeros held: the same converged flag and,
-    # when converged, the same
-    # 50-digit root as the polish with the scalar stage switched off.  Each
+    # when converged, the same 50-digit root as ``_batched_polish``.  Each
     # polish stops at a residual max-norm below 1e-45, which pins its
     # phases within ||J^-1||_inf 1e-45 of the exact root, so the two agree
     # within twice that.  (The batched polish itself is 1.03e-45 from the
     # exact root on the pi 2/3 12-pulse row.)
     pinned = precise._leading_zeros(rel)
     assert pinned == solver.pinned_zero_count(len(rel))  # square
-    square = precise._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, pinned)
-    _, _, converged, _ = solver._newton_batch(
-        np.array([rel]), float(phi), precise._FLOAT_TOL, 60, pinned
+    phi_float = float(Phase(su2._raw(phi)))
+    scalar = precise._float_newton(rel, phi_float, precise._FLOAT_TOL, 60, pinned)
+    _, _, converged = solver._newton_batch(
+        np.array([rel]), phi_float, precise._FLOAT_TOL, 60, pinned
     )
-    assert square is not None and square[2] == converged[0]
+    assert scalar[2] == converged[0]
     if not converged[0]:
         return
-    bound = 2e-45 * max(sum(abs(v) for v in row) for row in square[3])
+    bound = 2e-45 * max(sum(abs(v) for v in row) for row in scalar[3])
     with mp.workdps(precise.WORKING_DPS):
         got, _ = precise.polish_structured(rel, phi)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(precise, "_newton_square", lambda *args: None)
-            want, _ = precise.polish_structured(rel, phi)
+        want, _ = _batched_polish(rel, phi)
         assert max(abs(mp.mpf(g) - w) for g, w in zip(got, want)) <= bound
     assert [float(g) for g in got] == [float(w) for w in want]
 
@@ -752,6 +764,44 @@ def test_certified_inverse_refuses_what_pinv_would_truncate():
         inv = precise._certified_inverse(jac.tolist())
         want = np.linalg.pinv(jac, rcond=precise._RCOND)
         assert np.max(np.abs(np.array(inv) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_pseudo_inverse_is_numpys_pinv_where_certified():
+    # Wide (the underdetermined polish), tall and square Jacobians of 1-5
+    # rows: J^T (J J^T)^-1, its transpose's and J^-1 against numpy's pinv
+    # at _RCOND.  A wide J of rank below its row count, or whose sigma_min
+    # / sigma_max falls below _RCOND, is refused; one just above is not.
+    rng = np.random.default_rng(4)
+    for rows in range(1, 6):
+        for cols in range(1, 9):
+            jac = rng.normal(size=(rows, cols))
+            got = precise._pseudo_inverse(jac.tolist())
+            want = np.linalg.pinv(jac, rcond=precise._RCOND)
+            assert np.array(got).shape == (cols, rows)
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-11 * np.max(np.abs(want))
+    wide = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert precise._pseudo_inverse((wide * [[1.0], [1e-7]]).tolist()) is None
+    assert precise._pseudo_inverse((wide * [[1.0], [1e-5]]).tolist()) is not None
+    assert precise._pseudo_inverse([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]) is None
+    # No free phase: the 0 x m pseudo-inverse.
+    assert precise._pseudo_inverse([[], []]) == []
+
+
+@pytest.mark.parametrize("rel, phi, root", [
+    ([0.0], Fraction(0), True),
+    ([0.0, 0.0], Fraction(0), True),
+    ([0.0], Fraction(1), False),
+    ([0.0, 0.0, 0.0], Fraction(1, 2), False),
+])
+def test_a_half_with_no_free_phase_polishes_only_a_root(rel, phi, root):
+    # Every phase a held zero: the polish returns a root as it is and
+    # raises SolverError on anything else.
+    if root:
+        phases, _ = precise.polish_structured(rel, phi)
+        assert [float(p) for p in phases] == rel
+    else:
+        with pytest.raises(su2.SolverError, match="float-precision polish failed"):
+            precise.polish_structured(rel, phi)
 
 
 def _rounded_rows():
@@ -795,25 +845,18 @@ def test_scalar_newton_matches_the_batched_newton_on_pinned_square_systems(
     _newton_both_ways(rel, phi)
 
 
-def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
+def test_an_uncertified_jacobian_fails_the_polish():
     # The rounded 14-pulse row with the tangent of its first free phase
     # scaled by 1e-8: sigma_min / sigma_max falls below _RCOND, so the
-    # scalar stage gives up and the polish restarts from its input through
-    # solver._newton_batch on one row, as it runs with the scalar stage
-    # switched off.
+    # float stage refuses the step the pseudo-inverse would truncate.
     rel, phi = _polish_inputs("row-14p")
     pinned = precise._leading_zeros(rel)
-    batched, calls = solver._newton_batch, []
 
     def degenerate(x, pinned=None):
         a, da = half_jets(x, pinned)
         if da:
             da[0] = [1e-8 * v for v in da[0]]
         return a, da
-
-    def recorded(x0, *args, **kwargs):
-        calls.append(x0[0].tolist())
-        return batched(x0, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(precise, "half_jets", degenerate)
@@ -822,32 +865,53 @@ def test_uncertified_jacobian_sends_the_polish_to_the_batched_newton():
         jac = [[(rot * d[m]).imag for d in da] for m in range((len(rel) + 1) // 2)]
         sigma = np.linalg.svd(np.array(jac), compute_uv=False)
         assert sigma[-1] < precise._RCOND * sigma[0]
-        assert precise._newton_square(rel, float(phi), precise._FLOAT_TOL, 60, pinned) is None
-        patch.setattr(solver, "_newton_batch", recorded)
-        got = precise.polish_structured(rel, phi)
-        patch.setattr(precise, "_newton_square", lambda *args: None)
-        want = precise.polish_structured(rel, phi)
-    assert calls == [rel, rel]
-    assert got == want
+        with pytest.raises(su2.SolverError, match="ill-conditioned"):
+            precise._float_newton(rel, float(phi), precise._FLOAT_TOL, 60, pinned)
+        with pytest.raises(su2.SolverError, match="ill-conditioned"):
+            precise.polish_structured(rel, phi)
+
+
+@pytest.mark.parametrize("n, order", [(3, 2), (4, 0)])
+def test_verify_measures_the_input_where_the_jacobian_is_uncertified(n, order, capsys):
+    # Near phi = 0 the mirror pair (n = 3) and the pair y - x = pi - a - phi/4
+    # (n = 4) lie near a one-parameter family of roots: the float stage
+    # refuses their Jacobians, and verify measures the 17-digit input, as
+    # it does for any failed polish (the strict xfails of test_cli.py).
+    phi_over_pi = 1e-6
+    phi = phi_over_pi * math.pi
+    refused = []
+    for rel in sequences.chart_roots(n, phi):
+        try:
+            precise.polish_structured(list(rel), phi)
+        except su2.SolverError as exc:
+            assert "ill-conditioned" in str(exc)
+            refused.append(rel)
+    assert len(refused) == 2
+    for rel in refused:
+        seq = sequences.structured_sequence(rel, phi)
+        spec = f"phi={phi_over_pi!r};phases=" + ",".join(map(cli._fmt_phase, seq.phases))
+        assert cli.run(["verify", "--json", "--gate", spec]) == 0
+        slope, peak = precise.slope_fit(cli.spec_parse(spec))
+        want = {"order": order, "slope": slope, "peak": peak}
+        assert json.loads(capsys.readouterr().out) == want
 
 
 @pytest.mark.parametrize(
     "name", [n for n in catalog.names() if catalog.get(n).order >= 4]
 )
-def test_named_trains_of_order_four_or_more_polish_through_the_batched_newton(name):
-    # 4 to 8 free phases against ceil(n/2) entries: the minimum-norm step.
+def test_named_trains_of_order_four_or_more_polish_as_the_batched_newton(name):
+    # 4 to 8 free phases against ceil(n/2) entries: the minimum-norm step,
+    # through the Gram matrix on scalars here and numpy's pinv in the
+    # batched solver.  The roots lie on a manifold, where the float
+    # stages' last bits choose the point, so the two part by up to ~1e-15
+    # rad, and the fit reads the same slope and peak from either.
     rel, phi = _polish_inputs(name)
-    batched, calls = solver._newton_batch, []
-
-    def recorded(*args, **kwargs):
-        calls.append("batched")
-        return batched(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(precise, "_newton_square", lambda *args: calls.append("square"))
-        patch.setattr(solver, "_newton_batch", recorded)
-        precise.polish_structured(rel, phi)
-    assert calls == ["batched"]
+    assert precise._leading_zeros(rel) < solver.pinned_zero_count(len(rel))
+    got, t = precise.polish_structured(rel, phi)
+    want, t_want = _batched_polish(rel, phi)
+    assert max(abs(float(g) - float(w)) for g, w in zip(got, want)) <= 1e-14
+    pulses = 2 * (len(rel) + 1)
+    assert precise.half_slope_fit(t, pulses) == precise.half_slope_fit(t_want, pulses)
 
 
 @settings(max_examples=200, deadline=None)
