@@ -33,17 +33,18 @@ Every other train (an odd length, a non-finite phase or angle, phases
 too large to resolve the round-off, a second half off by more than
 1e-12 rad; also the long halves above, and for a sweep the large ones)
 is read as given (``path=train``): a sweep is ``compose`` over its
-grid, with ``frobenius_fidelity`` and ``trace_fidelity``; the
-range search's grid is ``compose`` over the grid's errors, and each
-secant iterate composes the pair (a, b) pulse by pulse on Python complex
-numbers (``_train_at``).  The range reads the distance
-sqrt((|a - fa|^2 + |b|^2) / 2), which does not cancel at small
-infidelity.  numpy is imported where it runs: in this branch, ``compose``,
-the fidelities, ``sweep`` and the CSV encoder.
+grid, with ``frobenius_fidelity`` and ``trace_fidelity``; the range
+search composes the pair (a, b) pulse by pulse on Python complex numbers
+at each grid point and each secant iterate (``_train_at``), and reads
+the distance sqrt((|a - fa|^2 + |b|^2) / 2), which does not cancel at
+small infidelity.  So no range search loads numpy.  numpy is imported
+where it runs: in ``compose``, the fidelities, ``sweep`` and the CSV
+encoder.
 
 Both paths share the range search: a 64-cell grid on [0, 0.9] finds the
 first cell where the Frobenius infidelity reaches the threshold, and a
-safeguarded secant, on values alone, refines the crossing there.  Each
+safeguarded secant, on values alone, refines the crossing there; a
+path reads its grid and its iterates through one evaluator.  Each
 sweep and each search logs one DEBUG record under ``cpgate.analysis``
 with the path it took (``path=half`` or ``path=train``).
 
@@ -474,17 +475,21 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
     shifted by pi - phi/2 within _ROUND_OFF = 1e-12 rad, with a half of
     at most _RANGE_HALF pulses, reads the real polynomial t of its half
     (``_half_polynomial``): on the grid through ``_half_grid``, at the
-    secant iterates through ``_half_at``, on Python floats, with no numpy.
-    Any other train (an odd length, a phase too large for ``first_half``
-    to resolve the round-off, a second half off by more, a longer half) is
-    read as given: on the grid through ``compose``, at the iterates
-    through ``_train_at``.  A grid of _CELLS cells finds the first
+    secant iterates through ``_half_at``.  Any other train (an odd length,
+    a phase too large for ``first_half`` to resolve the round-off, a
+    second half off by more, a longer half) is read as given, on the grid
+    and at the iterates through ``_train_at``.  Both run on Python floats,
+    with no numpy.  A grid of _CELLS cells finds the first
     cell whose right end reaches the threshold; a secant on
     f = infidelity - threshold refines the crossing in that cell, from
     the chord's crossing, taking the bracket's midpoint whenever a step
     would leave it, and stops at a step of at most _SECANT_DONE times the
-    iterate: f = 0, or f equal at the last two points, proposes none.
-    Both evaluators return the infidelity alone.  Flagged when the grid is
+    iterate: f = 0, or f repeating its last value at or above
+    -threshold/2 (the rounding staircase at a crossing), proposes none.
+    f repeating further below is the infidelity's floor, under the
+    threshold's last place, and moves the iterate to the bracket's
+    geometric midpoint sqrt(lo hi).  Both evaluators return the
+    infidelity alone.  Flagged when the grid is
     not nondecreasing within _MONOTONE_SLACK.  Logs one DEBUG record
     under ``cpgate.analysis``, with the path taken (half or train), also
     when the search fails: then with the infidelity that failed it, at
@@ -505,10 +510,9 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
         at = partial(_half_at, *half)
     else:
         path = "train"
-        target = target_gate(seq.target_phi)
-        vals = (1.0 - frobenius_fidelity(compose(seq, _GRID_EPS), target)).tolist()
         pulses = [-1j * cmath.exp(1j * float(p)) for p in seq.phases]
-        at = partial(_train_at, pulses, target.a)
+        at = partial(_train_at, pulses, target_gate(seq.target_phi).a)
+        vals = list(map(at, _GRID_EPS))
     if vals[0] >= threshold:
         _debug("cpgate.analysis",
                "range path=%s threshold=%.3g failed: infidelity=%.3g at eps=0",
@@ -533,9 +537,18 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
             lo = x
         else:
             hi = x
-        # Where f repeats its last value it reads its rounding: a flat
-        # secant moves x no further.
-        step = f * (x - x0) / (f - f0) if f != f0 else 0.0
+        if f != f0:
+            step = f * (x - x0) / (f - f0)
+        elif f >= -0.5 * threshold:
+            # f repeats its last value near the crossing: it reads the
+            # rounding staircase there, and a flat secant moves x no
+            # further.
+            step = 0.0
+        else:
+            # f repeats far below: the infidelity is at its floor, under
+            # the threshold's last place, so halve the bracket in log eps
+            # (lo = x > 0 here).
+            step = x - math.sqrt(lo * hi)
         x0, f0 = x, f
         if not lo <= x - step <= hi:
             step = x - 0.5 * (lo + hi)

@@ -15,9 +15,9 @@ A command imports the modules it runs, inside it: ``list``, ``tables``,
 ``show``, ``build --pulses 2/4/6/8`` and ``solve --order 1/2/3/4`` (the
 closed form, ``sequences.chart_roots``) load neither numpy nor
 ``precise``.  ``verify`` loads ``precise``, and on a catalog name or
-file no numpy; ``range`` on a two-half train loads ``analysis`` and no
-numpy; ``sweep``, any other ``range`` and ``solve`` at a higher order
-(Newton, with ``solver`` and ``jets``) load numpy.  A
+file no numpy; ``range`` loads ``analysis`` and no numpy, on any train;
+``sweep`` and ``solve`` at a higher order (Newton, with ``solver`` and
+``jets``) load numpy.  A
 polish (``verify`` on an inline spec, ``build --pulses 10/12/14``, a
 catalog file whose decimal phases are not stored) loads ``precise`` and
 runs on Python scalars and integers, square or not: no numpy, ``solver``
@@ -264,11 +264,24 @@ def _cmd_range(args) -> int:
     # Five decimals show four significant digits of epsilon0 from 0.01 up;
     # below, the line takes as many decimals as four digits need.
     places = max(5, 3 - int(f"{rng.epsilon0:.3e}".partition("e")[2]))
+    eps0 = f"{rng.epsilon0:.{places}f}"
+    # The interval is 1 -/+ epsilon0 exactly, rounded once to those
+    # decimals: 1 -/+ the printed epsilon0, since rounding half to even
+    # commutes with 1 -/+.  The doubles 1 -/+ epsilon0 misround the last
+    # digit more often as epsilon0 falls, and read 1 below 1.1e-16.
+    whole, ulps = 10**places, int(eps0.replace(".", ""))
     print(
-        f"epsilon0 = {rng.epsilon0:.{places}f}, interval "
-        f"[{rng.lower:.{places}f}pi, {rng.upper:.{places}f}pi]{note}"
+        f"epsilon0 = {eps0}, interval "
+        f"[{_decimals(whole - ulps, places)}pi, {_decimals(whole + ulps, places)}pi]{note}"
     )
     return 0
+
+
+def _decimals(n: int, places: int) -> str:
+    """n 10^-places in fixed notation with ``places`` (at least 1)
+    decimals, for n >= 0."""
+    digits = str(n).rjust(places + 1, "0")
+    return f"{digits[:-places]}.{digits[-places:]}"
 
 
 def _cmd_verify(args) -> int:

@@ -845,25 +845,47 @@ def test_range_of_a_non_finite_train_is_a_value_error(seq):
 
 
 def test_odd_length_train_takes_the_train_path(monkeypatch):
-    # No odd train is two halves: the range composes the train as given,
-    # and an odd count of pi pulses is off-diagonal at eps = 0
-    # (infidelity 1).
-    composed = []
-    train = analysis.compose
+    # No odd train is two halves: the range reads the train as given, one
+    # scalar composition per grid point, and an odd count of pi pulses is
+    # off-diagonal at eps = 0 (infidelity 1).
+    read = []
+    train = analysis._train_at
 
-    def spy(seq, epsilon):
-        composed.append(seq)
-        return train(seq, epsilon)
+    def spy(pulses, fa, eps):
+        read.append((len(pulses), eps))
+        return train(pulses, fa, eps)
 
-    monkeypatch.setattr(analysis, "compose", spy)
+    monkeypatch.setattr(analysis, "_train_at", spy)
     seq = CompositeSequence((0.0, 1.0, 2.0), 1.0)
     assert first_half(seq, 1e-12) is None
     with pytest.raises(AnalysisError, match=r"^infidelity 1 at eps = 0 is not below threshold$"):
         high_fidelity_range(seq, 0.2)
-    assert composed == [seq]
-    # A two-half train composes none.
+    grid = [(3, eps) for eps in analysis._GRID_EPS]
+    assert read == grid
+    # A two-half train reads none.
     high_fidelity_range(_cat("Z8"))
-    assert composed == [seq]
+    assert read == grid
+
+
+@pytest.mark.parametrize("name", ["Z8", "S8", "T8"])
+@pytest.mark.parametrize("threshold", ["1e-13", "1e-14"])
+def test_range_below_the_last_place_of_the_threshold_finds_the_crossing(name, threshold,
+                                                                         capsys):
+    # The first chord lands where the infidelity is below threshold 2^-53,
+    # so infidelity - threshold reads exactly -threshold there and at the
+    # next iterate.  That repeat is the floor, not the rounding staircase
+    # at a crossing: the search halves its bracket in log eps and goes on.
+    # At the printed eps0 the 40-digit infidelity of the train as given is
+    # the threshold within 2x (the first chord's point read 1e-18 to 5e-20
+    # of it).
+    assert run(["range", "--gate", name, "--threshold", threshold]) == 0
+    eps0 = re.match(r"epsilon0 = (\S+),", capsys.readouterr().out).group(1)
+    seq = _cat(name)
+    with mp.workdps(40):
+        a, b = mp_propagator(seq.phases, mp.mpf(eps0))
+        fa = mp.expj(-mp.mpf(seq.target_phi) / 2)
+        ratio = mp.sqrt((abs(a - fa) ** 2 + abs(b) ** 2) / 2) / mp.mpf(threshold)
+    assert 0.5 <= ratio <= 2, (name, threshold, eps0)
 
 
 def _builder_trains():

@@ -70,6 +70,11 @@ _Z12_SPEC = ("phi=1;phases=0,0,0.4492,0.4492,1.4099,1.1599,"
 # last phase moved by 1e-6 rad: off the structure, so range reads it whole.
 _ROW = "phi=0.5;phases=0,0,0,0,0.9961,0.9684,0.8855,0.75,0.75,0.75,0.75,1.7461,1.7184"
 _TWO_HALVES, _OFF_HALVES = f"{_ROW},1.6355", f"{_ROW},1.6355003183098862"
+# Two halves of 13 pulses, one more than range reads through t: the train
+# path.
+_LONG_HALF = "0,0,0,0,0,0,0,0,0,0,0.3,1.1,0.7"
+_LONG_HALVES = "phi=0.5;phases=" + ",".join(
+    [_LONG_HALF, *(f"{float(p) + 0.75:g}" for p in _LONG_HALF.split(","))])
 
 
 @pytest.mark.parametrize("argv, numpy, solver", [
@@ -89,7 +94,8 @@ _TWO_HALVES, _OFF_HALVES = f"{_ROW},1.6355", f"{_ROW},1.6355003183098862"
     (["range", "--gate", "Z8"], False, False),
     (["range", "--gate", "Z2"], False, False),
     (["range", "--gate", _TWO_HALVES], False, False),
-    (["range", "--gate", _OFF_HALVES], True, False),
+    (["range", "--gate", _OFF_HALVES], False, False),
+    (["range", "--gate", _LONG_HALVES], False, False),
     (["sweep", "--gate", "Z8", "--steps", "5"], True, False),
     (["sweep", "--gate", "Z2", "--steps", "5"], True, False),
     (["solve", "--order", "2", "--phi", "0.5", "--seeds", "2"], False, False),
@@ -98,9 +104,10 @@ _TWO_HALVES, _OFF_HALVES = f"{_ROW},1.6355", f"{_ROW},1.6355003183098862"
 ])
 def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, solver):
     # numpy serves array code: solve above order 4 (up to it, solve writes
-    # the closed form), with solver and jets, sweep and range off the
-    # structure.  Every polish, square (a table row, inline or built) or
-    # underdetermined, runs on Python scalars and integers in precise.
+    # the closed form), with solver and jets, and sweep.  range reads
+    # every train on Python floats, two halves or not.  Every polish,
+    # square (a table row, inline or built) or underdetermined, runs on
+    # Python scalars and integers in precise.
     # No command loads mpmath: the trig is precise's own, on
     # integers, and the slope grid is data.  No command loads
     # logging, whose DEBUG records nobody could hear.  The records are

@@ -126,6 +126,12 @@ def test_range_output_format(capsys):
     assert run(["range", "--gate", "Z2", "--threshold", "1e-8"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "epsilon0 = 0.000000006366, interval [0.999999993634pi, 1.000000006366pi]"
+    # Below 1.1e-16 the doubles 1 -/+ epsilon0 read 1; the interval takes
+    # epsilon0's own digits.
+    assert run(["range", "--gate", "Z2", "--threshold", "1e-20"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == ("epsilon0 = 0.000000000000000000006366, interval "
+                   "[0.999999999999999999993634pi, 1.000000000000000000006366pi]")
 
 
 def test_range_prints_four_significant_digits_of_epsilon0(monkeypatch, capsys):
@@ -160,7 +166,10 @@ def test_range_prints_four_significant_digits_of_epsilon0(monkeypatch, capsys):
         places = len(eps0.partition(".")[2])
         assert len(eps0.replace(".", "").lstrip("0")) >= 4, out
         assert abs(Fraction(eps0) - Fraction(rng.epsilon0)) <= Fraction(1, 2 * 10**places)
-        assert (lower, upper) == (f"{rng.lower:.{places}f}", f"{rng.upper:.{places}f}")
+        # The interval is 1 -/+ epsilon0 exactly, rounded half to even.
+        exact = (1 - Fraction(rng.epsilon0), 1 + Fraction(rng.epsilon0))
+        assert [Fraction(v) for v in (lower, upper)] == [round(e, places) for e in exact]
+        assert [len(v.partition(".")[2]) for v in (lower, upper)] == [places, places]
         if rng.epsilon0 >= 0.01:
             assert places == 5
         else:
