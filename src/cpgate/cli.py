@@ -21,7 +21,10 @@ file no numpy; ``range`` loads ``analysis`` and no numpy, on any train;
 polish (``verify`` on an inline spec, ``build --pulses 10/12/14``, a
 catalog file whose decimal phases are not stored) loads ``precise`` and
 runs on Python scalars and integers, square or not: no numpy, ``solver``
-nor ``jets``.  No command loads mpmath: ``precise``'s trig
+nor ``jets``.  50-digit phases are computed only where a command prints
+or stores them: ``verify`` polishes an inline spec's half for its t
+alone, from unit rotors (``precise.polish_t``).  No command loads
+mpmath: ``precise``'s trig
 runs on integers and its slope grid is data.  No command loads
 ``logging``: a DEBUG record is made only where something loaded it
 (``su2._debug``).  The records are ``su2.Record``s, so no command
@@ -118,27 +121,43 @@ def _resolve_gate(text: str):
 def _pi_fraction(phi: float) -> Fraction | None:
     """The fraction p/q, q <= 64, whose multiple of pi is within 1e-12 of
     the angle ``phi`` (radians), or None if there is none."""
-    x = phi / PI
-    if abs(x) < 2**32:
-        # Such a p/q lies within 1e-12 of x (to a few ulps of x): two
-        # distinct fractions of q <= 64 lie at least 1/4032 apart, so it is
-        # the closest one, what limit_denominator(64) finds, and
-        # p = round(q x) at its q.
-        for q in range(1, 65):
-            p = round(q * x)
-            if abs(p / q * PI - phi) < 1e-12:
-                return Fraction(p, q)
-        return None
-    frac = Fraction(x).limit_denominator(64)
-    return frac if abs(float(frac) * PI - phi) < 1e-12 else None
+    # The closest fraction of q <= 64 to x = phi / pi, as
+    # Fraction(x).limit_denominator(64) finds it: the last convergent of
+    # x's continued fraction, walked on the exact ratio, or the best
+    # semiconvergent past it.  Two distinct fractions of q <= 64 lie at
+    # least 1/4032 apart, so a p/q within 1e-12 of x is that one.
+    num, den = (phi / PI).as_integer_ratio()
+    if den <= 64:
+        p, q = num, den
+    else:
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, d = num, den
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > 64:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (64 - q0) // q1
+        # p1/q1 is d / (q1 den) from x, and the semiconvergent lies
+        # 1 / (q1 (q0 + k q1)) from p1/q1 on x's other side: ties go to
+        # p1/q1.
+        if 2 * d * (q0 + k * q1) <= den:
+            p, q = p1, q1
+        else:
+            p, q = p0 + k * p1, q0 + k * q1
+    return Fraction(p, q) if abs(p / q * PI - phi) < 1e-12 else None
 
 
 def _polished_half(seq: CompositeSequence):
     """Polish the 4-decimal phases of an inline spec's half onto the exact
-    root before order/slope measurement.  Returns the coefficients of the
-    polished half's t (``precise.half_slope_fit``), or None where the
-    input is measured as it is: not two halves, a polish that failed or
-    one that drifted, each logged at DEBUG under ``cpgate.cli``."""
+    root before order/slope measurement, for its t alone
+    (``precise.polish_t``: from unit rotors at the float root, no
+    50-digit phase).  Returns the coefficients of the polished half's t
+    (``precise.half_slope_fit``), or None where the input is measured as
+    it is: not two halves, a polish that failed or one that drifted, each
+    logged at DEBUG under ``cpgate.cli``."""
     from . import precise
 
     half = sequences.first_half(seq)
@@ -154,13 +173,14 @@ def _polished_half(seq: CompositeSequence):
     # The polish holds the leading zeros, the structural blocks: left free,
     # the polish of a rounded row could slide along the root manifold.
     try:
-        polished, t = precise.polish_structured(rel, phi if frac is None else frac)
+        root, t = precise.polish_t(rel, phi if frac is None else frac)
     except SolverError as exc:
         _debug("cpgate.cli", "measuring the unpolished input: polish failed: %s", exc)
         return None
     # Only accept the polish if it stayed on the same root (the input was
-    # a rounded table row, not some arbitrary far-from-root train).
-    drift = max(abs(math.remainder(float(p) - r, 2 * PI)) for p, r in zip(polished, rel))
+    # a rounded table row, not some arbitrary far-from-root train): the
+    # float root is within 1e-12 rad of the 50-digit one.
+    drift = max(abs(math.remainder(p - r, 2 * PI)) for p, r in zip(root, rel))
     if drift > 1e-2:
         _debug(
             "cpgate.cli", "measuring the unpolished input: the polish moved a "
@@ -195,7 +215,8 @@ def _cmd_show(args) -> int:
     print(f"phases: {', '.join(entry.phase_strings)} (units of pi)")
     print(f"quoted range: [{lo}pi, {hi}pi]")
     seq = catalog.to_sequence(entry)
-    print(f"spec: phi={entry.phi_over_pi};phases=" + ",".join(
+    # The angle as ``build`` prints it, a float that --gate reads back.
+    print(f"spec: phi={float(entry.phi_over_pi):.17g};phases=" + ",".join(
         _fmt_phase(p) for p in seq.phases
     ))
     return 0

@@ -4,7 +4,8 @@ High compensation orders push the residual infidelity far below double
 precision: an order-8 train has infidelity ~1e-17 at one percent error,
 two decades under the noise floor of a double-precision matrix product.
 The slope-based order estimate (``slope_fit``) and the final polish of
-tabulated phases (``polish_structured``) therefore run at ``WORKING_DPS``
+tabulated phases (``polish_structured``, and ``polish_t`` for the t
+alone) therefore run at ``WORKING_DPS``
 digits, on one kernel: ``_mp_jet_compose`` composes a train of N nominal
 pi pulses as (a, sqrt(1 - s^2) B), with a and B polynomials in
 s = sin(pi eps/2) kept as the u-coefficients, u = s^2, of A and B~ (see
@@ -161,10 +162,11 @@ it is.  No polish loads numpy, ``solver`` or ``jets``; only ``verify``,
 a polish of a half that is not stored and the t of an exact catalog
 entry load this module: the packaged named trains read their polishes
 from data (see ``catalog``).  The 50-digit stage (``_fixed_newton``)
-runs in fixed point end to end: the float root and the float stage's
-J+, W (rows of doubles), are converted once to integers at 2^PREC
-(``sequences._fixed``), and each phase after the held zeros takes one
-``_cos_sin_fixed`` per polish.  With the residual r the integer
+runs in fixed point end to end: the float stage's J+, W (rows of
+doubles), is converted once to integers at 2^PREC (``sequences._fixed``),
+and it starts from the rotors of the phases after the held zeros; for
+``polish_fixed`` those of the float root at 2^PREC, one
+``_cos_sin_fixed`` each per polish.  With the residual r the integer
 sin(phi/4) Re a_h + cos(phi/4) Im a_h at 2^-2PREC, a step moves phase k
 by -(sum_j W_kj r_j) >> 2 PREC and turns its rotor by e^{i step}, the
 cos and sin summed by the trig's Taylor series at PREC
@@ -173,8 +175,9 @@ terms): a few units of
 2^-PREC from a fresh cos/sin of the phase after three turns.  The stop
 test at 10^-_POLISH_DIGITS = 1e-45 is an integer comparison, and holds
 the full-train derivative conditions of every polished table row and
-named train below 1e-40 at 90 digits.  ``polish_fixed`` returns the
-phases as those integers, and ``polish_result`` rounds them to
+named train below 1e-40 at 90 digits.  The stage returns each phase's
+summed steps, ``polish_fixed`` adds them to the float root at 2^PREC and
+returns the phases as those integers, and ``polish_result`` rounds them to
 ``Phase``s at ``WP`` bits, once, for a polish and for a stored record
 alike.  Leading phases of exactly 0 are alike in every train, so their
 polynomials are read once per count (``_mp_zero_prefix``), bitwise as
@@ -184,11 +187,28 @@ The polish's last residual evaluation composes the half at the returned
 phases, from the turned rotors (at most 8 units of 2^-PREC from fresh
 ones), and ``polish_structured`` returns the t of that a_h, with the
 gate's cos and sin it already holds, and the phases, ~1e-48 from the t
-of those rounded to ``WP`` bits.  Verify fits it, or the catalog's for a
-name or file, with ``half_slope_fit``.  That moves a
-log by ~1e-30 relative against ``slope_fit`` of the returned train, far
-below the spacing of doubles; the tests check the two bit for bit on the
-27 names and every rounded table row.
+of those rounded to ``WP`` bits.  That moves a log by ~1e-30 relative
+against ``slope_fit`` of the returned train, far below the spacing of
+doubles; the tests check the two bit for bit on the 27 names and every
+rounded table row.
+
+50-digit phases are computed only where a command prints or stores them
+(``build --pulses 10/12/14``, a catalog train, ``tests/make_polished.py``:
+``polish_fixed``).  ``verify`` fits t alone (the catalog's for a name or
+file, with ``half_slope_fit``), so an inline spec's half is polished by
+``polish_t``: the same float stage, then the same 50-digit Newton
+started from unit rotors, (sin x, -cos x) of each free phase's double x
+scaled onto the circle by one ``math.isqrt`` (``_unit_rotors``), tracking
+no phase.  The stage is mixed-precision iterative refinement (Higham,
+"Accuracy and Stability of Numerical Algorithms", ch. 12): the float J+
+drives steps on the 50-digit residual, so its start needs to be a point
+of the circle, not the exact trig of the float root, and the gate's
+cos/sin of phi/4 is the one ``_cos_sin_fixed`` of a verify.  A square
+half's root is isolated, and an underdetermined half's t has its top
+coefficient fixed ((-1)^(n+1) sin(phi/4)) and the rest below
+10^-_POLISH_DIGITS, so t agrees with ``polish_fixed``'s within the stop
+(~1e-46 relative to the top coefficient on the rows and names' specs),
+and the fit reads the same doubles; the tests check both.
 """
 
 from __future__ import annotations
@@ -197,6 +217,7 @@ import cmath
 import json
 import math
 import time
+from operator import mul
 from fractions import Fraction
 from functools import lru_cache
 
@@ -409,15 +430,18 @@ def half_slope_fit(t, pulses) -> tuple[float, float]:
     (``_grid_top``), and one short series per point for ln(1 + rho_k);
     any other t takes a log per point (``_line_fit``)."""
     odd = pulses // 2 % 2
+    top, lower = t[-1], t[-2::-1]
     values = []
     for s, u, _ in _slope_grid()[0]:
-        value = _horner(t, u)
+        # Horner's rule (``_horner``) inline, from the top coefficient.
+        value = top
+        for coeff in lower:
+            value = (value * u >> PREC) + coeff
         if odd:
             value = s * value >> PREC
         values.append(value)
     shift = 1 - 2 * PREC
-    top = t[-1]
-    if len(t) > 1 and top:
+    if lower and top:
         tops, weights, dot, den = _grid_top(len(t) - 1, odd)
         if top < 0:
             values = [-v for v in values]
@@ -426,9 +450,10 @@ def half_slope_fit(t, pulses) -> tuple[float, float]:
             # 1 + rho = a / b, and ln(a / b) = 2 atanh(z), z = (a - b) / (a + b):
             # |z| < 2^-31, so z + z^3 / 3 leaves less than 2^-155.
             a, b = value << PREC, top * u_top
-            if abs(a - b) << 30 >= b:
+            diff = a - b
+            if abs(diff) << 30 >= b:
                 break
-            z = ((a - b) << _LOG_W) // (a + b)
+            z = (diff << _LOG_W) // (a + b)
             dot += w * (z + (z * (z * z >> _LOG_W) >> _LOG_W) // 3)
         else:
             return dot / den, _root(max(values) ** 2, shift)
@@ -586,31 +611,87 @@ def polish_fixed(rel_phases, phi):
     """The polish of ``polish_structured`` in its fixed-point format:
     (phases, t), the phases as the integers at 2^PREC the 50-digit stage
     ends on, the held zeros included, and t's coefficients at 2^PREC.
-    Logs one DEBUG record under ``cpgate.precise``: the free-phase count,
-    the residual max-norm after the float stage, the number of 50-digit
-    residual evaluations, the final residual max-norm and the seconds
-    spent (``su2._debug``: where ``logging`` is loaded).  Raises
-    SolverError where either stage fails.
+    The 50-digit stage starts from the rotors of the float root's phases
+    at 2^PREC, one ``_cos_sin_fixed`` each, and sums its steps onto those
+    phases.  Logs one DEBUG record under ``cpgate.precise`` (see
+    ``_polish``).  Raises SolverError where either stage fails.
     """
-    start = time.perf_counter()
+    x_float, steps, t = _polish(rel_phases, phi, _trig_rotors)
+    x = [_fixed(v) for v in x_float]
+    for k, d in enumerate(steps, start=len(x) - len(steps)):
+        x[k] += d
+    return x, t
+
+
+def polish_t(rel_phases, phi):
+    """The t of ``polish_structured``'s half, with no 50-digit phases:
+    (float root, t), the float stage's phases (the held zeros included)
+    and t's coefficients at 2^PREC, for ``verify``, which fits t and
+    prints no phase.  The 50-digit stage starts from unit rotors built
+    from the float root's doubles (``_unit_rotors``), so the gate's cos
+    and sin of phi/4 is its one ``_cos_sin_fixed``.  A square half's root
+    is isolated, so t is ``polish_fixed``'s within the polish's stop; an
+    underdetermined half's t keeps its top coefficient and the rest stay
+    below 10^-_POLISH_DIGITS, on a root near that of ``polish_fixed``.
+    Logs and raises as ``polish_fixed`` does.
+    """
+    x_float, _, t = _polish(rel_phases, phi, _unit_rotors)
+    return x_float, t
+
+
+def _polish(rel_phases, phi, start):
+    """The two stages of a polish: the float Newton (``_float_newton``)
+    from ``rel_phases``, then the 50-digit one (``_fixed_newton``) from
+    the rotors ``start`` makes of the free phases of the float root.
+    Returns (float root, summed integer steps of the free phases at
+    2^PREC, t).  Logs one DEBUG record under ``cpgate.precise``: the
+    free-phase count, the residual max-norm after the float stage, the
+    number of 50-digit residual evaluations, the final residual max-norm
+    and the seconds spent (``su2._debug``: where ``logging`` is loaded).
+    Raises SolverError where either stage fails.
+    """
+    begin = time.perf_counter()
+    # The angle rounded once, for both stages.
+    phi = Phase(_raw(phi))
     x_float = [float(v) for v in rel_phases]
     pinned = _leading_zeros(x_float)
     x_float, float_rmax, ok, jac_inv = _float_newton(
-        x_float, float(Phase(_raw(phi))), _FLOAT_TOL, 60, pinned
+        x_float, float(phi), _FLOAT_TOL, 60, pinned
     )
     if not ok:
         raise SolverError(
             f"float-precision polish failed; residual max-norm {float_rmax:.3e}"
         )
     gate = _angle_trig(phi, 2)
-    x, evals, rmax, a_h = _fixed_newton(x_float, pinned, jac_inv, gate)
+    rotors = start(x_float[pinned:])
+    steps, evals, rmax, a_h = _fixed_newton(rotors, pinned, jac_inv, gate)
     _debug(
         "cpgate.precise",
         "polish free=%d float_rmax=%.3g evals=%d rmax=%.3g seconds=%.6f",
-        len(x) - pinned, float_rmax, evals, math.ldexp(rmax, -2 * PREC),
-        time.perf_counter() - start,
+        len(steps), float_rmax, evals, math.ldexp(rmax, -2 * PREC),
+        time.perf_counter() - begin,
     )
-    return x, _half_t(*a_h, gate)
+    return x_float, steps, _half_t(*a_h, gate)
+
+
+def _trig_rotors(phases):
+    """The rotors of the doubles ``phases`` taken at 2^PREC: one
+    ``_cos_sin_fixed`` each, the start of ``polish_fixed``."""
+    return [_rotor(_exact(_fixed(v), -PREC)) for v in phases]
+
+
+def _unit_rotors(phases):
+    """Rotors -i e^{i x'} at 2^PREC, x' within a few ulps of each double
+    x of ``phases``: (sin x, -cos x) from the doubles, scaled onto the
+    unit circle by one ``math.isqrt``, within a unit of 2^-PREC of it.
+    The start of ``polish_t``: Newton needs a point on the circle, not
+    the exact trig of x."""
+    rotors = []
+    for x in phases:
+        real, imag = _fixed(math.sin(x)), -_fixed(math.cos(x))
+        norm = math.isqrt(real * real + imag * imag)
+        rotors.append(((real << PREC) // norm, (imag << PREC) // norm))
+    return rotors
 
 
 def _certified_inverse(jac, rcond=_RCOND):
@@ -620,20 +701,25 @@ def _certified_inverse(jac, rcond=_RCOND):
     sigma_min > rcond sigma_max, so the pseudo-inverse at ``rcond`` drops
     no singular value and is this inverse."""
     size = len(jac)
-    rows = [
-        [*row, *(float(i == k) for k in range(size))] for i, row in enumerate(jac)
-    ]
+    rows = [[*row, *[0.0] * size] for row in jac]
+    for i, row in enumerate(rows):
+        row[size + i] = 1.0
     for col in range(size):
-        pivot = max(range(col, size), key=lambda i: abs(rows[i][col]))
+        # The first row of the largest |entry|, as max() would pick it: a
+        # NaN neither wins nor loses a comparison.
+        pivot, best = col, abs(rows[col][col])
+        for i in range(col + 1, size):
+            if abs(rows[i][col]) > best:
+                pivot, best = i, abs(rows[i][col])
         rows[col], rows[pivot] = rows[pivot], rows[col]
         lead = rows[col][col]
         if lead == 0:
             return None
         row = rows[col] = [v / lead for v in rows[col]]
-        for i in range(size):
-            factor = rows[i][col]
+        for i, other in enumerate(rows):
+            factor = other[col]
             if i != col and factor:
-                rows[i] = [v - factor * w for v, w in zip(rows[i], row)]
+                rows[i] = [v - factor * w for v, w in zip(other, row)]
     inv = [row[size:] for row in rows]
     bound = math.sqrt(sum(v * v for row in jac for v in row)) * math.sqrt(
         sum(v * v for row in inv for v in row)
@@ -684,7 +770,7 @@ def _float_newton(phases, phi: float, tol: float, max_iter: int, pinned: int):
         return r, [[(rot * d[m]).imag for d in da] for m in range(len(r))]
 
     def norm(r):
-        return math.sqrt(sum(v * v for v in r))
+        return math.sqrt(sum(map(mul, r, r)))
 
     def moved(step, t):
         trial = list(x)
@@ -694,14 +780,14 @@ def _float_newton(phases, phi: float, tol: float, max_iter: int, pinned: int):
 
     r, jac = evaluate(x, True)
     for it in range(max_iter + 1):
-        rmax = max(abs(v) for v in r)
+        rmax = max(map(abs, r))
         inv = _pseudo_inverse(jac)
         if inv is None:
             raise SolverError(f"ill-conditioned Jacobian; residual max-norm {rmax:.3e}")
         # With no free phase there is no step to take.
         if rmax < tol or it == max_iter or not inv:
             return x, rmax, rmax < tol, inv
-        step = [-sum(w * v for w, v in zip(row, r)) for row in inv]
+        step = [-sum(map(mul, row, r)) for row in inv]
         norm0 = norm(r)
         trial = moved(step, 1.0)
         r_trial, jac_trial = evaluate(trial, True)
@@ -746,32 +832,32 @@ def _turn(rotor, d):
     return (rot_r * c - rot_i * s) >> PREC, (rot_r * s + rot_i * c) >> PREC
 
 
-def _fixed_newton(x_float, pinned, jac_inv, gate):
-    """The 50-digit stage of ``polish_structured``, in fixed point at
-    2^PREC from the float root ``x_float``, whose first ``pinned`` phases
-    are exactly 0 and held there: Newton steps with the inverse or
-    pseudo-inverse ``jac_inv`` (rows of doubles) of the float Jacobian in
-    the phases after them, until the residual max-norm is below
-    10^-_POLISH_DIGITS.  The phases and the inverse become integers once,
-    and a step is the integer product of the inverse and the residual;
-    it turns the rotor of each moved phase, taken once, by e^{i step}.
-    Returns (phases, residual evaluations, residual max-norm at
-    2^-2PREC, a_h), a_h being the (ar, ai) of the half's A that the last
-    residual evaluation composed.
+def _fixed_newton(rotors, pinned, jac_inv, gate):
+    """The 50-digit stage of a polish, in fixed point at 2^PREC from the
+    ``rotors`` of the free phases, after ``pinned`` phases exactly 0 and
+    held there: Newton steps with the inverse or pseudo-inverse
+    ``jac_inv`` (rows of doubles) of the float Jacobian in the free
+    phases, until the residual max-norm is below 10^-_POLISH_DIGITS.  The
+    inverse becomes integers once, and a step is the integer product of
+    the inverse and the residual; it turns the rotor of each moved phase
+    by e^{i step}.  Returns (steps, residual evaluations, residual
+    max-norm at 2^-2PREC, a_h): the sum of each free phase's steps at
+    2^PREC, and the (ar, ai) of the half's A that the last residual
+    evaluation composed.
     """
-    x = [_fixed(v) for v in x_float]
     inverse = [[_fixed(w) for w in row] for row in jac_inv]
+    rotors = list(rotors)
+    steps = [0] * len(rotors)
     # The held zeros never move: the cached zero prefix serves them.
-    rotors = [_rotor(_exact(v, -PREC)) for v in x[pinned:]]
     for evals in range(1, WORKING_DPS + 1):
         r, a_h = _mp_residual(pinned, rotors, gate)
-        rmax = max(abs(v) for v in r)
+        rmax = max(map(abs, r))
         if rmax < _LIMIT:
-            return x, evals, rmax, a_h
+            return steps, evals, rmax, a_h
         for k, row in enumerate(inverse):
             # 2^PREC times 2^2PREC: the step at 2^PREC.
-            d = -sum(w * v for w, v in zip(row, r)) >> 2 * PREC
-            x[pinned + k] += d
+            d = -sum(map(mul, row, r)) >> 2 * PREC
+            steps[k] += d
             rotors[k] = _turn(rotors[k], d)
     raise SolverError("extended-precision polish did not converge")
 
@@ -783,7 +869,7 @@ def _mp_residual(zeros, rotors, gate):
     phases 0, ``zeros`` phases of 0 and the phases with fixed-point
     ``rotors`` at 2^PREC.  ``gate`` is the cos and sin of phi/4 at 2^PREC.
     Returns the residual and the half's (ar, ai) it was read from."""
-    ar, ai, _, _ = _mp_jet_rotors(zeros + 1, rotors)
+    ar, ai, _, _ = _mp_jet_rotors(zeros + 1, rotors, with_b=False)
     c, s = gate
     return [s * r + c * i for r, i in zip(ar[:-1], ai[:-1])], (ar, ai)
 

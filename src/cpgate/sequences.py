@@ -31,7 +31,9 @@ loads ``jets`` or numpy.  Both Newton iterations,
 ``_RCOND`` and the backtracking step lengths ``_STEP_LENGTHS`` from
 here.  ``_mp_jet_pulse`` is the same pulse on integers in the fixed
 point of ``su2``: ``precise`` composes its 50-digit trains on
-it, and ``_float_half_t`` a float half's t for ``analysis.sweep``.  The
+it, and ``_float_half_t`` a float half's t for ``analysis.sweep``.
+Where only A is read after a half (``half_jets``, the polish's residual,
+``_float_half_t``), its last pulse forms no B~ (``with_b``).  The
 three kernels share one integer zero prefix (``_zero_prefix``), one
 conversion of doubles to the fixed point (``_fixed``) and one held-zero
 count (``pinned_zero_count``).
@@ -250,15 +252,17 @@ def pinned_zero_count(n: int) -> int:
     return n // 2
 
 
-def _pulse(a, b, r, odd):
+def _pulse(a, b, r, odd, with_b=True):
     # (A, B~) after one more pi pulse of rotor r = i e^{ip}, one coefficient
     # at a time, with the previous coefficients of A and B~ (0 below u^0)
     # for the products by u: the pulse of ``jets._pulse``, ``odd`` the
-    # parity of the pulses already applied.
+    # parity of the pulses already applied.  B~ is left empty unless
+    # ``with_b``.
     na, nb, low_a, low_b = [], [], 0, 0
     for x, v in zip(a, b):
         na.append(r * (v - low_b).conjugate() - (low_a if odd else x))
-        nb.append(-(v if odd else low_b) - r * x.conjugate())
+        if with_b:
+            nb.append(-(v if odd else low_b) - r * x.conjugate())
         low_a, low_b = x, v
     return na, nb
 
@@ -315,9 +319,10 @@ def half_jets(rel_phases, pinned=None):
                 da.append(ir * (v - low_b).conjugate())
                 db.append(-ir * x.conjugate())
                 low_b = v
-        # Phase j's pulse comes after j + 1 others.
+        # Phase j's pulse comes after j + 1 others; after the last, only
+        # the A of the half and of its tangents is read.
         *tangents, (a, b) = [
-            _pulse(ta, tb, r, (j + 1) % 2) for ta, tb in tangents + [(a, b)]
+            _pulse(ta, tb, r, (j + 1) % 2, j < n - 1) for ta, tb in tangents + [(a, b)]
         ]
         if j >= held:
             tangents.append((da, db))
@@ -338,9 +343,10 @@ def _fixed(value):
     return (num << PREC) // den
 
 
-def _mp_jet_pulse(poly, rotor):
+def _mp_jet_pulse(poly, rotor, with_b=True):
     """Fixed-point u-polynomials (A, B~) of the pi pulse with rotor
-    ``rotor`` applied after the train whose polynomials are ``poly``."""
+    ``rotor`` applied after the train whose polynomials are ``poly``; B~
+    is left empty unless ``with_b``."""
     # A' = -u^odd A - rot (1 - u) conj(B~), B~' = -u^(1-odd) B~ + rot conj(A)
     # (see ``jets``), odd the parity of the k pulses so far: A holds
     # k // 2 + 1 coefficients and B~ (k + 1) // 2, as many exactly when k is
@@ -357,8 +363,9 @@ def _mp_jet_pulse(poly, rotor):
         dar, dai, dbr, dbi = (low_ar, low_ai, vr, vi) if odd else (xr, xi, low_br, low_bi)
         nar.append(-dar - ((rot_r * qr - rot_i * qi) >> PREC))
         nai.append(-dai - ((rot_r * qi + rot_i * qr) >> PREC))
-        nbr.append(-dbr + ((rot_r * xr + rot_i * xi) >> PREC))
-        nbi.append(-dbi + ((rot_i * xr - rot_r * xi) >> PREC))
+        if with_b:
+            nbr.append(-dbr + ((rot_r * xr + rot_i * xi) >> PREC))
+            nbi.append(-dbi + ((rot_i * xr - rot_r * xi) >> PREC))
         low_ar, low_ai, low_br, low_bi = xr, xi, vr, vi
     return nar, nai, nbr[: len(ar)], nbi[: len(ar)]
 
@@ -372,12 +379,14 @@ def _mp_zero_prefix(count: int):
     return tuple(a), (0,) * len(a), (0,) * len(b), tuple(b)
 
 
-def _mp_jet_rotors(zeros, rotors):
+def _mp_jet_rotors(zeros, rotors, with_b=True):
     """Fixed-point u-polynomials of ``zeros`` pi pulses of phase exactly 0
-    followed by the pulses with ``rotors``."""
+    followed by the pulses with ``rotors``; the last pulse's B~ is left
+    empty unless ``with_b`` (or no pulse follows the zeros)."""
     poly = _mp_zero_prefix(zeros)
-    for rotor in rotors:
-        poly = _mp_jet_pulse(poly, rotor)
+    last = len(rotors) - 1
+    for k, rotor in enumerate(rotors):
+        poly = _mp_jet_pulse(poly, rotor, with_b or k < last)
     return poly
 
 
@@ -395,7 +404,7 @@ def _float_half_t(phases, phi):
     rounds, and the low t_k, near 0, keep up to 5e-15 of it (T16)."""
     zeros = _leading_zeros(phases)
     rotors = [(_fixed(math.sin(p)), -_fixed(math.cos(p))) for p in phases[zeros:]]
-    ar, ai, _, _ = _mp_jet_rotors(zeros, rotors)
+    ar, ai, _, _ = _mp_jet_rotors(zeros, rotors, with_b=False)
     quarter = 0.25 * phi
     t = _half_t(ar, ai, (_fixed(math.cos(quarter)), _fixed(math.sin(quarter))))
     return [math.ldexp(c, -PREC) for c in t]

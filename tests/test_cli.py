@@ -96,15 +96,28 @@ def test_list_covers_catalog(capsys):
     assert "Z2 " in out and "T18" in out
 
 
-def test_show_round_trips_through_spec_parse(capsys):
-    assert run(["show", "Z6"]) == 0
+@pytest.mark.parametrize("name", catalog.names())
+def test_show_round_trips_through_spec_parse(name, capsys):
+    # The spec line is a --gate value: its angle a float as build prints
+    # it (phi=0.5, not phi=1/2), and verify reads the same order, slope
+    # and peak from it as from the name.
+    assert run(["show", name]) == 0
     out = capsys.readouterr().out
     spec_line = next(l for l in out.splitlines() if l.startswith("spec: "))
-    seq = spec_parse(spec_line.removeprefix("spec: "))
-    ref = catalog.to_sequence(catalog.get("Z6"))
+    spec = spec_line.removeprefix("spec: ")
+    entry = catalog.get(name)
+    assert spec.startswith(f"phi={float(entry.phi_over_pi):.17g};phases=")
+    seq = spec_parse(spec)
+    ref = catalog.to_sequence(entry)
+    assert seq.target_phi == float(ref.target_phi)
+    # Each phase is p / pi printed to 17 digits, times pi: within an ulp.
     assert [float(p) for p in seq.phases] == pytest.approx(
-        [float(p) for p in ref.phases], abs=1e-9
+        [float(p) for p in ref.phases], rel=0, abs=1e-14
     )
+    assert run(["verify", "--json", "--gate", spec]) == 0
+    by_spec = capsys.readouterr().out
+    assert run(["verify", "--json", "--gate", name]) == 0
+    assert by_spec == capsys.readouterr().out
 
 
 def test_unknown_gate_is_validation_error(capsys):
@@ -1128,13 +1141,15 @@ def test_verify_does_not_repolish_catalog_trains(tmp_path, monkeypatch, capsys):
     for entry in (*map(catalog.get, catalog.names()), unstored):
         catalog.to_sequence(entry)  # warm the polish cache
     calls = []
-    polish = precise.polish_structured
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return polish(*args, **kwargs)
+    def counting(polish):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return polish(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(precise, "polish_structured", counting)
+    for polish in ("polish_structured", "polish_t"):
+        monkeypatch.setattr(precise, polish, counting(getattr(precise, polish)))
     assert run(["verify", "--gate", "Z18"]) == 0
     assert capsys.readouterr().out.strip() == "order = 8"
     assert calls == []

@@ -202,6 +202,31 @@ def test_half_jets_match_structured_jets(n):
                     assert np.max(np.abs(np.array(da) - want_da[0])) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_last_pulse_without_b_keeps_the_bits_of_a(n):
+    # After a half's last pulse only A is read: the pulse that forms no B~
+    # leaves the A of the half and of each tangent bit for bit as the full
+    # pulse does, in doubles and in fixed point.
+    rng = np.random.default_rng(80 + n)
+    for row in rng.uniform(0.0, 2 * math.pi, size=(4, n)).tolist():
+        r = complex(-math.sin(row[-1]), math.cos(row[-1]))
+        a, b = sequences._float_zero_prefix((n + 1) // 2 + 1, 1)
+        for k, p in enumerate(row[:-1]):
+            # Pulse k + 1 follows pi_0 and k others.
+            a, b = sequences._pulse(a, b, complex(-math.sin(p), math.cos(p)), (k + 1) % 2)
+        full = sequences._pulse(a, b, r, n % 2)
+        assert sequences._pulse(a, b, r, n % 2, False) == (full[0], [])
+        rotors = [
+            (sequences._fixed(math.sin(p)), -sequences._fixed(math.cos(p))) for p in row
+        ]
+        for zeros in (0, 1, 3):
+            ar, ai, br, bi = sequences._mp_jet_rotors(zeros, rotors)
+            assert sequences._mp_jet_rotors(zeros, rotors, with_b=False) == (ar, ai, [], [])
+            assert sequences._mp_jet_rotors(zeros, rotors[:-1], with_b=False)[:2] == (
+                sequences._mp_jet_rotors(zeros, rotors[:-1])[:2]
+            )
+
+
 @pytest.mark.parametrize("length", range(2, 7))
 def test_scalar_zero_prefix_is_the_batched_one(length):
     # half_jets and the numpy kernel read their held zeros from one integer

@@ -718,7 +718,13 @@ def _batched_polish(rel, phi):
     _, jac = solver._residuals(roots, phi_float, pinned)
     inverse = np.linalg.pinv(jac[0], rcond=precise._RCOND).tolist()
     gate = precise._angle_trig(phi, 2)
-    x, _, _, a_h = precise._fixed_newton(roots[0].tolist(), pinned, inverse, gate)
+    root = roots[0].tolist()
+    steps, _, _, a_h = precise._fixed_newton(
+        precise._trig_rotors(root[pinned:]), pinned, inverse, gate
+    )
+    x = [precise._fixed(v) for v in root]
+    for k, d in enumerate(steps, start=pinned):
+        x[k] += d
     return su2.polish_result(x, precise._half_t(*a_h, gate))
 
 
@@ -764,6 +770,90 @@ def test_certified_inverse_refuses_what_pinv_would_truncate():
         inv = precise._certified_inverse(jac.tolist())
         want = np.linalg.pinv(jac, rcond=precise._RCOND)
         assert np.max(np.abs(np.array(inv) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _gauss_jordan_as_it_was(jac, rcond=precise._RCOND):
+    # precise._certified_inverse before its rewrite, kept to pin its bits.
+    size = len(jac)
+    rows = [
+        [*row, *(float(i == k) for k in range(size))] for i, row in enumerate(jac)
+    ]
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda i: abs(rows[i][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        if lead == 0:
+            return None
+        row = rows[col] = [v / lead for v in rows[col]]
+        for i in range(size):
+            factor = rows[i][col]
+            if i != col and factor:
+                rows[i] = [v - factor * w for v, w in zip(rows[i], row)]
+    inv = [row[size:] for row in rows]
+    bound = math.sqrt(sum(v * v for row in jac for v in row)) * math.sqrt(
+        sum(v * v for row in inv for v in row)
+    )
+    return inv if bound < 1.0 / rcond else None
+
+
+def _edge_matrices(rng, size):
+    # Orthogonal mixes Q diag(1, ..., 1, s) Q^T, size >= 2, whose
+    # ||J||_F ||J^-1||_F = ((size - 1 + s^2) (size - 1 + 1/s^2))^(1/2)
+    # lies 1e-9 relative below and above the certificate's 1/_RCOND.
+    ones = size - 1
+    c = (precise._RCOND**-2 - 1 - ones * ones) / ones  # s^2 + 1/s^2
+    edge = math.sqrt(2 / (c + math.sqrt(c * c - 4)))
+    q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    return [
+        ((q * ([1.0] * ones + [edge * (1 + d)])) @ q.T).tolist() for d in (1e-9, -1e-9)
+    ]
+
+
+def test_certified_inverse_keeps_the_bits_of_the_elimination_it_replaced():
+    # Bit for bit (signed zeros and NaN payloads included) against the
+    # elimination as it was written before, pivot ties, zero pivots, NaN,
+    # infinities and matrices at the certificate's edge among them.
+    import struct
+
+    def bits(inv):
+        return None if inv is None else [struct.pack("<d", v) for row in inv for v in row]
+
+    rng = np.random.default_rng(58)
+    draws = random.Random(58)
+    specials = [0.0, -0.0, 1.0, -1.0, 2.0, 1e-300, math.nan, math.inf, -math.inf]
+    cases = [
+        [[math.nan]], [[0.0]], [[-0.0]], [[-3.0]], [[1.0, 2.0], [2.0, 4.0]],
+        [[1.0, 1.0], [-1.0, 1.0]], [[1.0, -1.0], [-1.0, 1.0]],
+        [[0.0, 1.0], [1.0, 0.0]], [[1.0, math.nan], [2.0, 1.0]],
+        [[1.0, 2.0], [math.nan, 1.0]], [[math.nan, 1.0], [1.0, 2.0]],
+        [[math.inf, 1.0], [1.0, 1.0]],
+        [[2.0, 0.0, 0.0], [-2.0, 1.0, 0.0], [2.0, 3.0, 1.0]],
+    ]
+    for _ in range(600):
+        size = draws.randint(1, 5)
+        cases.append(rng.normal(size=(size, size)).tolist())
+        # Small integers, which tie pivots and cancel to zeros, with
+        # specials mixed in.
+        cases.append([
+            [draws.choice(specials) if draws.random() < 0.3
+             else float(draws.randint(-3, 3)) for _ in range(size)]
+            for _ in range(size)
+        ])
+    for size in range(2, 6):
+        inside, outside = _edge_matrices(rng, size)
+        assert precise._certified_inverse(inside) is not None
+        assert precise._certified_inverse(outside) is None
+        cases += [inside, outside]
+    certified = refused = 0
+    for jac in cases:
+        got = precise._certified_inverse(jac)
+        assert bits(got) == bits(_gauss_jordan_as_it_was(jac)), jac
+        for rcond in (precise._RCOND**2, 1.0):
+            want = _gauss_jordan_as_it_was(jac, rcond)
+            assert bits(precise._certified_inverse(jac, rcond)) == bits(want), jac
+        certified += got is not None
+        refused += got is None
+    assert certified > 600 and refused > 300
 
 
 def test_pseudo_inverse_is_numpys_pinv_where_certified():
@@ -914,6 +1004,99 @@ def test_named_trains_of_order_four_or_more_polish_as_the_batched_newton(name):
     assert precise.half_slope_fit(t, pulses) == precise.half_slope_fit(t_want, pulses)
 
 
+def _inline_specs():
+    # The inline specs verify polishes: each name's 17-digit spec as show
+    # prints it (but Z2, whose one-pulse half has nothing to polish) and
+    # the 84 rounded table rows at 17 digits, as the verify benchmark
+    # writes them.
+    params = []
+    for name in catalog.names():
+        entry = catalog.get(name)
+        if entry.pulse_count > 2:
+            seq = catalog.to_sequence(entry)
+            params.append(pytest.param(float(entry.phi_over_pi), seq.phases, id=name))
+    for row in catalog.arbitrary_rows():
+        for pulses in (4, 6, 8, 10, 12, 14):
+            seq = catalog.arbitrary_row(row.phi_over_pi, pulses, refine=False)
+            params.append(pytest.param(
+                float(row.phi_over_pi), seq.phases, id=f"{row.phi_over_pi}-{pulses}p"
+            ))
+    return params
+
+
+def _verify_polish_inputs(phi_over_pi, phases):
+    # (spec, rel, angle): the inline spec of the train and the relative
+    # phases of its half and angle that cli._polished_half polishes.
+    spec = f"phi={phi_over_pi:.17g};phases=" + ",".join(map(cli._fmt_phase, phases))
+    seq = cli.spec_parse(spec)
+    half = first_half(seq)
+    rel = [float(p) - float(half[0]) for p in half[1:]]
+    frac = cli._pi_fraction(float(seq.target_phi))
+    return spec, rel, float(seq.target_phi) if frac is None else frac
+
+
+@pytest.mark.parametrize("phi_over_pi, phases", _inline_specs())
+def test_polish_t_is_the_t_of_polish_fixed(phi_over_pi, phases):
+    # A square half's root is isolated, and an underdetermined half's t
+    # has its top coefficient fixed and the rest below 1e-45: from unit
+    # rotors and from the trig of the float root, the polish ends on the
+    # same t within its stop, and the fit reads the same two doubles.
+    spec, rel, angle = _verify_polish_inputs(phi_over_pi, phases)
+    root, t = precise.polish_t(rel, angle)
+    x, want = precise.polish_fixed(rel, angle)
+    assert len(t) == len(want)
+    assert max(abs(a - b) for a, b in zip(t, want)) <= 2e-45 * abs(want[-1])
+    pulses = 2 * (len(rel) + 1)
+    assert precise.half_slope_fit(t, pulses) == precise.half_slope_fit(want, pulses)
+    # The float root, which the CLI's drift check reads, is the float stage
+    # both polishes share, within 1e-12 rad of the 50-digit phases.
+    assert max(abs(r - math.ldexp(v, -precise.PREC)) for r, v in zip(root, x)) <= 1e-12
+    assert cli._polished_half(cli.spec_parse(spec)) == t
+
+
+@pytest.mark.parametrize("case", ["row-14p", "Z12", "S16"])
+def test_polish_t_takes_the_trig_of_the_gate_alone(case, monkeypatch, capsys):
+    # polish_fixed takes the cos/sin of phi/4 and of each free phase of
+    # the float root; polish_t, and so a verify of an inline spec, only
+    # the first.
+    rel, phi = _polish_inputs(case)
+    free = len(rel) - precise._leading_zeros(rel)
+    calls = []
+    trig = precise._cos_sin_fixed
+
+    def counted(x):
+        calls.append(x)
+        return trig(x)
+
+    monkeypatch.setattr(precise, "_cos_sin_fixed", counted)
+    precise.polish_fixed(rel, phi)
+    assert len(calls) == 1 + free
+    calls.clear()
+    precise.polish_t(rel, phi)
+    assert len(calls) == 1
+    calls.clear()
+    half = [0.0, *rel]
+    shift = math.pi - float(phi) / 2
+    spec = f"phi={float(phi) / math.pi:.17g};phases=" + ",".join(
+        map(cli._fmt_phase, half + [p + shift for p in half])
+    )
+    assert cli.run(["verify", "--json", "--gate", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == len(half) - 1
+    assert len(calls) == 1
+
+
+def test_unit_rotors_lie_on_the_unit_circle_at_the_float_phases():
+    # Within a few units of 2^-PREC of |r| = 1, and within a few ulps of
+    # the double's phase.
+    prec = precise.PREC
+    phases = [0.0, -0.0, 1e-300, 0.5, -2.0, math.pi, 3 * math.pi / 2, 40.0, 1e10]
+    for x, (re_, im_) in zip(phases, precise._unit_rotors(phases)):
+        assert abs(re_ * re_ + im_ * im_ - (1 << 2 * prec)) <= 4 << prec
+        # -i e^{i x} = sin x - i cos x.
+        turn = math.atan2(re_, -im_) - math.remainder(x, 2 * math.pi)
+        assert abs(turn) <= 4e-16 * max(1.0, abs(x))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=-1e-6, max_value=1e-6))
 @example(0.0)
@@ -968,16 +1151,22 @@ def test_turned_rotors_are_the_rotors_of_the_fixed_point_phases(monkeypatch):
 
     monkeypatch.setattr(precise, "_fixed_newton", recorded)
     monkeypatch.setattr(precise, "_mp_residual", spied)
-    polished, handed = precise.polish_structured(rel, phi)
+    x, handed = precise.polish_fixed(rel, phi)
     # The rotors of the last residual evaluation, after every turn.
-    [(x, evals, _, a_h)] = results
+    [(steps, evals, _, a_h)] = results
     assert evals >= 3 and len(rotors) == 3
     zeros = len(x) - len(rotors)
     assert x[:zeros] == [0] * zeros
     for phase, rotor in zip(x[zeros:], rotors):
         fresh = precise._rotor(from_man_exp(phase, -prec))
         assert max(abs(got - want) for got, want in zip(rotor, fresh)) <= 8
-    # The returned phases are the fixed-point phases at the working precision.
+    # The fixed-point phases are the float root's plus the summed steps,
+    # and polish_structured returns them at the working precision.
+    root, _ = precise.polish_t(rel, phi)
+    assert x == [precise._fixed(v) for v in root[:zeros]] + [
+        precise._fixed(v) + d for v, d in zip(root[zeros:], steps)
+    ]
+    polished, _ = precise.polish_structured(rel, phi)
     with mp.workdps(precise.WORKING_DPS):
         assert polished == [mp.mpf((v, -prec)) for v in x]
     # The t handed on is that of the half composed from those turned
