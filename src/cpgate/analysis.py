@@ -538,7 +538,9 @@ def high_fidelity_range(seq: CompositeSequence, threshold: float = 1e-4) -> Erro
         else:
             hi = x
         if f != f0:
-            step = f * (x - x0) / (f - f0)
+            # The ratio first: at a threshold of 1e-300, f (x - x0)
+            # underflows to 0.
+            step = f / (f - f0) * (x - x0)
         elif f >= -0.5 * threshold:
             # f repeats its last value near the crossing: it reads the
             # rounding staircase there, and a flat secant moves x no

@@ -102,11 +102,12 @@ within one unit of the exact log: the square is normalized to x in
 [1, 2) times a power of two, divided by the start c_k of its interval in
 a table of 2^7 (the reciprocal rounded, its log kept exactly), and the
 log of the quotient y, below 1 + 2^-7, is 2 atanh((y - 1)/(y + 1)) by
-nine terms of its series.  The table and ln 2 are built on the first
-fit, from the same series (``_log_table``).  The slope is the exact
-least-squares slope of those logs on the double logs of the errors:
-one integer dot product with weights (x_k - mean x) / sum((x_j -
-mean x)^2) over a common denominator, cached per set of nonzero squares
+its series, summed until a term rounds to 0 (``_atanh_series``).  The
+table and ln 2 are built on the first fit, from the same series
+(``_log_table``).  The slope is the exact least-squares slope of those
+logs on the double logs of the errors: one integer dot product with
+weights (x_k - mean x) / sum((x_j - mean x)^2) over a common
+denominator, cached per set of nonzero squares
 (``_slope_weights``; a zero square drops its point, fewer than two
 leave NaN), and one correctly rounded integer division.  So the slope
 is the exact regression of the exact logs, correctly rounded, unless
@@ -142,12 +143,11 @@ interpolation of the half to ~1e-50.  It holds the leading phases of
 its input that are exactly 0, a count it reads from the phases, and
 moves the rest.  Its float stage (``_float_newton`` on
 ``sequences.half_jets``) runs on Python scalars, where numpy's per-call
-overhead would dominate systems of at most a few rows, on the schedule
-of ``solver._newton_batch``: the full step and halvings
-(``sequences._STEP_LENGTHS``), accepted on a smaller residual 2-norm,
-and its stopping rule, at ``_FLOAT_TOL``.  The step is the minimum-norm
-one, J+ r, and the J+ of the converged point serves every 50-digit step:
-both residuals read the same u-coefficients.  ``_pseudo_inverse``
+overhead would dominate systems of at most a few rows, on the Newton
+schedule of ``sequences`` (stated beside ``_STEP_LENGTHS``), which
+``solver._newton_batch`` runs too, at ``_FLOAT_TOL``.  The J+ of the
+converged point serves every 50-digit step: both residuals read the
+same u-coefficients.  ``_pseudo_inverse``
 certifies J+ to be the pseudo-inverse at ``sequences._RCOND``.  A square
 system, as many free phases as the ceil(n/2) residual entries (the held
 count is ``sequences.pinned_zero_count(n)``, as in every table row),
@@ -241,12 +241,11 @@ _SLOPE_EPS_HI = 1e-2
 _SLOPE_POINTS = 20
 # The fit's logs (``_ln``): ln of each square at 2^-_LOG_Q, summed at
 # 2^-_LOG_W, _LOG_GUARD bits finer, from a table of 2^_LOG_TABLE_BITS
-# steps and _LOG_TERMS terms of an atanh series.
+# steps and an atanh series.
 _LOG_Q = 120
 _LOG_GUARD = 30
 _LOG_W = _LOG_Q + _LOG_GUARD
 _LOG_TABLE_BITS = 7
-_LOG_TERMS = 9
 # Residual max-norm of the float stage of ``polish_structured``, 40 times
 # the largest double-precision residual of a polished catalog train or
 # table row (2.4e-13, at n = 8), and the max-norm 10^-_POLISH_DIGITS that
@@ -534,24 +533,23 @@ def _root(n, shift):
 
 @lru_cache(maxsize=None)
 def _log_table():
-    """(ln 2, steps, odd) of ``_ln`` at 2^-_LOG_W, built on first use:
-    for each of the 2^_LOG_TABLE_BITS intervals [c_k, c_k + 2^-_LOG_TABLE_BITS)
+    """(ln 2, steps) of ``_ln`` at 2^-_LOG_W, built on first use: for
+    each of the 2^_LOG_TABLE_BITS intervals [c_k, c_k + 2^-_LOG_TABLE_BITS)
     of [1, 2), c_k = 1 + k 2^-_LOG_TABLE_BITS, the pair (r_k, -ln r_k) of
-    r_k = floor(2^_LOG_W / c_k) 2^-_LOG_W; and the atanh series'
-    coefficients 1/(2j + 1), j = _LOG_TERMS - 1 down to 0."""
+    r_k = floor(2^_LOG_W / c_k) 2^-_LOG_W."""
     one = 1 << _LOG_W
     size = 1 << _LOG_TABLE_BITS
     steps = []
     for k in range(size):
         r = (size << _LOG_W) // (size + k)
         steps.append((r, _atanh_series(one - r, one + r)))
-    odd = tuple(one // (2 * j + 1) for j in reversed(range(_LOG_TERMS)))
-    return _atanh_series(1, 3), tuple(steps), odd
+    return _atanh_series(1, 3), tuple(steps)
 
 
 def _atanh_series(num, den):
     """2 atanh(num / den) = ln((den + num) / (den - num)) at 2^-_LOG_W, for
-    0 <= num / den <= 1/3, summed until a term is 0."""
+    0 <= num / den <= 1/3, summed until a term is 0; also for a ``num`` a
+    few units below 0 (``_ln_wide``'s y - 1), whose square rounds to 0."""
     u = (num << _LOG_W) // den
     u2 = u * u >> _LOG_W
     total, term, k = 0, u, 1
@@ -574,19 +572,14 @@ def _ln_wide(n, shift):
     # n = 2^bits x with x in [1, 2), taken at 2^-_LOG_W; x = c_k y with
     # y = x r_k in [1, 1 + 2^-_LOG_TABLE_BITS) (to two units), so ln y is
     # 2 atanh(u), u = (y - 1) / (y + 1) below 2^-(_LOG_TABLE_BITS + 1),
-    # and _LOG_TERMS terms of its series leave less than 2^-(_LOG_W + 4).
-    ln2, steps, odd = _log_table()
+    # whose series drops 16 bits a term.
+    ln2, steps = _log_table()
     bits = n.bit_length() - 1
     x = n << (_LOG_W - bits) if bits <= _LOG_W else n >> (bits - _LOG_W)
     r, log_c = steps[(x >> (_LOG_W - _LOG_TABLE_BITS)) - (1 << _LOG_TABLE_BITS)]
     y = x * r >> _LOG_W
     one = 1 << _LOG_W
-    u = ((y - one) << _LOG_W) // (y + one)
-    u2 = u * u >> _LOG_W
-    acc = 0
-    for coeff in odd:
-        acc = (acc * u2 >> _LOG_W) + coeff
-    return (bits + shift) * ln2 + log_c + (acc * u >> (_LOG_W - 1))
+    return (bits + shift) * ln2 + log_c + _atanh_series(y - one, y + one)
 
 
 def polish_structured(rel_phases, phi):
@@ -749,12 +742,11 @@ def _pseudo_inverse(jac):
 
 def _float_newton(phases, phi: float, tol: float, max_iter: int, pinned: int):
     """Damped Newton on one half in Python scalars, the leading ``pinned``
-    phases held: each iteration takes the minimum-norm step
-    (``_pseudo_inverse``) at the longest length of the full step and its
-    halvings (``sequences._STEP_LENGTHS``) that makes the residual 2-norm
-    smaller, and the iteration stops at a residual max-norm below ``tol``,
-    after ``max_iter`` steps, where no length improves it or where no
-    phase is free.
+    phases held, on the Newton schedule of ``sequences``: J+ is
+    ``_pseudo_inverse``'s, and the halvings are tried one at a time, the
+    first that improves taken.  It stops at a residual max-norm below
+    ``tol``, after ``max_iter`` steps, where no length improves it or
+    where no phase is free.
 
     Returns (phases, residual max-norm, converged, inverse) with the
     pseudo-inverse of the Jacobian in the free phases at the returned

@@ -26,12 +26,11 @@ with exact tangents in the phases on request, by the recurrence of
 ``jets``.  It serves every system of ``precise``'s polish
 (``precise._float_newton``), where numpy's per-call overhead would
 dominate, and ``analysis``'s range search on a two-half train: neither
-loads ``jets`` or numpy.  Both Newton iterations,
-``solver``'s batch and that scalar one, take the pseudo-inverse cutoff
-``_RCOND`` and the backtracking step lengths ``_STEP_LENGTHS`` from
-here.  ``_mp_jet_pulse`` is the same pulse on integers in the fixed
-point of ``su2``: ``precise`` composes its 50-digit trains on
-it, and ``_float_half_t`` a float half's t for ``analysis.sweep``.
+loads ``jets`` or numpy.  Both Newton iterations, ``solver``'s batch
+and that scalar one, run the one schedule stated here beside ``_RCOND``
+and ``_STEP_LENGTHS``.  ``_mp_jet_pulse`` is the same pulse on integers
+in the fixed point of ``su2``: ``precise`` composes its 50-digit trains
+on it, and ``_float_half_t`` a float half's t for ``analysis.sweep``.
 Where only A is read after a half (``half_jets``, the polish's residual,
 ``_float_half_t``), its last pulse forms no B~ (``with_b``).  The
 three kernels share one integer zero prefix (``_zero_prefix``), one
@@ -50,8 +49,16 @@ PI = math.pi
 # Tolerance (radians, mod 2 pi) of ``first_half``: it admits the 4-decimal
 # rounding of the tables and the mod-2 phases ``solve`` writes.
 _HALF_TOL = 1e-3
-# Pseudo-inverse cutoff of a Newton step, and its backtracking step
-# lengths 2^-k, k = 0..29: the full step, then each halving in turn.
+# The Newton schedule of ``solver._newton_batch`` and
+# ``precise._float_newton``.  Each iteration takes the minimum-norm step
+# -J+ r, J+ the pseudo-inverse of the Jacobian in the free phases at the
+# cutoff _RCOND, at the longest of the lengths _STEP_LENGTHS, 2^-k for
+# k = 0..29, that makes the residual 2-norm smaller.  The full step is
+# evaluated with its Jacobian and taken where it lowers the 2-norm; else
+# the 29 halvings are tried on residuals alone, and the one taken is
+# evaluated again with its Jacobian.  Where none lowers the 2-norm the
+# iteration stops where it is; it also stops at a residual max-norm
+# below its tolerance and after its iteration limit.
 _RCOND = 1e-6
 _STEP_LENGTHS = tuple(0.5**k for k in range(30))
 

@@ -27,9 +27,10 @@ phases pinned to zero (the compact 3pi/4pi-block forms), where the
 system is square and the roots are isolated points; each root it finds
 is already the canonical representative of its class.  The Newton
 iteration here holds a count ``pinned`` of leading phases fixed and steps
-along the rest: ``solve`` holds floor(n/2).  ``precise``'s polish runs
-the same schedule on Python scalars, holding the leading phases of its
-input that are exactly 0.
+along the rest on the Newton schedule of ``sequences`` (stated beside
+``_STEP_LENGTHS``): ``solve`` holds floor(n/2).  ``precise``'s polish
+runs the same schedule on Python scalars, holding the leading phases of
+its input that are exactly 0.
 
 Up to order 4 the classes have a closed form, ``sequences.chart_roots``,
 which the ``solve`` command writes in place of this Newton.  At n = 1
@@ -114,12 +115,9 @@ def residual(phases, phi: float) -> np.ndarray:
     return _residuals(np.asarray(phases, dtype=float)[None, :], phi)[0]
 
 
-# Backtracking step lengths 2^-k, k = 0..29, tried in two groups: the
-# full step and the first three halvings, then the other 26.  On the
-# benchmark's solve workload 82 % of the rows whose full step fails
-# succeed within the first three halvings (75-88 % per op list, seeds
-# 7001-7010), so most skip the other 26.
-_STEPS = (np.array(_STEP_LENGTHS[:4]), np.array(_STEP_LENGTHS[4:]))
+# The backtracking halvings 2^-1..2^-29, tried together where the full
+# step fails (see ``sequences``).
+_HALVINGS = np.array(_STEP_LENGTHS[1:])
 
 
 def _newton_batch(
@@ -140,16 +138,13 @@ def _newton_batch(
     tangent directions, so near-roots are polished in place instead of
     drifting along the manifold.
 
-    A row takes the longest step length 2^-k, k = 0..29, that makes its
-    residual 2-norm smaller, and each iteration evaluates a trial point at
-    most once: the full step and the halvings 2^-1..2^-3 of every row in
-    one evaluation, with their Jacobians; the halvings 2^-4..2^-29 of the
-    rows none of those improves in a second, on residuals alone.  The
-    point a row moves to keeps the residual and Jacobian it was evaluated
-    with for the next iteration; only a step length of the second group
-    is evaluated again, with its Jacobian.  If ``stats`` is a dict, it
-    receives the iterations of the batch (``iterations``), the rows still
-    live after ``max_iter`` of them (``capped``) and the rows
+    Each row steps on the Newton schedule of ``sequences``: the full
+    steps of all rows go to one evaluation with their Jacobians, the
+    halvings of the rows a full step does not improve to a second on
+    residuals alone, and the point each such row takes to a third, with
+    its Jacobian, which its next iteration reads.  If ``stats`` is a
+    dict, it receives the iterations of the batch (``iterations``), the
+    rows still live after ``max_iter`` of them (``capped``) and the rows
     ``structured_jets`` evaluated (``evaluations``).
     """
     x = np.array(x0, dtype=float)
@@ -171,25 +166,6 @@ def _newton_batch(
         # Residual rows and Jacobians (in the free phases) at x[live].
         r, jac = evaluate(x)
 
-    def backtrack(rows, group):
-        # Tries the step lengths _STEPS[group] of this iteration's ``step``
-        # on the live rows ``rows``, with Jacobians in the first group, and
-        # moves each row to the first that brings its residual 2-norm below
-        # ``norm0``.  Returns whether one did for each row, the index of
-        # the point taken (or of the first) among all trial points, and the
-        # evaluation of every trial point.
-        lengths = _STEPS[group]
-        trial = np.repeat(x[live[rows], None, :], len(lengths), axis=1)
-        trial[:, :, pinned:] += lengths[:, None] * step[rows, None, :]
-        found = evaluate(trial.reshape(-1, n), group == 0)
-        r_trial = found[0] if group == 0 else found
-        norms = np.linalg.norm(r_trial, axis=1).reshape(len(rows), len(lengths))
-        better = norms < norm0[rows, None]
-        hit = better.any(axis=1)
-        first = better.argmax(axis=1)
-        x[live[rows[hit]]] = trial[hit, first[hit]]
-        return hit, np.arange(len(rows)) * len(lengths) + first, found
-
     iterations = 0
     while len(live):
         rmax[live] = largest = np.abs(r).max(axis=1)
@@ -203,20 +179,25 @@ def _newton_batch(
             break
         iterations += 1
         step = -(np.linalg.pinv(jac, rcond=_RCOND) @ r[:, :, None])[:, :, 0]
-        # Backtracking on the residual norm; arcsin-flavored roots
-        # have steep basins, so halve up to 29 times before giving up.
         norm0 = np.linalg.norm(r, axis=1)
-        moved, rows, (r, jac) = backtrack(np.arange(len(live)), 0)
-        # The residual and Jacobian at the step each row took.
-        r, jac = r[rows], jac[rows]
-        if moved.all():
-            continue
+        trial = x[live]
+        trial[:, pinned:] += step
+        r, jac = evaluate(trial)
+        moved = np.linalg.norm(r, axis=1) < norm0
+        x[live[moved]] = trial[moved]
         todo = np.flatnonzero(~moved)
-        hit, _, _ = backtrack(todo, 1)
-        taken = todo[hit]
-        moved[taken] = True
-        if taken.size:
-            r[taken], jac[taken] = evaluate(x[live[taken]])
+        if todo.size:
+            # Arcsin-flavored roots have steep basins: the halvings.
+            trial = np.repeat(x[live[todo], None, :], len(_HALVINGS), axis=1)
+            trial[:, :, pinned:] += _HALVINGS[:, None] * step[todo, None, :]
+            norms = np.linalg.norm(evaluate(trial.reshape(-1, n), False), axis=1)
+            better = norms.reshape(len(todo), len(_HALVINGS)) < norm0[todo, None]
+            hit = better.any(axis=1)
+            taken = todo[hit]
+            moved[taken] = True
+            if taken.size:
+                x[live[taken]] = trial[hit, better[hit].argmax(axis=1)]
+                r[taken], jac[taken] = evaluate(x[live[taken]])
         # A row that no step length improves stops where it is.
         live, r, jac = live[moved], r[moved], jac[moved]
     if stats is not None:

@@ -7,7 +7,8 @@ It records, for the program in ``src``:
 
 - ``verify --json`` on the 27 catalog names, on the 84 rounded
   arbitrary-angle rows as the 17-digit inline specs the verify benchmark
-  passes, on the inline specs of the CI verify steps, on the first entry
+  passes, on inline specs of rows, halves and trains that are not two
+  halves (``VERIFY_SPECS``), on the first entry
   of the files seven ``solve --out`` runs write, at orders 2-8 (with the
   text of those files; ``first_entry``), and on 100 seeded inline specs
   (``inline_specs``);
@@ -59,10 +60,10 @@ SWEEP_GRIDS = (("-0.4", "0.4", "9"), ("1e-3", "0.05", "5"))
 _S10 = ("0,0.8225606328124041,0.82256551733751782,1.9152390433822561,"
         "0.44160567403125545,0.75,1.5725606328124042,1.5725655173375179,"
         "2.6652390433822566,1.1916056740312555")
-# The inline gates of the CI verify steps: rounded table rows (one moved by
-# 2 in both halves), a train that is not two halves, the smallest half, the
-# second S10 twice, and phases too large for the shift to register (exit 3).
-CI_SPECS = (
+# Inline gates for verify: rounded table rows (one moved by 2 in both
+# halves), a train that is not two halves, the smallest half, the second
+# S10 twice, and phases too large for the shift to register (exit 3).
+VERIFY_SPECS = (
     "phi=0.5;phases=0,0,0,1.0477,1.5126,0.3399,0.75,0.75,0.75,1.7977,2.2626,1.0899",
     "phi=0.3333333333333333;phases=0,0,0,0,0.9974,0.979,0.924,0.8333,0.8333,"
     "0.8333,0.8333,1.8307,1.8123,1.7573",
@@ -342,7 +343,7 @@ def closed_solve_records(workdir):
 
 
 def build():
-    gates = [*catalog.names(), *row_specs(), *CI_SPECS, *inline_specs()]
+    gates = [*catalog.names(), *row_specs(), *VERIFY_SPECS, *inline_specs()]
     with tempfile.TemporaryDirectory() as workdir:
         solves = solve_records(workdir)
         closed = closed_solve_records(workdir)

@@ -867,18 +867,36 @@ def test_odd_length_train_takes_the_train_path(monkeypatch):
     assert read == grid
 
 
-@pytest.mark.parametrize("name", ["Z8", "S8", "T8"])
-@pytest.mark.parametrize("threshold", ["1e-13", "1e-14"])
+@pytest.mark.parametrize("threshold, name", [
+    *((threshold, name) for threshold in ("1e-13", "1e-14") for name in ("Z8", "S8", "T8")),
+    # Far below Z8's float floor, where a secant step formed as
+    # f (x - x0) / (f - f0) underflowed to -0 and stopped the search at
+    # its third evaluation.
+    ("1e-300", "Z8"),
+])
 def test_range_below_the_last_place_of_the_threshold_finds_the_crossing(name, threshold,
-                                                                         capsys):
+                                                                         monkeypatch, capsys):
     # The first chord lands where the infidelity is below threshold 2^-53,
     # so infidelity - threshold reads exactly -threshold there and at the
     # next iterate.  That repeat is the floor, not the rounding staircase
-    # at a crossing: the search halves its bracket in log eps and goes on.
-    # At the printed eps0 the 40-digit infidelity of the train as given is
-    # the threshold within 2x (the first chord's point read 1e-18 to 5e-20
-    # of it).
+    # at a crossing: the search halves its bracket in log eps and goes on,
+    # past its third evaluation of the half.  At the printed eps0 the
+    # 40-digit infidelity of the train as given is the threshold within 2x
+    # (the first chord's point read 1e-18 to 5e-20 of it).
+    read = []
+    half_at = analysis._half_at
+
+    def spy(t, p, eps):
+        read.append(eps)
+        return half_at(t, p, eps)
+
+    monkeypatch.setattr(analysis, "_half_at", spy)
     assert run(["range", "--gate", name, "--threshold", threshold]) == 0
+    assert len(read) > 3
+    if threshold == "1e-300":
+        # The float train's infidelity at eps = 0 is above 1e-300: no eps0
+        # is its crossing (ROADMAP, refusal of thresholds below it).
+        return
     eps0 = re.match(r"epsilon0 = (\S+),", capsys.readouterr().out).group(1)
     seq = _cat(name)
     with mp.workdps(40):

@@ -57,7 +57,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run({argv!r})
 print(json.dumps([code, *(name in sys.modules for name in {modules!r})]))
 """
-_MODULES = ("numpy", "mpmath", "cpgate.solver", "cpgate.jets", "logging",
+_MODULES = ("numpy", "mpmath", "cpgate.solver", "cpgate.jets", "cpgate.precise", "logging",
             "dataclasses", "inspect")
 _SPEC = "phi=0.5;phases=0,0,0,1.0477,1.5126,0.3399,0.75,0.75,0.75,1.7977,2.2626,1.0899"
 # A 6-pulse spec whose half holds no leading zero against the one of the
@@ -77,44 +77,53 @@ _LONG_HALVES = "phi=0.5;phases=" + ",".join(
     [_LONG_HALF, *(f"{float(p) + 0.75:g}" for p in _LONG_HALF.split(","))])
 
 
-@pytest.mark.parametrize("argv, numpy, solver", [
-    (["list"], False, False),
-    (["tables", "--which", "Z"], False, False),
-    (["tables", "--which", "IV"], False, False),
-    (["show", "Z18"], False, False),
-    *((["build", "--phi", "0.5", "--pulses", str(p)], False, False)
+def _argv_id(argv):
+    # The command line of a table row, each spec above by its name.
+    names = {_SPEC: "SPEC", _FREE_SPEC: "FREE_SPEC", _Z12_SPEC: "Z12_SPEC",
+             _TWO_HALVES: "TWO_HALVES", _OFF_HALVES: "OFF_HALVES", _LONG_HALVES: "LONG_HALVES"}
+    return " ".join(names.get(arg, arg) for arg in argv)
+
+
+@pytest.mark.parametrize("argv, numpy, solver, precise", [
+    (["list"], False, False, False),
+    (["tables", "--which", "Z"], False, False, False),
+    (["tables", "--which", "IV"], False, False, False),
+    (["show", "Z18"], False, False, False),
+    *((["build", "--phi", "0.5", "--pulses", str(p)], False, False, False)
       for p in (2, 4, 6, 8)),
-    (["build", "--phi", "0.5", "--pulses", "14"], False, False),
-    (["verify", "--gate", "Z18"], False, False),
-    (["verify", "--json", "--gate", "T10"], False, False),
-    (["verify", "--gate", _SPEC], False, False),
-    (["verify", "--gate", _TWO_HALVES], False, False),
-    (["verify", "--gate", _FREE_SPEC], False, False),
-    (["verify", "--gate", _Z12_SPEC], False, False),
-    (["range", "--gate", "Z8"], False, False),
-    (["range", "--gate", "Z2"], False, False),
-    (["range", "--gate", _TWO_HALVES], False, False),
-    (["range", "--gate", _OFF_HALVES], False, False),
-    (["range", "--gate", _LONG_HALVES], False, False),
-    (["sweep", "--gate", "Z8", "--steps", "5"], True, False),
-    (["sweep", "--gate", "Z2", "--steps", "5"], True, False),
-    (["solve", "--order", "2", "--phi", "0.5", "--seeds", "2"], False, False),
-    (["solve", "--order", "5", "--phi", "0.5", "--seeds", "2"], True, True),
-    (["solve", "--order", "4", "--phi", "0.5", "--seeds", "2"], False, False),
-])
-def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, solver):
+    (["build", "--phi", "0.5", "--pulses", "14"], False, False, True),
+    (["verify", "--gate", "Z18"], False, False, True),
+    (["verify", "--json", "--gate", "T10"], False, False, True),
+    (["verify", "--gate", _SPEC], False, False, True),
+    (["verify", "--gate", _TWO_HALVES], False, False, True),
+    (["verify", "--gate", _FREE_SPEC], False, False, True),
+    (["verify", "--gate", _Z12_SPEC], False, False, True),
+    (["range", "--gate", "Z8"], False, False, False),
+    (["range", "--gate", "Z2"], False, False, False),
+    (["range", "--gate", _TWO_HALVES], False, False, False),
+    (["range", "--gate", _OFF_HALVES], False, False, False),
+    (["range", "--gate", _LONG_HALVES], False, False, False),
+    (["sweep", "--gate", "Z8", "--steps", "5"], True, False, False),
+    (["sweep", "--gate", "Z2", "--steps", "5"], True, False, False),
+    *((["solve", "--order", str(n), "--phi", "0.5", "--seeds", "2"], False, False, False)
+      for n in (1, 2, 3, 4)),
+    (["solve", "--order", "5", "--phi", "0.5", "--seeds", "2"], True, True, False),
+], ids=lambda value: _argv_id(value) if isinstance(value, list) else None)
+def test_a_command_loads_numpy_only_where_it_runs_array_code(argv, numpy, solver, precise):
     # numpy serves array code: solve above order 4 (up to it, solve writes
     # the closed form), with solver and jets, and sweep.  range reads
     # every train on Python floats, two halves or not.  Every polish,
     # square (a table row, inline or built) or underdetermined, runs on
-    # Python scalars and integers in precise.
+    # Python scalars and integers in precise, which only verify and a
+    # built table row load: the named trains round stored integers to
+    # phases in su2.
     # No command loads mpmath: the trig is precise's own, on
     # integers, and the slope grid is data.  No command loads
     # logging, whose DEBUG records nobody could hear.  The records are
     # su2.Record's, so no command loads dataclasses, and inspect comes in
     # with numpy alone (numpy._core.overrides imports it).
     loaded = _fresh(_CLI.format(argv=argv, modules=_MODULES))
-    assert loaded == [0, numpy, False, solver, solver, False, False, numpy]
+    assert loaded == [0, numpy, False, solver, solver, precise, False, False, numpy]
 
 
 @pytest.mark.parametrize("argv", [["list"], ["show", "Z18"], ["range", "--gate", "Z8"]])
@@ -125,28 +134,6 @@ def test_a_command_reads_the_packaged_data_without_importlib_resources(argv):
     modules = ("importlib.resources", "pkgutil", "dataclasses", "inspect")
     loaded = _fresh(_CLI.format(argv=argv, modules=modules), "-S")
     assert loaded == [0, False, False, False, False]
-
-
-_LIGHT = """
-import contextlib, io, json, sys
-from cpgate import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.run({argv!r})
-print(json.dumps([code, "cpgate.precise" in sys.modules, "logging" in sys.modules]))
-"""
-
-
-@pytest.mark.parametrize("argv", [
-    ["list"],
-    ["tables", "--which", "Z"],
-    ["tables", "--which", "IV"],
-    ["show", "Z18"],
-    *(["build", "--phi", "0.5", "--pulses", str(p)] for p in (2, 4, 6, 8)),
-])
-def test_a_command_that_measures_nothing_loads_neither_precise_nor_logging(argv):
-    # The named trains round stored integers to phases in su2, and only
-    # a polish or verify logs.
-    assert _fresh(_LIGHT.format(argv=argv)) == [0, False, False]
 
 
 def test_building_the_named_trains_runs_no_newton_and_loads_no_numpy():
@@ -242,6 +229,24 @@ def test_no_module_imports_mpmath(module):
     # slope grid is data, so no module imports it, in a function body or
     # anywhere else.
     assert not [name for name in _imports(module) if name.split(".")[0] == "mpmath"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(cpgate.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_module_catches_a_failed_import(path):
+    # A run that never loads a module prints the same bytes with that
+    # module blocked (sys.modules[name] = None makes its import raise
+    # ImportError): the commands that load no numpy or mpmath (see the
+    # table above) run alike without them.  That holds while no handler
+    # catches the failed import: none is bare, and none names
+    # ImportError, ModuleNotFoundError or a base class of theirs.
+    caught = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught += ["" if t is None else ast.unparse(t) for t in types]
+    banned = {"", "ImportError", "ModuleNotFoundError", "Exception", "BaseException"}
+    assert not banned & set(caught)
 
 
 def _module_level_imports(node):

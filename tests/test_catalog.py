@@ -176,14 +176,19 @@ def _record(**fields):
      _record(order="1" * 5000),
      _record(name="N" * 5000, phases_over_pi=["0", "1.75", "0"]),
      _record(phases_over_pi=["0", "1.75", "0", "9" * 1000]),
-     _record(phases_over_pi=["0", "1.75", "0", "x" * 5000])],
+     _record(phases_over_pi=["0", "1.75", "0", "x" * 5000]),
+     "[" * 100000,
+     _record(phi_over_pi="1/0"),
+     _record(phases_over_pi=["0", "1/0", "0", "1.75"])],
     ids=["nested-900-deep", "long-list-name", "long-string-order", "long-name",
-         "long-phase", "long-bad-phase"],
+         "long-phase", "long-bad-phase", "nested-100000-deep", "zero-angle-denominator",
+         "zero-phase-denominator"],
 )
 def test_a_rejected_record_of_any_size_leaves_one_short_error_line(content, tmp_path, capsys):
     # The message is cut to 160 characters, whatever of the record it
     # quotes: a list nested 900 deep, which json.loads still parses, once
-    # printed 1.8 kB of brackets.
+    # printed 1.8 kB of brackets.  A file nested past json's recursion
+    # and a zero denominator leave one line too.
     path = tmp_path / "big.json"
     path.write_text(content)
     for command in ("sweep", "range", "verify"):

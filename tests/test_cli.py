@@ -205,6 +205,10 @@ def test_cached_parser_survives_validation_errors(capsys):
     [
         ("phi=1.46;phases=0.0,0.56,0.27,0.83", "0.2"),
         ("phi=0.96;phases=0.0,1.93,0.52,0.45", "0.01"),
+        # A rounded 14-pulse row with its last phase moved by 1e-6 rad,
+        # off the structure: its infidelity is 7.1e-7 at eps = 0.
+        pytest.param("phi=0.5;phases=0,0,0,0,0.9961,0.9684,0.8855,0.75,0.75,0.75,0.75,"
+                     "1.7461,1.7184,1.6355003183098862", "1e-8", id="moved-row-1e-8"),
     ],
 )
 def test_range_of_a_train_missing_its_gate_is_numerical_error(spec, threshold, capsys):
@@ -245,11 +249,11 @@ _S10 = (
     "0.44160567403125545,0.75,1.5725606328124042,1.5725655173375179,"
     "2.6652390433822566,1.1916056740312555"
 )
-# The inline specs of CI's strict-JSON verify step: rounded 12- and
-# 14-pulse rows (one with its last free phase moved by 2 in both halves),
-# the pi/2 14-pulse row, the smallest half, and two trains that are not
-# two halves.
-_CI_VERIFY_SPECS = [
+# Inline specs that verify polishes or measures as given: rounded 12- and
+# 14-pulse rows (one with its last free phase moved by 2 in both halves,
+# polished above 2 pi), the pi/2 14-pulse row, the smallest half (order
+# 0), and two trains that are not two halves (the second S10 twice).
+_VERIFY_SPECS = [
     "phi=0.5;phases=0,0,0,1.0477,1.5126,0.3399,0.75,0.75,0.75,1.7977,2.2626,1.0899",
     "phi=0.3333333333333333;phases=0,0,0,0,0.9974,0.979,0.924,0.8333,0.8333,"
     "0.8333,0.8333,1.8307,1.8123,1.7573",
@@ -265,17 +269,18 @@ _CI_VERIFY_SPECS = [
 
 
 @pytest.mark.parametrize(
-    "gate", ["T12", "Z18", "phi=1;phases=0,1.75,0.5,0.25", *_CI_VERIFY_SPECS]
+    "gate", ["T12", "Z18", "phi=1;phases=0,1.75,0.5,0.25", *_VERIFY_SPECS]
 )
 def test_verify_json_reports_the_fit(gate, capsys):
     # For a catalog name or a polished inline spec verify fits the half
     # the polish handed on; that fit is slope_fit's of the whole train,
-    # bit for bit.
+    # bit for bit.  The line is strict JSON with an integer order.
     assert run(["verify", "--gate", gate]) == 0
     plain = capsys.readouterr().out
     assert run(["verify", "--gate", gate, "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _strict_json(capsys.readouterr().out)
     assert set(report) == {"order", "slope", "peak"}
+    assert type(report["order"]) is int
     assert plain == f"order = {report['order']}\n"
     seq, entry = cli._resolve_gate(gate)
     inline = entry is None
@@ -313,16 +318,40 @@ def test_sweep_csv_is_byte_deterministic(tmp_path, capsys):
     assert len(lines) == 102
 
 
+def _moved_name_spec(name, rad):
+    # The name's train as a 17-digit inline spec, its last phase moved by
+    # ``rad``: off the two-half structure for rad above its round-off.
+    entry = catalog.get(name)
+    phases = [float(p) / math.pi for p in catalog.to_sequence(entry).phases]
+    phases[-1] += rad / math.pi
+    return f"phi={float(entry.phi_over_pi):.17g};phases=" + ",".join(
+        format(p, ".17g") for p in phases)
+
+
+# The names read their half polynomial; a 6-pulse spec that is not two
+# halves, Z8 with its last phase moved by 1e-6 rad and a seeded two-half
+# train whose half of 11 pulses is longer than a sweep reads through t
+# are composed as given.
+_SWEEP_GATES = {
+    **{name: name for name in catalog.names()},
+    "not-two-halves": "phi=1;phases=0,0.3,0.3,0.3,0.3,0.5",
+    "Z8-moved": _moved_name_spec("Z8", 1e-6),
+    "long-half": make_corpus.long_half_spec(),
+}
+
+
 @pytest.mark.parametrize(
     "grid",
     [
         ["--steps", "101"],
         ["--eps-min", "-0.4", "--eps-max", "0.4", "--steps", "5"],
         ["--eps-min", "1e-9", "--eps-max", "2e-9", "--steps", "101"],
+        # |eps| >= 1, the point inside the digits.
+        ["--eps-min", "-12.5", "--eps-max", "12.5", "--steps", "11"],
     ],
-    ids=["default-range", "exact-zero", "tiny"],
+    ids=["default-range", "exact-zero", "tiny", "wide"],
 )
-@pytest.mark.parametrize("gate", ["S4", "Z10"])
+@pytest.mark.parametrize("gate", list(_SWEEP_GATES.values()), ids=list(_SWEEP_GATES))
 def test_sweep_stdout_is_the_csv_file(gate, grid, tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     args = ["sweep", "--gate", gate, *grid]
@@ -876,7 +905,8 @@ def test_verify_json_of_a_name_is_that_of_its_catalog_file(name, tmp_path, capsy
     assert run(["verify", "--json", "--gate", str(path)]) == 0
     by_file = capsys.readouterr()
     assert by_file == by_name and by_name.err == ""
-    report = json.loads(by_name.out)
+    report = _strict_json(by_name.out)
+    assert type(report["order"]) is int
     slope, peak = precise.slope_fit(catalog.to_sequence(entry))
     assert report["slope"] == slope and report["peak"] == peak
 

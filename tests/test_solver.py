@@ -573,21 +573,18 @@ def _step_lengths(x0, phi, pinned, iterations):
 
 @pytest.mark.parametrize("n, rng_seed", [(4, 1), (4, 2), (6, 0)])
 def test_newton_evaluates_each_trial_point_once(monkeypatch, n, rng_seed):
-    # From far starts rows take halvings.  The full step and the halvings
-    # 2^-1..2^-3 are evaluated with their Jacobians, so a row that takes
-    # one of them is never evaluated again there; only a step of 2^-4 or
-    # shorter, tried on residuals alone, is evaluated a second time, once,
-    # with its Jacobian.
+    # From far starts rows take halvings.  The full step is evaluated with
+    # its Jacobian, so a row that takes it is never evaluated again there;
+    # only a halving, tried on residuals alone, is evaluated a second time,
+    # once, with its Jacobian.
     pinned = n // 2
     phi = math.pi / 4
     seeds = np.random.default_rng(rng_seed).uniform(0.0, TWO_PI, size=(8, n))
     seeds[:, :pinned] = 0.0
     iterations = 30
     taken = _step_lengths(seeds, phi, pinned, iterations)
-    lengths = [k for k, _ in taken if k is not None]
-    assert any(1 <= k <= 3 for k in lengths)
-    again = {point.tobytes() for k, point in taken if k is not None and k >= 4}
-    assert (n, rng_seed) == (4, 1) or again
+    again = {point.tobytes() for k, point in taken if k is not None and k >= 1}
+    assert again
     seen = {}
 
     def counted(x, pinned=None):
