@@ -49,14 +49,16 @@ sweep and each search logs one DEBUG record under ``cpgate.analysis``
 with the path it took (``path=half`` or ``path=train``).
 
 A sweep's CSV (``csv_bytes``, behind ``write_csv`` and the CLI's stdout)
-holds the bytes of "%.17g" of every value, encoded a block of rows at a
-time in numpy.  A value whose "%.17g" is in fixed notation, decimal
-exponent X in [-4, 15], has the 17 digits N = round-half-even(|x|
-10^(16-X)), found exactly with Dekker's error-free product; X comes from
-a table of the smallest double at each exponent, and the digits from a
-4-digit lookup table.  Each value fills fixed NUL-padded slots, and one
-``bytes.translate`` deletes the padding.  Other values (0, -0, tiny,
-huge, nan, inf, a point inside the digits) are formatted one by one.
+holds the bytes of "%.17g" of every value, encoded a block of 1024 rows
+at a time in numpy, so a default sweep is one block.  A value whose
+"%.17g" is in fixed notation, decimal exponent X in [-4, 15], is encoded
+in numpy, and so is a zero of either sign (X = 0, N = 0): its 17 digits
+are N = round-half-even(|x| 10^(16-X)), found exactly with Dekker's
+error-free product; X comes from two lookups at the sign and exponent
+bits, and the digits from a 4-digit lookup table.  Each value fills a
+NUL-padded 24-byte row that starts with the separator before it, and
+one ``bytes.translate`` deletes the padding.  Other values (tiny, huge,
+nan, inf, a point inside the digits) are formatted one by one.
 """
 
 from __future__ import annotations
@@ -213,10 +215,11 @@ def csv_bytes(profile: FidelityProfile) -> bytes:
     columns = (profile.epsilons, profile.frobenius, profile.trace)
     # Every column as doubles: the encoder's arithmetic is float64.
     table = np.column_stack(columns).astype(np.float64, copy=False)
+    # Each block's rows start with the newline that ends the line before.
     return b"".join([_CSV_HEADER] + [
         _encode_block(table[start:start + _CSV_BLOCK_ROWS])
         for start in range(0, len(table), _CSV_BLOCK_ROWS)
-    ])
+    ] + [b"\n"])
 
 
 def write_csv(profile: FidelityProfile, path) -> None:
@@ -226,35 +229,65 @@ def write_csv(profile: FidelityProfile, path) -> None:
         fh.write(data)
 
 
-_CSV_HEADER = b"epsilon,frobenius_fidelity,trace_fidelity\n"
-# Rows encoded per numpy pass.  It bounds the temporaries, about 0.25 kB
-# a value, whatever the step count, and keeps them in cache: 512-row
-# blocks encoded 801 and 4001 rows faster than 256 or 1024.
-_CSV_BLOCK_ROWS = 512
+_CSV_HEADER = b"epsilon,frobenius_fidelity,trace_fidelity"
+# Rows encoded per numpy pass.  It bounds the temporaries whatever the
+# step count (a 1024-row block peaks at 0.36 MB under tracemalloc), and
+# one block holds the default 801-step sweep.  csv_bytes of 801 rows took
+# 249-337 us against 301-422 at 512 rows, 405-590 at 256 and the same at
+# 2048; of 4001 rows 1.30-1.86 ms against 1.53-2.17 at 512 and 1.21-1.63
+# at 2048 (two runs of 40 alternated rounds in one process).  Minor page
+# faults per call in those loops: 2.5 at 801 rows (0.01 at 512), and
+# 90-134 at 4001 rows for every size from 256 to 2048, where glibc trims
+# the heap top that the table, block outputs and joined bytes leave free.
+_CSV_BLOCK_ROWS = 1024
 # Decimal exponents X encoded in numpy.  "%.17g" is in fixed notation
 # for X in [-4, 16]; X = 16 and every X outside is formatted on its own.
 _FIXED_MIN, _FIXED_MAX = -4, 15
-_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into halves
+# A value's state: 0 for a zero, 1 below 10^_FIXED_MIN, 2 + X - _FIXED_MIN
+# for an exponent X in [_FIXED_MIN, _FIXED_MAX], and _STATES - 1 for the
+# rest (X >= 16, nan, inf).  Its key is the state, plus _STATES if the
+# sign bit is set.
+_STATES = _FIXED_MAX - _FIXED_MIN + 4
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into halves
+_ABS_BITS = (1 << 63) - 1
+# The bits of 1e16: |x| is clamped to it, so nan, inf and huge values
+# compute finite digits (formatted on their own anyway).
+_CLAMP_BITS = 0x4341C37937E08000
+# Clears a double's 27 low mantissa bits: its high half, of 26 bits.
+_HIGH_BITS = -(1 << 27)
+# 1.5 2^52 and its bits: e + 1.5 2^52 rounds e to an integer, half to
+# even, in the low bits of its mantissa.
+_ROUNDER, _ROUNDER_BITS = 6755399441055744.0, 0x4338000000000000
+_NEWLINE = ord(",") ^ ord("\n")  # turns byte 0 of a lead word "," into "\n"
+_MARK = 0x100  # byte 1 of a lead word, where a formatted field goes
 
 
 @lru_cache(maxsize=None)
 def _csv_tables():
     """The encoder's constant tables, built on first use.
 
-    - ``lows``: for X = -4..16, the smallest double whose 17-digit
-      rounding is at least 10^X; the decimal exponent of |x| is the
-      number of them at or below |x|, less 5.
+    - ``binades``, ``thresholds``: at a double's sign and exponent bits,
+      read as the signed ``bits >> 52``, the key of the binade's smallest
+      value and the bits of the one threshold inside the binade (int64's
+      largest if none): the smallest double whose 17-digit rounding is
+      at least 10^X, X = -4..16.  The key is ``binades`` plus 1 at or
+      past the threshold.
+    - ``pow10``: by key, 10^(16 - X) and its Veltkamp halves in rows
+      0-2; 1 for a state without X.
+    - ``heads``: by key, a value's lead word, its first 8 bytes as one
+      uint64: the comma before it in byte 0, its sign and "0.000" lead
+      right-aligned in bytes 1-6, NUL elsewhere.  ``firsts``: digit d in
+      byte 7, index d.
+    - ``int_digits``, ``max_digits``: by key, the digits an integer
+      shows (X + 1 for X >= 0, 1 for a zero, else 0), and the most
+      significant digits the vector path encodes (X + 1 for X >= 0 and
+      for a zero, 17 for X < 0, 0 for the states formatted on their own).
     - ``digits``: the four ASCII digits of 0..9999 as one uint32 each.
     - ``sig_len``: at [j, g], the count of N's leading digits through
       the last nonzero digit of group j of N when that group is g (1
       when g is 0).  The maximum over j is N's significant digits m.
-    - ``heads``, ``head_len``: at key (X + 4) 2 + negative, a field's
-      first 8 bytes as one uint64, its sign and "0.000" lead right-aligned
-      in bytes 0-6 and NUL elsewhere, and that lead's length; ``firsts``:
-      digit d in byte 7, index d.
     - ``keep``: at [j, k], the byte mask of digit word j (digits 2-17)
-      that keeps the first k digits of N.  ``seps``: "," and "\\n" words.
-    - ``pow10``: 10^k and its Dekker halves, k = 0..20, rows 0-2.
+      that keeps the first k digits of N.
     """
     import numpy as np
 
@@ -265,94 +298,140 @@ def _csv_tables():
         if Fraction(low) < bound:
             low = math.nextafter(low, math.inf)
         lows.append(low)
+    # Binade e2 holds the bits [e2 2^52, (e2 + 1) 2^52), and at most one
+    # threshold; binade 0 holds 0 and the subnormals, 2047 nan and inf.
+    low_bits = np.array(lows).view(np.int64)
+    starts = np.arange(2048, dtype=np.int64) << 52
+    binades = np.searchsorted(low_bits, starts, side="right") + 1
+    binades[0], binades[2047] = 0, _STATES - 1
+    thresholds = np.full(2048, np.iinfo(np.int64).max)
+    for low in low_bits.tolist():
+        # One at a binade's start (1.0) is counted in ``binades``.
+        if low & ((1 << 52) - 1):
+            thresholds[low >> 52] = low
+    thresholds[0] = 1  # the smallest subnormal: nonzero, below 1e-4
+    exps = [0, None] + list(range(_FIXED_MIN, _FIXED_MAX + 1)) + [None]
+    leads = [b"-" * negative + (b"0." + b"0" * (-x - 1) if x is not None and x < 0 else b"")
+             for negative in (0, 1) for x in exps]
+    heads = np.frombuffer(b"".join(b"," + lead.rjust(6, b"\0") + b"\0" for lead in leads),
+                          np.uint64)
+    firsts = np.frombuffer(b"".join(b"\0" * 7 + bytes((d,)) for d in b"0123456789"), np.uint64)
+    pow10 = np.array([1.0 if x is None else float(10 ** (16 - x)) for x in exps] * 2)
+    big = pow10 * _SPLIT
+    high = big - (big - pow10)
+    int_digits = np.array([0 if x is None else max(x + 1, 0) for x in exps] * 2, np.uint8)
+    max_digits = np.array([0 if x is None else x + 1 if x >= 0 else 17 for x in exps] * 2,
+                          np.uint8)
     g = np.arange(10000, dtype=np.int16)
     places = g[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
     digits = (places + ord("0")).astype(np.uint8).view(np.uint32).ravel()
     last = (4 - np.argmax(places[:, ::-1] != 0, axis=1)).astype(np.uint8)
     sig_len = np.where(g != 0, last + np.arange(1, 17, 4, dtype=np.uint8)[:, None], 1)
-    leads = [b"-" * negative + (b"0." + b"0" * (-x - 1) if x < 0 else b"")
-             for x in range(_FIXED_MIN, _FIXED_MAX + 1) for negative in (0, 1)]
-    heads = np.frombuffer(b"".join(lead.rjust(7, b"\0") + b"\0" for lead in leads), np.uint64)
-    firsts = np.frombuffer(b"".join(b"\0" * 7 + bytes((d,)) for d in b"0123456789"), np.uint64)
     keep = np.frombuffer(
         b"".join((b"\xff" * (k - 1)).ljust(16, b"\0") for k in range(18)), np.uint32
     ).reshape(18, 4).T.copy()
-    pow10 = np.array([float(10**k) for k in range(17 - _FIXED_MIN)])
-    big = pow10 * _SPLIT
-    high = big - (big - pow10)
-    tables = (np.array(lows), digits, sig_len, heads, firsts, np.array(list(map(len, leads))),
-              keep, np.frombuffer(b",\0\0\0\n\0\0\0", np.uint32),
-              np.stack((pow10, high, pow10 - high)))
+    tables = (np.concatenate((binades, binades + _STATES)), np.tile(thresholds, 2),
+              np.stack((pow10, high, pow10 - high)), heads, firsts, int_digits, max_digits,
+              digits, sig_len, keep)
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
 def _encode_block(table: FloatArray) -> bytes:
-    """The bytes of "%.17g" of every value of ``table`` (rows, cols), each
-    followed by a comma, or by a newline at the end of a row.
+    """The bytes of every row of ``table`` (rows, cols), each after a
+    newline: "%.17g" of its values, joined by commas.
 
     A value of decimal exponent X in [-4, 15], X < 0 or an integer, is
-    encoded in numpy: its 17 digits are N = round-half-even(|x| 10^k),
-    k = 16 - X <= 20, found exactly.  10^k is a double, and Dekker's
-    product gives p + e = |x| 10^k with p = fl(|x| 10^k) >= 2^53 an even
-    integer, so N is p plus e rounded half to even.  It fills seven uint32
-    words: the sign and "0.000" lead right-aligned in bytes 0-6 and the
-    first digit in byte 7; the other 16 digits, NUL past the m significant
-    (X + 1 for an integer); the separator.  One ``bytes.translate`` drops
-    the NULs.  Any other value (0, -0, |x| < 1e-4, |x| >= 1e16, nan, inf,
-    a point inside the digits) is formatted with "%.17g" and spliced in.
+    encoded in numpy, and so is a zero (X = 0, N = 0: "0" or "-0" by its
+    sign bit).  Its key, from two lookups at its sign and exponent bits,
+    gives X.  Its 17 digits are N = round-half-even(|x| 10^k), k = 16 - X
+    <= 20, found exactly: 10^k is a double, and Dekker's product, with
+    |x| split by masking its low 27 bits, gives p + e = |x| 10^k with
+    p = fl(|x| 10^k) >= 2^53 an even integer, so N is p plus e rounded
+    half to even.  Each value fills one 24-byte row of three uint64
+    words: the separator before it ("," or "\\n") in byte 0, its sign and
+    "0.000" lead right-aligned in bytes 1-6, its first digit in byte 7;
+    then its other 16 digits, NUL past the m significant (X + 1 for an
+    integer).  One ``bytes.translate`` drops the NULs.  Any other value
+    (|x| < 1e-4, |x| >= 1e16, nan, inf, a point inside the digits) keeps
+    its separator and a marker byte, which "%.17g" of it replaces.
     """
     import numpy as np
 
-    lows, digits, sig_len, heads, firsts, head_len, keep, seps, pow10 = _csv_tables()
+    (binades, thresholds, pow10, heads, firsts, int_digits, max_digits,
+     digits, sig_len, keep) = _csv_tables()
     cols = table.shape[1]
     vals = table.ravel()
-    a = np.abs(vals)
-    x = np.searchsorted(lows, a, side="right") + (_FIXED_MIN - 1)
-    unfixed = (x < _FIXED_MIN) | (x > _FIXED_MAX)
-    # 1.0 stands in for these, so the arithmetic raises no warning; the
-    # fallback below replaces their fields.
-    a[unfixed] = 1.0
-    x[unfixed] = 0
-    b, bh, bl = pow10.take(16 - x, axis=1)
-    p = a * b
-    big = a * _SPLIT
-    ah = big - (big - a)
-    al = a - ah
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    q = n // 10000
-    g3 = n - q * 10000
-    r = q // 10000
-    g2 = q - r * 10000
-    q = r // 10000
-    g1 = r - q * 10000
-    d0 = q // 10000
-    g0 = q - d0 * 10000
-    m = np.maximum(np.maximum(sig_len[0].take(g0), sig_len[1].take(g1)),
-                   np.maximum(sig_len[2].take(g2), sig_len[3].take(g3)))
-    shown = np.where(x < 0, m, x + 1)
-    slow = np.flatnonzero(unfixed | (m > shown))
-    key = (x - _FIXED_MIN) * 2 + (vals < 0)
-    src = np.empty((len(vals), 7), np.uint32)
-    src[:, :2].view(np.uint64)[:, 0] = heads.take(key) | firsts.take(d0)
-    for j, group in enumerate((g0, g1, g2, g3)):
-        np.bitwise_and(digits.take(group), keep[j].take(shown), out=src[:, 2 + j])
-    src[:, 6] = seps[0]
-    src[cols - 1::cols, 6] = seps[1]
-    src[slow] = 0
-    data = src.tobytes().translate(None, b"\0")
-    if not len(slow):
-        return data
-    width = head_len.take(key) + shown + 1
-    width[slow] = 0
-    parts, end = [], 0
-    for i, start, v in zip(slow.tolist(), np.cumsum(width)[slow].tolist(), vals[slow].tolist()):
-        parts += (data[end:start], b"%.17g%s" % (v, b"\n" if i % cols == cols - 1 else b","))
-        end = start
-    parts.append(data[end:])
-    return b"".join(parts)
+    key, n = _keys_and_digits(vals.view(np.int64), binades, thresholds, pow10)
+    # N's four-digit groups 0-3 after its first digit, which n ends as.
+    groups = np.empty((4, len(vals)), np.int64)
+    for j in (3, 2, 1, 0):
+        q = n // 10000
+        np.multiply(q, -10000, out=groups[j])
+        groups[j] += n
+        n = q
+    m = sig_len[0].take(groups[0])
+    for j in (1, 2, 3):
+        np.maximum(m, sig_len[j].take(groups[j]), out=m)
+    shown = np.maximum(m, int_digits.take(key))
+    slow = m > max_digits.take(key)
+    rows = np.empty((len(vals), 3), np.uint64)
+    np.bitwise_or(heads.take(key), firsts.take(n), out=rows[:, 0])
+    rows[::cols, 0] ^= _NEWLINE
+    np.bitwise_and(digits.take(groups), keep.take(shown, axis=1),
+                   out=rows.view(np.uint32)[:, 2:].T)
+    del groups  # the largest temporary, freed before the bytes are made
+    if not slow.any():
+        return rows.tobytes().translate(None, b"\0")
+    rows[slow, 0] = rows[slow, 0] & 0xFF | _MARK
+    rows[slow, 1:] = 0
+    return _format_marked(rows.tobytes().translate(None, b"\0"), vals[slow].tolist())
+
+
+def _format_marked(data: bytes, values) -> bytes:
+    """``data`` with its k-th marker byte replaced by "%.17g" of
+    ``values[k]``: the fields the vector path leaves out."""
+    # The vector path writes digits, "-", ".", "," and "\n" alone, so
+    # only the markers turn into conversions.
+    return data.replace(b"\1", b"%.17g") % tuple(values)
+
+
+def _keys_and_digits(bits, binades, thresholds, pow10):
+    """The encoder key of each double of ``bits`` (its int64 view), and
+    N = round-half-even(|x| 10^k), k = 16 - X, where the key gives X.
+
+    |x| is clamped to 1e16, so nan, inf and huge values compute a finite
+    N.  Dekker's product: |x| = ah + al, ah its high 26 bits, and
+    10^k = bh + bl in Veltkamp's halves; every partial product is exact,
+    and so is e in p + e = |x| 10^k.  The products and sums write in
+    place, and every temporary is freed on return.
+    """
+    import numpy as np
+
+    fields = bits >> 52  # sign and exponent, negative for a set sign bit
+    key = binades.take(fields)
+    a = bits & _ABS_BITS
+    np.minimum(a, _CLAMP_BITS, out=a)
+    key += a >= thresholds.take(fields)
+    p, bh, bl = pow10.take(key, axis=1)
+    al = a.view(np.float64)
+    ah = (a & _HIGH_BITS).view(np.float64)
+    np.multiply(al, p, out=p)
+    np.subtract(al, ah, out=al)
+    e = ah * bh
+    e -= p
+    np.multiply(ah, bl, out=ah)
+    np.multiply(al, bh, out=bh)
+    np.multiply(al, bl, out=bl)
+    e += ah
+    e += bh
+    e += bl
+    e += _ROUNDER
+    n = p.astype(np.int64)
+    n += e.view(np.int64)
+    n -= _ROUNDER_BITS
+    return key, n
 
 
 _CELLS = 64

@@ -238,6 +238,51 @@ def test_csv_bytes_of_one_row_and_of_a_block_boundary(rows):
     assert _csv_bytes_of(table) == _csv_row_by_row(table.tolist())
 
 
+def _spy_on_formatted_fields(monkeypatch) -> list:
+    # Every value the encoder leaves to "%.17g" one at a time.
+    formatted = []
+    real = analysis._format_marked
+
+    def spy(data, values):
+        formatted.extend(values)
+        return real(data, values)
+
+    monkeypatch.setattr(analysis, "_format_marked", spy)
+    return formatted
+
+
+def test_csv_bytes_encode_signed_zeros_on_the_vector_path(monkeypatch):
+    formatted = _spy_on_formatted_fields(monkeypatch)
+    rows = [[0.0, -0.0, 0.25], [-0.0, 0.0, -0.0], [-0.4, 0.0, 1.0]]
+    assert _csv_bytes_of(rows) == _csv_row_by_row(rows)
+    assert b"\n-0,0,-0\n" in _csv_bytes_of(rows)
+    assert formatted == []
+    # A value that is formatted on its own still is.
+    rows = [[0.0, 1e-300, -0.0]]
+    assert _csv_bytes_of(rows) == _csv_row_by_row(rows)
+    assert formatted == [1e-300]
+
+
+def test_default_sweep_formats_no_field_on_its_own(monkeypatch):
+    formatted = _spy_on_formatted_fields(monkeypatch)
+    profile = sweep(_cat("Z10"), -0.4, 0.4, 801)
+    assert 0.0 in profile.epsilons.tolist()
+    table = np.column_stack((profile.epsilons, profile.frobenius, profile.trace))
+    assert csv_bytes(profile) == _csv_row_by_row(table.tolist())
+    assert formatted == []
+
+
+def test_csv_bytes_of_signed_zeros_at_a_block_boundary():
+    # Zeros of either sign in the last row of one block and the first of
+    # the next, between values of both kinds of field.
+    rows = analysis._CSV_BLOCK_ROWS + 1
+    rng = np.random.default_rng(11)
+    table = rng.uniform(-1.0, 1.0, (rows, 3))
+    table[rows - 2] = [-0.0, 0.0, -0.0]
+    table[rows - 1] = [0.0, -0.0, 1e-300]
+    assert _csv_bytes_of(table) == _csv_row_by_row(table.tolist())
+
+
 def test_order_from_slope_on_analytic_and_catalog_trains():
     assert order_from_slope(*precise.slope_fit(two_pulse(math.pi))) == 0
     assert order_from_slope(*precise.slope_fit(_cat("Z8"))) == 3
